@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -39,7 +40,6 @@ from enum import Enum
 from . import half_power as hp
 from . import lommel as lm
 from . import radical_pole as rp
-from . import selfcheck
 from . import two_radical as tr
 from .control import control_from_env
 from .errors import ConvergenceError, DomainError, UnsupportedError
@@ -321,6 +321,10 @@ def _collect_params(args, family, sweep=False):
             if isinstance(raw, str) and "," in raw:
                 raise DomainError(f"--{name} accepts a single value here (use `table` to sweep)")
             out[name] = [typ(raw)]
+        if typ is float:
+            bad = [v for v in out[name] if not math.isfinite(v)]
+            if bad:
+                raise DomainError(f"--{name} must be finite, got {bad[0]}")
     return out
 
 
@@ -461,6 +465,8 @@ def cmd_compare(args, stream):
 
 
 def cmd_selfcheck(args, stream):
+    from . import selfcheck
+
     if args.list:
         for name in selfcheck.group_names():
             stream.write(name + "\n")

@@ -8,6 +8,12 @@ transformation.  This module deliberately knows nothing about the closed
 forms it arbitrates: the only ingredients are elementary functions and
 lobe quadrature, so agreement with a closed form is meaningful evidence.
 
+scipy is imported on the first quadrature, not with this module: the
+closed forms import ``Kernel`` and ``integrate_finite`` from here, and
+importing scipy costs most of a cold ``oscint eval``.  The module global
+``quad`` starts as a stub that loads scipy's ``quad`` and rebinds the
+global to it, so from then on every call goes straight to QUADPACK.
+
 Euler transformation was chosen over Levin-u: the lobe magnitudes here
 have monotone envelopes (weights are eventually monotone), for which the
 plain Euler table already converges geometrically (~1e-12 within 25-40
@@ -22,8 +28,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Union
-
-from scipy.integrate import quad
 
 from .control import DEFAULT_CONTROL, SeriesControl
 from .errors import (
@@ -56,9 +60,32 @@ class Kernel(str, Enum):
     COS = "cos"
 
 
+def _first_quad(*args, **kwargs):
+    """scipy's ``quad``, loaded on first use.
+
+    Rebinds the global ``quad`` to scipy's function only while it is
+    still this stub, so a wrapper installed there meanwhile (a tracer)
+    stays in place and keeps seeing every call.
+    """
+    global quad
+    from scipy.integrate import quad as scipy_quad
+    if quad is _first_quad:
+        quad = scipy_quad
+    return scipy_quad(*args, **kwargs)
+
+
+quad = _first_quad
+
+
 # --------------------------------------------------------------------------
 # integrand descriptions
 # --------------------------------------------------------------------------
+
+def _require_finite(owner, **params):
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{owner} {name} must be finite, got {value}")
+
 
 @dataclass(frozen=True)
 class HalfPower:
@@ -68,6 +95,7 @@ class HalfPower:
     x: float = 0.0
 
     def __post_init__(self):
+        _require_finite("HalfPower", alpha=self.alpha, x=self.x)
         if self.x < 0:
             raise DomainError(f"HalfPower shift x must be >= 0, got {self.x}")
         if not self.alpha + 0.5 > 0:
@@ -84,6 +112,7 @@ class TwoRadical:
     b: float
 
     def __post_init__(self):
+        _require_finite("TwoRadical", a=self.a, b=self.b)
         if self.a <= 0 or self.b <= 0:
             raise DomainError(f"TwoRadical constants must be > 0, got a={self.a} b={self.b}")
 
@@ -96,6 +125,7 @@ class RadicalPole:
     b: float
 
     def __post_init__(self):
+        _require_finite("RadicalPole", a=self.a, b=self.b)
         if self.a <= 0 or self.b <= 0:
             raise DomainError(f"RadicalPole constants must be > 0, got a={self.a} b={self.b}")
 
@@ -113,6 +143,7 @@ class ThreeRadical:
     c: float
 
     def __post_init__(self):
+        _require_finite("ThreeRadical", a=self.a, b=self.b, c=self.c)
         if min(self.a, self.b, self.c) <= 0:
             raise DomainError("ThreeRadical constants must all be > 0")
 
@@ -124,6 +155,7 @@ class LogHalfPower:
     x: float
 
     def __post_init__(self):
+        _require_finite("LogHalfPower", x=self.x)
         if self.x <= 0:
             raise DomainError(f"LogHalfPower shift x must be > 0, got {self.x}")
 
@@ -140,6 +172,7 @@ class QuadraticPhase:
     power: float
 
     def __post_init__(self):
+        _require_finite("QuadraticPhase", scale=self.scale, power=self.power)
         if self.scale <= 0:
             raise DomainError(f"QuadraticPhase scale must be > 0, got {self.scale}")
         if self.power <= 0:
@@ -163,6 +196,7 @@ class IntegrandSpec:
     zeta: float = 1.0
 
     def __post_init__(self):
+        _require_finite("IntegrandSpec", zeta=self.zeta)
         if self.zeta <= 0:
             raise DomainError(f"frequency zeta must be > 0, got {self.zeta}")
 

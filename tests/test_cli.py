@@ -200,3 +200,22 @@ def test_console_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["family"] == "half-power"
+
+
+NON_FINITE_ARGV = {
+    "eval": ("eval", "--family", "half-power", "--alpha", "1", "--x={}"),
+    "eval-zeta": ("eval", "--family", "two-radical", "--a", "1", "--b", "2", "--zeta={}"),
+    "oracle": ("oracle", "--family", "half-power", "--alpha", "1", "--x={}"),
+    "compare": ("compare", "--family", "radical-pole", "--a={}", "--b", "2"),
+    "table": ("table", "--family", "lommel", "--n", "0", "--m", "3", "--x=1,{}"),
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", sorted(NON_FINITE_ARGV))
+def test_non_finite_parameter_exit_2(capsys, command, bad):
+    argv = [arg.format(bad) for arg in NON_FINITE_ARGV[command]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "must be finite" in err
+    assert out == ""

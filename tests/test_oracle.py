@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import oscint.oracle as oracle
 from oscint import (
     AccelerationStalledError,
     DivergentIntegralError,
@@ -13,6 +14,7 @@ from oscint import (
     Kernel,
     LogHalfPower,
     QuadraticPhase,
+    RadicalPole,
     SeriesControl,
     ThreeRadical,
     TwoRadical,
@@ -117,3 +119,53 @@ def test_lobe_count_insensitivity():
     finer = osc(HalfPower(0.0, 0.1), Kernel.SIN, 0.5,
                 ctl=SeriesControl(rel_tol=1e-13, max_terms=1000))
     assert abs(base.value - finer.value) <= base.abs_err_est
+
+
+NON_FINITE = {
+    "HalfPower.alpha": lambda v: HalfPower(v, 1.0),
+    "HalfPower.x": lambda v: HalfPower(1.0, v),
+    "TwoRadical.a": lambda v: TwoRadical(v, 1.0),
+    "TwoRadical.b": lambda v: TwoRadical(1.0, v),
+    "RadicalPole.a": lambda v: RadicalPole(v, 1.0),
+    "RadicalPole.b": lambda v: RadicalPole(1.0, v),
+    "ThreeRadical.a": lambda v: ThreeRadical(v, 1.0, 2.0),
+    "ThreeRadical.b": lambda v: ThreeRadical(1.0, v, 2.0),
+    "ThreeRadical.c": lambda v: ThreeRadical(1.0, 2.0, v),
+    "LogHalfPower.x": lambda v: LogHalfPower(v),
+    "QuadraticPhase.scale": lambda v: QuadraticPhase(v, 0.5),
+    "QuadraticPhase.power": lambda v: QuadraticPhase(1.0, v),
+    "IntegrandSpec.zeta": lambda v: IntegrandSpec(HalfPower(0.0, 1.0), Kernel.SIN, v),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("param", sorted(NON_FINITE))
+def test_non_finite_parameter_is_domain_error(param, bad):
+    # NaN passes every ordering check; unchecked, it reaches the lobe loop,
+    # which never meets its tolerance
+    with pytest.raises(DomainError, match="finite"):
+        NON_FINITE[param](bad)
+
+
+def test_first_quadrature_binds_scipy_quad(monkeypatch):
+    import scipy.integrate
+
+    monkeypatch.setattr(oracle, "quad", oracle._first_quad)
+    integrate_finite(math.sin, 0.0, 1.0)
+    assert oracle.quad is scipy.integrate.quad
+
+
+def test_wrapper_installed_before_first_use_sees_every_call(monkeypatch):
+    stub = oracle._first_quad
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[1:3])
+        return stub(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "quad", wrapper)
+    rep = osc(HalfPower(0.0, 1.0))
+    integrate_finite(math.sin, 0.0, 1.0)
+    assert oracle.quad is wrapper
+    assert len(calls) == rep.zero_intervals_used + 1
+    assert calls[-1] == (0.0, 1.0)
