@@ -313,7 +313,10 @@ def _collect_params(args, family, sweep=False):
             out[name] = [default]
             continue
         if sweep:
-            vals = [typ(v) for v in str(raw).split(",") if v != ""]
+            try:
+                vals = [typ(v) for v in str(raw).split(",") if v != ""]
+            except ValueError:
+                raise DomainError(f"--{name} needs {typ.__name__} values, got {raw!r}") from None
             if not vals:
                 raise DomainError(f"empty value list for --{name}")
             out[name] = vals

@@ -10,8 +10,11 @@ Complex quantities (incomplete gamma with imaginary argument, the
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -22,10 +25,10 @@ class SeriesControl:
     max_terms: int = 500
 
     def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
+        if not self.max_terms >= 1:
+            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
 
 
 DEFAULT_CONTROL = SeriesControl()
@@ -41,7 +44,10 @@ def control_from_env(rel_tol=None, max_terms=None):
     """
     if rel_tol is None:
         env = os.environ.get(ENV_REL_TOL)
-        rel_tol = float(env) if env else DEFAULT_CONTROL.rel_tol
+        try:
+            rel_tol = float(env) if env else DEFAULT_CONTROL.rel_tol
+        except ValueError:
+            raise DomainError(f"{ENV_REL_TOL} must be a number, got {env!r}") from None
     if max_terms is None:
         max_terms = DEFAULT_CONTROL.max_terms
     return SeriesControl(rel_tol=rel_tol, max_terms=max_terms)

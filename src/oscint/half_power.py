@@ -33,7 +33,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import DivergentIntegralError, DomainError
-from .oracle import Kernel
+from .oracle import Kernel, _require_finite
 from .special_functions import fresnel_c, fresnel_s
 
 __all__ = [
@@ -65,6 +65,8 @@ class HalfPowerParams:
     alpha: int
 
     def __post_init__(self):
+        if not math.isfinite(self.zeta + self.x + self.alpha):
+            _require_finite("HalfPowerParams", zeta=self.zeta, x=self.x, alpha=self.alpha)
         if self.zeta <= 0:
             raise DomainError(f"frequency zeta must be > 0, got {self.zeta}")
         if self.x < 0:

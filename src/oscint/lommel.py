@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .control import DEFAULT_CONTROL, SeriesControl
 from .errors import ConvergenceError, DomainError
-from .oracle import Kernel
+from .oracle import Kernel, _require_finite
 from .special_functions import (
     EULER_GAMMA,
     gen_ci,
@@ -84,6 +84,8 @@ class GeneralExponent:
     m: int
 
     def __post_init__(self):
+        if not math.isfinite(self.n + self.m):
+            _require_finite("GeneralExponent", n=self.n, m=self.m)
         if self.n < 0 or self.n != int(self.n):
             raise DomainError(f"n must be a nonnegative integer, got {self.n}")
         if self.m < 1 or self.m != int(self.m):
@@ -119,6 +121,8 @@ def lommel_s_half(mu: float, z: float, ctl: SeriesControl = DEFAULT_CONTROL,
 def sin_exponent_transform(p: float, x: float, zeta: float = 1.0,
                            ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Integral of sin(zeta t)/(t+x)^p over [0, inf), any real p > 0, x > 0."""
+    if not math.isfinite(p + x + zeta):
+        _require_finite("sin_exponent_transform", p=p, x=x, zeta=zeta)
     if x <= 0:
         raise DomainError(f"need x > 0, got {x}")
     if zeta <= 0:
@@ -131,6 +135,8 @@ def sin_exponent_transform(p: float, x: float, zeta: float = 1.0,
 def cos_exponent_transform(p: float, x: float, zeta: float = 1.0,
                            ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Integral of cos(zeta t)/(t+x)^p over [0, inf), any real p > 0, x > 0."""
+    if not math.isfinite(p + x + zeta):
+        _require_finite("cos_exponent_transform", p=p, x=x, zeta=zeta)
     if x <= 0:
         raise DomainError(f"need x > 0, got {x}")
     if zeta <= 0:
@@ -195,6 +201,8 @@ def log_weighted_sin_integral(x: float, ctl: SeriesControl = DEFAULT_CONTROL) ->
     The closed form is the negative of the order-derivative of the
     exponent family at 1/2, expressed through 2F2(1/2,1/2;3/2,3/2;ix).
     """
+    if not math.isfinite(x):
+        _require_finite("log_weighted_sin_integral", x=x)
     if x <= 0:
         raise DomainError(f"need x > 0, got {x}")
     rx = math.sqrt(x)
@@ -213,6 +221,8 @@ def log_weighted_sin_integral_fd(x: float, h: float = 1e-4,
     Differentiates the exponent family numerically at exponent 1/2;
     regression anchor for the 2F2 closed form.
     """
+    if not math.isfinite(x + h):
+        _require_finite("log_weighted_sin_integral_fd", x=x, h=h)
     if x <= 0:
         raise DomainError(f"need x > 0, got {x}")
     hi = sin_exponent_transform(0.5 + h, x, 1.0, ctl)
@@ -229,6 +239,8 @@ def si_ci_representation(n: int, m: int, x: float, zeta: float = 1.0,
     The printed sine form pairs cos(zeta x) with a bare sin(x); the
     corrected sin(zeta x) ships by default (errata LOM-SICI-PHASE).
     """
+    if not math.isfinite(x + zeta):
+        _require_finite("si_ci_representation", x=x, zeta=zeta)
     if x <= 0:
         raise DomainError(f"need x > 0, got {x}")
     if zeta <= 0:

@@ -82,6 +82,13 @@ quad = _first_quad
 # --------------------------------------------------------------------------
 
 def _require_finite(owner, **params):
+    """Raise DomainError naming the first non-finite parameter.
+
+    The closed forms call this only when ``math.isfinite`` of the sum of
+    their parameters fails, which costs far less than this call: a
+    finite sum proves every term finite, and a sum that merely
+    overflows passes here.
+    """
     for name, value in params.items():
         if not math.isfinite(value):
             raise DomainError(f"{owner} {name} must be finite, got {value}")

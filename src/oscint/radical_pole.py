@@ -1,11 +1,11 @@
 """Fourier transforms with weight 1/(sqrt(t+a) (t+b)), b > a.
 
-Same head/tail strategy as the two-radical family, but the z-integrals
-carry a simple pole weight 1/(z^2+1): the infinite-range pieces are
-Fresnel-integral expressions and the heads are 2F1(1, ...) series.  The
-integrand is NOT symmetric in a and b, so b > a is required; other
-orderings have no closed form here and callers are pointed at the
-quadrature oracle.
+The quadratic-phase engine of ``two_radical`` with weight power p = 1:
+the z-integrals carry a simple pole weight 1/(z^2+1), so this module
+supplies Fresnel-integral tails, 2F1(1, ...) head moments, the pole's
+quadrature heads and the prefactor 2/sqrt(b-a).  The integrand
+is NOT symmetric in a and b, so b > a is required; other orderings have
+no closed form here and callers are pointed at the quadrature oracle.
 
 Oracle arbitration notes (details in the errata registry):
 
@@ -15,9 +15,9 @@ Oracle arbitration notes (details in the errata registry):
   through the complementary-error-function route is the default and
   matches quadrature at every tested c.  ``as_printed=True`` restores
   the verbatim expression.
-* the sine head series, with its (2k+1)!(4k+1) denominator and
-  {1 - 2F1} bracket, is correct as printed (verified against direct
-  quadrature); no correction is applied.
+* the printed sine head series, with its (2k+1)!(4k+1) denominator and
+  {1 - 2F1} bracket, is correct as printed, but {1 - 2F1} cancels at
+  small gamma; the engine sums the equivalent moment form instead.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ import math
 from dataclasses import dataclass
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import ConvergenceError, DomainError, UnsupportedError
-from .oracle import integrate_finite
+from .errors import DomainError, UnsupportedError
+from .oracle import _require_finite, integrate_finite
 from .special_functions import fresnel_c, fresnel_s, hyp2f1
+from .two_radical import _assemble, _head_approx, _head_series
 
 __all__ = [
     "RadicalPoleParams",
@@ -44,8 +45,6 @@ __all__ = [
     "approx_pole_cos_transform",
 ]
 
-_MAX_PHASE = 25.0
-
 
 @dataclass(frozen=True)
 class RadicalPoleParams:
@@ -54,6 +53,8 @@ class RadicalPoleParams:
     zeta: float = 1.0
 
     def __post_init__(self):
+        if not math.isfinite(self.a + self.b + self.zeta):
+            _require_finite("RadicalPoleParams", a=self.a, b=self.b, zeta=self.zeta)
         if self.a <= 0 or self.b <= 0 or self.zeta <= 0:
             raise DomainError(
                 f"need a, b, zeta > 0, got a={self.a} b={self.b} zeta={self.zeta}")
@@ -103,106 +104,37 @@ def pole_tail_cos(c: float, as_printed: bool = False) -> float:
 def pole_head_sin_series(c: float, gamma: float,
                          ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Integral of sin(c x^2)/(x^2+1) on [0, gamma], by series."""
-    if c <= 0 or gamma < 0:
-        raise DomainError(f"need c > 0 and gamma >= 0, got c={c} gamma={gamma}")
-    if gamma == 0:
-        return 0.0
-    if c * gamma * gamma > _MAX_PHASE:
-        raise ConvergenceError(
-            f"head series phase c*gamma^2 = {c * gamma * gamma:.3g} too large")
-    g2 = gamma * gamma
-    base = -(c * c) * (g2 * g2)
-    term = 1.0          # (-c^2 g^4)^k / (2k+1)!
-    total = 0.0
-    for k in range(ctl.max_terms):
-        piece = term / (4 * k + 1) * (1.0 - hyp2f1(1.0, 2 * k + 0.5, 2 * k + 1.5, -g2, ctl))
-        total += piece
-        if abs(piece) < ctl.rel_tol * abs(total) + 1e-300:
-            return c * gamma * total
-        term *= base / ((2 * k + 2) * (2 * k + 3))
-    raise ConvergenceError(f"pole_head_sin_series stalled at c={c}, gamma={gamma}")
+    return _head_series(hyp2f1, 1.0, 1, c, gamma, ctl, "pole_head_sin_series")
 
 
 def pole_head_cos_series(c: float, gamma: float,
                          ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Integral of cos(c x^2)/(x^2+1) on [0, gamma], by series."""
-    if c <= 0 or gamma < 0:
-        raise DomainError(f"need c > 0 and gamma >= 0, got c={c} gamma={gamma}")
-    if gamma == 0:
-        return 0.0
-    if c * gamma * gamma > _MAX_PHASE:
-        raise ConvergenceError(
-            f"head series phase c*gamma^2 = {c * gamma * gamma:.3g} too large")
-    g2 = gamma * gamma
-    base = -(c * c) * (g2 * g2)
-    term = 1.0          # (-c^2 g^4)^k / (2k)!
-    total = 0.0
-    for k in range(ctl.max_terms):
-        piece = term / (4 * k + 1) * hyp2f1(1.0, 2 * k + 0.5, 2 * k + 1.5, -g2, ctl)
-        total += piece
-        if abs(piece) < ctl.rel_tol * abs(total):
-            return gamma * total
-        term *= base / ((2 * k + 1) * (2 * k + 2))
-    raise ConvergenceError(f"pole_head_cos_series stalled at c={c}, gamma={gamma}")
+    return _head_series(hyp2f1, 1.0, 0, c, gamma, ctl, "pole_head_cos_series")
 
 
 def pole_head_sin_approx(c: float, gamma: float) -> float:
     """Leading-order sine head for gamma <= 1."""
-    _check_approx_args(c, gamma)
-    w = gamma * math.sqrt(2.0 * c / math.pi)
-    return (gamma / (2.0 * c) * math.cos(c * gamma * gamma)
-            + math.sqrt(0.5 * math.pi / c) * (fresnel_s(w) - fresnel_c(w) / (2.0 * c)))
+    return _head_approx(True, c, gamma, 2.0)
 
 
 def pole_head_cos_approx(c: float, gamma: float) -> float:
     """Leading-order cosine head for gamma <= 1 (correct as printed, but
     its error oscillates with sin(c gamma^2); see errata RP-COS-APPROX-TREND)."""
-    _check_approx_args(c, gamma)
-    w = gamma * math.sqrt(2.0 * c / math.pi)
-    return (-gamma / (2.0 * c) * math.sin(c * gamma * gamma)
-            + math.sqrt(0.5 * math.pi / c) * (fresnel_s(w) / (2.0 * c) + fresnel_c(w)))
-
-
-def _check_approx_args(c, gamma):
-    if c <= 0:
-        raise DomainError(f"need c > 0, got {c}")
-    if not 0 <= gamma <= 1:
-        raise DomainError(f"approximation requires 0 <= gamma <= 1, got {gamma}")
+    return _head_approx(False, c, gamma, 2.0)
 
 
 def _head_quad(kernel_is_sin, c, gamma, ctl):
-    if kernel_is_sin:
-        f = lambda x: math.sin(c * x * x) / (x * x + 1.0)
-    else:
-        f = lambda x: math.cos(c * x * x) / (x * x + 1.0)
-    return integrate_finite(f, 0.0, gamma, ctl).value
+    kern = math.sin if kernel_is_sin else math.cos
+    return integrate_finite(lambda x: kern(c * x * x) / (x * x + 1.0), 0.0, gamma, ctl).value
 
 
 def _transform(a, b, zeta, ctl, heads_by_quadrature, approx, as_printed):
     p = RadicalPoleParams(a, b, zeta)
-    c, g = p.c, p.gamma
-    if approx:
-        if g > 1:
-            raise DomainError(
-                f"approximation tier requires gamma <= 1, got gamma={g:.4g}")
-        hs = pole_head_sin_approx(c, g)
-        hc = pole_head_cos_approx(c, g)
-    elif heads_by_quadrature:
-        hs = _head_quad(True, c, g, ctl)
-        hc = _head_quad(False, c, g, ctl)
-    else:
-        try:
-            hs = pole_head_sin_series(c, g, ctl)
-            hc = pole_head_cos_series(c, g, ctl)
-        except ConvergenceError:
-            hs = _head_quad(True, c, g, ctl)
-            hc = _head_quad(False, c, g, ctl)
-    ts = pole_tail_sin(c) - hs
-    tc = pole_tail_cos(c, as_printed) - hc
-    phase = p.a * zeta
-    sin_val = p.prefactor * (math.cos(phase) * ts - math.sin(phase) * tc)
-    cos_val = p.prefactor * (math.cos(phase) * tc + math.sin(phase) * ts)
-    return sin_val, cos_val
+    heads = ((pole_head_sin_approx, pole_head_cos_approx) if approx
+             else (pole_head_sin_series, pole_head_cos_series))
+    return _assemble(p, p.prefactor, (pole_tail_sin(p.c), pole_tail_cos(p.c, as_printed)),
+                     heads, _head_quad, ctl, heads_by_quadrature, approx)
 
 
 def pole_sin_transform(a: float, b: float, zeta: float = 1.0,

@@ -14,20 +14,15 @@ import time
 import pytest
 
 from oscint import errata
-from oscint import half_power as hp
 from oscint import lommel as lm
 from oscint import radical_pole as rp
 from oscint import selfcheck
 from oscint import two_radical as tr
 from oscint.oracle import (
-    HalfPower,
     IntegrandSpec,
     Kernel,
     LogHalfPower,
     QuadraticPhase,
-    RadicalPole,
-    TwoRadical,
-    integrate_finite,
     integrate_semi_infinite,
 )
 
@@ -47,35 +42,32 @@ def _announce(num, text):
     print(f"PASS criterion {num}: {text}")
 
 
+def _checks(*groups, names=None):
+    """Results of the selfcheck ``groups`` (first name word in ``names``), all passing."""
+    res = selfcheck.run(only=list(groups))
+    if names is not None:
+        res = [r for r in res if r.name.split()[0] in names]
+    bad = [r for r in res if not r.passed]
+    assert not bad, bad
+    return res
+
+
 def test_criterion_1_base_closed_forms():
     t0 = time.perf_counter()
-    checked = 0
-    for x in (0.1, 1.0, 10.0):
-        for zeta in (0.5, 1.0, 2.0):
-            assert close(hp.s0(x, zeta), oracle(HalfPower(0.0, x), Kernel.SIN, zeta)), \
-                (x, zeta, "sin")
-            assert close(hp.c0(x, zeta), oracle(HalfPower(0.0, x), Kernel.COS, zeta)), \
-                (x, zeta, "cos")
-            checked += 2
+    # x in {0.1, 1, 10} by zeta in {0.5, 1, 2}, both kernels
+    checked = len(_checks("half-power-oracle", names=("s0", "c0")))
     elapsed = time.perf_counter() - t0
+    assert checked == 18
     assert elapsed < 5.0
     _announce(1, f"s0/c0 match the oracle at {checked} grid points "
                  f"(max(1e-9 abs, 1e-8 rel)) in {elapsed:.2f}s")
 
 
 def test_criterion_2_integer_families_and_difference_equation():
-    for alpha in range(1, 6):
-        for x in (0.5, 1.0, 2.0):
-            assert close(hp.s_alpha(alpha, x, 1.0),
-                         oracle(HalfPower(float(alpha), x), Kernel.SIN)), (alpha, x)
-            assert close(hp.c_alpha(alpha, x, 1.0),
-                         oracle(HalfPower(float(alpha), x), Kernel.COS)), (alpha, x)
-    for alpha in range(6):
-        for u in (0.5, 1.0, 2.0, 10.0):
-            lhs = ((alpha + 0.5) * (alpha + 1.5) * hp.s_alpha(alpha + 2, u, 1.0)
-                   + hp.s_alpha(alpha, u, 1.0))
-            rhs = u ** -(alpha + 0.5)
-            assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs)), (alpha, u)
+    # alpha 1..5 by x in {0.5, 1, 2}, both kernels
+    assert len(_checks("half-power-oracle", names=("s_alpha", "c_alpha"))) == 30
+    # alpha 0..5 by u in {0.5, 1, 2, 10}, both kernels
+    assert len(_checks("difference-equations")) == 48
     _announce(2, "orders 1..5 match the oracle; difference equation holds to 1e-10")
 
 
@@ -87,24 +79,11 @@ def test_criterion_3_interrelations_and_scaling():
 
 
 def test_criterion_4_two_radical_family():
-    for c in (0.5, 1.0, 2.0, 5.0, 50.0):
-        assert close(tr.tail_sin(c), oracle(QuadraticPhase(c, 0.5), Kernel.SIN), rel=1e-8)
-        assert close(tr.tail_cos(c), oracle(QuadraticPhase(c, 0.5), Kernel.COS), rel=1e-8)
-    for c in (0.5, 1.0, 5.0):
-        for g in (0.3, 0.7, 1.0):
-            ref = integrate_finite(
-                lambda z: math.sin(c * z * z) / math.sqrt(z * z + 1.0), 0.0, g).value
-            assert abs(tr.head_sin_series(c, g) - ref) <= 1e-10 * max(1.0, abs(ref))
-            ref = integrate_finite(
-                lambda z: math.cos(c * z * z) / math.sqrt(z * z + 1.0), 0.0, g).value
-            assert abs(tr.head_cos_series(c, g) - ref) <= 1e-10 * max(1.0, abs(ref))
-    for a in (0.5, 1.0):
-        for b in (1.5, 2.0, 4.0):
-            for zeta in (0.5, 1.0, 2.0):
-                assert close(tr.sin_transform(a, b, zeta),
-                             oracle(TwoRadical(a, b), Kernel.SIN, zeta)), (a, b, zeta)
-                assert close(tr.cos_transform(a, b, zeta),
-                             oracle(TwoRadical(a, b), Kernel.COS, zeta)), (a, b, zeta)
+    # tails at 5 values of c (purely relative 1e-8), heads at 3 c by 3 gamma,
+    # transforms on a in {0.5, 1} by b in {1.5, 2, 4} by zeta in {0.5, 1, 2}
+    assert len(_checks("two-radical-tails")) == 10
+    assert len(_checks("two-radical-heads")) == 18
+    assert len(_checks("two-radical-assembly")) == 36
     _announce(4, "Bessel tails (1e-8), hypergeometric heads (1e-10), "
                  "assembled transforms vs oracle (1e-8)")
 
@@ -149,13 +128,8 @@ def test_criterion_5_approximation_trends():
 
 
 def test_criterion_6_radical_pole_family():
-    for a in (0.5, 1.0):
-        for b in (1.5, 2.0, 4.0):
-            for zeta in (0.5, 1.0, 2.0):
-                assert close(rp.pole_sin_transform(a, b, zeta),
-                             oracle(RadicalPole(a, b), Kernel.SIN, zeta)), (a, b, zeta)
-                assert close(rp.pole_cos_transform(a, b, zeta),
-                             oracle(RadicalPole(a, b), Kernel.COS, zeta)), (a, b, zeta)
+    # a in {0.5, 1} by b in {1.5, 2, 4} by zeta in {0.5, 1, 2}, both kernels
+    assert len(_checks("radical-pole-assembly")) == 36
     # oracle-arbitrated errata documented in the registry
     tail_entry = errata.find("RP-COS-TAIL")
     assert tail_entry.corrected and "sqrt(2 pi/c)" in tail_entry.printed

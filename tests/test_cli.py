@@ -219,3 +219,44 @@ def test_non_finite_parameter_exit_2(capsys, command, bad):
     assert code == 2
     assert "must be finite" in err
     assert out == ""
+
+
+MALFORMED_ARGV = {
+    "table-int-list": ("table", "--family", "half-power", "--alpha", "1,x", "--x", "1"),
+    "table-float-list": ("table", "--family", "two-radical", "--a", "1,abc", "--b", "2"),
+    "rel-tol-inf": ("eval", "--family", "two-radical", "--a", "1", "--b", "2",
+                    "--rel-tol", "inf"),
+    "rel-tol-nan": ("eval", "--family", "two-radical", "--a", "1", "--b", "2",
+                    "--rel-tol", "nan"),
+    "rel-tol-negative": ("compare", "--family", "two-radical", "--a", "1", "--b", "2",
+                         "--rel-tol=-1"),
+    "max-terms-zero": ("oracle", "--family", "half-power", "--alpha", "1", "--x", "1",
+                       "--max-terms", "0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ARGV))
+def test_malformed_number_exit_2(capsys, case):
+    code, out, err = run_cli(capsys, *MALFORMED_ARGV[case])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+def test_unparsable_env_tolerance_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("OSCINT_REL_TOL", "abc")
+    code, out, err = run_cli(capsys, "eval", "--family", "half-power",
+                             "--alpha", "0", "--x", "1")
+    assert code == 2
+    assert "OSCINT_REL_TOL" in err
+    assert out == ""
+
+
+def test_malformed_number_in_a_fresh_process_has_no_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "oscint.cli", "table", "--family", "half-power",
+         "--alpha", "1,x", "--x", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

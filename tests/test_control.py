@@ -2,7 +2,7 @@
 
 import pytest
 
-from oscint import SeriesControl, control_from_env
+from oscint import DomainError, SeriesControl, control_from_env
 from oscint.control import ENV_REL_TOL
 
 
@@ -29,3 +29,20 @@ def test_env_override(monkeypatch):
     # explicit argument wins over the environment
     assert control_from_env(rel_tol=1e-7).rel_tol == 1e-7
     assert control_from_env(max_terms=42).max_terms == 42
+
+
+@pytest.mark.parametrize("bad", [{"rel_tol": float("nan")}, {"rel_tol": float("inf")},
+                                 {"rel_tol": -1.0}, {"max_terms": 0}],
+                         ids=["nan", "inf", "negative", "no-terms"])
+def test_invalid_control_is_domain_error(bad):
+    # an infinite tolerance would stop every series after its first term
+    with pytest.raises(DomainError):
+        SeriesControl(**bad)
+
+
+def test_unparsable_env_is_domain_error(monkeypatch):
+    monkeypatch.setenv(ENV_REL_TOL, "abc")
+    with pytest.raises(DomainError, match=ENV_REL_TOL):
+        control_from_env()
+    # an explicit tolerance never reads the environment
+    assert control_from_env(rel_tol=1e-9).rel_tol == 1e-9

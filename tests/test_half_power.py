@@ -111,3 +111,21 @@ def test_scaling_is_structural(alpha, x, zeta):
     lhs = s_alpha(alpha, x, zeta)
     rhs = zeta ** (alpha - 0.5) * s_alpha(alpha, zeta * x, 1.0)
     assert abs(lhs - rhs) <= 4 * math.ulp(max(abs(lhs), abs(rhs)))
+
+
+NON_FINITE = {
+    "s0.x": lambda v: s0(v),
+    "c0.zeta": lambda v: c0(1.0, v),
+    "s_alpha.x": lambda v: s_alpha(1, v, 1.0),
+    "c_alpha.zeta": lambda v: c_alpha(2, 1.0, v),
+    "s_alpha.alpha": lambda v: s_alpha(v, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", sorted(NON_FINITE))
+def test_non_finite_input_is_domain_error(call, bad):
+    # NaN passes every ordering check; unchecked, s_alpha(1, nan) stalls
+    # the incomplete-gamma continued fraction
+    with pytest.raises(DomainError, match="finite"):
+        NON_FINITE[call](bad)

@@ -126,3 +126,25 @@ def test_integer_exponent_routes():
     v = general_sin_transform(1, 1, 1.0, 1.0)     # exponent 3
     w = sin_exponent_transform(3.0, 1.0, 1.0)
     assert v == w
+
+
+NON_FINITE = {
+    "sin_exponent.p": lambda v: sin_exponent_transform(v, 1.0),
+    "sin_exponent.x": lambda v: sin_exponent_transform(0.5, v),
+    "cos_exponent.zeta": lambda v: cos_exponent_transform(0.5, 1.0, v),
+    "general_sin.x": lambda v: general_sin_transform(0, 3, v),
+    "general_cos.n": lambda v: general_cos_transform(v, 3, 1.0),
+    "general_sin.m": lambda v: general_sin_transform(0, v, 1.0),
+    "si_ci.x": lambda v: si_ci_representation(0, 3, v),
+    "si_ci.zeta": lambda v: si_ci_representation(0, 3, 1.0, v, Kernel.COS),
+    "log.x": lambda v: log_weighted_sin_integral(v),
+    "log_fd.x": lambda v: log_weighted_sin_integral_fd(v),
+    "log_fd.h": lambda v: log_weighted_sin_integral_fd(1.0, v),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", sorted(NON_FINITE))
+def test_non_finite_input_is_domain_error(call, bad):
+    with pytest.raises(DomainError, match="finite"):
+        NON_FINITE[call](bad)

@@ -79,3 +79,30 @@ def test_approx_head_sanity():
     # at large c and small gamma the approximation is tight
     c, g = 40.0, 0.3
     assert abs(pole_head_sin_approx(c, g) / pole_head_sin_series(c, g) - 1.0) < 2e-2
+
+
+NON_FINITE = {
+    "sin.a": lambda v: pole_sin_transform(v, 2.0, 1.0),
+    "cos.b": lambda v: pole_cos_transform(1.0, v, 1.0),
+    "cos.zeta": lambda v: pole_cos_transform(1.0, 2.0, v),
+    "params.zeta": lambda v: RadicalPoleParams(1.0, 2.0, v),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", sorted(NON_FINITE))
+def test_non_finite_input_is_domain_error(call, bad):
+    with pytest.raises(DomainError, match="finite"):
+        NON_FINITE[call](bad)
+
+
+@pytest.mark.parametrize("c", [0.5, 5.0, 50.0])
+@pytest.mark.parametrize("gamma", [1e-3, 1e-2])
+def test_sin_head_series_is_relatively_accurate_at_small_gamma(gamma, c):
+    # the printed {1 - 2F1} bracket cancels as gamma -> 0 (2.9e-10 relative
+    # at gamma = 1e-3); the moment form keeps full precision
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = mpmath.quad(lambda x: mpmath.sin(c * x * x) / (x * x + 1), [0, gamma])
+        err = abs((pole_head_sin_series(c, gamma) - want) / want)
+    assert err <= 1e-14

@@ -119,3 +119,27 @@ def test_approx_transform_requires_small_gamma():
 @settings(max_examples=40, deadline=None)
 def test_swap_symmetry_property(a, b):
     assert sin_transform(a, b, 1.0) == sin_transform(b, a, 1.0)
+
+
+NON_FINITE = {
+    "sin.a": lambda v: sin_transform(v, 2.0, 1.0),
+    "cos.b": lambda v: cos_transform(1.0, v, 1.0),
+    "sin.zeta": lambda v: sin_transform(1.0, 2.0, v),
+    "approx.b": lambda v: approx_sin_transform(0.5, v, 1.0),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", sorted(NON_FINITE))
+def test_non_finite_input_is_domain_error(call, bad):
+    with pytest.raises(DomainError, match="finite"):
+        NON_FINITE[call](bad)
+
+
+def test_nan_head_arguments_are_domain_errors():
+    with pytest.raises(DomainError):
+        head_sin_series(math.nan, 0.5)
+    with pytest.raises(DomainError):
+        head_cos_series(1.0, math.nan)
+    with pytest.raises(DomainError):
+        head_sin_approx(math.nan, 0.5)
