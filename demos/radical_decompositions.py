@@ -59,8 +59,8 @@ for a, b, zeta in [(1.0, 2.0, 1.0), (0.5, 4.0, 2.0), (1.0, 1.5, 0.5)]:
     print(f"  {'radical-pole':>12} {(a, b, zeta)!s:>16} {v:>16.12f} {o:>16.12f}")
 print()
 
-# equal constants collapse to a single pole; the split b < 2a exercises the
-# Pfaff-transformed hypergeometric route (gamma > 1)
+# equal constants collapse to a single pole; the split b < 2a puts gamma
+# above 1, where the head moments recur upward from atan/asinh, not 2F1
 print("degenerate a=b:", sin_transform(1.0, 1.0, 1.0), " cos:", cos_transform(1.0, 1.0, 1.0))
 print("gamma>1 route :", sin_transform(1.0, 1.2, 1.0), "\n")
 

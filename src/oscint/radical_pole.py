@@ -2,8 +2,9 @@
 
 The quadratic-phase engine of ``two_radical`` with weight power p = 1:
 the z-integrals carry a simple pole weight 1/(z^2+1), so this module
-supplies Fresnel-integral tails, 2F1(1, ...) head moments, the pole's
-quadrature heads and the prefactor 2/sqrt(b-a).  The integrand
+supplies Fresnel-integral tails (one Fresnel pair for both kernels), its
+own ``hyp2f1`` binding for the p = 1 head moments, the pole's quadrature
+heads and the prefactor 2/sqrt(b-a).  The integrand
 is NOT symmetric in a and b, so b > a is required; other orderings have
 no closed form here and callers are pointed at the quadrature oracle.
 
@@ -76,13 +77,24 @@ class RadicalPoleParams:
         return 2.0 / math.sqrt(self.b - self.a)
 
 
-def pole_tail_sin(c: float) -> float:
-    """Integral of sin(c x^2)/(x^2+1) over [0, inf)."""
+def _pole_tails(c, as_printed=False):
+    """(sin, cos) integrals of kernel(c x^2)/(x^2+1) over [0, inf), from
+    one Fresnel pair; ``as_printed`` selects the verbatim cosine form."""
     if c <= 0:
         raise DomainError(f"need c > 0, got {c}")
     w = math.sqrt(2.0 * c / math.pi)
     s, fc = fresnel_s(w), fresnel_c(w)
-    return 0.5 * math.pi * (math.sin(c) * (s + fc - 1.0) - math.cos(c) * (s - fc))
+    sn, cs = math.sin(c), math.cos(c)
+    tail_sin = 0.5 * math.pi * (sn * (s + fc - 1.0) - cs * (s - fc))
+    if as_printed:
+        return tail_sin, (0.5 * math.pi * (cs * (s + fc + 1.0) + sn * (s - fc))
+                          + math.sqrt(2.0 * math.pi / c))
+    return tail_sin, 0.5 * math.pi * (cs * (1.0 - s - fc) + sn * (fc - s))
+
+
+def pole_tail_sin(c: float) -> float:
+    """Integral of sin(c x^2)/(x^2+1) over [0, inf)."""
+    return _pole_tails(c)[0]
 
 
 def pole_tail_cos(c: float, as_printed: bool = False) -> float:
@@ -91,26 +103,19 @@ def pole_tail_cos(c: float, as_printed: bool = False) -> float:
     Default is the oracle-validated corrected form; ``as_printed``
     reproduces the verbatim (wrong) expression, errata RP-COS-TAIL.
     """
-    if c <= 0:
-        raise DomainError(f"need c > 0, got {c}")
-    w = math.sqrt(2.0 * c / math.pi)
-    s, fc = fresnel_s(w), fresnel_c(w)
-    if as_printed:
-        return (0.5 * math.pi * (math.cos(c) * (s + fc + 1.0) + math.sin(c) * (s - fc))
-                + math.sqrt(2.0 * math.pi / c))
-    return 0.5 * math.pi * (math.cos(c) * (1.0 - s - fc) + math.sin(c) * (fc - s))
+    return _pole_tails(c, as_printed)[1]
 
 
 def pole_head_sin_series(c: float, gamma: float,
                          ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Integral of sin(c x^2)/(x^2+1) on [0, gamma], by series."""
-    return _head_series(hyp2f1, 1.0, 1, c, gamma, ctl, "pole_head_sin_series")
+    return _head_series(hyp2f1, 1.0, (1,), c, gamma, ctl, "pole_head_sin_series")[0]
 
 
 def pole_head_cos_series(c: float, gamma: float,
                          ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Integral of cos(c x^2)/(x^2+1) on [0, gamma], by series."""
-    return _head_series(hyp2f1, 1.0, 0, c, gamma, ctl, "pole_head_cos_series")
+    return _head_series(hyp2f1, 1.0, (0,), c, gamma, ctl, "pole_head_cos_series")[0]
 
 
 def pole_head_sin_approx(c: float, gamma: float) -> float:
@@ -131,10 +136,9 @@ def _head_quad(kernel_is_sin, c, gamma, ctl):
 
 def _transform(a, b, zeta, ctl, heads_by_quadrature, approx, as_printed):
     p = RadicalPoleParams(a, b, zeta)
-    heads = ((pole_head_sin_approx, pole_head_cos_approx) if approx
-             else (pole_head_sin_series, pole_head_cos_series))
-    return _assemble(p, p.prefactor, (pole_tail_sin(p.c), pole_tail_cos(p.c, as_printed)),
-                     heads, _head_quad, ctl, heads_by_quadrature, approx)
+    approx_heads = (pole_head_sin_approx, pole_head_cos_approx) if approx else None
+    return _assemble(p, p.prefactor, _pole_tails(p.c, as_printed), hyp2f1, 1.0, approx_heads,
+                     _head_quad, ctl, heads_by_quadrature)
 
 
 def pole_sin_transform(a: float, b: float, zeta: float = 1.0,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from . import half_power as hp
 from . import lommel as lm
@@ -332,61 +333,83 @@ def _z_head_quad(kernel, c, power, gamma):
     return integrate_finite(f, 0.0, gamma).value
 
 
-def check_two_radical_tails():
+def check_radical_head_moments():
+    # the engine's recurrence table against one direct 2F1 per index, both
+    # summed to below double rounding so only the recurrence is measured
+    ctl = SeriesControl(1e-17, 4000)
     out = []
-    for c in [0.5, 1.0, 2.0, 5.0, 50.0]:
-        r = _rel(tr.tail_sin(c), _z_oracle(Kernel.SIN, c, 0.5))
-        out.append(_result("two-radical-tails", f"sin c={c}", r < 1e-8, f"rel {r:.1e}"))
-        r = _rel(tr.tail_cos(c), _z_oracle(Kernel.COS, c, 0.5))
-        out.append(_result("two-radical-tails", f"cos c={c}", r < 1e-8, f"rel {r:.1e}"))
+    for p in (0.5, 1.0):
+        for gamma in (0.3, 0.99, 1.0, 1.01, 2.0):
+            g2 = gamma * gamma
+            table = tr._moments(hyp2f1, p, g2, 30, ctl)
+            r = max(_rel(m, hyp2f1(p, j + 0.5, j + 1.5, -g2, ctl)) for j, m in enumerate(table))
+            out.append(_result("radical-head-moments", f"p={p} gamma={gamma} j<=30",
+                               r <= 1e-13, f"rel {r:.1e}"))
     return out
 
 
-def check_two_radical_heads():
-    out = []
-    for c in [0.5, 1.0, 5.0]:
-        for gamma in [0.3, 0.7, 1.0]:
-            q = _z_head_quad(Kernel.SIN, c, 0.5, gamma)
-            ok = abs(tr.head_sin_series(c, gamma) - q) <= 1e-10 * max(1.0, abs(q))
-            out.append(_result("two-radical-heads", f"sin c={c} gamma={gamma}", ok))
-            q = _z_head_quad(Kernel.COS, c, 0.5, gamma)
-            ok = abs(tr.head_cos_series(c, gamma) - q) <= 1e-10 * max(1.0, abs(q))
-            out.append(_result("two-radical-heads", f"cos c={c} gamma={gamma}", ok))
-    return out
-
-
-def check_two_radical_decomposition():
-    out = []
-    for c in [0.5, 1.0, 5.0]:
-        for gamma in [0.3, 0.7, 1.0]:
-            for kernel, tail, head in [
-                (Kernel.SIN, tr.tail_sin, tr.head_sin_series),
-                (Kernel.COS, tr.tail_cos, tr.head_cos_series),
-            ]:
-                closed = tail(c) - head(c, gamma)
-                oracle = _z_oracle(kernel, c, 0.5) - _z_head_quad(kernel, c, 0.5, gamma)
-                r = _rel(closed, oracle)
-                out.append(_result("two-radical-decomposition",
-                                   f"{kernel.value} c={c} gamma={gamma}",
-                                   r < 1e-8, f"rel {r:.1e}"))
-    return out
-
-
+# (tails, series heads, weight power, transforms, oracle weight) per radical family
+_RADICAL = {
+    "two-radical": ((tr.tail_sin, tr.tail_cos), (tr.head_sin_series, tr.head_cos_series),
+                    0.5, (tr.sin_transform, tr.cos_transform), TwoRadical),
+    "radical-pole": ((rp.pole_tail_sin, rp.pole_tail_cos),
+                     (rp.pole_head_sin_series, rp.pole_head_cos_series),
+                     1.0, (rp.pole_sin_transform, rp.pole_cos_transform), RadicalPole),
+}
+_KERNELS = (Kernel.SIN, Kernel.COS)
 _RADICAL_GRID = [(a, b, zeta)
                  for a in (0.5, 1.0)
                  for b in (1.5, 2.0, 4.0)
                  for zeta in (0.5, 1.0, 2.0)]
 
 
-def check_two_radical_assembly():
+def check_radical_tails(family):
+    tails, _, power, _, _ = _RADICAL[family]
+    out = []
+    for c in [0.5, 1.0, 2.0, 5.0, 50.0]:
+        for kernel, tail in zip(_KERNELS, tails):
+            r = _rel(tail(c), _z_oracle(kernel, c, power))
+            out.append(_result(f"{family}-tails", f"{kernel.value} c={c}", r < 1e-8,
+                               f"rel {r:.1e}"))
+    return out
+
+
+def check_radical_heads(family):
+    _, heads, power, _, _ = _RADICAL[family]
+    out = []
+    for c in [0.5, 1.0, 5.0]:
+        for gamma in [0.3, 0.7, 1.0]:
+            for kernel, head in zip(_KERNELS, heads):
+                q = _z_head_quad(kernel, c, power, gamma)
+                ok = abs(head(c, gamma) - q) <= 1e-10 * max(1.0, abs(q))
+                out.append(_result(f"{family}-heads", f"{kernel.value} c={c} gamma={gamma}", ok))
+    return out
+
+
+def check_radical_decomposition(family):
+    tails, heads, power, _, _ = _RADICAL[family]
+    out = []
+    for c in [0.5, 1.0, 5.0]:
+        for gamma in [0.3, 0.7, 1.0]:
+            for kernel, tail, head in zip(_KERNELS, tails, heads):
+                closed = tail(c) - head(c, gamma)
+                oracle = _z_oracle(kernel, c, power) - _z_head_quad(kernel, c, power, gamma)
+                r = _rel(closed, oracle)
+                out.append(_result(f"{family}-decomposition",
+                                   f"{kernel.value} c={c} gamma={gamma}",
+                                   r < 1e-8, f"rel {r:.1e}"))
+    return out
+
+
+def check_radical_assembly(family):
+    _, _, _, transforms, weight = _RADICAL[family]
     out = []
     for a, b, zeta in _RADICAL_GRID:
-        o = integrate_semi_infinite(IntegrandSpec(TwoRadical(a, b), Kernel.SIN, zeta)).value
-        ok = _agree(tr.sin_transform(a, b, zeta), o, 1e-8, 1e-9)
-        out.append(_result("two-radical-assembly", f"sin a={a} b={b} zeta={zeta}", ok))
-        o = integrate_semi_infinite(IntegrandSpec(TwoRadical(a, b), Kernel.COS, zeta)).value
-        ok = _agree(tr.cos_transform(a, b, zeta), o, 1e-8, 1e-9)
-        out.append(_result("two-radical-assembly", f"cos a={a} b={b} zeta={zeta}", ok))
+        for kernel, transform in zip(_KERNELS, transforms):
+            o = integrate_semi_infinite(IntegrandSpec(weight(a, b), kernel, zeta)).value
+            ok = _agree(transform(a, b, zeta), o, 1e-8, 1e-9)
+            out.append(_result(f"{family}-assembly", f"{kernel.value} a={a} b={b} zeta={zeta}",
+                               ok))
     return out
 
 
@@ -445,58 +468,6 @@ def check_approximation_trends():
 # --------------------------------------------------------------------------
 # radical-pole family
 # --------------------------------------------------------------------------
-
-def check_radical_pole_tails():
-    out = []
-    for c in [0.5, 1.0, 2.0, 5.0, 50.0]:
-        r = _rel(rp.pole_tail_sin(c), _z_oracle(Kernel.SIN, c, 1.0))
-        out.append(_result("radical-pole-tails", f"sin c={c}", r < 1e-8, f"rel {r:.1e}"))
-        r = _rel(rp.pole_tail_cos(c), _z_oracle(Kernel.COS, c, 1.0))
-        out.append(_result("radical-pole-tails", f"cos c={c}", r < 1e-8, f"rel {r:.1e}"))
-    return out
-
-
-def check_radical_pole_heads():
-    out = []
-    for c in [0.5, 1.0, 5.0]:
-        for gamma in [0.3, 0.7, 1.0]:
-            q = _z_head_quad(Kernel.SIN, c, 1.0, gamma)
-            ok = abs(rp.pole_head_sin_series(c, gamma) - q) <= 1e-10 * max(1.0, abs(q))
-            out.append(_result("radical-pole-heads", f"sin c={c} gamma={gamma}", ok))
-            q = _z_head_quad(Kernel.COS, c, 1.0, gamma)
-            ok = abs(rp.pole_head_cos_series(c, gamma) - q) <= 1e-10 * max(1.0, abs(q))
-            out.append(_result("radical-pole-heads", f"cos c={c} gamma={gamma}", ok))
-    return out
-
-
-def check_radical_pole_decomposition():
-    out = []
-    for c in [0.5, 1.0, 5.0]:
-        for gamma in [0.3, 0.7, 1.0]:
-            for kernel, tail, head in [
-                (Kernel.SIN, rp.pole_tail_sin, rp.pole_head_sin_series),
-                (Kernel.COS, rp.pole_tail_cos, rp.pole_head_cos_series),
-            ]:
-                closed = tail(c) - head(c, gamma)
-                oracle = _z_oracle(kernel, c, 1.0) - _z_head_quad(kernel, c, 1.0, gamma)
-                r = _rel(closed, oracle)
-                out.append(_result("radical-pole-decomposition",
-                                   f"{kernel.value} c={c} gamma={gamma}",
-                                   r < 1e-8, f"rel {r:.1e}"))
-    return out
-
-
-def check_radical_pole_assembly():
-    out = []
-    for a, b, zeta in _RADICAL_GRID:
-        o = integrate_semi_infinite(IntegrandSpec(RadicalPole(a, b), Kernel.SIN, zeta)).value
-        ok = _agree(rp.pole_sin_transform(a, b, zeta), o, 1e-8, 1e-9)
-        out.append(_result("radical-pole-assembly", f"sin a={a} b={b} zeta={zeta}", ok))
-        o = integrate_semi_infinite(IntegrandSpec(RadicalPole(a, b), Kernel.COS, zeta)).value
-        ok = _agree(rp.pole_cos_transform(a, b, zeta), o, 1e-8, 1e-9)
-        out.append(_result("radical-pole-assembly", f"cos a={a} b={b} zeta={zeta}", ok))
-    return out
-
 
 def check_radical_pole_derivative():
     # d/db of the pole transform lands on a (t+b)^-2 weight
@@ -603,16 +574,17 @@ GROUPS = {
     "half-power-oracle": check_half_power_oracle,
     "oracle-ibp": check_oracle_ibp,
     "oracle-robustness": check_oracle_robustness,
-    "two-radical-tails": check_two_radical_tails,
-    "two-radical-heads": check_two_radical_heads,
-    "two-radical-decomposition": check_two_radical_decomposition,
-    "two-radical-assembly": check_two_radical_assembly,
+    "radical-head-moments": check_radical_head_moments,
+    "two-radical-tails": partial(check_radical_tails, "two-radical"),
+    "two-radical-heads": partial(check_radical_heads, "two-radical"),
+    "two-radical-decomposition": partial(check_radical_decomposition, "two-radical"),
+    "two-radical-assembly": partial(check_radical_assembly, "two-radical"),
     "two-radical-derivative": check_two_radical_derivative,
     "approximation-trends": check_approximation_trends,
-    "radical-pole-tails": check_radical_pole_tails,
-    "radical-pole-heads": check_radical_pole_heads,
-    "radical-pole-decomposition": check_radical_pole_decomposition,
-    "radical-pole-assembly": check_radical_pole_assembly,
+    "radical-pole-tails": partial(check_radical_tails, "radical-pole"),
+    "radical-pole-heads": partial(check_radical_heads, "radical-pole"),
+    "radical-pole-decomposition": partial(check_radical_decomposition, "radical-pole"),
+    "radical-pole-assembly": partial(check_radical_assembly, "radical-pole"),
     "radical-pole-derivative": check_radical_pole_derivative,
     "lommel-recurrence": check_lommel_recurrence,
     "lommel-three-way": check_lommel_three_way,

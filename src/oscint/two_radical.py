@@ -5,13 +5,18 @@ Substituting t + a = (b-a) z^2 folds both radical weights into
 integrals of kernel(c z^2) (z^2+1)^-p over [gamma, inf), with
 c = zeta*(b-a) and gamma = sqrt(a/(b-a)): p = 1/2 here, p = 1 for the
 pole weight 1/(sqrt(t+a)(t+b)).  Each is a known infinite-range tail on
-[0, inf) (here Bessel J0/Y0 at c/2) minus a finite head on [0, gamma].
+[0, inf) (here Bessel J0/Y0 at c/2, one pair for both kernels) minus a
+finite head on [0, gamma].
 The engine below is written once for both p:
 
 * the head series sum_k (-c^2 gamma^4)^k / j! * m_j/(2j+1), with j = 2k+1
   for the sine kernel and j = 2k for the cosine, over the moments
   m_j = 2F1(p, j+1/2; j+3/2; -gamma^2), i.e. (2j+1) gamma^-(2j+1) times
   the integral of z^2j (z^2+1)^-p on [0, gamma];
+* one moment table m_0..m_J per transform, shared by both kernels and
+  filled by the three-term relation between neighbouring moments: for
+  gamma <= 1 from one 2F1 at j = J downward, for gamma > 1 from the
+  closed-form m_0 upward (no 2F1 at all), each the stable direction;
 * one phase guard (c gamma^2 <= 25) and one fallback to quadrature
   heads when a series is refused or stalls;
 * the leading-order heads for gamma <= 1, with coefficient k = 2/p;
@@ -96,60 +101,105 @@ class TwoRadicalParams:
         return math.sqrt(self.a / (self.b - self.a))
 
 
-def tail_sin(c: float) -> float:
-    """Integral of sin(c z^2)/sqrt(z^2+1) over [0, inf)."""
+def _tails(c):
+    """(sin, cos) integrals of kernel(c z^2)/sqrt(z^2+1) over [0, inf),
+    from one J0/Y0 pair at c/2."""
     if c <= 0:
         raise DomainError(f"need c > 0, got {c}")
     h = 0.5 * c
-    return 0.25 * math.pi * (math.sin(h) * bessel_y0(h) + math.cos(h) * bessel_j0(h))
+    j0, y0 = bessel_j0(h), bessel_y0(h)
+    s, co = math.sin(h), math.cos(h)
+    return 0.25 * math.pi * (s * y0 + co * j0), 0.25 * math.pi * (s * j0 - co * y0)
+
+
+def tail_sin(c: float) -> float:
+    """Integral of sin(c z^2)/sqrt(z^2+1) over [0, inf)."""
+    return _tails(c)[0]
 
 
 def tail_cos(c: float) -> float:
     """Integral of cos(c z^2)/sqrt(z^2+1) over [0, inf)."""
-    if c <= 0:
-        raise DomainError(f"need c > 0, got {c}")
-    h = 0.5 * c
-    return 0.25 * math.pi * (math.sin(h) * bessel_j0(h) - math.cos(h) * bessel_y0(h))
+    return _tails(c)[1]
 
 
-def _head_series(hyp, p, odd, c, gamma, ctl, name):
-    """Sine (``odd`` = 1) or cosine (0) head of weight power ``p`` by series.
+def _moments(hyp, p, g2, top, ctl):
+    """m_0..m_top of m_j = 2F1(p, j+1/2; j+3/2; -g2), by the relation
+    m_j + (2j+3-2p)/(2j+3) g2 m_{j+1} = (1+g2)^(1-p) (integration by parts):
+    for g2 <= 1 downward from one 2F1 at j = top, for g2 > 1 (where
+    downward recurrence grows errors by g2 per step) upward from the
+    closed-form m_0 = atan(gamma)/gamma (p = 1) or asinh(gamma)/gamma.
+    """
+    lead = (1.0 + g2) ** (1.0 - p)
+    m = [0.0] * (top + 1)
+    if g2 <= 1.0:
+        v = m[top] = hyp(p, top + 0.5, top + 1.5, -g2, ctl)
+        for j in range(top - 1, -1, -1):
+            v = m[j] = lead - (2 * j + 3 - 2 * p) / (2 * j + 3) * g2 * v
+    else:
+        g = math.sqrt(g2)
+        v = m[0] = (math.atan(g) if p == 1.0 else math.asinh(g)) / g
+        for j in range(top):
+            v = m[j + 1] = (lead - v) * (2 * j + 3) / ((2 * j + 3 - 2 * p) * g2)
+    return m
 
-    ``hyp`` is the calling family's own module binding of ``hyp2f1``, so
-    calls stay attributed to that family when bindings are traced.
+
+def _table_top(x, ctl):
+    """Last moment index for phase x: terms are bounded by x^j/j! (0 < m_j
+    <= 1), so stop past j > x once that is below rel_tol * min(1, x) / 1000
+    for both parities, and at max_terms terms per kernel."""
+    cap, floor = 2 * ctl.max_terms - 1, 1e-3 * ctl.rel_tol * min(1.0, x)
+    bound, j = 1.0, 0
+    while j < cap and (j <= x or bound >= floor):
+        j += 1
+        bound *= x / j
+    return min(j + 1, cap)
+
+
+def _head_series(hyp, p, odds, c, gamma, ctl, name):
+    """Heads of weight power ``p`` by series from one moment table, one
+    head per entry of ``odds`` (1: sine, sum over odd j; 0: cosine, even j)
+    of gamma * sum_j (-1)^floor(j/2) x^j/j! m_j/(2j+1), x = c gamma^2, each
+    until its term drops below rel_tol of its sum.  ``hyp`` is the calling
+    family's own module binding of ``hyp2f1``, so calls stay attributed to
+    that family when bindings are traced.
     """
     if not (c > 0 and gamma >= 0):
         raise DomainError(f"need c > 0 and gamma >= 0, got c={c} gamma={gamma}")
     if gamma == 0:
-        return 0.0
-    phase = c * gamma * gamma
-    if phase > _MAX_PHASE:
-        raise ConvergenceError(
-            f"head series phase c*gamma^2 = {phase:.3g} too large for double precision")
+        return [0.0] * len(odds)
     g2 = gamma * gamma
-    base = -(c * c) * (g2 * g2)
-    term = 1.0          # (-c^2 g^4)^k / j!
-    total = 0.0
-    for k in range(ctl.max_terms):
-        j = 2 * k + odd
-        piece = term / (2 * j + 1) * hyp(p, j + 0.5, j + 1.5, -g2, ctl)
-        total += piece
-        if abs(piece) < ctl.rel_tol * abs(total):
-            return c * gamma * g2 * total if odd else gamma * total
-        term *= base / ((j + 1) * (j + 2))
-    raise ConvergenceError(f"{name} stalled at c={c}, gamma={gamma}")
+    x = c * g2
+    if x > _MAX_PHASE:
+        raise ConvergenceError(
+            f"head series phase c*gamma^2 = {x:.3g} too large for double precision")
+    top = _table_top(x, ctl)
+    m = _moments(hyp, p, g2, top, ctl)
+    step = -x * x
+    heads = []
+    for odd in odds:
+        term, total = (x if odd else 1.0), 0.0      # (-1)^k x^j / j!, j = 2k + odd
+        for j in range(odd, top + 1, 2):
+            piece = term * m[j] / (2 * j + 1)
+            total += piece
+            if abs(piece) < ctl.rel_tol * abs(total):
+                break
+            term *= step / ((j + 1) * (j + 2))
+        else:
+            raise ConvergenceError(f"{name} stalled at c={c}, gamma={gamma}")
+        heads.append(gamma * total)
+    return heads
 
 
 def head_sin_series(c: float, gamma: float,
                     ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Integral of sin(c z^2)/sqrt(z^2+1) on [0, gamma], by series."""
-    return _head_series(hyp2f1, 0.5, 1, c, gamma, ctl, "head_sin_series")
+    return _head_series(hyp2f1, 0.5, (1,), c, gamma, ctl, "head_sin_series")[0]
 
 
 def head_cos_series(c: float, gamma: float,
                     ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Integral of cos(c z^2)/sqrt(z^2+1) on [0, gamma], by series."""
-    return _head_series(hyp2f1, 0.5, 0, c, gamma, ctl, "head_cos_series")
+    return _head_series(hyp2f1, 0.5, (0,), c, gamma, ctl, "head_cos_series")[0]
 
 
 def _head_approx(kernel_is_sin, c, gamma, k, front_k=None):
@@ -187,24 +237,26 @@ def _head_quad(kernel_is_sin, c, gamma, ctl):
                             0.0, gamma, ctl).value
 
 
-def _assemble(p, prefactor, tails, heads, quad, ctl, quadrature, approx):
+def _assemble(p, prefactor, tails, hyp, power, approx_heads, quad, ctl, quadrature):
     """(sin, cos) transforms: ``prefactor`` times (tail - head), rotated by
     the phase a*zeta.
 
-    ``tails`` is the (sin, cos) pair on [0, inf); ``heads`` the family's
-    (sin, cos) leading-order pair when ``approx`` is set, else its series
-    pair, replaced by ``quad(kernel_is_sin, c, gamma, ctl)`` when
-    ``quadrature`` is set or a series raises ConvergenceError.
+    ``tails`` is the (sin, cos) pair on [0, inf).  The heads are the
+    family's (sin, cos) leading-order pair ``approx_heads`` when given,
+    else both series of weight power ``power`` from one moment table
+    (``hyp`` as in ``_head_series``), replaced by
+    ``quad(kernel_is_sin, c, gamma, ctl)`` when ``quadrature`` is set or
+    the series raises ConvergenceError.
     """
     c, g = p.c, p.gamma
-    if approx:
+    if approx_heads:
         if g > 1:
             raise DomainError(
                 f"approximation tier requires gamma <= 1, got gamma={g:.4g}")
-        hs, hc = heads[0](c, g), heads[1](c, g)
+        hs, hc = approx_heads[0](c, g), approx_heads[1](c, g)
     elif not quadrature:
         try:
-            hs, hc = heads[0](c, g, ctl), heads[1](c, g, ctl)
+            hs, hc = _head_series(hyp, power, (1, 0), c, g, ctl, "head series")
         except ConvergenceError:
             quadrature = True
     if quadrature:
@@ -216,24 +268,21 @@ def _assemble(p, prefactor, tails, heads, quad, ctl, quadrature, approx):
             prefactor * (math.cos(phase) * tc + math.sin(phase) * ts))
 
 
-def _degenerate(kernel_is_sin, a, zeta, ctl):
-    # a == b: weight collapses to 1/(t+a)
+def _degenerate(a, zeta, ctl):
+    # a == b: weight collapses to 1/(t+a); one si/ci pair serves both kernels
     u = zeta * a
-    si = gen_si(0.0, u, ctl)
-    ci = gen_ci(0.0, u, ctl)
-    if kernel_is_sin:
-        return math.cos(u) * si - math.sin(u) * ci
-    return math.cos(u) * ci + math.sin(u) * si
+    si, ci = gen_si(0.0, u, ctl), gen_ci(0.0, u, ctl)
+    return math.cos(u) * si - math.sin(u) * ci, math.cos(u) * ci + math.sin(u) * si
 
 
 def _transform(a, b, zeta, ctl, heads_by_quadrature, approx, as_printed):
     p = TwoRadicalParams(a, b, zeta)
     if p.degenerate:
-        return (_degenerate(True, p.a, zeta, ctl), _degenerate(False, p.a, zeta, ctl))
-    heads = ((head_sin_approx, lambda c, g: head_cos_approx(c, g, as_printed)) if approx
-             else (head_sin_series, head_cos_series))
-    return _assemble(p, 2.0, (tail_sin(p.c), tail_cos(p.c)), heads, _head_quad, ctl,
-                     heads_by_quadrature, approx)
+        return _degenerate(p.a, zeta, ctl)
+    approx_heads = ((head_sin_approx, lambda c, g: head_cos_approx(c, g, as_printed))
+                    if approx else None)
+    return _assemble(p, 2.0, _tails(p.c), hyp2f1, 0.5, approx_heads, _head_quad, ctl,
+                     heads_by_quadrature)
 
 
 def sin_transform(a: float, b: float, zeta: float = 1.0,

@@ -15,6 +15,8 @@ import pytest
 
 import oscint
 from oscint.cli import main
+from oscint.oracle import (IntegrandSpec, Kernel, RadicalPole, TwoRadical,
+                           integrate_semi_infinite)
 
 HEAVY = ("numpy", "scipy")
 SRC = str(Path(oscint.__file__).resolve().parent.parent)
@@ -69,3 +71,16 @@ def test_oracle_eval_loads_scipy_and_prints_the_same_bytes(capsys):
     assert "scipy" in heavy
     assert main(argv) == 0
     assert out == capsys.readouterr().out.splitlines()
+
+
+def test_large_gamma_radical_heads_load_no_scipy_or_numpy():
+    # gamma = 6 (a = 36, b = 37): the moments come from the upward
+    # recurrence, so the heads need neither 2F1 nor a quadrature fallback
+    code = ("import oscint\n"
+            "print(repr(oscint.cos_transform(36.0, 37.0, 0.01)))\n"
+            "print(repr(oscint.pole_cos_transform(36.0, 37.0, 0.01)))")
+    out, heavy = _fresh(code)
+    assert heavy == []
+    for line, weight in zip(out, (TwoRadical, RadicalPole)):
+        ref = integrate_semi_infinite(IntegrandSpec(weight(36.0, 37.0), Kernel.COS, 0.01)).value
+        assert abs(float(line) - ref) <= max(1e-9, 1e-8 * abs(ref))

@@ -15,6 +15,7 @@ from oscint import (
     pole_tail_cos,
     pole_tail_sin,
 )
+from oscint import radical_pole as rp
 from oscint.radical_pole import RadicalPoleParams
 
 
@@ -106,3 +107,13 @@ def test_sin_head_series_is_relatively_accurate_at_small_gamma(gamma, c):
         want = mpmath.quad(lambda x: mpmath.sin(c * x * x) / (x * x + 1), [0, gamma])
         err = abs((pole_head_sin_series(c, gamma) - want) / want)
     assert err <= 1e-14
+
+
+@pytest.mark.parametrize("a,b,zeta", [(0.5, 2.0, 1.3), (0.9, 1.2, 1.9), (1.0, 1.5, 1.0),
+                                      (36.0, 37.0, 0.01)])
+@pytest.mark.parametrize("transform", [pole_sin_transform, pole_cos_transform])
+def test_one_moment_table_and_one_tail_pass(count_calls, transform, a, b, zeta):
+    counts = count_calls(rp, "hyp2f1", "fresnel_s", "fresnel_c")
+    transform(a, b, zeta)
+    gamma = RadicalPoleParams(a, b, zeta).gamma
+    assert counts == {"hyp2f1": int(gamma <= 1), "fresnel_s": 1, "fresnel_c": 1}

@@ -1,6 +1,7 @@
 """Two-radical transforms: tails, heads, assembly, approximations."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +18,13 @@ from oscint import (
     head_cos_series,
     head_sin_approx,
     head_sin_series,
+    pole_head_cos_series,
+    pole_head_sin_series,
     sin_transform,
     tail_cos,
     tail_sin,
 )
+from oscint import two_radical as tr
 from oscint.two_radical import TwoRadicalParams
 
 J0_1 = 0.76519768655796655
@@ -99,7 +103,8 @@ def test_params_canonicalization():
 
 
 def test_gamma_above_one_uses_pfaff_route():
-    # b < 2a puts the hypergeometric argument outside the unit disk
+    # b < 2a puts the hypergeometric argument outside the unit disk; the
+    # heads' moments then recur upward from atan/asinh instead
     p = TwoRadicalParams(1.0, 1.5, 1.0)
     assert p.gamma > 1
     v = sin_transform(1.0, 1.5, 1.0)
@@ -143,3 +148,51 @@ def test_nan_head_arguments_are_domain_errors():
         head_cos_series(1.0, math.nan)
     with pytest.raises(DomainError):
         head_sin_approx(math.nan, 0.5)
+
+
+@pytest.mark.parametrize("a,b,zeta", [(0.5, 2.0, 1.3), (0.9, 1.2, 1.9), (1.0, 1.5, 1.0),
+                                      (36.0, 37.0, 0.01)])
+@pytest.mark.parametrize("transform", [sin_transform, cos_transform])
+def test_one_moment_table_and_one_tail_pass(count_calls, transform, a, b, zeta):
+    # one 2F1 seeds the downward recurrence for gamma <= 1; above, the
+    # closed-form m_0 seeds it upward and no 2F1 runs at all
+    counts = count_calls(tr, "hyp2f1", "bessel_j0", "bessel_y0")
+    transform(a, b, zeta)
+    gamma = TwoRadicalParams(a, b, zeta).gamma
+    assert counts == {"hyp2f1": int(gamma <= 1), "bessel_j0": 1, "bessel_y0": 1}
+
+
+def _head_accuracy_grid():
+    # gamma log-uniform over [0.02, 40] plus both sides of the switch between
+    # downward (gamma <= 1) and upward recurrence; one phase c gamma^2 in
+    # each tolerance band
+    rng = random.Random(20261018)
+    gammas = [math.exp(rng.uniform(math.log(0.02), math.log(40.0))) for _ in range(24)]
+    out = []
+    for gamma in gammas + [1.0 - 1e-9, 1.0, 1.0 + 1e-9]:
+        out.append((gamma, math.exp(rng.uniform(math.log(1e-3), math.log(10.0))), 1e-12))
+        out.append((gamma, rng.uniform(10.0, 25.0), 1e-5))
+    return out
+
+
+@pytest.mark.parametrize("power,heads", [
+    (0.5, (head_sin_series, head_cos_series)),
+    (1.0, (pole_head_sin_series, pole_head_cos_series)),
+], ids=["two-radical", "radical-pole"])
+def test_head_series_against_mpmath(power, heads):
+    mpmath = pytest.importorskip("mpmath")
+    worst = []
+    with mpmath.workdps(30):
+        for gamma, phase, tol in _head_accuracy_grid():
+            # z = gamma u: gamma * integral of exp(i phase u^2) (1 + gamma^2 u^2)^-p on [0, 1]
+            g, x, p = mpmath.mpf(gamma), mpmath.mpf(phase), mpmath.mpf(power)
+            n = 2 + int(phase / 4)      # subintervals of about one oscillation each
+            cuts = {mpmath.mpf(k) / n for k in range(n + 1)}
+            cuts |= {k / g for k in (0.25, 1, 4) if k < gamma}     # the weight bends at 1/gamma
+            ref = g * mpmath.quad(lambda u: mpmath.expj(x * u * u) * (1 + (g * u) ** 2) ** -p,
+                                  sorted(cuts), method="gauss-legendre")
+            c = phase / (gamma * gamma)
+            for head, want in zip(heads, (ref.imag, ref.real)):
+                err = float(abs((head(c, gamma) - want) / want))
+                worst.append((err / tol, head.__name__, gamma, phase, err))
+    assert max(worst)[0] <= 1.0, max(worst)
