@@ -1,9 +1,11 @@
 """The quadrature oracle on its own.
 
 Every closed form in the library is validated against this engine: the
-integration axis is split at the kernel zeros, each lobe goes through
-adaptive Gauss-Kronrod quadrature, and the alternating lobe series is
-accelerated with an Euler transformation.  The oracle also covers what
+integration axis is split at the kernel zeros, the first lobes go
+through adaptive Gauss-Kronrod quadrature (QUADPACK), the later ones
+through a fixed 21-point Gauss-Kronrod rule evaluated 32 lobes at a time
+with numpy (a lobe that fails its error test goes back to QUADPACK), and
+the alternating lobe series is accelerated with an Euler transformation.  The oracle also covers what
 has no closed form at all, such as three distinct radical constants.
 """
 

@@ -1,32 +1,40 @@
 """Direct-quadrature evaluation of every oscillatory integral in the library.
 
 The semi-infinite integrals are computed by partitioning the axis at the
-zeros of the oscillating kernel, integrating each lobe with adaptive
-Gauss-Kronrod quadrature (QUADPACK via scipy), and accelerating the
-resulting alternating lobe series with a van Wijngaarden / Euler
-transformation.  This module deliberately knows nothing about the closed
-forms it arbitrates: the only ingredients are elementary functions and
-lobe quadrature, so agreement with a closed form is meaningful evidence.
+zeros of the oscillating kernel, integrating each lobe, and accelerating
+the resulting alternating lobe series with a van Wijngaarden / Euler
+transformation.  The first lobes, summed directly, go through adaptive
+Gauss-Kronrod quadrature (QUADPACK via scipy).  The accelerated lobes
+are smooth, so when the caller also gives the integrand in vector form
+they are integrated in blocks of 32 by one numpy evaluation of the fixed
+21-point Gauss-Kronrod rule; a lobe whose Kronrod-Gauss difference fails
+the tolerance goes back to QUADPACK.  This module deliberately knows
+nothing about the closed forms it arbitrates: the only ingredients are
+elementary functions and lobe quadrature, so agreement with a closed
+form is meaningful evidence.
 
-scipy is imported on the first quadrature, not with this module: the
-closed forms import ``Kernel`` and ``integrate_finite`` from here, and
-importing scipy costs most of a cold ``oscint eval``.  The module global
-``quad`` starts as a stub that loads scipy's ``quad`` and rebinds the
-global to it, so from then on every call goes straight to QUADPACK.
+scipy is imported on the first quadrature and numpy on the first block,
+not with this module: the closed forms import ``Kernel`` and
+``integrate_finite`` from here, and importing scipy costs most of a cold
+``oscint eval``.  The module global ``quad`` starts as a stub that loads
+scipy's ``quad`` and rebinds the global to it, so from then on every
+call goes straight to QUADPACK.
 
 Euler transformation was chosen over Levin-u: the lobe magnitudes here
 have monotone envelopes (weights are eventually monotone), for which the
 plain Euler table already converges geometrically (~1e-12 within 25-40
 lobes on the worst t^(-1/2) decay), and it is simpler and exactly
 reproducible term by term.  Lobes are summed strictly in order, so a
-result is independent of any internal parallelism.
+result is independent of how they were batched.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Callable, Union
 
 from .control import DEFAULT_CONTROL, SeriesControl
@@ -58,6 +66,11 @@ __all__ = [
 class Kernel(str, Enum):
     SIN = "sin"
     COS = "cos"
+
+
+def _trig(kernel, m):
+    """The kernel's function in the math module ``m`` (math or numpy)."""
+    return m.sin if kernel is Kernel.SIN else m.cos
 
 
 def _first_quad(*args, **kwargs):
@@ -267,14 +280,96 @@ def _lobe_quad(f, lo, hi, epsabs, epsrel):
     return res[0], res[1]
 
 
-def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL):
+# 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk21): the
+# non-negative nodes, largest first, and their Kronrod weights.  The
+# nodes at odd positions are those of the embedded 10-point Gauss rule,
+# whose weights are _G10_WEIGHTS.
+_GK21_NODES = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0)
+_GK21_WEIGHTS = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208794700070, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821)
+_G10_WEIGHTS = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338)
+# lobes per numpy evaluation: one block holds the ~23 accelerated lobes of
+# a typical integral; the unused rest of the last block is dropped
+_BLOCK = 32
+
+
+@functools.cache
+def _gk21():
+    """(numpy, the 21 nodes, their (Kronrod, Gauss) weight columns)."""
+    import numpy as np
+
+    x = np.array(_GK21_NODES)
+    gauss = np.zeros(11)
+    gauss[1::2] = _G10_WEIGHTS
+    w = np.stack((_GK21_WEIGHTS, gauss), axis=1)
+    # mirror the table: nodes -x0 .. -x9, 0, x9 .. x0
+    return np, np.concatenate((-x, x[-2::-1])), np.concatenate((w, w[-2::-1]))
+
+
+def _quad_lobes(f, lo, his, epsabs):
+    """(integral, abs error) of each lobe [lo, h0], [h0, h1], ... by QUADPACK."""
+    for hi in his:
+        yield _lobe_quad(f, lo, hi, epsabs, epsabs)
+        lo = hi
+
+
+def _block_lobes(f, f_over, lo, his, epsabs):
+    """Like ``_quad_lobes``, integrating _BLOCK lobes per GK21 evaluation.
+
+    ``f_over(numpy)`` is the integrand on arrays.  A lobe is accepted
+    when |K21 - G10| <= max(epsabs, epsabs |K21|), and the difference is
+    its error estimate; any other lobe goes to QUADPACK with ``f``.
+    """
+    np, nodes, weights = _gk21()
+    fv = f_over(np)
+    while True:
+        block = list(islice(his, _BLOCK))
+        if not block:
+            return
+        edges = [lo] + block
+        e = np.array(edges)
+        mid = 0.5 * (e[1:] + e[:-1])
+        half = 0.5 * (e[1:] - e[:-1])
+        # IEEE results without warnings, as on the scalar path; a non-finite
+        # lobe fails the test below and goes to QUADPACK
+        with np.errstate(all="ignore"):
+            kg = (fv(mid[:, None] + half[:, None] * nodes) @ weights) * half[:, None]
+        kron = kg[:, 0].tolist()
+        diff = np.abs(kg[:, 0] - kg[:, 1]).tolist()
+        for i, (piece, err) in enumerate(zip(kron, diff)):
+            if err <= max(epsabs, epsabs * abs(piece)):
+                yield piece, err
+            else:
+                yield _lobe_quad(f, edges[i], edges[i + 1], epsabs, epsabs)
+        lo = block[-1]
+
+
+def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
     """Integrate ``f`` over [b0, inf) split at an increasing breakpoint stream.
 
     The first element of ``breakpoints`` is the lower limit; subsequent
     elements are the kernel zeros.  Early lobes are summed directly until
     their magnitudes have decreased twice in a row (weights need not be
     monotone near the origin, e.g. a logarithmic factor); the remaining
-    alternating series is Euler-transformed.
+    alternating series is Euler-transformed.  The direct lobes go through
+    QUADPACK.  ``f_over``, if given, builds ``f`` over a math module:
+    ``f_over(math)`` behaves as ``f`` and ``f_over(numpy)`` takes arrays.
+    With it the accelerated lobes are integrated in blocks by a fixed
+    Gauss-Kronrod rule, otherwise by QUADPACK one at a time.
 
     Returns (value, abs_err_est, lobes_used, accelerated).
     """
@@ -284,30 +379,34 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL):
     lo = next(it)
     quad_err = 0.0
     direct = []
-    head = 0.0
-    acc = None
-    nlobes = 0
     prev_mag = math.inf
     decreases = 0
-    converged = 0
-    increment = math.inf
     for hi in it:
         piece, perr = _lobe_quad(f, lo, hi, epsabs, epsabs)
         quad_err += perr
         lo = hi
+        direct.append(piece)
+        if abs(piece) <= prev_mag:
+            decreases += 1
+        else:
+            decreases = 0
+        prev_mag = abs(piece)
+        if decreases >= 2 and len(direct) >= 3:
+            break
+    else:
+        raise AccelerationStalledError("breakpoint stream exhausted")
+    acc = _EulerAccumulator()
+    head = math.fsum(direct[:-1])
+    acc.add(direct[-1])
+    nlobes = len(direct)
+    converged = 0
+    if f_over is None:
+        tail = _quad_lobes(f, lo, it, epsabs)
+    else:
+        tail = _block_lobes(f, f_over, lo, it, epsabs)
+    for piece, perr in tail:
+        quad_err += perr
         nlobes += 1
-        if acc is None:
-            direct.append(piece)
-            if abs(piece) <= prev_mag:
-                decreases += 1
-            else:
-                decreases = 0
-            prev_mag = abs(piece)
-            if decreases >= 2 and nlobes >= 3:
-                acc = _EulerAccumulator()
-                head = math.fsum(direct[:-1])
-                increment = acc.add(direct[-1])
-            continue
         increment = acc.add(piece)
         partial = head + acc.total
         if abs(increment) <= max(ctl.rel_tol * abs(partial), 1e-15):
@@ -354,23 +453,31 @@ def _quadratic_breakpoints(kernel: Kernel, scale: float, start: float = 0.0):
             k += 1
 
 
+def _kernel_times(g, trig, zeta):
+    return lambda t: g(t) * trig(zeta * t)
+
+
 def oscillatory_integral(g, kernel: Kernel, zeta: float, start: float = 0.0,
-                         ctl: SeriesControl = DEFAULT_CONTROL) -> QuadratureReport:
-    """Integral of g(t) * kernel(zeta*t) over [start, inf) by lobe summation."""
-    trig = math.sin if kernel is Kernel.SIN else math.cos
-    f = lambda t: g(t) * trig(zeta * t)
-    value, err, lobes, accelerated = lobe_sum(f, kernel_breakpoints(kernel, zeta, start), ctl)
+                         ctl: SeriesControl = DEFAULT_CONTROL,
+                         g_over=None) -> QuadratureReport:
+    """Integral of g(t) * kernel(zeta*t) over [start, inf) by lobe summation.
+
+    ``g_over``, if given, builds the weight over a math module:
+    ``g_over(math)`` is ``g`` and ``g_over(numpy)`` takes arrays, which
+    lets ``lobe_sum`` batch the accelerated lobes.
+    """
+    f = _kernel_times(g, _trig(kernel, math), zeta)
+    f_over = None
+    if g_over is not None:
+        f_over = lambda m: _kernel_times(g_over(m), _trig(kernel, m), zeta)
+    value, err, lobes, accelerated = lobe_sum(
+        f, kernel_breakpoints(kernel, zeta, start), ctl, f_over)
     return QuadratureReport(value, err, lobes, accelerated)
 
 
 # --------------------------------------------------------------------------
 # public entry points
 # --------------------------------------------------------------------------
-
-def _half_power_weight(alpha, x):
-    p = alpha + 0.5
-    return lambda t: (t + x) ** -p
-
 
 def _check_half_power_convergence(w: HalfPower, kernel: Kernel):
     # At x=0 the origin decides: cos*t^-p integrable iff p < 1, sin*t^-p iff p < 2.
@@ -386,34 +493,42 @@ def _check_half_power_convergence(w: HalfPower, kernel: Kernel):
 
 def integrate_semi_infinite(spec: IntegrandSpec,
                             ctl: SeriesControl = DEFAULT_CONTROL) -> QuadratureReport:
-    """Evaluate the semi-infinite oscillatory integral described by ``spec``."""
+    """Evaluate the semi-infinite oscillatory integral described by ``spec``.
+
+    Each weight is written once, over a math module ``m``: ``math`` for
+    the QUADPACK lobes, ``numpy`` for the batched ones.
+    """
     w = spec.weight
     if isinstance(w, QuadraticPhase):
-        trig = math.sin if spec.kernel is Kernel.SIN else math.cos
         c, p = w.scale, w.power
-        f = lambda z: trig(c * z * z) * (z * z + 1.0) ** -p
+
+        def f_over(m):
+            trig = _trig(spec.kernel, m)
+            return lambda z: trig(c * z * z) * (z * z + 1.0) ** -p
+
         value, err, lobes, accelerated = lobe_sum(
-            f, _quadratic_breakpoints(spec.kernel, c), ctl)
+            f_over(math), _quadratic_breakpoints(spec.kernel, c), ctl, f_over)
         return QuadratureReport(value, err, lobes, accelerated)
 
     if isinstance(w, HalfPower):
         _check_half_power_convergence(w, spec.kernel)
-        g = _half_power_weight(w.alpha, w.x)
+        p, x = w.alpha + 0.5, w.x
+        g_over = lambda m: lambda t: (t + x) ** -p
     elif isinstance(w, TwoRadical):
         a, b = w.a, w.b
-        g = lambda t: 1.0 / math.sqrt((t + a) * (t + b))
+        g_over = lambda m: lambda t: 1.0 / m.sqrt((t + a) * (t + b))
     elif isinstance(w, RadicalPole):
         a, b = w.a, w.b
-        g = lambda t: 1.0 / (math.sqrt(t + a) * (t + b))
+        g_over = lambda m: lambda t: 1.0 / (m.sqrt(t + a) * (t + b))
     elif isinstance(w, ThreeRadical):
         a, b, c = w.a, w.b, w.c
-        g = lambda t: 1.0 / math.sqrt((t + a) * (t + b) * (t + c))
+        g_over = lambda m: lambda t: 1.0 / m.sqrt((t + a) * (t + b) * (t + c))
     elif isinstance(w, LogHalfPower):
         x = w.x
-        g = lambda t: math.log(t + x) / math.sqrt(t + x)
+        g_over = lambda m: lambda t: m.log(t + x) / m.sqrt(t + x)
     else:
         raise DomainError(f"unknown weight {w!r}")
-    return oscillatory_integral(g, spec.kernel, spec.zeta, 0.0, ctl)
+    return oscillatory_integral(g_over(math), spec.kernel, spec.zeta, 0.0, ctl, g_over)
 
 
 def integrate_finite(f: Callable[[float], float], lo: float, hi: float,

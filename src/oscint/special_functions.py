@@ -15,7 +15,8 @@ Evaluation strategies:
 * Bessel J0/Y0: ascending series for z <= 14, Hankel asymptotic sums
   truncated at their smallest term beyond.  The split sits at 14.0, where
   both branches deliver ~3e-12 absolute; at the classical 8.0 the
-  asymptotic branch would only reach ~2e-8.
+  asymptotic branch would only reach ~2e-8.  An argument that overflowed
+  to inf (or NaN) is a DomainError, checked on the Hankel branch only.
 * Upper incomplete gamma, complex second argument: Legendre continued
   fraction (modified Lentz) for |z| >= max(1, a+1), Taylor series for the
   lower function otherwise; a <= 0 reached by downward recurrence, with
@@ -283,12 +284,19 @@ def _hankel_pq(z):
     return p, q
 
 
+def _require_finite_argument(z):
+    # an overflowed argument (or NaN) reaches here, past the series switch
+    if not math.isfinite(z):
+        raise DomainError(f"Bessel argument overflows double precision: {z}")
+
+
 def bessel_j0(z: float) -> float:
     """Bessel function of the first kind, order zero, z >= 0."""
     if z < 0:
         raise DomainError(f"bessel_j0 needs z >= 0, got {z}")
     if z <= _BESSEL_SWITCH:
         return _j0_series(z)
+    _require_finite_argument(z)
     p, q = _hankel_pq(z)
     w = z - 0.25 * math.pi
     return math.sqrt(2.0 / (math.pi * z)) * (p * math.cos(w) - q * math.sin(w))
@@ -300,6 +308,7 @@ def bessel_y0(z: float) -> float:
         raise DomainError(f"bessel_y0 needs z > 0, got {z}")
     if z <= _BESSEL_SWITCH:
         return _y0_series(z)
+    _require_finite_argument(z)
     p, q = _hankel_pq(z)
     w = z - 0.25 * math.pi
     return math.sqrt(2.0 / (math.pi * z)) * (p * math.sin(w) + q * math.cos(w))
@@ -366,10 +375,13 @@ def _gen_trig_tail(kernel, alpha, z, ctl):
         raise DomainError(f"generalized trig integral needs alpha < 1, got {alpha}")
     if z <= 0:
         raise DomainError(f"generalized trig integral needs z > 0, got {z}")
-    trig = math.sin if kernel is Kernel.SIN else math.cos
     e = alpha - 1.0
-    f = lambda t: trig(t) * t ** e
-    value, _, _, _ = lobe_sum(f, kernel_breakpoints(kernel, 1.0, z), ctl)
+
+    def f_over(m):
+        trig = m.sin if kernel is Kernel.SIN else m.cos
+        return lambda t: trig(t) * t ** e
+
+    value, _, _, _ = lobe_sum(f_over(math), kernel_breakpoints(kernel, 1.0, z), ctl, f_over)
     return value
 
 

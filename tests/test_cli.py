@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -257,6 +258,39 @@ def test_malformed_number_in_a_fresh_process_has_no_traceback():
         [sys.executable, "-m", "oscint.cli", "table", "--family", "half-power",
          "--alpha", "1,x", "--x", "1"],
         capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+# zeta (b - a) / 2 overflows to inf: the argument of the two-radical Bessel tails
+OVERFLOW = ("--family", "two-radical", "--a", "1e308", "--b", "1.5e308", "--zeta", "1e308")
+
+
+@pytest.mark.parametrize("command", ["eval", "table"])
+def test_overflowed_bessel_argument_exit_2(capsys, command):
+    code, out, err = run_cli(capsys, command, *OVERFLOW)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "overflows double precision" in err
+    assert out == ""
+
+
+def test_compare_skips_closed_forms_with_overflowed_bessel_argument(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "compare", *OVERFLOW)
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc["values"]) == ["oracle"]
+    assert doc["skipped"]
+    assert all("overflows double precision" in why for why in doc["skipped"].values())
+    assert err == ""
+
+
+def test_overflowed_bessel_argument_in_a_fresh_process_has_no_traceback():
+    proc = subprocess.run([sys.executable, "-m", "oscint.cli", "eval", *OVERFLOW],
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr

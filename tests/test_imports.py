@@ -50,7 +50,7 @@ def _eval_code(argv):
     return f"import oscint.cli\nassert oscint.cli.main({list(argv)!r}) == 0"
 
 
-@pytest.mark.parametrize("module", ["oscint", "oscint.cli"])
+@pytest.mark.parametrize("module", ["oscint", "oscint.cli", "oscint.oracle"])
 def test_import_loads_no_scipy_or_numpy(module):
     assert _fresh(f"import {module}")[1] == []
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import oscint.oracle as oracle
@@ -72,6 +73,8 @@ def test_error_estimates_are_honest():
         (HalfPower(3.0, 0.5), Kernel.COS),
         (TwoRadical(0.5, 4.0), Kernel.SIN),
         (QuadraticPhase(2.0, 1.0), Kernel.COS),
+        (LogHalfPower(2.0), Kernel.SIN),
+        (ThreeRadical(0.5, 1.0, 2.0), Kernel.COS),
     ]:
         rep = osc(weight, kernel)
         ref = osc(weight, kernel, ctl=tight)
@@ -164,8 +167,102 @@ def test_wrapper_installed_before_first_use_sees_every_call(monkeypatch):
         return stub(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "quad", wrapper)
+    quadpack_lobes = _record_lobe_quad(monkeypatch)
     rep = osc(HalfPower(0.0, 1.0))
     integrate_finite(math.sin, 0.0, 1.0)
     assert oracle.quad is wrapper
-    assert len(calls) == rep.zero_intervals_used + 1
+    # every lobe QUADPACK integrates, plus the finite integral; the
+    # batched lobes make no call
+    assert len(calls) == len(quadpack_lobes) + 1
+    assert 1 <= len(quadpack_lobes) < rep.zero_intervals_used
     assert calls[-1] == (0.0, 1.0)
+
+
+# ---------------------------------------------------------------- batched lobes
+
+def test_gk21_gauss_subset_is_leggauss_10():
+    x, w = np.polynomial.legendre.leggauss(10)
+    # the literal table lists the positive nodes, largest first
+    assert np.max(np.abs(np.array(oracle._GK21_NODES[1::2]) - x[:4:-1])) <= 1e-15
+    assert np.max(np.abs(np.array(oracle._G10_WEIGHTS) - w[:4:-1])) <= 1e-15
+    _, nodes, weights = oracle._gk21()
+    gauss = weights[:, 1] != 0.0
+    assert np.max(np.abs(nodes[gauss] - x)) <= 1e-15
+    assert np.max(np.abs(weights[gauss, 1] - w)) <= 1e-15
+
+
+def test_gk21_is_exact_for_polynomials_up_to_degree_31():
+    _, nodes, weights = oracle._gk21()
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(weights[:, 0] @ nodes ** k - exact) <= 1e-15
+        if k < 20:
+            assert abs(weights[:, 1] @ nodes ** k - exact) <= 1e-15
+
+
+def _record_quad(monkeypatch):
+    quad = oracle.quad
+    calls = []
+    monkeypatch.setattr(oracle, "quad", lambda *a, **k: calls.append(a[1:3]) or quad(*a, **k))
+    return calls
+
+
+def _quadpack_only(monkeypatch):
+    """Route every lobe through QUADPACK, as with a scalar integrand only."""
+    lobe_sum = oracle.lobe_sum
+    monkeypatch.setattr(oracle, "lobe_sum",
+                        lambda f, breakpoints, ctl, f_over=None: lobe_sum(f, breakpoints, ctl))
+
+
+AGREEMENT_WEIGHTS = [HalfPower(1.0, 0.5), TwoRadical(0.5, 2.0), RadicalPole(0.7, 1.9),
+                     ThreeRadical(0.4, 1.0, 2.5), LogHalfPower(1.5), QuadraticPhase(1.3, 0.5)]
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+@pytest.mark.parametrize("weight", AGREEMENT_WEIGHTS, ids=lambda w: type(w).__name__)
+def test_batched_lobes_agree_with_quadpack(monkeypatch, weight, kernel):
+    batched = osc(weight, kernel, 0.8)
+    _quadpack_only(monkeypatch)
+    calls = _record_quad(monkeypatch)
+    ref = osc(weight, kernel, 0.8)
+    assert len(calls) == ref.zero_intervals_used
+    assert abs(batched.value - ref.value) <= batched.abs_err_est + ref.abs_err_est
+
+
+def _record_lobe_quad(monkeypatch):
+    lobe_quad = oracle._lobe_quad
+    lobes = []
+
+    def recording(f, lo, hi, epsabs, epsrel):
+        lobes.append((lo, hi))
+        return lobe_quad(f, lo, hi, epsabs, epsrel)
+
+    monkeypatch.setattr(oracle, "_lobe_quad", recording)
+    return lobes
+
+
+def test_tail_lobe_with_a_jump_goes_to_quadpack(monkeypatch):
+    jump = 9.5 * math.pi          # inside the tenth lobe, [9 pi, 10 pi]
+
+    def over(step):
+        return lambda m: lambda t: m.sin(t) / (t + 1.0) * (1.0 + step * (t > jump))
+
+    breakpoints = lambda: oracle.kernel_breakpoints(Kernel.SIN, 1.0)
+    quadpack_lobes = _record_lobe_quad(monkeypatch)
+    oracle.lobe_sum(over(0.0)(math), breakpoints(), f_over=over(0.0))
+    smooth = list(quadpack_lobes)
+    quadpack_lobes.clear()
+    value, err, lobes, _ = oracle.lobe_sum(over(0.5)(math), breakpoints(), f_over=over(0.5))
+    assert lobes > 10
+    assert quadpack_lobes == smooth + [(9 * math.pi, 10 * math.pi)]
+    ref, ref_err, _, _ = oracle.lobe_sum(over(0.5)(math), breakpoints())
+    assert abs(value - ref) <= err + ref_err
+
+
+def test_half_power_lobes_make_at_most_five_quadpack_calls(monkeypatch):
+    # QUADPACK for the directly summed lobes only: the parent made one
+    # call per lobe, 26 here
+    calls = _record_quad(monkeypatch)
+    rep = osc(HalfPower(0.0, 1.0))
+    assert rep.zero_intervals_used == 26
+    assert len(calls) <= 5

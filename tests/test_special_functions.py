@@ -26,6 +26,7 @@ from oscint import (
     hyp2f1,
     hyp2f2_half,
     integrate_finite,
+    sin_transform,
     upper_incomplete_gamma,
 )
 from oscint.special_functions import EULER_GAMMA, _gauss_series
@@ -121,6 +122,20 @@ def test_y0_domain():
         bessel_y0(-1.0)
     with pytest.raises(DomainError):
         bessel_j0(-0.1)
+
+
+@pytest.mark.parametrize("z", [math.inf, math.nan])
+@pytest.mark.parametrize("fn", [bessel_j0, bessel_y0])
+def test_bessel_overflowed_argument_is_domain_error(fn, z):
+    # past the series switch the Hankel branch would call math.cos(inf)
+    with pytest.raises(DomainError, match="overflows double precision"):
+        fn(z)
+
+
+def test_transform_with_overflowed_bessel_argument_is_domain_error():
+    # the two-radical tails take J0/Y0 at zeta (b - a) / 2, here inf
+    with pytest.raises(DomainError, match="overflows double precision"):
+        sin_transform(1e308, 1.5e308, 1e308)
 
 
 def test_bessel_branch_consistency():
