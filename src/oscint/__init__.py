@@ -6,7 +6,10 @@ radical-pole weights, and general real exponents via Lommel functions --
 each cross-validated against an independent lobe-quadrature oracle.
 
 Every result is pure double precision; all functions are pure,
-reentrant and thread-safe (no global mutable state).
+reentrant and thread-safe.  The only global mutable state is the memo
+caches of pure functions (``functools.lru_cache``: the half-power family
+coefficients, the last Fresnel pair and the last J0 series), which
+never change a value.
 """
 
 from .control import DEFAULT_CONTROL, SeriesControl, control_from_env

@@ -444,7 +444,9 @@ def cmd_compare(args, stream):
             deviations[f"{m1}|{m2}"] = dev
             if Method(m1) in _GATED and Method(m2) in _GATED:
                 gate = max(gate, dev)
-    ok = gate <= args.tol
+    # a gate passes only when at least two gated methods were compared
+    compared = sum(Method(m) in _GATED for m in names)
+    ok = compared >= 2 and gate <= args.tol
     doc = {
         "family": args.family,
         "params": {**params, "kernel": kernel.value},

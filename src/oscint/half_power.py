@@ -33,7 +33,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import DivergentIntegralError, DomainError
-from .oracle import Kernel, _require_finite
+from .oracle import Kernel, _as_kernel, _require_finite
 from .special_functions import fresnel_c, fresnel_s
 
 __all__ = [
@@ -182,6 +182,8 @@ def family_coefficients(alpha: int, kernel: Kernel = Kernel.SIN,
     """
     if alpha < 0 or alpha != int(alpha):
         raise DomainError(f"alpha must be a nonnegative integer, got {alpha}")
+    # coerced inside the cache: "sin" and Kernel.SIN share one entry
+    kernel = _as_kernel(kernel)
     if not as_printed:
         _check_recurrence(alpha, kernel)
     return _build_family(alpha, kernel, as_printed)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .control import DEFAULT_CONTROL, SeriesControl
 from .errors import ConvergenceError, DomainError
-from .oracle import Kernel, _require_finite
+from .oracle import Kernel, _as_kernel, _require_finite
 from .special_functions import (
     EULER_GAMMA,
     gen_ci,
@@ -245,6 +245,7 @@ def si_ci_representation(n: int, m: int, x: float, zeta: float = 1.0,
         raise DomainError(f"need x > 0, got {x}")
     if zeta <= 0:
         raise DomainError(f"need zeta > 0, got {zeta}")
+    kernel = _as_kernel(kernel)
     p = GeneralExponent(n, m).exponent(False)
     u = zeta * x
     a_trig = 1.0 - p

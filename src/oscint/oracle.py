@@ -68,6 +68,18 @@ class Kernel(str, Enum):
     COS = "cos"
 
 
+def _as_kernel(kernel):
+    """``kernel`` as a Kernel member: "sin" and "cos" coerce, anything else
+    is a DomainError.  Every dispatch tests ``kernel is Kernel.SIN``, so an
+    uncoerced string would silently select the cosine branch."""
+    if type(kernel) is Kernel:
+        return kernel
+    try:
+        return Kernel(kernel)
+    except (ValueError, TypeError):
+        raise DomainError(f"kernel must be 'sin' or 'cos', got {kernel!r}") from None
+
+
 def _trig(kernel, m):
     """The kernel's function in the math module ``m`` (math or numpy)."""
     return m.sin if kernel is Kernel.SIN else m.cos
@@ -216,6 +228,7 @@ class IntegrandSpec:
     zeta: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "kernel", _as_kernel(self.kernel))
         _require_finite("IntegrandSpec", zeta=self.zeta)
         if self.zeta <= 0:
             raise DomainError(f"frequency zeta must be > 0, got {self.zeta}")
@@ -424,6 +437,7 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
 
 def kernel_breakpoints(kernel: Kernel, zeta: float, start: float = 0.0):
     """Yield ``start`` followed by the zeros of kernel(zeta*t) above it."""
+    kernel = _as_kernel(kernel)
     yield start
     if kernel is Kernel.SIN:
         k = math.floor(start * zeta / math.pi) + 1
@@ -466,6 +480,7 @@ def oscillatory_integral(g, kernel: Kernel, zeta: float, start: float = 0.0,
     ``g_over(math)`` is ``g`` and ``g_over(numpy)`` takes arrays, which
     lets ``lobe_sum`` batch the accelerated lobes.
     """
+    kernel = _as_kernel(kernel)
     f = _kernel_times(g, _trig(kernel, math), zeta)
     f_over = None
     if g_over is not None:

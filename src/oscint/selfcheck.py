@@ -43,7 +43,8 @@ from .special_functions import (
     hyp2f1,
     upper_incomplete_gamma,
 )
-from .special_functions import _gauss_series  # dual-path check needs the raw series
+# dual-path checks need the raw series and fraction routes
+from .special_functions import _gamma_series, _gauss_series, _legendre_cf_backward
 
 __all__ = ["CheckResult", "GROUPS", "run", "group_names"]
 
@@ -119,6 +120,23 @@ def check_gamma_recurrences():
                 scale = abs(upper_incomplete_gamma(a, z))
                 out.append(_result("gamma-recurrences", f"conj symmetry a={a} z={z}",
                                    conj_sym <= 1e-10 * scale, f"abs {conj_sym:.1e}"))
+    return out
+
+
+def check_gamma_routes():
+    """Gamma(a, +-iu): the series route and the backward continued fraction
+    agree on both sides of the |z| = 3 switch, orders on both sides of the
+    lift into (-1/2, 1/2] and at integers."""
+    out = []
+    for a in [-5.5, -4.0, -2.25, -1.0, -0.5, 0.0, 1.0 / 3.0, 2.0 / 3.0]:
+        for u in [2.95, 3.0, 3.05]:
+            for sign in [1.0, -1.0]:
+                z = complex(0.0, sign * u)
+                series = _gamma_series(a, z, DEFAULT_CONTROL)
+                fraction = _legendre_cf_backward(a, z, DEFAULT_CONTROL)
+                r = abs(series - fraction) / abs(fraction)
+                out.append(_result("gamma-routes", f"a={a:.4g} z={z}", r < 1e-13,
+                                   f"rel {r:.1e}"))
     return out
 
 
@@ -564,6 +582,7 @@ def check_log_integral():
 GROUPS = {
     "fresnel-derivatives": check_fresnel_derivatives,
     "gamma-recurrences": check_gamma_recurrences,
+    "gamma-routes": check_gamma_routes,
     "hyp2f1-transform": check_hyp2f1,
     "gen-si-additivity": check_gen_si_additivity,
     "difference-equations": check_difference_equations,

@@ -280,8 +280,9 @@ def test_compare_skips_closed_forms_with_overflowed_bessel_argument(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "compare", *OVERFLOW)
-    assert code == 0
+    assert code == 1
     doc = json.loads(out)
+    assert doc["ok"] is False
     assert list(doc["values"]) == ["oracle"]
     assert doc["skipped"]
     assert all("overflows double precision" in why for why in doc["skipped"].values())

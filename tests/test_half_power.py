@@ -62,6 +62,21 @@ def test_family_seeds():
     assert odd_cos.phase_pattern is PhasePattern.SIN_LIKE
 
 
+def test_string_kernel_does_not_poison_the_coefficient_cache():
+    # "sin" and Kernel.SIN hash alike, so whichever fills the cache entry
+    # must fill it with the sine family
+    family_coefficients.cache_clear()
+    want = s_alpha(1, 0.7, 1.3)
+    family_coefficients.cache_clear()
+    try:
+        assert family_coefficients(1, "sin", False).phase_pattern is PhasePattern.COS_LIKE
+        assert s_alpha(1, 0.7, 1.3) == want
+        with pytest.raises(DomainError):
+            family_coefficients(1, "bogus")
+    finally:
+        family_coefficients.cache_clear()
+
+
 def test_family_reproduces_base_case():
     for x, zeta in [(0.3, 1.0), (1.0, 1.0), (2.0, 0.7)]:
         assert rel(s_alpha(0, x, zeta), s0(x, zeta)) < 2e-15

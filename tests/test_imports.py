@@ -63,6 +63,25 @@ def test_closed_form_eval_loads_no_scipy_or_numpy(family, kernel):
     assert json.loads(out[0])["method"] == "closed-form"
 
 
+# closed forms through the Gamma series (u = zeta x < 3), the backward
+# Gamma fraction (u > 3) and the Fresnel tail (sqrt(2u/pi) > 1.6)
+SPECIAL_ROUTES = {
+    "lommel-gamma-series": ("--family", "lommel", "--n", "1", "--m", "3",
+                            "--x", "1.5", "--zeta", "1.25"),
+    "lommel-gamma-fraction": ("--family", "lommel", "--kernel", "cos", "--n", "2", "--m", "5",
+                              "--x", "7.0", "--zeta", "1.5"),
+    "half-power-fresnel-tail": ("--family", "half-power", "--alpha", "3", "--x", "9.0",
+                                "--zeta", "1.0"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(SPECIAL_ROUTES))
+def test_gamma_and_fresnel_routes_load_no_scipy_or_numpy(route):
+    out, heavy = _fresh(_eval_code(["eval", *SPECIAL_ROUTES[route]]))
+    assert heavy == []
+    assert json.loads(out[0])["method"] == "closed-form"
+
+
 def test_oracle_eval_loads_scipy_and_prints_the_same_bytes(capsys):
     argv = ["eval", "--family", "two-radical", *IN_GRID["two-radical"], "--method", "oracle"]
     code = _eval_code(argv) + ("\nimport oscint.oracle, scipy.integrate"

@@ -76,6 +76,25 @@ def test_si_ci_representation():
                general_sin_transform(1, 2, 1.0, 1.0)) < 1e-9
 
 
+def test_si_ci_string_kernel_selects_the_same_route():
+    for name, member in (("sin", Kernel.SIN), ("cos", Kernel.COS)):
+        assert (si_ci_representation(1, 3, 2.0, 1.0, name)
+                == si_ci_representation(1, 3, 2.0, 1.0, member))
+    with pytest.raises(DomainError):
+        si_ci_representation(1, 3, 2.0, 1.0, "bogus")
+
+
+@pytest.mark.parametrize("n,m,x", [(1, 3, 1.0), (0, 2, 1.5), (2, 5, 2.0)])
+def test_general_sin_transform_pins_against_mpmath(n, m, x):
+    # u = 1-2 is where the Gamma continued fraction used to stop at
+    # rel_tol and land at 2-3e-12; the series route now holds ~1e-16
+    mpmath = pytest.importorskip("mpmath")
+    p = 2 * n + 1.0 / m
+    with mpmath.workdps(20):
+        want = mpmath.quadosc(lambda t: mpmath.sin(t) / (t + x) ** p, [0, mpmath.inf], omega=1)
+    assert abs(general_sin_transform(n, m, x) - want) <= 1e-14 * abs(want)
+
+
 def test_pre_reduction_forms_match_reduced():
     pre = pre_reduction_values(1, 2, 1.5, 0.5)
     assert rel(pre[(Kernel.SIN, False)], general_sin_transform(1, 2, 1.5, 0.5)) < 1e-10

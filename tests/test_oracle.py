@@ -1,6 +1,7 @@
 """Quadrature oracle: goldens, divergence classification, robustness."""
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -100,6 +101,24 @@ def test_invalid_specs():
         IntegrandSpec(HalfPower(0.0, 1.0), Kernel.SIN, 0.0)
     with pytest.raises(DomainError):
         QuadraticPhase(1.0, 0.0)
+
+
+def test_string_kernels_coerce_and_others_are_domain_errors():
+    # "sin" == Kernel.SIN, but every dispatch tests identity with the member
+    want = osc(HalfPower(0.0, 1.0), Kernel.SIN).value
+    spec = IntegrandSpec(HalfPower(0.0, 1.0), "sin")
+    assert spec.kernel is Kernel.SIN
+    assert integrate_semi_infinite(spec).value == want
+    got = oracle.oscillatory_integral(lambda t: (t + 1.0) ** -0.5, "sin", 1.0).value
+    assert abs(got - want) <= 1e-9
+    assert list(islice(oracle.kernel_breakpoints("sin", 1.0), 2)) == [0.0, math.pi]
+    for bad in ("bogus", None, 1):
+        with pytest.raises(DomainError):
+            IntegrandSpec(HalfPower(0.0, 1.0), bad)
+    with pytest.raises(DomainError):
+        oracle.oscillatory_integral(lambda t: (t + 1.0) ** -0.5, "bogus", 1.0)
+    with pytest.raises(DomainError):
+        next(oracle.kernel_breakpoints("bogus", 1.0))
 
 
 def test_acceleration_budget():

@@ -5,7 +5,9 @@ arithmetic (series/quadrature definitions evaluated independently of
 the library) and frozen here.
 """
 
+import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,10 @@ from oscint import (
     sin_transform,
     upper_incomplete_gamma,
 )
+from oscint import half_power as hp
+from oscint import radical_pole as rp
+from oscint import special_functions as sf
+from oscint import two_radical as tr
 from oscint.special_functions import EULER_GAMMA, _gauss_series
 
 SQRT_PI = math.sqrt(math.pi)
@@ -217,6 +223,126 @@ def test_incomplete_gamma_integer_descent():
     got = upper_incomplete_gamma(-1.0, 0.25j)
     rec = (upper_incomplete_gamma(0.0, 0.25j) - _cexp(-0.25j) / 0.25j) / -1.0
     assert abs(got - rec) < 1e-12 * abs(got)
+
+
+def _gamma_grid():
+    """(a, z) on both half-axes of the imaginary axis: a in [-6, 1), u in
+    [0.05, 50] log-uniform, plus both sides of the |z| = 3 switch."""
+    rng = random.Random(20261018)
+    pts = []
+    for _ in range(360):
+        a = rng.uniform(-6.0, 1.0)
+        u = math.exp(rng.uniform(math.log(0.05), math.log(50.0)))
+        pts.append((a, complex(0.0, rng.choice((1.0, -1.0)) * u)))
+    for a in (-5.3, -2.6, -0.45, 0.2, 0.9):
+        for u in (2.99, 3.01):
+            pts += [(a, complex(0.0, u)), (a, complex(0.0, -u))]
+    return pts
+
+
+def _gamma_errors(points):
+    mpmath = pytest.importorskip("mpmath")
+    errs = []
+    with mpmath.workdps(30):
+        for a, z in points:
+            want = complex(mpmath.gammainc(a, z))
+            errs.append(abs(upper_incomplete_gamma(a, z) - want) / abs(want))
+    return sorted(errs)
+
+
+def _near_negative_integer(a):
+    return a < 0.5 and abs(a - round(a)) < 0.05
+
+
+def test_incomplete_gamma_imaginary_axis_against_mpmath():
+    grid = _gamma_grid()
+    far = _gamma_errors([p for p in grid if not _near_negative_integer(p[0])])
+    assert far[-1] <= 2e-13
+    assert far[int(0.99 * len(far))] <= 5e-14
+    near = _gamma_errors([p for p in grid if _near_negative_integer(p[0])]
+                         + [(k + d, complex(0.0, s * u)) for k in (-4, -1, 0)
+                            for d in (-0.03, -1e-9, 1e-9, 0.03) for u in (0.4, 1.5, 2.9)
+                            for s in (1.0, -1.0) if k + d < 0.5])
+    assert near[-1] <= 2e-13
+
+
+def test_rgamma_taylor_table_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = [float(c) for c in mpmath.taylor(mpmath.rgamma, 0, 22)[2:]]
+    assert len(sf._RGAMMA_TAYLOR) == len(want)
+    for got, c in zip(reversed(sf._RGAMMA_TAYLOR), want):
+        assert abs(got - c) <= 2e-16 * abs(c)
+
+
+def test_backward_depth_covers_the_lentz_count():
+    # Re z >= 0, |z| >= 3, -8 <= a <= 1: the modified-Lentz loop at a
+    # 1e-16 tolerance must stop within the backward fraction's fixed depth
+    for k in range(40):
+        r = 3.0 * (1e4 / 3.0) ** (k / 39)
+        depth = math.ceil(sf._CF_DEPTH_SCALE / r) + sf._CF_DEPTH_PAD
+        lentz = SeriesControl(rel_tol=1e-16, max_terms=depth)
+        for a in [j / 4 for j in range(-32, 5)]:
+            for theta in (-0.5, -0.25, 0.0, 0.25, 0.5):
+                z = cmath.rect(r, math.pi * theta)
+                want = sf._legendre_cf(a, z, lentz)     # raises past the depth
+                got = sf._legendre_cf_backward(a, z, sf.DEFAULT_CONTROL)
+                assert abs(got - want) <= 1e-14 * abs(want) + 1e-300, (a, z)  # e^-z may underflow
+
+
+def test_backward_fraction_honours_max_terms():
+    with pytest.raises(ConvergenceError):
+        upper_incomplete_gamma(0.5, 5j, SeriesControl(max_terms=20))
+    with pytest.raises(ConvergenceError):
+        upper_incomplete_gamma(-0.5, 1j, SeriesControl(max_terms=1))
+
+
+def test_incomplete_gamma_non_finite_is_domain_error():
+    for a, z in ((math.nan, 1j), (0.5, complex(0.0, math.inf)), (math.inf, 2j)):
+        with pytest.raises(DomainError):
+            upper_incomplete_gamma(a, z)
+
+
+def test_no_lentz_below_the_switch_or_on_the_imaginary_axis(count_calls):
+    counts = count_calls(sf, "_legendre_cf", "_legendre_cf_backward")
+    for a in (-6.0, -5.5, -2.3, -1.0, -0.5, 0.0, 1.0 / 3.0, 2.0 / 3.0, 0.999):
+        for u in (0.05, 0.7, 2.9, 3.0, 8.0, 60.0, 900.0):
+            upper_incomplete_gamma(a, complex(0.0, u))
+            upper_incomplete_gamma(a, complex(0.0, -u))
+        for arg in (0.0, 0.5, 1.5, 2.5, 3.1):      # any direction below |z| = 3
+            upper_incomplete_gamma(a, cmath.rect(2.5, arg))
+    assert counts["_legendre_cf"] == 0
+    assert counts["_legendre_cf_backward"] == 9 * 8
+    # no verified depth: the left half-plane and orders outside [-8, 1]
+    upper_incomplete_gamma(0.5, complex(-3.0, 4.0))
+    upper_incomplete_gamma(2.5, 5j)
+    upper_incomplete_gamma(-9.5, 5j)
+    assert counts["_legendre_cf"] == 3
+
+
+@pytest.mark.parametrize("u", [0.4, 2.0, 9.0])     # Fresnel argument below and above 1.6
+def test_one_fresnel_branch_per_bracket(count_calls, u):
+    sf._fresnel_pair.cache_clear()
+    counts = count_calls(sf, "_fresnel_series", "_fresnel_tail")
+    hp.fresnel_bracket(u, hp.PhasePattern.SIN_LIKE)
+    assert sum(counts.values()) == 1
+
+
+@pytest.mark.parametrize("c", [0.3, 9.0])
+def test_one_fresnel_branch_per_pole_tail_and_head_approximation(count_calls, c):
+    counts = count_calls(sf, "_fresnel_series", "_fresnel_tail")
+    sf._fresnel_pair.cache_clear()
+    rp._pole_tails(c)
+    assert sum(counts.values()) == 1
+    tr._head_approx(True, c, 0.7, 4.0)
+    assert sum(counts.values()) == 2
+
+
+def test_one_j0_series_per_two_radical_tail(count_calls):
+    counts = count_calls(sf, "_j0_series")
+    sf._j0_small.cache_clear()
+    tr._tails(5.0)                      # J0/Y0 at 2.5, below the Hankel switch
+    assert counts["_j0_series"] == 1
 
 
 # ---------------------------------------------------------------- 2F1
