@@ -3,15 +3,17 @@
 The semi-infinite integrals are computed by partitioning the axis at the
 zeros of the oscillating kernel, integrating each lobe, and accelerating
 the resulting alternating lobe series with a van Wijngaarden / Euler
-transformation.  The first lobes, summed directly, go through adaptive
-Gauss-Kronrod quadrature (QUADPACK via scipy).  The accelerated lobes
-are smooth, so when the caller also gives the integrand in vector form
-they are integrated in blocks of 32 by one numpy evaluation of the fixed
-21-point Gauss-Kronrod rule; a lobe whose Kronrod-Gauss difference fails
-the tolerance goes back to QUADPACK.  This module deliberately knows
-nothing about the closed forms it arbitrates: the only ingredients are
-elementary functions and lobe quadrature, so agreement with a closed
-form is meaningful evidence.
+transformation.  When the caller also gives the integrand in vector
+form, every lobe, the directly summed first ones and the accelerated
+rest, comes from one stream integrated in blocks of 32 by one numpy
+evaluation of the fixed 21-point Gauss-Kronrod rule; a lobe whose
+Kronrod-Gauss difference fails the tolerance (in practice one of the
+first two, where the weight is steepest) goes to adaptive Gauss-Kronrod
+quadrature (QUADPACK via scipy), which otherwise integrates every lobe.  A typical
+integral takes one block.  This module deliberately knows nothing about
+the closed forms it arbitrates: the only ingredients are elementary
+functions and lobe quadrature, so agreement with a closed form is
+meaningful evidence.
 
 scipy is imported on the first quadrature and numpy on the first block,
 not with this module: the closed forms import ``Kernel`` and
@@ -255,35 +257,26 @@ class _EulerAccumulator:
 
     Terms of a (near-)alternating series are fed one at a time; ``total``
     tracks the transformed sum and ``add`` returns the increment just
-    applied, whose magnitude is the working convergence signal.
+    applied, whose magnitude is the working convergence signal.  Each
+    term starts the next row of averaged differences,
+    new[0] = term, new[j+1] = (new[j] + old[j]) / 2.
     """
 
     def __init__(self):
-        self._wksp = []
-        self._n = 0
-        self.total = 0.0
+        self._row = []
+        # -0.0 is the exact additive identity: the first total is 0.5 * term
+        self.total = -0.0
 
     def add(self, term):
-        if self._n == 0:
-            self._wksp.append(term)
-            self._n = 1
-            self.total = 0.5 * term
-            return self.total
-        wksp = self._wksp
-        tmp = wksp[0]
-        wksp[0] = term
-        for j in range(self._n - 1):
-            tmp, wksp[j + 1] = wksp[j + 1], 0.5 * (wksp[j] + tmp)
-        nxt = 0.5 * (wksp[self._n - 1] + tmp)
-        if len(wksp) == self._n:
-            wksp.append(nxt)
+        new = [term]
+        for prev in self._row:
+            new.append(0.5 * (new[-1] + prev))
+        if len(new) > 1 and abs(new[-1]) > abs(new[-2]):
+            # the newest difference grew: apply it whole and keep the row short
+            increment = new.pop()
         else:
-            wksp[self._n] = nxt
-        if abs(wksp[self._n]) <= abs(wksp[self._n - 1]):
-            increment = 0.5 * wksp[self._n]
-            self._n += 1
-        else:
-            increment = wksp[self._n]
+            increment = 0.5 * new[-1]
+        self._row = new
         self.total += increment
         return increment
 
@@ -315,8 +308,8 @@ _G10_WEIGHTS = (
     0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338)
-# lobes per numpy evaluation: one block holds the ~23 accelerated lobes of
-# a typical integral; the unused rest of the last block is dropped
+# lobes per numpy evaluation: one block holds the ~26 lobes of a typical
+# integral; the unused rest of the last block is dropped
 _BLOCK = 32
 
 
@@ -378,11 +371,14 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
     elements are the kernel zeros.  Early lobes are summed directly until
     their magnitudes have decreased twice in a row (weights need not be
     monotone near the origin, e.g. a logarithmic factor); the remaining
-    alternating series is Euler-transformed.  The direct lobes go through
-    QUADPACK.  ``f_over``, if given, builds ``f`` over a math module:
-    ``f_over(math)`` behaves as ``f`` and ``f_over(numpy)`` takes arrays.
-    With it the accelerated lobes are integrated in blocks by a fixed
-    Gauss-Kronrod rule, otherwise by QUADPACK one at a time.
+    alternating series is Euler-transformed.  ``f_over``, if given,
+    builds ``f`` over a math module: ``f_over(math)`` behaves as ``f``
+    and ``f_over(numpy)`` takes arrays.  With it every lobe, direct or
+    accelerated, comes from one stream integrated in blocks by a fixed
+    Gauss-Kronrod rule, and QUADPACK takes only the lobes that fail its
+    error test (in practice one of the first two, where the weight is
+    steepest); without it QUADPACK integrates every lobe.  At most ``10 * ctl.max_terms`` lobes are
+    integrated.
 
     Returns (value, abs_err_est, lobes_used, accelerated).
     """
@@ -390,15 +386,20 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
     max_lobes = 10 * ctl.max_terms
     it = iter(breakpoints)
     lo = next(it)
+    if f_over is None:
+        lobes = _quad_lobes(f, lo, it, epsabs)
+    else:
+        lobes = _block_lobes(f, f_over, lo, it, epsabs)
     quad_err = 0.0
     direct = []
     prev_mag = math.inf
     decreases = 0
-    for hi in it:
-        piece, perr = _lobe_quad(f, lo, hi, epsabs, epsabs)
+    for piece, perr in lobes:
         quad_err += perr
-        lo = hi
         direct.append(piece)
+        if len(direct) >= max_lobes:
+            raise AccelerationStalledError(
+                f"lobe magnitudes did not start decreasing within {max_lobes} lobes")
         if abs(piece) <= prev_mag:
             decreases += 1
         else:
@@ -413,11 +414,7 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
     acc.add(direct[-1])
     nlobes = len(direct)
     converged = 0
-    if f_over is None:
-        tail = _quad_lobes(f, lo, it, epsabs)
-    else:
-        tail = _block_lobes(f, f_over, lo, it, epsabs)
-    for piece, perr in tail:
+    for piece, perr in lobes:
         quad_err += perr
         nlobes += 1
         increment = acc.add(piece)

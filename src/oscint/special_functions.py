@@ -238,16 +238,19 @@ def upper_incomplete_gamma(a: float, z: complex,
     z = complex(z)
     if not (math.isfinite(a) and cmath.isfinite(z)):
         raise DomainError(f"Gamma(a, z) needs finite a and z, got a={a}, z={z}")
-    if z == 0:
-        if a <= 0:
-            raise DomainError(f"Gamma(a, 0) needs a > 0, got a={a}")
-        return complex(gamma_real(a))
-    if abs(z) < max(_GAMMA_SWITCH, a + 1.0):
-        out = _gamma_series(a, z, ctl)
-    elif z.real >= 0 and _CF_MIN_ORDER <= a <= 1.0:
-        out = _legendre_cf_backward(a, z, ctl)
-    else:
-        out = _legendre_cf(a, z, ctl)
+    if z == 0 and a <= 0:
+        raise DomainError(f"Gamma(a, 0) needs a > 0, got a={a}")
+    try:
+        if z == 0:
+            out = complex(gamma_real(a))
+        elif abs(z) < max(_GAMMA_SWITCH, a + 1.0):
+            out = _gamma_series(a, z, ctl)
+        elif z.real >= 0 and _CF_MIN_ORDER <= a <= 1.0:
+            out = _legendre_cf_backward(a, z, ctl)
+        else:
+            out = _legendre_cf(a, z, ctl)
+    except OverflowError:                # Gamma(a) past the double range
+        out = complex(math.inf)
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise ConvergenceError(f"Gamma({a}, {z}) evaluated non-finite")
     return out

@@ -297,6 +297,13 @@ def test_backward_fraction_honours_max_terms():
         upper_incomplete_gamma(-0.5, 1j, SeriesControl(max_terms=1))
 
 
+@pytest.mark.parametrize("a, z", [(200.0, 1j), (300.0, -1j), (200.0, 0.0)])
+def test_incomplete_gamma_overflow_is_convergence_error(a, z):
+    # Gamma(a) overflows the double range past a ~ 171.6
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        upper_incomplete_gamma(a, z)
+
+
 def test_incomplete_gamma_non_finite_is_domain_error():
     for a, z in ((math.nan, 1j), (0.5, complex(0.0, math.inf)), (math.inf, 2j)):
         with pytest.raises(DomainError):
