@@ -28,6 +28,16 @@ plain Euler table already converges geometrically (~1e-12 within 25-40
 lobes on the worst t^(-1/2) decay), and it is simpler and exactly
 reproducible term by term.  Lobes are summed strictly in order, so a
 result is independent of how they were batched.
+
+QUADPACK is never asked for a relative tolerance below
+``_QUADPACK_EPSREL_FLOOR`` = 100 eps (about 2.2e-14).  Its 21-point rule
+reports no error below 50 eps times the integral of |f| on a piece
+(Piessens et al., *QUADPACK*, Springer 1983, routine qk21; scipy's
+``quad`` asks for ``epsrel >= 50 eps`` for the same reason), so a finer
+request can never be met: QUADPACK subdivides until its round-off exit
+(ier = 2) and returns the same value to an ulp after eight to twelve
+times the evaluations.  The floor leaves twice that bound, room for the
+rounding of the summed pieces.
 """
 
 from __future__ import annotations
@@ -281,8 +291,19 @@ class _EulerAccumulator:
         return increment
 
 
+# the finest relative tolerance QUADPACK is asked for (module docstring)
+_QUADPACK_EPSREL_FLOOR = 100 * math.ulp(1.0)
+
+
 def _lobe_quad(f, lo, hi, epsabs, epsrel):
-    res = quad(f, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=200, full_output=1)
+    """(integral, abs error) of one lobe by QUADPACK.
+
+    ``epsrel`` is raised to ``_QUADPACK_EPSREL_FLOOR``: a finer request
+    ends at QUADPACK's round-off exit after hundreds of evaluations with
+    the value it had after the first few dozen.
+    """
+    res = quad(f, lo, hi, epsabs=epsabs, epsrel=max(epsrel, _QUADPACK_EPSREL_FLOOR),
+               limit=200, full_output=1)
     return res[0], res[1]
 
 
@@ -354,14 +375,18 @@ def _block_lobes(f, f_over, lo, his, epsabs):
         # lobe fails the test below and goes to QUADPACK
         with np.errstate(all="ignore"):
             kg = (fv(mid[:, None] + half[:, None] * nodes) @ weights) * half[:, None]
+            diff = np.abs(kg[:, 0] - kg[:, 1]).tolist()
         kron = kg[:, 0].tolist()
-        diff = np.abs(kg[:, 0] - kg[:, 1]).tolist()
         for i, (piece, err) in enumerate(zip(kron, diff)):
             if err <= max(epsabs, epsabs * abs(piece)):
                 yield piece, err
             else:
                 yield _lobe_quad(f, edges[i], edges[i + 1], epsabs, epsabs)
         lo = block[-1]
+
+
+def _not_finite(lobe):
+    return AccelerationStalledError(f"the lobe sum is not finite at lobe {lobe}")
 
 
 def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
@@ -377,8 +402,9 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
     accelerated, comes from one stream integrated in blocks by a fixed
     Gauss-Kronrod rule, and QUADPACK takes only the lobes that fail its
     error test (in practice one of the first two, where the weight is
-    steepest); without it QUADPACK integrates every lobe.  At most ``10 * ctl.max_terms`` lobes are
-    integrated.
+    steepest); without it QUADPACK integrates every lobe.  At most
+    ``10 * ctl.max_terms`` lobes are integrated, and a NaN lobe or a sum
+    that overflows ends the series where it appears.
 
     Returns (value, abs_err_est, lobes_used, accelerated).
     """
@@ -403,6 +429,10 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
         if abs(piece) <= prev_mag:
             decreases += 1
         else:
+            # a NaN lobe lands here (and in the accelerated loop's
+            # converged branch): it can never converge, so stop at once
+            if not math.isfinite(piece):
+                raise _not_finite(len(direct))
             decreases = 0
         prev_mag = abs(piece)
         if decreases >= 2 and len(direct) >= 3:
@@ -419,13 +449,17 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
         nlobes += 1
         increment = acc.add(piece)
         partial = head + acc.total
-        if abs(increment) <= max(ctl.rel_tol * abs(partial), 1e-15):
+        if abs(increment) > max(ctl.rel_tol * abs(partial), 1e-15):
+            converged = 0
+        else:
+            # a NaN fails this test as well, so a NaN lobe lands here, off
+            # the hot path, as does an infinite sum
+            if not math.isfinite(partial):
+                raise _not_finite(nlobes)
             converged += 1
             if converged >= 2:
                 err = quad_err + 2.0 * abs(increment) + 1e-16 * abs(partial)
                 return partial, err, nlobes, True
-        else:
-            converged = 0
         if nlobes >= max_lobes:
             raise AccelerationStalledError(
                 f"lobe series failed tolerance {ctl.rel_tol} within {max_lobes} lobes")
@@ -545,12 +579,20 @@ def integrate_semi_infinite(spec: IntegrandSpec,
 
 def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
                      ctl: SeriesControl = DEFAULT_CONTROL) -> QuadratureReport:
-    """Adaptive Gauss-Kronrod integral of ``f`` on the finite range [lo, hi]."""
+    """Adaptive Gauss-Kronrod integral of ``f`` on the finite range [lo, hi].
+
+    QUADPACK is asked for ``ctl.rel_tol`` raised to
+    ``_QUADPACK_EPSREL_FLOOR``, the finest tolerance it can meet (module
+    docstring); a finer request would end at its round-off exit.  The
+    error it reports is still checked against ``ctl.rel_tol`` itself,
+    with 1e-13 absolute slack.
+    """
     if lo > hi:
         raise DomainError(f"need lo <= hi, got [{lo}, {hi}]")
     if lo == hi:
         return QuadratureReport(0.0, 0.0, 0, False)
-    res = quad(f, lo, hi, epsabs=1e-15, epsrel=ctl.rel_tol, limit=200, full_output=1)
+    res = quad(f, lo, hi, epsabs=1e-15, epsrel=max(ctl.rel_tol, _QUADPACK_EPSREL_FLOOR),
+               limit=200, full_output=1)
     value, abserr, info = res[0], res[1], res[2]
     if len(res) > 3:
         raise MaxSubdivisionsError(f"quadrature on [{lo}, {hi}]: {res[3]}")

@@ -1,0 +1,73 @@
+"""tools/bench_pairs.py: the pair summary on fixed numbers."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def _run(failed=0, **metrics):
+    return {"failed": failed, "metrics": metrics}
+
+
+PAIRS = [
+    (_run(latency_tail_us=240.0, goodput_per_s=10.0), _run(latency_tail_us=143.0, goodput_per_s=11.0)),
+    (_run(latency_tail_us=236.0, goodput_per_s=10.2), _run(latency_tail_us=140.0, goodput_per_s=10.0)),
+    (_run(latency_tail_us=241.0, goodput_per_s=9.8), _run(latency_tail_us=245.0, goodput_per_s=11.2)),
+    (_run(latency_tail_us=238.0, goodput_per_s=10.1), _run(latency_tail_us=144.0, goodput_per_s=10.1)),
+    (_run(1, latency_tail_us=239.0, goodput_per_s=10.0), _run(latency_tail_us=142.0, goodput_per_s=11.1)),
+]
+BETTER = {"latency_tail_us": "lower", "goodput_per_s": "higher"}
+
+
+def test_summary_medians_quartiles_and_wins():
+    rows = {r["name"]: r for r in bench_pairs.summarize(PAIRS, BETTER)}
+    tail = rows["latency_tail_us"]
+    assert tail["parent"] == (238.0, 239.0, 240.0)
+    assert tail["change"] == (142.0, 143.0, 144.0)
+    assert tail["wins"] == 4 and tail["pairs"] == 5
+    assert tail["move"] == pytest.approx(-96.0 / 239.0)
+    assert tail["resolved"]
+    good = rows["goodput_per_s"]
+    assert good["better"] == "higher"
+    # a tie (10.1 against 10.1) is no win
+    assert good["wins"] == 3
+    assert good["parent"] == (10.0, 10.0, 10.1)
+    assert good["change"] == (10.1, 11.0, 11.1)
+    assert good["resolved"]
+
+
+def test_small_move_inside_the_parent_spread_is_unresolved():
+    pairs = [(_run(p50=100.0 + d), _run(p50=99.0 + d)) for d in (0.0, 4.0, 8.0)]
+    (row,) = bench_pairs.summarize(pairs, {})
+    assert row["better"] == "lower"
+    assert row["wins"] == 3
+    assert not row["resolved"]
+
+
+def test_one_pair_is_never_resolved():
+    (row,) = bench_pairs.summarize([(_run(p50=100.0), _run(p50=50.0))], {})
+    assert row["parent"] == (100.0, 100.0, 100.0)
+    assert row["wins"] == 1
+    assert not row["resolved"]
+
+
+def test_failed_differences_and_seed_parsing():
+    seeds = bench_pairs.parse_seeds("1001-1003,1007,1009-1009")
+    assert seeds == [1001, 1002, 1003, 1007, 1009]
+    assert bench_pairs.failed_differences(PAIRS, seeds) == [(1009, 1, 0)]
+
+
+def test_directions_come_from_both_metric_lists():
+    bench = {"end_to_end": [{"name": "goodput_per_s", "better": "higher"}],
+             "per_layer": [{"name": "oracle.quad_calls_per_req", "better": "lower"}]}
+    assert bench_pairs.directions(bench) == {"goodput_per_s": "higher",
+                                            "oracle.quad_calls_per_req": "lower"}
+    lines = bench_pairs.format_rows(bench_pairs.summarize(PAIRS, BETTER))
+    assert lines[0].startswith("latency_tail_us")
+    assert "wins 4/5" in lines[0] and lines[0].endswith("resolved")

@@ -135,6 +135,17 @@ def test_numerical_failure_exit_3(capsys):
     assert err
 
 
+def test_series_heads_below_quadpack_floor_exit_0(capsys):
+    # --rel-tol 1e-14 is below QUADPACK's round-off floor; the quadrature
+    # heads ask it for the floor instead of failing with exit 3
+    base = ("--family", "two-radical", "--kernel", "sin", "--a", "0.5", "--b", "1.5",
+            "--zeta", "1")
+    code, out, err = run_cli(capsys, "eval", *base, "--method", "series", "--rel-tol", "1e-14")
+    assert code == 0, err
+    _, ref, _ = run_cli(capsys, "eval", *base)
+    assert abs(json.loads(out)["value"] - json.loads(ref)["value"]) <= 1e-14
+
+
 def test_as_printed_flag_matches_method(capsys):
     base = ("--family", "radical-pole", "--a", "1", "--b", "2", "--zeta", "1")
     _, out1, _ = run_cli(capsys, "eval", *base, "--as-printed")

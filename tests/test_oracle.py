@@ -135,6 +135,19 @@ def test_integrate_finite_empty_and_golden():
         integrate_finite(lambda t: t, 1.0, 0.0)
 
 
+def test_integrate_finite_meets_a_tolerance_below_quadpack_floor(monkeypatch):
+    # QUADPACK cannot meet 1e-14 (its floor is 50 eps ~ 1.1e-14): asked
+    # for it, it ends at its round-off exit; asked for the floor, it meets it
+    calls = []
+    quad = oracle.quad
+    monkeypatch.setattr(oracle, "quad", lambda *a, **k: calls.append(k["epsrel"]) or quad(*a, **k))
+    rep = integrate_finite(math.sin, 0.0, 1.0, SeriesControl(rel_tol=1e-14))
+    assert abs(rep.value - (1.0 - math.cos(1.0))) <= 1e-15
+    assert rep.abs_err_est <= oracle._QUADPACK_EPSREL_FLOOR * rep.value
+    integrate_finite(math.sin, 0.0, 1.0, SeriesControl(rel_tol=1e-10))
+    assert calls == [oracle._QUADPACK_EPSREL_FLOOR, 1e-10]
+
+
 def test_lobe_count_insensitivity():
     # doubling the convergence demands must stay inside the error estimate
     base = osc(HalfPower(0.0, 0.1), Kernel.SIN, 0.5)
@@ -287,6 +300,46 @@ def test_half_power_lobes_make_at_most_five_quadpack_calls(monkeypatch):
     assert calls == [(0.0, math.pi)]
 
 
+def _record_quad_outcomes(monkeypatch):
+    """Per QUADPACK call: (integrand evaluations, its warning or None)."""
+    quad = oracle.quad
+    outcomes = []
+
+    def recording(*args, **kwargs):
+        res = quad(*args, **kwargs)
+        outcomes.append((res[2]["neval"], res[3] if len(res) > 3 else None))
+        return res
+
+    monkeypatch.setattr(oracle, "quad", recording)
+    return outcomes
+
+
+def test_fallback_lobe_is_settled_without_the_round_off_exit(monkeypatch):
+    # asked for epsrel 1e-14, below QUADPACK's floor, the lobe [0, pi]
+    # takes 483 evaluations and ends at the round-off exit; at the floor
+    # it takes 63
+    outcomes = _record_quad_outcomes(monkeypatch)
+    osc(HalfPower(0.0, 1.0))
+    assert len(outcomes) == 1
+    neval, warning = outcomes[0]
+    assert neval <= 105
+    assert warning is None
+
+
+def test_no_fallback_lobe_ends_at_the_round_off_exit(monkeypatch):
+    # steep first lobes of magnitude ~1: asked for epsrel 1e-14, nine
+    # calls in this set end at the round-off exit
+    outcomes = _record_quad_outcomes(monkeypatch)
+    warned = []
+    for weight in AGREEMENT_WEIGHTS + [HalfPower(2.5, 0.05), TwoRadical(0.05, 0.3),
+                                       LogHalfPower(0.05)]:
+        for kernel in Kernel:
+            outcomes.clear()
+            osc(weight, kernel, 0.8)
+            warned += [(weight, kernel, w) for _, w in outcomes if w is not None]
+    assert warned == []
+
+
 def test_smooth_weight_makes_no_quadpack_call(monkeypatch):
     # every lobe, the directly summed ones included, passes the GK21 test
     calls = _record_quad(monkeypatch)
@@ -302,7 +355,6 @@ def _breakpoints_failing_after(n):
 
 CAP_INTEGRANDS = {
     "growing": lambda m: lambda t: t * m.sin(t),
-    "nan": lambda m: lambda t: math.nan * m.sin(t),
 }
 
 
@@ -315,6 +367,36 @@ def test_direct_lobes_are_capped(name, batched):
     with pytest.raises(AccelerationStalledError, match="within 50 lobes"):
         oracle.lobe_sum(over(math), _breakpoints_failing_after(1000),
                         SeriesControl(max_terms=5), over if batched else None)
+
+
+def _nan_beyond(jump):
+    def over(m):
+        if m is math:
+            return lambda t: math.sin(t) / (t + 1.0) if t <= jump else math.nan
+        return lambda t: m.where(t <= jump, m.sin(t) / (t + 1.0), math.nan)
+    return over
+
+
+# integrand over a math module, and its first non-finite lobe: in the
+# direct phase, in the accelerated phase, and a lobe that overflows
+NAN_INTEGRANDS = {
+    "first": (lambda m: lambda t: math.nan * m.sin(t), 1),
+    "tenth": (_nan_beyond(9.5 * math.pi), 10),
+    "overflow": (lambda m: lambda t: 1e308 * m.sin(t), 1),
+}
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["quadpack", "batched"])
+@pytest.mark.parametrize("name", sorted(NAN_INTEGRANDS))
+def test_nan_lobe_stops_the_sum(monkeypatch, name, batched):
+    # a non-finite lobe can never converge: the sum stops at that lobe
+    # instead of integrating up to the lobe cap, and without a warning
+    over, lobe = NAN_INTEGRANDS[name]
+    quadpack_lobes = _record_lobe_quad(monkeypatch)
+    with pytest.raises(AccelerationStalledError, match=f"not finite at lobe {lobe}$"):
+        oracle.lobe_sum(over(math), oracle.kernel_breakpoints(Kernel.SIN, 1.0),
+                        f_over=over if batched else None)
+    assert quadpack_lobes[-1] == ((lobe - 1) * math.pi, lobe * math.pi)
 
 
 # --------------------------------------------------------- Euler accumulator

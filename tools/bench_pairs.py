@@ -1,0 +1,164 @@
+"""Before/after pairs of the benchmark: a parent commit against this working tree.
+
+Run from the root of a checkout:
+
+    python3 tools/bench_pairs.py --workload oracle-grid --seeds 1001-1010
+
+The parent (``--parent``, default ``HEAD``) is extracted with
+``git archive`` into a temporary directory (under ``--workdir`` if
+given), removed at the end.  For each seed the unchanged
+``perfbench/run.py`` runs once there and once in this working tree, and
+the side that runs first alternates from pair to pair, so a drift of the
+machine's pace falls on both sides alike.  Per metric the script prints
+each side's median and quartiles, the change's relative move of the
+median, how many pairs the change won, and whether the medians differ by
+more than the parent's interquartile range; it then lists every pair
+whose ``failed`` counts differ.  The run length (``run_seconds``) and
+which way is better for each metric are read from ``BENCHMARK.json``.
+
+Only the standard library is used.  Nothing tracked is written: the runs
+leave their records in the git-ignored ``.perfbench_out/`` of each side,
+and ``--record`` writes the raw pairs as JSON to a path of your choice.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_seeds(text):
+    """"1001-1010" or "5,7,9" (or a mix) as a list of ints."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def directions(benchmark):
+    """{metric: "higher" or "lower"} from a parsed BENCHMARK.json."""
+    return {m["name"]: m["better"]
+            for m in benchmark.get("end_to_end", []) + benchmark.get("per_layer", [])}
+
+
+def run_once(root, workload, seed, seconds, trace):
+    """One benchmark run in checkout ``root``: {"failed": n, "metrics": {name: value}}."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"run in {root} (seed {seed}) exited {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"failed": last["failed"],
+            "metrics": {name: m["value"] for name, m in last["metrics"].items()}}
+
+
+def _quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(pairs, better):
+    """One row per metric of the pairs [(parent run, change run), ...].
+
+    A run is ``run_once``'s dict.  A pair counts as a win when the change
+    is strictly better in the metric's direction (``better[name]``,
+    "lower" where unknown).  ``resolved`` is true when there are at least
+    two pairs and the medians differ by more than the parent's
+    interquartile range.
+    """
+    rows = []
+    for name in pairs[0][0]["metrics"]:
+        parent = [p["metrics"][name] for p, _ in pairs]
+        change = [c["metrics"][name] for _, c in pairs]
+        higher = better.get(name, "lower") == "higher"
+        wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        pq, cq = _quartiles(parent), _quartiles(change)
+        rows.append({
+            "name": name, "better": "higher" if higher else "lower",
+            "parent": pq, "change": cq,
+            "move": (cq[1] - pq[1]) / pq[1] if pq[1] else None,
+            "wins": wins, "pairs": len(pairs),
+            "resolved": len(pairs) > 1 and abs(cq[1] - pq[1]) > pq[2] - pq[0],
+        })
+    return rows
+
+
+def failed_differences(pairs, seeds):
+    """[(seed, parent failed, change failed)] for the pairs that differ."""
+    return [(s, p["failed"], c["failed"])
+            for s, (p, c) in zip(seeds, pairs) if p["failed"] != c["failed"]]
+
+
+def format_rows(rows):
+    lines = []
+    for r in rows:
+        (p1, pm, p3), (c1, cm, c3) = r["parent"], r["change"]
+        move = "   n/a" if r["move"] is None else f"{100 * r['move']:+6.1f}%"
+        lines.append(
+            f"{r['name']:<44} ({r['better']:>6}) parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  "
+            f"change {cm:.6g} [{c1:.6g}, {c3:.6g}]  {move}  wins {r['wins']}/{r['pairs']}"
+            f"{'  resolved' if r['resolved'] else ''}")
+    return lines
+
+
+def extract(rev, dest):
+    """``git archive rev`` of this repository, unpacked into ``dest``."""
+    data = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True,
+                          check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", required=True, type=parse_seeds,
+                    help='seed range and list, e.g. "1001-1010" or "5,7"')
+    ap.add_argument("--parent", default="HEAD", help="git revision to compare against")
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--record", type=Path, help="also write the raw pairs as JSON here")
+    ap.add_argument("--workdir", type=Path, help="where to extract the parent checkout")
+    args = ap.parse_args(argv)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better, seconds = directions(benchmark), benchmark["run_seconds"]
+
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="bench-parent-", dir=args.workdir) as parent_root:
+        extract(args.parent, parent_root)
+        for i, seed in enumerate(args.seeds):
+            order = [("parent", parent_root), ("change", ROOT)]
+            if i % 2:
+                order.reverse()
+            runs = {side: run_once(root, args.workload, seed, seconds, args.trace)
+                    for side, root in order}
+            pairs.append((runs["parent"], runs["change"]))
+            print(f"seed {seed} ({order[0][0]} first) done", file=sys.stderr)
+
+    if args.record:
+        args.record.write_text(json.dumps(
+            {"workload": args.workload, "parent": args.parent, "seeds": args.seeds,
+             "pairs": pairs}, indent=1) + "\n")
+    print(f"{args.workload}: {len(pairs)} pairs, parent {args.parent} vs working tree")
+    print("\n".join(format_rows(summarize(pairs, better))))
+    for seed, p, c in failed_differences(pairs, args.seeds):
+        print(f"failed differs at seed {seed}: parent {p}, change {c}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
