@@ -24,6 +24,10 @@ byte-identical across identical invocations; ``--timing`` adds elapsed
 microseconds (and breaks that reproducibility, which is why it is off
 by default).  The OSCINT_REL_TOL environment variable overrides the
 default series tolerance; an explicit --rel-tol wins over both.
+
+A family's module is imported on its first use (``_FAMILY_MODULE``), so
+a cold ``eval`` of one family loads none of the others; ``selfcheck``
+and the oracle's scipy load on demand too.
 """
 
 from __future__ import annotations
@@ -34,15 +38,11 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from enum import Enum
+from importlib import import_module
 
-from . import half_power as hp
-from . import lommel as lm
-from . import radical_pole as rp
-from . import two_radical as tr
 from .control import control_from_env
-from .errors import ConvergenceError, DomainError, UnsupportedError
+from .errors import ConvergenceError, DomainError, Record, UnsupportedError
 from .oracle import (
     HalfPower,
     IntegrandSpec,
@@ -63,14 +63,17 @@ class Method(str, Enum):
     AS_PRINTED = "as-printed"
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    family: str
-    params: dict
-    method: str
-    value: float
-    err_estimate: float
-    elapsed_us: int
+class OutputRecord(Record):
+    __slots__ = ("family", "params", "method", "value", "err_estimate", "elapsed_us")
+
+    def __init__(self, family: str, params: dict, method: str, value: float,
+                 err_estimate: float, elapsed_us: int):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "err_estimate", err_estimate)
+        object.__setattr__(self, "elapsed_us", elapsed_us)
 
     def as_dict(self, timing=False):
         d = {
@@ -116,7 +119,16 @@ FAMILY_METHODS = {
     "three-radical": (Method.ORACLE,),
 }
 
+# the module of each family's closed forms, imported on the family's first use
+_FAMILY_MODULE = {"half-power": "half_power", "two-radical": "two_radical",
+                  "radical-pole": "radical_pole", "lommel": "lommel",
+                  "log-half-power": "lommel"}
+
 _GATED = {Method.CLOSED_FORM, Method.SERIES, Method.ORACLE}
+
+
+def _family_module(family):
+    return import_module(f"{__package__}.{_FAMILY_MODULE[family]}")
 
 
 def _oracle_spec(family, kernel, p):
@@ -129,6 +141,7 @@ def _oracle_spec(family, kernel, p):
     if family == "three-radical":
         return IntegrandSpec(ThreeRadical(p["a"], p["b"], p["c3"]), kernel, p["zeta"])
     if family == "lommel":
+        lm = _family_module(family)
         exponent = lm.GeneralExponent(p["n"], p["m"]).exponent(p["plus_one"])
         return IntegrandSpec(HalfPower(exponent - 0.5, p["x"]), kernel, p["zeta"])
     if family == "log-half-power":
@@ -146,6 +159,7 @@ def evaluate(family, method, kernel, p, ctl):
     series_est = lambda v: abs(v) * ctl.rel_tol
 
     if family == "half-power":
+        hp = _family_module(family)
         fn = hp.s_alpha if kernel is Kernel.SIN else hp.c_alpha
         if method is Method.CLOSED_FORM:
             v = fn(p["alpha"], p["x"], p["zeta"])
@@ -156,6 +170,7 @@ def evaluate(family, method, kernel, p, ctl):
         return v, series_est(v)
 
     if family == "two-radical":
+        tr = _family_module(family)
         a, b, zeta = p["a"], p["b"], p["zeta"]
         sin_side = kernel is Kernel.SIN
         if method is Method.CLOSED_FORM:
@@ -175,6 +190,7 @@ def evaluate(family, method, kernel, p, ctl):
             return v, 0.0
 
     if family == "radical-pole":
+        rp = _family_module(family)
         a, b, zeta = p["a"], p["b"], p["zeta"]
         sin_side = kernel is Kernel.SIN
         fn = rp.pole_sin_transform if sin_side else rp.pole_cos_transform
@@ -193,6 +209,7 @@ def evaluate(family, method, kernel, p, ctl):
             return v, 0.0
 
     if family == "lommel":
+        lm = _family_module(family)
         n, m, x, zeta, plus_one = p["n"], p["m"], p["x"], p["zeta"], p["plus_one"]
         sin_side = kernel is Kernel.SIN
         if method is Method.CLOSED_FORM:
@@ -220,6 +237,7 @@ def evaluate(family, method, kernel, p, ctl):
     if family == "log-half-power":
         if kernel is not Kernel.SIN:
             raise DomainError("the log-half-power family is sine-kernel only")
+        lm = _family_module(family)
         if method is Method.CLOSED_FORM:
             v = lm.log_weighted_sin_integral(p["x"], ctl)
             return v, series_est(v)

@@ -12,23 +12,22 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, Record
 
 
-@dataclass(frozen=True)
-class SeriesControl:
+class SeriesControl(Record):
     """Relative tolerance and term cap for series truncation."""
 
-    rel_tol: float = 1e-12
-    max_terms: int = 500
+    __slots__ = ("rel_tol", "max_terms")
 
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < math.inf:
-            raise DomainError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
-        if not self.max_terms >= 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
+    def __init__(self, rel_tol: float = 1e-12, max_terms: int = 500):
+        if not 0.0 < rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be finite and > 0, got {rel_tol}")
+        if not max_terms >= 1:
+            raise DomainError(f"max_terms must be >= 1, got {max_terms}")
+        object.__setattr__(self, "rel_tol", rel_tol)
+        object.__setattr__(self, "max_terms", max_terms)
 
 
 DEFAULT_CONTROL = SeriesControl()

@@ -9,18 +9,23 @@ the default and the verbatim form remains reachable through the
 checks that fail for reasons other than a formula error.
 """
 
-from dataclasses import dataclass
+from .errors import Record
 
 __all__ = ["Erratum", "ERRATA", "find"]
 
 
-@dataclass(frozen=True)
-class Erratum:
-    ident: str
-    where: str
-    corrected: bool          # True: default behavior differs from the printed form
-    printed: str
-    resolution: str
+class Erratum(Record):
+    """One arbitration; ``corrected``: default behavior differs from the printed form."""
+
+    __slots__ = ("ident", "where", "corrected", "printed", "resolution")
+
+    def __init__(self, ident: str, where: str, corrected: bool, printed: str,
+                 resolution: str):
+        object.__setattr__(self, "ident", ident)
+        object.__setattr__(self, "where", where)
+        object.__setattr__(self, "corrected", corrected)
+        object.__setattr__(self, "printed", printed)
+        object.__setattr__(self, "resolution", resolution)
 
 
 ERRATA = (

@@ -28,11 +28,10 @@ there, so no separate small-u expansion is required.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .errors import DivergentIntegralError, DomainError
+from .errors import DivergentIntegralError, DomainError, Record
 from .oracle import Kernel, _as_kernel, _require_finite
 from .special_functions import fresnel_c, fresnel_s
 
@@ -58,30 +57,33 @@ class PhasePattern(Enum):
     COS_LIKE = "cos-like"   # cos(u){1-2C} + sin(u){1-2S}
 
 
-@dataclass(frozen=True)
-class HalfPowerParams:
-    zeta: float
-    x: float
-    alpha: int
+class HalfPowerParams(Record):
+    __slots__ = ("zeta", "x", "alpha")
 
-    def __post_init__(self):
-        if not math.isfinite(self.zeta + self.x + self.alpha):
-            _require_finite("HalfPowerParams", zeta=self.zeta, x=self.x, alpha=self.alpha)
-        if self.zeta <= 0:
-            raise DomainError(f"frequency zeta must be > 0, got {self.zeta}")
-        if self.x < 0:
-            raise DomainError(f"shift x must be >= 0, got {self.x}")
-        if self.alpha < 0 or self.alpha != int(self.alpha):
-            raise DomainError(f"alpha must be a nonnegative integer, got {self.alpha}")
+    def __init__(self, zeta: float, x: float, alpha: int):
+        if not math.isfinite(zeta + x + alpha):
+            _require_finite("HalfPowerParams", zeta=zeta, x=x, alpha=alpha)
+        if zeta <= 0:
+            raise DomainError(f"frequency zeta must be > 0, got {zeta}")
+        if x < 0:
+            raise DomainError(f"shift x must be >= 0, got {x}")
+        if alpha < 0 or alpha != int(alpha):
+            raise DomainError(f"alpha must be a nonnegative integer, got {alpha}")
+        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "alpha", alpha)
 
 
-@dataclass(frozen=True)
-class FamilyCoefficients:
+class FamilyCoefficients(Record):
     """rational_part: ((power, coeff), ...) with value sum(coeff * u**power)."""
 
-    rational_part: tuple
-    fresnel_coeff: float
-    phase_pattern: PhasePattern
+    __slots__ = ("rational_part", "fresnel_coeff", "phase_pattern")
+
+    def __init__(self, rational_part: tuple, fresnel_coeff: float,
+                 phase_pattern: PhasePattern):
+        object.__setattr__(self, "rational_part", rational_part)
+        object.__setattr__(self, "fresnel_coeff", fresnel_coeff)
+        object.__setattr__(self, "phase_pattern", phase_pattern)
 
     def rational_value(self, u):
         return math.fsum(coeff * u ** power for power, coeff in self.rational_part)

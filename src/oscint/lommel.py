@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, Record
 from .oracle import Kernel, _as_kernel, _require_finite
 from .special_functions import (
     EULER_GAMMA,
@@ -52,20 +51,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LommelOrder:
+class LommelOrder(Record):
     """First Lommel index mu and the integrand exponent it encodes."""
 
-    mu: float
-    exponent_alpha: float
+    __slots__ = ("mu", "exponent_alpha")
 
-    def __post_init__(self):
-        if abs(self.mu + self.exponent_alpha - 0.5) > 1e-12:
+    def __init__(self, mu: float, exponent_alpha: float):
+        if abs(mu + exponent_alpha - 0.5) > 1e-12:
             raise DomainError(
-                f"inconsistent order: mu + alpha must be 1/2, got {self.mu} + {self.exponent_alpha}")
-        if self.exponent_alpha <= 0:
+                f"inconsistent order: mu + alpha must be 1/2, got {mu} + {exponent_alpha}")
+        if exponent_alpha <= 0:
             raise DomainError(
-                f"defining integral diverges for exponent alpha = {self.exponent_alpha} <= 0")
+                f"defining integral diverges for exponent alpha = {exponent_alpha} <= 0")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "exponent_alpha", exponent_alpha)
 
     @classmethod
     def from_mu(cls, mu):
@@ -76,20 +75,20 @@ class LommelOrder:
         return cls(0.5 - alpha, alpha)
 
 
-@dataclass(frozen=True)
-class GeneralExponent:
+class GeneralExponent(Record):
     """Exponent family 2n + 1/m (or 2n + 1 + 1/m with plus_one)."""
 
-    n: int
-    m: int
+    __slots__ = ("n", "m")
 
-    def __post_init__(self):
-        if not math.isfinite(self.n + self.m):
-            _require_finite("GeneralExponent", n=self.n, m=self.m)
-        if self.n < 0 or self.n != int(self.n):
-            raise DomainError(f"n must be a nonnegative integer, got {self.n}")
-        if self.m < 1 or self.m != int(self.m):
-            raise DomainError(f"m must be a positive integer, got {self.m}")
+    def __init__(self, n: int, m: int):
+        if not math.isfinite(n + m):
+            _require_finite("GeneralExponent", n=n, m=m)
+        if n < 0 or n != int(n):
+            raise DomainError(f"n must be a nonnegative integer, got {n}")
+        if m < 1 or m != int(m):
+            raise DomainError(f"m must be a positive integer, got {m}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
 
     def exponent(self, plus_one=False):
         return 2 * self.n + 1.0 / self.m + (1.0 if plus_one else 0.0)

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from typing import Callable, Union
@@ -55,6 +54,7 @@ from .errors import (
     DivergentIntegralError,
     DomainError,
     MaxSubdivisionsError,
+    Record,
 )
 
 __all__ = [
@@ -131,103 +131,102 @@ def _require_finite(owner, **params):
             raise DomainError(f"{owner} {name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class HalfPower:
+class HalfPower(Record):
     """Weight (t + x)^-(alpha + 1/2) on [0, inf)."""
 
-    alpha: float
-    x: float = 0.0
+    __slots__ = ("alpha", "x")
 
-    def __post_init__(self):
-        _require_finite("HalfPower", alpha=self.alpha, x=self.x)
-        if self.x < 0:
-            raise DomainError(f"HalfPower shift x must be >= 0, got {self.x}")
-        if not self.alpha + 0.5 > 0:
+    def __init__(self, alpha: float, x: float = 0.0):
+        _require_finite("HalfPower", alpha=alpha, x=x)
+        if x < 0:
+            raise DomainError(f"HalfPower shift x must be >= 0, got {x}")
+        if not alpha + 0.5 > 0:
             raise DivergentIntegralError(
-                f"HalfPower exponent alpha+1/2 = {self.alpha + 0.5} must be > 0 "
+                f"HalfPower exponent alpha+1/2 = {alpha + 0.5} must be > 0 "
                 "for convergence at infinity")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "x", x)
 
 
-@dataclass(frozen=True)
-class TwoRadical:
+class TwoRadical(Record):
     """Weight 1/(sqrt(t+a) sqrt(t+b))."""
 
-    a: float
-    b: float
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        _require_finite("TwoRadical", a=self.a, b=self.b)
-        if self.a <= 0 or self.b <= 0:
-            raise DomainError(f"TwoRadical constants must be > 0, got a={self.a} b={self.b}")
+    def __init__(self, a: float, b: float):
+        _require_finite("TwoRadical", a=a, b=b)
+        if a <= 0 or b <= 0:
+            raise DomainError(f"TwoRadical constants must be > 0, got a={a} b={b}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
-class RadicalPole:
+class RadicalPole(Record):
     """Weight 1/(sqrt(t+a) (t+b))."""
 
-    a: float
-    b: float
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        _require_finite("RadicalPole", a=self.a, b=self.b)
-        if self.a <= 0 or self.b <= 0:
-            raise DomainError(f"RadicalPole constants must be > 0, got a={self.a} b={self.b}")
+    def __init__(self, a: float, b: float):
+        _require_finite("RadicalPole", a=a, b=b)
+        if a <= 0 or b <= 0:
+            raise DomainError(f"RadicalPole constants must be > 0, got a={a} b={b}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
-class ThreeRadical:
+class ThreeRadical(Record):
     """Weight 1/(sqrt(t+a) sqrt(t+b) sqrt(t+c)).
 
     Oracle-only: the library has no closed form for three distinct
     constants; this spec exists so such integrals can still be evaluated.
     """
 
-    a: float
-    b: float
-    c: float
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        _require_finite("ThreeRadical", a=self.a, b=self.b, c=self.c)
-        if min(self.a, self.b, self.c) <= 0:
+    def __init__(self, a: float, b: float, c: float):
+        _require_finite("ThreeRadical", a=a, b=b, c=c)
+        if min(a, b, c) <= 0:
             raise DomainError("ThreeRadical constants must all be > 0")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
 
-@dataclass(frozen=True)
-class LogHalfPower:
+class LogHalfPower(Record):
     """Weight ln(t + x)/sqrt(t + x)."""
 
-    x: float
+    __slots__ = ("x",)
 
-    def __post_init__(self):
-        _require_finite("LogHalfPower", x=self.x)
-        if self.x <= 0:
-            raise DomainError(f"LogHalfPower shift x must be > 0, got {self.x}")
+    def __init__(self, x: float):
+        _require_finite("LogHalfPower", x=x)
+        if x <= 0:
+            raise DomainError(f"LogHalfPower shift x must be > 0, got {x}")
+        object.__setattr__(self, "x", x)
 
 
-@dataclass(frozen=True)
-class QuadraticPhase:
+class QuadraticPhase(Record):
     """Integrand kernel(scale * z^2) * (z^2 + 1)^-power on [0, inf).
 
     The quadratic-phase pieces of the radical decompositions: power=1/2
     for the two-radical family, power=1 for the radical-pole family.
     """
 
-    scale: float
-    power: float
+    __slots__ = ("scale", "power")
 
-    def __post_init__(self):
-        _require_finite("QuadraticPhase", scale=self.scale, power=self.power)
-        if self.scale <= 0:
-            raise DomainError(f"QuadraticPhase scale must be > 0, got {self.scale}")
-        if self.power <= 0:
-            raise DomainError(f"QuadraticPhase power must be > 0, got {self.power}")
+    def __init__(self, scale: float, power: float):
+        _require_finite("QuadraticPhase", scale=scale, power=power)
+        if scale <= 0:
+            raise DomainError(f"QuadraticPhase scale must be > 0, got {scale}")
+        if power <= 0:
+            raise DomainError(f"QuadraticPhase power must be > 0, got {power}")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "power", power)
 
 
 Weight = Union[HalfPower, TwoRadical, RadicalPole, ThreeRadical, LogHalfPower, QuadraticPhase]
 
 
-@dataclass(frozen=True)
-class IntegrandSpec:
+class IntegrandSpec(Record):
     """One oscillatory integrand: weight function times sin/cos kernel.
 
     ``zeta`` is the kernel frequency for the linear-phase weights; a
@@ -235,27 +234,29 @@ class IntegrandSpec:
     ignores ``zeta``.
     """
 
-    weight: Weight
-    kernel: Kernel
-    zeta: float = 1.0
+    __slots__ = ("weight", "kernel", "zeta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "kernel", _as_kernel(self.kernel))
-        _require_finite("IntegrandSpec", zeta=self.zeta)
-        if self.zeta <= 0:
-            raise DomainError(f"frequency zeta must be > 0, got {self.zeta}")
+    def __init__(self, weight: Weight, kernel: Kernel, zeta: float = 1.0):
+        kernel = _as_kernel(kernel)
+        _require_finite("IntegrandSpec", zeta=zeta)
+        if zeta <= 0:
+            raise DomainError(f"frequency zeta must be > 0, got {zeta}")
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "zeta", zeta)
 
 
-@dataclass(frozen=True)
-class QuadratureReport:
-    value: float
-    abs_err_est: float
-    zero_intervals_used: int
-    accelerated: bool
+class QuadratureReport(Record):
+    __slots__ = ("value", "abs_err_est", "zero_intervals_used", "accelerated")
 
-    def __post_init__(self):
-        if not math.isfinite(self.value) or not math.isfinite(self.abs_err_est):
+    def __init__(self, value: float, abs_err_est: float, zero_intervals_used: int,
+                 accelerated: bool):
+        if not math.isfinite(value) or not math.isfinite(abs_err_est):
             raise ArithmeticError("quadrature produced a non-finite result")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "abs_err_est", abs_err_est)
+        object.__setattr__(self, "zero_intervals_used", zero_intervals_used)
+        object.__setattr__(self, "accelerated", accelerated)
 
 
 # --------------------------------------------------------------------------

@@ -24,10 +24,9 @@ Oracle arbitration notes (details in the errata registry):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, Record, UnsupportedError
 from .oracle import _require_finite, integrate_finite
 from .special_functions import fresnel_c, fresnel_s, hyp2f1
 from .two_radical import _assemble, _head_approx, _head_series
@@ -47,22 +46,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RadicalPoleParams:
-    a: float
-    b: float
-    zeta: float = 1.0
+class RadicalPoleParams(Record):
+    __slots__ = ("a", "b", "zeta")
 
-    def __post_init__(self):
-        if not math.isfinite(self.a + self.b + self.zeta):
-            _require_finite("RadicalPoleParams", a=self.a, b=self.b, zeta=self.zeta)
-        if self.a <= 0 or self.b <= 0 or self.zeta <= 0:
+    def __init__(self, a: float, b: float, zeta: float = 1.0):
+        if not math.isfinite(a + b + zeta):
+            _require_finite("RadicalPoleParams", a=a, b=b, zeta=zeta)
+        if a <= 0 or b <= 0 or zeta <= 0:
             raise DomainError(
-                f"need a, b, zeta > 0, got a={self.a} b={self.b} zeta={self.zeta}")
-        if self.b <= self.a:
+                f"need a, b, zeta > 0, got a={a} b={b} zeta={zeta}")
+        if b <= a:
             raise UnsupportedError(
-                f"closed form requires b > a strictly (got a={self.a}, b={self.b}); "
+                f"closed form requires b > a strictly (got a={a}, b={b}); "
                 "evaluate via the quadrature oracle instead")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "zeta", zeta)
 
     @property
     def c(self):

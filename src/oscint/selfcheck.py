@@ -12,7 +12,6 @@ Everything here is deterministic: fixed grids, no randomness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 from . import half_power as hp
@@ -21,6 +20,7 @@ from . import radical_pole as rp
 from . import two_radical as tr
 from .control import DEFAULT_CONTROL, SeriesControl
 from .errata import find as find_erratum
+from .errors import Record
 from .oracle import (
     HalfPower,
     IntegrandSpec,
@@ -51,12 +51,14 @@ __all__ = ["CheckResult", "GROUPS", "run", "group_names"]
 _J0_FIRST_ZERO = 2.404825557695773
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    group: str
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = ("group", "name", "passed", "detail")
+
+    def __init__(self, group: str, name: str, passed: bool, detail: str = ""):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
 def _rel(got, want):

@@ -27,7 +27,8 @@ Evaluation strategies:
     summed backward from an a-priori depth ceil(240/|z|) + 16 where that
     depth is verified (Re z >= 0 and -8 <= a <= 1, which covers every
     Lommel transform of exponent p <= 8); elsewhere the same fraction by
-    modified Lentz, stopped at rel_tol.
+    modified Lentz, stopped once a step moves the value by at most two
+    ulps.
   - below: a > 1/2 as Gamma(a) minus the lower series; a <= 1/2 lifted
     into (-1/2, 1/2], evaluated in Temme's form (smooth through a = 0,
     where it is the E1 series) and brought down by the recurrence,
@@ -73,6 +74,10 @@ _BESSEL_SWITCH = 14.0
 # incomplete gamma: series below |z| = 3, backward fraction above
 _GAMMA_SWITCH = 3.0
 _SERIES_TOL = 1e-16
+# modified Lentz stops at |delta - 1| < _LENTZ_TOL.  delta - 1 moves in
+# ulps of 1 (1.1e-16 below, 2.2e-16 above), so a bound under one ulp
+# would demand delta == 1 exactly; this one admits two ulps (2 eps = 4.44e-16).
+_LENTZ_TOL = 4.5e-16
 _CF_DEPTH_SCALE = 240.0
 _CF_DEPTH_PAD = 16
 _CF_MIN_ORDER = -8.0
@@ -97,7 +102,8 @@ def _legendre_cf(a, z, ctl):
     """Gamma(a, z) by the Legendre continued fraction, modified Lentz.
 
     The route for inputs outside the verified backward depth (Re z < 0,
-    or a outside [_CF_MIN_ORDER, 1]); stops at ``ctl.rel_tol``.  Its
+    or a outside [_CF_MIN_ORDER, 1]); stops at ``_LENTZ_TOL``, a few
+    ulps, like the series routes, capped by ``ctl.max_terms``.  Its
     iteration count grows without bound toward the negative real axis.
     """
     tiny = 1e-300
@@ -117,7 +123,7 @@ def _legendre_cf(a, z, ctl):
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < ctl.rel_tol:
+        if abs(delta - 1.0) < _LENTZ_TOL:
             return h * _zpow_exp(a, z)
     raise ConvergenceError(
         f"incomplete-gamma continued fraction stalled at a={a}, z={z}")

@@ -35,10 +35,9 @@ form sits behind ``as_printed=True``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, Record
 from .oracle import _require_finite, integrate_finite
 from .special_functions import (
     bessel_j0,
@@ -68,24 +67,22 @@ __all__ = [
 _MAX_PHASE = 25.0
 
 
-@dataclass(frozen=True)
-class TwoRadicalParams:
+class TwoRadicalParams(Record):
     """Parameters with b > a canonicalization (integrand is a<->b symmetric)."""
 
-    a: float
-    b: float
-    zeta: float = 1.0
+    __slots__ = ("a", "b", "zeta")
 
-    def __post_init__(self):
-        if not math.isfinite(self.a + self.b + self.zeta):
-            _require_finite("TwoRadicalParams", a=self.a, b=self.b, zeta=self.zeta)
-        if self.a <= 0 or self.b <= 0 or self.zeta <= 0:
+    def __init__(self, a: float, b: float, zeta: float = 1.0):
+        if not math.isfinite(a + b + zeta):
+            _require_finite("TwoRadicalParams", a=a, b=b, zeta=zeta)
+        if a <= 0 or b <= 0 or zeta <= 0:
             raise DomainError(
-                f"need a, b, zeta > 0, got a={self.a} b={self.b} zeta={self.zeta}")
-        if self.b < self.a:
-            lo, hi = self.b, self.a
-            object.__setattr__(self, "a", lo)
-            object.__setattr__(self, "b", hi)
+                f"need a, b, zeta > 0, got a={a} b={b} zeta={zeta}")
+        if b < a:
+            a, b = b, a
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "zeta", zeta)
 
     @property
     def degenerate(self):

@@ -71,3 +71,15 @@ def test_directions_come_from_both_metric_lists():
     lines = bench_pairs.format_rows(bench_pairs.summarize(PAIRS, BETTER))
     assert lines[0].startswith("latency_tail_us")
     assert "wins 4/5" in lines[0] and lines[0].endswith("resolved")
+
+
+def test_source_size_counts_src_oscint_python_lines(tmp_path):
+    pkg = tmp_path / "src" / "oscint"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3")
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    assert bench_pairs.src_lines(tmp_path) == 3
+    assert bench_pairs.format_size(3233, 3180) == (
+        "src/oscint lines: parent 3233, change 3180 (-53)")

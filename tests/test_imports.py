@@ -1,8 +1,11 @@
-"""Structural import gates: closed forms run without scipy or numpy.
+"""Structural import gates: closed forms run without scipy or numpy, and
+a cold ``oscint eval`` loads only its own family's modules.
 
 Each probe runs in a fresh interpreter, because the test process itself
 has long since imported scipy.  The last line a probe prints is the
-sorted list of heavy modules in ``sys.modules``.
+sorted list of watched modules in ``sys.modules``: those whose top-level
+package is in ``watch`` (by default the heavy ones).  The gates count
+modules; none of them takes a timing.
 """
 
 import json
@@ -19,6 +22,8 @@ from oscint.oracle import (IntegrandSpec, Kernel, RadicalPole, TwoRadical,
                            integrate_semi_infinite)
 
 HEAVY = ("numpy", "scipy")
+# modules whose import costs a cold eval milliseconds it does not need
+SLOW_STDLIB = ("dataclasses", "inspect")
 SRC = str(Path(oscint.__file__).resolve().parent.parent)
 
 # one in-grid point (a <= 1, zeta <= 2, x <= 10, a != b) per closed-form family
@@ -33,10 +38,11 @@ CLOSED_FORM_CASES = [(family, kernel) for family in IN_GRID for kernel in ("sin"
                      if not (family == "log-half-power" and kernel == "cos")]
 
 
-def _fresh(code):
-    """Run ``code`` in a new interpreter; returns (stdout lines, heavy modules)."""
+def _fresh(code, watch=HEAVY):
+    """Run ``code`` in a new interpreter; returns (stdout lines, watched modules)."""
     probe = (f"{code}\nimport json, sys\n"
-             f"print(json.dumps(sorted(m for m in {HEAVY!r} if m in sys.modules)))")
+             f"print(json.dumps(sorted(m for m in sys.modules"
+             f" if m.partition('.')[0] in {watch!r})))")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
@@ -61,6 +67,47 @@ def test_closed_form_eval_loads_no_scipy_or_numpy(family, kernel):
     out, heavy = _fresh(_eval_code(argv))
     assert heavy == []
     assert json.loads(out[0])["method"] == "closed-form"
+
+
+# the oscint modules a cold closed-form eval of each family loads
+CORE_MODULES = {"oscint", "oscint.cli", "oscint.control", "oscint.errors", "oscint.oracle",
+                "oscint.special_functions"}
+FAMILY_MODULES = {
+    "half-power": {"oscint.half_power"},
+    "two-radical": {"oscint.two_radical"},
+    "radical-pole": {"oscint.radical_pole", "oscint.two_radical"},
+    "lommel": {"oscint.lommel"},
+    "log-half-power": {"oscint.lommel"},
+}
+
+
+@pytest.mark.parametrize("family,kernel", CLOSED_FORM_CASES)
+def test_closed_form_eval_loads_only_its_family(family, kernel):
+    argv = ["eval", "--family", family, "--kernel", kernel, *IN_GRID[family]]
+    _, loaded = _fresh(_eval_code(argv), watch=("oscint",) + SLOW_STDLIB)
+    assert not set(SLOW_STDLIB) & set(loaded)
+    assert set(loaded) == CORE_MODULES | FAMILY_MODULES[family]
+
+
+def test_package_import_loads_no_submodule():
+    assert _fresh("import oscint", watch=("oscint",) + SLOW_STDLIB)[1] == ["oscint"]
+
+
+def test_every_public_name_resolves_lazily_and_is_cached():
+    code = ("import importlib, oscint\n"
+            "names = oscint.__all__\n"
+            "assert set(names) <= set(dir(oscint))\n"
+            "ns = {}\n"
+            "exec('from oscint import *', ns)\n"
+            "assert set(names) <= set(ns)\n"
+            "for name in names:\n"
+            "    owner = importlib.import_module('oscint.' + oscint._SUBMODULE[name])\n"
+            "    assert vars(oscint)[name] is getattr(owner, name) is ns[name], name\n"
+            "print(len(names))")
+    out, _ = _fresh(code)
+    assert int(out[0]) == len(oscint.__all__) > 70
+    with pytest.raises(AttributeError):
+        oscint.no_such_name
 
 
 # closed forms through the Gamma series (u = zeta x < 3), the backward
@@ -95,7 +142,7 @@ def test_oracle_eval_loads_scipy_and_prints_the_same_bytes(capsys):
 def test_large_gamma_radical_heads_load_no_scipy_or_numpy():
     # gamma = 6 (a = 36, b = 37): the moments come from the upward
     # recurrence, so the heads need neither 2F1 nor a quadrature fallback
-    code = ("import oscint\n"
+    code = ("import importlib, oscint\n"
             "print(repr(oscint.cos_transform(36.0, 37.0, 0.01)))\n"
             "print(repr(oscint.pole_cos_transform(36.0, 37.0, 0.01)))")
     out, heavy = _fresh(code)

@@ -275,19 +275,33 @@ def test_rgamma_taylor_table_matches_mpmath():
         assert abs(got - c) <= 2e-16 * abs(c)
 
 
-def test_backward_depth_covers_the_lentz_count():
+def test_backward_depth_covers_the_lentz_count(monkeypatch):
     # Re z >= 0, |z| >= 3, -8 <= a <= 1: the modified-Lentz loop at a
-    # 1e-16 tolerance must stop within the backward fraction's fixed depth
+    # 1e-16 tolerance (delta == 1 exactly) must stop within the backward
+    # fraction's fixed depth
+    monkeypatch.setattr(sf, "_LENTZ_TOL", 1e-16)
     for k in range(40):
         r = 3.0 * (1e4 / 3.0) ** (k / 39)
         depth = math.ceil(sf._CF_DEPTH_SCALE / r) + sf._CF_DEPTH_PAD
-        lentz = SeriesControl(rel_tol=1e-16, max_terms=depth)
+        lentz = SeriesControl(max_terms=depth)
         for a in [j / 4 for j in range(-32, 5)]:
             for theta in (-0.5, -0.25, 0.0, 0.25, 0.5):
                 z = cmath.rect(r, math.pi * theta)
                 want = sf._legendre_cf(a, z, lentz)     # raises past the depth
                 got = sf._legendre_cf_backward(a, z, sf.DEFAULT_CONTROL)
                 assert abs(got - want) <= 1e-14 * abs(want) + 1e-300, (a, z)  # e^-z may underflow
+
+
+@pytest.mark.parametrize("a, u", [(-8.5, 5.0), (-10.33, 8.0), (-12.5, 4.0), (-15.5, 10.0)])
+def test_lentz_fraction_beyond_the_verified_orders_against_mpmath(a, u):
+    # orders a < -8 (Lommel exponents p > 8) take modified Lentz, which
+    # stops at a few ulps, not at the default rel_tol of 1e-12
+    assert _gamma_errors([(a, complex(0.0, u)), (a, complex(0.0, -u))])[-1] <= 5e-14
+
+
+def test_lentz_fraction_honours_max_terms():
+    with pytest.raises(ConvergenceError):
+        upper_incomplete_gamma(-12.5, 4j, SeriesControl(max_terms=5))
 
 
 def test_backward_fraction_honours_max_terms():

@@ -13,7 +13,9 @@ machine's pace falls on both sides alike.  Per metric the script prints
 each side's median and quartiles, the change's relative move of the
 median, how many pairs the change won, and whether the medians differ by
 more than the parent's interquartile range; it then lists every pair
-whose ``failed`` counts differ.  The run length (``run_seconds``) and
+whose ``failed`` counts differ.  Above the table it prints each side's
+``src/oscint`` line count (lines of its ``*.py`` files), so size stands
+next to speed.  The run length (``run_seconds``) and
 which way is better for each metric are read from ``BENCHMARK.json``.
 
 Only the standard library is used.  Nothing tracked is written: the runs
@@ -49,6 +51,17 @@ def directions(benchmark):
     """{metric: "higher" or "lower"} from a parsed BENCHMARK.json."""
     return {m["name"]: m["better"]
             for m in benchmark.get("end_to_end", []) + benchmark.get("per_layer", [])}
+
+
+def src_lines(root):
+    """Lines in the ``*.py`` files of ``src/oscint`` under checkout ``root``."""
+    return sum(len(path.read_bytes().splitlines())
+               for path in (Path(root) / "src" / "oscint").glob("*.py"))
+
+
+def format_size(parent_lines, change_lines):
+    return (f"src/oscint lines: parent {parent_lines}, change {change_lines} "
+            f"({change_lines - parent_lines:+d})")
 
 
 def run_once(root, workload, seed, seconds, trace):
@@ -140,6 +153,7 @@ def main(argv=None):
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-", dir=args.workdir) as parent_root:
         extract(args.parent, parent_root)
+        size = format_size(src_lines(parent_root), src_lines(ROOT))
         for i, seed in enumerate(args.seeds):
             order = [("parent", parent_root), ("change", ROOT)]
             if i % 2:
@@ -154,6 +168,7 @@ def main(argv=None):
             {"workload": args.workload, "parent": args.parent, "seeds": args.seeds,
              "pairs": pairs}, indent=1) + "\n")
     print(f"{args.workload}: {len(pairs)} pairs, parent {args.parent} vs working tree")
+    print(size)
     print("\n".join(format_rows(summarize(pairs, better))))
     for seed, p, c in failed_differences(pairs, args.seeds):
         print(f"failed differs at seed {seed}: parent {p}, change {c}")
