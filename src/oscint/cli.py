@@ -25,9 +25,11 @@ microseconds (and breaks that reproducibility, which is why it is off
 by default).  The OSCINT_REL_TOL environment variable overrides the
 default series tolerance; an explicit --rel-tol wins over both.
 
-A family's module is imported on its first use (``_FAMILY_MODULE``), so
-a cold ``eval`` of one family loads none of the others; ``selfcheck``
-and the oracle's scipy load on demand too.
+Each family is written down once, in ``FAMILIES``: its parameters, the
+module of its closed forms, its methods and its oracle weight.  The
+module is imported on the family's first use, so a cold ``eval`` of one
+family loads none of the others; ``selfcheck`` and the oracle's scipy
+load on demand too.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ import json
 import math
 import sys
 import time
+from collections import namedtuple
 from enum import Enum
+from functools import partial
 from importlib import import_module
 
 from .control import control_from_env
@@ -89,163 +93,127 @@ class OutputRecord(Record):
 
 
 # --------------------------------------------------------------------------
-# family registry
+# family table
 # --------------------------------------------------------------------------
 
-# parameter name -> (type, required, default)
-_FAMILY_PARAMS = {
-    "half-power": {"alpha": (int, True, None), "x": (float, True, None),
-                   "zeta": (float, False, 1.0)},
-    "two-radical": {"a": (float, True, None), "b": (float, True, None),
-                    "zeta": (float, False, 1.0)},
-    "radical-pole": {"a": (float, True, None), "b": (float, True, None),
-                     "zeta": (float, False, 1.0)},
-    "lommel": {"n": (int, True, None), "m": (int, True, None),
-               "x": (float, True, None), "zeta": (float, False, 1.0),
-               "plus_one": (bool, False, False)},
-    "log-half-power": {"x": (float, True, None)},
-    "three-radical": {"a": (float, True, None), "b": (float, True, None),
-                      "c3": (float, True, None), "zeta": (float, False, 1.0)},
+# error-estimate rules: closed forms and series, then approximations and
+# as-printed formulas (whose error is not estimated)
+_REL = lambda v, ctl: abs(v) * ctl.rel_tol
+_NONE = lambda v, ctl: 0.0
+
+
+def _pair(sin, cos, ctl=True, **fixed):
+    """A route through the family module's ``sin`` or ``cos`` function, looked
+    up when called (so a patched wrapper is honoured), on the parameters in
+    table order and the ``fixed`` keywords, plus ``ctl=`` if it takes one."""
+    def route(module, kernel, p, control):
+        fn = getattr(module, sin if kernel is Kernel.SIN else cos)
+        return fn(*p.values(), ctl=control, **fixed) if ctl else fn(*p.values(), **fixed)
+    return route
+
+
+def _lommel_si_ci(lm, kernel, p, ctl):
+    if p["plus_one"]:
+        raise DomainError("the si/ci representation covers the base exponent family only "
+                          "(drop --plus-one)")
+    return lm.si_ci_representation(p["n"], p["m"], p["x"], p["zeta"], kernel, ctl)
+
+
+def _lommel_as_printed(lm, kernel, p, ctl):
+    exponent = lm.GeneralExponent(p["n"], p["m"]).exponent(p["plus_one"])
+    u = p["zeta"] * p["x"]
+    scale, mu = p["zeta"] ** (exponent - 1.0), 0.5 - exponent
+    if kernel is Kernel.COS:
+        scale, mu = scale * exponent, -(exponent + 0.5)
+    return scale * (u ** 0.5) * lm.lommel_s_half(mu, u, ctl, as_printed=True)
+
+
+def _lommel_weight(p):
+    lm = import_module(".lommel", __package__)
+    return HalfPower(lm.GeneralExponent(p["n"], p["m"]).exponent(p["plus_one"]) - 0.5, p["x"])
+
+
+# A family: its parameters {name: (type, required, default)}; the module of its
+# closed forms, imported on first use; its methods besides the oracle, {method:
+# (route, error-estimate rule)}, a route called as route(module, kernel, params,
+# ctl); its oracle weight, built from the parameters; whether it is sine-only.
+_Family = namedtuple("_Family", "params module routes weight sine_only", defaults=(False,))
+_FLOAT, _ZETA = (float, True, None), (float, False, 1.0)
+_CF, _SERIES, _APPROX, _PRINTED = (Method.CLOSED_FORM, Method.SERIES,
+                                   Method.APPROXIMATION, Method.AS_PRINTED)
+
+FAMILIES = {
+    "half-power": _Family(
+        {"alpha": (int, True, None), "x": _FLOAT, "zeta": _ZETA}, "half_power",
+        {_CF: (_pair("s_alpha", "c_alpha", ctl=False), _REL),
+         _PRINTED: (_pair("s_alpha", "c_alpha", ctl=False, as_printed=True), _REL)},
+        lambda p: HalfPower(float(p["alpha"]), p["x"])),
+    "two-radical": _Family(
+        {"a": _FLOAT, "b": _FLOAT, "zeta": _ZETA}, "two_radical",
+        {_CF: (_pair("sin_transform", "cos_transform"), _REL),
+         _SERIES: (_pair("sin_transform", "cos_transform", heads_by_quadrature=True), _REL),
+         _APPROX: (_pair("approx_sin_transform", "approx_cos_transform", ctl=False), _NONE),
+         _PRINTED: (_pair("approx_sin_transform", "approx_cos_transform", ctl=False,
+                          as_printed=True), _NONE)},
+        lambda p: TwoRadical(p["a"], p["b"])),
+    "radical-pole": _Family(
+        {"a": _FLOAT, "b": _FLOAT, "zeta": _ZETA}, "radical_pole",
+        {_CF: (_pair("pole_sin_transform", "pole_cos_transform"), _REL),
+         _SERIES: (_pair("pole_sin_transform", "pole_cos_transform",
+                         heads_by_quadrature=True), _REL),
+         _APPROX: (_pair("approx_pole_sin_transform", "approx_pole_cos_transform",
+                         ctl=False), _NONE),
+         _PRINTED: (_pair("pole_sin_transform", "pole_cos_transform", as_printed=True), _NONE)},
+        lambda p: RadicalPole(p["a"], p["b"])),
+    "lommel": _Family(
+        {"n": (int, True, None), "m": (int, True, None), "x": _FLOAT, "zeta": _ZETA,
+         "plus_one": (bool, False, False)}, "lommel",
+        {_CF: (_pair("general_sin_transform", "general_cos_transform"), _REL),
+         _SERIES: (_lommel_si_ci, _REL),
+         _PRINTED: (_lommel_as_printed, _NONE)},
+        _lommel_weight),
+    "log-half-power": _Family(
+        {"x": _FLOAT}, "lommel",
+        {_CF: (_pair("log_weighted_sin_integral", None), _REL),
+         _SERIES: (_pair("log_weighted_sin_integral_fd", None), lambda v, ctl: abs(v) * 1e-7)},
+        lambda p: LogHalfPower(p["x"]), sine_only=True),
+    "three-radical": _Family(
+        {"a": _FLOAT, "b": _FLOAT, "c3": _FLOAT, "zeta": _ZETA}, None, {},
+        lambda p: ThreeRadical(p["a"], p["b"], p["c3"])),
 }
 
-FAMILY_METHODS = {
-    "half-power": (Method.CLOSED_FORM, Method.ORACLE, Method.AS_PRINTED),
-    "two-radical": (Method.CLOSED_FORM, Method.SERIES, Method.APPROXIMATION,
-                    Method.ORACLE, Method.AS_PRINTED),
-    "radical-pole": (Method.CLOSED_FORM, Method.SERIES, Method.APPROXIMATION,
-                     Method.ORACLE, Method.AS_PRINTED),
-    "lommel": (Method.CLOSED_FORM, Method.SERIES, Method.ORACLE, Method.AS_PRINTED),
-    "log-half-power": (Method.CLOSED_FORM, Method.SERIES, Method.ORACLE),
-    "three-radical": (Method.ORACLE,),
-}
+FAMILY_METHODS = {name: tuple(m for m in Method if m is Method.ORACLE or m in fam.routes)
+                  for name, fam in FAMILIES.items()}
 
-# the module of each family's closed forms, imported on the family's first use
-_FAMILY_MODULE = {"half-power": "half_power", "two-radical": "two_radical",
-                  "radical-pole": "radical_pole", "lommel": "lommel",
-                  "log-half-power": "lommel"}
+# every family's parameters once, in help order: integers, the switch, then
+# floats, required before defaulted
+_PARAMS = dict(sorted({k: v for fam in FAMILIES.values() for k, v in fam.params.items()}.items(),
+                      key=lambda kv: ((int, bool, float).index(kv[1][0]), not kv[1][1])))
 
 _GATED = {Method.CLOSED_FORM, Method.SERIES, Method.ORACLE}
 
 
-def _family_module(family):
-    return import_module(f"{__package__}.{_FAMILY_MODULE[family]}")
+def _family(name, kernel):
+    fam = FAMILIES[name]
+    if fam.sine_only and kernel is not Kernel.SIN:
+        raise DomainError(f"the {name} family is sine-kernel only")
+    return fam
 
 
 def _oracle_spec(family, kernel, p):
-    if family == "half-power":
-        return IntegrandSpec(HalfPower(float(p["alpha"]), p["x"]), kernel, p["zeta"])
-    if family == "two-radical":
-        return IntegrandSpec(TwoRadical(p["a"], p["b"]), kernel, p["zeta"])
-    if family == "radical-pole":
-        return IntegrandSpec(RadicalPole(p["a"], p["b"]), kernel, p["zeta"])
-    if family == "three-radical":
-        return IntegrandSpec(ThreeRadical(p["a"], p["b"], p["c3"]), kernel, p["zeta"])
-    if family == "lommel":
-        lm = _family_module(family)
-        exponent = lm.GeneralExponent(p["n"], p["m"]).exponent(p["plus_one"])
-        return IntegrandSpec(HalfPower(exponent - 0.5, p["x"]), kernel, p["zeta"])
-    if family == "log-half-power":
-        if kernel is not Kernel.SIN:
-            raise DomainError("the log-half-power family is sine-kernel only")
-        return IntegrandSpec(LogHalfPower(p["x"]), Kernel.SIN, 1.0)
-    raise DomainError(f"unknown family {family!r}")
+    return IntegrandSpec(_family(family, kernel).weight(p), kernel, p.get("zeta", 1.0))
 
 
 def evaluate(family, method, kernel, p, ctl):
-    """Returns (value, err_estimate)."""
+    """Returns (value, err_estimate); ``p`` holds the family's parameters in
+    table order, as ``_collect_params`` builds them."""
     if method is Method.ORACLE:
         rep = integrate_semi_infinite(_oracle_spec(family, kernel, p), ctl)
         return rep.value, rep.abs_err_est
-    series_est = lambda v: abs(v) * ctl.rel_tol
-
-    if family == "half-power":
-        hp = _family_module(family)
-        fn = hp.s_alpha if kernel is Kernel.SIN else hp.c_alpha
-        if method is Method.CLOSED_FORM:
-            v = fn(p["alpha"], p["x"], p["zeta"])
-        elif method is Method.AS_PRINTED:
-            v = fn(p["alpha"], p["x"], p["zeta"], as_printed=True)
-        else:
-            raise DomainError(f"half-power does not support method {method.value}")
-        return v, series_est(v)
-
-    if family == "two-radical":
-        tr = _family_module(family)
-        a, b, zeta = p["a"], p["b"], p["zeta"]
-        sin_side = kernel is Kernel.SIN
-        if method is Method.CLOSED_FORM:
-            v = tr.sin_transform(a, b, zeta, ctl) if sin_side else tr.cos_transform(a, b, zeta, ctl)
-            return v, series_est(v)
-        if method is Method.SERIES:
-            v = (tr.sin_transform(a, b, zeta, ctl, heads_by_quadrature=True) if sin_side
-                 else tr.cos_transform(a, b, zeta, ctl, heads_by_quadrature=True))
-            return v, series_est(v)
-        if method is Method.APPROXIMATION:
-            v = (tr.approx_sin_transform(a, b, zeta) if sin_side
-                 else tr.approx_cos_transform(a, b, zeta))
-            return v, 0.0
-        if method is Method.AS_PRINTED:
-            v = (tr.approx_sin_transform(a, b, zeta, as_printed=True) if sin_side
-                 else tr.approx_cos_transform(a, b, zeta, as_printed=True))
-            return v, 0.0
-
-    if family == "radical-pole":
-        rp = _family_module(family)
-        a, b, zeta = p["a"], p["b"], p["zeta"]
-        sin_side = kernel is Kernel.SIN
-        fn = rp.pole_sin_transform if sin_side else rp.pole_cos_transform
-        if method is Method.CLOSED_FORM:
-            v = fn(a, b, zeta, ctl)
-            return v, series_est(v)
-        if method is Method.SERIES:
-            v = fn(a, b, zeta, ctl, heads_by_quadrature=True)
-            return v, series_est(v)
-        if method is Method.APPROXIMATION:
-            v = (rp.approx_pole_sin_transform(a, b, zeta) if sin_side
-                 else rp.approx_pole_cos_transform(a, b, zeta))
-            return v, 0.0
-        if method is Method.AS_PRINTED:
-            v = fn(a, b, zeta, ctl, as_printed=True)
-            return v, 0.0
-
-    if family == "lommel":
-        lm = _family_module(family)
-        n, m, x, zeta, plus_one = p["n"], p["m"], p["x"], p["zeta"], p["plus_one"]
-        sin_side = kernel is Kernel.SIN
-        if method is Method.CLOSED_FORM:
-            v = (lm.general_sin_transform(n, m, x, zeta, plus_one, ctl) if sin_side
-                 else lm.general_cos_transform(n, m, x, zeta, plus_one, ctl))
-            return v, series_est(v)
-        if method is Method.SERIES:
-            if plus_one:
-                raise DomainError(
-                    "the si/ci representation covers the base exponent family only "
-                    "(drop --plus-one)")
-            v = lm.si_ci_representation(n, m, x, zeta, kernel, ctl)
-            return v, series_est(v)
-        if method is Method.AS_PRINTED:
-            exponent = lm.GeneralExponent(n, m).exponent(plus_one)
-            u = zeta * x
-            if sin_side:
-                v = (zeta ** (exponent - 1.0) * (u ** 0.5)
-                     * lm.lommel_s_half(0.5 - exponent, u, ctl, as_printed=True))
-            else:
-                v = (zeta ** (exponent - 1.0) * exponent * (u ** 0.5)
-                     * lm.lommel_s_half(-(exponent + 0.5), u, ctl, as_printed=True))
-            return v, 0.0
-
-    if family == "log-half-power":
-        if kernel is not Kernel.SIN:
-            raise DomainError("the log-half-power family is sine-kernel only")
-        lm = _family_module(family)
-        if method is Method.CLOSED_FORM:
-            v = lm.log_weighted_sin_integral(p["x"], ctl)
-            return v, series_est(v)
-        if method is Method.SERIES:
-            v = lm.log_weighted_sin_integral_fd(p["x"], ctl=ctl)
-            return v, abs(v) * 1e-7
-
-    raise DomainError(f"family {family!r} does not support method {method.value!r}")
+    fam = _family(family, kernel)
+    route, estimate = fam.routes[method]
+    v = route(import_module("." + fam.module, __package__), kernel, p, ctl)
+    return v, estimate(v, ctl)
 
 
 # --------------------------------------------------------------------------
@@ -260,16 +228,12 @@ def _add_common(sub, families, sweep=False):
     sub.add_argument("--max-terms", type=int, default=None)
     sub.add_argument("--timing", action="store_true",
                      help="include elapsed_us (breaks byte-reproducibility)")
-    cast = str if sweep else None
-    sub.add_argument("--alpha", type=cast or int)
-    sub.add_argument("--n", type=cast or int)
-    sub.add_argument("--m", type=cast or int)
-    sub.add_argument("--plus-one", action="store_true", dest="plus_one")
-    sub.add_argument("--x", type=cast or float)
-    sub.add_argument("--a", type=cast or float)
-    sub.add_argument("--b", type=cast or float)
-    sub.add_argument("--c3", type=cast or float)
-    sub.add_argument("--zeta", type=cast or float)
+    for name, (typ, _, _) in _PARAMS.items():
+        flag = "--" + name.replace("_", "-")
+        if typ is bool:
+            sub.add_argument(flag, action="store_true")
+        else:
+            sub.add_argument(flag, type=str if sweep else typ)
 
 
 def build_parser():
@@ -279,32 +243,36 @@ def build_parser():
     subs = ap.add_subparsers(dest="command", required=True)
 
     ev = subs.add_parser("eval", help="evaluate one point")
-    _add_common(ev, [f for f in FAMILY_METHODS])
+    _add_common(ev, list(FAMILIES))
     ev.add_argument("--method", default="closed-form",
                     choices=[m.value for m in Method])
     ev.add_argument("--as-printed", action="store_true", dest="as_printed",
                     help="shorthand for --method as-printed")
     ev.add_argument("--format", default="json", choices=["json", "csv"])
+    ev.set_defaults(handler=cmd_eval)
 
     cp = subs.add_parser("compare", help="all methods side by side")
-    _add_common(cp, [f for f in FAMILY_METHODS if len(FAMILY_METHODS[f]) >= 2])
+    _add_common(cp, [f for f, fam in FAMILIES.items() if fam.routes])
     cp.add_argument("--tol", type=float, default=1e-8,
                     help="gate on deviations among exact methods")
     cp.add_argument("--as-printed", action="store_true", dest="as_printed",
                     help="add the verbatim-formula column")
     cp.add_argument("--format", default="json", choices=["json", "csv"])
+    cp.set_defaults(handler=cmd_compare)
 
     tb = subs.add_parser("table", help="parameter sweep (comma-separated values)")
-    _add_common(tb, [f for f in FAMILY_METHODS], sweep=True)
+    _add_common(tb, list(FAMILIES), sweep=True)
     tb.add_argument("--method", default="closed-form",
                     choices=[m.value for m in Method])
     tb.add_argument("--as-printed", action="store_true", dest="as_printed",
                     help="shorthand for --method as-printed")
     tb.add_argument("--format", default="csv", choices=["json", "csv"])
+    tb.set_defaults(handler=partial(cmd_eval, sweep=True))
 
     orc = subs.add_parser("oracle", help="direct quadrature")
-    _add_common(orc, list(_FAMILY_PARAMS))
+    _add_common(orc, list(FAMILIES))
     orc.add_argument("--format", default="json", choices=["json", "csv"])
+    orc.set_defaults(handler=cmd_oracle)
 
     sc = subs.add_parser("selfcheck", help="run the invariant suite")
     sc.add_argument("--only", action="append", default=None,
@@ -314,11 +282,12 @@ def build_parser():
     sc.add_argument("--seed", type=int, default=None,
                     help="accepted for interface parity; the suite is "
                          "deterministic and ignores it")
+    sc.set_defaults(handler=cmd_selfcheck)
     return ap
 
 
 def _collect_params(args, family, sweep=False):
-    spec = _FAMILY_PARAMS[family]
+    spec = FAMILIES[family].params
     out = {}
     for name, (typ, required, default) in spec.items():
         raw = getattr(args, name, None)
@@ -339,9 +308,7 @@ def _collect_params(args, family, sweep=False):
                 raise DomainError(f"empty value list for --{name}")
             out[name] = vals
         else:
-            if isinstance(raw, str) and "," in raw:
-                raise DomainError(f"--{name} accepts a single value here (use `table` to sweep)")
-            out[name] = [typ(raw)]
+            out[name] = [raw]
         if typ is float:
             bad = [v for v in out[name] if not math.isfinite(v)]
             if bad:
@@ -414,26 +381,18 @@ def cmd_eval(args, stream, sweep=False):
 def cmd_oracle(args, stream):
     ctl = _make_ctl(args)
     kernel = Kernel(args.kernel)
-    lists = _collect_params(args, args.family)
-    records = []
-    extras = []
-    for p in _param_grid(lists):
-        t0 = time.perf_counter()
-        rep = integrate_semi_infinite(_oracle_spec(args.family, kernel, p), ctl)
-        elapsed = int((time.perf_counter() - t0) * 1e6)
-        shown = dict(p)
-        shown["kernel"] = kernel.value
-        records.append(OutputRecord(args.family, shown, Method.ORACLE.value,
-                                    rep.value, rep.abs_err_est, elapsed))
-        extras.append({"zero_intervals_used": rep.zero_intervals_used,
-                       "accelerated": rep.accelerated})
+    p = next(_param_grid(_collect_params(args, args.family)))
+    t0 = time.perf_counter()
+    rep = integrate_semi_infinite(_oracle_spec(args.family, kernel, p), ctl)
+    elapsed = int((time.perf_counter() - t0) * 1e6)
+    rec = OutputRecord(args.family, {**p, "kernel": kernel.value}, Method.ORACLE.value,
+                       rep.value, rep.abs_err_est, elapsed)
     if args.format == "json":
-        for rec, extra in zip(records, extras):
-            d = rec.as_dict(args.timing)
-            d.update(extra)
-            stream.write(json.dumps(d, sort_keys=True) + "\n")
+        d = rec.as_dict(args.timing)
+        d.update(zero_intervals_used=rep.zero_intervals_used, accelerated=rep.accelerated)
+        stream.write(json.dumps(d, sort_keys=True) + "\n")
     else:
-        _emit(records, args.format, args.timing, stream)
+        _emit([rec], args.format, args.timing, stream)
     return 0
 
 
@@ -526,19 +485,8 @@ def cmd_selfcheck(args, stream):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    stream = sys.stdout
     try:
-        if args.command == "eval":
-            return cmd_eval(args, stream)
-        if args.command == "table":
-            return cmd_eval(args, stream, sweep=True)
-        if args.command == "compare":
-            return cmd_compare(args, stream)
-        if args.command == "oracle":
-            return cmd_oracle(args, stream)
-        if args.command == "selfcheck":
-            return cmd_selfcheck(args, stream)
-        raise AssertionError(args.command)
+        return args.handler(args, sys.stdout)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from . import radical_pole as rp
 from . import two_radical as tr
 from .control import DEFAULT_CONTROL, SeriesControl
 from .errata import find as find_erratum
-from .errors import Record
+from .errors import DomainError, Record
 from .oracle import (
     HalfPower,
     IntegrandSpec,
@@ -621,9 +621,7 @@ def group_names():
 def run(only=None):
     """Run all (or the named) groups; returns a flat list of CheckResult."""
     names = group_names() if not only else list(only)
-    results = []
     for name in names:
         if name not in GROUPS:
-            raise KeyError(f"unknown selfcheck group {name!r}; known: {', '.join(GROUPS)}")
-        results.extend(GROUPS[name]())
-    return results
+            raise DomainError(f"unknown selfcheck group {name!r}; known: {', '.join(GROUPS)}")
+    return [result for name in names for result in GROUPS[name]()]

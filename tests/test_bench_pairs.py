@@ -73,6 +73,47 @@ def test_directions_come_from_both_metric_lists():
     assert "wins 4/5" in lines[0] and lines[0].endswith("resolved")
 
 
+def test_bounds_come_from_the_end_to_end_list():
+    bench = {"end_to_end": [{"name": "latency_p50_us", "better": "lower", "bound": 0.2},
+                            {"name": "correct_share", "better": "higher", "bound": 0.02}],
+             "per_layer": [{"name": "oracle.quad_calls_per_req", "better": "lower"}]}
+    assert bench_pairs.bounds(bench) == {"latency_p50_us": 0.2, "correct_share": 0.02}
+
+
+def _rows(parent, change, better="lower", bound=0.2):
+    pairs = [(_run(m=p), _run(m=c)) for p, c in zip(parent, change)]
+    (row,) = bench_pairs.summarize(pairs, {"m": better}, {"m": bound})
+    return row
+
+
+def test_worse_median_beyond_the_bound_is_regressed():
+    # lower is better: +25% on the median, parent spread 2% of its median
+    row = _rows([99.0, 100.0, 101.0, 100.0, 100.0], [125.0, 124.0, 126.0, 125.0, 125.0])
+    assert row["regressed"] and not row["unresolved"]
+    assert bench_pairs.format_rows([row])[0].endswith("resolved  REGRESSED")
+    # +15% stays inside the 20% bound
+    row = _rows([99.0, 100.0, 101.0, 100.0, 100.0], [115.0, 114.0, 116.0, 115.0, 115.0])
+    assert not row["regressed"] and not row["unresolved"]
+    # higher is better: goodput 10 -> 7.5 is 25% worse; 10 -> 13 is no regression
+    row = _rows([10.0, 10.1, 9.9], [7.5, 7.6, 7.4], better="higher")
+    assert row["regressed"]
+    assert not _rows([10.0, 10.1, 9.9], [13.0, 13.1, 12.9], better="higher")["regressed"]
+
+
+def test_parent_spread_wider_than_the_bound_is_unresolved():
+    # parent quartiles 90 and 120 around a median of 100: IQR 30% > 20%
+    parent = [80.0, 90.0, 100.0, 120.0, 130.0]
+    row = _rows(parent, [95.0, 105.0, 100.0, 110.0, 98.0])
+    assert row["unresolved"] and not row["regressed"]
+    assert bench_pairs.format_rows([row])[0].endswith("  unresolved")
+    # every change run better than every parent run settles it
+    assert not _rows(parent, [50.0, 60.0, 55.0, 70.0, 75.0])["unresolved"]
+    # a metric without a bound gets neither mark
+    pairs = [(_run(m=p), _run(m=2 * p)) for p in parent]
+    (row,) = bench_pairs.summarize(pairs, {})
+    assert not row["regressed"] and not row["unresolved"]
+
+
 def test_source_size_counts_src_oscint_python_lines(tmp_path):
     pkg = tmp_path / "src" / "oscint"
     pkg.mkdir(parents=True)

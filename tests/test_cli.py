@@ -163,6 +163,22 @@ def test_selfcheck_list_and_subset(capsys):
     assert "PASS scaling" in out
 
 
+def test_unknown_selfcheck_group_exit_2(capsys):
+    # validated before any group runs, so the known group before it prints nothing
+    code, out, err = run_cli(capsys, "selfcheck", "--only", "scaling", "--only", "nosuch")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown selfcheck group 'nosuch'; known: ")
+
+
+def test_unknown_selfcheck_group_in_a_fresh_process_has_no_traceback():
+    proc = subprocess.run([sys.executable, "-m", "oscint.cli", "selfcheck", "--only", "nosuch"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: unknown selfcheck group")
+    assert "Traceback" not in proc.stderr
+
+
 def test_selfcheck_seed_is_inert(capsys):
     _, out1, _ = run_cli(capsys, "selfcheck", "--only", "scaling", "--json")
     _, out2, _ = run_cli(capsys, "selfcheck", "--only", "scaling", "--json",
@@ -178,8 +194,10 @@ def test_env_overrides_series_tolerance(capsys, monkeypatch):
     assert rec["err_estimate"] == pytest.approx(abs(rec["value"]) * 1e-6)
 
 
-def test_every_family_method_dispatches(capsys):
-    """Coverage: each advertised family/method pair is reachable."""
+@pytest.mark.parametrize("kernel", ["sin", "cos"])
+def test_every_family_method_dispatches(capsys, kernel):
+    """Coverage: each advertised family/method pair is reachable on both
+    kernels, except that log-half-power is sine-only for every method."""
     nominal = {
         "half-power": ["--alpha", "1", "--x", "1", "--zeta", "1"],
         "two-radical": ["--a", "1", "--b", "4", "--zeta", "1"],
@@ -189,17 +207,26 @@ def test_every_family_method_dispatches(capsys):
         "three-radical": ["--a", "1", "--b", "2", "--c3", "3", "--zeta", "1"],
     }
     for family, methods in FAMILY_METHODS.items():
+        sine_only = family == "log-half-power" and kernel == "cos"
         for method in methods:
-            argv = ["eval", "--family", family, "--method", method.value,
+            argv = ["eval", "--family", family, "--kernel", kernel, "--method", method.value,
                     *nominal[family]]
             code, out, err = run_cli(capsys, *argv)
+            if sine_only:
+                assert (code, out) == (2, ""), (family, method)
+                assert "sine-kernel only" in err
+                continue
             assert code == 0, (family, method, err)
             rec = json.loads(out)
             assert math.isfinite(rec["value"])
+            assert rec["params"]["kernel"] == kernel
         # the quadrature entry point must also accept the family
-        code, out, _ = run_cli(capsys, "oracle", "--family", family,
-                               *nominal[family])
-        assert code == 0
+        code, out, err = run_cli(capsys, "oracle", "--family", family, "--kernel", kernel,
+                                 *nominal[family])
+        if sine_only:
+            assert (code, out) == (2, "") and "sine-kernel only" in err
+        else:
+            assert code == 0
     assert set(FAMILY_METHODS["two-radical"]) == {
         Method.CLOSED_FORM, Method.SERIES, Method.APPROXIMATION,
         Method.ORACLE, Method.AS_PRINTED}

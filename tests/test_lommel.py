@@ -1,5 +1,6 @@
 """Lommel bridge: gamma realization, recurrence, representations, log integral."""
 
+import cmath
 import math
 
 import pytest
@@ -20,6 +21,8 @@ from oscint import (
     si_ci_representation,
     sin_exponent_transform,
 )
+from oscint import lommel as lm
+from oscint.special_functions import upper_incomplete_gamma
 
 
 def rel(a, b):
@@ -30,6 +33,26 @@ def test_structural_identity_with_base_form():
     # order zero carries exactly the exponent-1/2 sine transform
     assert rel(lommel_s_half(0.0, 1.0), s0(1.0, 1.0)) < 1e-10
     assert rel(lommel_s_half(0.0, 2.0) * math.sqrt(2.0), s0(2.0, 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("as_printed", [False, True])
+def test_one_gamma_call_per_lommel_value(count_calls, as_printed):
+    counts = count_calls(lm, "upper_incomplete_gamma")
+    # Gamma routes: series, series, backward fraction, Lentz (as printed: backward)
+    points = ((-2.2, 0.4), (0.0, 1.0), (-5.5, 30.0), (0.7, 12.0))
+    for mu, z in points:
+        alpha = 0.5 - mu
+        a = -alpha if as_printed else 1.0 - alpha
+        phase = cmath.exp(-0.5j * (math.pi * alpha + 2.0 * z))
+        # the conjugate-symmetric combination over both half-axes, summed in full
+        both = 0.5 * (phase * upper_incomplete_gamma(a, complex(0.0, -z))
+                      + phase.conjugate() * upper_incomplete_gamma(a, complex(0.0, z)))
+        assert both.imag == 0.0
+        assert lommel_s_half(mu, z, as_printed=as_printed) == both.real / math.sqrt(z)
+    assert counts["upper_incomplete_gamma"] == len(points)
+    general_sin_transform(1, 3, 6.0, 1.25)
+    general_cos_transform(0, 2, 2.0, 0.5, plus_one=True)
+    assert counts["upper_incomplete_gamma"] == len(points) + 2
 
 
 def test_lommel_relation_example():

@@ -218,6 +218,19 @@ def test_incomplete_gamma_conjugate_symmetry(a, y):
     assert abs(left - right) <= 1e-10 * max(abs(left), 1e-30)
 
 
+def test_incomplete_gamma_conjugate_symmetry_is_bitwise_on_every_route(count_calls):
+    # lommel_s_half takes the real part of one Gamma product on this symmetry
+    counts = count_calls(sf, "_gamma_series", "_legendre_cf_backward", "_legendre_cf")
+    rng = random.Random(20261018)
+    for _ in range(1500):
+        a = rng.uniform(-20.0, 6.0)
+        z = complex(0.0, 10.0 ** rng.uniform(-2.0, 3.0))
+        left = upper_incomplete_gamma(a, z.conjugate())
+        right = upper_incomplete_gamma(a, z).conjugate()
+        assert (left.real.hex(), left.imag.hex()) == (right.real.hex(), right.imag.hex()), (a, z)
+    assert min(counts.values()) > 100, counts
+
+
 def test_incomplete_gamma_integer_descent():
     # integer a <= 0 goes through the exponential-integral route for small |z|
     got = upper_incomplete_gamma(-1.0, 0.25j)

@@ -13,10 +13,15 @@ machine's pace falls on both sides alike.  Per metric the script prints
 each side's median and quartiles, the change's relative move of the
 median, how many pairs the change won, and whether the medians differ by
 more than the parent's interquartile range; it then lists every pair
-whose ``failed`` counts differ.  Above the table it prints each side's
-``src/oscint`` line count (lines of its ``*.py`` files), so size stands
-next to speed.  The run length (``run_seconds``) and
-which way is better for each metric are read from ``BENCHMARK.json``.
+whose ``failed`` counts differ.  An end-to-end metric is marked
+``REGRESSED`` when the change's median is worse than the parent's by
+more than the metric's ``bound`` (relative), and ``unresolved`` when
+the parent's own interquartile range exceeds that bound as a share of
+its median, so the runs cannot show a regression of the bound's size,
+unless every run of the change is better than every run of the parent.
+Above the table it prints each side's ``src/oscint`` line count (lines
+of its ``*.py`` files), so size stands next to speed.  The run length (``run_seconds``), which way is better
+for each metric and the end-to-end bounds are read from ``BENCHMARK.json``.
 
 Only the standard library is used.  Nothing tracked is written: the runs
 leave their records in the git-ignored ``.perfbench_out/`` of each side,
@@ -53,6 +58,11 @@ def directions(benchmark):
             for m in benchmark.get("end_to_end", []) + benchmark.get("per_layer", [])}
 
 
+def bounds(benchmark):
+    """{end-to-end metric: relative bound} from a parsed BENCHMARK.json."""
+    return {m["name"]: m["bound"] for m in benchmark.get("end_to_end", []) if "bound" in m}
+
+
 def src_lines(root):
     """Lines in the ``*.py`` files of ``src/oscint`` under checkout ``root``."""
     return sum(len(path.read_bytes().splitlines())
@@ -85,15 +95,20 @@ def _quartiles(values):
     return q1, q2, q3
 
 
-def summarize(pairs, better):
+def summarize(pairs, better, bound=None):
     """One row per metric of the pairs [(parent run, change run), ...].
 
     A run is ``run_once``'s dict.  A pair counts as a win when the change
     is strictly better in the metric's direction (``better[name]``,
     "lower" where unknown).  ``resolved`` is true when there are at least
     two pairs and the medians differ by more than the parent's
-    interquartile range.
+    interquartile range.  For a metric with a relative bound
+    (``bound[name]``), ``regressed`` is true when the change's median is
+    worse than the parent's by more than the bound, and ``unresolved``
+    when the parent's interquartile range exceeds the bound times its
+    median, unless every change run beats every parent run.
     """
+    bound = bound or {}
     rows = []
     for name in pairs[0][0]["metrics"]:
         parent = [p["metrics"][name] for p, _ in pairs]
@@ -101,12 +116,18 @@ def summarize(pairs, better):
         higher = better.get(name, "lower") == "higher"
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
         pq, cq = _quartiles(parent), _quartiles(change)
+        limit = bound.get(name)
+        worse = (pq[1] - cq[1]) if higher else (cq[1] - pq[1])
+        all_better = min(change) > max(parent) if higher else max(change) < min(parent)
         rows.append({
             "name": name, "better": "higher" if higher else "lower",
             "parent": pq, "change": cq,
             "move": (cq[1] - pq[1]) / pq[1] if pq[1] else None,
             "wins": wins, "pairs": len(pairs),
             "resolved": len(pairs) > 1 and abs(cq[1] - pq[1]) > pq[2] - pq[0],
+            "regressed": limit is not None and worse > limit * abs(pq[1]),
+            "unresolved": (limit is not None and pq[2] - pq[0] > limit * abs(pq[1])
+                           and not all_better),
         })
     return rows
 
@@ -125,7 +146,8 @@ def format_rows(rows):
         lines.append(
             f"{r['name']:<44} ({r['better']:>6}) parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  "
             f"change {cm:.6g} [{c1:.6g}, {c3:.6g}]  {move}  wins {r['wins']}/{r['pairs']}"
-            f"{'  resolved' if r['resolved'] else ''}")
+            f"{'  resolved' if r['resolved'] else ''}{'  REGRESSED' if r['regressed'] else ''}"
+            f"{'  unresolved' if r['unresolved'] else ''}")
     return lines
 
 
@@ -169,7 +191,7 @@ def main(argv=None):
              "pairs": pairs}, indent=1) + "\n")
     print(f"{args.workload}: {len(pairs)} pairs, parent {args.parent} vs working tree")
     print(size)
-    print("\n".join(format_rows(summarize(pairs, better))))
+    print("\n".join(format_rows(summarize(pairs, better, bounds(benchmark)))))
     for seed, p, c in failed_differences(pairs, args.seeds):
         print(f"failed differs at seed {seed}: parent {p}, change {c}")
     return 0
