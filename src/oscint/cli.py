@@ -349,6 +349,11 @@ def _make_ctl(args):
                             max_terms=getattr(args, "max_terms", None))
 
 
+def _shown_params(params, kernel):
+    """A record's params: a false ``plus_one`` left out, the kernel added."""
+    return {**{k: v for k, v in params.items() if k != "plus_one" or v}, "kernel": kernel.value}
+
+
 def _record(family, method, kernel, params, ctl):
     t0 = time.perf_counter()
     try:
@@ -359,9 +364,7 @@ def _record(family, method, kernel, params, ctl):
         method = Method.ORACLE
         value, err = evaluate(family, method, kernel, params, ctl)
     elapsed = int((time.perf_counter() - t0) * 1e6)
-    shown = {k: v for k, v in params.items() if not (k == "plus_one" and not v)}
-    shown["kernel"] = kernel.value
-    return OutputRecord(family, shown, method.value, value, err, elapsed)
+    return OutputRecord(family, _shown_params(params, kernel), method.value, value, err, elapsed)
 
 
 def cmd_eval(args, stream, sweep=False):
@@ -385,7 +388,7 @@ def cmd_oracle(args, stream):
     t0 = time.perf_counter()
     rep = integrate_semi_infinite(_oracle_spec(args.family, kernel, p), ctl)
     elapsed = int((time.perf_counter() - t0) * 1e6)
-    rec = OutputRecord(args.family, {**p, "kernel": kernel.value}, Method.ORACLE.value,
+    rec = OutputRecord(args.family, _shown_params(p, kernel), Method.ORACLE.value,
                        rep.value, rep.abs_err_est, elapsed)
     if args.format == "json":
         d = rec.as_dict(args.timing)

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: the pair summary on fixed numbers."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -124,3 +125,21 @@ def test_source_size_counts_src_oscint_python_lines(tmp_path):
     assert bench_pairs.src_lines(tmp_path) == 3
     assert bench_pairs.format_size(3233, 3180) == (
         "src/oscint lines: parent 3233, change 3180 (-53)")
+
+
+def test_summary_collects_workloads_in_one_file(tmp_path):
+    path = tmp_path / "BENCH.json"
+    rows = bench_pairs.summarize(PAIRS, BETTER)
+    entry = bench_pairs.summary_entry("HEAD", [1, 2, 3, 4, 5], 0, (3568, 3540), rows)
+    bench_pairs.write_summary(path, "oracle-grid", entry)
+    bench_pairs.write_summary(path, "cli-cold", {**entry, "seeds": [9]})
+    doc = json.loads(path.read_text())
+    assert sorted(doc["workloads"]) == ["cli-cold", "oracle-grid"]
+    got = doc["workloads"]["oracle-grid"]
+    assert got["seeds"] == [1, 2, 3, 4, 5]
+    assert got["src_oscint_lines"] == {"parent": 3568, "change": 3540}
+    tail = got["metrics"]["latency_tail_us"]
+    assert tail["parent"] == {"q1": 238.0, "median": 239.0, "q3": 240.0}
+    assert tail["change"] == {"q1": 142.0, "median": 143.0, "q3": 144.0}
+    assert tail["better"] == "lower" and tail["wins"] == 4 and tail["pairs"] == 5
+    assert doc["workloads"]["cli-cold"]["seeds"] == [9]

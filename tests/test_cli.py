@@ -105,6 +105,18 @@ def test_oracle_subcommand_three_radical(capsys):
     assert rec["accelerated"] is True
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_oracle_subcommand_prints_the_params_of_eval(capsys, fmt):
+    point = ("--family", "lommel", "--n", "0", "--m", "3", "--x", "1", "--format", fmt)
+    _, oracle_out, _ = run_cli(capsys, "oracle", *point)
+    _, eval_out, _ = run_cli(capsys, "eval", "--method", "oracle", *point)
+    if fmt == "json":
+        assert json.loads(oracle_out)["params"] == json.loads(eval_out)["params"]
+        assert "plus_one" not in json.loads(oracle_out)["params"]
+    else:
+        assert oracle_out.splitlines()[0] == eval_out.splitlines()[0]
+
+
 def test_missing_parameter_exit_2(capsys):
     code, _, err = run_cli(capsys, "eval", "--family", "half-power", "--x", "1")
     assert code == 2

@@ -1,7 +1,9 @@
 """Quadrature oracle: goldens, divergence classification, robustness."""
 
 import math
+from fractions import Fraction
 from itertools import islice
+from operator import mul
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from oscint import (
 )
 
 SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
+EPS = math.ulp(1.0)
 
 
 def osc(weight, kernel=Kernel.SIN, zeta=1.0, ctl=None):
@@ -261,6 +264,14 @@ def test_batched_lobes_agree_with_quadpack(monkeypatch, weight, kernel):
     assert abs(batched.value - ref.value) <= batched.abs_err_est + ref.abs_err_est
 
 
+@pytest.mark.parametrize("kernel", list(Kernel))
+@pytest.mark.parametrize("weight", AGREEMENT_WEIGHTS, ids=lambda w: type(w).__name__)
+def test_accelerated_series_stops_within_24_lobes(weight, kernel):
+    # the rule starts its stop test at order 17 (where 2 / (3 + sqrt 8)^n
+    # meets the default 1e-12) and stops when two orders agree
+    assert osc(weight, kernel, 0.8).zero_intervals_used <= 24
+
+
 def _record_lobe_quad(monkeypatch):
     lobe_quad = oracle._lobe_quad
     lobes = []
@@ -293,10 +304,10 @@ def test_tail_lobe_with_a_jump_goes_to_quadpack(monkeypatch):
 
 def test_half_power_lobes_make_at_most_five_quadpack_calls(monkeypatch):
     # QUADPACK only for the first lobe, where the weight is steepest and
-    # the GK21 test fails; the other 25, direct ones included, are batched
+    # the GK21 test fails; the other 18, direct ones included, are batched
     calls = _record_quad(monkeypatch)
     rep = osc(HalfPower(0.0, 1.0))
-    assert rep.zero_intervals_used == 26
+    assert rep.zero_intervals_used == 19
     assert calls == [(0.0, math.pi)]
 
 
@@ -344,7 +355,7 @@ def test_smooth_weight_makes_no_quadpack_call(monkeypatch):
     # every lobe, the directly summed ones included, passes the GK21 test
     calls = _record_quad(monkeypatch)
     rep = osc(HalfPower(0.0, 10.0))
-    assert rep.zero_intervals_used == 24
+    assert rep.zero_intervals_used == 19
     assert calls == []
 
 
@@ -367,6 +378,22 @@ def test_direct_lobes_are_capped(name, batched):
     with pytest.raises(AccelerationStalledError, match="within 50 lobes"):
         oracle.lobe_sum(over(math), _breakpoints_failing_after(1000),
                         SeriesControl(max_terms=5), over if batched else None)
+
+
+def test_rule_moves_along_the_series_past_its_highest_order(monkeypatch):
+    # lobe magnitudes that oscillate themselves are no moment sequence, so
+    # the rule never settles; past the highest order each new lobe moves
+    # the oldest accelerated one to the direct sum instead of using a
+    # higher order
+    orders = []
+    weights = oracle._crvz_weights
+    monkeypatch.setattr(oracle, "_crvz_weights", lambda n: orders.append(n) or weights(n))
+    over = lambda m: lambda t: m.sin(t) * (1.0 + 0.5 * m.cos(0.37 * t))
+    with pytest.raises(AccelerationStalledError, match="within 100 lobes"):
+        oracle.lobe_sum(over(math), oracle.kernel_breakpoints(Kernel.SIN, 1.0),
+                        SeriesControl(max_terms=10), over)
+    assert orders[-1] == max(orders) == oracle._CRVZ_MAX_ORDER
+    assert len(orders) > 50
 
 
 def _nan_beyond(jump):
@@ -399,51 +426,55 @@ def test_nan_lobe_stops_the_sum(monkeypatch, name, batched):
     assert quadpack_lobes[-1] == ((lobe - 1) * math.pi, lobe * math.pi)
 
 
-# --------------------------------------------------------- Euler accumulator
+# ---------------------------------------------- Cohen-Villegas-Zagier rule
 
-class _EulerReference:
-    """Reference: the in-place van Wijngaarden table of the classic
-    eulsum routine, rows overwritten by index with an explicit length."""
+def _exact_crvz_weights(n):
+    """Algorithm 1 of Cohen, Rodriguez Villegas & Zagier in exact rationals,
+    with d = ((3+sqrt 8)^n + (3-sqrt 8)^n)/2 from the binomial expansion."""
+    d = sum(math.comb(n, j) * 3 ** (n - j) * 8 ** (j // 2) for j in range(0, n + 1, 2))
+    b, c = Fraction(-1), Fraction(-d)
+    weights = []
+    for k in range(n):
+        c = b - c
+        weights.append((-1) ** k * c / d)
+        b = (k + n) * (k - n) * b / ((k + Fraction(1, 2)) * (k + 1))
+    return weights
 
-    def __init__(self):
-        self._wksp = []
-        self._n = 0
-        self.total = 0.0
 
-    def add(self, term):
-        if self._n == 0:
-            self._wksp.append(term)
-            self._n = 1
-            self.total = 0.5 * term
-            return self.total
-        wksp = self._wksp
-        tmp = wksp[0]
-        wksp[0] = term
-        for j in range(self._n - 1):
-            tmp, wksp[j + 1] = wksp[j + 1], 0.5 * (wksp[j] + tmp)
-        nxt = 0.5 * (wksp[self._n - 1] + tmp)
-        if len(wksp) == self._n:
-            wksp.append(nxt)
-        else:
-            wksp[self._n] = nxt
-        if abs(wksp[self._n]) <= abs(wksp[self._n - 1]):
-            increment = 0.5 * wksp[self._n]
-            self._n += 1
-        else:
-            increment = wksp[self._n]
-        self.total += increment
-        return increment
+def _crvz_bound(n):
+    return 2.0 / (3.0 + math.sqrt(8.0)) ** n
+
+
+def test_crvz_weights_are_the_exact_recurrence_rounded():
+    for n in range(1, oracle._CRVZ_MAX_ORDER + 1):
+        exact = _exact_crvz_weights(n)
+        assert all(0 < w <= 1 for w in exact)
+        assert oracle._crvz_weights(n) == tuple(float(w) for w in exact)
+
+
+@pytest.mark.parametrize("series", [
+    (lambda k: 1.0 / (k + 1), math.log(2.0)),
+    (lambda k: 1.0 / (2 * k + 1), 0.25 * math.pi),
+], ids=["ln2", "pi_over_4"])
+def test_crvz_rule_meets_its_bound_on_classic_series(series):
+    term, want = series
+    for n in range(2, 41):
+        terms = [(-1) ** k * term(k) for k in range(n)]
+        got = sum(map(mul, oracle._crvz_weights(n), terms))
+        assert abs(got - want) <= (_crvz_bound(n) + 4 * EPS) * want
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_euler_accumulator_matches_reference_bitwise(seed):
+def test_crvz_rule_meets_its_bound_on_moment_sequences(seed):
+    # a_k = sum_i p_i x_i^k, the moments of a positive measure on [0, 1]:
+    # sum_k (-1)^k a_k = sum_i p_i / (1 + x_i), and the n-term rule is
+    # within 2 / (3 + sqrt 8)^n of it, plus the rounding of its n products
     rng = np.random.default_rng(seed)
-    # alternating terms with noisy power-law or geometric envelopes, so
-    # both the growing and the shrinking branch of the table are taken
-    k = np.arange(60)
-    envelope = (k + 1.0) ** -rng.uniform(0.2, 3.0) if seed % 2 else rng.uniform(0.5, 0.95) ** k
-    terms = ((-1.0) ** k * envelope * rng.uniform(0.5, 1.5, 60)).tolist()
-    acc, ref = oracle._EulerAccumulator(), _EulerReference()
-    for term in terms:
-        assert acc.add(term).hex() == ref.add(term).hex()
-        assert acc.total.hex() == ref.total.hex()
+    m = int(rng.integers(1, 6))
+    x, p = rng.uniform(0.0, 1.0, m).tolist(), rng.uniform(0.1, 1.0, m).tolist()
+    want = math.fsum(pi / (1.0 + xi) for pi, xi in zip(p, x))
+    for n in range(2, 41):
+        terms = [(-1) ** k * math.fsum(pi * xi ** k for pi, xi in zip(p, x)) for k in range(n)]
+        products = list(map(mul, oracle._crvz_weights(n), terms))
+        rounding = 4 * EPS * math.fsum(map(abs, products))
+        assert abs(sum(products) - want) <= _crvz_bound(n) * want + rounding

@@ -23,9 +23,13 @@ Above the table it prints each side's ``src/oscint`` line count (lines
 of its ``*.py`` files), so size stands next to speed.  The run length (``run_seconds``), which way is better
 for each metric and the end-to-end bounds are read from ``BENCHMARK.json``.
 
-Only the standard library is used.  Nothing tracked is written: the runs
-leave their records in the git-ignored ``.perfbench_out/`` of each side,
-and ``--record`` writes the raw pairs as JSON to a path of your choice.
+Only the standard library is used.  The runs leave their records in the
+git-ignored ``.perfbench_out/`` of each side; ``--record`` writes the
+raw pairs as JSON to a path of your choice, and ``--summary PATH`` the
+table: per metric and side the median and quartiles, and the wins, with
+the seeds and each side's ``src/oscint`` line count, under the
+workload's name in PATH's ``workloads``, so one file (a
+``BENCH_<n>.json``) collects the workloads of a change.
 """
 
 from __future__ import annotations
@@ -151,6 +155,27 @@ def format_rows(rows):
     return lines
 
 
+def summary_entry(parent, seeds, trace, lines, rows):
+    """One workload's ``--summary`` entry; ``lines`` is (parent, change)
+    ``src/oscint`` line counts and ``rows`` is ``summarize``'s table."""
+    quartiles = lambda q: dict(zip(("q1", "median", "q3"), q))
+    return {
+        "parent": parent, "seeds": seeds, "trace": trace,
+        "src_oscint_lines": {"parent": lines[0], "change": lines[1]},
+        "metrics": {r["name"]: {"better": r["better"], "parent": quartiles(r["parent"]),
+                                "change": quartiles(r["change"]), "wins": r["wins"],
+                                "pairs": r["pairs"]}
+                    for r in rows},
+    }
+
+
+def write_summary(path, workload, entry):
+    """Set ``workload``'s entry in the summary file ``path``, keeping the others."""
+    doc = json.loads(path.read_text()) if path.exists() else {"workloads": {}}
+    doc["workloads"][workload] = entry
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
 def extract(rev, dest):
     """``git archive rev`` of this repository, unpacked into ``dest``."""
     data = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True,
@@ -167,6 +192,9 @@ def main(argv=None):
     ap.add_argument("--parent", default="HEAD", help="git revision to compare against")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--record", type=Path, help="also write the raw pairs as JSON here")
+    ap.add_argument("--summary", type=Path,
+                    help="also write the per-metric quartiles as JSON here, "
+                         "merged by workload into the file if it exists")
     ap.add_argument("--workdir", type=Path, help="where to extract the parent checkout")
     args = ap.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -175,7 +203,7 @@ def main(argv=None):
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-", dir=args.workdir) as parent_root:
         extract(args.parent, parent_root)
-        size = format_size(src_lines(parent_root), src_lines(ROOT))
+        lines = src_lines(parent_root), src_lines(ROOT)
         for i, seed in enumerate(args.seeds):
             order = [("parent", parent_root), ("change", ROOT)]
             if i % 2:
@@ -189,9 +217,13 @@ def main(argv=None):
         args.record.write_text(json.dumps(
             {"workload": args.workload, "parent": args.parent, "seeds": args.seeds,
              "pairs": pairs}, indent=1) + "\n")
+    rows = summarize(pairs, better, bounds(benchmark))
+    if args.summary:
+        write_summary(args.summary, args.workload,
+                      summary_entry(args.parent, args.seeds, args.trace, lines, rows))
     print(f"{args.workload}: {len(pairs)} pairs, parent {args.parent} vs working tree")
-    print(size)
-    print("\n".join(format_rows(summarize(pairs, better, bounds(benchmark)))))
+    print(format_size(*lines))
+    print("\n".join(format_rows(rows)))
     for seed, p, c in failed_differences(pairs, args.seeds):
         print(f"failed differs at seed {seed}: parent {p}, change {c}")
     return 0
