@@ -27,14 +27,15 @@ _SUBMODULE = {name: module for module, names in {
     "control": ("DEFAULT_CONTROL", "SeriesControl", "control_from_env"),
     "errata": ("ERRATA", "Erratum"),
     "errors": ("AccelerationStalledError", "ConvergenceError", "DivergentIntegralError",
-               "DomainError", "MaxSubdivisionsError", "PoleError", "UnsupportedError"),
+               "DomainError", "Kernel", "MaxSubdivisionsError", "PoleError",
+               "UnsupportedError"),
     "half_power": ("FamilyCoefficients", "HalfPowerParams", "PhasePattern", "c0", "c_alpha",
                    "family_coefficients", "fresnel_bracket", "s0", "s_alpha"),
     "lommel": ("GeneralExponent", "LommelOrder", "cos_exponent_transform",
                "general_cos_transform", "general_sin_transform", "log_weighted_sin_integral",
                "log_weighted_sin_integral_fd", "lommel_s_half", "pre_reduction_values",
                "si_ci_representation", "sin_exponent_transform"),
-    "oracle": ("HalfPower", "IntegrandSpec", "Kernel", "LogHalfPower", "QuadraticPhase",
+    "oracle": ("HalfPower", "IntegrandSpec", "LogHalfPower", "QuadraticPhase",
                "QuadratureReport", "RadicalPole", "ThreeRadical", "TwoRadical",
                "integrate_finite", "integrate_semi_infinite", "kernel_breakpoints",
                "lobe_sum", "oscillatory_integral"),

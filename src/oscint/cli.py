@@ -46,11 +46,10 @@ from functools import partial
 from importlib import import_module
 
 from .control import control_from_env
-from .errors import ConvergenceError, DomainError, Record, UnsupportedError
+from .errors import ConvergenceError, DomainError, Kernel, Record, UnsupportedError
 from .oracle import (
     HalfPower,
     IntegrandSpec,
-    Kernel,
     LogHalfPower,
     RadicalPole,
     ThreeRadical,
@@ -429,7 +428,7 @@ def cmd_compare(args, stream):
     ok = compared >= 2 and gate <= args.tol
     doc = {
         "family": args.family,
-        "params": {**params, "kernel": kernel.value},
+        "params": _shown_params(params, kernel),
         "values": values,
         "skipped": skipped,
         "deviations": deviations,

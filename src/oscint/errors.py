@@ -6,10 +6,17 @@ fractions or quadrature is a ``RuntimeError`` subclass, so callers can
 distinguish "you asked for something meaningless" from "the requested
 accuracy was not reached".
 
-The module also holds ``Record``, the immutable base of every parameter,
-weight and report record, because every other submodule imports this
-one anyway.
+The module also holds what every other submodule shares, because they
+all import this one anyway: ``Record``, the immutable base of every
+parameter, weight and report record, and the kernel vocabulary --
+``Kernel``, its coercion ``_as_kernel``, ``_trig`` (the kernel's function
+in ``math`` or ``numpy``) and the finite-parameter check
+``_require_finite``.  The closed forms take these from here, not from
+the quadrature oracle.
 """
+
+import math
+from enum import Enum
 
 
 class DomainError(ValueError):
@@ -76,3 +83,38 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Kernel(str, Enum):
+    SIN = "sin"
+    COS = "cos"
+
+
+def _as_kernel(kernel):
+    """``kernel`` as a Kernel member: "sin" and "cos" coerce, anything else
+    is a DomainError.  Every dispatch tests ``kernel is Kernel.SIN``, so an
+    uncoerced string would silently select the cosine branch."""
+    if type(kernel) is Kernel:
+        return kernel
+    try:
+        return Kernel(kernel)
+    except (ValueError, TypeError):
+        raise DomainError(f"kernel must be 'sin' or 'cos', got {kernel!r}") from None
+
+
+def _trig(kernel, m):
+    """The kernel's function in the math module ``m`` (math or numpy)."""
+    return m.sin if kernel is Kernel.SIN else m.cos
+
+
+def _require_finite(owner, **params):
+    """Raise DomainError naming the first non-finite parameter.
+
+    The closed forms call this only when ``math.isfinite`` of the sum of
+    their parameters fails, which costs far less than this call: a
+    finite sum proves every term finite, and a sum that merely
+    overflows passes here.
+    """
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{owner} {name} must be finite, got {value}")

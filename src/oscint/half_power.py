@@ -31,8 +31,8 @@ import math
 from enum import Enum
 from functools import lru_cache
 
-from .errors import DivergentIntegralError, DomainError, Record
-from .oracle import Kernel, _as_kernel, _require_finite
+from .errors import (DivergentIntegralError, DomainError, Kernel, Record, _as_kernel,
+                     _require_finite)
 from .special_functions import fresnel_c, fresnel_s
 
 __all__ = [
@@ -108,16 +108,11 @@ def _build_family(alpha, kernel, as_printed):
     if not odd:
         den = 2 * n + 0.5
         const = (-1) ** n * math.exp(_SQRT2_PI_HALF - math.lgamma(den))
-        if kernel is Kernel.SIN:
-            pattern = PhasePattern.SIN_LIKE
-            terms = tuple(
-                (-(2 * k + 0.5), (-1) ** (n + 1) * (-1) ** k * _gamma_ratio(2 * k + 0.5, den))
-                for k in range(n))
-        else:
-            pattern = PhasePattern.COS_LIKE
-            terms = tuple(
-                (-(2 * k + 1.5), (-1) ** (n + 1) * (-1) ** k * _gamma_ratio(2 * k + 1.5, den))
-                for k in range(n))
+        pattern, off = ((PhasePattern.SIN_LIKE, 0.5) if kernel is Kernel.SIN
+                        else (PhasePattern.COS_LIKE, 1.5))
+        terms = tuple(
+            (-(2 * k + off), (-1) ** (n + 1) * (-1) ** k * _gamma_ratio(2 * k + off, den))
+            for k in range(n))
         return FamilyCoefficients(terms, const, pattern)
 
     den = 2 * n + 1.5
@@ -160,10 +155,8 @@ def _check_recurrence(alpha, kernel):
         combined[round(2 * power)] = combined.get(round(2 * power), 0.0) + fac * coeff
     for power, coeff in lo.rational_part:
         combined[round(2 * power)] = combined.get(round(2 * power), 0.0) + coeff
-    if kernel is Kernel.SIN:
-        rhs = {round(2 * -(alpha + 0.5)): 1.0}
-    else:
-        rhs = {round(2 * -(alpha + 1.5)): alpha + 0.5}
+    off, scale = (0.5, 1.0) if kernel is Kernel.SIN else (1.5, alpha + 0.5)
+    rhs = {round(2 * -(alpha + off)): scale}
     for key in set(combined) | set(rhs):
         want = rhs.get(key, 0.0)
         got = combined.get(key, 0.0)

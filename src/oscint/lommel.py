@@ -27,8 +27,7 @@ import cmath
 import math
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import DomainError, Record
-from .oracle import Kernel, _as_kernel, _require_finite
+from .errors import DomainError, Kernel, Record, _as_kernel, _require_finite
 from .special_functions import (
     EULER_GAMMA,
     gen_ci,
@@ -111,32 +110,31 @@ def lommel_s_half(mu: float, z: float, ctl: SeriesControl = DEFAULT_CONTROL,
     return (phase * upper_incomplete_gamma(a_gamma, complex(0.0, -z), ctl)).real / math.sqrt(z)
 
 
-def sin_exponent_transform(p: float, x: float, zeta: float = 1.0,
-                           ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Integral of sin(zeta t)/(t+x)^p over [0, inf), any real p > 0, x > 0."""
+def _scaled_shift(owner, x, zeta, p=0.0):
+    """u = zeta x, once p, x and zeta are finite and x, zeta > 0."""
     if not math.isfinite(p + x + zeta):
-        _require_finite("sin_exponent_transform", p=p, x=x, zeta=zeta)
+        _require_finite(owner, p=p, x=x, zeta=zeta)
     if x <= 0:
         raise DomainError(f"need x > 0, got {x}")
     if zeta <= 0:
         raise DomainError(f"need zeta > 0, got {zeta}")
+    return zeta * x
+
+
+def sin_exponent_transform(p: float, x: float, zeta: float = 1.0,
+                           ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+    """Integral of sin(zeta t)/(t+x)^p over [0, inf), any real p > 0, x > 0."""
+    u = _scaled_shift("sin_exponent_transform", x, zeta, p)
     order = LommelOrder.from_exponent(p)
-    u = zeta * x
     return zeta ** (p - 1.0) * math.sqrt(u) * lommel_s_half(order.mu, u, ctl)
 
 
 def cos_exponent_transform(p: float, x: float, zeta: float = 1.0,
                            ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Integral of cos(zeta t)/(t+x)^p over [0, inf), any real p > 0, x > 0."""
-    if not math.isfinite(p + x + zeta):
-        _require_finite("cos_exponent_transform", p=p, x=x, zeta=zeta)
-    if x <= 0:
-        raise DomainError(f"need x > 0, got {x}")
-    if zeta <= 0:
-        raise DomainError(f"need zeta > 0, got {zeta}")
+    u = _scaled_shift("cos_exponent_transform", x, zeta, p)
     if p <= 0:
         raise DomainError(f"need exponent p > 0, got {p}")
-    u = zeta * x
     return zeta ** (p - 1.0) * p * math.sqrt(u) * lommel_s_half(-(p + 0.5), u, ctl)
 
 
@@ -232,15 +230,9 @@ def si_ci_representation(n: int, m: int, x: float, zeta: float = 1.0,
     The printed sine form pairs cos(zeta x) with a bare sin(x); the
     corrected sin(zeta x) ships by default (errata LOM-SICI-PHASE).
     """
-    if not math.isfinite(x + zeta):
-        _require_finite("si_ci_representation", x=x, zeta=zeta)
-    if x <= 0:
-        raise DomainError(f"need x > 0, got {x}")
-    if zeta <= 0:
-        raise DomainError(f"need zeta > 0, got {zeta}")
+    u = _scaled_shift("si_ci_representation", x, zeta)
     kernel = _as_kernel(kernel)
     p = GeneralExponent(n, m).exponent(False)
-    u = zeta * x
     a_trig = 1.0 - p
     si = gen_si(a_trig, u, ctl)
     ci = gen_ci(a_trig, u, ctl)

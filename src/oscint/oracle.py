@@ -15,11 +15,14 @@ only ingredients are elementary functions and lobe quadrature, so
 agreement with a closed form is meaningful evidence.
 
 scipy is imported on the first quadrature and numpy on the first block,
-not with this module: the closed forms import ``Kernel`` and
-``integrate_finite`` from here, and importing scipy costs most of a cold
-``oscint eval``.  The module global ``quad`` starts as a stub that loads
-scipy's ``quad`` and rebinds the global to it, so from then on every
-call goes straight to QUADPACK.
+not with this module, which a cold closed-form ``oscint eval`` still
+loads: the radical heads fall back to ``integrate_finite``, and
+``gen_si``/``gen_ci`` sum lobes with ``lobe_sum`` over
+``kernel_breakpoints``.  Importing scipy costs most of such an eval.
+``Kernel`` and the rest of the kernel vocabulary live in ``errors``;
+this module imports them back.  The module global ``quad`` starts as a
+stub that loads scipy's ``quad`` and rebinds the global to it, so from
+then on every call goes straight to QUADPACK.
 
 The accelerated lobes are summed by the rule of Cohen, Rodriguez
 Villegas & Zagier (CRVZ; Experimental Math. 9 (2000) 3-12),
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 import functools
 import math
-from enum import Enum
 from itertools import islice
 from operator import mul
 from typing import Callable, Union
@@ -58,8 +60,12 @@ from .errors import (
     AccelerationStalledError,
     DivergentIntegralError,
     DomainError,
+    Kernel,
     MaxSubdivisionsError,
     Record,
+    _as_kernel,
+    _require_finite,
+    _trig,
 )
 
 __all__ = [
@@ -78,28 +84,6 @@ __all__ = [
     "kernel_breakpoints",
     "lobe_sum",
 ]
-
-
-class Kernel(str, Enum):
-    SIN = "sin"
-    COS = "cos"
-
-
-def _as_kernel(kernel):
-    """``kernel`` as a Kernel member: "sin" and "cos" coerce, anything else
-    is a DomainError.  Every dispatch tests ``kernel is Kernel.SIN``, so an
-    uncoerced string would silently select the cosine branch."""
-    if type(kernel) is Kernel:
-        return kernel
-    try:
-        return Kernel(kernel)
-    except (ValueError, TypeError):
-        raise DomainError(f"kernel must be 'sin' or 'cos', got {kernel!r}") from None
-
-
-def _trig(kernel, m):
-    """The kernel's function in the math module ``m`` (math or numpy)."""
-    return m.sin if kernel is Kernel.SIN else m.cos
 
 
 def _first_quad(*args, **kwargs):
@@ -122,19 +106,6 @@ quad = _first_quad
 # --------------------------------------------------------------------------
 # integrand descriptions
 # --------------------------------------------------------------------------
-
-def _require_finite(owner, **params):
-    """Raise DomainError naming the first non-finite parameter.
-
-    The closed forms call this only when ``math.isfinite`` of the sum of
-    their parameters fails, which costs far less than this call: a
-    finite sum proves every term finite, and a sum that merely
-    overflows passes here.
-    """
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{owner} {name} must be finite, got {value}")
-
 
 class HalfPower(Record):
     """Weight (t + x)^-(alpha + 1/2) on [0, inf)."""
@@ -486,14 +457,10 @@ def kernel_breakpoints(kernel: Kernel, zeta: float, start: float = 0.0):
         k += 1
 
 
-def _quadratic_breakpoints(kernel: Kernel, scale: float, start: float = 0.0):
-    """Zeros of kernel(scale * z^2) above ``start``, plus ``start`` itself."""
-    yield start
-    shift = 0.0 if kernel is Kernel.SIN else 0.5
-    k = math.floor(start * start * scale / math.pi + shift) + 1
-    while True:
-        yield math.sqrt((k - shift) * math.pi / scale)
-        k += 1
+def _quadratic_breakpoints(kernel: Kernel, scale: float):
+    """0 followed by the zeros of kernel(scale * z^2) above it: the square
+    roots of the zeros of kernel(scale * t)."""
+    return map(math.sqrt, kernel_breakpoints(kernel, scale))
 
 
 def _kernel_times(g, trig, zeta):
@@ -508,6 +475,12 @@ def oscillatory_integral(g, kernel: Kernel, zeta: float, start: float = 0.0,
     ``g_over``, if given, builds the weight over a math module:
     ``g_over(math)`` is ``g`` and ``g_over(numpy)`` takes arrays, which
     lets ``lobe_sum`` batch the accelerated lobes.
+
+    ``g`` should be completely monotone, as every weight of the library
+    is (module docstring).  Lobe magnitudes that oscillate themselves,
+    e.g. under g(t) = (1 + cos(0.37 t) / 2) / (1 + t / 1000), never settle
+    the CRVZ rule: the call raises ``AccelerationStalledError`` at the
+    lobe cap, ``10 * ctl.max_terms``.
     """
     kernel = _as_kernel(kernel)
     f = _kernel_times(g, _trig(kernel, math), zeta)
@@ -526,13 +499,10 @@ def oscillatory_integral(g, kernel: Kernel, zeta: float, start: float = 0.0,
 def _check_half_power_convergence(w: HalfPower, kernel: Kernel):
     # At x=0 the origin decides: cos*t^-p integrable iff p < 1, sin*t^-p iff p < 2.
     p = w.alpha + 0.5
-    if w.x == 0.0:
-        if kernel is Kernel.COS and p >= 1.0:
-            raise DivergentIntegralError(
-                f"cos kernel with exponent {p} >= 1 diverges at the origin for x=0")
-        if kernel is Kernel.SIN and p >= 2.0:
-            raise DivergentIntegralError(
-                f"sin kernel with exponent {p} >= 2 diverges at the origin for x=0")
+    limit = 2 if kernel is Kernel.SIN else 1
+    if w.x == 0.0 and p >= limit:
+        raise DivergentIntegralError(
+            f"{kernel.value} kernel with exponent {p} >= {limit} diverges at the origin for x=0")
 
 
 def integrate_semi_infinite(spec: IntegrandSpec,

@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import DomainError, Record, UnsupportedError
-from .oracle import _require_finite, integrate_finite
+from .errors import DomainError, Kernel, Record, UnsupportedError, _require_finite, _trig
+from .oracle import integrate_finite
 from .special_functions import fresnel_c, fresnel_s, hyp2f1
 from .two_radical import _assemble, _head_approx, _head_series
 
@@ -119,17 +119,17 @@ def pole_head_cos_series(c: float, gamma: float,
 
 def pole_head_sin_approx(c: float, gamma: float) -> float:
     """Leading-order sine head for gamma <= 1."""
-    return _head_approx(True, c, gamma, 2.0)
+    return _head_approx(Kernel.SIN, c, gamma, 2.0)
 
 
 def pole_head_cos_approx(c: float, gamma: float) -> float:
     """Leading-order cosine head for gamma <= 1 (correct as printed, but
     its error oscillates with sin(c gamma^2); see errata RP-COS-APPROX-TREND)."""
-    return _head_approx(False, c, gamma, 2.0)
+    return _head_approx(Kernel.COS, c, gamma, 2.0)
 
 
-def _head_quad(kernel_is_sin, c, gamma, ctl):
-    kern = math.sin if kernel_is_sin else math.cos
+def _head_quad(kernel, c, gamma, ctl):
+    kern = _trig(kernel, math)
     return integrate_finite(lambda x: kern(c * x * x) / (x * x + 1.0), 0.0, gamma, ctl).value
 
 

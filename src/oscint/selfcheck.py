@@ -20,11 +20,10 @@ from . import radical_pole as rp
 from . import two_radical as tr
 from .control import DEFAULT_CONTROL, SeriesControl
 from .errata import find as find_erratum
-from .errors import DomainError, Record
+from .errors import DomainError, Kernel, Record, _trig
 from .oracle import (
     HalfPower,
     IntegrandSpec,
-    Kernel,
     LogHalfPower,
     QuadraticPhase,
     RadicalPole,
@@ -166,12 +165,11 @@ def check_gen_si_additivity():
     out = []
     for alpha in [0.5, 0.0, -0.5]:
         for z, z2 in [(0.5, 2.0), (1.0, 3.0)]:
-            mid_s = integrate_finite(lambda t: math.sin(t) * t ** (alpha - 1.0), z, z2).value
-            mid_c = integrate_finite(lambda t: math.cos(t) * t ** (alpha - 1.0), z, z2).value
-            ok_s = abs(gen_si(alpha, z) - (mid_s + gen_si(alpha, z2))) < 1e-9
-            ok_c = abs(gen_ci(alpha, z) - (mid_c + gen_ci(alpha, z2))) < 1e-9
-            out.append(_result("gen-si-additivity", f"alpha={alpha} [{z},{z2}]",
-                               ok_s and ok_c))
+            ok = True
+            for trig, gen in ((math.sin, gen_si), (math.cos, gen_ci)):
+                mid = integrate_finite(lambda t: trig(t) * t ** (alpha - 1.0), z, z2).value
+                ok &= abs(gen(alpha, z) - (mid + gen(alpha, z2))) < 1e-9
+            out.append(_result("gen-si-additivity", f"alpha={alpha} [{z},{z2}]", ok))
     return out
 
 
@@ -180,6 +178,14 @@ def check_gen_si_additivity():
 # --------------------------------------------------------------------------
 
 _HP_US = [0.5, 1.0, 2.0, 10.0]
+_HALF_POWERS = ((Kernel.SIN, hp.s_alpha), (Kernel.COS, hp.c_alpha))
+
+
+def _hp_rhs(kernel, alpha, u):
+    """Right-hand side of the half-power difference equation and ODE."""
+    if kernel is Kernel.SIN:
+        return u ** -(alpha + 0.5)
+    return (alpha + 0.5) * u ** -(alpha + 1.5)
 
 
 def check_difference_equations():
@@ -187,16 +193,11 @@ def check_difference_equations():
     for alpha in range(6):
         for u in _HP_US:
             fac = (alpha + 0.5) * (alpha + 1.5)
-            lhs = fac * hp.s_alpha(alpha + 2, u, 1.0) + hp.s_alpha(alpha, u, 1.0)
-            rhs = u ** -(alpha + 0.5)
-            r = _rel(lhs, rhs)
-            out.append(_result("difference-equations", f"sin alpha={alpha} u={u}",
-                               r < 1e-10, f"rel {r:.1e}"))
-            lhs = fac * hp.c_alpha(alpha + 2, u, 1.0) + hp.c_alpha(alpha, u, 1.0)
-            rhs = (alpha + 0.5) * u ** -(alpha + 1.5)
-            r = _rel(lhs, rhs)
-            out.append(_result("difference-equations", f"cos alpha={alpha} u={u}",
-                               r < 1e-10, f"rel {r:.1e}"))
+            for kernel, f in _HALF_POWERS:
+                lhs = fac * f(alpha + 2, u, 1.0) + f(alpha, u, 1.0)
+                r = _rel(lhs, _hp_rhs(kernel, alpha, u))
+                out.append(_result("difference-equations", f"{kernel.value} alpha={alpha} u={u}",
+                                   r < 1e-10, f"rel {r:.1e}"))
     return out
 
 
@@ -220,16 +221,13 @@ def check_scaling():
     for alpha in [0, 1, 3]:
         for x in [0.5, 2.0]:
             for zeta in [0.5, 3.0]:
-                lhs = hp.s_alpha(alpha, x, zeta)
-                rhs = zeta ** (alpha - 0.5) * hp.s_alpha(alpha, zeta * x, 1.0)
-                ulps = abs(lhs - rhs) / max(math.ulp(max(abs(lhs), abs(rhs))), 5e-324)
-                out.append(_result("scaling", f"sin alpha={alpha} x={x} zeta={zeta}",
-                                   ulps <= 4, f"{ulps:.1f} ulp"))
-                lhs = hp.c_alpha(alpha, x, zeta)
-                rhs = zeta ** (alpha - 0.5) * hp.c_alpha(alpha, zeta * x, 1.0)
-                ulps = abs(lhs - rhs) / max(math.ulp(max(abs(lhs), abs(rhs))), 5e-324)
-                out.append(_result("scaling", f"cos alpha={alpha} x={x} zeta={zeta}",
-                                   ulps <= 4, f"{ulps:.1f} ulp"))
+                for kernel, f in _HALF_POWERS:
+                    lhs = f(alpha, x, zeta)
+                    rhs = zeta ** (alpha - 0.5) * f(alpha, zeta * x, 1.0)
+                    ulps = abs(lhs - rhs) / max(math.ulp(max(abs(lhs), abs(rhs))), 5e-324)
+                    out.append(_result("scaling",
+                                       f"{kernel.value} alpha={alpha} x={x} zeta={zeta}",
+                                       ulps <= 4, f"{ulps:.1f} ulp"))
     return out
 
 
@@ -240,16 +238,12 @@ def check_ode_residual():
     h = 1e-3
     for alpha in [0, 1, 2]:
         for u in [1.0, 2.0, 5.0]:
-            d2 = (hp.s_alpha(alpha, u - h, 1.0) - 2.0 * hp.s_alpha(alpha, u, 1.0)
-                  + hp.s_alpha(alpha, u + h, 1.0)) / (h * h)
-            resid = abs(d2 + hp.s_alpha(alpha, u, 1.0) - u ** -(alpha + 0.5))
-            out.append(_result("ode-residual", f"sin alpha={alpha} u={u}",
-                               resid < 1e-5, f"abs {resid:.1e}"))
-            d2 = (hp.c_alpha(alpha, u - h, 1.0) - 2.0 * hp.c_alpha(alpha, u, 1.0)
-                  + hp.c_alpha(alpha, u + h, 1.0)) / (h * h)
-            resid = abs(d2 + hp.c_alpha(alpha, u, 1.0) - (alpha + 0.5) * u ** -(alpha + 1.5))
-            out.append(_result("ode-residual", f"cos alpha={alpha} u={u}",
-                               resid < 1e-5, f"abs {resid:.1e}"))
+            for kernel, f in _HALF_POWERS:
+                d2 = (f(alpha, u - h, 1.0) - 2.0 * f(alpha, u, 1.0)
+                      + f(alpha, u + h, 1.0)) / (h * h)
+                resid = abs(d2 + f(alpha, u, 1.0) - _hp_rhs(kernel, alpha, u))
+                out.append(_result("ode-residual", f"{kernel.value} alpha={alpha} u={u}",
+                                   resid < 1e-5, f"abs {resid:.1e}"))
     return out
 
 
@@ -258,14 +252,11 @@ def check_derivative_relation():
     h = 1e-5
     for alpha in [0, 1, 2]:
         for u in [0.5, 1.0, 2.0]:
-            fd = (hp.s_alpha(alpha, u + h, 1.0) - hp.s_alpha(alpha, u - h, 1.0)) / (2 * h)
-            want = -(alpha + 0.5) * hp.s_alpha(alpha + 1, u, 1.0)
-            out.append(_result("derivative-relation", f"sin alpha={alpha} u={u}",
-                               abs(fd - want) < 1e-6, f"abs {abs(fd - want):.1e}"))
-            fd = (hp.c_alpha(alpha, u + h, 1.0) - hp.c_alpha(alpha, u - h, 1.0)) / (2 * h)
-            want = -(alpha + 0.5) * hp.c_alpha(alpha + 1, u, 1.0)
-            out.append(_result("derivative-relation", f"cos alpha={alpha} u={u}",
-                               abs(fd - want) < 1e-6, f"abs {abs(fd - want):.1e}"))
+            for kernel, f in _HALF_POWERS:
+                fd = (f(alpha, u + h, 1.0) - f(alpha, u - h, 1.0)) / (2 * h)
+                want = -(alpha + 0.5) * f(alpha + 1, u, 1.0)
+                out.append(_result("derivative-relation", f"{kernel.value} alpha={alpha} u={u}",
+                                   abs(fd - want) < 1e-6, f"abs {abs(fd - want):.1e}"))
     return out
 
 
@@ -277,22 +268,18 @@ def check_half_power_oracle():
     out = []
     for x in [0.1, 1.0, 10.0]:
         for zeta in [0.5, 1.0, 2.0]:
-            o = _oracle_half_power(0.0, x, zeta, Kernel.SIN)
-            ok = _agree(hp.s0(x, zeta), o, 1e-8, 1e-9)
-            out.append(_result("half-power-oracle", f"s0 x={x} zeta={zeta}", ok,
-                               f"closed {hp.s0(x, zeta):.12g} oracle {o:.12g}"))
-            o = _oracle_half_power(0.0, x, zeta, Kernel.COS)
-            ok = _agree(hp.c0(x, zeta), o, 1e-8, 1e-9)
-            out.append(_result("half-power-oracle", f"c0 x={x} zeta={zeta}", ok,
-                               f"closed {hp.c0(x, zeta):.12g} oracle {o:.12g}"))
+            for kernel, f0 in ((Kernel.SIN, hp.s0), (Kernel.COS, hp.c0)):
+                o = _oracle_half_power(0.0, x, zeta, kernel)
+                ok = _agree(f0(x, zeta), o, 1e-8, 1e-9)
+                out.append(_result("half-power-oracle", f"{kernel.value[0]}0 x={x} zeta={zeta}",
+                                   ok, f"closed {f0(x, zeta):.12g} oracle {o:.12g}"))
     for alpha in range(1, 6):
         for x in [0.5, 1.0, 2.0]:
-            o = _oracle_half_power(alpha, x, 1.0, Kernel.SIN)
-            ok = _agree(hp.s_alpha(alpha, x, 1.0), o, 1e-8, 1e-9)
-            out.append(_result("half-power-oracle", f"s_alpha alpha={alpha} x={x}", ok))
-            o = _oracle_half_power(alpha, x, 1.0, Kernel.COS)
-            ok = _agree(hp.c_alpha(alpha, x, 1.0), o, 1e-8, 1e-9)
-            out.append(_result("half-power-oracle", f"c_alpha alpha={alpha} x={x}", ok))
+            for kernel, f in _HALF_POWERS:
+                o = _oracle_half_power(alpha, x, 1.0, kernel)
+                ok = _agree(f(alpha, x, 1.0), o, 1e-8, 1e-9)
+                out.append(_result("half-power-oracle",
+                                   f"{kernel.value[0]}_alpha alpha={alpha} x={x}", ok))
     return out
 
 
@@ -348,7 +335,7 @@ def _z_oracle(kernel, c, power):
 
 
 def _z_head_quad(kernel, c, power, gamma):
-    trig = math.sin if kernel is Kernel.SIN else math.cos
+    trig = _trig(kernel, math)
     f = lambda z: trig(c * z * z) * (z * z + 1.0) ** -power
     return integrate_finite(f, 0.0, gamma).value
 
@@ -433,14 +420,17 @@ def check_radical_assembly(family):
     return out
 
 
-def check_two_radical_derivative():
+def check_radical_derivative(family):
+    # d/db of the weight (t+a)^-1/2 (t+b)^-q, q the weight power, lands on
+    # -q (t+a)^-1/2 (t+b)^-(q+1)
+    _, _, power, (sin_transform, _), _ = _RADICAL[family]
     a, b, zeta = 1.0, 2.0, 1.0
     h = 1e-5
-    fd = (tr.sin_transform(a, b + h, zeta) - tr.sin_transform(a, b - h, zeta)) / (2 * h)
-    g = lambda t: 1.0 / (math.sqrt(t + a) * (t + b) ** 1.5)
-    want = -0.5 * oscillatory_integral(g, Kernel.SIN, zeta).value
+    fd = (sin_transform(a, b + h, zeta) - sin_transform(a, b - h, zeta)) / (2 * h)
+    g = lambda t: 1.0 / (math.sqrt(t + a) * (t + b) ** (power + 1.0))
+    want = -power * oscillatory_integral(g, Kernel.SIN, zeta).value
     ok = abs(fd - want) < 1e-5
-    return [_result("two-radical-derivative", f"d/db at ({a},{b},{zeta})", ok,
+    return [_result(f"{family}-derivative", f"d/db at ({a},{b},{zeta})", ok,
                     f"fd {fd:.10g} vs {want:.10g}")]
 
 
@@ -486,22 +476,6 @@ def check_approximation_trends():
 
 
 # --------------------------------------------------------------------------
-# radical-pole family
-# --------------------------------------------------------------------------
-
-def check_radical_pole_derivative():
-    # d/db of the pole transform lands on a (t+b)^-2 weight
-    a, b, zeta = 1.0, 2.0, 1.0
-    h = 1e-5
-    fd = (rp.pole_sin_transform(a, b + h, zeta) - rp.pole_sin_transform(a, b - h, zeta)) / (2 * h)
-    g = lambda t: 1.0 / (math.sqrt(t + a) * (t + b) ** 2)
-    want = -oscillatory_integral(g, Kernel.SIN, zeta).value
-    ok = abs(fd - want) < 1e-5
-    return [_result("radical-pole-derivative", f"d/db at ({a},{b},{zeta})", ok,
-                    f"fd {fd:.10g} vs {want:.10g}")]
-
-
-# --------------------------------------------------------------------------
 # Lommel bridge
 # --------------------------------------------------------------------------
 
@@ -523,6 +497,9 @@ def check_lommel_recurrence():
     return out
 
 
+_GENERAL = ((Kernel.SIN, lm.general_sin_transform), (Kernel.COS, lm.general_cos_transform))
+
+
 def check_lommel_three_way():
     out = []
     for n in [0, 1]:
@@ -530,20 +507,15 @@ def check_lommel_three_way():
             p = 2 * n + 1.0 / m
             for x in [0.5, 1.0, 2.0]:
                 for zeta in [0.5, 1.0]:
-                    o = integrate_semi_infinite(
-                        IntegrandSpec(HalfPower(p - 0.5, x), Kernel.SIN, zeta)).value
-                    gam = lm.general_sin_transform(n, m, x, zeta)
-                    sic = lm.si_ci_representation(n, m, x, zeta, Kernel.SIN)
-                    ok = _rel(gam, o) < 1e-8 and _rel(sic, o) < 1e-8 and _rel(gam, sic) < 1e-8
-                    out.append(_result("lommel-three-way", f"sin n={n} m={m} x={x} zeta={zeta}",
-                                       ok, f"gamma {gam:.10g} sici {sic:.10g} oracle {o:.10g}"))
-                    o = integrate_semi_infinite(
-                        IntegrandSpec(HalfPower(p - 0.5, x), Kernel.COS, zeta)).value
-                    gam = lm.general_cos_transform(n, m, x, zeta)
-                    sic = lm.si_ci_representation(n, m, x, zeta, Kernel.COS)
-                    ok = _rel(gam, o) < 1e-8 and _rel(sic, o) < 1e-8 and _rel(gam, sic) < 1e-8
-                    out.append(_result("lommel-three-way", f"cos n={n} m={m} x={x} zeta={zeta}",
-                                       ok, f"gamma {gam:.10g} sici {sic:.10g} oracle {o:.10g}"))
+                    for kernel, general in _GENERAL:
+                        o = integrate_semi_infinite(
+                            IntegrandSpec(HalfPower(p - 0.5, x), kernel, zeta)).value
+                        gam = general(n, m, x, zeta)
+                        sic = lm.si_ci_representation(n, m, x, zeta, kernel)
+                        ok = _rel(gam, o) < 1e-8 and _rel(sic, o) < 1e-8 and _rel(gam, sic) < 1e-8
+                        out.append(_result(
+                            "lommel-three-way", f"{kernel.value} n={n} m={m} x={x} zeta={zeta}",
+                            ok, f"gamma {gam:.10g} sici {sic:.10g} oracle {o:.10g}"))
     return out
 
 
@@ -553,13 +525,8 @@ def check_lommel_reduction():
         for x in [0.5, 1.0, 2.0]:
             for zeta in [0.5, 1.0]:
                 pre = lm.pre_reduction_values(n, m, x, zeta)
-                pairs = [
-                    (pre[(Kernel.SIN, False)], lm.general_sin_transform(n, m, x, zeta)),
-                    (pre[(Kernel.COS, False)], lm.general_cos_transform(n, m, x, zeta)),
-                    (pre[(Kernel.SIN, True)], lm.general_sin_transform(n, m, x, zeta, plus_one=True)),
-                    (pre[(Kernel.COS, True)], lm.general_cos_transform(n, m, x, zeta, plus_one=True)),
-                ]
-                worst = max(_rel(a, b) for a, b in pairs)
+                worst = max(_rel(pre[(kernel, plus_one)], general(n, m, x, zeta, plus_one=plus_one))
+                            for plus_one in (False, True) for kernel, general in _GENERAL)
                 out.append(_result("lommel-reduction", f"n={n} m={m} x={x} zeta={zeta}",
                                    worst < 1e-10, f"worst rel {worst:.1e}"))
     return out
@@ -600,13 +567,13 @@ GROUPS = {
     "two-radical-heads": partial(check_radical_heads, "two-radical"),
     "two-radical-decomposition": partial(check_radical_decomposition, "two-radical"),
     "two-radical-assembly": partial(check_radical_assembly, "two-radical"),
-    "two-radical-derivative": check_two_radical_derivative,
+    "two-radical-derivative": partial(check_radical_derivative, "two-radical"),
     "approximation-trends": check_approximation_trends,
     "radical-pole-tails": partial(check_radical_tails, "radical-pole"),
     "radical-pole-heads": partial(check_radical_heads, "radical-pole"),
     "radical-pole-decomposition": partial(check_radical_decomposition, "radical-pole"),
     "radical-pole-assembly": partial(check_radical_assembly, "radical-pole"),
-    "radical-pole-derivative": check_radical_pole_derivative,
+    "radical-pole-derivative": partial(check_radical_derivative, "radical-pole"),
     "lommel-recurrence": check_lommel_recurrence,
     "lommel-three-way": check_lommel_three_way,
     "lommel-reduction": check_lommel_reduction,

@@ -50,8 +50,8 @@ import math
 from functools import lru_cache
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import ConvergenceError, DomainError, PoleError
-from .oracle import Kernel, kernel_breakpoints, lobe_sum
+from .errors import ConvergenceError, DomainError, Kernel, PoleError, _trig
+from .oracle import kernel_breakpoints, lobe_sum
 
 __all__ = [
     "EULER_GAMMA",
@@ -479,7 +479,7 @@ def _gen_trig_tail(kernel, alpha, z, ctl):
     e = alpha - 1.0
 
     def f_over(m):
-        trig = m.sin if kernel is Kernel.SIN else m.cos
+        trig = _trig(kernel, m)
         return lambda t: trig(t) * t ** e
 
     value, _, _, _ = lobe_sum(f_over(math), kernel_breakpoints(kernel, 1.0, z), ctl, f_over)

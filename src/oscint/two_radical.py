@@ -37,8 +37,8 @@ from __future__ import annotations
 import math
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import ConvergenceError, DomainError, Record
-from .oracle import _require_finite, integrate_finite
+from .errors import ConvergenceError, DomainError, Kernel, Record, _require_finite, _trig
+from .oracle import integrate_finite
 from .special_functions import (
     bessel_j0,
     bessel_y0,
@@ -199,7 +199,7 @@ def head_cos_series(c: float, gamma: float,
     return _head_series(hyp2f1, 0.5, (0,), c, gamma, ctl, "head_cos_series")[0]
 
 
-def _head_approx(kernel_is_sin, c, gamma, k, front_k=None):
+def _head_approx(kernel, c, gamma, k, front_k=None):
     """Leading-order head for gamma <= 1 with k = 2/p; ``front_k``
     replaces k in the endpoint term gamma/(k c)."""
     if not c > 0:
@@ -209,14 +209,14 @@ def _head_approx(kernel_is_sin, c, gamma, k, front_k=None):
     w = gamma * math.sqrt(2.0 * c / math.pi)
     root = math.sqrt(0.5 * math.pi / c)
     front = gamma / ((front_k or k) * c)
-    if kernel_is_sin:
+    if kernel is Kernel.SIN:
         return front * math.cos(c * gamma * gamma) + root * (fresnel_s(w) - fresnel_c(w) / (k * c))
     return -front * math.sin(c * gamma * gamma) + root * (fresnel_s(w) / (k * c) + fresnel_c(w))
 
 
 def head_sin_approx(c: float, gamma: float) -> float:
     """Leading-order head for gamma <= 1; error shrinks with growing c."""
-    return _head_approx(True, c, gamma, 4.0)
+    return _head_approx(Kernel.SIN, c, gamma, 4.0)
 
 
 def head_cos_approx(c: float, gamma: float, as_printed: bool = False) -> float:
@@ -225,11 +225,11 @@ def head_cos_approx(c: float, gamma: float, as_printed: bool = False) -> float:
     The corrected prefactor -gamma/(4c) is the default; ``as_printed``
     restores the verbatim -gamma/c (see errata TR-COS-APPROX).
     """
-    return _head_approx(False, c, gamma, 4.0, 1.0 if as_printed else None)
+    return _head_approx(Kernel.COS, c, gamma, 4.0, 1.0 if as_printed else None)
 
 
-def _head_quad(kernel_is_sin, c, gamma, ctl):
-    kern = math.sin if kernel_is_sin else math.cos
+def _head_quad(kernel, c, gamma, ctl):
+    kern = _trig(kernel, math)
     return integrate_finite(lambda z: kern(c * z * z) / math.sqrt(z * z + 1.0),
                             0.0, gamma, ctl).value
 
@@ -242,7 +242,7 @@ def _assemble(p, prefactor, tails, hyp, power, approx_heads, quad, ctl, quadratu
     family's (sin, cos) leading-order pair ``approx_heads`` when given,
     else both series of weight power ``power`` from one moment table
     (``hyp`` as in ``_head_series``), replaced by
-    ``quad(kernel_is_sin, c, gamma, ctl)`` when ``quadrature`` is set or
+    ``quad(kernel, c, gamma, ctl)`` when ``quadrature`` is set or
     the series raises ConvergenceError.
     """
     c, g = p.c, p.gamma
@@ -257,7 +257,7 @@ def _assemble(p, prefactor, tails, hyp, power, approx_heads, quad, ctl, quadratu
         except ConvergenceError:
             quadrature = True
     if quadrature:
-        hs, hc = quad(True, c, g, ctl), quad(False, c, g, ctl)
+        hs, hc = quad(Kernel.SIN, c, g, ctl), quad(Kernel.COS, c, g, ctl)
     ts = tails[0] - hs
     tc = tails[1] - hc
     phase = p.a * p.zeta

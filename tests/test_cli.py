@@ -117,6 +117,17 @@ def test_oracle_subcommand_prints_the_params_of_eval(capsys, fmt):
         assert oracle_out.splitlines()[0] == eval_out.splitlines()[0]
 
 
+@pytest.mark.parametrize("plus_one", [(), ("--plus-one",)])
+def test_compare_prints_the_params_of_eval(capsys, plus_one):
+    point = ("--family", "lommel", "--n", "0", "--m", "3", "--x", "1", "--kernel", "cos",
+             *plus_one)
+    _, compare_out, _ = run_cli(capsys, "compare", *point)
+    _, eval_out, _ = run_cli(capsys, "eval", *point)
+    params = json.loads(compare_out)["params"]
+    assert params == json.loads(eval_out)["params"]
+    assert ("plus_one" in params) == bool(plus_one)
+
+
 def test_missing_parameter_exit_2(capsys):
     code, _, err = run_cli(capsys, "eval", "--family", "half-power", "--x", "1")
     assert code == 2

@@ -118,6 +118,21 @@ def test_general_sin_transform_pins_against_mpmath(n, m, x):
     assert abs(general_sin_transform(n, m, x) - want) <= 1e-14 * abs(want)
 
 
+@pytest.mark.parametrize("p,u", [(0.25, 519.0), (0.25, 817.0), (1.0 / 3.0, 950.0),
+                                 (0.5, 949.0)])
+def test_cos_exponent_transform_pins_against_mpmath_at_large_u(p, u):
+    # At large u the cosine is ~p/u of the sine, so Re of the one complex
+    # product e^(-iu) e^(i pi (1-p)/2) Gamma(1-p, -iu), which gives both,
+    # loses digits to Gamma's rounding: written so, it lands at 1.4e-14 to
+    # 2.2e-13 here.  The cosine's own route p Gamma(-p, .) holds ~2e-16.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a = 1 - mpmath.mpf(p)
+        want = float(mpmath.re(mpmath.exp(1j * (0.5 * mpmath.pi * a - u))
+                               * mpmath.gammainc(a, -1j * u)))
+    assert abs(cos_exponent_transform(p, u) - want) <= 1e-14 * abs(want)
+
+
 def test_pre_reduction_forms_match_reduced():
     pre = pre_reduction_values(1, 2, 1.5, 0.5)
     assert rel(pre[(Kernel.SIN, False)], general_sin_transform(1, 2, 1.5, 0.5)) < 1e-10
