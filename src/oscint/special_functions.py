@@ -19,8 +19,9 @@ Evaluation strategies:
   both branches deliver ~3e-12 absolute; at the classical 8.0 the
   asymptotic branch would only reach ~2e-8.  An argument that overflowed
   to inf (or NaN) is a DomainError, checked on the Hankel branch only.
-  The J0 series memoises its last argument, so Y0's series reuses the
-  J0 that the caller has just summed at the same z.
+  One ascending loop sums J0 and Y0 together, bitwise as two separate
+  series would, and the pair is memoised for its last argument, so a
+  caller reading J0 and then Y0 at the same z sums one series once.
 * Upper incomplete gamma, complex second argument, to about 1e-16 on
   the imaginary axis:
   - |z| >= max(3, a+1): the even-contracted Legendre continued fraction,
@@ -37,7 +38,9 @@ Evaluation strategies:
   (Gil, Segura & Temme, Numerical Methods for Special Functions, SIAM
   2007, ch. 6; DLMF 8.7, 8.9.)
 * Gauss 2F1 on the axis z <= 0: direct series inside the disk, Pfaff
-  transformation for z < -1/2 (argument maps into (0,1)).
+  transformation for z < -1/2 (argument maps into (0,1)).  The term
+  ratios of each shape (a, b, c) are cached as far as a sum has run and
+  multiplied in the plain series' order, so no value changes.
 * 2F2(1/2,1/2;3/2,3/2;ix): direct complex series (entire).
 
 Complex values are plain Python ``complex``.
@@ -213,11 +216,14 @@ def _gamma_series(a, z, ctl):
     the order lifted into (-1/2, 1/2], then the downward recurrence
     Gamma(b-1, z) = (Gamma(b, z) - z^(b-1) e^-z)/(b-1), whose divisors have
     modulus at least 1/2, so orders near a non-positive integer lose
-    nothing.
+    nothing.  The steps count against ``ctl.max_terms``.
     """
     if a > 0.5:
         return complex(gamma_real(a)) - _lower_series(a, z, ctl)
     lift = int(math.floor(0.5 - a))
+    if lift > ctl.max_terms:
+        raise ConvergenceError(f"incomplete-gamma order a={a} needs {lift} recurrence "
+                               f"steps, over max_terms={ctl.max_terms}")
     b = a + lift
     out, zpow = _small_order_series(b, z, ctl)
     if lift:
@@ -325,41 +331,29 @@ def fresnel_c(z: float) -> float:
 # Bessel J0 / Y0
 # --------------------------------------------------------------------------
 
-def _j0_series(z):
-    """J0 by its ascending series."""
+@lru_cache(maxsize=1)
+def _bessel_pair(z):
+    """(J0(z), Y0(z)) by one ascending series, memoised for one argument:
+    every caller reads J0 and Y0 at the same z, one after the other.
+
+    J0 = sum t_k and Y0 = (2/pi)((log(z/2) + gamma) J0 - sum_{k>=1} H_k t_k),
+    t_k = (-z^2/4)^k / k!^2, H_k the harmonic numbers, summed until both
+    stopping tests hold.  A term past a sum's own test is below a tenth of
+    an ulp of it and leaves it unchanged, so each sum keeps the bits of a
+    series of its own.  Y0(0) is -inf.
+    """
     q = 0.25 * z * z
-    term = 1.0
-    total = 1.0
+    term, hk, j0, ysum = 1.0, 0.0, 1.0, 0.0
     for k in range(1, 200):
         term *= -q / (k * k)
-        total += term
-        if abs(term) < 1e-17 * abs(total):
-            break
-    return total
-
-
-@lru_cache(maxsize=1)
-def _j0_small(z):
-    """_j0_series memoised for one argument: Y0's series reuses the J0
-    that bessel_j0 has just summed at the same z."""
-    return _j0_series(z)
-
-
-def _y0_series(z):
-    q = 0.25 * z * z
-    term = 1.0
-    hk = 0.0
-    total = 0.0
-    sign = 1.0
-    for k in range(1, 200):
-        term *= q / (k * k)
         hk += 1.0 / k
-        piece = sign * hk * term
-        total += piece
-        sign = -sign
-        if abs(piece) < 1e-17 * abs(total) + 1e-300:
+        j0 += term
+        piece = -hk * term
+        ysum += piece
+        if abs(term) < 1e-17 * abs(j0) and abs(piece) < 1e-17 * abs(ysum) + 1e-300:
             break
-    return (2.0 / math.pi) * ((math.log(0.5 * z) + EULER_GAMMA) * _j0_small(z) + total)
+    return j0, ((2.0 / math.pi) * ((math.log(0.5 * z) + EULER_GAMMA) * j0 + ysum)
+                if z else -math.inf)
 
 
 def _hankel_pq(z):
@@ -396,7 +390,7 @@ def bessel_j0(z: float) -> float:
     if z < 0:
         raise DomainError(f"bessel_j0 needs z >= 0, got {z}")
     if z <= _BESSEL_SWITCH:
-        return _j0_small(z)
+        return _bessel_pair(z)[0]
     _require_finite_argument(z)
     p, q = _hankel_pq(z)
     w = z - 0.25 * math.pi
@@ -408,7 +402,7 @@ def bessel_y0(z: float) -> float:
     if z <= 0:
         raise DomainError(f"bessel_y0 needs z > 0, got {z}")
     if z <= _BESSEL_SWITCH:
-        return _y0_series(z)
+        return _bessel_pair(z)[1]
     _require_finite_argument(z)
     p, q = _hankel_pq(z)
     w = z - 0.25 * math.pi
@@ -419,11 +413,23 @@ def bessel_y0(z: float) -> float:
 # hypergeometric
 # --------------------------------------------------------------------------
 
+@lru_cache(maxsize=256)
+def _gauss_ratios(a, b, c):
+    """The list of 2F1 term ratios of shape (a, b, c) that sums have used so far."""
+    return []
+
+
 def _gauss_series(a, b, c, z, ctl):
+    ratios = _gauss_ratios(a, b, c)
     term = 1.0
     total = 1.0
     for k in range(ctl.max_terms):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
+        try:
+            r = ratios[k]
+        except IndexError:
+            r = (a + k) * (b + k) / ((c + k) * (k + 1.0))
+            ratios[k:k + 1] = (r,)      # not append: a racing thread's r_k is replaced
+        term *= r * z
         total += term
         if abs(term) < ctl.rel_tol * abs(total):
             return total

@@ -17,6 +17,8 @@ The engine below is written once for both p:
   filled by the three-term relation between neighbouring moments: for
   gamma <= 1 from one 2F1 at j = J downward, for gamma > 1 from the
   closed-form m_0 upward (no 2F1 at all), each the stable direction;
+  the length J grows with the phase, so it is cached per phase rounded
+  up to a multiple of 1/16 (bounded LRU);
 * one phase guard (c gamma^2 <= 25) and one fallback to quadrature
   heads when a series is refused or stalls;
 * the leading-order heads for gamma <= 1, with coefficient k = 2/p;
@@ -35,6 +37,7 @@ form sits behind ``as_printed=True``.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .control import DEFAULT_CONTROL, SeriesControl
 from .errors import ConvergenceError, DomainError, Kernel, Record, _require_finite, _trig
@@ -143,8 +146,15 @@ def _moments(hyp, p, g2, top, ctl):
 def _table_top(x, ctl):
     """Last moment index for phase x: terms are bounded by x^j/j! (0 < m_j
     <= 1), so stop past j > x once that is below rel_tol * min(1, x) / 1000
-    for both parities, and at max_terms terms per kernel."""
-    cap, floor = 2 * ctl.max_terms - 1, 1e-3 * ctl.rel_tol * min(1.0, x)
+    for both parities, and at max_terms terms per kernel.  The index grows
+    with x, so it is read for x rounded up to a multiple of 1/16: a longer
+    table costs no accuracy, because each head sum stops at its own test."""
+    return _table_length(math.ceil(16.0 * x) / 16.0, ctl.rel_tol, ctl.max_terms)
+
+
+@lru_cache(maxsize=1024)
+def _table_length(x, rel_tol, max_terms):
+    cap, floor = 2 * max_terms - 1, 1e-3 * rel_tol * min(1.0, x)
     bound, j = 1.0, 0
     while j < cap and (j <= x or bound >= floor):
         j += 1

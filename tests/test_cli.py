@@ -158,6 +158,17 @@ def test_numerical_failure_exit_3(capsys):
     assert err
 
 
+def test_huge_lommel_order_exit_3_in_a_fresh_process():
+    # Gamma's order lift past max_terms raises instead of looping 1e9 times
+    proc = subprocess.run(
+        [sys.executable, "-m", "oscint.cli", "eval", "--family", "lommel",
+         "--n", "500000000", "--m", "1", "--x", "1"],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3
+    assert "recurrence steps" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_series_heads_below_quadpack_floor_exit_0(capsys):
     # --rel-tol 1e-14 is below QUADPACK's round-off floor; the quadrature
     # heads ask it for the floor instead of failing with exit 3

@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -183,6 +185,21 @@ def test_integer_exponent_routes():
     v = general_sin_transform(1, 1, 1.0, 1.0)     # exponent 3
     w = sin_exponent_transform(3.0, 1.0, 1.0)
     assert v == w
+
+
+def test_huge_exponent_raises_instead_of_recurring_forever():
+    # Gamma's order 1 - 1e15 would take 1e15 recurrence steps; a fresh
+    # process, so that a loop without a cap fails by the timeout instead of
+    # hanging the suite
+    code = ("from oscint import ConvergenceError, sin_exponent_transform\n"
+            "try:\n"
+            "    sin_exponent_transform(1e15, 1.0)\n"
+            "except ConvergenceError as exc:\n"
+            "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert "over max_terms=500" in proc.stdout
 
 
 NON_FINITE = {

@@ -8,6 +8,8 @@ the library) and frozen here.
 import cmath
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,43 @@ def test_transform_with_overflowed_bessel_argument_is_domain_error():
         sin_transform(1e308, 1.5e308, 1e308)
 
 
+def _j0_series(z):
+    q = 0.25 * z * z
+    term, total = 1.0, 1.0
+    for k in range(1, 200):
+        term *= -q / (k * k)
+        total += term
+        if abs(term) < 1e-17 * abs(total):
+            break
+    return total
+
+
+def _y0_series(z):
+    q = 0.25 * z * z
+    term, hk, total, sign = 1.0, 0.0, 0.0, 1.0
+    for k in range(1, 200):
+        term *= q / (k * k)
+        hk += 1.0 / k
+        piece = sign * hk * term
+        total += piece
+        sign = -sign
+        if abs(piece) < 1e-17 * abs(total) + 1e-300:
+            break
+    return (2.0 / math.pi) * ((math.log(0.5 * z) + EULER_GAMMA) * _j0_series(z) + total)
+
+
+def test_bessel_pair_is_bitwise_the_two_series():
+    # one loop sums J0 and Y0 until both stop; each keeps the bits of a
+    # series of its own, stopped at its own test; zeros of Y0 and J0 included
+    rng = random.Random(20261018)
+    zs = [rng.uniform(1e-6, 14.0) for _ in range(3000)]
+    zs += [10.0 ** rng.uniform(-310.0, 0.0) for _ in range(500)]
+    zs += [0.8935769662791675, 2.404825557695773, 3.957678419314858, 5.520078110286311, 14.0]
+    for z in zs:
+        assert bessel_j0(z).hex() == _j0_series(z).hex(), z
+        assert bessel_y0(z).hex() == _y0_series(z).hex(), z
+
+
 def test_bessel_branch_consistency():
     # values must join smoothly across the series/asymptotic split at 14
     for z in (13.999999, 14.000001):
@@ -229,6 +268,19 @@ def test_incomplete_gamma_conjugate_symmetry_is_bitwise_on_every_route(count_cal
         right = upper_incomplete_gamma(a, z).conjugate()
         assert (left.real.hex(), left.imag.hex()) == (right.real.hex(), right.imag.hex()), (a, z)
     assert min(counts.values()) > 100, counts
+
+
+def test_incomplete_gamma_order_lift_counts_against_max_terms():
+    # a = -499.5 lifts by 500 steps, a = -500.5 by 501: one over the default cap
+    mp = pytest.importorskip("mpmath")
+    assert upper_incomplete_gamma(-499.5, 1j) == \
+        upper_incomplete_gamma(-499.5, 1j, SeriesControl(max_terms=501))
+    with pytest.raises(ConvergenceError, match="501 recurrence steps"):
+        upper_incomplete_gamma(-500.5, 1j)
+    got = upper_incomplete_gamma(-500.5, 1j, SeriesControl(max_terms=501))
+    with mp.workdps(40):
+        want = complex(mp.gammainc(-500.5, 1j))
+    assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def test_incomplete_gamma_integer_descent():
@@ -372,11 +424,14 @@ def test_one_fresnel_branch_per_pole_tail_and_head_approximation(count_calls, c)
     assert sum(counts.values()) == 2
 
 
-def test_one_j0_series_per_two_radical_tail(count_calls):
-    counts = count_calls(sf, "_j0_series")
-    sf._j0_small.cache_clear()
+def test_one_ascending_series_per_j0_y0_pair():
+    # a cache miss is one run of the series, which sums J0 and Y0 together
+    sf._bessel_pair.cache_clear()
     tr._tails(5.0)                      # J0/Y0 at 2.5, below the Hankel switch
-    assert counts["_j0_series"] == 1
+    assert sf._bessel_pair.cache_info()[:2] == (1, 1)       # (hits, misses)
+    bessel_y0(3.0)
+    bessel_j0(3.0)
+    assert sf._bessel_pair.cache_info()[:2] == (2, 2)
 
 
 # ---------------------------------------------------------------- 2F1
@@ -395,6 +450,71 @@ def test_hyp2f1_pfaff_vs_direct():
     for (a, b, c) in [(0.5, 1.5, 2.5), (1.0, 0.5, 1.5), (0.5, 3.5, 4.5)]:
         direct = _gauss_series(a, b, c, -0.9, ctl)
         assert rel(hyp2f1(a, b, c, -0.9), direct) < 1e-11
+
+
+def _gauss_series_uncached(a, b, c, z, ctl):
+    term, total = 1.0, 1.0
+    for k in range(ctl.max_terms):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
+        total += term
+        if abs(term) < ctl.rel_tol * abs(total):
+            return total
+    raise ConvergenceError("stalled")
+
+
+def test_cached_2f1_ratios_are_bitwise_the_series(monkeypatch):
+    # the moment tables' shapes (p, top+1/2, top+3/2) and Pfaff's (p, 1, top+3/2),
+    # and random ones, in random order, so cached ratio lists are both read
+    # and extended; every value against the same call on the uncached series
+    rng = random.Random(20261018)
+    shapes = [(p, b, top + 1.5) for p in (0.5, 1.0) for top in range(2, 40)
+              for b in (top + 0.5, 1.0)]
+    shapes += [(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(0.1, 6.0))
+               for _ in range(40)]
+    controls = (SeriesControl(), SeriesControl(1e-15, 4000), SeriesControl(1e-6, 500))
+    points = [(*rng.choice(shapes), -rng.uniform(0.0, 3.0), rng.choice(controls))
+              for _ in range(3000)]
+    sf._gauss_ratios.cache_clear()
+    cached = [hyp2f1(*point).hex() for point in points]
+    with monkeypatch.context() as m:
+        m.setattr(sf, "_gauss_series", _gauss_series_uncached)
+        assert cached == [hyp2f1(*point).hex() for point in points]
+    # a cached entry longer than the budget still stops at max_terms
+    _gauss_series(0.5, 1.0, 3.5, 0.5, SeriesControl(1e-15, 4000))
+    with pytest.raises(ConvergenceError):
+        _gauss_series(0.5, 1.0, 3.5, 0.5, SeriesControl(1e-15, 3))
+
+
+def test_cached_2f1_ratios_under_racing_threads():
+    # threads released together extend the same shapes' ratio lists at
+    # once; a lost or duplicated ratio would shift every later term
+    shapes = [(0.5, top + 0.5, top + 1.5) for top in range(60, 100)]
+    ctl = SeriesControl(1e-15, 4000)
+    want = [_gauss_series_uncached(*shape, -0.5, ctl) for shape in shapes]
+    start = threading.Barrier(6)
+    got = []
+
+    def work():
+        start.wait(timeout=60)
+        got.append([_gauss_series(*shape, -0.5, ctl) for shape in shapes])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(12):
+            sf._gauss_ratios.cache_clear()
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 72
+    for a, b, c in shapes:
+        ratios = sf._gauss_ratios(a, b, c)
+        assert ratios == [(a + k) * (b + k) / ((c + k) * (k + 1.0)) for k in range(len(ratios))]
 
 
 def test_hyp2f1_domain():

@@ -20,6 +20,8 @@ from oscint import (
     head_sin_series,
     pole_head_cos_series,
     pole_head_sin_series,
+    pole_cos_transform,
+    pole_sin_transform,
     sin_transform,
     tail_cos,
     tail_sin,
@@ -196,3 +198,58 @@ def test_head_series_against_mpmath(power, heads):
                 err = float(abs((head(c, gamma) - want) / want))
                 worst.append((err / tol, head.__name__, gamma, phase, err))
     assert max(worst)[0] <= 1.0, max(worst)
+
+
+def _table_top_loop(x, ctl):
+    cap, floor = 2 * ctl.max_terms - 1, 1e-3 * ctl.rel_tol * min(1.0, x)
+    bound, j = 1.0, 0
+    while j < cap and (j <= x or bound >= floor):
+        j += 1
+        bound *= x / j
+    return min(j + 1, cap)
+
+
+@pytest.mark.parametrize("ctl", [SeriesControl(), SeriesControl(1e-15, 4000),
+                                 SeriesControl(1e-6, 500), SeriesControl(1e-12, 4)],
+                         ids=["default", "tight", "loose", "capped"])
+def test_cached_table_length_covers_the_loop(ctl):
+    # the cached length is read at x rounded up to 1/16: never shorter than
+    # the loop's at x, never longer than the loop's 1/16 further on
+    rng = random.Random(20261018)
+    xs = [k / 512 for k in range(1, 25 * 512 + 1)]
+    xs += [10.0 ** rng.uniform(-14.0, 1.4) for _ in range(2000)]
+    for x in xs:
+        top = tr._table_top(x, ctl)
+        assert _table_top_loop(x, ctl) <= top <= _table_top_loop(x + 1.0 / 16.0, ctl), x
+
+
+def _rotated_contour(weight, zeta):
+    """(I_sin, I_cos) at 40 digits: t = i s / zeta turns both transforms
+    into (i / zeta) times the integral of e^-s w(i s / zeta) over [0, inf)."""
+    import mpmath as mp
+    with mp.workdps(40):
+        z = mp.mpf(zeta)
+        total = 1j / z * mp.quad(lambda s: mp.exp(-s) * weight(mp, 1j * s / z), [0, mp.inf])
+        return float(total.imag), float(total.real)
+
+
+@pytest.mark.parametrize("transforms, weight, bound", [
+    ((sin_transform, cos_transform),
+     lambda mp, a, b, t: 1 / (mp.sqrt(t + a) * mp.sqrt(t + b)), 1.1e-13),
+    ((pole_sin_transform, pole_cos_transform),
+     lambda mp, a, b, t: 1 / (mp.sqrt(t + a) * (t + b)), 4e-14),
+], ids=["two-radical", "radical-pole"])
+def test_in_grid_transforms_near_unit_gamma_against_mpmath(transforms, weight, bound):
+    # at gamma^2 = a/(b-a) near 1 the downward moment recurrence does not
+    # damp the error of the top moment's 2F1
+    pytest.importorskip("mpmath")
+    rng = random.Random(20261018)
+    worst = []
+    for _ in range(24):
+        a = rng.uniform(0.2, 1.0)
+        b = a + a / rng.uniform(0.9, 1.1)
+        zeta = rng.uniform(0.25, 2.0)
+        ref = _rotated_contour(lambda mp, t: weight(mp, mp.mpf(a), mp.mpf(b), t), zeta)
+        for transform, want in zip(transforms, ref):
+            worst.append((abs(transform(a, b, zeta) - want) / abs(want), transform.__name__, a, b))
+    assert max(worst)[0] <= bound, max(worst)
