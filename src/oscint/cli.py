@@ -5,7 +5,8 @@ Subcommands:
 * ``eval``      one transform value per requested method
 * ``compare``   side-by-side methods with pairwise deviations and a gate
 * ``table``     parameter sweeps (comma-separated values), CSV by default
-* ``oracle``    direct quadrature of any integrand family
+* ``oracle``    ``eval --method oracle``, whose JSON rows add the lobe
+                count ``zero_intervals_used`` and ``accelerated``
 * ``selfcheck`` the full identity/oracle-agreement suite
 
 Method names per family:
@@ -24,6 +25,10 @@ byte-identical across identical invocations; ``--timing`` adds elapsed
 microseconds (and breaks that reproducibility, which is why it is off
 by default).  The OSCINT_REL_TOL environment variable overrides the
 default series tolerance; an explicit --rel-tol wins over both.
+
+``eval``, ``table`` and ``oracle`` share one row path: ``cmd_eval``
+builds a plain dict per parameter point with ``_record`` and ``_emit``
+writes the rows as JSON lines or CSV.
 
 Each family is written down once, in ``FAMILIES``: its parameters, the
 module of its closed forms, its methods and its oracle weight.  The
@@ -46,7 +51,7 @@ from functools import partial
 from importlib import import_module
 
 from .control import control_from_env
-from .errors import ConvergenceError, DomainError, Kernel, Record, UnsupportedError
+from .errors import ConvergenceError, DomainError, Kernel, UnsupportedError
 from .oracle import (
     HalfPower,
     IntegrandSpec,
@@ -64,31 +69,6 @@ class Method(str, Enum):
     APPROXIMATION = "approximation"
     ORACLE = "oracle"
     AS_PRINTED = "as-printed"
-
-
-class OutputRecord(Record):
-    __slots__ = ("family", "params", "method", "value", "err_estimate", "elapsed_us")
-
-    def __init__(self, family: str, params: dict, method: str, value: float,
-                 err_estimate: float, elapsed_us: int):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "err_estimate", err_estimate)
-        object.__setattr__(self, "elapsed_us", elapsed_us)
-
-    def as_dict(self, timing=False):
-        d = {
-            "family": self.family,
-            "params": self.params,
-            "method": self.method,
-            "value": self.value,
-            "err_estimate": self.err_estimate,
-        }
-        if timing:
-            d["elapsed_us"] = self.elapsed_us
-        return d
 
 
 # --------------------------------------------------------------------------
@@ -120,11 +100,7 @@ def _lommel_si_ci(lm, kernel, p, ctl):
 
 def _lommel_as_printed(lm, kernel, p, ctl):
     exponent = lm.GeneralExponent(p["n"], p["m"]).exponent(p["plus_one"])
-    u = p["zeta"] * p["x"]
-    scale, mu = p["zeta"] ** (exponent - 1.0), 0.5 - exponent
-    if kernel is Kernel.COS:
-        scale, mu = scale * exponent, -(exponent + 0.5)
-    return scale * (u ** 0.5) * lm.lommel_s_half(mu, u, ctl, as_printed=True)
+    return lm._exponent_transform(kernel, exponent, p["x"], p["zeta"], ctl, as_printed=True)
 
 
 def _lommel_weight(p):
@@ -204,15 +180,17 @@ def _oracle_spec(family, kernel, p):
 
 
 def evaluate(family, method, kernel, p, ctl):
-    """Returns (value, err_estimate); ``p`` holds the family's parameters in
-    table order, as ``_collect_params`` builds them."""
+    """Returns (value, err_estimate, report fields); ``p`` holds the family's
+    parameters in table order, as ``_collect_params`` builds them.  Only the
+    oracle reports fields: its lobe count and whether it accelerated."""
     if method is Method.ORACLE:
         rep = integrate_semi_infinite(_oracle_spec(family, kernel, p), ctl)
-        return rep.value, rep.abs_err_est
+        return rep.value, rep.abs_err_est, {"zero_intervals_used": rep.zero_intervals_used,
+                                            "accelerated": rep.accelerated}
     fam = _family(family, kernel)
     route, estimate = fam.routes[method]
     v = route(import_module("." + fam.module, __package__), kernel, p, ctl)
-    return v, estimate(v, ctl)
+    return v, estimate(v, ctl), {}
 
 
 # --------------------------------------------------------------------------
@@ -271,7 +249,7 @@ def build_parser():
     orc = subs.add_parser("oracle", help="direct quadrature")
     _add_common(orc, list(FAMILIES))
     orc.add_argument("--format", default="json", choices=["json", "csv"])
-    orc.set_defaults(handler=cmd_oracle)
+    orc.set_defaults(handler=partial(cmd_eval, report=True), method=Method.ORACLE.value)
 
     sc = subs.add_parser("selfcheck", help="run the invariant suite")
     sc.add_argument("--only", action="append", default=None,
@@ -322,25 +300,19 @@ def _param_grid(lists):
         yield dict(zip(keys, combo))
 
 
-def _emit(records, fmt, timing, stream):
+def _emit(rows, fmt, timing, stream):
     if fmt == "json":
-        for rec in records:
-            stream.write(json.dumps(rec.as_dict(timing), sort_keys=True) + "\n")
+        for row in rows:
+            stream.write(json.dumps(row, sort_keys=True) + "\n")
         return
-    rows = [rec.as_dict(timing) for rec in records]
     param_keys = sorted({k for row in rows for k in row["params"]})
+    tail = ["value", "err_estimate"] + (["elapsed_us"] if timing else [])
     writer = csv.writer(stream, lineterminator="\n")
-    header = ["family", "method"] + param_keys + ["value", "err_estimate"]
-    if timing:
-        header.append("elapsed_us")
-    writer.writerow(header)
+    writer.writerow(["family", "method"] + param_keys + tail)
     for row in rows:
-        line = [row["family"], row["method"]]
-        line += [row["params"].get(k, "") for k in param_keys]
-        line += [repr(row["value"]), repr(row["err_estimate"])]
-        if timing:
-            line.append(row["elapsed_us"])
-        writer.writerow(line)
+        writer.writerow([row["family"], row["method"]]
+                        + [row["params"].get(k, "") for k in param_keys]
+                        + [repr(row[k]) for k in tail])
 
 
 def _make_ctl(args):
@@ -353,20 +325,28 @@ def _shown_params(params, kernel):
     return {**{k: v for k, v in params.items() if k != "plus_one" or v}, "kernel": kernel.value}
 
 
-def _record(family, method, kernel, params, ctl):
+def _record(family, method, kernel, params, ctl, timing, report):
+    """One output row; ``report`` adds the evaluation's report fields."""
     t0 = time.perf_counter()
     try:
-        value, err = evaluate(family, method, kernel, params, ctl)
+        value, err, fields = evaluate(family, method, kernel, params, ctl)
     except UnsupportedError as exc:
         # no closed form for these parameters: fall back to quadrature
         print(f"notice: {exc}; falling back to the oracle", file=sys.stderr)
         method = Method.ORACLE
-        value, err = evaluate(family, method, kernel, params, ctl)
-    elapsed = int((time.perf_counter() - t0) * 1e6)
-    return OutputRecord(family, _shown_params(params, kernel), method.value, value, err, elapsed)
+        value, err, fields = evaluate(family, method, kernel, params, ctl)
+    row = {"family": family, "params": _shown_params(params, kernel), "method": method.value,
+           "value": value, "err_estimate": err}
+    if timing:
+        row["elapsed_us"] = int((time.perf_counter() - t0) * 1e6)
+    if report:
+        row.update(fields)
+    return row
 
 
-def cmd_eval(args, stream, sweep=False):
+def cmd_eval(args, stream, sweep=False, report=False):
+    """``eval``; ``table`` with ``sweep`` (comma-separated values); ``oracle``
+    with ``report``, whose JSON rows add the oracle's report fields."""
     ctl = _make_ctl(args)
     kernel = Kernel(args.kernel)
     method = Method.AS_PRINTED if getattr(args, "as_printed", False) else Method(args.method)
@@ -375,26 +355,9 @@ def cmd_eval(args, stream, sweep=False):
             f"family {args.family!r} supports methods: "
             + ", ".join(m.value for m in FAMILY_METHODS[args.family]))
     lists = _collect_params(args, args.family, sweep=sweep)
-    records = [_record(args.family, method, kernel, p, ctl) for p in _param_grid(lists)]
-    _emit(records, args.format, args.timing, stream)
-    return 0
-
-
-def cmd_oracle(args, stream):
-    ctl = _make_ctl(args)
-    kernel = Kernel(args.kernel)
-    p = next(_param_grid(_collect_params(args, args.family)))
-    t0 = time.perf_counter()
-    rep = integrate_semi_infinite(_oracle_spec(args.family, kernel, p), ctl)
-    elapsed = int((time.perf_counter() - t0) * 1e6)
-    rec = OutputRecord(args.family, _shown_params(p, kernel), Method.ORACLE.value,
-                       rep.value, rep.abs_err_est, elapsed)
-    if args.format == "json":
-        d = rec.as_dict(args.timing)
-        d.update(zero_intervals_used=rep.zero_intervals_used, accelerated=rep.accelerated)
-        stream.write(json.dumps(d, sort_keys=True) + "\n")
-    else:
-        _emit([rec], args.format, args.timing, stream)
+    rows = [_record(args.family, method, kernel, p, ctl, args.timing, report)
+            for p in _param_grid(lists)]
+    _emit(rows, args.format, args.timing, stream)
     return 0
 
 
@@ -409,7 +372,7 @@ def cmd_compare(args, stream):
     skipped = {}
     for m in methods:
         try:
-            values[m.value], _ = evaluate(args.family, m, kernel, params, ctl)
+            values[m.value] = evaluate(args.family, m, kernel, params, ctl)[0]
         except DomainError as exc:
             # e.g. approximation tier outside gamma <= 1
             skipped[m.value] = str(exc)

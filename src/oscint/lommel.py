@@ -121,21 +121,29 @@ def _scaled_shift(owner, x, zeta, p=0.0):
     return zeta * x
 
 
+def _exponent_transform(kernel, p, x, zeta, ctl, as_printed=False):
+    """Integral of sin or cos (zeta t)/(t+x)^p over [0, inf), p, x, zeta > 0:
+    zeta^(p-1) sqrt(u) S_{1/2-p,1/2}(u) for the sine and p zeta^(p-1)
+    sqrt(u) S_{-p-1/2,1/2}(u) for the cosine, u = zeta x; ``as_printed``
+    takes S from the printed Gamma order."""
+    u = _scaled_shift(f"{kernel.value}_exponent_transform", x, zeta, p)
+    if p <= 0:
+        raise DomainError(f"need exponent p > 0, got {p}")
+    if kernel is Kernel.SIN:
+        return zeta ** (p - 1.0) * math.sqrt(u) * lommel_s_half(0.5 - p, u, ctl, as_printed)
+    return zeta ** (p - 1.0) * p * math.sqrt(u) * lommel_s_half(-(p + 0.5), u, ctl, as_printed)
+
+
 def sin_exponent_transform(p: float, x: float, zeta: float = 1.0,
                            ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Integral of sin(zeta t)/(t+x)^p over [0, inf), any real p > 0, x > 0."""
-    u = _scaled_shift("sin_exponent_transform", x, zeta, p)
-    order = LommelOrder.from_exponent(p)
-    return zeta ** (p - 1.0) * math.sqrt(u) * lommel_s_half(order.mu, u, ctl)
+    return _exponent_transform(Kernel.SIN, p, x, zeta, ctl)
 
 
 def cos_exponent_transform(p: float, x: float, zeta: float = 1.0,
                            ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Integral of cos(zeta t)/(t+x)^p over [0, inf), any real p > 0, x > 0."""
-    u = _scaled_shift("cos_exponent_transform", x, zeta, p)
-    if p <= 0:
-        raise DomainError(f"need exponent p > 0, got {p}")
-    return zeta ** (p - 1.0) * p * math.sqrt(u) * lommel_s_half(-(p + 0.5), u, ctl)
+    return _exponent_transform(Kernel.COS, p, x, zeta, ctl)
 
 
 def general_sin_transform(n: int, m: int, x: float, zeta: float = 1.0,

@@ -300,8 +300,9 @@ _G10_WEIGHTS = (
     0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338)
-# lobes per numpy evaluation: one block holds the ~26 lobes of a typical
-# integral; the unused rest of the last block is dropped
+# lobes per numpy evaluation: one block holds the 19-23 lobes a typical
+# integral takes under CRVZ acceleration; the unused rest of the last
+# block is dropped
 _BLOCK = 32
 
 

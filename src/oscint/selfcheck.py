@@ -3,8 +3,10 @@
 Each group re-derives a family of invariants numerically (difference
 equations, integration-by-parts pairs, scaling, decomposition and
 cross-representation identities, oracle agreement) at its stated
-tolerance.  The CLI ``selfcheck`` subcommand and the acceptance tests
-both run these.
+tolerance.  A check function yields one (name, passed, detail) row per
+case; ``run`` turns the rows into ``CheckResult`` values under the
+``GROUPS`` key of the function, so a group is named only there.  The
+CLI ``selfcheck`` subcommand and the acceptance tests both run these.
 
 Everything here is deterministic: fixed grids, no randomness.
 """
@@ -69,16 +71,11 @@ def _agree(got, want, rel_tol, abs_tol=0.0):
     return abs(got - want) <= max(abs_tol, rel_tol * max(abs(got), abs(want)))
 
 
-def _result(group, name, ok, detail=""):
-    return CheckResult(group, name, bool(ok), detail)
-
-
 # --------------------------------------------------------------------------
 # special functions
 # --------------------------------------------------------------------------
 
 def check_fresnel_derivatives():
-    out = []
     h = 1e-5
     for z in [0.0, 0.5, 1.0, 1.5, 1.6, 2.0, 3.0, 4.0, 5.0]:
         ds = (fresnel_s(z + h) - fresnel_s(z - h)) / (2 * h)
@@ -86,27 +83,21 @@ def check_fresnel_derivatives():
         want_s = math.sin(0.5 * math.pi * z * z)
         want_c = math.cos(0.5 * math.pi * z * z)
         ok = abs(ds - want_s) < 1e-8 and abs(dc - want_c) < 1e-8
-        out.append(_result("fresnel-derivatives", f"z={z}", ok,
-                           f"dS err {abs(ds - want_s):.2e}, dC err {abs(dc - want_c):.2e}"))
+        yield f"z={z}", ok, f"dS err {abs(ds - want_s):.2e}, dC err {abs(dc - want_c):.2e}"
     # branch agreement at the series/continued-fraction switch
     from .special_functions import _fresnel_series, _fresnel_tail
     s_a, c_a = _fresnel_series(1.6)
     s_b, c_b = _fresnel_tail(1.6)
-    out.append(_result("fresnel-derivatives", "branch switch at 1.6",
-                       abs(s_a - s_b) < 2e-12 and abs(c_a - c_b) < 2e-12,
-                       f"|dS|={abs(s_a - s_b):.1e} |dC|={abs(c_a - c_b):.1e}"))
-    out.append(_result("fresnel-derivatives", "first J0 zero",
-                       abs(bessel_j0(_J0_FIRST_ZERO)) < 1e-9,
-                       f"J0(z0) = {bessel_j0(_J0_FIRST_ZERO):.2e}"))
-    return out
+    yield ("branch switch at 1.6", abs(s_a - s_b) < 2e-12 and abs(c_a - c_b) < 2e-12,
+           f"|dS|={abs(s_a - s_b):.1e} |dC|={abs(c_a - c_b):.1e}")
+    j0 = bessel_j0(_J0_FIRST_ZERO)
+    yield "first J0 zero", abs(j0) < 1e-9, f"J0(z0) = {j0:.2e}"
 
 
 def check_gamma_recurrences():
-    out = []
     for x in [0.3, 0.5, 1.7, 2.5, 4.5, 9.5]:
         r = _rel(gamma_real(x + 1.0), x * gamma_real(x))
-        out.append(_result("gamma-recurrences", f"Gamma(x+1)=xGamma(x) at {x}",
-                           r < 1e-13, f"rel {r:.1e}"))
+        yield f"Gamma(x+1)=xGamma(x) at {x}", r < 1e-13, f"rel {r:.1e}"
     for a in [-1.5, -0.5, 0.5, 1.5]:
         for im in [0.5, 1.0, 5.0]:
             for sign in [1.0, -1.0]:
@@ -114,21 +105,18 @@ def check_gamma_recurrences():
                 lhs = upper_incomplete_gamma(a + 1.0, z)
                 rhs = a * upper_incomplete_gamma(a, z) + _zpow_exp(a, z)
                 r = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-                out.append(_result("gamma-recurrences", f"incGamma rec a={a} z={z}",
-                                   r < 1e-10, f"rel {r:.1e}"))
+                yield f"incGamma rec a={a} z={z}", r < 1e-10, f"rel {r:.1e}"
                 conj_sym = abs(upper_incomplete_gamma(a, z.conjugate())
                                - upper_incomplete_gamma(a, z).conjugate())
                 scale = abs(upper_incomplete_gamma(a, z))
-                out.append(_result("gamma-recurrences", f"conj symmetry a={a} z={z}",
-                                   conj_sym <= 1e-10 * scale, f"abs {conj_sym:.1e}"))
-    return out
+                yield (f"conj symmetry a={a} z={z}", conj_sym <= 1e-10 * scale,
+                       f"abs {conj_sym:.1e}")
 
 
 def check_gamma_routes():
     """Gamma(a, +-iu): the series route and the backward continued fraction
     agree on both sides of the |z| = 3 switch, orders on both sides of the
     lift into (-1/2, 1/2] and at integers."""
-    out = []
     for a in [-5.5, -4.0, -2.25, -1.0, -0.5, 0.0, 1.0 / 3.0, 2.0 / 3.0]:
         for u in [2.95, 3.0, 3.05]:
             for sign in [1.0, -1.0]:
@@ -136,9 +124,7 @@ def check_gamma_routes():
                 series = _gamma_series(a, z, DEFAULT_CONTROL)
                 fraction = _legendre_cf_backward(a, z, DEFAULT_CONTROL)
                 r = abs(series - fraction) / abs(fraction)
-                out.append(_result("gamma-routes", f"a={a:.4g} z={z}", r < 1e-13,
-                                   f"rel {r:.1e}"))
-    return out
+                yield f"a={a:.4g} z={z}", r < 1e-13, f"rel {r:.1e}"
 
 
 def _zpow_exp(a, z):
@@ -147,30 +133,25 @@ def _zpow_exp(a, z):
 
 
 def check_hyp2f1():
-    out = []
     for (a, b, c) in [(0.5, 0.5, 1.5), (1.0, 0.5, 1.5), (0.5, 3.5, 4.5), (1.0, 2.5, 3.5)]:
         direct = _gauss_series(a, b, c, -0.9, SeriesControl(1e-15, 4000))
         via_pfaff = hyp2f1(a, b, c, -0.9)
         r = _rel(direct, via_pfaff)
-        out.append(_result("hyp2f1-transform", f"Pfaff vs direct ({a},{b};{c};-0.9)",
-                           r < 1e-11, f"rel {r:.1e}"))
+        yield f"Pfaff vs direct ({a},{b};{c};-0.9)", r < 1e-11, f"rel {r:.1e}"
     r1 = _rel(hyp2f1(0.5, 0.5, 1.5, -1.0), math.log(1.0 + math.sqrt(2.0)))
-    out.append(_result("hyp2f1-transform", "arcsinh value at -1", r1 < 1e-11, f"rel {r1:.1e}"))
+    yield "arcsinh value at -1", r1 < 1e-11, f"rel {r1:.1e}"
     r2 = _rel(hyp2f1(1.0, 0.5, 1.5, -1.0), 0.25 * math.pi)
-    out.append(_result("hyp2f1-transform", "arctan value at -1", r2 < 1e-11, f"rel {r2:.1e}"))
-    return out
+    yield "arctan value at -1", r2 < 1e-11, f"rel {r2:.1e}"
 
 
 def check_gen_si_additivity():
-    out = []
     for alpha in [0.5, 0.0, -0.5]:
         for z, z2 in [(0.5, 2.0), (1.0, 3.0)]:
             ok = True
             for trig, gen in ((math.sin, gen_si), (math.cos, gen_ci)):
                 mid = integrate_finite(lambda t: trig(t) * t ** (alpha - 1.0), z, z2).value
                 ok &= abs(gen(alpha, z) - (mid + gen(alpha, z2))) < 1e-9
-            out.append(_result("gen-si-additivity", f"alpha={alpha} [{z},{z2}]", ok))
-    return out
+            yield f"alpha={alpha} [{z},{z2}]", ok, ""
 
 
 # --------------------------------------------------------------------------
@@ -189,35 +170,27 @@ def _hp_rhs(kernel, alpha, u):
 
 
 def check_difference_equations():
-    out = []
     for alpha in range(6):
         for u in _HP_US:
             fac = (alpha + 0.5) * (alpha + 1.5)
             for kernel, f in _HALF_POWERS:
                 lhs = fac * f(alpha + 2, u, 1.0) + f(alpha, u, 1.0)
                 r = _rel(lhs, _hp_rhs(kernel, alpha, u))
-                out.append(_result("difference-equations", f"{kernel.value} alpha={alpha} u={u}",
-                                   r < 1e-10, f"rel {r:.1e}"))
-    return out
+                yield f"{kernel.value} alpha={alpha} u={u}", r < 1e-10, f"rel {r:.1e}"
 
 
 def check_interrelations():
-    out = []
     for alpha in range(6):
         for u in _HP_US:
             want = u ** -(alpha + 0.5) - (alpha + 0.5) * hp.c_alpha(alpha + 1, u, 1.0)
             r = _rel(hp.s_alpha(alpha, u, 1.0), want)
-            out.append(_result("interrelations", f"S from C: alpha={alpha} u={u}",
-                               r < 1e-10, f"rel {r:.1e}"))
+            yield f"S from C: alpha={alpha} u={u}", r < 1e-10, f"rel {r:.1e}"
             want = (alpha + 0.5) * hp.s_alpha(alpha + 1, u, 1.0)
             r = _rel(hp.c_alpha(alpha, u, 1.0), want)
-            out.append(_result("interrelations", f"C from S: alpha={alpha} u={u}",
-                               r < 1e-10, f"rel {r:.1e}"))
-    return out
+            yield f"C from S: alpha={alpha} u={u}", r < 1e-10, f"rel {r:.1e}"
 
 
 def check_scaling():
-    out = []
     for alpha in [0, 1, 3]:
         for x in [0.5, 2.0]:
             for zeta in [0.5, 3.0]:
@@ -225,16 +198,13 @@ def check_scaling():
                     lhs = f(alpha, x, zeta)
                     rhs = zeta ** (alpha - 0.5) * f(alpha, zeta * x, 1.0)
                     ulps = abs(lhs - rhs) / max(math.ulp(max(abs(lhs), abs(rhs))), 5e-324)
-                    out.append(_result("scaling",
-                                       f"{kernel.value} alpha={alpha} x={x} zeta={zeta}",
-                                       ulps <= 4, f"{ulps:.1f} ulp"))
-    return out
+                    yield (f"{kernel.value} alpha={alpha} x={x} zeta={zeta}", ulps <= 4,
+                           f"{ulps:.1f} ulp")
 
 
 def check_ode_residual():
     # u >= 1: below that the h^2 S'''' / 12 truncation term of the central
     # difference itself exceeds the 1e-5 budget for alpha >= 1
-    out = []
     h = 1e-3
     for alpha in [0, 1, 2]:
         for u in [1.0, 2.0, 5.0]:
@@ -242,22 +212,18 @@ def check_ode_residual():
                 d2 = (f(alpha, u - h, 1.0) - 2.0 * f(alpha, u, 1.0)
                       + f(alpha, u + h, 1.0)) / (h * h)
                 resid = abs(d2 + f(alpha, u, 1.0) - _hp_rhs(kernel, alpha, u))
-                out.append(_result("ode-residual", f"{kernel.value} alpha={alpha} u={u}",
-                                   resid < 1e-5, f"abs {resid:.1e}"))
-    return out
+                yield f"{kernel.value} alpha={alpha} u={u}", resid < 1e-5, f"abs {resid:.1e}"
 
 
 def check_derivative_relation():
-    out = []
     h = 1e-5
     for alpha in [0, 1, 2]:
         for u in [0.5, 1.0, 2.0]:
             for kernel, f in _HALF_POWERS:
                 fd = (f(alpha, u + h, 1.0) - f(alpha, u - h, 1.0)) / (2 * h)
                 want = -(alpha + 0.5) * f(alpha + 1, u, 1.0)
-                out.append(_result("derivative-relation", f"{kernel.value} alpha={alpha} u={u}",
-                                   abs(fd - want) < 1e-6, f"abs {abs(fd - want):.1e}"))
-    return out
+                yield (f"{kernel.value} alpha={alpha} u={u}", abs(fd - want) < 1e-6,
+                       f"abs {abs(fd - want):.1e}")
 
 
 def _oracle_half_power(alpha, x, zeta, kernel):
@@ -265,22 +231,19 @@ def _oracle_half_power(alpha, x, zeta, kernel):
 
 
 def check_half_power_oracle():
-    out = []
     for x in [0.1, 1.0, 10.0]:
         for zeta in [0.5, 1.0, 2.0]:
             for kernel, f0 in ((Kernel.SIN, hp.s0), (Kernel.COS, hp.c0)):
                 o = _oracle_half_power(0.0, x, zeta, kernel)
                 ok = _agree(f0(x, zeta), o, 1e-8, 1e-9)
-                out.append(_result("half-power-oracle", f"{kernel.value[0]}0 x={x} zeta={zeta}",
-                                   ok, f"closed {f0(x, zeta):.12g} oracle {o:.12g}"))
+                yield (f"{kernel.value[0]}0 x={x} zeta={zeta}", ok,
+                       f"closed {f0(x, zeta):.12g} oracle {o:.12g}")
     for alpha in range(1, 6):
         for x in [0.5, 1.0, 2.0]:
             for kernel, f in _HALF_POWERS:
                 o = _oracle_half_power(alpha, x, 1.0, kernel)
                 ok = _agree(f(alpha, x, 1.0), o, 1e-8, 1e-9)
-                out.append(_result("half-power-oracle",
-                                   f"{kernel.value[0]}_alpha alpha={alpha} x={x}", ok))
-    return out
+                yield f"{kernel.value[0]}_alpha alpha={alpha} x={x}", ok, ""
 
 
 # --------------------------------------------------------------------------
@@ -288,20 +251,18 @@ def check_half_power_oracle():
 # --------------------------------------------------------------------------
 
 def check_oracle_ibp():
-    out = []
     for alpha in [0.0, 1.0, 2.0]:
         for x in [0.5, 1.0, 2.0]:
             s_a = _oracle_half_power(alpha, x, 1.0, Kernel.SIN)
             c_a1 = _oracle_half_power(alpha + 1.0, x, 1.0, Kernel.COS)
             want = x ** -(alpha + 0.5) - (alpha + 0.5) * c_a1
-            out.append(_result("oracle-ibp", f"sin side alpha={alpha} x={x}",
-                               _rel(s_a, want) < 1e-8, f"rel {_rel(s_a, want):.1e}"))
+            r = _rel(s_a, want)
+            yield f"sin side alpha={alpha} x={x}", r < 1e-8, f"rel {r:.1e}"
             c_a = _oracle_half_power(alpha, x, 1.0, Kernel.COS)
             s_a1 = _oracle_half_power(alpha + 1.0, x, 1.0, Kernel.SIN)
             want = (alpha + 0.5) * s_a1
-            out.append(_result("oracle-ibp", f"cos side alpha={alpha} x={x}",
-                               _rel(c_a, want) < 1e-8, f"rel {_rel(c_a, want):.1e}"))
-    return out
+            r = _rel(c_a, want)
+            yield f"cos side alpha={alpha} x={x}", r < 1e-8, f"rel {r:.1e}"
 
 
 def check_oracle_robustness():
@@ -313,17 +274,14 @@ def check_oracle_robustness():
         IntegrandSpec(QuadraticPhase(1.0, 0.5), Kernel.SIN),
         IntegrandSpec(LogHalfPower(1.0), Kernel.SIN, 1.0),
     ]
-    out = []
     base_ctl = DEFAULT_CONTROL
     tight = SeriesControl(rel_tol=0.5 * base_ctl.rel_tol, max_terms=base_ctl.max_terms)
     for spec in specs:
         r1 = integrate_semi_infinite(spec, base_ctl)
         r2 = integrate_semi_infinite(spec, tight)
         drift = abs(r1.value - r2.value)
-        out.append(_result("oracle-robustness", f"{type(spec.weight).__name__} {spec.kernel.value}",
-                           drift <= r1.abs_err_est,
-                           f"drift {drift:.1e} vs est {r1.abs_err_est:.1e}"))
-    return out
+        yield (f"{type(spec.weight).__name__} {spec.kernel.value}", drift <= r1.abs_err_est,
+               f"drift {drift:.1e} vs est {r1.abs_err_est:.1e}")
 
 
 # --------------------------------------------------------------------------
@@ -344,15 +302,12 @@ def check_radical_head_moments():
     # the engine's recurrence table against one direct 2F1 per index, both
     # summed to below double rounding so only the recurrence is measured
     ctl = SeriesControl(1e-17, 4000)
-    out = []
     for p in (0.5, 1.0):
         for gamma in (0.3, 0.99, 1.0, 1.01, 2.0):
             g2 = gamma * gamma
             table = tr._moments(hyp2f1, p, g2, 30, ctl)
             r = max(_rel(m, hyp2f1(p, j + 0.5, j + 1.5, -g2, ctl)) for j, m in enumerate(table))
-            out.append(_result("radical-head-moments", f"p={p} gamma={gamma} j<=30",
-                               r <= 1e-13, f"rel {r:.1e}"))
-    return out
+            yield f"p={p} gamma={gamma} j<=30", r <= 1e-13, f"rel {r:.1e}"
 
 
 # (tails, series heads, weight power, transforms, oracle weight) per radical family
@@ -372,52 +327,40 @@ _RADICAL_GRID = [(a, b, zeta)
 
 def check_radical_tails(family):
     tails, _, power, _, _ = _RADICAL[family]
-    out = []
     for c in [0.5, 1.0, 2.0, 5.0, 50.0]:
         for kernel, tail in zip(_KERNELS, tails):
             r = _rel(tail(c), _z_oracle(kernel, c, power))
-            out.append(_result(f"{family}-tails", f"{kernel.value} c={c}", r < 1e-8,
-                               f"rel {r:.1e}"))
-    return out
+            yield f"{kernel.value} c={c}", r < 1e-8, f"rel {r:.1e}"
 
 
 def check_radical_heads(family):
     _, heads, power, _, _ = _RADICAL[family]
-    out = []
     for c in [0.5, 1.0, 5.0]:
         for gamma in [0.3, 0.7, 1.0]:
             for kernel, head in zip(_KERNELS, heads):
                 q = _z_head_quad(kernel, c, power, gamma)
                 ok = abs(head(c, gamma) - q) <= 1e-10 * max(1.0, abs(q))
-                out.append(_result(f"{family}-heads", f"{kernel.value} c={c} gamma={gamma}", ok))
-    return out
+                yield f"{kernel.value} c={c} gamma={gamma}", ok, ""
 
 
 def check_radical_decomposition(family):
     tails, heads, power, _, _ = _RADICAL[family]
-    out = []
     for c in [0.5, 1.0, 5.0]:
         for gamma in [0.3, 0.7, 1.0]:
             for kernel, tail, head in zip(_KERNELS, tails, heads):
                 closed = tail(c) - head(c, gamma)
                 oracle = _z_oracle(kernel, c, power) - _z_head_quad(kernel, c, power, gamma)
                 r = _rel(closed, oracle)
-                out.append(_result(f"{family}-decomposition",
-                                   f"{kernel.value} c={c} gamma={gamma}",
-                                   r < 1e-8, f"rel {r:.1e}"))
-    return out
+                yield f"{kernel.value} c={c} gamma={gamma}", r < 1e-8, f"rel {r:.1e}"
 
 
 def check_radical_assembly(family):
     _, _, _, transforms, weight = _RADICAL[family]
-    out = []
     for a, b, zeta in _RADICAL_GRID:
         for kernel, transform in zip(_KERNELS, transforms):
             o = integrate_semi_infinite(IntegrandSpec(weight(a, b), kernel, zeta)).value
             ok = _agree(transform(a, b, zeta), o, 1e-8, 1e-9)
-            out.append(_result(f"{family}-assembly", f"{kernel.value} a={a} b={b} zeta={zeta}",
-                               ok))
-    return out
+            yield f"{kernel.value} a={a} b={b} zeta={zeta}", ok, ""
 
 
 def check_radical_derivative(family):
@@ -430,12 +373,10 @@ def check_radical_derivative(family):
     g = lambda t: 1.0 / (math.sqrt(t + a) * (t + b) ** (power + 1.0))
     want = -power * oscillatory_integral(g, Kernel.SIN, zeta).value
     ok = abs(fd - want) < 1e-5
-    return [_result(f"{family}-derivative", f"d/db at ({a},{b},{zeta})", ok,
-                    f"fd {fd:.10g} vs {want:.10g}")]
+    yield f"d/db at ({a},{b},{zeta})", ok, f"fd {fd:.10g} vs {want:.10g}"
 
 
 def check_approximation_trends():
-    out = []
     gamma = 0.5
     cs = [5.0, 10.0, 20.0, 40.0]
 
@@ -457,22 +398,19 @@ def check_approximation_trends():
     for name, e, erratum in cases:
         monotone = all(e[i + 1] <= e[i] for i in range(len(e) - 1))
         if monotone:
-            out.append(_result("approximation-trends", name, True,
-                               "errors " + ", ".join(f"{v:.2e}" for v in e)))
+            yield name, True, "errors " + ", ".join(f"{v:.2e}" for v in e)
         else:
             # non-monotone is acceptable only if registered as a known erratum
             registered = erratum is not None and not find_erratum(erratum).corrected
-            out.append(_result("approximation-trends", name, registered,
-                               ("non-monotone, registered as " + erratum if registered
-                                else "non-monotone and NOT registered")
-                               + ": " + ", ".join(f"{v:.2e}" for v in e)))
+            yield name, registered, (("non-monotone, registered as " + erratum if registered
+                                      else "non-monotone and NOT registered")
+                                     + ": " + ", ".join(f"{v:.2e}" for v in e))
     # the corrected cosine coefficient must beat the printed one everywhere
     better = all(
         abs(tr.head_cos_approx(c, gamma) / tr.head_cos_series(c, gamma) - 1.0)
         < abs(tr.head_cos_approx(c, gamma, as_printed=True) / tr.head_cos_series(c, gamma) - 1.0)
         for c in cs)
-    out.append(_result("approximation-trends", "corrected cos beats printed", better))
-    return out
+    yield "corrected cos beats printed", better, ""
 
 
 # --------------------------------------------------------------------------
@@ -484,7 +422,6 @@ def check_lommel_recurrence():
     # -3/2 the coefficient (mu+1)^2 - 1/4 vanishes and both sides cancel
     # to zero, so a plain relative comparison would divide rounding noise
     # by itself
-    out = []
     for mu in [-2.5, -1.5, -0.5, 0.0]:
         for z in [0.5, 1.0, 2.0, 5.0]:
             power = z ** (mu + 1.5)
@@ -492,16 +429,13 @@ def check_lommel_recurrence():
             rhs = ((mu + 1.0) ** 2 - 0.25) * math.sqrt(z) * lm.lommel_s_half(mu, z)
             scale = max(abs(power), abs(shifted), abs(rhs))
             r = abs(power - shifted - rhs) / scale
-            out.append(_result("lommel-recurrence", f"mu={mu} z={z}", r < 1e-9,
-                               f"resid/scale {r:.1e}"))
-    return out
+            yield f"mu={mu} z={z}", r < 1e-9, f"resid/scale {r:.1e}"
 
 
 _GENERAL = ((Kernel.SIN, lm.general_sin_transform), (Kernel.COS, lm.general_cos_transform))
 
 
 def check_lommel_three_way():
-    out = []
     for n in [0, 1]:
         for m in [1, 2, 3]:
             p = 2 * n + 1.0 / m
@@ -513,35 +447,27 @@ def check_lommel_three_way():
                         gam = general(n, m, x, zeta)
                         sic = lm.si_ci_representation(n, m, x, zeta, kernel)
                         ok = _rel(gam, o) < 1e-8 and _rel(sic, o) < 1e-8 and _rel(gam, sic) < 1e-8
-                        out.append(_result(
-                            "lommel-three-way", f"{kernel.value} n={n} m={m} x={x} zeta={zeta}",
-                            ok, f"gamma {gam:.10g} sici {sic:.10g} oracle {o:.10g}"))
-    return out
+                        yield (f"{kernel.value} n={n} m={m} x={x} zeta={zeta}", ok,
+                               f"gamma {gam:.10g} sici {sic:.10g} oracle {o:.10g}")
 
 
 def check_lommel_reduction():
-    out = []
     for n, m in [(0, 2), (0, 3), (1, 1), (1, 2), (1, 3)]:
         for x in [0.5, 1.0, 2.0]:
             for zeta in [0.5, 1.0]:
                 pre = lm.pre_reduction_values(n, m, x, zeta)
                 worst = max(_rel(pre[(kernel, plus_one)], general(n, m, x, zeta, plus_one=plus_one))
                             for plus_one in (False, True) for kernel, general in _GENERAL)
-                out.append(_result("lommel-reduction", f"n={n} m={m} x={x} zeta={zeta}",
-                                   worst < 1e-10, f"worst rel {worst:.1e}"))
-    return out
+                yield f"n={n} m={m} x={x} zeta={zeta}", worst < 1e-10, f"worst rel {worst:.1e}"
 
 
 def check_log_integral():
-    out = []
     for x in [0.5, 1.0, 2.0]:
         closed = lm.log_weighted_sin_integral(x)
         o = integrate_semi_infinite(IntegrandSpec(LogHalfPower(x), Kernel.SIN, 1.0)).value
         fd = lm.log_weighted_sin_integral_fd(x)
         ok = abs(closed - o) < 1e-5 and abs(closed - fd) < 1e-5
-        out.append(_result("log-integral", f"x={x}", ok,
-                           f"closed {closed:.10g} oracle {o:.10g} fd {fd:.10g}"))
-    return out
+        yield f"x={x}", ok, f"closed {closed:.10g} oracle {o:.10g} fd {fd:.10g}"
 
 
 # --------------------------------------------------------------------------
@@ -591,4 +517,5 @@ def run(only=None):
     for name in names:
         if name not in GROUPS:
             raise DomainError(f"unknown selfcheck group {name!r}; known: {', '.join(GROUPS)}")
-    return [result for name in names for result in GROUPS[name]()]
+    return [CheckResult(group, name, bool(passed), detail)
+            for group in names for name, passed, detail in GROUPS[group]()]

@@ -15,8 +15,9 @@ The engine below is written once for both p:
   the integral of z^2j (z^2+1)^-p on [0, gamma];
 * one moment table m_0..m_J per transform, shared by both kernels and
   filled by the three-term relation between neighbouring moments: for
-  gamma <= 1 from one 2F1 at j = J downward, for gamma > 1 from the
-  closed-form m_0 upward (no 2F1 at all), each the stable direction;
+  gamma <= 1 from one 2F1 at j = J (summed to 1e-17, whatever rel_tol)
+  downward, for gamma > 1 from the closed-form m_0 upward (no 2F1 at
+  all), each the stable direction;
   the length J grows with the phase, so it is cached per phase rounded
   up to a multiple of 1/16 (bounded LRU);
 * one phase guard (c gamma^2 <= 25) and one fallback to quadrature
@@ -132,7 +133,7 @@ def _moments(hyp, p, g2, top, ctl):
     lead = (1.0 + g2) ** (1.0 - p)
     m = [0.0] * (top + 1)
     if g2 <= 1.0:
-        v = m[top] = hyp(p, top + 0.5, top + 1.5, -g2, ctl)
+        v = m[top] = hyp(p, top + 0.5, top + 1.5, -g2, _seed_control(ctl.max_terms))
         for j in range(top - 1, -1, -1):
             v = m[j] = lead - (2 * j + 3 - 2 * p) / (2 * j + 3) * g2 * v
     else:
@@ -141,6 +142,14 @@ def _moments(hyp, p, g2, top, ctl):
         for j in range(top):
             v = m[j + 1] = (lead - v) * (2 * j + 3) / ((2 * j + 3 - 2 * p) * g2)
     return m
+
+
+@lru_cache(maxsize=16)
+def _seed_control(max_terms):
+    """The top moment's 2F1 stops at 1e-17, as Gamma's series do, not at
+    rel_tol: at g2 near 1 each downward step multiplies its error by nearly
+    1, so nothing damps it on the way to m_0."""
+    return SeriesControl(1e-17, max_terms)
 
 
 def _table_top(x, ctl):

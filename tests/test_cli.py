@@ -105,16 +105,69 @@ def test_oracle_subcommand_three_radical(capsys):
     assert rec["accelerated"] is True
 
 
+# one in-domain point per family
+NOMINAL = {
+    "half-power": ["--alpha", "1", "--x", "1", "--zeta", "1"],
+    "two-radical": ["--a", "1", "--b", "4", "--zeta", "1"],
+    "radical-pole": ["--a", "1", "--b", "4", "--zeta", "1"],
+    "lommel": ["--n", "0", "--m", "3", "--x", "1", "--zeta", "1"],
+    "log-half-power": ["--x", "1"],
+    "three-radical": ["--a", "1", "--b", "2", "--c3", "3", "--zeta", "1"],
+}
+REPORT_FIELDS = {"zero_intervals_used", "accelerated"}
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_oracle_subcommand_prints_the_params_of_eval(capsys, fmt):
-    point = ("--family", "lommel", "--n", "0", "--m", "3", "--x", "1", "--format", fmt)
-    _, oracle_out, _ = run_cli(capsys, "oracle", *point)
-    _, eval_out, _ = run_cli(capsys, "eval", "--method", "oracle", *point)
-    if fmt == "json":
-        assert json.loads(oracle_out)["params"] == json.loads(eval_out)["params"]
-        assert "plus_one" not in json.loads(oracle_out)["params"]
-    else:
-        assert oracle_out.splitlines()[0] == eval_out.splitlines()[0]
+    # the whole row: value, err_estimate, method and params; only the oracle
+    # subcommand's JSON adds its report fields
+    for family, point in NOMINAL.items():
+        point = ("--family", family, *point, "--format", fmt)
+        code, oracle_out, _ = run_cli(capsys, "oracle", *point)
+        assert code == 0, family
+        _, eval_out, _ = run_cli(capsys, "eval", "--method", "oracle", *point)
+        if fmt == "csv":
+            assert oracle_out == eval_out, family
+            continue
+        oracle_row, eval_row = json.loads(oracle_out), json.loads(eval_out)
+        assert set(oracle_row) - set(eval_row) == REPORT_FIELDS, family
+        assert not REPORT_FIELDS & set(eval_row), family
+        assert {k: v for k, v in oracle_row.items() if k not in REPORT_FIELDS} == eval_row
+        assert "plus_one" not in oracle_row["params"]
+
+
+# Lommel points outside its domain x, zeta > 0
+OFF_DOMAIN_LOMMEL = {"negative": ("--x", "-1", "--zeta", "-1"), "zero-shift": ("--x", "0")}
+
+
+@pytest.mark.parametrize("point", OFF_DOMAIN_LOMMEL.values(), ids=OFF_DOMAIN_LOMMEL)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_as_printed_lommel_off_domain_exit_2(capsys, point, fmt):
+    # the verbatim Gamma order shares the checks of the corrected route
+    code, out, err = run_cli(capsys, "eval", "--family", "lommel", "--n", "0", "--m", "3",
+                             *point, "--method", "as-printed", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: need x > 0")
+
+
+@pytest.mark.parametrize("point", OFF_DOMAIN_LOMMEL.values(), ids=OFF_DOMAIN_LOMMEL)
+def test_compare_skips_as_printed_lommel_off_domain(capsys, point):
+    _, out, err = run_cli(capsys, "compare", "--family", "lommel", "--n", "0", "--m", "3",
+                          *point, "--as-printed")
+    doc = json.loads(out)
+    assert "as-printed" not in doc["values"]
+    assert doc["skipped"]["as-printed"].startswith("need x > 0")
+    assert err == ""
+
+
+def test_as_printed_lommel_off_domain_in_a_fresh_process_has_no_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "oscint.cli", "eval", "--family", "lommel", "--n", "0",
+         "--m", "3", *OFF_DOMAIN_LOMMEL["negative"], "--method", "as-printed"],
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: need x > 0")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("plus_one", [(), ("--plus-one",)])
@@ -232,19 +285,11 @@ def test_env_overrides_series_tolerance(capsys, monkeypatch):
 def test_every_family_method_dispatches(capsys, kernel):
     """Coverage: each advertised family/method pair is reachable on both
     kernels, except that log-half-power is sine-only for every method."""
-    nominal = {
-        "half-power": ["--alpha", "1", "--x", "1", "--zeta", "1"],
-        "two-radical": ["--a", "1", "--b", "4", "--zeta", "1"],
-        "radical-pole": ["--a", "1", "--b", "4", "--zeta", "1"],
-        "lommel": ["--n", "0", "--m", "3", "--x", "1", "--zeta", "1"],
-        "log-half-power": ["--x", "1"],
-        "three-radical": ["--a", "1", "--b", "2", "--c3", "3", "--zeta", "1"],
-    }
     for family, methods in FAMILY_METHODS.items():
         sine_only = family == "log-half-power" and kernel == "cos"
         for method in methods:
             argv = ["eval", "--family", family, "--kernel", kernel, "--method", method.value,
-                    *nominal[family]]
+                    *NOMINAL[family]]
             code, out, err = run_cli(capsys, *argv)
             if sine_only:
                 assert (code, out) == (2, ""), (family, method)
@@ -256,7 +301,7 @@ def test_every_family_method_dispatches(capsys, kernel):
             assert rec["params"]["kernel"] == kernel
         # the quadrature entry point must also accept the family
         code, out, err = run_cli(capsys, "oracle", "--family", family, "--kernel", kernel,
-                                 *nominal[family])
+                                 *NOMINAL[family])
         if sine_only:
             assert (code, out) == (2, "") and "sine-kernel only" in err
         else:

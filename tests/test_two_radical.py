@@ -235,13 +235,13 @@ def _rotated_contour(weight, zeta):
 
 @pytest.mark.parametrize("transforms, weight, bound", [
     ((sin_transform, cos_transform),
-     lambda mp, a, b, t: 1 / (mp.sqrt(t + a) * mp.sqrt(t + b)), 1.1e-13),
+     lambda mp, a, b, t: 1 / (mp.sqrt(t + a) * mp.sqrt(t + b)), 3e-14),
     ((pole_sin_transform, pole_cos_transform),
-     lambda mp, a, b, t: 1 / (mp.sqrt(t + a) * (t + b)), 4e-14),
+     lambda mp, a, b, t: 1 / (mp.sqrt(t + a) * (t + b)), 3e-14),
 ], ids=["two-radical", "radical-pole"])
 def test_in_grid_transforms_near_unit_gamma_against_mpmath(transforms, weight, bound):
     # at gamma^2 = a/(b-a) near 1 the downward moment recurrence does not
-    # damp the error of the top moment's 2F1
+    # damp the error of the top moment's 2F1, so that 2F1 is summed to 1e-17
     pytest.importorskip("mpmath")
     rng = random.Random(20261018)
     worst = []
