@@ -1,16 +1,16 @@
 """The quadrature oracle on its own.
 
 Every closed form in the library is validated against this engine: the
-integration axis is split at the kernel zeros, the first lobes go
-through adaptive Gauss-Kronrod quadrature (QUADPACK), the later ones
-through a fixed 21-point Gauss-Kronrod rule evaluated 32 lobes at a time
-with numpy (a lobe that fails its error test goes back to QUADPACK), and
-the alternating lobe series is accelerated by the rule of Cohen,
-Rodriguez Villegas and Zagier: a fixed weighted sum of the first n lobes,
-within 5.83^-n of the sum for a completely monotone weight (the log
-weight is not one; there only the stop test guards).  A typical integral
-takes about 19 lobes.  The oracle also covers what has no closed form at
-all, such as three distinct radical constants.
+integration axis is split at the kernel zeros, every lobe goes through
+a fixed 21-point Gauss-Kronrod rule evaluated 32 lobes at a time with
+numpy (the first lobe cut into pieces graded toward its lower end, and
+a piece that fails its error test goes to the adaptive form of the same
+rule), and the alternating lobe series is accelerated by the rule of
+Cohen, Rodriguez Villegas and Zagier: a fixed weighted sum of the first
+n lobes, within 5.83^-n of the sum for a completely monotone weight (the
+log weight is not one; there only the stop test guards).  A typical
+integral takes about 19 lobes.  The oracle also covers what has no
+closed form at all, such as three distinct radical constants.
 """
 
 import math

@@ -2,27 +2,28 @@
 
 The semi-infinite integrals are computed by partitioning the axis at the
 zeros of the oscillating kernel, integrating each lobe, and accelerating
-the resulting alternating lobe series.  When the caller also gives the
-integrand in vector form, every lobe, the directly summed first ones and
-the accelerated rest, comes from one stream integrated in blocks of 32
-by one numpy evaluation of the fixed 21-point Gauss-Kronrod rule; a lobe
-whose Kronrod-Gauss difference fails the tolerance (in practice one of
-the first two, where the weight is steepest) goes to adaptive
-Gauss-Kronrod quadrature (QUADPACK via scipy), which otherwise
-integrates every lobe.  A typical integral takes one block.  This module
-deliberately knows nothing about the closed forms it arbitrates: the
-only ingredients are elementary functions and lobe quadrature, so
+the resulting alternating lobe series.  Every integral here comes from
+one fixed 21-point Gauss-Kronrod rule (GK21, the nodes of QUADPACK's
+qk21), applied by numpy to many pieces in one evaluation.  When the
+caller also gives the integrand in vector form, every lobe, the directly
+summed first ones and the accelerated rest, comes from one stream
+integrated in blocks of 32 lobes per evaluation; the first block also
+cuts the first lobe into pieces graded toward its lower end and the
+second into halves, since the weight is steepest there.  A piece whose
+Kronrod-Gauss difference fails the tolerance goes to ``quad``, the
+adaptive form of the same rule, which otherwise integrates every lobe
+and every finite range.  A typical integral takes one evaluation.  This
+module deliberately knows nothing about the closed forms it arbitrates:
+the only ingredients are elementary functions and lobe quadrature, so
 agreement with a closed form is meaningful evidence.
 
-scipy is imported on the first quadrature and numpy on the first block,
-not with this module, which a cold closed-form ``oscint eval`` still
-loads: the radical heads fall back to ``integrate_finite``, and
-``gen_si``/``gen_ci`` sum lobes with ``lobe_sum`` over
-``kernel_breakpoints``.  Importing scipy costs most of such an eval.
-``Kernel`` and the rest of the kernel vocabulary live in ``errors``;
-this module imports them back.  The module global ``quad`` starts as a
-stub that loads scipy's ``quad`` and rebinds the global to it, so from
-then on every call goes straight to QUADPACK.
+numpy is imported on the first quadrature, not with this module, which
+a cold closed-form ``oscint eval`` still loads: the radical heads fall
+back to ``integrate_finite``, and ``gen_si``/``gen_ci`` sum lobes with
+``lobe_sum`` over ``kernel_breakpoints``.  ``Kernel`` and the rest of
+the kernel vocabulary live in ``errors``; this module imports them back.
+Every caller looks ``quad`` up as a module global, so a wrapper
+installed there (a tracer) sees every adaptive integration.
 
 The accelerated lobes are summed by the rule of Cohen, Rodriguez
 Villegas & Zagier (CRVZ; Experimental Math. 9 (2000) 3-12),
@@ -36,15 +37,13 @@ ln(t + x)/sqrt(t + x) is not, and only the empirical stop guards it.
 Lobes are summed strictly in order, so a result is independent of how
 they were batched.
 
-QUADPACK is never asked for a relative tolerance below
-``_QUADPACK_EPSREL_FLOOR`` = 100 eps (about 2.2e-14).  Its 21-point rule
-reports no error below 50 eps times the integral of |f| on a piece
-(Piessens et al., *QUADPACK*, Springer 1983, routine qk21; scipy's
-``quad`` asks for ``epsrel >= 50 eps`` for the same reason), so a finer
-request can never be met: QUADPACK subdivides until its round-off exit
-(ier = 2) and returns the same value to an ulp after eight to twelve
-times the evaluations.  The floor leaves twice that bound, room for the
-rounding of the summed pieces.
+The error of a piece is its raw |K21 - G10|.  For a smooth integrand
+that overstates the error of K21 by orders of magnitude; QUADPACK scales
+the difference down instead (Piessens et al., *QUADPACK*, Springer
+1983), and so must refuse any request below 50 eps times the integral
+of |f| on a piece.  The raw difference has no such floor beyond its own
+rounding, a few eps times the integral of |f|, so a request of 1e-14 is
+met as asked.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ import functools
 import math
 from itertools import islice
 from operator import mul
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from .control import DEFAULT_CONTROL, SeriesControl
 from .errors import (
@@ -84,23 +83,6 @@ __all__ = [
     "kernel_breakpoints",
     "lobe_sum",
 ]
-
-
-def _first_quad(*args, **kwargs):
-    """scipy's ``quad``, loaded on first use.
-
-    Rebinds the global ``quad`` to scipy's function only while it is
-    still this stub, so a wrapper installed there meanwhile (a tracer)
-    stays in place and keeps seeing every call.
-    """
-    global quad
-    from scipy.integrate import quad as scipy_quad
-    if quad is _first_quad:
-        quad = scipy_quad
-    return scipy_quad(*args, **kwargs)
-
-
-quad = _first_quad
 
 
 # --------------------------------------------------------------------------
@@ -262,22 +244,6 @@ def _crvz_weights(n):
     return tuple(weights)
 
 
-# the finest relative tolerance QUADPACK is asked for (module docstring)
-_QUADPACK_EPSREL_FLOOR = 100 * math.ulp(1.0)
-
-
-def _lobe_quad(f, lo, hi, epsabs, epsrel):
-    """(integral, abs error) of one lobe by QUADPACK.
-
-    ``epsrel`` is raised to ``_QUADPACK_EPSREL_FLOOR``: a finer request
-    ends at QUADPACK's round-off exit after hundreds of evaluations with
-    the value it had after the first few dozen.
-    """
-    res = quad(f, lo, hi, epsabs=epsabs, epsrel=max(epsrel, _QUADPACK_EPSREL_FLOOR),
-               limit=200, full_output=1)
-    return res[0], res[1]
-
-
 # 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk21): the
 # non-negative nodes, largest first, and their Kronrod weights.  The
 # nodes at odd positions are those of the embedded 10-point Gauss rule,
@@ -304,6 +270,14 @@ _G10_WEIGHTS = (
 # integral takes under CRVZ acceleration; the unused rest of the last
 # block is dropped
 _BLOCK = 32
+# the first block's cuts of the first lobe, as fractions of its length
+# from its lower end; the second lobe is halved
+_FIRST_LOBE_CUTS = tuple(2.0 ** -k for k in range(8, 0, -1))
+# ``quad``: equal pieces of its first level, and its piece limit
+_QUAD_START = 8
+_QUAD_LIMIT = 200
+# level sums the epsilon algorithm extrapolates at an endpoint singularity
+_EPSILON_TERMS = 9
 
 
 @functools.cache
@@ -319,41 +293,174 @@ def _gk21():
     return np, np.concatenate((-x, x[-2::-1])), np.concatenate((w, w[-2::-1]))
 
 
-def _quad_lobes(f, lo, his, epsabs):
-    """(integral, abs error) of each lobe [lo, h0], [h0, h1], ... by QUADPACK."""
+def _gk21_pieces(fv, a, b):
+    """(K21, |K21 - G10|) of the array integrand ``fv`` on each piece
+    [a_i, b_i], in one evaluation; ``a`` and ``b`` are numpy arrays."""
+    np, nodes, weights = _gk21()
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    # IEEE results without warnings: a non-finite piece fails every test
+    with np.errstate(all="ignore"):
+        kg = (fv(mid[:, None] + half[:, None] * nodes) @ weights) * half[:, None]
+        return kg[:, 0], np.abs(kg[:, 0] - kg[:, 1])
+
+
+def _elementwise(f):
+    """The array integrand of ``f``, given on floats only: ``f`` at each
+    element.  Every scalar-only caller reaches the rule through it."""
+    np = _gk21()[0]
+    return lambda t: np.fromiter(map(f, t.ravel().tolist()), float, t.size).reshape(t.shape)
+
+
+def _epsilon(s):
+    """Wynn's epsilon-algorithm limit of the sequence ``s``: the last
+    entry of the highest even column of its table."""
+    prev, cur = [0.0] * (len(s) + 1), list(s)
+    best = cur[-1]
+    for col in range(1, len(s)):
+        diffs = [y - x for x, y in zip(cur, cur[1:])]
+        if 0.0 in diffs:
+            # two equal entries: the column has converged
+            return best
+        prev, cur = cur, [p + 1.0 / dy for p, dy in zip(prev[1:], diffs)]
+        if col % 2 == 0:
+            best = cur[-1]
+    return best
+
+
+def quad(fv, lo, hi, epsabs, epsrel):
+    """Adaptive GK21 integral of the array integrand ``fv`` on [lo, hi].
+
+    The first level cuts [lo, hi] into _QUAD_START equal pieces.  Each
+    next level bisects every piece whose |K21 - G10| is above its length
+    share of the tolerance max(epsabs, epsrel |value|), all in one
+    evaluation, until the differences sum to within the tolerance or
+    are not finite (bisection cannot mend an overflow or a NaN).  No
+    share is below 1/_QUAD_LIMIT of the tolerance: _QUAD_LIMIT such
+    pieces still meet it, and near an endpoint singularity the length
+    share of a tiny piece falls below the rounding of its difference,
+    which bisection cannot lower.  Shares of pieces that short add up
+    to more than the tolerance, so a level can fail it with no piece
+    above its share; bisection then stops there.
+
+    At an integrable endpoint singularity f ~ (t - lo)^(s - 1) the
+    error of the end piece falls only like its length^s, so levels at
+    which every other piece has settled form a sequence whose error is
+    a sum of geometric terms; Wynn's epsilon algorithm extrapolates the
+    last _EPSILON_TERMS of them (QUADPACK's qags does the same with its
+    qelg), and its value is taken when four successive extrapolations
+    agree within the tolerance.
+
+    Returns (value, abs error, {"neval": evaluations, "last": pieces}),
+    as scipy's ``quad`` does with ``full_output``, plus a message when
+    the tolerance is not met: the next level would exceed _QUAD_LIMIT
+    pieces, or would bisect none.
+    """
+    np = _gk21()[0]
+    e = lo + (hi - lo) / _QUAD_START * np.arange(_QUAD_START + 1.0)
+    e[-1] = hi
+    a, b = e[:-1], e[1:]
+    k, d = _gk21_pieces(fv, a, b)
+    neval = 21 * _QUAD_START
+    sums, limits = [], []
+    while True:
+        value, err = float(k.sum()), float(d.sum())
+        tol = max(epsabs, epsrel * abs(value))
+        info = {"neval": neval, "last": len(a)}
+        if not tol < err < math.inf:
+            return value, err, info
+        rest = float(d[(a != lo) & (b != hi)].sum())
+        if rest <= 0.5 * tol:
+            sums.append(value)
+            limits.append(_epsilon(sums[-_EPSILON_TERMS:]))
+            if len(limits) >= 4:
+                ext = limits[-1]
+                ext_err = sum(abs(ext - x) for x in limits[-4:-1]) + rest
+                if ext_err <= tol:
+                    return ext, ext_err, info
+                if ext_err < err:
+                    value, err = ext, ext_err
+        else:
+            sums.clear()
+            limits.clear()
+        split = d * (hi - lo) > tol * np.maximum(b - a, (hi - lo) / _QUAD_LIMIT)
+        n = int(np.count_nonzero(split))
+        if n == 0 or len(a) + n > _QUAD_LIMIT:
+            # the better of the level sum and its extrapolation
+            return value, err, info, (
+                f"the error {err:.2e} is above the tolerance {tol:.2e} at {len(a)} pieces")
+        m = 0.5 * (a[split] + b[split])
+        ca = np.concatenate((a[split], m))
+        cb = np.concatenate((m, b[split]))
+        ck, cd = _gk21_pieces(fv, ca, cb)
+        neval += 42 * n
+        keep = ~split
+        a, b = np.concatenate((a[keep], ca)), np.concatenate((b[keep], cb))
+        k, d = np.concatenate((k[keep], ck)), np.concatenate((d[keep], cd))
+
+
+def _quad_lobes(fv, lo, his, epsabs):
+    """(integral, abs error) of each lobe [lo, h0], [h0, h1], ... by ``quad``."""
     for hi in his:
-        yield _lobe_quad(f, lo, hi, epsabs, epsabs)
+        yield quad(fv, lo, hi, epsabs=epsabs, epsrel=epsabs)[:2]
         lo = hi
 
 
-def _block_lobes(f, f_over, lo, his, epsabs):
+def _graded_lobe(fv, edges, kron, diff, epsabs):
+    """(value, error) of a lobe cut into pieces at ``edges``, from their
+    K21 and |K21 - G10|: sums over the pieces.  The lobe's tolerance,
+    max(epsabs, epsabs |value|) as for a lobe ``quad`` integrates, is
+    parted among the pieces in proportion to the larger of each one's
+    share of the lobe's length and its |K21|; a piece whose difference
+    is above its part is integrated by ``quad`` to that part."""
+    width = edges[-1] - edges[0]
+    own = [max((hi - lo) / width, abs(k)) for lo, hi, k in zip(edges, edges[1:], kron)]
+    # a NaN K21 leaves its piece its length share, a lobe that overflows
+    # NaN parts, which every piece fails
+    scale = epsabs * max(1.0, abs(sum(kron))) / sum(own)
+    for j, w in enumerate(own):
+        if not diff[j] <= scale * w:
+            kron[j], diff[j] = quad(fv, edges[j], edges[j + 1], epsabs=scale * w, epsrel=0.0)[:2]
+    return sum(kron), sum(diff)
+
+
+def _block_lobes(fv, lo, his, epsabs):
     """Like ``_quad_lobes``, integrating _BLOCK lobes per GK21 evaluation.
 
-    ``f_over(numpy)`` is the integrand on arrays.  A lobe is accepted
-    when |K21 - G10| <= max(epsabs, epsabs |K21|), and the difference is
-    its error estimate; any other lobe goes to QUADPACK with ``f``.
+    The first block cuts the first lobe at _FIRST_LOBE_CUTS and halves
+    the second, which ``_graded_lobe`` then settles.  Any other lobe is
+    accepted when |K21 - G10| <= max(epsabs, epsabs |K21|), and the
+    difference is its error estimate; otherwise it goes to ``quad``
+    when it is reached.
     """
-    np, nodes, weights = _gk21()
-    fv = f_over(np)
+    np = _gk21()[0]
+    first = True
     while True:
         block = list(islice(his, _BLOCK))
         if not block:
             return
         edges = [lo] + block
+        pieces = [1] * len(block)            # per lobe
+        if first:
+            first = False
+            width = block[0] - lo
+            edges[1:1] = [lo + c * width for c in _FIRST_LOBE_CUTS]
+            pieces[0] += len(_FIRST_LOBE_CUTS)
+            if len(block) > 1:
+                edges.insert(pieces[0] + 1, 0.5 * (block[0] + block[1]))
+                pieces[1] = 2
         e = np.array(edges)
-        mid = 0.5 * (e[1:] + e[:-1])
-        half = 0.5 * (e[1:] - e[:-1])
-        # IEEE results without warnings, as on the scalar path; a non-finite
-        # lobe fails the test below and goes to QUADPACK
-        with np.errstate(all="ignore"):
-            kg = (fv(mid[:, None] + half[:, None] * nodes) @ weights) * half[:, None]
-            diff = np.abs(kg[:, 0] - kg[:, 1]).tolist()
-        kron = kg[:, 0].tolist()
-        for i, (piece, err) in enumerate(zip(kron, diff)):
-            if err <= max(epsabs, epsabs * abs(piece)):
-                yield piece, err
+        kron, diff = _gk21_pieces(fv, e[:-1], e[1:])
+        kron, diff = kron.tolist(), diff.tolist()
+        i = 0
+        for n in pieces:
+            if n > 1:
+                yield _graded_lobe(fv, edges[i:i + n + 1], kron[i:i + n], diff[i:i + n], epsabs)
+            elif diff[i] <= max(epsabs, epsabs * abs(kron[i])):
+                yield kron[i], diff[i]
             else:
-                yield _lobe_quad(f, edges[i], edges[i + 1], epsabs, epsabs)
+                yield quad(fv, edges[i], edges[i + 1], epsabs=epsabs, epsrel=epsabs)[:2]
+            i += n
         lo = block[-1]
 
 
@@ -373,13 +480,14 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
     row agree to max(rel_tol |S|, 1e-15).  The error estimate adds twice
     their difference and 4 eps sum |lobe| to the lobe errors.  Past order
     ``_CRVZ_MAX_ORDER`` each new lobe moves the oldest accelerated one to
-    the direct sum.  ``f_over``, if given,
-    builds ``f`` over a math module: ``f_over(math)`` behaves as ``f``
-    and ``f_over(numpy)`` takes arrays.  With it every lobe, direct or
-    accelerated, comes from one stream integrated in blocks by a fixed
-    Gauss-Kronrod rule, and QUADPACK takes only the lobes that fail its
-    error test (in practice one of the first two, where the weight is
-    steepest); without it QUADPACK integrates every lobe.  At most
+    the direct sum.  The integrand is given once: as ``f``, on floats,
+    or as ``f_over``, which builds it over a math module, so that
+    ``f_over(numpy)`` takes arrays, and ``f`` is then unused (None).
+    With ``f_over`` every lobe, direct or accelerated, comes from one
+    stream integrated in blocks by a fixed Gauss-Kronrod rule, and
+    ``quad`` takes only the pieces that fail its error test; with ``f``
+    ``quad`` integrates every lobe, evaluating ``f`` element by
+    element.  At most
     ``10 * ctl.max_terms`` lobes are integrated, and a NaN lobe or a sum
     that overflows ends the series where it appears.
 
@@ -390,9 +498,9 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
     it = iter(breakpoints)
     lo = next(it)
     if f_over is None:
-        lobes = _quad_lobes(f, lo, it, epsabs)
+        lobes = _quad_lobes(_elementwise(f), lo, it, epsabs)
     else:
-        lobes = _block_lobes(f, f_over, lo, it, epsabs)
+        lobes = _block_lobes(f_over(_gk21()[0]), lo, it, epsabs)
     quad_err = 0.0
     direct = []
     prev_mag = math.inf
@@ -403,12 +511,12 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
         if len(direct) >= max_lobes:
             raise AccelerationStalledError(
                 f"lobe magnitudes did not start decreasing within {max_lobes} lobes")
+        if not math.isfinite(piece):
+            # a NaN or infinite lobe can never converge: stop at once
+            raise _not_finite(len(direct))
         if abs(piece) <= prev_mag:
             decreases += 1
         else:
-            # a NaN lobe lands here: it can never converge, so stop at once
-            if not math.isfinite(piece):
-                raise _not_finite(len(direct))
             decreases = 0
         prev_mag = abs(piece)
         if decreases >= 2 and len(direct) >= 3:
@@ -473,9 +581,9 @@ def oscillatory_integral(g, kernel: Kernel, zeta: float, start: float = 0.0,
                          g_over=None) -> QuadratureReport:
     """Integral of g(t) * kernel(zeta*t) over [start, inf) by lobe summation.
 
-    ``g_over``, if given, builds the weight over a math module:
-    ``g_over(math)`` is ``g`` and ``g_over(numpy)`` takes arrays, which
-    lets ``lobe_sum`` batch the accelerated lobes.
+    ``g_over``, if given, builds the weight over a math module in place
+    of ``g`` (then None): ``g_over(numpy)`` takes arrays, which lets
+    ``lobe_sum`` batch the lobes.
 
     ``g`` should be completely monotone, as every weight of the library
     is (module docstring).  Lobe magnitudes that oscillate themselves,
@@ -484,9 +592,10 @@ def oscillatory_integral(g, kernel: Kernel, zeta: float, start: float = 0.0,
     lobe cap, ``10 * ctl.max_terms``.
     """
     kernel = _as_kernel(kernel)
-    f = _kernel_times(g, _trig(kernel, math), zeta)
-    f_over = None
-    if g_over is not None:
+    f = f_over = None
+    if g_over is None:
+        f = _kernel_times(g, _trig(kernel, math), zeta)
+    else:
         f_over = lambda m: _kernel_times(g_over(m), _trig(kernel, m), zeta)
     value, err, lobes, accelerated = lobe_sum(
         f, kernel_breakpoints(kernel, zeta, start), ctl, f_over)
@@ -510,8 +619,8 @@ def integrate_semi_infinite(spec: IntegrandSpec,
                             ctl: SeriesControl = DEFAULT_CONTROL) -> QuadratureReport:
     """Evaluate the semi-infinite oscillatory integral described by ``spec``.
 
-    Each weight is written once, over a math module ``m``: ``math`` for
-    the QUADPACK lobes, ``numpy`` for the batched ones.
+    Each weight is written once, over a math module ``m``, for
+    ``lobe_sum`` to evaluate over numpy.
     """
     w = spec.weight
     if isinstance(w, QuadraticPhase):
@@ -522,7 +631,7 @@ def integrate_semi_infinite(spec: IntegrandSpec,
             return lambda z: trig(c * z * z) * (z * z + 1.0) ** -p
 
         value, err, lobes, accelerated = lobe_sum(
-            f_over(math), _quadratic_breakpoints(spec.kernel, c), ctl, f_over)
+            None, _quadratic_breakpoints(spec.kernel, c), ctl, f_over)
         return QuadratureReport(value, err, lobes, accelerated)
 
     if isinstance(w, HalfPower):
@@ -543,30 +652,25 @@ def integrate_semi_infinite(spec: IntegrandSpec,
         g_over = lambda m: lambda t: m.log(t + x) / m.sqrt(t + x)
     else:
         raise DomainError(f"unknown weight {w!r}")
-    return oscillatory_integral(g_over(math), spec.kernel, spec.zeta, 0.0, ctl, g_over)
+    return oscillatory_integral(None, spec.kernel, spec.zeta, 0.0, ctl, g_over)
 
 
-def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
-                     ctl: SeriesControl = DEFAULT_CONTROL) -> QuadratureReport:
+def integrate_finite(f: Optional[Callable[[float], float]], lo: float, hi: float,
+                     ctl: SeriesControl = DEFAULT_CONTROL, f_over=None) -> QuadratureReport:
     """Adaptive Gauss-Kronrod integral of ``f`` on the finite range [lo, hi].
 
-    QUADPACK is asked for ``ctl.rel_tol`` raised to
-    ``_QUADPACK_EPSREL_FLOOR``, the finest tolerance it can meet (module
-    docstring); a finer request would end at its round-off exit.  The
-    error it reports is still checked against ``ctl.rel_tol`` itself,
-    with 1e-13 absolute slack.
+    ``quad`` is asked for ``ctl.rel_tol`` relative with 1e-15 absolute
+    slack.  The integrand is given once, as for ``lobe_sum``: as ``f``,
+    evaluated element by element, or as ``f_over``, with ``f`` None.
+    A tolerance not met within ``quad``'s piece limit raises
+    ``MaxSubdivisionsError``.
     """
     if lo > hi:
         raise DomainError(f"need lo <= hi, got [{lo}, {hi}]")
     if lo == hi:
         return QuadratureReport(0.0, 0.0, 0, False)
-    res = quad(f, lo, hi, epsabs=1e-15, epsrel=max(ctl.rel_tol, _QUADPACK_EPSREL_FLOOR),
-               limit=200, full_output=1)
-    value, abserr, info = res[0], res[1], res[2]
+    fv = _elementwise(f) if f_over is None else f_over(_gk21()[0])
+    res = quad(fv, lo, hi, epsabs=1e-15, epsrel=ctl.rel_tol)
     if len(res) > 3:
         raise MaxSubdivisionsError(f"quadrature on [{lo}, {hi}]: {res[3]}")
-    if abserr > ctl.rel_tol * abs(value) + 1e-13:
-        raise MaxSubdivisionsError(
-            f"quadrature on [{lo}, {hi}] reached error {abserr:.2e}, "
-            f"above the requested {ctl.rel_tol:.2e} relative")
-    return QuadratureReport(value, abserr, int(info["last"]), False)
+    return QuadratureReport(res[0], res[1], res[2]["last"], False)

@@ -129,8 +129,11 @@ def pole_head_cos_approx(c: float, gamma: float) -> float:
 
 
 def _head_quad(kernel, c, gamma, ctl):
-    kern = _trig(kernel, math)
-    return integrate_finite(lambda x: kern(c * x * x) / (x * x + 1.0), 0.0, gamma, ctl).value
+    def f_over(m):
+        trig = _trig(kernel, m)
+        return lambda x: trig(c * x * x) / (x * x + 1.0)
+
+    return integrate_finite(None, 0.0, gamma, ctl, f_over).value
 
 
 def _transform(a, b, zeta, ctl, heads_by_quadrature, approx, as_printed):

@@ -488,7 +488,7 @@ def _gen_trig_tail(kernel, alpha, z, ctl):
         trig = _trig(kernel, m)
         return lambda t: trig(t) * t ** e
 
-    value, _, _, _ = lobe_sum(f_over(math), kernel_breakpoints(kernel, 1.0, z), ctl, f_over)
+    value, _, _, _ = lobe_sum(None, kernel_breakpoints(kernel, 1.0, z), ctl, f_over)
     return value
 
 

@@ -248,9 +248,11 @@ def head_cos_approx(c: float, gamma: float, as_printed: bool = False) -> float:
 
 
 def _head_quad(kernel, c, gamma, ctl):
-    kern = _trig(kernel, math)
-    return integrate_finite(lambda z: kern(c * z * z) / math.sqrt(z * z + 1.0),
-                            0.0, gamma, ctl).value
+    def f_over(m):
+        trig = _trig(kernel, m)
+        return lambda z: trig(c * z * z) / m.sqrt(z * z + 1.0)
+
+    return integrate_finite(None, 0.0, gamma, ctl, f_over).value
 
 
 def _assemble(p, prefactor, tails, hyp, power, approx_heads, quad, ctl, quadrature):

@@ -62,6 +62,37 @@ def test_timing_flag_adds_field(capsys):
     assert "elapsed_us" in json.loads(out)
 
 
+# a closed form, the series route (quadrature heads), a closed form that
+# sums si/ci lobes (a = b) and the oracle
+TIMED = {
+    "closed-form": ("--family", "half-power", "--alpha", "0", "--x", "1"),
+    "series": ("--family", "two-radical", "--a", "0.4", "--b", "1.9", "--method", "series"),
+    "si-ci": ("--family", "two-radical", "--a", "1", "--b", "1"),
+    "oracle": ("--family", "lommel", "--n", "1", "--m", "3", "--x", "2", "--method", "oracle"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIMED))
+def test_timed_evaluation_imports_nothing(case):
+    # --timing loads what an evaluation needs before the clock starts, so
+    # elapsed_us holds no import; in a fresh interpreter every import
+    # would be a first one
+    code = ("import sys\n"
+            "import oscint.cli as cli\n"
+            "evaluate = cli.evaluate\n"
+            "def timed(*args):\n"
+            "    before = set(sys.modules)\n"
+            "    out = evaluate(*args)\n"
+            "    assert set(sys.modules) == before, sorted(set(sys.modules) - before)\n"
+            "    return out\n"
+            "cli.evaluate = timed\n"
+            f"assert cli.main(['eval', '--timing', *{list(TIMED[case])!r}]) == 0\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "elapsed_us" in json.loads(proc.stdout)
+
+
 def test_compare_gate(capsys):
     code, out, _ = run_cli(capsys, "compare", "--family", "radical-pole",
                            "--a", "1", "--b", "2", "--zeta", "1")

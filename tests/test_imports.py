@@ -1,8 +1,9 @@
-"""Structural import gates: closed forms run without scipy or numpy, and
-a cold ``oscint eval`` loads only its own family's modules.
+"""Structural import gates: closed forms run without scipy or numpy, the
+oracle without scipy, and a cold ``oscint eval`` loads only its own
+family's modules.
 
 Each probe runs in a fresh interpreter, because the test process itself
-has long since imported scipy.  The last line a probe prints is the
+has long since imported scipy (the tests compare against it).  The last line a probe prints is the
 sorted list of watched modules in ``sys.modules``: those whose top-level
 package is in ``watch`` (by default the heavy ones).  The gates count
 modules; none of them takes a timing.
@@ -129,14 +130,29 @@ def test_gamma_and_fresnel_routes_load_no_scipy_or_numpy(route):
     assert json.loads(out[0])["method"] == "closed-form"
 
 
-def test_oracle_eval_loads_scipy_and_prints_the_same_bytes(capsys):
+def test_oracle_eval_loads_no_scipy_and_prints_the_same_bytes(capsys):
     argv = ["eval", "--family", "two-radical", *IN_GRID["two-radical"], "--method", "oracle"]
-    code = _eval_code(argv) + ("\nimport oscint.oracle, scipy.integrate"
-                               "\nassert oscint.oracle.quad is scipy.integrate.quad")
-    out, heavy = _fresh(code)
-    assert "scipy" in heavy
+    out, heavy = _fresh(_eval_code(argv))
+    assert "numpy" in heavy
+    assert not [m for m in heavy if m.partition(".")[0] == "scipy"]
     assert main(argv) == 0
     assert out == capsys.readouterr().out.splitlines()
+
+
+# every oracle-backed subcommand: compare runs the oracle and the
+# quadrature heads next to the closed form; selfcheck runs every group
+ORACLE_COMMANDS = {
+    "compare": ["compare", "--family", "radical-pole", "--a", "0.7", "--b", "2.6",
+                "--zeta", "0.5"],
+    "selfcheck": ["selfcheck"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ORACLE_COMMANDS))
+def test_oracle_commands_load_no_scipy(command):
+    _, heavy = _fresh(_eval_code(ORACLE_COMMANDS[command]))
+    assert "numpy" in heavy
+    assert not [m for m in heavy if m.partition(".")[0] == "scipy"]
 
 
 def test_large_gamma_radical_heads_load_no_scipy_or_numpy():

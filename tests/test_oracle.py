@@ -1,6 +1,7 @@
 """Quadrature oracle: goldens, divergence classification, robustness."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import islice
 from operator import mul
@@ -25,6 +26,7 @@ from oscint import (
     integrate_finite,
     integrate_semi_infinite,
 )
+from test_oracle_accuracy import reference
 
 SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 EPS = math.ulp(1.0)
@@ -139,16 +141,17 @@ def test_integrate_finite_empty_and_golden():
 
 
 def test_integrate_finite_meets_a_tolerance_below_quadpack_floor(monkeypatch):
-    # QUADPACK cannot meet 1e-14 (its floor is 50 eps ~ 1.1e-14): asked
-    # for it, it ends at its round-off exit; asked for the floor, it meets it
+    # 1e-14 is below QUADPACK's floor (50 eps ~ 1.1e-14); the raw
+    # |K21 - G10| of the in-house rule has no such floor, so the rule is
+    # asked for 1e-14 itself and meets it
     calls = []
     quad = oracle.quad
     monkeypatch.setattr(oracle, "quad", lambda *a, **k: calls.append(k["epsrel"]) or quad(*a, **k))
     rep = integrate_finite(math.sin, 0.0, 1.0, SeriesControl(rel_tol=1e-14))
     assert abs(rep.value - (1.0 - math.cos(1.0))) <= 1e-15
-    assert rep.abs_err_est <= oracle._QUADPACK_EPSREL_FLOOR * rep.value
+    assert rep.abs_err_est <= 1e-14 * rep.value
     integrate_finite(math.sin, 0.0, 1.0, SeriesControl(rel_tol=1e-10))
-    assert calls == [oracle._QUADPACK_EPSREL_FLOOR, 1e-10]
+    assert calls == [1e-14, 1e-10]
 
 
 def test_lobe_count_insensitivity():
@@ -185,32 +188,35 @@ def test_non_finite_parameter_is_domain_error(param, bad):
         NON_FINITE[param](bad)
 
 
-def test_first_quadrature_binds_scipy_quad(monkeypatch):
-    import scipy.integrate
-
-    monkeypatch.setattr(oracle, "quad", oracle._first_quad)
+def test_quadrature_is_the_in_house_rule_and_stays_bound():
+    # the fallback is this module's own array rule, and no call rebinds
+    # it (test_imports checks, in a fresh interpreter, that no oracle
+    # command loads scipy)
+    rule = oracle.quad
+    assert rule.__module__ == "oscint.oracle"
     integrate_finite(math.sin, 0.0, 1.0)
-    assert oracle.quad is scipy.integrate.quad
+    osc(HalfPower(0.0, 0.0))
+    assert oracle.quad is rule
 
 
 def test_wrapper_installed_before_first_use_sees_every_call(monkeypatch):
-    stub = oracle._first_quad
+    rule = oracle.quad
     calls = []
 
     def wrapper(*args, **kwargs):
         calls.append(args[1:3])
-        return stub(*args, **kwargs)
+        return rule(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "quad", wrapper)
-    quadpack_lobes = _record_lobe_quad(monkeypatch)
-    rep = osc(HalfPower(0.0, 1.0))
+    rep = osc(HalfPower(0.0, 0.0))
     integrate_finite(math.sin, 0.0, 1.0)
     assert oracle.quad is wrapper
-    # every lobe QUADPACK integrates, plus the finite integral; the
-    # batched lobes make no call
-    assert len(calls) == len(quadpack_lobes) + 1
-    assert 1 <= len(quadpack_lobes) < rep.zero_intervals_used
-    assert calls[-1] == (0.0, 1.0)
+    # every caller looks the rule up as the module global, so the wrapper
+    # sees each call: the end piece of the first lobe at the singular
+    # origin, the only piece that fails the GK21 test, then the finite
+    # integral; the batched lobes make no call
+    assert rep.zero_intervals_used > 3
+    assert calls == [(0.0, oracle._FIRST_LOBE_CUTS[0] * math.pi), (0.0, 1.0)]
 
 
 # ---------------------------------------------------------------- batched lobes
@@ -243,10 +249,12 @@ def _record_quad(monkeypatch):
 
 
 def _quadpack_only(monkeypatch):
-    """Route every lobe through QUADPACK, as with a scalar integrand only."""
+    """Route every lobe through the fallback rule, as with a scalar
+    integrand only: the array integrand is handed over as a float one."""
     lobe_sum = oracle.lobe_sum
     monkeypatch.setattr(oracle, "lobe_sum",
-                        lambda f, breakpoints, ctl, f_over=None: lobe_sum(f, breakpoints, ctl))
+                        lambda f, breakpoints, ctl, f_over=None:
+                        lobe_sum(f if f_over is None else f_over(math), breakpoints, ctl))
 
 
 AGREEMENT_WEIGHTS = [HalfPower(1.0, 0.5), TwoRadical(0.5, 2.0), RadicalPole(0.7, 1.9),
@@ -272,43 +280,75 @@ def test_accelerated_series_stops_within_24_lobes(weight, kernel):
     assert osc(weight, kernel, 0.8).zero_intervals_used <= 24
 
 
-def _record_lobe_quad(monkeypatch):
-    lobe_quad = oracle._lobe_quad
-    lobes = []
-
-    def recording(f, lo, hi, epsabs, epsrel):
-        lobes.append((lo, hi))
-        return lobe_quad(f, lo, hi, epsabs, epsrel)
-
-    monkeypatch.setattr(oracle, "_lobe_quad", recording)
-    return lobes
-
-
 def test_tail_lobe_with_a_jump_goes_to_quadpack(monkeypatch):
+    # "quadpack" names the fallback rule, ``quad``, which took over from it
     jump = 9.5 * math.pi          # inside the tenth lobe, [9 pi, 10 pi]
 
     def over(step):
         return lambda m: lambda t: m.sin(t) / (t + 1.0) * (1.0 + step * (t > jump))
 
     breakpoints = lambda: oracle.kernel_breakpoints(Kernel.SIN, 1.0)
-    quadpack_lobes = _record_lobe_quad(monkeypatch)
+    fallback = _record_quad(monkeypatch)
     oracle.lobe_sum(over(0.0)(math), breakpoints(), f_over=over(0.0))
-    smooth = list(quadpack_lobes)
-    quadpack_lobes.clear()
+    smooth = list(fallback)
+    fallback.clear()
     value, err, lobes, _ = oracle.lobe_sum(over(0.5)(math), breakpoints(), f_over=over(0.5))
     assert lobes > 10
-    assert quadpack_lobes == smooth + [(9 * math.pi, 10 * math.pi)]
+    assert fallback == smooth + [(9 * math.pi, 10 * math.pi)]
     ref, ref_err, _, _ = oracle.lobe_sum(over(0.5)(math), breakpoints())
     assert abs(value - ref) <= err + ref_err
 
 
-def test_half_power_lobes_make_at_most_five_quadpack_calls(monkeypatch):
-    # QUADPACK only for the first lobe, where the weight is steepest and
-    # the GK21 test fails; the other 18, direct ones included, are batched
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_half_power_lobes_make_no_fallback_call(monkeypatch, kernel):
+    # the first lobe, where the weight is steepest, fails the GK21 test as
+    # a whole; cut into pieces graded toward the origin, it settles in the
+    # block with the other lobes
     calls = _record_quad(monkeypatch)
-    rep = osc(HalfPower(0.0, 1.0))
-    assert rep.zero_intervals_used == 19
-    assert calls == [(0.0, math.pi)]
+    rep = osc(HalfPower(0.0, 1.0), kernel)
+    assert rep.zero_intervals_used == (19 if kernel is Kernel.SIN else 20)
+    assert calls == []
+
+
+# steep first lobes: weights over a math module (at p = 2.625 and
+# 3.375 the cut lobes come nearest their tolerance)
+GRADED_WEIGHTS = {
+    "HalfPower(4.7, 0.126)": lambda m: lambda t: (t + 0.126) ** -5.2,
+    "HalfPower(2.125, 0.0327)": lambda m: lambda t: (t + 0.0327) ** -2.625,
+    "HalfPower(2.875, 0.0079)": lambda m: lambda t: (t + 0.0079) ** -3.375,
+    "HalfPower(2.5, 0.05)": lambda m: lambda t: (t + 0.05) ** -3.0,
+    "HalfPower(0, 0.01)": lambda m: lambda t: (t + 0.01) ** -0.5,
+    "TwoRadical(0.05, 0.3)": lambda m: lambda t: 1.0 / m.sqrt((t + 0.05) * (t + 0.3)),
+    "LogHalfPower(0.05)": lambda m: lambda t: m.log(t + 0.05) / m.sqrt(t + 0.05),
+}
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+@pytest.mark.parametrize("name", sorted(GRADED_WEIGHTS))
+def test_cut_lobes_meet_the_tolerance_of_a_whole_lobe(name, kernel):
+    # the pieces of the first two lobes share the tolerance quad holds a
+    # lobe to, max(epsabs, epsabs |lobe|); each is not given all of it
+    epsabs = 1e-14
+    g, trig = GRADED_WEIGHTS[name](np), oracle._trig(kernel, np)
+    breakpoints = islice(oracle.kernel_breakpoints(kernel, 1.0), 1, None)
+    lobes = oracle._block_lobes(lambda t: g(t) * trig(t), 0.0, breakpoints, epsabs)
+    for value, err in islice(lobes, 2):
+        assert err <= max(epsabs, epsabs * abs(value)) * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("p, kernel", [(0.7, Kernel.COS), (0.9, Kernel.COS), (0.97, Kernel.COS),
+                                       (1.9, Kernel.SIN)])
+def test_singular_origin_is_extrapolated(p, kernel):
+    # t^-p kernel(t) at x = 0: the end piece at the origin falls back, and
+    # its error shrinks only like length^(1 - p) (cos) or length^(2 - p)
+    # (sin) under bisection; Wynn's epsilon algorithm on the level sums
+    # recovers Gamma(1 - p) cos or sin of (1 - p) pi/2 to its estimate.
+    # At p = 0.97 the neighbours of the end piece, bisected for rounding
+    # noise below their length share, would spoil the level sums
+    trig = math.cos if kernel is Kernel.COS else math.sin
+    exact = math.gamma(1.0 - p) * trig(0.5 * math.pi * (1.0 - p))
+    rep = osc(HalfPower(p - 0.5, 0.0), kernel)
+    assert abs(rep.value - exact) <= rep.abs_err_est <= 1e-12 * exact
 
 
 def _record_quad_outcomes(monkeypatch):
@@ -326,20 +366,26 @@ def _record_quad_outcomes(monkeypatch):
 
 
 def test_fallback_lobe_is_settled_without_the_round_off_exit(monkeypatch):
-    # asked for epsrel 1e-14, below QUADPACK's floor, the lobe [0, pi]
-    # takes 483 evaluations and ends at the round-off exit; at the floor
-    # it takes 63
+    # HalfPower(0, 1) needs no fallback; at the singular origin of
+    # HalfPower(0, 0) the end piece of the first lobe falls back, and
+    # bisection toward t = 0 settles by extrapolation, well inside the
+    # piece limit
     outcomes = _record_quad_outcomes(monkeypatch)
     osc(HalfPower(0.0, 1.0))
-    assert len(outcomes) == 1
-    neval, warning = outcomes[0]
-    assert neval <= 105
-    assert warning is None
+    assert outcomes == []
+    for kernel in Kernel:
+        rep = osc(HalfPower(0.0, 0.0), kernel)
+        assert abs(rep.value - SQRT_HALF_PI) <= rep.abs_err_est <= 1e-13
+    assert len(outcomes) == 2
+    for neval, warning in outcomes:
+        assert neval <= 21 * 20
+        assert warning is None
 
 
 def test_no_fallback_lobe_ends_at_the_round_off_exit(monkeypatch):
-    # steep first lobes of magnitude ~1: asked for epsrel 1e-14, nine
-    # calls in this set end at the round-off exit
+    # steep first lobes of magnitude ~1: asked for epsrel 1e-14, QUADPACK
+    # ended nine calls in this set at its round-off exit; no call of the
+    # in-house rule may end at its piece limit
     outcomes = _record_quad_outcomes(monkeypatch)
     warned = []
     for weight in AGREEMENT_WEIGHTS + [HalfPower(2.5, 0.05), TwoRadical(0.05, 0.3),
@@ -349,6 +395,16 @@ def test_no_fallback_lobe_ends_at_the_round_off_exit(monkeypatch):
             osc(weight, kernel, 0.8)
             warned += [(weight, kernel, w) for _, w in outcomes if w is not None]
     assert warned == []
+
+
+@pytest.mark.parametrize("x", [0.05, 0.1, 0.3])
+def test_log_half_power_sine_at_small_x_meets_mpmath(monkeypatch, x):
+    # ln(t + x) changes sign inside the first lobe, so the integral of |f|
+    # exceeds |value|: QUADPACK's first lobe ended at its round-off exit
+    outcomes = _record_quad_outcomes(monkeypatch)
+    rep = osc(LogHalfPower(x))
+    assert abs(rep.value - reference(LogHalfPower(x), 1.0)[Kernel.SIN]) <= rep.abs_err_est
+    assert all(warning is None for _, warning in outcomes)
 
 
 def test_smooth_weight_makes_no_quadpack_call(monkeypatch):
@@ -419,11 +475,114 @@ def test_nan_lobe_stops_the_sum(monkeypatch, name, batched):
     # a non-finite lobe can never converge: the sum stops at that lobe
     # instead of integrating up to the lobe cap, and without a warning
     over, lobe = NAN_INTEGRANDS[name]
-    quadpack_lobes = _record_lobe_quad(monkeypatch)
+    calls = _record_quad(monkeypatch)
     with pytest.raises(AccelerationStalledError, match=f"not finite at lobe {lobe}$"):
         oracle.lobe_sum(over(math), oracle.kernel_breakpoints(Kernel.SIN, 1.0),
                         f_over=over if batched else None)
-    assert quadpack_lobes[-1] == ((lobe - 1) * math.pi, lobe * math.pi)
+    # the last call of the fallback rule lies in that lobe: the whole lobe
+    # on the scalar path, where the rule integrates every lobe, one of its
+    # pieces failing the GK21 test when batched (the first lobe is cut)
+    lo, hi = calls[-1]
+    assert (lobe - 1) * math.pi <= lo < hi <= lobe * math.pi
+    if not batched:
+        assert calls[-1] == ((lobe - 1) * math.pi, lobe * math.pi)
+
+
+# ------------------------------------- the fallback rule against QUADPACK
+
+def _weight_over(rng):
+    """A seeded in-grid weight over a math module."""
+    x, p = rng.uniform(0.05, 10.0), rng.randint(0, 5) + 0.5
+    a = rng.uniform(0.05, 1.0)
+    b = a + rng.uniform(0.2, 3.5)
+    return rng.choice([lambda m: lambda t: (t + x) ** -p,
+                       lambda m: lambda t: 1.0 / m.sqrt((t + a) * (t + b)),
+                       lambda m: lambda t: 1.0 / (m.sqrt(t + a) * (t + b)),
+                       lambda m: lambda t: m.log(t + x) / m.sqrt(t + x)])
+
+
+def _lobe_cases(seed, n):
+    """(f over a math module, lo, hi): the first, second and fifth lobes
+    of seeded weights under either kernel."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(n):
+        w, kernel, zeta = _weight_over(rng), rng.choice(list(Kernel)), rng.uniform(0.25, 2.0)
+        edges = list(islice(oracle.kernel_breakpoints(kernel, zeta), 6))
+        k = (0, 1, 4)[i % 3]
+
+        def over(m, w=w, kernel=kernel, zeta=zeta):
+            g, trig = w(m), oracle._trig(kernel, m)
+            return lambda t: g(t) * trig(zeta * t)
+        cases.append((over, edges[k], edges[k + 1]))
+    return cases
+
+
+def _head_cases(seed, n):
+    """(f over a math module, 0, gamma): radical heads of both families at
+    the phases c gamma^2 in (25, 40] that the closed forms integrate."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(n):
+        kernel, power = rng.choice(list(Kernel)), rng.choice([0.5, 1.0])
+        gamma = rng.uniform(1.0, 6.0)
+        c = rng.uniform(25.0, 40.0) / gamma ** 2
+
+        def over(m, kernel=kernel, c=c, power=power):
+            trig = oracle._trig(kernel, m)
+            return lambda z: trig(c * z * z) * (z * z + 1.0) ** -power
+        cases.append((over, 0.0, gamma))
+    return cases
+
+
+CROSS_CASES = _lobe_cases(16, 24) + _head_cases(17, 12)
+
+
+@pytest.mark.parametrize("case", range(len(CROSS_CASES)))
+def test_fallback_rule_agrees_with_quadpack(case):
+    # scipy is a test extra: QUADPACK, asked for 100 eps relative (the
+    # finest it can meet), is an independent adaptive rule with its own
+    # error estimate; full output returns its round-off exit as a message
+    # (some lobes of the log weight end there) instead of a warning
+    from scipy.integrate import quad as quadpack
+
+    over, lo, hi = CROSS_CASES[case]
+    res = oracle.quad(over(np), lo, hi, epsabs=1e-15, epsrel=1e-13)
+    assert len(res) == 3
+    ref, ref_err = quadpack(over(math), lo, hi, epsabs=1e-15, epsrel=100 * EPS, limit=200,
+                            full_output=1)[:2]
+    assert abs(res[0] - ref) <= res[1] + ref_err
+
+
+def test_fallback_rule_stops_at_a_level_that_bisects_no_piece():
+    # The integrand is nonzero only at the first (Kronrod-only) node of
+    # each piece, set so that a piece of length l has |K21 - G10| = D(l),
+    # chosen for tolerance 1 on [0, 1]: on [0, 1/4] D = 1.2 l, above the
+    # length share, down to l = 1/256, below 1/200, where D = 0.95/200,
+    # under the 1/200 floor; on [1/4, 1] D = 0.95 l.  The 64 + 6 pieces
+    # then sum to 1.0165 with none above its share and 0.89 away from
+    # the ends (no extrapolation), so a further level would bisect
+    # nothing and change nothing.
+    _, nodes, weights = oracle._gk21()
+    w0 = weights[0, 0]
+    evals = []
+
+    def fv(t):
+        evals.append(t.shape[0])
+        assert len(evals) <= 10, "no progress: the same level again"
+        half = (t[:, -1] - t[:, 0]) / (2.0 * nodes[-1])
+        length = 2.0 * half
+        left = t[:, 10] < 0.25
+        d = np.where(left, np.where(length < 1 / 200, 0.95 / 200, 1.2 * length), 0.95 * length)
+        out = np.zeros_like(t)
+        out[:, 0] = d / (half * w0)
+        return out
+
+    res = oracle.quad(fv, 0.0, 1.0, epsabs=1.0, epsrel=0.0)
+    assert len(res) == 4 and "above the tolerance" in res[3]
+    assert res[2]["last"] == 64 + 6
+    assert abs(res[1] - (64 * 0.95 / 200 + 6 * 0.95 / 8)) <= 1e-12
+    assert evals == [8, 4, 8, 16, 32, 64]
 
 
 # ---------------------------------------------- Cohen-Villegas-Zagier rule
