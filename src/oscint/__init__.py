@@ -12,7 +12,9 @@ coefficients, the last Fresnel pair, the last (J0, Y0) pair, the 2F1
 term ratios per shape and the moment-table length per rounded phase),
 which never change a value, and this package's name cache below.
 
-``import oscint`` loads no submodule.  A public name resolves on first
+``import oscint`` loads no submodule.  ``_SUBMODULE`` below is the one
+list of public names: a new public name is added there only, and no
+submodule keeps an ``__all__``.  A public name resolves on first
 access (PEP 562 module ``__getattr__``): the submodule that defines it
 is imported then, and the name is cached in this package's globals, so
 later lookups, ``dir`` and patching see an ordinary attribute.  That

@@ -11,8 +11,6 @@ checks that fail for reasons other than a formula error.
 
 from .errors import Record
 
-__all__ = ["Erratum", "ERRATA", "find"]
-
 
 class Erratum(Record):
     """One arbitration; ``corrected``: default behavior differs from the printed form."""

@@ -35,18 +35,6 @@ from .errors import (DivergentIntegralError, DomainError, Kernel, Record, _as_ke
                      _require_finite)
 from .special_functions import fresnel_c, fresnel_s
 
-__all__ = [
-    "PhasePattern",
-    "FamilyCoefficients",
-    "HalfPowerParams",
-    "fresnel_bracket",
-    "family_coefficients",
-    "s0",
-    "c0",
-    "s_alpha",
-    "c_alpha",
-]
-
 _SQRT2_PI_HALF = math.log(math.sqrt(2.0) * math.pi / 2.0)
 
 
@@ -91,7 +79,10 @@ class FamilyCoefficients(Record):
 
 def fresnel_bracket(u: float, pattern: PhasePattern) -> float:
     """The two Fresnel combinations entering every assembled transform."""
-    r = math.sqrt(2.0 * u / math.pi)
+    try:
+        r = math.sqrt(2.0 * u / math.pi)
+    except ValueError:
+        raise DomainError(f"fresnel_bracket needs u >= 0, got {u}") from None
     s = 1.0 - 2.0 * fresnel_s(r)
     c = 1.0 - 2.0 * fresnel_c(r)
     if pattern is PhasePattern.SIN_LIKE:

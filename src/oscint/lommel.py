@@ -36,20 +36,6 @@ from .special_functions import (
     upper_incomplete_gamma,
 )
 
-__all__ = [
-    "LommelOrder",
-    "GeneralExponent",
-    "lommel_s_half",
-    "sin_exponent_transform",
-    "cos_exponent_transform",
-    "general_sin_transform",
-    "general_cos_transform",
-    "pre_reduction_values",
-    "log_weighted_sin_integral",
-    "log_weighted_sin_integral_fd",
-    "si_ci_representation",
-]
-
 
 class LommelOrder(Record):
     """First Lommel index mu and the integrand exponent it encodes."""

@@ -67,23 +67,6 @@ from .errors import (
     _trig,
 )
 
-__all__ = [
-    "Kernel",
-    "HalfPower",
-    "TwoRadical",
-    "RadicalPole",
-    "ThreeRadical",
-    "LogHalfPower",
-    "QuadraticPhase",
-    "IntegrandSpec",
-    "QuadratureReport",
-    "integrate_semi_infinite",
-    "integrate_finite",
-    "oscillatory_integral",
-    "kernel_breakpoints",
-    "lobe_sum",
-]
-
 
 # --------------------------------------------------------------------------
 # integrand descriptions
@@ -352,9 +335,8 @@ def quad(fv, lo, hi, epsabs, epsrel):
     agree within the tolerance.
 
     Returns (value, abs error, {"neval": evaluations, "last": pieces}),
-    as scipy's ``quad`` does with ``full_output``, plus a message when
-    the tolerance is not met: the next level would exceed _QUAD_LIMIT
-    pieces, or would bisect none.
+    plus a fourth item, a message, when the tolerance is not met: the
+    next level would exceed _QUAD_LIMIT pieces, or would bisect none.
     """
     np = _gk21()[0]
     e = lo + (hi - lo) / _QUAD_START * np.arange(_QUAD_START + 1.0)
@@ -557,10 +539,13 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
 def kernel_breakpoints(kernel: Kernel, zeta: float, start: float = 0.0):
     """Yield ``start`` followed by the zeros of kernel(zeta*t) above it."""
     kernel = _as_kernel(kernel)
-    yield start
     # the zeros are (k - shift) pi / zeta for integers k
     shift = 0.0 if kernel is Kernel.SIN else 0.5
-    k = math.floor(start * zeta / math.pi + shift) + 1
+    first = start * zeta / math.pi + shift
+    if not (zeta > 0 and math.isfinite(first)):
+        raise DomainError(f"need zeta > 0 and a finite zeta * start, got {zeta}, {start}")
+    k = math.floor(first) + 1
+    yield start
     while True:
         yield (k - shift) * math.pi / zeta
         k += 1
@@ -665,6 +650,8 @@ def integrate_finite(f: Optional[Callable[[float], float]], lo: float, hi: float
     A tolerance not met within ``quad``'s piece limit raises
     ``MaxSubdivisionsError``.
     """
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"need a finite range, got [{lo}, {hi}]")
     if lo > hi:
         raise DomainError(f"need lo <= hi, got [{lo}, {hi}]")
     if lo == hi:

@@ -3,8 +3,8 @@
 The quadratic-phase engine of ``two_radical`` with weight power p = 1:
 the z-integrals carry a simple pole weight 1/(z^2+1), so this module
 supplies Fresnel-integral tails (one Fresnel pair for both kernels), its
-own ``hyp2f1`` binding for the p = 1 head moments, the pole's quadrature
-heads and the prefactor 2/sqrt(b-a).  The integrand
+own ``hyp2f1`` and ``integrate_finite`` bindings for the p = 1 head
+moments and quadrature heads, and the prefactor 2/sqrt(b-a).  The integrand
 is NOT symmetric in a and b, so b > a is required; other orderings have
 no closed form here and callers are pointed at the quadrature oracle.
 
@@ -26,24 +26,10 @@ from __future__ import annotations
 import math
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import DomainError, Kernel, Record, UnsupportedError, _require_finite, _trig
+from .errors import DomainError, Kernel, Record, UnsupportedError, _require_finite
 from .oracle import integrate_finite
 from .special_functions import fresnel_c, fresnel_s, hyp2f1
 from .two_radical import _assemble, _head_approx, _head_series
-
-__all__ = [
-    "RadicalPoleParams",
-    "pole_tail_sin",
-    "pole_tail_cos",
-    "pole_head_sin_series",
-    "pole_head_cos_series",
-    "pole_head_sin_approx",
-    "pole_head_cos_approx",
-    "pole_sin_transform",
-    "pole_cos_transform",
-    "approx_pole_sin_transform",
-    "approx_pole_cos_transform",
-]
 
 
 class RadicalPoleParams(Record):
@@ -128,19 +114,11 @@ def pole_head_cos_approx(c: float, gamma: float) -> float:
     return _head_approx(Kernel.COS, c, gamma, 2.0)
 
 
-def _head_quad(kernel, c, gamma, ctl):
-    def f_over(m):
-        trig = _trig(kernel, m)
-        return lambda x: trig(c * x * x) / (x * x + 1.0)
-
-    return integrate_finite(None, 0.0, gamma, ctl, f_over).value
-
-
 def _transform(a, b, zeta, ctl, heads_by_quadrature, approx, as_printed):
     p = RadicalPoleParams(a, b, zeta)
     approx_heads = (pole_head_sin_approx, pole_head_cos_approx) if approx else None
     return _assemble(p, p.prefactor, _pole_tails(p.c, as_printed), hyp2f1, 1.0, approx_heads,
-                     _head_quad, ctl, heads_by_quadrature)
+                     integrate_finite, ctl, heads_by_quadrature)
 
 
 def pole_sin_transform(a: float, b: float, zeta: float = 1.0,

@@ -22,7 +22,7 @@ from . import radical_pole as rp
 from . import two_radical as tr
 from .control import DEFAULT_CONTROL, SeriesControl
 from .errata import find as find_erratum
-from .errors import DomainError, Kernel, Record, _trig
+from .errors import DomainError, Kernel, Record
 from .oracle import (
     HalfPower,
     IntegrandSpec,
@@ -292,12 +292,6 @@ def _z_oracle(kernel, c, power):
     return integrate_semi_infinite(IntegrandSpec(QuadraticPhase(c, power), kernel)).value
 
 
-def _z_head_quad(kernel, c, power, gamma):
-    trig = _trig(kernel, math)
-    f = lambda z: trig(c * z * z) * (z * z + 1.0) ** -power
-    return integrate_finite(f, 0.0, gamma).value
-
-
 def check_radical_head_moments():
     # the engine's recurrence table against one direct 2F1 per index, both
     # summed to below double rounding so only the recurrence is measured
@@ -338,7 +332,7 @@ def check_radical_heads(family):
     for c in [0.5, 1.0, 5.0]:
         for gamma in [0.3, 0.7, 1.0]:
             for kernel, head in zip(_KERNELS, heads):
-                q = _z_head_quad(kernel, c, power, gamma)
+                q = tr._head_quad(integrate_finite, power, kernel, c, gamma, DEFAULT_CONTROL)
                 ok = abs(head(c, gamma) - q) <= 1e-10 * max(1.0, abs(q))
                 yield f"{kernel.value} c={c} gamma={gamma}", ok, ""
 
@@ -349,7 +343,8 @@ def check_radical_decomposition(family):
         for gamma in [0.3, 0.7, 1.0]:
             for kernel, tail, head in zip(_KERNELS, tails, heads):
                 closed = tail(c) - head(c, gamma)
-                oracle = _z_oracle(kernel, c, power) - _z_head_quad(kernel, c, power, gamma)
+                q = tr._head_quad(integrate_finite, power, kernel, c, gamma, DEFAULT_CONTROL)
+                oracle = _z_oracle(kernel, c, power) - q
                 r = _rel(closed, oracle)
                 yield f"{kernel.value} c={c} gamma={gamma}", r < 1e-8, f"rel {r:.1e}"
 

@@ -11,9 +11,10 @@ Evaluation strategies:
   auxiliary decomposition is evaluated through the incomplete-gamma
   continued fraction at argument -i*pi*z^2/2 (convergent, unlike the
   divergent asymptotic series, which cannot reach 1e-12 near the switch
-  point).  Both branches agree to ~1e-15 at the switch.  One private
-  function computes the (S, C) pair and memoises its last argument, so
-  a caller reading S and then C at the same z sums one branch once.
+  point).  Both branches agree to ~1e-15 at the switch; NaN and inf fall
+  past it and are a DomainError there.  One private function computes
+  the (S, C) pair and memoises its last argument, so a caller reading S
+  and then C at the same z sums one branch once.
 * Bessel J0/Y0: ascending series for z <= 14, Hankel asymptotic sums
   truncated at their smallest term beyond.  The split sits at 14.0, where
   both branches deliver ~3e-12 absolute; at the classical 8.0 the
@@ -53,22 +54,8 @@ import math
 from functools import lru_cache
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import ConvergenceError, DomainError, Kernel, PoleError, _trig
+from .errors import ConvergenceError, DomainError, Kernel, PoleError, _require_finite, _trig
 from .oracle import kernel_breakpoints, lobe_sum
-
-__all__ = [
-    "EULER_GAMMA",
-    "fresnel_s",
-    "fresnel_c",
-    "bessel_j0",
-    "bessel_y0",
-    "gamma_real",
-    "upper_incomplete_gamma",
-    "hyp2f1",
-    "hyp2f2_half",
-    "gen_si",
-    "gen_ci",
-]
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -270,14 +257,22 @@ def upper_incomplete_gamma(a: float, z: complex,
 
 def gamma_real(x: float) -> float:
     """Gamma function of a real argument; poles raise."""
-    if x <= 0 and x == round(x):
-        raise PoleError(f"Gamma pole at x={x}")
+    if not 0 < x < math.inf:
+        _require_finite("gamma_real", x=x)
+        if x == round(x):
+            raise PoleError(f"Gamma pole at x={x}")
     return math.gamma(x)
 
 
 # --------------------------------------------------------------------------
 # Fresnel integrals
 # --------------------------------------------------------------------------
+
+def _require_finite_argument(name, z):
+    # an overflowed argument (or NaN) reaches here, past the series switch
+    if not math.isfinite(z):
+        raise DomainError(f"{name} argument overflows double precision: {z}")
+
 
 def _fresnel_series(z):
     """(S, C) by the Maclaurin series; accurate for |z| <~ 2."""
@@ -302,6 +297,7 @@ def _fresnel_tail(z):
 
     C(z) + iS(z) = e^{i pi/4} (sqrt(pi) - Gamma(1/2, -i pi z^2/2)) / sqrt(2 pi).
     """
+    _require_finite_argument("Fresnel", z)
     w = complex(0.0, -0.5 * math.pi * z * z)
     g = _legendre_cf_backward(0.5, w, DEFAULT_CONTROL)
     val = cmath.exp(0.25j * math.pi) * (math.sqrt(math.pi) - g) / math.sqrt(2.0 * math.pi)
@@ -379,19 +375,13 @@ def _hankel_pq(z):
     return p, q
 
 
-def _require_finite_argument(z):
-    # an overflowed argument (or NaN) reaches here, past the series switch
-    if not math.isfinite(z):
-        raise DomainError(f"Bessel argument overflows double precision: {z}")
-
-
 def bessel_j0(z: float) -> float:
     """Bessel function of the first kind, order zero, z >= 0."""
     if z < 0:
         raise DomainError(f"bessel_j0 needs z >= 0, got {z}")
     if z <= _BESSEL_SWITCH:
         return _bessel_pair(z)[0]
-    _require_finite_argument(z)
+    _require_finite_argument("Bessel", z)
     p, q = _hankel_pq(z)
     w = z - 0.25 * math.pi
     return math.sqrt(2.0 / (math.pi * z)) * (p * math.cos(w) - q * math.sin(w))
@@ -403,7 +393,7 @@ def bessel_y0(z: float) -> float:
         raise DomainError(f"bessel_y0 needs z > 0, got {z}")
     if z <= _BESSEL_SWITCH:
         return _bessel_pair(z)[1]
-    _require_finite_argument(z)
+    _require_finite_argument("Bessel", z)
     p, q = _hankel_pq(z)
     w = z - 0.25 * math.pi
     return math.sqrt(2.0 / (math.pi * z)) * (p * math.sin(w) + q * math.cos(w))
@@ -433,6 +423,8 @@ def _gauss_series(a, b, c, z, ctl):
         total += term
         if abs(term) < ctl.rel_tol * abs(total):
             return total
+    # a NaN or infinite a or b stalls the series; Pfaff leaves that one as given
+    _require_finite("hyp2f1", a=a, b=b)
     raise ConvergenceError(f"2F1 series stalled at ({a},{b};{c};{z})")
 
 
@@ -444,10 +436,12 @@ def hyp2f1(a: float, b: float, c: float, z: float,
     a Pfaff transformation maps the argument to z/(z-1) in (0, 1), where
     the series converges for every z <= 0 the radical transforms produce.
     """
-    if c <= 0 and c == round(c):
-        raise PoleError(f"2F1 pole at c={c}")
-    if z > 0:
-        raise DomainError(f"hyp2f1 supports z <= 0 only, got z={z}")
+    if not 0 < c < math.inf:
+        _require_finite("hyp2f1", c=c)
+        if c == round(c):
+            raise PoleError(f"2F1 pole at c={c}")
+    if not -math.inf < z <= 0:
+        raise DomainError(f"hyp2f1 supports finite z <= 0 only, got z={z}")
     if z == 0:
         return 1.0
     if z >= -0.5:
@@ -468,6 +462,7 @@ def hyp2f2_half(x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
         total += term
         if abs(term) < ctl.rel_tol * abs(total):
             return total
+    _require_finite("hyp2f2_half", x=x)
     raise ConvergenceError(
         f"2F2 series exceeded {ctl.max_terms} terms at |x|={abs(x)}; "
         "the argument is too large for double-precision summation")
@@ -478,9 +473,10 @@ def hyp2f2_half(x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
 # --------------------------------------------------------------------------
 
 def _gen_trig_tail(kernel, alpha, z, ctl):
-    if alpha >= 1:
-        raise DomainError(f"generalized trig integral needs alpha < 1, got {alpha}")
-    if z <= 0:
+    # NaN fails both tests; kernel_breakpoints refuses z = inf
+    if not -math.inf < alpha < 1:
+        raise DomainError(f"generalized trig integral needs finite alpha < 1, got {alpha}")
+    if not z > 0:
         raise DomainError(f"generalized trig integral needs z > 0, got {z}")
     e = alpha - 1.0
 

@@ -20,8 +20,9 @@ The engine below is written once for both p:
   all), each the stable direction;
   the length J grows with the phase, so it is cached per phase rounded
   up to a multiple of 1/16 (bounded LRU);
-* one phase guard (c gamma^2 <= 25) and one fallback to quadrature
-  heads when a series is refused or stalls;
+* one phase guard (c gamma^2 <= 25) and one quadrature head for both p,
+  kernel(c z^2) (z^2+1)^-p on [0, gamma] through the family's own
+  ``integrate_finite`` binding, when a series is refused or stalls;
 * the leading-order heads for gamma <= 1, with coefficient k = 2/p;
 * the assembly: prefactor times (tail - head), rotated by the phase a*zeta.
 
@@ -52,20 +53,6 @@ from .special_functions import (
     gen_si,
     hyp2f1,
 )
-
-__all__ = [
-    "TwoRadicalParams",
-    "tail_sin",
-    "tail_cos",
-    "head_sin_series",
-    "head_cos_series",
-    "head_sin_approx",
-    "head_cos_approx",
-    "sin_transform",
-    "cos_transform",
-    "approx_sin_transform",
-    "approx_cos_transform",
-]
 
 # beyond this phase the alternating factorial series loses > ~10 digits
 _MAX_PHASE = 25.0
@@ -186,6 +173,8 @@ def _head_series(hyp, p, odds, c, gamma, ctl, name):
     g2 = gamma * gamma
     x = c * g2
     if x > _MAX_PHASE:
+        if x == math.inf:
+            _require_finite(name, c=c, gamma=gamma)
         raise ConvergenceError(
             f"head series phase c*gamma^2 = {x:.3g} too large for double precision")
     top = _table_top(x, ctl)
@@ -221,8 +210,8 @@ def head_cos_series(c: float, gamma: float,
 def _head_approx(kernel, c, gamma, k, front_k=None):
     """Leading-order head for gamma <= 1 with k = 2/p; ``front_k``
     replaces k in the endpoint term gamma/(k c)."""
-    if not c > 0:
-        raise DomainError(f"need c > 0, got {c}")
+    if not 0 < c < math.inf:
+        raise DomainError(f"need finite c > 0, got {c}")
     if not 0 <= gamma <= 1:
         raise DomainError(f"approximation requires 0 <= gamma <= 1, got {gamma}")
     w = gamma * math.sqrt(2.0 * c / math.pi)
@@ -247,24 +236,25 @@ def head_cos_approx(c: float, gamma: float, as_printed: bool = False) -> float:
     return _head_approx(Kernel.COS, c, gamma, 4.0, 1.0 if as_printed else None)
 
 
-def _head_quad(kernel, c, gamma, ctl):
+def _head_quad(integrate, power, kernel, c, gamma, ctl):
+    """Integral of kernel(c z^2) (z^2+1)^-power on [0, gamma] by ``integrate``."""
     def f_over(m):
         trig = _trig(kernel, m)
-        return lambda z: trig(c * z * z) / m.sqrt(z * z + 1.0)
+        return lambda z: trig(c * z * z) / (z * z + 1.0) ** power
 
-    return integrate_finite(None, 0.0, gamma, ctl, f_over).value
+    return integrate(None, 0.0, gamma, ctl, f_over).value
 
 
-def _assemble(p, prefactor, tails, hyp, power, approx_heads, quad, ctl, quadrature):
+def _assemble(p, prefactor, tails, hyp, power, approx_heads, integrate, ctl, quadrature):
     """(sin, cos) transforms: ``prefactor`` times (tail - head), rotated by
     the phase a*zeta.
 
     ``tails`` is the (sin, cos) pair on [0, inf).  The heads are the
     family's (sin, cos) leading-order pair ``approx_heads`` when given,
     else both series of weight power ``power`` from one moment table
-    (``hyp`` as in ``_head_series``), replaced by
-    ``quad(kernel, c, gamma, ctl)`` when ``quadrature`` is set or
-    the series raises ConvergenceError.
+    (``hyp`` as in ``_head_series``), replaced by ``_head_quad`` through
+    ``integrate``, the family's own ``integrate_finite`` binding, when
+    ``quadrature`` is set or the series raises ConvergenceError.
     """
     c, g = p.c, p.gamma
     if approx_heads:
@@ -278,7 +268,8 @@ def _assemble(p, prefactor, tails, hyp, power, approx_heads, quad, ctl, quadratu
         except ConvergenceError:
             quadrature = True
     if quadrature:
-        hs, hc = quad(Kernel.SIN, c, g, ctl), quad(Kernel.COS, c, g, ctl)
+        hs = _head_quad(integrate, power, Kernel.SIN, c, g, ctl)
+        hc = _head_quad(integrate, power, Kernel.COS, c, g, ctl)
     ts = tails[0] - hs
     tc = tails[1] - hc
     phase = p.a * p.zeta
@@ -299,7 +290,7 @@ def _transform(a, b, zeta, ctl, heads_by_quadrature, approx, as_printed):
         return _degenerate(p.a, zeta, ctl)
     approx_heads = ((head_sin_approx, lambda c, g: head_cos_approx(c, g, as_printed))
                     if approx else None)
-    return _assemble(p, 2.0, _tails(p.c), hyp2f1, 0.5, approx_heads, _head_quad, ctl,
+    return _assemble(p, 2.0, _tails(p.c), hyp2f1, 0.5, approx_heads, integrate_finite, ctl,
                      heads_by_quadrature)
 
 

@@ -188,6 +188,16 @@ def test_non_finite_parameter_is_domain_error(param, bad):
         NON_FINITE[param](bad)
 
 
+@pytest.mark.parametrize("zeta", [0.0, -1.0])
+def test_non_positive_frequency_is_domain_error(zeta):
+    # zeta = 0 divided by zero; zeta < 0 ran the lobes backward from the
+    # origin and returned a meaningless value
+    with pytest.raises(DomainError, match="zeta > 0"):
+        next(oracle.kernel_breakpoints(Kernel.SIN, zeta))
+    with pytest.raises(DomainError, match="zeta > 0"):
+        oracle.oscillatory_integral(lambda t: 1.0 / (t + 1.0), Kernel.SIN, zeta)
+
+
 def test_quadrature_is_the_in_house_rule_and_stays_bound():
     # the fallback is this module's own array rule, and no call rebinds
     # it (test_imports checks, in a fresh interpreter, that no oracle

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from oscint import (
     ConvergenceError,
     DomainError,
+    Kernel,
     PoleError,
     SeriesControl,
     bessel_j0,
@@ -30,6 +31,7 @@ from oscint import (
     hyp2f1,
     hyp2f2_half,
     integrate_finite,
+    kernel_breakpoints,
     sin_transform,
     upper_incomplete_gamma,
 )
@@ -332,9 +334,15 @@ def test_incomplete_gamma_imaginary_axis_against_mpmath():
 
 
 def test_rgamma_taylor_table_matches_mpmath():
+    # DLMF 5.7.2 at 40 digits: c_1 = 1, c_2 = gamma and
+    # (k-1) c_k = gamma c_(k-1) - zeta(2) c_(k-2) + ... + (-1)^k zeta(k-1) c_1
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
-        want = [float(c) for c in mpmath.taylor(mpmath.rgamma, 0, 22)[2:]]
+    with mpmath.workdps(40):
+        c = [None, mpmath.mpf(1), +mpmath.euler]
+        for k in range(3, 23):
+            zeta_sum = sum((-1) ** j * mpmath.zeta(j) * c[k - j] for j in range(2, k))
+            c.append((mpmath.euler * c[k - 1] - zeta_sum) / (k - 1))
+        want = [float(ck) for ck in c[2:]]
     assert len(sf._RGAMMA_TAYLOR) == len(want)
     for got, c in zip(reversed(sf._RGAMMA_TAYLOR), want):
         assert abs(got - c) <= 2e-16 * abs(c)
@@ -389,6 +397,49 @@ def test_incomplete_gamma_non_finite_is_domain_error():
             upper_incomplete_gamma(a, z)
 
 
+NAN, INF = math.nan, math.inf
+# L0/L1 calls whose non-finite argument once escaped as a bare ValueError,
+# OverflowError, a stalled series or a returned NaN
+NON_FINITE_CALLS = {
+    "fresnel_s(nan)": lambda: fresnel_s(NAN),
+    "fresnel_s(-inf)": lambda: fresnel_s(-INF),
+    "fresnel_c(inf)": lambda: fresnel_c(INF),
+    "fresnel_bracket(nan)": lambda: hp.fresnel_bracket(NAN, hp.PhasePattern.SIN_LIKE),
+    "fresnel_bracket(-inf)": lambda: hp.fresnel_bracket(-INF, hp.PhasePattern.COS_LIKE),
+    "pole_tail_sin(nan)": lambda: rp.pole_tail_sin(NAN),
+    "pole_tail_cos(inf)": lambda: rp.pole_tail_cos(INF),
+    "gen_si(0, nan)": lambda: gen_si(0.0, NAN),
+    "gen_ci(0, inf)": lambda: gen_ci(0.0, INF),
+    "gen_si(nan, 1)": lambda: gen_si(NAN, 1.0),
+    "gen_ci(-inf, 1)": lambda: gen_ci(-INF, 1.0),
+    "kernel_breakpoints(zeta=nan)": lambda: next(kernel_breakpoints(Kernel.SIN, NAN)),
+    "kernel_breakpoints(start=inf)": lambda: next(kernel_breakpoints(Kernel.COS, 1.0, INF)),
+    "integrate_finite(hi=inf)": lambda: integrate_finite(math.sin, 0.0, INF),
+    "integrate_finite(lo=nan)": lambda: integrate_finite(math.sin, NAN, 1.0),
+    "gamma_real(nan)": lambda: gamma_real(NAN),
+    "gamma_real(inf)": lambda: gamma_real(INF),
+    "gamma_real(-inf)": lambda: gamma_real(-INF),
+    "hyp2f1(a=nan)": lambda: hyp2f1(NAN, 1.0, 1.5, -0.3),
+    "hyp2f1(b=-inf, Pfaff)": lambda: hyp2f1(1.0, -INF, 1.5, -0.8),
+    "hyp2f1(c=inf)": lambda: hyp2f1(1.0, 1.0, INF, -0.3),
+    "hyp2f1(c=-inf)": lambda: hyp2f1(1.0, 1.0, -INF, -0.3),
+    "hyp2f1(z=nan)": lambda: hyp2f1(1.0, 1.0, 1.5, NAN),
+    "hyp2f1(z=-inf)": lambda: hyp2f1(1.0, 1.0, 1.5, -INF),
+    "hyp2f2_half(nan)": lambda: hyp2f2_half(NAN),
+    "hyp2f2_half(inf)": lambda: hyp2f2_half(INF),
+    "head_sin_series(inf, 0.5)": lambda: tr.head_sin_series(INF, 0.5),
+    "pole_head_cos_series(1, inf)": lambda: rp.pole_head_cos_series(1.0, INF),
+    "head_sin_approx(inf, 0.5)": lambda: tr.head_sin_approx(INF, 0.5),
+    "pole_head_cos_approx(inf, 0.5)": lambda: rp.pole_head_cos_approx(INF, 0.5),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_CALLS)
+def test_non_finite_argument_is_domain_error(call):
+    with pytest.raises(DomainError):
+        NON_FINITE_CALLS[call]()
+
+
 def test_no_lentz_below_the_switch_or_on_the_imaginary_axis(count_calls):
     counts = count_calls(sf, "_legendre_cf", "_legendre_cf_backward")
     for a in (-6.0, -5.5, -2.3, -1.0, -0.5, 0.0, 1.0 / 3.0, 2.0 / 3.0, 0.999):
@@ -420,8 +471,10 @@ def test_one_fresnel_branch_per_pole_tail_and_head_approximation(count_calls, c)
     sf._fresnel_pair.cache_clear()
     rp._pole_tails(c)
     assert sum(counts.values()) == 1
-    tr._head_approx(True, c, 0.7, 4.0)
-    assert sum(counts.values()) == 2
+    for pairs, kernel in enumerate(Kernel, start=2):
+        sf._fresnel_pair.cache_clear()
+        tr._head_approx(kernel, c, 0.7, 4.0)
+        assert sum(counts.values()) == pairs
 
 
 def test_one_ascending_series_per_j0_y0_pair():
