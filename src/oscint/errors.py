@@ -10,9 +10,9 @@ The module also holds what every other submodule shares, because they
 all import this one anyway: ``Record``, the immutable base of every
 parameter, weight and report record, and the kernel vocabulary --
 ``Kernel``, its coercion ``_as_kernel``, ``_trig`` (the kernel's function
-in ``math`` or ``numpy``) and the finite-parameter check
-``_require_finite``.  The closed forms take these from here, not from
-the quadrature oracle.
+in ``math`` or ``numpy``), the finite-parameter check ``_require_finite``
+and ``_finite_power``, the frequency scaling of a closed form.  The
+closed forms take these from here, not from the quadrature oracle.
 """
 
 import math
@@ -118,3 +118,11 @@ def _require_finite(owner, **params):
     for name, value in params.items():
         if not math.isfinite(value):
             raise DomainError(f"{owner} {name} must be finite, got {value}")
+
+
+def _finite_power(owner, base, exponent):
+    """``base ** exponent``, or a DomainError when it leaves double precision."""
+    try:
+        return base ** exponent
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"{owner} scale {base} ** {exponent} leaves double precision") from None

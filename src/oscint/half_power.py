@@ -6,17 +6,14 @@ alpha is then reached by a two-term structure
 
     zeta^(alpha - 1/2) * [ F(u) + c * bracket(u) ]
 
-where F is a finite sum of half-integer powers of u, c is a Gamma-ratio
-constant, and bracket(u) is one of the two Fresnel combinations below.
-The coefficients solve first-order difference equations in alpha; they
-are generated here from the closed Gamma-ratio solutions and asserted
-against one recurrence step at construction time, so a transcription
-error in either form cannot survive import.
-
-Two printed coefficient signs in the odd families fail that recurrence
-check (and direct quadrature); the corrected signs ship by default and
-the verbatim ones are available with ``as_printed=True``.  See the
-errata registry.
+where F is a finite sum of half-integer powers of u, c is a constant,
+and bracket(u) is one of the two Fresnel combinations below.  The
+coefficients are built by their first-order difference equations in
+alpha from the order-0 and order-1 seeds; the paper's closed Gamma-ratio
+solutions are the tests' independent reference.  Two printed signs in
+the odd families fail those equations (and direct quadrature); the
+corrected ones ship by default, the verbatim ones with
+``as_printed=True`` (see the errata registry).
 
 All evaluation happens in u and is multiplied by zeta^(alpha-1/2), which
 makes the frequency-scaling law structural rather than numerical.  For
@@ -32,10 +29,8 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import (DivergentIntegralError, DomainError, Kernel, Record, _as_kernel,
-                     _require_finite)
+                     _finite_power, _require_finite)
 from .special_functions import fresnel_c, fresnel_s
-
-_SQRT2_PI_HALF = math.log(math.sqrt(2.0) * math.pi / 2.0)
 
 
 class PhasePattern(Enum):
@@ -74,7 +69,10 @@ class FamilyCoefficients(Record):
         object.__setattr__(self, "phase_pattern", phase_pattern)
 
     def rational_value(self, u):
-        return math.fsum(coeff * u ** power for power, coeff in self.rational_part)
+        try:
+            return math.fsum(coeff * u ** power for power, coeff in self.rational_part)
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError(f"rational part at u={u} leaves double precision") from None
 
 
 def fresnel_bracket(u: float, pattern: PhasePattern) -> float:
@@ -90,101 +88,56 @@ def fresnel_bracket(u: float, pattern: PhasePattern) -> float:
     return math.cos(u) * c + math.sin(u) * s
 
 
-def _gamma_ratio(num, den):
-    return math.exp(math.lgamma(num) - math.lgamma(den))
-
-
-def _build_family(alpha, kernel, as_printed):
-    n, odd = divmod(alpha, 2)
-    if not odd:
-        den = 2 * n + 0.5
-        const = (-1) ** n * math.exp(_SQRT2_PI_HALF - math.lgamma(den))
-        pattern, off = ((PhasePattern.SIN_LIKE, 0.5) if kernel is Kernel.SIN
-                        else (PhasePattern.COS_LIKE, 1.5))
-        terms = tuple(
-            (-(2 * k + off), (-1) ** (n + 1) * (-1) ** k * _gamma_ratio(2 * k + off, den))
-            for k in range(n))
-        return FamilyCoefficients(terms, const, pattern)
-
-    den = 2 * n + 1.5
-    if kernel is Kernel.SIN:
-        pattern = PhasePattern.COS_LIKE
-        const = (-1) ** n * math.exp(_SQRT2_PI_HALF - math.lgamma(den))
-        lead_sign = n if as_printed else n + 1    # printed sign fails the recurrence
-        terms = tuple(
-            (-(2 * k + 1.5), (-1) ** lead_sign * (-1) ** k * _gamma_ratio(2 * k + 1.5, den))
-            for k in range(n))
-        return FamilyCoefficients(terms, const, pattern)
-
-    pattern = PhasePattern.SIN_LIKE
-    const = (-1) ** (n + 1) * math.exp(_SQRT2_PI_HALF - math.lgamma(den))
-    head_sign = n + 1 if as_printed else n        # printed sign contradicts the seed
-    head = (-0.5, (-1) ** head_sign * math.sqrt(math.pi) / math.gamma(den))
-    terms = (head,) + tuple(
-        (-(2 * k + 2.5), (-1) ** (n + 1) * (-1) ** k * _gamma_ratio(2 * k + 2.5, den))
-        for k in range(n))
-    return FamilyCoefficients(terms, const, pattern)
-
-
-def _check_recurrence(alpha, kernel):
-    """One step of the family difference equation, as a polynomial identity.
-
-    (alpha+1/2)(alpha+3/2) X_{alpha+2}(u) + X_alpha(u) must equal
-    u^-(alpha+1/2) for the sine family and (alpha+1/2) u^-(alpha+3/2) for
-    the cosine family, where X bundles the rational part and the Fresnel
-    constant (whose own recurrence has zero right-hand side).
-    """
-    lo = _build_family(alpha, kernel, False)
-    hi = _build_family(alpha + 2, kernel, False)
-    fac = (alpha + 0.5) * (alpha + 1.5)
-    resid = abs(fac * hi.fresnel_coeff + lo.fresnel_coeff)
-    if resid > 1e-12 * abs(lo.fresnel_coeff):
-        raise AssertionError(
-            f"fresnel-coefficient recurrence failed at alpha={alpha} {kernel}: {resid}")
-    combined = {}
-    for power, coeff in hi.rational_part:
-        combined[round(2 * power)] = combined.get(round(2 * power), 0.0) + fac * coeff
-    for power, coeff in lo.rational_part:
-        combined[round(2 * power)] = combined.get(round(2 * power), 0.0) + coeff
-    off, scale = (0.5, 1.0) if kernel is Kernel.SIN else (1.5, alpha + 0.5)
-    rhs = {round(2 * -(alpha + off)): scale}
-    for key in set(combined) | set(rhs):
-        want = rhs.get(key, 0.0)
-        got = combined.get(key, 0.0)
-        if abs(got - want) > 1e-12 * max(1.0, abs(want)):
-            raise AssertionError(
-                f"rational-part recurrence failed at alpha={alpha} {kernel}, "
-                f"power {key / 2}: {got} vs {want}")
+# the order-0 and order-1 seeds: (rational part, Fresnel coefficient, pattern)
+_SEEDS = {
+    (Kernel.SIN, 0): ((), math.sqrt(0.5 * math.pi), PhasePattern.SIN_LIKE),
+    (Kernel.COS, 0): ((), math.sqrt(0.5 * math.pi), PhasePattern.COS_LIKE),
+    (Kernel.SIN, 1): ((), math.sqrt(2.0 * math.pi), PhasePattern.COS_LIKE),
+    (Kernel.COS, 1): (((-0.5, 2.0),), -math.sqrt(2.0 * math.pi), PhasePattern.SIN_LIKE),
+}
 
 
 @lru_cache(maxsize=None)
 def family_coefficients(alpha: int, kernel: Kernel = Kernel.SIN,
                         as_printed: bool = False) -> FamilyCoefficients:
-    """Coefficients of the assembled transform of order ``alpha``.
+    """Coefficients of the assembled transform of order ``alpha``, built
+    from the seed of alpha's parity by the difference equation
 
-    Corrected-sign coefficients are verified against the difference
-    equation before being returned; ``as_printed`` skips that check (the
-    verbatim odd-family signs do not satisfy it).
+        f_j X_(j+2) + X_j = u^-(j+1/2) (sine), (j+1/2) u^-(j+3/2) (cosine),
+
+    f_j = (j+1/2)(j+3/2), where X bundles the rational part and the
+    Fresnel coefficient (whose own equation is homogeneous).
     """
     if alpha < 0 or alpha != int(alpha):
         raise DomainError(f"alpha must be a nonnegative integer, got {alpha}")
     # coerced inside the cache: "sin" and Kernel.SIN share one entry
     kernel = _as_kernel(kernel)
-    if not as_printed:
-        _check_recurrence(alpha, kernel)
-    return _build_family(alpha, kernel, as_printed)
+    alpha = int(alpha)
+    sine = kernel is Kernel.SIN
+    seed, fresnel_coeff, pattern = _SEEDS[kernel, alpha % 2]
+    # from the top step down: step j adds the right-hand side over f_j,
+    # and every later step k divides it by -f_k
+    terms, scale = [], 1.0
+    for j in range(alpha - 2, -1, -2):
+        f = (j + 0.5) * (j + 1.5)
+        terms.append((-(j + 0.5), scale / f) if sine else (-(j + 1.5), scale / (j + 1.5)))
+        scale /= -f
+    terms = [(power, coeff * scale) for power, coeff in seed] + terms[::-1]
+    if as_printed and alpha % 2:
+        # HP-ODD-SIN-SIGN negates the whole rational part, HP-ODD-COS-SIGN the u^-1/2 term
+        n = len(terms) if sine else 1
+        terms[:n] = [(power, -coeff) for power, coeff in terms[:n]]
+    return FamilyCoefficients(tuple(terms), fresnel_coeff * scale, pattern)
 
 
 def s0(x: float, zeta: float = 1.0) -> float:
     """Sine transform of (t+x)^-1/2: the base Fresnel closed form."""
-    HalfPowerParams(zeta, x, 0)
-    return math.sqrt(math.pi / (2.0 * zeta)) * fresnel_bracket(zeta * x, PhasePattern.SIN_LIKE)
+    return _assembled(0, x, zeta, Kernel.SIN, False)
 
 
 def c0(x: float, zeta: float = 1.0) -> float:
     """Cosine transform of (t+x)^-1/2; x=0 returns the convergent limit."""
-    HalfPowerParams(zeta, x, 0)
-    return math.sqrt(math.pi / (2.0 * zeta)) * fresnel_bracket(zeta * x, PhasePattern.COS_LIKE)
+    return _assembled(0, x, zeta, Kernel.COS, False)
 
 
 def _assembled(alpha, x, zeta, kernel, as_printed):
@@ -196,7 +149,7 @@ def _assembled(alpha, x, zeta, kernel, as_printed):
     fam = family_coefficients(alpha, kernel, as_printed)
     u = zeta * x
     value_u = fam.rational_value(u) + fam.fresnel_coeff * fresnel_bracket(u, fam.phase_pattern)
-    return zeta ** (alpha - 0.5) * value_u
+    return _finite_power("half-power", zeta, alpha - 0.5) * value_u
 
 
 def s_alpha(alpha: int, x: float, zeta: float = 1.0, as_printed: bool = False) -> float:

@@ -27,7 +27,7 @@ import cmath
 import math
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import DomainError, Kernel, Record, _as_kernel, _require_finite
+from .errors import DomainError, Kernel, Record, _as_kernel, _finite_power, _require_finite
 from .special_functions import (
     EULER_GAMMA,
     gen_ci,
@@ -115,9 +115,10 @@ def _exponent_transform(kernel, p, x, zeta, ctl, as_printed=False):
     u = _scaled_shift(f"{kernel.value}_exponent_transform", x, zeta, p)
     if p <= 0:
         raise DomainError(f"need exponent p > 0, got {p}")
+    scale = _finite_power("lommel", zeta, p - 1.0)
     if kernel is Kernel.SIN:
-        return zeta ** (p - 1.0) * math.sqrt(u) * lommel_s_half(0.5 - p, u, ctl, as_printed)
-    return zeta ** (p - 1.0) * p * math.sqrt(u) * lommel_s_half(-(p + 0.5), u, ctl, as_printed)
+        return scale * math.sqrt(u) * lommel_s_half(0.5 - p, u, ctl, as_printed)
+    return scale * p * math.sqrt(u) * lommel_s_half(-(p + 0.5), u, ctl, as_printed)
 
 
 def sin_exponent_transform(p: float, x: float, zeta: float = 1.0,
@@ -230,7 +231,8 @@ def si_ci_representation(n: int, m: int, x: float, zeta: float = 1.0,
     a_trig = 1.0 - p
     si = gen_si(a_trig, u, ctl)
     ci = gen_ci(a_trig, u, ctl)
+    scale = _finite_power("lommel", zeta, p - 1.0)
     if kernel is Kernel.SIN:
         sin_arg = x if as_printed else u
-        return zeta ** (p - 1.0) * (math.cos(u) * si - math.sin(sin_arg) * ci)
-    return zeta ** (p - 1.0) * (math.cos(u) * ci + math.sin(u) * si)
+        return scale * (math.cos(u) * si - math.sin(sin_arg) * ci)
+    return scale * (math.cos(u) * ci + math.sin(u) * si)

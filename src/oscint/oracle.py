@@ -57,6 +57,7 @@ from typing import Callable, Optional, Union
 from .control import DEFAULT_CONTROL, SeriesControl
 from .errors import (
     AccelerationStalledError,
+    ConvergenceError,
     DivergentIntegralError,
     DomainError,
     Kernel,
@@ -544,6 +545,9 @@ def kernel_breakpoints(kernel: Kernel, zeta: float, start: float = 0.0):
     first = start * zeta / math.pi + shift
     if not (zeta > 0 and math.isfinite(first)):
         raise DomainError(f"need zeta > 0 and a finite zeta * start, got {zeta}, {start}")
+    if first >= 2.0 ** 52:
+        # past 2^52 half-periods consecutive zeros round to the same double
+        raise DomainError(f"zeta * start / pi = {first} leaves double precision")
     k = math.floor(first) + 1
     yield start
     while True:
@@ -660,4 +664,6 @@ def integrate_finite(f: Optional[Callable[[float], float]], lo: float, hi: float
     res = quad(fv, lo, hi, epsabs=1e-15, epsrel=ctl.rel_tol)
     if len(res) > 3:
         raise MaxSubdivisionsError(f"quadrature on [{lo}, {hi}]: {res[3]}")
+    if not (math.isfinite(res[0]) and math.isfinite(res[1])):
+        raise ConvergenceError(f"quadrature on [{lo}, {hi}] produced a non-finite result")
     return QuadratureReport(res[0], res[1], res[2]["last"], False)

@@ -206,7 +206,7 @@ def _gamma_series(a, z, ctl):
     nothing.  The steps count against ``ctl.max_terms``.
     """
     if a > 0.5:
-        return complex(gamma_real(a)) - _lower_series(a, z, ctl)
+        return complex(math.gamma(a)) - _lower_series(a, z, ctl)
     lift = int(math.floor(0.5 - a))
     if lift > ctl.max_terms:
         raise ConvergenceError(f"incomplete-gamma order a={a} needs {lift} recurrence "
@@ -241,7 +241,7 @@ def upper_incomplete_gamma(a: float, z: complex,
         raise DomainError(f"Gamma(a, 0) needs a > 0, got a={a}")
     try:
         if z == 0:
-            out = complex(gamma_real(a))
+            out = complex(math.gamma(a))
         elif abs(z) < max(_GAMMA_SWITCH, a + 1.0):
             out = _gamma_series(a, z, ctl)
         elif z.real >= 0 and _CF_MIN_ORDER <= a <= 1.0:
@@ -256,12 +256,16 @@ def upper_incomplete_gamma(a: float, z: complex,
 
 
 def gamma_real(x: float) -> float:
-    """Gamma function of a real argument; poles raise."""
+    """Gamma function of a real argument; poles, and values past the double
+    range (x above about 171.6), raise."""
     if not 0 < x < math.inf:
         _require_finite("gamma_real", x=x)
         if x == round(x):
             raise PoleError(f"Gamma pole at x={x}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise DomainError(f"Gamma({x}) leaves double precision") from None
 
 
 # --------------------------------------------------------------------------

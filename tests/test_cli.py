@@ -443,3 +443,36 @@ def test_overflowed_bessel_argument_in_a_fresh_process_has_no_traceback():
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+# points where a closed form or its lobes leave double precision (exit 2),
+# and half-power orders past the Gamma range (exit 0); each once ended in
+# a traceback
+OUT_OF_RANGE_ARGV = {
+    "half-power-u-overflow": (2, ["--family", "half-power", "--alpha", "5", "--x", "1e-300"]),
+    "half-power-u-underflow": (2, ["--family", "half-power", "--alpha", "5", "--x", "1e-300",
+                                   "--zeta", "1e-300"]),
+    "half-power-zeta-overflow": (2, ["--family", "half-power", "--alpha", "5", "--x", "2",
+                                     "--zeta", "1e300"]),
+    "half-power-alpha-171-sin": (0, ["--family", "half-power", "--alpha", "171", "--x", "1"]),
+    "half-power-alpha-171-cos": (0, ["--family", "half-power", "--kernel", "cos",
+                                     "--alpha", "171", "--x", "3"]),
+    "lommel-zeta-overflow": (2, ["--family", "lommel", "--n", "1", "--m", "1", "--x", "1e-300",
+                                 "--zeta", "1e300"]),
+    "two-radical-degenerate": (2, ["--family", "two-radical", "--a", "1e-30", "--b", "1e-30",
+                                   "--zeta", "1e150"]),
+    "lommel-series": (2, ["--family", "lommel", "--method", "series", "--n", "0", "--m", "1",
+                          "--x", "1e-8", "--zeta", "1e300"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_ARGV))
+def test_out_of_range_point_has_no_traceback(capsys, case):
+    want, argv = OUT_OF_RANGE_ARGV[case]
+    code, out, err = run_cli(capsys, "eval", *argv)
+    assert code == want
+    assert "Traceback" not in err
+    if want == 2:
+        assert err.startswith("error: ") and "double precision" in err
+    else:
+        assert math.isfinite(json.loads(out)["value"])

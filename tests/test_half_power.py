@@ -144,3 +144,81 @@ def test_non_finite_input_is_domain_error(call, bad):
     # the incomplete-gamma continued fraction
     with pytest.raises(DomainError, match="finite"):
         NON_FINITE[call](bad)
+
+
+def _gamma_ratio_solution(mp, alpha, kernel, as_printed):
+    """The paper's closed solution of the family difference equation:
+    (rational part, Fresnel coefficient, pattern), each coefficient a
+    Gamma ratio at the working precision of ``mp``."""
+    n, odd = divmod(alpha, 2)
+    half = mp.mpf(1) / 2
+    const = mp.sqrt(2) * mp.pi / 2
+    sine = kernel is Kernel.SIN
+    if not odd:
+        den = mp.gamma(2 * n + half)
+        off = half if sine else 3 * half
+        pattern = PhasePattern.SIN_LIKE if sine else PhasePattern.COS_LIKE
+        terms = [(-(2 * k + off), (-1) ** (n + 1 + k) * mp.gamma(2 * k + off) / den)
+                 for k in range(n)]
+        return terms, (-1) ** n * const / den, pattern
+    den = mp.gamma(2 * n + 3 * half)
+    if sine:
+        lead = n if as_printed else n + 1
+        terms = [(-(2 * k + 3 * half), (-1) ** (lead + k) * mp.gamma(2 * k + 3 * half) / den)
+                 for k in range(n)]
+        return terms, (-1) ** n * const / den, PhasePattern.COS_LIKE
+    head = n + 1 if as_printed else n
+    terms = [(-half, (-1) ** head * mp.sqrt(mp.pi) / den)] + [
+        (-(2 * k + 5 * half), (-1) ** (n + 1 + k) * mp.gamma(2 * k + 5 * half) / den)
+        for k in range(n)]
+    return terms, (-1) ** (n + 1) * const / den, PhasePattern.SIN_LIKE
+
+
+@pytest.mark.parametrize("as_printed", [False, True], ids=["corrected", "printed"])
+@pytest.mark.parametrize("kernel", [Kernel.SIN, Kernel.COS])
+def test_coefficients_match_the_gamma_ratio_solutions(kernel, as_printed):
+    # the coefficients come from the difference equation; the closed
+    # Gamma-ratio solutions, at 40 digits, are the independent reference
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for alpha in range(61):
+            fam = family_coefficients(alpha, kernel, as_printed)
+            terms, const, pattern = _gamma_ratio_solution(mp, alpha, kernel, as_printed)
+            assert fam.phase_pattern is pattern, alpha
+            assert [power for power, _ in fam.rational_part] == [float(p) for p, _ in terms]
+            for (_, got), (_, want) in zip(fam.rational_part, terms):
+                assert abs(got - want) <= 2e-15 * abs(want), (alpha, got, want)
+            assert abs(fam.fresnel_coeff - const) <= 2e-15 * abs(const), alpha
+
+
+@pytest.mark.parametrize("alpha", [171, 199])
+def test_orders_past_the_gamma_range_match_mpmath(alpha):
+    # Gamma(alpha + 1/2) overflows past alpha = 171; the difference
+    # equation never forms it.  Reference: the Gamma pair
+    # I_cos + i I_sin = e^-ix e^(i pi (1-p)/2) Gamma(1-p, -ix), p = alpha + 1/2
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        p = alpha + mp.mpf(1) / 2
+        for x in (0.5, 3.0):
+            pair = mp.exp(-1j * x) * mp.exp(1j * mp.pi * (1 - p) / 2) * mp.gammainc(1 - p, -1j * x)
+            assert abs(s_alpha(alpha, x) - pair.imag) <= 1e-14 * abs(pair.imag), x
+            assert abs(c_alpha(alpha, x) - pair.real) <= 1e-14 * abs(pair.real), x
+
+
+def test_high_order_is_built_without_recursion():
+    # the CLI accepts any integer order; a build that recursed once per
+    # step would pass Python's recursion limit here
+    fam = family_coefficients(10_001, "cos")
+    assert len(fam.rational_part) == 5001
+    assert fam.rational_part[0][0] == -0.5
+
+
+def test_float_order_is_coerced():
+    # HalfPowerParams accepts an integral float; 2.0 and 2 share one cache
+    # entry, so the float must be the one that fills it
+    family_coefficients.cache_clear()
+    try:
+        assert s_alpha(2.0, 1.0) == s_alpha(2, 1.0)
+        assert c_alpha(3.0, 2.0) == c_alpha(3, 2.0)
+    finally:
+        family_coefficients.cache_clear()

@@ -36,6 +36,7 @@ from oscint import (
     upper_incomplete_gamma,
 )
 from oscint import half_power as hp
+from oscint import lommel as lm
 from oscint import radical_pole as rp
 from oscint import special_functions as sf
 from oscint import two_radical as tr
@@ -438,6 +439,40 @@ NON_FINITE_CALLS = {
 def test_non_finite_argument_is_domain_error(call):
     with pytest.raises(DomainError):
         NON_FINITE_CALLS[call]()
+
+
+# finite arguments whose values or lobes leave the double range, which
+# once escaped as a bare OverflowError or ZeroDivisionError
+OUT_OF_RANGE_CALLS = {
+    "gamma_real(200)": lambda: gamma_real(200.0),
+    "kernel_breakpoints(start=1e17)": lambda: next(kernel_breakpoints(Kernel.SIN, 1.0, 1e17)),
+    "gen_si(0, 1e17)": lambda: gen_si(0.0, 1e17),
+    "gen_ci(0.5, 1e300)": lambda: gen_ci(0.5, 1e300),
+    "sin_transform(a=b, zeta=1e150)": lambda: sin_transform(1e-30, 1e-30, 1e150),
+    "s_alpha(5, x=1e-300)": lambda: hp.s_alpha(5, 1e-300),
+    "c_alpha(5, u underflows)": lambda: hp.c_alpha(5, 1e-300, 1e-300),
+    "s_alpha(5, zeta=1e300)": lambda: hp.s_alpha(5, 2.0, 1e300),
+    "rational_value(0)": lambda: hp.family_coefficients(5).rational_value(0.0),
+    "sin_exponent_transform(3, zeta=1e300)": lambda: lm.sin_exponent_transform(3.0, 1e-300, 1e300),
+    "si_ci_representation(zeta=1e300)": lambda: lm.si_ci_representation(1, 1, 1e-300, 1e300),
+}
+
+
+@pytest.mark.parametrize("call", OUT_OF_RANGE_CALLS)
+def test_value_past_double_range_is_domain_error(call):
+    with pytest.raises(DomainError, match="double precision"):
+        OUT_OF_RANGE_CALLS[call]()
+
+
+def test_gen_trig_below_the_half_period_limit_still_returns():
+    # 1e16 is below 2^52 half-periods, 1e17 above
+    assert math.isfinite(gen_si(0.0, 1e16))
+
+
+def test_non_finite_quadrature_is_convergence_error():
+    # once an ArithmeticError from QuadratureReport, outside the library's errors
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        integrate_finite(lambda t: math.inf, 0.0, 1.0)
 
 
 def test_no_lentz_below_the_switch_or_on_the_imaginary_axis(count_calls):
