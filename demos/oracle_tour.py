@@ -2,10 +2,10 @@
 
 Every closed form in the library is validated against this engine: the
 integration axis is split at the kernel zeros, every lobe goes through
-a fixed 21-point Gauss-Kronrod rule evaluated 32 lobes at a time with
-numpy (the first lobe cut into pieces graded toward its lower end, and
-a piece that fails its error test goes to the adaptive form of the same
-rule), and the alternating lobe series is accelerated by the rule of
+a fixed 21-point Gauss-Kronrod rule evaluated in blocks of lobes with
+numpy (the first block as long as the tolerance needs, the first lobe
+cut into pieces graded toward its lower end, and a piece that fails its
+error test goes to the adaptive form of the same rule), and the alternating lobe series is accelerated by the rule of
 Cohen, Rodriguez Villegas and Zagier: a fixed weighted sum of the first
 n lobes, within 5.83^-n of the sum for a completely monotone weight (the
 log weight is not one; there only the stop test guards).  A typical

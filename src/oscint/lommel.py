@@ -90,10 +90,27 @@ def lommel_s_half(mu: float, z: float, ctl: SeriesControl = DEFAULT_CONTROL,
     """
     if z <= 0:
         raise DomainError(f"lommel_s_half needs z > 0, got {z}")
+    return _root_s_half(mu, z, ctl, as_printed) / math.sqrt(z)
+
+
+_SPLIT_PHASE = 2.0 ** 26
+
+
+def _root_s_half(mu, z, ctl, as_printed=False):
+    """sqrt(z) S_{mu,1/2}(z) = Re[exp(-i(pi alpha + 2z)/2) Gamma(1-alpha, -iz)],
+    alpha = 1/2 - mu, with no division by sqrt(z), where a tiny value
+    would underflow.  From z = _SPLIT_PHASE on, the phase is the product
+    of exp(-i pi alpha/2) and exp(-iz): one exponential of the rounded
+    sum would be off by up to ulp(2z)/2 > 2^-26, and pi alpha is lost
+    outright next to 2z > 2^54.  Below it the one exponential is kept;
+    the product would move values by up to a few hundred ulp there."""
     alpha = 0.5 - mu
     a_gamma = -alpha if as_printed else 1.0 - alpha
-    phase = cmath.exp(-0.5j * (math.pi * alpha + 2.0 * z))
-    return (phase * upper_incomplete_gamma(a_gamma, complex(0.0, -z), ctl)).real / math.sqrt(z)
+    if z < _SPLIT_PHASE:
+        phase = cmath.exp(-0.5j * (math.pi * alpha + 2.0 * z))
+    else:
+        phase = cmath.exp(-0.5j * math.pi * alpha) * cmath.exp(complex(0.0, -z))
+    return (phase * upper_incomplete_gamma(a_gamma, complex(0.0, -z), ctl)).real
 
 
 def _scaled_shift(owner, x, zeta, p=0.0):
@@ -117,8 +134,8 @@ def _exponent_transform(kernel, p, x, zeta, ctl, as_printed=False):
         raise DomainError(f"need exponent p > 0, got {p}")
     scale = _finite_power("lommel", zeta, p - 1.0)
     if kernel is Kernel.SIN:
-        return scale * math.sqrt(u) * lommel_s_half(0.5 - p, u, ctl, as_printed)
-    return scale * p * math.sqrt(u) * lommel_s_half(-(p + 0.5), u, ctl, as_printed)
+        return scale * _root_s_half(0.5 - p, u, ctl, as_printed)
+    return scale * p * _root_s_half(-(p + 0.5), u, ctl, as_printed)
 
 
 def sin_exponent_transform(p: float, x: float, zeta: float = 1.0,

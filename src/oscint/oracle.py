@@ -5,10 +5,10 @@ zeros of the oscillating kernel, integrating each lobe, and accelerating
 the resulting alternating lobe series.  Every integral here comes from
 one fixed 21-point Gauss-Kronrod rule (GK21, the nodes of QUADPACK's
 qk21), applied by numpy to many pieces in one evaluation.  When the
-caller also gives the integrand in vector form, every lobe, the directly
-summed first ones and the accelerated rest, comes from one stream
-integrated in blocks of 32 lobes per evaluation; the first block also
-cuts the first lobe into pieces graded toward its lower end and the
+caller also gives the integrand in vector form, every lobe comes from
+one stream integrated in blocks: the first holds the lobes the
+tolerance needs (21 at the default), each later one 8.  The first block
+also cuts the first lobe into pieces graded toward its lower end and the
 second into halves, since the weight is steepest there.  A piece whose
 Kronrod-Gauss difference fails the tolerance goes to ``quad``, the
 adaptive form of the same rule, which otherwise integrates every lobe
@@ -250,10 +250,9 @@ _G10_WEIGHTS = (
     0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338)
-# lobes per numpy evaluation: one block holds the 19-23 lobes a typical
-# integral takes under CRVZ acceleration; the unused rest of the last
-# block is dropped
-_BLOCK = 32
+# lobes per numpy evaluation after the first block, which ``lobe_sum``
+# sizes from its tolerance; the unused rest of the last block is dropped
+_NEXT_BLOCK = 8
 # the first block's cuts of the first lobe, as fractions of its length
 # from its lower end; the second lobe is halved
 _FIRST_LOBE_CUTS = tuple(2.0 ** -k for k in range(8, 0, -1))
@@ -366,7 +365,7 @@ def quad(fv, lo, hi, epsabs, epsrel):
         else:
             sums.clear()
             limits.clear()
-        split = d * (hi - lo) > tol * np.maximum(b - a, (hi - lo) / _QUAD_LIMIT)
+        split = d > tol * np.maximum((b - a) / (hi - lo), 1.0 / _QUAD_LIMIT)
         n = int(np.count_nonzero(split))
         if n == 0 or len(a) + n > _QUAD_LIMIT:
             # the better of the level sum and its extrapolation
@@ -407,44 +406,44 @@ def _graded_lobe(fv, edges, kron, diff, epsabs):
     return sum(kron), sum(diff)
 
 
-def _block_lobes(fv, lo, his, epsabs):
-    """Like ``_quad_lobes``, integrating _BLOCK lobes per GK21 evaluation.
-
-    The first block cuts the first lobe at _FIRST_LOBE_CUTS and halves
-    the second, which ``_graded_lobe`` then settles.  Any other lobe is
-    accepted when |K21 - G10| <= max(epsabs, epsabs |K21|), and the
-    difference is its error estimate; otherwise it goes to ``quad``
-    when it is reached.
+def _block_lobes(fv, lo, his, epsabs, first):
+    """Like ``_quad_lobes``, integrating ``first`` lobes in one GK21
+    evaluation and _NEXT_BLOCK in each later one.  The first block cuts
+    the first lobe at _FIRST_LOBE_CUTS and halves the second, which
+    ``_graded_lobe`` then settles.  Any other lobe is accepted when
+    |K21 - G10| <= max(epsabs, epsabs |K21|), tested a block at a time,
+    and the difference is its error estimate; otherwise it goes to
+    ``quad`` when it is reached.
     """
     np = _gk21()[0]
-    first = True
+    block = list(islice(his, first))
+    if not block:
+        return
+    edges = [lo] + [lo + c * (block[0] - lo) for c in _FIRST_LOBE_CUTS] + block[:1]
+    graded = [len(_FIRST_LOBE_CUTS) + 1]        # pieces per graded lobe
+    if len(block) > 1:
+        edges.append(0.5 * (block[0] + block[1]))
+        graded.append(2)
+    edges += block[1:]
     while True:
-        block = list(islice(his, _BLOCK))
-        if not block:
-            return
-        edges = [lo] + block
-        pieces = [1] * len(block)            # per lobe
-        if first:
-            first = False
-            width = block[0] - lo
-            edges[1:1] = [lo + c * width for c in _FIRST_LOBE_CUTS]
-            pieces[0] += len(_FIRST_LOBE_CUTS)
-            if len(block) > 1:
-                edges.insert(pieces[0] + 1, 0.5 * (block[0] + block[1]))
-                pieces[1] = 2
         e = np.array(edges)
         kron, diff = _gk21_pieces(fv, e[:-1], e[1:])
+        ok = (diff <= np.maximum(epsabs, epsabs * np.abs(kron))).tolist()
         kron, diff = kron.tolist(), diff.tolist()
         i = 0
-        for n in pieces:
-            if n > 1:
-                yield _graded_lobe(fv, edges[i:i + n + 1], kron[i:i + n], diff[i:i + n], epsabs)
-            elif diff[i] <= max(epsabs, epsabs * abs(kron[i])):
-                yield kron[i], diff[i]
-            else:
-                yield quad(fv, edges[i], edges[i + 1], epsabs=epsabs, epsrel=epsabs)[:2]
+        for n in graded:
+            yield _graded_lobe(fv, edges[i:i + n + 1], kron[i:i + n], diff[i:i + n], epsabs)
             i += n
-        lo = block[-1]
+        for j in range(i, len(kron)):
+            if ok[j]:
+                yield kron[j], diff[j]
+            else:
+                yield quad(fv, edges[j], edges[j + 1], epsabs=epsabs, epsrel=epsabs)[:2]
+        block = list(islice(his, _NEXT_BLOCK))
+        if not block:
+            return
+        edges = edges[-1:] + block
+        graded = ()
 
 
 def _not_finite(lobe):
@@ -469,21 +468,24 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
     With ``f_over`` every lobe, direct or accelerated, comes from one
     stream integrated in blocks by a fixed Gauss-Kronrod rule, and
     ``quad`` takes only the pieces that fail its error test; with ``f``
-    ``quad`` integrates every lobe, evaluating ``f`` element by
-    element.  At most
-    ``10 * ctl.max_terms`` lobes are integrated, and a NaN lobe or a sum
-    that overflows ends the series where it appears.
+    ``quad`` integrates every lobe, evaluating ``f`` element by element.
+    At most ``10 * ctl.max_terms`` lobes are integrated, and a NaN lobe
+    or a sum that overflows ends the series where it appears.
 
     Returns (value, abs_err_est, lobes_used, accelerated).
     """
     epsabs = max(1e-14, 0.01 * ctl.rel_tol)
     max_lobes = 10 * ctl.max_terms
+    # the first order whose bound 2 / (3 + sqrt 8)^n meets rel_tol
+    n0 = min(max(2, math.ceil(math.log(2.0 / ctl.rel_tol) / _CRVZ_LOG_RATE)), _CRVZ_MAX_ORDER)
     it = iter(breakpoints)
     lo = next(it)
     if f_over is None:
         lobes = _quad_lobes(_elementwise(f), lo, it, epsabs)
     else:
-        lobes = _block_lobes(f_over(_gk21()[0]), lo, it, epsabs)
+        # past the usual 3 direct lobes (the last one the rule's first term)
+        # n0 + 4 lobes let the rule stop at orders n0 .. n0 + 2
+        lobes = _block_lobes(f_over(_gk21()[0]), lo, it, epsabs, n0 + 4)
     quad_err = 0.0
     direct = []
     prev_mag = math.inf
@@ -506,8 +508,6 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
             break
     else:
         raise AccelerationStalledError("breakpoint stream exhausted")
-    # the first order whose bound 2 / (3 + sqrt 8)^n meets rel_tol
-    n0 = min(max(2, math.ceil(math.log(2.0 / ctl.rel_tol) / _CRVZ_LOG_RATE)), _CRVZ_MAX_ORDER)
     head = math.fsum(direct[:-1])
     tail = [direct[-1]]
     mass = math.fsum(map(abs, direct))

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -143,3 +144,18 @@ def test_summary_collects_workloads_in_one_file(tmp_path):
     assert tail["change"] == {"q1": 142.0, "median": 143.0, "q3": 144.0}
     assert tail["better"] == "lower" and tail["wins"] == 4 and tail["pairs"] == 5
     assert doc["workloads"]["cli-cold"]["seeds"] == [9]
+
+
+def test_change_side_is_a_copy_without_bytecode(tmp_path):
+    # the working tree may hold valid bytecode that a fresh parent copy
+    # has to compile; the change side must start as cold as the parent
+    inside = subprocess.run(["git", "rev-parse", "--is-inside-work-tree"], cwd=ROOT,
+                            capture_output=True, text=True)
+    if inside.stdout.strip() != "true":
+        pytest.skip("not a git working tree")
+    bench_pairs.snapshot(tmp_path)
+    oracle = pathlib.Path("src", "oscint", "oracle.py")
+    assert (tmp_path / oracle).read_bytes() == (ROOT / oracle).read_bytes()
+    assert (tmp_path / "perfbench" / "run.py").is_file()
+    assert not list(tmp_path.rglob("__pycache__"))
+    assert not list(tmp_path.rglob("*.pyc"))

@@ -242,6 +242,16 @@ def test_numerical_failure_exit_3(capsys):
     assert err
 
 
+def test_oracle_at_a_tiny_frequency_warns_of_nothing(capsys):
+    # lobes about 3e300 long: quad's bisection test must not overflow
+    code, out, err = run_cli(capsys, "eval", "--method", "oracle", "--family", "half-power",
+                             "--alpha", "0", "--x", "0", "--zeta", "1e-300")
+    assert code == 0
+    assert err == ""
+    rec = json.loads(out)
+    assert abs(rec["value"] - math.sqrt(0.5 * math.pi / 1e-300)) <= rec["err_estimate"]
+
+
 def test_huge_lommel_order_exit_3_in_a_fresh_process():
     # Gamma's order lift past max_terms raises instead of looping 1e9 times
     proc = subprocess.run(

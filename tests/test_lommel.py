@@ -72,6 +72,24 @@ def test_exponent_transform_goldens():
     assert abs(cos_exponent_transform(2.0, 1.0) - 0.37855037576418664) < 1e-8
 
 
+@pytest.mark.parametrize("p", [1.0, 1.0 / 3.0, 2.5])
+@pytest.mark.parametrize("u", [1e12, 1e15, 1e17])
+def test_exponent_transforms_at_a_large_shift(u, p):
+    # past u ~ 2^26 the phase (pi alpha + 2u)/2 loses pi alpha to the
+    # rounding of 2u; the asymptotic series u^-p (1 - p(p+1)/u^2) is exact
+    # to double precision here
+    assert rel(sin_exponent_transform(p, u), u ** -p * (1.0 - p * (p + 1.0) / u ** 2)) < 1e-13
+    want = p * u ** (-p - 1.0) * (1.0 - (p + 1.0) * (p + 2.0) / u ** 2)
+    assert rel(cos_exponent_transform(p, u), want) < 1e-13
+
+
+def test_tiny_transform_is_not_flushed_to_zero():
+    # u = 5e299: the value 1/u is representable, but sqrt(u) S(u) = 1/u
+    # divided by sqrt(u) is not
+    u = 0.5 * 1e300
+    assert rel(general_sin_transform(0, 1, 0.5, 1e300), 1.0 / u) < 1e-8
+
+
 def test_general_transforms():
     # n=0, m=2 is the base family
     assert rel(general_sin_transform(0, 2, 1.0, 1.0), s0(1.0, 1.0)) < 1e-10

@@ -320,6 +320,51 @@ def test_half_power_lobes_make_no_fallback_call(monkeypatch, kernel):
     assert calls == []
 
 
+def _record_block_rows(monkeypatch):
+    """The piece count of every batched GK21 evaluation."""
+    pieces = oracle._gk21_pieces
+    rows = []
+    monkeypatch.setattr(oracle, "_gk21_pieces", lambda fv, a, b: rows.append(len(a)) or pieces(fv, a, b))
+    return rows
+
+
+# the first block's graded pieces: the first lobe cut in 9, the second halved
+GRADED_PIECES = len(oracle._FIRST_LOBE_CUTS) + 1 + 2
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_first_block_holds_the_lobes_the_tolerance_needs(monkeypatch, kernel):
+    # at rel_tol 1e-12 the rule starts at order n0 = 17; the first block
+    # holds n0 + 4 lobes, the graded first two and n0 + 2 whole ones, and
+    # the integral needs no other
+    rows = _record_block_rows(monkeypatch)
+    rep = osc(HalfPower(0.0, 1.0), kernel)
+    assert rows == [GRADED_PIECES + 17 + 2]
+    assert rep.zero_intervals_used <= 17 + 4
+
+
+def test_first_block_grows_with_the_tolerance(monkeypatch):
+    # rel_tol 1e-14 starts the rule at order 19: two lobes more
+    rows = _record_block_rows(monkeypatch)
+    osc(HalfPower(0.0, 1.0))
+    osc(HalfPower(0.0, 1.0), ctl=SeriesControl(rel_tol=1e-14))
+    assert rows[1] == rows[0] + 2
+
+
+@pytest.mark.parametrize("x, value, lobes", [
+    (0.2973751452588066, -0.0015401985738832114, 24),
+    (0.28698290819168554, -0.011896143681843885, 23),
+])
+def test_integral_past_the_first_block_keeps_its_value(monkeypatch, x, value, lobes):
+    # oracle-grid integrals that outran a first block of 21 lobes; values
+    # and lobe counts as recorded with a fixed 32-lobe block
+    rows = _record_block_rows(monkeypatch)
+    rep = osc(LogHalfPower(x))
+    assert len(rows) == 2
+    assert rep.zero_intervals_used == lobes
+    assert abs(rep.value - value) <= 1e-14 * abs(value)
+
+
 # steep first lobes: weights over a math module (at p = 2.625 and
 # 3.375 the cut lobes come nearest their tolerance)
 GRADED_WEIGHTS = {
@@ -341,7 +386,8 @@ def test_cut_lobes_meet_the_tolerance_of_a_whole_lobe(name, kernel):
     epsabs = 1e-14
     g, trig = GRADED_WEIGHTS[name](np), oracle._trig(kernel, np)
     breakpoints = islice(oracle.kernel_breakpoints(kernel, 1.0), 1, None)
-    lobes = oracle._block_lobes(lambda t: g(t) * trig(t), 0.0, breakpoints, epsabs)
+    # a first block of 21 lobes, as at the default tolerance
+    lobes = oracle._block_lobes(lambda t: g(t) * trig(t), 0.0, breakpoints, epsabs, 21)
     for value, err in islice(lobes, 2):
         assert err <= max(epsabs, epsabs * abs(value)) * (1.0 + 1e-9)
 

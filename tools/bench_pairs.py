@@ -6,11 +6,14 @@ Run from the root of a checkout:
 
 The parent (``--parent``, default ``HEAD``) is extracted with
 ``git archive`` into a temporary directory (under ``--workdir`` if
-given), removed at the end.  For each seed the unchanged
-``perfbench/run.py`` runs once there and once in this working tree, and
-the side that runs first alternates from pair to pair, so a drift of the
-machine's pace falls on both sides alike.  Per metric the script prints
-each side's median and quartiles, the change's relative move of the
+given), removed at the end.  The change side is a fresh copy of this
+working tree beside it: the tracked files and the untracked ones git
+does not ignore, so neither side holds bytecode the other must compile
+(``__pycache__`` is ignored).  For each seed the unchanged
+``perfbench/run.py`` runs once in each copy, and the side that runs
+first alternates from pair to pair, so a drift of the machine's pace
+falls on both sides alike.  Per metric the script prints each side's
+median and quartiles, the change's relative move of the
 median, how many pairs the change won, and whether the medians differ by
 more than the parent's interquartile range; it then lists every pair
 whose ``failed`` counts differ.  An end-to-end metric is marked
@@ -23,13 +26,13 @@ Above the table it prints each side's ``src/oscint`` line count (lines
 of its ``*.py`` files), so size stands next to speed.  The run length (``run_seconds``), which way is better
 for each metric and the end-to-end bounds are read from ``BENCHMARK.json``.
 
-Only the standard library is used.  The runs leave their records in the
-git-ignored ``.perfbench_out/`` of each side; ``--record`` writes the
-raw pairs as JSON to a path of your choice, and ``--summary PATH`` the
-table: per metric and side the median and quartiles, and the wins, with
-the seeds and each side's ``src/oscint`` line count, under the
-workload's name in PATH's ``workloads``, so one file (a
-``BENCH_<n>.json``) collects the workloads of a change.
+Only the standard library is used.  The runs' own records are removed
+with the copies; ``--record`` writes the raw pairs as JSON to a path of
+your choice, and ``--summary PATH`` the table: per metric and side the
+median and quartiles, and the wins, with the seeds and each side's
+``src/oscint`` line count, under the workload's name in PATH's
+``workloads``, so one file (a ``BENCH_<n>.json``) collects the
+workloads of a change.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -184,6 +188,18 @@ def extract(rev, dest):
         tar.extractall(dest, filter="data")
 
 
+def snapshot(dest):
+    """Copy this working tree into ``dest``: the tracked files as they are
+    now and the untracked ones git does not ignore, so no ``__pycache__``."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                           cwd=ROOT, capture_output=True, check=True).stdout
+    for name in names.decode().split("\0"):
+        src = ROOT / name
+        if name and src.is_file():      # a tracked file deleted in the tree is skipped
+            (Path(dest) / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, Path(dest) / name)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
@@ -201,11 +217,13 @@ def main(argv=None):
     better, seconds = directions(benchmark), benchmark["run_seconds"]
 
     pairs = []
-    with tempfile.TemporaryDirectory(prefix="bench-parent-", dir=args.workdir) as parent_root:
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-", dir=args.workdir) as tmp:
+        parent_root, change_root = Path(tmp) / "parent", Path(tmp) / "change"
         extract(args.parent, parent_root)
-        lines = src_lines(parent_root), src_lines(ROOT)
+        snapshot(change_root)
+        lines = src_lines(parent_root), src_lines(change_root)
         for i, seed in enumerate(args.seeds):
-            order = [("parent", parent_root), ("change", ROOT)]
+            order = [("parent", parent_root), ("change", change_root)]
             if i % 2:
                 order.reverse()
             runs = {side: run_once(root, args.workload, seed, seconds, args.trace)
