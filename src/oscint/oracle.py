@@ -52,7 +52,7 @@ import functools
 import math
 from itertools import islice
 from operator import mul
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .control import DEFAULT_CONTROL, SeriesControl
 from .errors import (
@@ -165,9 +165,6 @@ class QuadraticPhase(Record):
         object.__setattr__(self, "power", power)
 
 
-Weight = Union[HalfPower, TwoRadical, RadicalPole, ThreeRadical, LogHalfPower, QuadraticPhase]
-
-
 class IntegrandSpec(Record):
     """One oscillatory integrand: weight function times sin/cos kernel.
 
@@ -178,7 +175,7 @@ class IntegrandSpec(Record):
 
     __slots__ = ("weight", "kernel", "zeta")
 
-    def __init__(self, weight: Weight, kernel: Kernel, zeta: float = 1.0):
+    def __init__(self, weight: Record, kernel: Kernel, zeta: float = 1.0):
         kernel = _as_kernel(kernel)
         _require_finite("IntegrandSpec", zeta=zeta)
         if zeta <= 0:
@@ -486,53 +483,39 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
         # past the usual 3 direct lobes (the last one the rule's first term)
         # n0 + 4 lobes let the rule stop at orders n0 .. n0 + 2
         lobes = _block_lobes(f_over(_gk21()[0]), lo, it, epsabs, n0 + 4)
-    quad_err = 0.0
-    direct = []
-    prev_mag = math.inf
-    decreases = 0
-    for piece, perr in lobes:
+    quad_err = mass = 0.0
+    tail = []                   # the direct lobes, then the accelerated ones
+    head = prev = None          # head, the direct sum, is None in the direct phase
+    prev_mag, decreases = math.inf, 0
+    for nlobes, (piece, perr) in enumerate(lobes, 1):
         quad_err += perr
-        direct.append(piece)
-        if len(direct) >= max_lobes:
-            raise AccelerationStalledError(
-                f"lobe magnitudes did not start decreasing within {max_lobes} lobes")
-        if not math.isfinite(piece):
-            # a NaN or infinite lobe can never converge: stop at once
-            raise _not_finite(len(direct))
-        if abs(piece) <= prev_mag:
-            decreases += 1
-        else:
-            decreases = 0
-        prev_mag = abs(piece)
-        if decreases >= 2 and len(direct) >= 3:
-            break
-    else:
-        raise AccelerationStalledError("breakpoint stream exhausted")
-    head = math.fsum(direct[:-1])
-    tail = [direct[-1]]
-    mass = math.fsum(map(abs, direct))
-    nlobes = len(direct)
-    prev = None
-    for piece, perr in lobes:
-        quad_err += perr
-        nlobes += 1
         mass += abs(piece)
         if not mass < math.inf:
             # a NaN lobe, or a sum that overflows, can never converge
             raise _not_finite(nlobes)
         tail.append(piece)
-        if len(tail) > _CRVZ_MAX_ORDER:
-            # beyond the highest order the rule moves along the series
-            head += tail.pop(0)
-        n = len(tail)
-        if n >= n0 - 1:
-            total = head + sum(map(mul, _crvz_weights(n), tail))
-            if prev is not None and abs(total - prev) <= max(ctl.rel_tol * abs(total), 1e-15):
-                err = quad_err + 2.0 * abs(total - prev) + 4.0 * math.ulp(1.0) * mass
-                return total, err, nlobes, True
-            prev = total
+        if head is None:
+            decreases = decreases + 1 if abs(piece) <= prev_mag else 0
+            prev_mag = abs(piece)
+            if decreases >= 2 and 3 <= nlobes < max_lobes:
+                # the last direct lobe is the rule's first term
+                head, mass = math.fsum(tail[:-1]), math.fsum(map(abs, tail))
+                del tail[:-1]
+        else:
+            if len(tail) > _CRVZ_MAX_ORDER:
+                # beyond the highest order the rule moves along the series
+                head += tail.pop(0)
+            n = len(tail)
+            if n >= n0 - 1:
+                total = head + sum(map(mul, _crvz_weights(n), tail))
+                if prev is not None and abs(total - prev) <= max(ctl.rel_tol * abs(total), 1e-15):
+                    err = quad_err + 2.0 * abs(total - prev) + 4.0 * math.ulp(1.0) * mass
+                    return total, err, nlobes, True
+                prev = total
         if nlobes >= max_lobes:
             raise AccelerationStalledError(
+                f"lobe magnitudes did not start decreasing within {max_lobes} lobes"
+                if head is None else
                 f"lobe series failed tolerance {ctl.rel_tol} within {max_lobes} lobes")
     raise AccelerationStalledError("breakpoint stream exhausted")
 
@@ -553,12 +536,6 @@ def kernel_breakpoints(kernel: Kernel, zeta: float, start: float = 0.0):
     while True:
         yield (k - shift) * math.pi / zeta
         k += 1
-
-
-def _quadratic_breakpoints(kernel: Kernel, scale: float):
-    """0 followed by the zeros of kernel(scale * z^2) above it: the square
-    roots of the zeros of kernel(scale * t)."""
-    return map(math.sqrt, kernel_breakpoints(kernel, scale))
 
 
 def _kernel_times(g, trig, zeta):
@@ -586,9 +563,7 @@ def oscillatory_integral(g, kernel: Kernel, zeta: float, start: float = 0.0,
         f = _kernel_times(g, _trig(kernel, math), zeta)
     else:
         f_over = lambda m: _kernel_times(g_over(m), _trig(kernel, m), zeta)
-    value, err, lobes, accelerated = lobe_sum(
-        f, kernel_breakpoints(kernel, zeta, start), ctl, f_over)
-    return QuadratureReport(value, err, lobes, accelerated)
+    return QuadratureReport(*lobe_sum(f, kernel_breakpoints(kernel, zeta, start), ctl, f_over))
 
 
 # --------------------------------------------------------------------------
@@ -604,12 +579,24 @@ def _check_half_power_convergence(w: HalfPower, kernel: Kernel):
             f"{kernel.value} kernel with exponent {p} >= {limit} diverges at the origin for x=0")
 
 
+# each linear-phase weight over a math module ``m``: its function of t
+_WEIGHT_OVER = {
+    HalfPower: lambda w, m: lambda t: (t + w.x) ** -(w.alpha + 0.5),
+    TwoRadical: lambda w, m: lambda t: 1.0 / m.sqrt((t + w.a) * (t + w.b)),
+    RadicalPole: lambda w, m: lambda t: 1.0 / (m.sqrt(t + w.a) * (t + w.b)),
+    ThreeRadical: lambda w, m: lambda t: 1.0 / m.sqrt((t + w.a) * (t + w.b) * (t + w.c)),
+    LogHalfPower: lambda w, m: lambda t: m.log(t + w.x) / m.sqrt(t + w.x),
+}
+
+
 def integrate_semi_infinite(spec: IntegrandSpec,
                             ctl: SeriesControl = DEFAULT_CONTROL) -> QuadratureReport:
     """Evaluate the semi-infinite oscillatory integral described by ``spec``.
 
     Each weight is written once, over a math module ``m``, for
-    ``lobe_sum`` to evaluate over numpy.
+    ``lobe_sum`` to evaluate over numpy: a QuadraticPhase weight with
+    its kernel, over the square roots of the kernel's zeros, and every
+    other weight in ``_WEIGHT_OVER``.
     """
     w = spec.weight
     if isinstance(w, QuadraticPhase):
@@ -619,29 +606,15 @@ def integrate_semi_infinite(spec: IntegrandSpec,
             trig = _trig(spec.kernel, m)
             return lambda z: trig(c * z * z) * (z * z + 1.0) ** -p
 
-        value, err, lobes, accelerated = lobe_sum(
-            None, _quadratic_breakpoints(spec.kernel, c), ctl, f_over)
-        return QuadratureReport(value, err, lobes, accelerated)
-
+        zeros = map(math.sqrt, kernel_breakpoints(spec.kernel, c))
+        return QuadratureReport(*lobe_sum(None, zeros, ctl, f_over))
+    weight_over = _WEIGHT_OVER.get(type(w))
+    if weight_over is None:
+        raise DomainError(f"unknown weight {w!r}")
     if isinstance(w, HalfPower):
         _check_half_power_convergence(w, spec.kernel)
-        p, x = w.alpha + 0.5, w.x
-        g_over = lambda m: lambda t: (t + x) ** -p
-    elif isinstance(w, TwoRadical):
-        a, b = w.a, w.b
-        g_over = lambda m: lambda t: 1.0 / m.sqrt((t + a) * (t + b))
-    elif isinstance(w, RadicalPole):
-        a, b = w.a, w.b
-        g_over = lambda m: lambda t: 1.0 / (m.sqrt(t + a) * (t + b))
-    elif isinstance(w, ThreeRadical):
-        a, b, c = w.a, w.b, w.c
-        g_over = lambda m: lambda t: 1.0 / m.sqrt((t + a) * (t + b) * (t + c))
-    elif isinstance(w, LogHalfPower):
-        x = w.x
-        g_over = lambda m: lambda t: m.log(t + x) / m.sqrt(t + x)
-    else:
-        raise DomainError(f"unknown weight {w!r}")
-    return oscillatory_integral(None, spec.kernel, spec.zeta, 0.0, ctl, g_over)
+    return oscillatory_integral(None, spec.kernel, spec.zeta, 0.0, ctl,
+                                lambda m: weight_over(w, m))
 
 
 def integrate_finite(f: Optional[Callable[[float], float]], lo: float, hi: float,

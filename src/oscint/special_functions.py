@@ -333,15 +333,24 @@ def fresnel_c(z: float) -> float:
 
 @lru_cache(maxsize=1)
 def _bessel_pair(z):
-    """(J0(z), Y0(z)) by one ascending series, memoised for one argument:
-    every caller reads J0 and Y0 at the same z, one after the other.
+    """(J0(z), Y0(z)), memoised for one argument: every caller reads J0
+    and Y0 at the same z, one after the other.
 
+    Up to _BESSEL_SWITCH by one ascending series:
     J0 = sum t_k and Y0 = (2/pi)((log(z/2) + gamma) J0 - sum_{k>=1} H_k t_k),
     t_k = (-z^2/4)^k / k!^2, H_k the harmonic numbers, summed until both
     stopping tests hold.  A term past a sum's own test is below a tenth of
     an ulp of it and leaves it unchanged, so each sum keeps the bits of a
-    series of its own.  Y0(0) is -inf.
+    series of its own.  Y0(0) is -inf.  Beyond the switch by the Hankel
+    expansion, sqrt(2/(pi z)) (P cos w - Q sin w, P sin w + Q cos w) with
+    w = z - pi/4, from one pair of sums P, Q.
     """
+    if not z <= _BESSEL_SWITCH:
+        _require_finite_argument("Bessel", z)
+        p, q = _hankel_pq(z)
+        w = z - 0.25 * math.pi
+        r = math.sqrt(2.0 / (math.pi * z))
+        return r * (p * math.cos(w) - q * math.sin(w)), r * (p * math.sin(w) + q * math.cos(w))
     q = 0.25 * z * z
     term, hk, j0, ysum = 1.0, 0.0, 1.0, 0.0
     for k in range(1, 200):
@@ -383,24 +392,14 @@ def bessel_j0(z: float) -> float:
     """Bessel function of the first kind, order zero, z >= 0."""
     if z < 0:
         raise DomainError(f"bessel_j0 needs z >= 0, got {z}")
-    if z <= _BESSEL_SWITCH:
-        return _bessel_pair(z)[0]
-    _require_finite_argument("Bessel", z)
-    p, q = _hankel_pq(z)
-    w = z - 0.25 * math.pi
-    return math.sqrt(2.0 / (math.pi * z)) * (p * math.cos(w) - q * math.sin(w))
+    return _bessel_pair(z)[0]
 
 
 def bessel_y0(z: float) -> float:
     """Bessel function of the second kind, order zero, z > 0."""
     if z <= 0:
         raise DomainError(f"bessel_y0 needs z > 0, got {z}")
-    if z <= _BESSEL_SWITCH:
-        return _bessel_pair(z)[1]
-    _require_finite_argument("Bessel", z)
-    p, q = _hankel_pq(z)
-    w = z - 0.25 * math.pi
-    return math.sqrt(2.0 / (math.pi * z)) * (p * math.sin(w) + q * math.cos(w))
+    return _bessel_pair(z)[1]
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ The engine below is written once for both p:
   all), each the stable direction;
   the length J grows with the phase, so it is cached per phase rounded
   up to a multiple of 1/16 (bounded LRU);
-* one phase guard (c gamma^2 <= 25) and one quadrature head for both p,
+* one phase guard (c gamma^2 <= 12) and one quadrature head for both p,
   kernel(c z^2) (z^2+1)^-p on [0, gamma] through the family's own
   ``integrate_finite`` binding, when a series is refused or stalls;
 * the leading-order heads for gamma <= 1, with coefficient k = 2/p;
@@ -54,8 +54,12 @@ from .special_functions import (
     hyp2f1,
 )
 
-# beyond this phase the alternating factorial series loses > ~10 digits
-_MAX_PHASE = 25.0
+# beyond this phase the heads are integrated instead: the alternating
+# factorial series loses digits like e^(c gamma^2).  On 3,000 seeded wide
+# points, against the quadrature heads at rel_tol 1e-14, the worst
+# relative error of a transform is 1.1e-10 at phase 11-12, 3.7e-10 at
+# 12-13, 2e-8 at 16, 1.7e-6 at 20 and 8.9e-5 at 24
+_MAX_PHASE = 12.0
 
 
 class TwoRadicalParams(Record):

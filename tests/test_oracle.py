@@ -487,7 +487,8 @@ def test_direct_lobes_are_capped(name, batched):
     # lobe magnitudes that never decrease keep the series in its direct
     # phase; 10 * max_terms lobes end it
     over = CAP_INTEGRANDS[name]
-    with pytest.raises(AccelerationStalledError, match="within 50 lobes"):
+    with pytest.raises(AccelerationStalledError,
+                       match="^lobe magnitudes did not start decreasing within 50 lobes$"):
         oracle.lobe_sum(over(math), _breakpoints_failing_after(1000),
                         SeriesControl(max_terms=5), over if batched else None)
 
@@ -501,11 +502,38 @@ def test_rule_moves_along_the_series_past_its_highest_order(monkeypatch):
     weights = oracle._crvz_weights
     monkeypatch.setattr(oracle, "_crvz_weights", lambda n: orders.append(n) or weights(n))
     over = lambda m: lambda t: m.sin(t) * (1.0 + 0.5 * m.cos(0.37 * t))
-    with pytest.raises(AccelerationStalledError, match="within 100 lobes"):
+    with pytest.raises(AccelerationStalledError,
+                       match="^lobe series failed tolerance 1e-12 within 100 lobes$"):
         oracle.lobe_sum(over(math), oracle.kernel_breakpoints(Kernel.SIN, 1.0),
                         SeriesControl(max_terms=10), over)
     assert orders[-1] == max(orders) == oracle._CRVZ_MAX_ORDER
     assert len(orders) > 50
+
+
+# breakpoints of a finite stream, and the CRVZ orders the sum then forms:
+# 2 lobes end it in the direct phase (which needs 3), 7 lobes in the
+# accelerated phase, after one total of order 5 (the first at 1e-4)
+EXHAUSTED = {"direct": (3, []), "accelerated": (8, [5])}
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["quadpack", "batched"])
+@pytest.mark.parametrize("phase", sorted(EXHAUSTED))
+def test_finite_breakpoint_stream_is_exhausted(monkeypatch, phase, batched):
+    points, want = EXHAUSTED[phase]
+    orders = []
+    weights = oracle._crvz_weights
+    monkeypatch.setattr(oracle, "_crvz_weights", lambda n: orders.append(n) or weights(n))
+    over = lambda m: lambda t: m.sin(t) / (t + 1.0)
+    breakpoints = islice(oracle.kernel_breakpoints(Kernel.SIN, 1.0), points)
+    with pytest.raises(AccelerationStalledError, match="^breakpoint stream exhausted$"):
+        oracle.lobe_sum(over(math), breakpoints, SeriesControl(rel_tol=1e-4),
+                        over if batched else None)
+    assert orders == want
+
+
+def test_unknown_weight_is_domain_error():
+    with pytest.raises(DomainError, match="^unknown weight "):
+        integrate_semi_infinite(IntegrandSpec(object(), Kernel.SIN))
 
 
 def _nan_beyond(jump):

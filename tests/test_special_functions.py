@@ -186,6 +186,16 @@ def test_bessel_pair_is_bitwise_the_two_series():
         assert bessel_y0(z).hex() == _y0_series(z).hex(), z
 
 
+@pytest.mark.parametrize("z, j0, y0", [
+    (20.0, "0x1.561106f7bed66p-3", "0x1.00936d2b2bedep-4"),
+    (123.456, "-0x1.22f06b31ea753p-4", "-0x1.59c329332f78fp-7"),
+])
+def test_hankel_branch_keeps_its_bits(z, j0, y0):
+    # one Hankel pair for both functions: the bits of the separate forms
+    sf._bessel_pair.cache_clear()
+    assert (bessel_j0(z).hex(), bessel_y0(z).hex()) == (j0, y0)
+
+
 def test_bessel_branch_consistency():
     # values must join smoothly across the series/asymptotic split at 14
     for z in (13.999999, 14.000001):
@@ -512,7 +522,7 @@ def test_one_fresnel_branch_per_pole_tail_and_head_approximation(count_calls, c)
         assert sum(counts.values()) == pairs
 
 
-def test_one_ascending_series_per_j0_y0_pair():
+def test_one_ascending_series_per_j0_y0_pair(count_calls):
     # a cache miss is one run of the series, which sums J0 and Y0 together
     sf._bessel_pair.cache_clear()
     tr._tails(5.0)                      # J0/Y0 at 2.5, below the Hankel switch
@@ -520,6 +530,11 @@ def test_one_ascending_series_per_j0_y0_pair():
     bessel_y0(3.0)
     bessel_j0(3.0)
     assert sf._bessel_pair.cache_info()[:2] == (2, 2)
+    # above the switch one pair of Hankel sums serves both
+    counts = count_calls(sf, "_hankel_pq")
+    bessel_j0(20.0)
+    bessel_y0(20.0)
+    assert counts == {"_hankel_pq": 1}
 
 
 # ---------------------------------------------------------------- 2F1

@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 from oscint import (
     ConvergenceError,
     DomainError,
+    IntegrandSpec,
+    Kernel,
+    RadicalPole,
     SeriesControl,
+    TwoRadical,
     approx_cos_transform,
     approx_sin_transform,
     cos_transform,
@@ -18,6 +22,7 @@ from oscint import (
     head_cos_series,
     head_sin_approx,
     head_sin_series,
+    integrate_semi_infinite,
     pole_head_cos_series,
     pole_head_sin_series,
     pole_cos_transform,
@@ -186,6 +191,12 @@ def test_head_series_against_mpmath(power, heads):
     worst = []
     with mpmath.workdps(30):
         for gamma, phase, tol in _head_accuracy_grid():
+            if phase > 12.0:
+                # past the phase guard the series is refused
+                for head in heads:
+                    with pytest.raises(ConvergenceError, match="too large"):
+                        head(phase / (gamma * gamma), gamma)
+                continue
             # z = gamma u: gamma * integral of exp(i phase u^2) (1 + gamma^2 u^2)^-p on [0, 1]
             g, x, p = mpmath.mpf(gamma), mpmath.mpf(phase), mpmath.mpf(power)
             n = 2 + int(phase / 4)      # subintervals of about one oscillation each
@@ -198,6 +209,24 @@ def test_head_series_against_mpmath(power, heads):
                 err = float(abs((head(c, gamma) - want) / want))
                 worst.append((err / tol, head.__name__, gamma, phase, err))
     assert max(worst)[0] <= 1.0, max(worst)
+
+
+@pytest.mark.parametrize("transforms, weight", [
+    ((sin_transform, cos_transform), TwoRadical),
+    ((pole_sin_transform, pole_cos_transform), RadicalPole),
+], ids=["two-radical", "radical-pole"])
+def test_wide_transforms_past_the_phase_guard_meet_the_oracle(transforms, weight):
+    # wide-stratum points at phase zeta a = c gamma^2 in [13, 24], where the
+    # head series lost up to 9e-5; the heads are now integrated
+    rng = random.Random(20261019)
+    tight = SeriesControl(1e-14, 2000)
+    for _ in range(12):
+        zeta = rng.uniform(0.5, 2.0)
+        a = rng.uniform(13.0, 24.0) / zeta
+        b = a + rng.uniform(0.2, 3.5)
+        for transform, kernel in zip(transforms, Kernel):
+            ref = integrate_semi_infinite(IntegrandSpec(weight(a, b), kernel, zeta), tight)
+            assert abs(transform(a, b, zeta) - ref.value) <= 1e-10 * abs(ref.value), (a, b, zeta)
 
 
 def _table_top_loop(x, ctl):

@@ -1,0 +1,159 @@
+"""Value-by-value comparison of a workload between a parent commit and this working tree.
+
+Run from the root of a checkout:
+
+    python3 tools/value_diff.py --workload oracle-grid --seeds 1-3
+
+The two copies are made as ``tools/bench_pairs.py`` makes them: the
+parent (``--parent``, default ``HEAD``) by ``git archive`` and the
+change as a fresh copy of this working tree, in one temporary directory
+(under ``--workdir`` if given) that is removed at the end.  For each
+seed each copy evaluates, in an interpreter of its own, every request
+of the benchmark's fixed list (``perfbench/workloads.py``, at the
+``run_seconds`` of ``BENCHMARK.json``): closed-grid by its public closed
+form, oracle-grid by ``integrate_semi_infinite``.  A request that raises
+records the exception's class name.
+
+Per (family, kernel, stratum) the script prints the number of requests,
+how many values differ in ``float.hex`` (or in the exception raised),
+and the largest relative move of a value; for oracle-grid also how many
+error estimates and lobe counts differ.  ``--record PATH`` writes the
+table as JSON.  Only the standard library is used here; each copy runs
+its own ``oscint`` and ``perfbench/workloads.py``, which it only reads.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import bench_pairs  # noqa: E402
+
+WORKLOADS = ("closed-grid", "oracle-grid")
+
+
+def evaluate(root, workload, seed):
+    """Rows of one seed's requests, evaluated by the checkout ``root``
+    (run in a fresh interpreter): each request's cell and its result."""
+    root = Path(root)
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import oscint
+    import workloads as wl
+
+    seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
+    rows = []
+    for req in wl.generate(workload, seed, wl.request_count(workload, seconds)):
+        row = {"cell": [req.family, req.kernel, req.stratum]}
+        try:
+            if workload == "oracle-grid":
+                rep = oscint.integrate_semi_infinite(wl.oracle_spec(oscint, req))
+                row.update(value=rep.value.hex(), err=rep.abs_err_est.hex(),
+                           lobes=rep.zero_intervals_used)
+            else:
+                row["value"] = float(wl.closed_call(oscint, req)()).hex()
+        except Exception as exc:    # a failed request is a result too
+            row["raised"] = type(exc).__name__
+        rows.append(row)
+    return rows
+
+
+def _outcome(row):
+    return row.get("value", "raised " + row.get("raised", ""))
+
+
+def relative_move(parent, change):
+    """|change - parent| / |parent| of two rows' values: 0 when the bits
+    agree, inf when only one side raised or the parent value is 0."""
+    if _outcome(parent) == _outcome(change):
+        return 0.0
+    if "value" not in parent or "value" not in change:
+        return math.inf
+    p, c = float.fromhex(parent["value"]), float.fromhex(change["value"])
+    return abs(c - p) / abs(p) if p else math.inf
+
+
+def compare(parent_rows, change_rows):
+    """{(family, kernel, stratum): counts} of two lists of rows of the
+    same requests: ``n``, ``value_diff`` (values whose bits or exception
+    differ), ``max_rel`` and, where the rows carry them, ``err_diff`` and
+    ``lobes_diff``."""
+    cells = {}
+    for p, c in zip(parent_rows, change_rows, strict=True):
+        if p["cell"] != c["cell"]:
+            raise ValueError(f"the request lists differ: {p['cell']} against {c['cell']}")
+        cell = cells.setdefault(tuple(p["cell"]), {"n": 0, "value_diff": 0, "max_rel": 0.0})
+        cell["n"] += 1
+        cell["value_diff"] += _outcome(p) != _outcome(c)
+        cell["max_rel"] = max(cell["max_rel"], relative_move(p, c))
+        for key in ("err", "lobes"):
+            if key in p or key in c:
+                cell[key + "_diff"] = cell.get(key + "_diff", 0) + (p.get(key) != c.get(key))
+    return cells
+
+
+def format_table(cells):
+    lines = []
+    total = {"n": 0, "value_diff": 0}
+    for (fam, kernel, stratum), cell in sorted(cells.items()):
+        extra = "".join(f"  {key} {cell[key]}" for key in ("err_diff", "lobes_diff")
+                        if key in cell)
+        lines.append(f"{fam + '/' + kernel + '/' + stratum:<32} n {cell['n']:>5}  "
+                     f"value_diff {cell['value_diff']:>5}  max_rel {cell['max_rel']:.3g}{extra}")
+        total["n"] += cell["n"]
+        total["value_diff"] += cell["value_diff"]
+    lines.append(f"{'total':<32} n {total['n']:>5}  value_diff {total['value_diff']:>5}")
+    return lines
+
+
+def _child(root, workload, seed):
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child", str(root),
+                           "--workload", workload, "--seeds", str(seed)],
+                          cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"evaluation in {root} (seed {seed}) exited {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True, choices=WORKLOADS)
+    ap.add_argument("--seeds", required=True, type=bench_pairs.parse_seeds,
+                    help='seed range and list, e.g. "1-3" or "5,7"')
+    ap.add_argument("--parent", default="HEAD", help="git revision to compare against")
+    ap.add_argument("--record", type=Path, help="also write the table as JSON here")
+    ap.add_argument("--workdir", type=Path, help="where to make the two copies")
+    ap.add_argument("--child", type=Path, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:
+        json.dump(evaluate(args.child, args.workload, args.seeds[0]), sys.stdout)
+        return 0
+
+    parent_rows, change_rows = [], []
+    with tempfile.TemporaryDirectory(prefix="value-diff-", dir=args.workdir) as tmp:
+        parent_root, change_root = Path(tmp) / "parent", Path(tmp) / "change"
+        bench_pairs.extract(args.parent, parent_root)
+        bench_pairs.snapshot(change_root)
+        for seed in args.seeds:
+            parent_rows += _child(parent_root, args.workload, seed)
+            change_rows += _child(change_root, args.workload, seed)
+            print(f"seed {seed} done", file=sys.stderr)
+    cells = compare(parent_rows, change_rows)
+    if args.record:
+        args.record.write_text(json.dumps(
+            {"workload": args.workload, "parent": args.parent, "seeds": args.seeds,
+             "cells": [{"cell": list(key), **cell} for key, cell in sorted(cells.items())]},
+            indent=1) + "\n")
+    print(f"{args.workload} seeds {args.seeds}: parent {args.parent} vs working tree")
+    print("\n".join(format_table(cells)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
