@@ -34,8 +34,8 @@ Each family is written down once, in ``FAMILIES``: its parameters, the
 module of its closed forms, its methods and its oracle weight.  The
 module is imported on the family's first use, so a cold ``eval`` of one
 family loads none of the others; ``selfcheck`` and the oracle's numpy
-load on demand too.  ``--timing`` loads the family's module and numpy
-before the first clock starts, so ``elapsed_us`` holds no import.
+load on demand too.  ``--timing`` loads the family's module and builds
+the oracle's tables before the clock starts, so ``elapsed_us`` holds neither.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from enum import Enum
 from functools import partial
 from importlib import import_module
 
-from .control import control_from_env
+from .control import SeriesControl, control_from_env
 from .errors import ConvergenceError, DomainError, Kernel, UnsupportedError
 from .oracle import (
     HalfPower,
@@ -326,16 +326,16 @@ def _shown_params(params, kernel):
     return {**{k: v for k, v in params.items() if k != "plus_one" or v}, "kernel": kernel.value}
 
 
-def _preload(family):
-    """Import what an evaluation of ``family`` loads on first use, so that
+def _preload(family, kernel, ctl):
+    """Load what an evaluation of ``family`` builds on first use, so that
     ``--timing`` measures the evaluation alone: the family's module, and
-    numpy, which the oracle's quadrature takes and so do the series
-    routes and the closed forms that fall back to it (quadrature heads,
-    si/ci lobes)."""
+    numpy with the oracle's tables, which quadrature heads and si/ci lobes
+    take too, from one throwaway oracle integral at the row's kernel and
+    tolerance (and the default term cap, under which it cannot stall)."""
     module = FAMILIES[family].module
     if module is not None:
         import_module("." + module, __package__)
-    import_module("numpy")
+    integrate_semi_infinite(IntegrandSpec(HalfPower(0.0, 1.0), kernel), SeriesControl(ctl.rel_tol))
 
 
 def _record(family, method, kernel, params, ctl, timing, report):
@@ -369,7 +369,7 @@ def cmd_eval(args, stream, sweep=False, report=False):
             + ", ".join(m.value for m in FAMILY_METHODS[args.family]))
     lists = _collect_params(args, args.family, sweep=sweep)
     if args.timing:
-        _preload(args.family)
+        _preload(args.family, kernel, ctl)
     rows = [_record(args.family, method, kernel, p, ctl, args.timing, report)
             for p in _param_grid(lists)]
     _emit(rows, args.format, args.timing, stream)

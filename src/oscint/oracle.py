@@ -9,7 +9,10 @@ caller also gives the integrand in vector form, every lobe comes from
 one stream integrated in blocks: the first holds the lobes the
 tolerance needs (21 at the default), each later one 8.  The first block
 also cuts the first lobe into pieces graded toward its lower end and the
-second into halves, since the weight is steepest there.  A piece whose
+second into halves, since the weight is steepest there.  For this
+module's own integrands, weight(t) kernel(freq t^power) from 0, that
+block is one cached table in units of (pi/freq)^(1/power), the same at
+every frequency, so only the weight is evaluated.  A piece whose
 Kronrod-Gauss difference fails the tolerance goes to ``quad``, the
 adaptive form of the same rule, which otherwise integrates every lobe
 and every finite range.  A typical integral takes one evaluation.  This
@@ -50,7 +53,8 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import islice
+from collections import namedtuple
+from itertools import chain, islice, pairwise
 from operator import mul
 from typing import Callable, Optional
 
@@ -273,16 +277,23 @@ def _gk21():
     return np, np.concatenate((-x, x[-2::-1])), np.concatenate((w, w[-2::-1]))
 
 
-def _gk21_pieces(fv, a, b):
-    """(K21, |K21 - G10|) of the array integrand ``fv`` on each piece
-    [a_i, b_i], in one evaluation; ``a`` and ``b`` are numpy arrays."""
-    np, nodes, weights = _gk21()
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
+def _gk21_rule(fv, x, scale):
+    """(K21, |K21 - G10|) of each row of the node matrix ``x``: the array
+    integrand ``fv`` at the 21 nodes of one piece, times ``scale``, the
+    half-widths as a column or one factor.  Every GK21 sum is taken here."""
+    np, _, weights = _gk21()
     # IEEE results without warnings: a non-finite piece fails every test
     with np.errstate(all="ignore"):
-        kg = (fv(mid[:, None] + half[:, None] * nodes) @ weights) * half[:, None]
+        kg = (fv(x) @ weights) * scale
         return kg[:, 0], np.abs(kg[:, 0] - kg[:, 1])
+
+
+def _gk21_pieces(fv, a, b):
+    """``_gk21_rule`` of ``fv`` on the pieces [a, b], numpy arrays."""
+    np, nodes, _ = _gk21()
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return _gk21_rule(fv, mid[:, None] + half[:, None] * nodes, half[:, None])
 
 
 def _elementwise(f):
@@ -378,13 +389,6 @@ def quad(fv, lo, hi, epsabs, epsrel):
         k, d = np.concatenate((k[keep], ck)), np.concatenate((d[keep], cd))
 
 
-def _quad_lobes(fv, lo, his, epsabs):
-    """(integral, abs error) of each lobe [lo, h0], [h0, h1], ... by ``quad``."""
-    for hi in his:
-        yield quad(fv, lo, hi, epsabs=epsabs, epsrel=epsabs)[:2]
-        lo = hi
-
-
 def _graded_lobe(fv, edges, kron, diff, epsabs):
     """(value, error) of a lobe cut into pieces at ``edges``, from their
     K21 and |K21 - G10|: sums over the pieces.  The lobe's tolerance,
@@ -403,28 +407,78 @@ def _graded_lobe(fv, edges, kron, diff, epsabs):
     return sum(kron), sum(diff)
 
 
-def _block_lobes(fv, lo, his, epsabs, first):
-    """Like ``_quad_lobes``, integrating ``first`` lobes in one GK21
-    evaluation and _NEXT_BLOCK in each later one.  The first block cuts
-    the first lobe at _FIRST_LOBE_CUTS and halves the second, which
-    ``_graded_lobe`` then settles.  Any other lobe is accepted when
-    |K21 - G10| <= max(epsabs, epsabs |K21|), tested a block at a time,
-    and the difference is its error estimate; otherwise it goes to
-    ``quad`` when it is reached.
-    """
-    np = _gk21()[0]
-    block = list(islice(his, first))
-    if not block:
-        return
+def _first_layout(lo, block):
+    """(edges, pieces per graded lobe) of a first block from ``lo`` to the
+    zeros ``block``: lobe 1 cut at _FIRST_LOBE_CUTS, lobe 2 halved."""
     edges = [lo] + [lo + c * (block[0] - lo) for c in _FIRST_LOBE_CUTS] + block[:1]
-    graded = [len(_FIRST_LOBE_CUTS) + 1]        # pieces per graded lobe
+    graded = [len(_FIRST_LOBE_CUTS) + 1]
     if len(block) > 1:
         edges.append(0.5 * (block[0] + block[1]))
         graded.append(2)
-    edges += block[1:]
-    while True:
+    return edges + block[1:], graded
+
+
+@functools.cache
+def _phase_table(kernel, power, first):
+    """The first block of ``first`` lobes of a ``_Phase`` integrand from 0
+    in units of its scale, where its zeros are (k - shift)^(1/power): (node
+    matrix u, kernel(pi u^power) times the half-widths, edges, pieces per
+    graded lobe).  The kernel is (-1)^k sin(pi f) at u^power + shift = k + f,
+    |f| <= 1/2, f from nodes in numpy's extended precision where it has one."""
+    np, nodes, _ = _gk21()
+    shift = 0.0 if kernel is Kernel.SIN else 0.5
+    edges, graded = _first_layout(0.0, [(k - shift) ** (1.0 / power) for k in range(1, first + 1)])
+    e = np.array(edges, np.longdouble)
+    half = 0.5 * (e[1:] - e[:-1])[:, None]
+    u = 0.5 * (e[1:] + e[:-1])[:, None] + half * nodes
+    v = u ** power + shift
+    k = np.rint(v)
+    table = np.where(k % 2, -1.0, 1.0) * np.sin(np.pi * (v - k).astype(float)) * half.astype(float)
+    u = u.astype(float)
+    u.flags.writeable = table.flags.writeable = False       # every caller shares them
+    return u, table, tuple(edges), tuple(graded)
+
+
+class _Phase(namedtuple("_Phase", "weight kernel freq power")):
+    """The integrand weight(t) kernel(freq t^power), ``weight`` over a math
+    module: called with a math module it is the integrand over it.  In
+    units of its scale (pi / freq)^(1/power) its zeros are fixed."""
+
+    __slots__ = ()
+
+    def __call__(self, m):
+        g, trig, freq = self.weight(m), _trig(self.kernel, m), self.freq
+        if self.power == 1:
+            return lambda t: g(t) * trig(freq * t)
+        return lambda t: g(t) * trig(freq * t * t)
+
+
+def _block_lobes(f_over, lo, his, epsabs, first):
+    """(integral, abs error) of each lobe [lo, h0], [h0, h1], ... of the
+    integrand over a math module ``f_over``, ``his`` the zeros h0, h1, ...:
+    ``first`` lobes in one GK21 evaluation, _NEXT_BLOCK in each later one.
+    The first block's first two lobes, cut by ``_first_layout``, are
+    settled by ``_graded_lobe``; a ``_Phase`` from 0 takes that block from
+    ``_phase_table``, scaled, and skips its zeros in ``his``.  Any other
+    lobe is accepted when |K21 - G10| <= max(epsabs, epsabs |K21|), tested
+    a block at a time, and the difference is its error estimate; otherwise
+    it goes to ``quad`` when it is reached."""
+    np = _gk21()[0]
+    fv = f_over(np)
+    if isinstance(f_over, _Phase) and lo == 0.0:
+        s, g = (math.pi / f_over.freq) ** (1.0 / f_over.power), f_over.weight(np)
+        u, table, edges, graded = _phase_table(f_over.kernel, f_over.power, first)
+        kron, diff = _gk21_rule(lambda t: g(t) * table, s * u, s)
+        edges = [s * e for e in edges]
+        his = islice(his, first, None)
+    else:
+        block = list(islice(his, first))
+        if not block:
+            return
+        edges, graded = _first_layout(lo, block)
         e = np.array(edges)
         kron, diff = _gk21_pieces(fv, e[:-1], e[1:])
+    while True:
         ok = (diff <= np.maximum(epsabs, epsabs * np.abs(kron))).tolist()
         kron, diff = kron.tolist(), diff.tolist()
         i = 0
@@ -439,8 +493,9 @@ def _block_lobes(fv, lo, his, epsabs, first):
         block = list(islice(his, _NEXT_BLOCK))
         if not block:
             return
-        edges = edges[-1:] + block
-        graded = ()
+        edges, graded = edges[-1:] + block, ()
+        e = np.array(edges)
+        kron, diff = _gk21_pieces(fv, e[:-1], e[1:])
 
 
 def _not_finite(lobe):
@@ -463,9 +518,10 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
     or as ``f_over``, which builds it over a math module, so that
     ``f_over(numpy)`` takes arrays, and ``f`` is then unused (None).
     With ``f_over`` every lobe, direct or accelerated, comes from one
-    stream integrated in blocks by a fixed Gauss-Kronrod rule, and
-    ``quad`` takes only the pieces that fail its error test; with ``f``
-    ``quad`` integrates every lobe, evaluating ``f`` element by element.
+    stream integrated in blocks by a fixed Gauss-Kronrod rule (the first
+    block of this module's own integrands from 0 from a cached table),
+    and ``quad`` takes only the pieces that fail its error test; with
+    ``f`` ``quad`` integrates every lobe, evaluating ``f`` elementwise.
     At most ``10 * ctl.max_terms`` lobes are integrated, and a NaN lobe
     or a sum that overflows ends the series where it appears.
 
@@ -478,11 +534,13 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
     it = iter(breakpoints)
     lo = next(it)
     if f_over is None:
-        lobes = _quad_lobes(_elementwise(f), lo, it, epsabs)
+        fv = _elementwise(f)
+        lobes = (quad(fv, a, b, epsabs=epsabs, epsrel=epsabs)[:2]
+                 for a, b in pairwise(chain([lo], it)))
     else:
         # past the usual 3 direct lobes (the last one the rule's first term)
         # n0 + 4 lobes let the rule stop at orders n0 .. n0 + 2
-        lobes = _block_lobes(f_over(_gk21()[0]), lo, it, epsabs, n0 + 4)
+        lobes = _block_lobes(f_over, lo, it, epsabs, n0 + 4)
     quad_err = mass = 0.0
     tail = []                   # the direct lobes, then the accelerated ones
     head = prev = None          # head, the direct sum, is None in the direct phase
@@ -538,10 +596,6 @@ def kernel_breakpoints(kernel: Kernel, zeta: float, start: float = 0.0):
         k += 1
 
 
-def _kernel_times(g, trig, zeta):
-    return lambda t: g(t) * trig(zeta * t)
-
-
 def oscillatory_integral(g, kernel: Kernel, zeta: float, start: float = 0.0,
                          ctl: SeriesControl = DEFAULT_CONTROL,
                          g_over=None) -> QuadratureReport:
@@ -549,7 +603,8 @@ def oscillatory_integral(g, kernel: Kernel, zeta: float, start: float = 0.0,
 
     ``g_over``, if given, builds the weight over a math module in place
     of ``g`` (then None): ``g_over(numpy)`` takes arrays, which lets
-    ``lobe_sum`` batch the lobes.
+    ``lobe_sum`` batch the lobes, and from ``start`` = 0 take the first
+    block's nodes and kernel values from its cached table.
 
     ``g`` should be completely monotone, as every weight of the library
     is (module docstring).  Lobe magnitudes that oscillate themselves,
@@ -560,9 +615,9 @@ def oscillatory_integral(g, kernel: Kernel, zeta: float, start: float = 0.0,
     kernel = _as_kernel(kernel)
     f = f_over = None
     if g_over is None:
-        f = _kernel_times(g, _trig(kernel, math), zeta)
+        f = _Phase(lambda m: g, kernel, zeta, 1)(math)
     else:
-        f_over = lambda m: _kernel_times(g_over(m), _trig(kernel, m), zeta)
+        f_over = _Phase(g_over, kernel, zeta, 1)
     return QuadratureReport(*lobe_sum(f, kernel_breakpoints(kernel, zeta, start), ctl, f_over))
 
 
@@ -570,22 +625,14 @@ def oscillatory_integral(g, kernel: Kernel, zeta: float, start: float = 0.0,
 # public entry points
 # --------------------------------------------------------------------------
 
-def _check_half_power_convergence(w: HalfPower, kernel: Kernel):
-    # At x=0 the origin decides: cos*t^-p integrable iff p < 1, sin*t^-p iff p < 2.
-    p = w.alpha + 0.5
-    limit = 2 if kernel is Kernel.SIN else 1
-    if w.x == 0.0 and p >= limit:
-        raise DivergentIntegralError(
-            f"{kernel.value} kernel with exponent {p} >= {limit} diverges at the origin for x=0")
-
-
-# each linear-phase weight over a math module ``m``: its function of t
+# each weight over a math module ``m``: its function of t (of z for QuadraticPhase)
 _WEIGHT_OVER = {
     HalfPower: lambda w, m: lambda t: (t + w.x) ** -(w.alpha + 0.5),
     TwoRadical: lambda w, m: lambda t: 1.0 / m.sqrt((t + w.a) * (t + w.b)),
     RadicalPole: lambda w, m: lambda t: 1.0 / (m.sqrt(t + w.a) * (t + w.b)),
     ThreeRadical: lambda w, m: lambda t: 1.0 / m.sqrt((t + w.a) * (t + w.b) * (t + w.c)),
     LogHalfPower: lambda w, m: lambda t: m.log(t + w.x) / m.sqrt(t + w.x),
+    QuadraticPhase: lambda w, m: lambda z: (z * z + 1.0) ** -w.power,
 }
 
 
@@ -593,28 +640,26 @@ def integrate_semi_infinite(spec: IntegrandSpec,
                             ctl: SeriesControl = DEFAULT_CONTROL) -> QuadratureReport:
     """Evaluate the semi-infinite oscillatory integral described by ``spec``.
 
-    Each weight is written once, over a math module ``m``, for
-    ``lobe_sum`` to evaluate over numpy: a QuadraticPhase weight with
-    its kernel, over the square roots of the kernel's zeros, and every
-    other weight in ``_WEIGHT_OVER``.
+    Each weight is written once in ``_WEIGHT_OVER``, over a math module
+    ``m``, for ``lobe_sum`` to evaluate over numpy: a QuadraticPhase
+    weight times kernel(scale z^2), over the square roots of the kernel's
+    zeros, and every other weight through ``oscillatory_integral``.
     """
-    w = spec.weight
-    if isinstance(w, QuadraticPhase):
-        c, p = w.scale, w.power
-
-        def f_over(m):
-            trig = _trig(spec.kernel, m)
-            return lambda z: trig(c * z * z) * (z * z + 1.0) ** -p
-
-        zeros = map(math.sqrt, kernel_breakpoints(spec.kernel, c))
-        return QuadratureReport(*lobe_sum(None, zeros, ctl, f_over))
+    w, kernel = spec.weight, spec.kernel
     weight_over = _WEIGHT_OVER.get(type(w))
     if weight_over is None:
         raise DomainError(f"unknown weight {w!r}")
-    if isinstance(w, HalfPower):
-        _check_half_power_convergence(w, spec.kernel)
-    return oscillatory_integral(None, spec.kernel, spec.zeta, 0.0, ctl,
-                                lambda m: weight_over(w, m))
+    g_over = lambda m: weight_over(w, m)
+    if isinstance(w, QuadraticPhase):
+        zeros = map(math.sqrt, kernel_breakpoints(kernel, w.scale))
+        return QuadratureReport(*lobe_sum(None, zeros, ctl, _Phase(g_over, kernel, w.scale, 2)))
+    if isinstance(w, HalfPower) and w.x == 0.0:
+        # the origin decides: cos t^-p is integrable iff p < 1, sin t^-p iff p < 2
+        p, limit = w.alpha + 0.5, 2 if kernel is Kernel.SIN else 1
+        if p >= limit:
+            raise DivergentIntegralError(f"{kernel.value} kernel with exponent {p} >= {limit} "
+                                         "diverges at the origin for x=0")
+    return oscillatory_integral(None, kernel, spec.zeta, 0.0, ctl, g_over)
 
 
 def integrate_finite(f: Optional[Callable[[float], float]], lo: float, hi: float,

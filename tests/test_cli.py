@@ -93,6 +93,31 @@ def test_timed_evaluation_imports_nothing(case):
     assert "elapsed_us" in json.loads(proc.stdout)
 
 
+@pytest.mark.parametrize("kernel", ["sin", "cos"])
+def test_timed_oracle_rows_build_no_table(capsys, monkeypatch, kernel):
+    # the first oracle row read several times the rest while it built the
+    # GK21 and phase tables; --timing builds them before any clock starts
+    import oscint.cli as cli
+    import oscint.oracle as oracle
+
+    caches = (oracle._gk21, oracle._phase_table)
+    for cache in caches:
+        cache.cache_clear()
+    record, built = cli._record, []
+
+    def timed(*args):
+        before = [c.cache_info().misses for c in caches]
+        row = record(*args)
+        built.append([c.cache_info().misses for c in caches] != before)
+        return row
+
+    monkeypatch.setattr(cli, "_record", timed)
+    code, out, _ = run_cli(capsys, "table", "--family", "two-radical", "--kernel", kernel,
+                           "--a", "1", "--b", "2,3,4,5", "--method", "oracle", "--timing")
+    assert code == 0 and len(out.splitlines()) == 5
+    assert built == [False] * 4
+
+
 def test_compare_gate(capsys):
     code, out, _ = run_cli(capsys, "compare", "--family", "radical-pole",
                            "--a", "1", "--b", "2", "--zeta", "1")

@@ -62,7 +62,42 @@ def test_oracle_rows_also_compare_error_estimates_and_lobe_counts():
     change = [_row(COS, 1.0, err=(2e-13).hex(), lobes=19), _row(COS, 2.0, err=err, lobes=21),
               _row(COS, raised="AccelerationStalledError")]
     (cell,) = value_diff.compare(parent, change).values()
-    assert cell == {"n": 3, "value_diff": 0, "max_rel": 0.0, "err_diff": 1, "lobes_diff": 1}
+    assert cell == {"n": 3, "value_diff": 0, "max_rel": 0.0, "err_diff": 1, "lobes_diff": 1,
+                    "max_err_share": 0.0}
+
+
+def test_oracle_moves_are_measured_in_the_parent_error_estimate():
+    parent = [_row(COS, 1.0, err=(1e-12).hex(), lobes=19),
+              _row(COS, 2.0, err=(4e-13).hex(), lobes=20),
+              _row(COS, 3.0, err=(1e-13).hex(), lobes=20)]
+    change = [_row(COS, 1.0 + 2e-13, err=(1e-12).hex(), lobes=19),
+              _row(COS, 2.0 - 2e-13, err=(3e-13).hex(), lobes=20),
+              _row(COS, 3.0, err=(9e-14).hex(), lobes=21)]
+    (cell,) = value_diff.compare(parent, change).values()
+    # moves of 2e-13 in 1e-12 and in 4e-13: the estimate is the parent's
+    assert cell["max_err_share"] == pytest.approx(0.5, rel=1e-3)
+    assert value_diff.err_share(parent[0], change[0]) == pytest.approx(0.2, rel=1e-3)
+    assert value_diff.err_share(parent[2], change[2]) == 0.0
+    lines = value_diff.format_table(value_diff.compare(parent, change))
+    assert lines[0].endswith("max_err_share 0.5")
+
+
+def test_a_move_against_a_zero_estimate_or_a_new_exception_is_unbounded():
+    zero = (0.0).hex()
+    parent = [_row(SIN, 1.0, err=zero, lobes=3), _row(SIN, 1.0, err=zero, lobes=3),
+              _row(SIN, 2.0, err=(1e-13).hex(), lobes=3)]
+    change = [_row(SIN, 1.0, err=zero, lobes=3), _row(SIN, 1.5, err=zero, lobes=3),
+              _row(SIN, raised="AccelerationStalledError")]
+    assert value_diff.err_share(parent[0], change[0]) == 0.0
+    assert value_diff.err_share(parent[1], change[1]) == math.inf
+    assert value_diff.err_share(parent[2], change[2]) == math.inf
+    (cell,) = value_diff.compare(parent, change).values()
+    assert cell["max_err_share"] == math.inf
+
+
+def test_closed_rows_have_no_error_share():
+    (cell,) = value_diff.compare([_row(SIN, 1.0)], [_row(SIN, 1.5)]).values()
+    assert "max_err_share" not in cell
 
 
 def test_request_lists_must_match():
@@ -77,7 +112,7 @@ def test_table_lists_cells_in_order_and_a_total():
                                [_row(SIN, 1.5), _row(COS, 1.0, err="0x0p+0", lobes=3)])
     lines = value_diff.format_table(cells)
     assert lines[0].startswith("two-radical/cos/in-grid")
-    assert lines[0].endswith("max_rel 0  err_diff 0  lobes_diff 0")
+    assert lines[0].endswith("max_rel 0  err_diff 0  lobes_diff 0  max_err_share 0")
     assert lines[1].startswith("two-radical/sin/wide")
     assert lines[1].endswith("value_diff     1  max_rel 0.5")
     assert lines[2].split() == ["total", "n", "2", "value_diff", "1"]

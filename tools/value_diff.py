@@ -17,8 +17,9 @@ records the exception's class name.
 Per (family, kernel, stratum) the script prints the number of requests,
 how many values differ in ``float.hex`` (or in the exception raised),
 and the largest relative move of a value; for oracle-grid also how many
-error estimates and lobe counts differ.  ``--record PATH`` writes the
-table as JSON.  Only the standard library is used here; each copy runs
+error estimates and lobe counts differ, and ``max_err_share``, the
+largest move of a value in units of the parent's error estimate.
+``--record PATH`` writes the table as JSON.  Only the standard library is used here; each copy runs
 its own ``oscint`` and ``perfbench/workloads.py``, which it only reads.
 """
 
@@ -78,11 +79,24 @@ def relative_move(parent, change):
     return abs(c - p) / abs(p) if p else math.inf
 
 
+def err_share(parent, change):
+    """|change - parent| / the parent's error estimate, of two rows that
+    carry one: 0 when the values' bits agree, inf when only one side
+    raised or the estimate is 0."""
+    if _outcome(parent) == _outcome(change):
+        return 0.0
+    if "value" not in parent or "value" not in change:
+        return math.inf
+    move = abs(float.fromhex(change["value"]) - float.fromhex(parent["value"]))
+    err = float.fromhex(parent["err"])
+    return move / err if err else math.inf
+
+
 def compare(parent_rows, change_rows):
     """{(family, kernel, stratum): counts} of two lists of rows of the
     same requests: ``n``, ``value_diff`` (values whose bits or exception
-    differ), ``max_rel`` and, where the rows carry them, ``err_diff`` and
-    ``lobes_diff``."""
+    differ), ``max_rel`` and, where the rows carry them, ``err_diff``,
+    ``lobes_diff`` and ``max_err_share`` (the largest ``err_share``)."""
     cells = {}
     for p, c in zip(parent_rows, change_rows, strict=True):
         if p["cell"] != c["cell"]:
@@ -94,6 +108,8 @@ def compare(parent_rows, change_rows):
         for key in ("err", "lobes"):
             if key in p or key in c:
                 cell[key + "_diff"] = cell.get(key + "_diff", 0) + (p.get(key) != c.get(key))
+        if "err" in p:
+            cell["max_err_share"] = max(cell.get("max_err_share", 0.0), err_share(p, c))
     return cells
 
 
@@ -103,6 +119,8 @@ def format_table(cells):
     for (fam, kernel, stratum), cell in sorted(cells.items()):
         extra = "".join(f"  {key} {cell[key]}" for key in ("err_diff", "lobes_diff")
                         if key in cell)
+        if "max_err_share" in cell:
+            extra += f"  max_err_share {cell['max_err_share']:.3g}"
         lines.append(f"{fam + '/' + kernel + '/' + stratum:<32} n {cell['n']:>5}  "
                      f"value_diff {cell['value_diff']:>5}  max_rel {cell['max_rel']:.3g}{extra}")
         total["n"] += cell["n"]
