@@ -13,6 +13,7 @@ Everything here is deterministic: fixed grids, no randomness.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import partial
 
@@ -45,7 +46,8 @@ from .special_functions import (
     upper_incomplete_gamma,
 )
 # dual-path checks need the raw series and fraction routes
-from .special_functions import _gamma_series, _gauss_series, _legendre_cf_backward
+from .special_functions import (_climb, _gamma_form, _gamma_form_holds, _gamma_series,
+                                _gauss_series, _legendre_cf_backward)
 
 __all__ = ["CheckResult", "GROUPS", "run", "group_names"]
 
@@ -125,6 +127,19 @@ def check_gamma_routes():
                 fraction = _legendre_cf_backward(a, z, DEFAULT_CONTROL)
                 r = abs(series - fraction) / abs(fraction)
                 yield f"a={a:.4g} z={z}", r < 1e-13, f"rel {r:.1e}"
+
+
+def check_exponent_switch():
+    """(t+u)^-p transforms: the climb and the Gamma form agree on both sides
+    of the switch u = max(1, p/4), and the route changes between them."""
+    for p in [1.0 / 3.0, 0.5, 1.0, 2.5, 5.5, 10.5, 20.5]:
+        below, above = 0.99 * max(1.0, 0.25 * p), 1.01 * max(1.0, 0.25 * p)
+        yield (f"p={p:.4g} switch in [{below:.4g}, {above:.4g}]",
+               not _gamma_form_holds(p, below) and _gamma_form_holds(p, above), "")
+        for u, kernel in itertools.product((below, above), Kernel):
+            r = _rel(*(route(kernel, p, u, upper_incomplete_gamma, DEFAULT_CONTROL)
+                       for route in (_climb, _gamma_form)))
+            yield f"{kernel.value} p={p:.4g} u={u:.4g}", r < 1e-13, f"rel {r:.1e}"
 
 
 def _zpow_exp(a, z):
@@ -473,6 +488,7 @@ GROUPS = {
     "fresnel-derivatives": check_fresnel_derivatives,
     "gamma-recurrences": check_gamma_recurrences,
     "gamma-routes": check_gamma_routes,
+    "exponent-switch": check_exponent_switch,
     "hyp2f1-transform": check_hyp2f1,
     "gen-si-additivity": check_gen_si_additivity,
     "difference-equations": check_difference_equations,

@@ -269,6 +269,75 @@ def gamma_real(x: float) -> float:
 
 
 # --------------------------------------------------------------------------
+# (t+u)^-p transforms: sin t and cos t times (t+u)^-p, integrated over [0, inf)
+# --------------------------------------------------------------------------
+
+_SPLIT_PHASE = 2.0 ** 26
+
+
+def _phased_gamma(gamma, alpha, z, ctl, as_printed=False):
+    """exp(-i(pi alpha + 2z)/2) Gamma(1-alpha, -iz) by the caller's ``gamma``
+    (order -alpha ``as_printed``): the real part is the sine transform of
+    (t+z)^-alpha, sqrt(z) S_{1/2-alpha,1/2}(z), minus the imaginary part the
+    cosine.  From z = _SPLIT_PHASE on, the phase is exp(-i pi alpha/2) times
+    exp(-iz): one exponential of the rounded sum would be off by up to
+    ulp(2z)/2, and pi alpha lost next to 2z > 2^54; below, the product would
+    move values by up to a few hundred ulp."""
+    if z < _SPLIT_PHASE:
+        phase = cmath.exp(-0.5j * (math.pi * alpha + 2.0 * z))
+    else:
+        phase = cmath.exp(-0.5j * math.pi * alpha) * cmath.exp(complex(0.0, -z))
+    return phase * gamma(-alpha if as_printed else 1.0 - alpha, complex(0.0, -z), ctl)
+
+
+def _gamma_form_holds(p, u):
+    """The switch: the Gamma form above u = max(1, p/4), where the climb and
+    the Fresnel forms start to lose like e^u; below, it loses (to 5e+2)."""
+    return u > max(1.0, 0.25 * p)
+
+
+def _gamma_form(kernel, p, u, gamma, ctl, as_printed=False):
+    """The sine from Gamma(1-p, -iu), the cosine as p times the sine of
+    order p+1: the order-p cosine loses up to 1.3e-10 at large u."""
+    if kernel is Kernel.SIN:
+        return _phased_gamma(gamma, p, u, ctl, as_printed).real
+    return p * _phased_gamma(gamma, p + 1.0, u, ctl, as_printed).real
+
+
+def _climb(kernel, p, u, gamma, ctl):
+    """(S_r, C_r) from one Gamma call at a base order r, raised to p by parts,
+    S_(r+1) = C_r/r and C_(r+1) = u^-r/r - S_r/r (DLMF 8.8.2): nothing cancels
+    at small u.  r = p - ceil(p) + 1, or r + 1 where u^r > 1/e: C_r = r S_(r+1)
+    loses eps/r, S_(r+1) one order up eps ln(1/u).  For p <= 1 the order
+    p + 1 is the Gamma form."""
+    steps = math.ceil(p) - 1
+    r = p - steps
+    if u ** r * math.e > 1.0:
+        if not steps:
+            return _gamma_form(kernel, p, u, gamma, ctl)
+        r, steps = r + 1.0, steps - 1
+    if steps > ctl.max_terms:
+        raise ConvergenceError(f"exponent p={p} needs {steps} recurrence steps, "
+                               f"over max_terms={ctl.max_terms}")
+    w = _phased_gamma(gamma, r, u, ctl)
+    s, c = w.real, -w.imag
+    try:
+        for _ in range(steps):
+            s, c, r = c / r, u ** -r / r - s / r, r + 1.0
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"u^-{r} at u={u} leaves double precision") from None
+    return s if kernel is Kernel.SIN else c
+
+
+def _power_transform(kernel, p, u, gamma, ctl=DEFAULT_CONTROL, as_printed=False):
+    """The transform for p > 0 and u >= 0 by the route the switch picks (the
+    Gamma form ``as_printed``), by the caller's ``upper_incomplete_gamma``."""
+    if as_printed or _gamma_form_holds(p, u):
+        return _gamma_form(kernel, p, u, gamma, ctl, as_printed)
+    return _climb(kernel, p, u, gamma, ctl)
+
+
+# --------------------------------------------------------------------------
 # Fresnel integrals
 # --------------------------------------------------------------------------
 

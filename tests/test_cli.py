@@ -136,6 +136,29 @@ def test_compare_lommel(capsys):
     assert doc["gated_max_deviation"] <= 1e-8
 
 
+def _lommel_tiny_zeta(capsys, kernel):
+    code, out, _ = run_cli(capsys, "eval", "--family", "lommel", "--kernel", kernel,
+                           "--n", "1", "--m", "1", "--x", "1", "--zeta", "1e-100")
+    assert code == 0
+    return json.loads(out)["value"]
+
+
+def test_lommel_closed_form_at_a_tiny_frequency(capsys):
+    # exponent 3 at u = 1e-100, where the Gamma form alone gives 9.18e-17:
+    # the sine is zeta * integral of t/(t+1)^3 = zeta/2 to O(zeta^2 log zeta)
+    value = _lommel_tiny_zeta(capsys, "sin")
+    assert abs(value - 0.5e-100) <= 1e-13 * 0.5e-100
+
+
+def test_lommel_closed_form_cosine_at_a_tiny_frequency_matches_mpmath(capsys):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(250):
+        u, p = mp.mpf("1e-100"), 3
+        pair = mp.exp(-1j * u) * mp.exp(1j * mp.pi * (1 - p) / 2) * mp.gammainc(1 - p, -1j * u)
+        want = float(mp.mpf("1e-100") ** (p - 1) * pair.real)
+    assert abs(_lommel_tiny_zeta(capsys, "cos") - want) <= 1e-13 * abs(want)
+
+
 def test_compare_impossible_tolerance(capsys):
     code, _, _ = run_cli(capsys, "compare", "--family", "two-radical",
                          "--a", "1", "--b", "2", "--zeta", "1", "--tol", "0")

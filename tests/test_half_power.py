@@ -13,6 +13,7 @@ from oscint import (
     c0,
     c_alpha,
     family_coefficients,
+    fresnel_bracket,
     s0,
     s_alpha,
 )
@@ -115,6 +116,33 @@ def test_printed_signs_differ_only_for_odd_orders():
     assert c_alpha(3, 2.0, 1.0) != c_alpha(3, 2.0, 1.0, as_printed=True)
     # the verbatim odd signs are wildly off the quadrature value
     assert abs(s_alpha(3, 2.0, 1.0, as_printed=True) - 0.029760113861121663) > 0.1
+
+
+def _fresnel_assembly(alpha, x, zeta, kernel, as_printed):
+    """The paper's form: rational part plus Fresnel coefficient times bracket."""
+    fam = family_coefficients(alpha, kernel, as_printed)
+    u = zeta * x
+    return zeta ** (alpha - 0.5) * (fam.rational_value(u)
+                                    + fam.fresnel_coeff * fresnel_bracket(u, fam.phase_pattern))
+
+
+# (alpha, u) at and below the switch u = max(1, (alpha + 1/2)/4), then above it
+_BELOW_SWITCH = [(alpha, u) for alpha in (0, 1, 2, 3, 5, 10)
+                 for u in (1e-3, 0.5, max(1.0, 0.25 * (alpha + 0.5)))] + [(171, 3.0), (171, 42.875)]
+_ABOVE_SWITCH = [(0, 1.5), (1, 40.0), (2, 7.0), (5, 2.0), (10, 900.0), (171, 50.0)]
+# above the switch only the corrected value leaves the paper's forms
+_PAPER_FORM_CALLS = ([(alpha, u, False) for alpha, u in _BELOW_SWITCH]
+                     + [(alpha, u, True) for alpha, u in _BELOW_SWITCH + _ABOVE_SWITCH])
+
+
+@pytest.mark.parametrize("kernel", [Kernel.SIN, Kernel.COS])
+@pytest.mark.parametrize("alpha,u,as_printed", _PAPER_FORM_CALLS)
+def test_paper_forms_run_below_the_switch_and_for_every_printed_call(alpha, u, as_printed,
+                                                                      kernel):
+    f = s_alpha if kernel is Kernel.SIN else c_alpha
+    for x, zeta in ((u, 1.0), (0.5 * u, 2.0), (4.0 * u, 0.25)):
+        got = f(alpha, x, zeta, as_printed=as_printed)
+        assert got == _fresnel_assembly(alpha, x, zeta, kernel, as_printed), (x, zeta)
 
 
 @given(st.integers(min_value=0, max_value=4),

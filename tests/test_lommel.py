@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from oscint import (
     GeneralExponent,
     Kernel,
     LommelOrder,
+    c_alpha,
     cos_exponent_transform,
     general_cos_transform,
     general_sin_transform,
@@ -20,6 +22,7 @@ from oscint import (
     lommel_s_half,
     pre_reduction_values,
     s0,
+    s_alpha,
     si_ci_representation,
     sin_exponent_transform,
 )
@@ -218,6 +221,60 @@ def test_huge_exponent_raises_instead_of_recurring_forever():
                           timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert "over max_terms=500" in proc.stdout
+
+
+def _mpmath_pair(mp, p, x, zeta):
+    """(sine, cosine) transforms of (t+x)^-p at frequency zeta, from
+    e^-iu e^(i pi (1-p)/2) Gamma(1-p, -iu), u = zeta x, at 60 digits."""
+    with mp.workdps(60):
+        u, p = mp.mpf(zeta) * mp.mpf(x), mp.mpf(p)
+        pair = (mp.mpf(zeta) ** (p - 1) * mp.exp(-1j * u) * mp.exp(1j * mp.pi * (1 - p) / 2)
+                * mp.gammainc(1 - p, -1j * u))
+        return float(pair.imag), float(pair.real)
+
+
+def test_exponent_route_matches_mpmath_on_a_seeded_grid():
+    # integer, half-integer and uniform exponents up to 10.5, u = zeta x
+    # log-uniform over 1e-12 .. 1e3: both sides of the Gamma-form switch
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random("exponent-route")
+    draws = (lambda: float(rng.randint(1, 10)), lambda: rng.randint(0, 10) + 0.5,
+             lambda: rng.uniform(0.0, 10.5) or 10.5)
+    worst = (0.0, ())
+    for i in range(240):
+        p = draws[i % 3]()
+        x, u = rng.uniform(0.05, 10.0), 10.0 ** rng.uniform(-12.0, 3.0)
+        zeta = u / x
+        want = _mpmath_pair(mp, p, x, zeta)
+        got = [sin_exponent_transform(p, x, zeta), cos_exponent_transform(p, x, zeta)]
+        if p % 1 == 0.5:
+            got += [s_alpha(int(p), x, zeta), c_alpha(int(p), x, zeta)]
+        for k, value in enumerate(got):
+            err = abs(value - want[k % 2]) / abs(want[k % 2])
+            worst = max(worst, (err, (k, p, x, zeta)))
+    assert worst[0] <= 2e-13, worst
+
+
+@pytest.mark.parametrize("p", [1e-6, 1e-3, 0.999999, 1.999999, 2.000001, 2.001, 3.000001])
+def test_exponents_near_an_integer_match_mpmath_below_the_switch(p):
+    # the base order p - ceil(p) + 1 is then near 0 or 1, where one of the
+    # two parts of its Gamma pair cancels; the climb starts where it does not
+    mp = pytest.importorskip("mpmath")
+    for u in (1e-12, 1e-3, 0.3, 0.99):
+        want = _mpmath_pair(mp, p, 1.0, u)
+        for kernel, got in enumerate((sin_exponent_transform(p, 1.0, u),
+                                      cos_exponent_transform(p, 1.0, u))):
+            assert abs(got - want[kernel]) <= 2e-13 * abs(want[kernel]), (u, kernel)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cos_exponent_transform(5.0, 1.0, 1e-100),     # u^-4 at u = 1e-100
+    lambda: sin_exponent_transform(2.5, 1e-200, 1e-200),  # u underflows to 0
+    lambda: cos_exponent_transform(3.0, 1e-200, 1e100),   # about x^-2 / 2 = 5e399
+], ids=["u^-r", "u=0", "x^-r"])
+def test_climb_past_the_double_range_is_domain_error(call):
+    with pytest.raises(DomainError, match="double precision"):
+        call()
 
 
 NON_FINITE = {

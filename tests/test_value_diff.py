@@ -116,3 +116,24 @@ def test_table_lists_cells_in_order_and_a_total():
     assert lines[1].startswith("two-radical/sin/wide")
     assert lines[1].endswith("value_diff     1  max_rel 0.5")
     assert lines[2].split() == ["total", "n", "2", "value_diff", "1"]
+
+
+def test_closed_rows_count_wrong_values_on_each_side():
+    parent = [_row(SIN, 1.0, wrong=True), _row(SIN, 2.0, wrong=True),
+              _row(SIN, raised="DomainError", wrong=True), _row(COS, 0.5, wrong=False)]
+    change = [_row(SIN, 1.0 + 1e-7, wrong=False), _row(SIN, 2.0, wrong=True),
+              _row(SIN, 3.0, wrong=False), _row(COS, 0.5, wrong=True)]
+    cells = value_diff.compare(parent, change)
+    sin, cos = cells[tuple(SIN)], cells[tuple(COS)]
+    assert (sin["wrong_parent"], sin["wrong_change"]) == (3, 1)
+    assert (cos["wrong_parent"], cos["wrong_change"]) == (0, 1)
+    lines = value_diff.format_table(cells)
+    assert lines[0].endswith("max_rel 0  wrong 0 -> 1")
+    assert "wrong 3 -> 1" in lines[1]
+    assert lines[2].split()[-4:] == ["wrong", "3", "->", "2"]
+
+
+def test_rows_without_a_grade_show_no_wrong_counts():
+    (cell,) = value_diff.compare([_row(SIN, 1.0)], [_row(SIN, 1.0)]).values()
+    assert "wrong_parent" not in cell
+    assert "wrong" not in value_diff.format_table({tuple(SIN): cell})[-1]

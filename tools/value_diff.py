@@ -12,15 +12,20 @@ seed each copy evaluates, in an interpreter of its own, every request
 of the benchmark's fixed list (``perfbench/workloads.py``, at the
 ``run_seconds`` of ``BENCHMARK.json``): closed-grid by its public closed
 form, oracle-grid by ``integrate_semi_infinite``.  A request that raises
-records the exception's class name.
+records the exception's class name.  A closed-grid value is also graded
+by the benchmark's own test (``reference`` and ``agrees`` of
+``perfbench/reference.py``): a value that fails it, or a request that
+raised, is wrong.
 
 Per (family, kernel, stratum) the script prints the number of requests,
 how many values differ in ``float.hex`` (or in the exception raised),
-and the largest relative move of a value; for oracle-grid also how many
+and the largest relative move of a value; for closed-grid also how many
+values are wrong on each side; for oracle-grid how many
 error estimates and lobe counts differ, and ``max_err_share``, the
 largest move of a value in units of the parent's error estimate.
 ``--record PATH`` writes the table as JSON.  Only the standard library is used here; each copy runs
-its own ``oscint`` and ``perfbench/workloads.py``, which it only reads.
+its own ``oscint`` and ``perfbench/workloads.py`` and ``reference.py``,
+which it only reads (``reference`` takes mpmath for tiny values).
 """
 
 from __future__ import annotations
@@ -46,20 +51,28 @@ def evaluate(root, workload, seed):
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import oscint
     import workloads as wl
+    from reference import agrees, reference
 
     seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
     rows = []
     for req in wl.generate(workload, seed, wl.request_count(workload, seconds)):
         row = {"cell": [req.family, req.kernel, req.stratum]}
+        value = None
         try:
             if workload == "oracle-grid":
                 rep = oscint.integrate_semi_infinite(wl.oracle_spec(oscint, req))
                 row.update(value=rep.value.hex(), err=rep.abs_err_est.hex(),
                            lobes=rep.zero_intervals_used)
             else:
-                row["value"] = float(wl.closed_call(oscint, req)()).hex()
+                value = float(wl.closed_call(oscint, req)())
+                row["value"] = value.hex()
         except Exception as exc:    # a failed request is a result too
             row["raised"] = type(exc).__name__
+        if workload == "closed-grid":
+            try:
+                row["wrong"] = not agrees(value, *reference(oscint, req, True))
+            except Exception:       # as in the benchmark: no reference, no credit
+                row["wrong"] = True
         rows.append(row)
     return rows
 
@@ -95,8 +108,10 @@ def err_share(parent, change):
 def compare(parent_rows, change_rows):
     """{(family, kernel, stratum): counts} of two lists of rows of the
     same requests: ``n``, ``value_diff`` (values whose bits or exception
-    differ), ``max_rel`` and, where the rows carry them, ``err_diff``,
-    ``lobes_diff`` and ``max_err_share`` (the largest ``err_share``)."""
+    differ), ``max_rel`` and, where the rows carry them, ``wrong_parent``
+    and ``wrong_change`` (values that fail the benchmark's test),
+    ``err_diff``, ``lobes_diff`` and ``max_err_share`` (the largest
+    ``err_share``)."""
     cells = {}
     for p, c in zip(parent_rows, change_rows, strict=True):
         if p["cell"] != c["cell"]:
@@ -105,6 +120,9 @@ def compare(parent_rows, change_rows):
         cell["n"] += 1
         cell["value_diff"] += _outcome(p) != _outcome(c)
         cell["max_rel"] = max(cell["max_rel"], relative_move(p, c))
+        if "wrong" in p:
+            cell["wrong_parent"] = cell.get("wrong_parent", 0) + p["wrong"]
+            cell["wrong_change"] = cell.get("wrong_change", 0) + c["wrong"]
         for key in ("err", "lobes"):
             if key in p or key in c:
                 cell[key + "_diff"] = cell.get(key + "_diff", 0) + (p.get(key) != c.get(key))
@@ -113,19 +131,26 @@ def compare(parent_rows, change_rows):
     return cells
 
 
+def _wrong(cell):
+    return (f"  wrong {cell['wrong_parent']} -> {cell['wrong_change']}"
+            if "wrong_parent" in cell else "")
+
+
 def format_table(cells):
     lines = []
     total = {"n": 0, "value_diff": 0}
     for (fam, kernel, stratum), cell in sorted(cells.items()):
-        extra = "".join(f"  {key} {cell[key]}" for key in ("err_diff", "lobes_diff")
-                        if key in cell)
+        extra = _wrong(cell) + "".join(f"  {key} {cell[key]}"
+                                       for key in ("err_diff", "lobes_diff") if key in cell)
         if "max_err_share" in cell:
             extra += f"  max_err_share {cell['max_err_share']:.3g}"
         lines.append(f"{fam + '/' + kernel + '/' + stratum:<32} n {cell['n']:>5}  "
                      f"value_diff {cell['value_diff']:>5}  max_rel {cell['max_rel']:.3g}{extra}")
-        total["n"] += cell["n"]
-        total["value_diff"] += cell["value_diff"]
-    lines.append(f"{'total':<32} n {total['n']:>5}  value_diff {total['value_diff']:>5}")
+        for key in ("n", "value_diff", "wrong_parent", "wrong_change"):
+            if key in cell:
+                total[key] = total.get(key, 0) + cell[key]
+    lines.append(f"{'total':<32} n {total['n']:>5}  value_diff {total['value_diff']:>5}"
+                 + _wrong(total))
     return lines
 
 
