@@ -173,11 +173,12 @@ def pre_reduction_values(n: int, m: int, x: float, zeta: float = 1.0,
     def s_half(mu):
         return lommel_s_half(mu, u, ctl)
 
-    sin_base = zeta ** (q - 1.0) * ru * s_half(-(q - 0.5))
+    scale, scale_plus = _finite_power("lommel", zeta, q - 1.0), _finite_power("lommel", zeta, q)
+    sin_base = scale * ru * s_half(-(q - 0.5))
     bracket_lo = u ** (-(q - 1.0)) - ru * s_half(-(q - 1.5))
-    cos_base = zeta ** (q - 1.0) / (q - 1.0) * bracket_lo
-    sin_plus = zeta ** q / ((q - 1.0) * q) * bracket_lo
-    cos_plus = zeta ** q / q * (u ** -q - ru * s_half(-(q - 0.5)))
+    cos_base = scale / (q - 1.0) * bracket_lo
+    sin_plus = scale_plus / ((q - 1.0) * q) * bracket_lo
+    cos_plus = scale_plus / q * (u ** -q - ru * s_half(-(q - 0.5)))
     return {
         (Kernel.SIN, False): sin_base,
         (Kernel.COS, False): cos_base,

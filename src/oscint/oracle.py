@@ -21,8 +21,8 @@ the only ingredients are elementary functions and lobe quadrature, so
 agreement with a closed form is meaningful evidence.
 
 numpy is imported on the first quadrature, not with this module, which
-a cold closed-form ``oscint eval`` still loads: the radical heads fall
-back to ``integrate_finite``, and ``gen_si``/``gen_ci`` sum lobes with
+a cold closed-form ``oscint eval`` still loads: radicals past the phase
+guard take ``integrate_finite``, and ``gen_si``/``gen_ci`` sum lobes with
 ``lobe_sum`` over ``kernel_breakpoints``.  ``Kernel`` and the rest of
 the kernel vocabulary live in ``errors``; this module imports them back.
 Every caller looks ``quad`` up as a module global, so a wrapper
@@ -190,11 +190,13 @@ class IntegrandSpec(Record):
 
 
 class QuadratureReport(Record):
+    """An integral's value, complex for a complex integrand, and its error."""
+
     __slots__ = ("value", "abs_err_est", "zero_intervals_used", "accelerated")
 
     def __init__(self, value: float, abs_err_est: float, zero_intervals_used: int,
                  accelerated: bool):
-        if not math.isfinite(value) or not math.isfinite(abs_err_est):
+        if not math.isfinite(abs(value)) or not math.isfinite(abs_err_est):
             raise ArithmeticError("quadrature produced a non-finite result")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "abs_err_est", abs_err_est)
@@ -281,10 +283,12 @@ def _gk21_rule(fv, x, scale):
     """(K21, |K21 - G10|) of each row of the node matrix ``x``: the array
     integrand ``fv`` at the 21 nodes of one piece, times ``scale``, the
     half-widths as a column or one factor.  Every GK21 sum is taken here."""
-    np, _, weights = _gk21()
+    np, _, w = _gk21()
     # IEEE results without warnings: a non-finite piece fails every test
     with np.errstate(all="ignore"):
-        kg = (fv(x) @ weights) * scale
+        f = fv(x)
+        # a complex f in two real products: a complex one faults in BLAS's complex kernels
+        kg = (f.real @ w + 1j * (f.imag @ w) if f.dtype.kind == "c" else f @ w) * scale
         return kg[:, 0], np.abs(kg[:, 0] - kg[:, 1])
 
 
@@ -354,7 +358,7 @@ def quad(fv, lo, hi, epsabs, epsrel):
     neval = 21 * _QUAD_START
     sums, limits = [], []
     while True:
-        value, err = float(k.sum()), float(d.sum())
+        value, err = k.sum().item(), float(d.sum())
         tol = max(epsabs, epsrel * abs(value))
         info = {"neval": neval, "last": len(a)}
         if not tol < err < math.inf:
@@ -498,10 +502,6 @@ def _block_lobes(f_over, lo, his, epsabs, first):
         kron, diff = _gk21_pieces(fv, e[:-1], e[1:])
 
 
-def _not_finite(lobe):
-    return AccelerationStalledError(f"the lobe sum is not finite at lobe {lobe}")
-
-
 def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
     """Integrate ``f`` over [b0, inf) split at an increasing breakpoint stream.
 
@@ -550,7 +550,7 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
         mass += abs(piece)
         if not mass < math.inf:
             # a NaN lobe, or a sum that overflows, can never converge
-            raise _not_finite(nlobes)
+            raise AccelerationStalledError(f"the lobe sum is not finite at lobe {nlobes}")
         tail.append(piece)
         if head is None:
             decreases = decreases + 1 if abs(piece) <= prev_mag else 0
@@ -666,11 +666,11 @@ def integrate_finite(f: Optional[Callable[[float], float]], lo: float, hi: float
                      ctl: SeriesControl = DEFAULT_CONTROL, f_over=None) -> QuadratureReport:
     """Adaptive Gauss-Kronrod integral of ``f`` on the finite range [lo, hi].
 
-    ``quad`` is asked for ``ctl.rel_tol`` relative with 1e-15 absolute
-    slack.  The integrand is given once, as for ``lobe_sum``: as ``f``,
-    evaluated element by element, or as ``f_over``, with ``f`` None.
-    A tolerance not met within ``quad``'s piece limit raises
-    ``MaxSubdivisionsError``.
+    ``quad`` is asked for ``ctl.rel_tol`` relative, on the modulus, with
+    1e-15 absolute slack.  The integrand is given once, as for
+    ``lobe_sum``: as ``f``, evaluated element by element, or as
+    ``f_over``, with ``f`` None, whose values may be complex.  A tolerance
+    not met within ``quad``'s piece limit raises ``MaxSubdivisionsError``.
     """
     if not math.isfinite(hi - lo):
         raise DomainError(f"need a finite range, got [{lo}, {hi}]")
@@ -682,6 +682,6 @@ def integrate_finite(f: Optional[Callable[[float], float]], lo: float, hi: float
     res = quad(fv, lo, hi, epsabs=1e-15, epsrel=ctl.rel_tol)
     if len(res) > 3:
         raise MaxSubdivisionsError(f"quadrature on [{lo}, {hi}]: {res[3]}")
-    if not (math.isfinite(res[0]) and math.isfinite(res[1])):
+    if not (math.isfinite(abs(res[0])) and math.isfinite(res[1])):
         raise ConvergenceError(f"quadrature on [{lo}, {hi}] produced a non-finite result")
     return QuadratureReport(res[0], res[1], res[2]["last"], False)

@@ -3,10 +3,10 @@
 The quadratic-phase engine of ``two_radical`` with weight power p = 1:
 the z-integrals carry a simple pole weight 1/(z^2+1), so this module
 supplies Fresnel-integral tails (one Fresnel pair for both kernels), its
-own ``hyp2f1`` and ``integrate_finite`` bindings for the p = 1 head
-moments and quadrature heads, and the prefactor 2/sqrt(b-a).  The integrand
-is NOT symmetric in a and b, so b > a is required; other orderings have
-no closed form here and callers are pointed at the quadrature oracle.
+own ``hyp2f1`` and ``integrate_finite`` bindings for the p = 1 head moments,
+quadrature heads and contour, its weight and the prefactor 2/sqrt(b-a).  The
+integrand is NOT symmetric in a and b, so b > a is required; other orderings
+have no closed form here and callers are pointed at the quadrature oracle.
 
 Oracle arbitration notes (details in the errata registry):
 
@@ -117,8 +117,10 @@ def pole_head_cos_approx(c: float, gamma: float) -> float:
 def _transform(a, b, zeta, ctl, heads_by_quadrature, approx, as_printed):
     p = RadicalPoleParams(a, b, zeta)
     approx_heads = (pole_head_sin_approx, pole_head_cos_approx) if approx else None
-    return _assemble(p, p.prefactor, _pole_tails(p.c, as_printed), hyp2f1, 1.0, approx_heads,
-                     integrate_finite, ctl, heads_by_quadrature)
+    tails = (lambda c: _pole_tails(c, True)) if as_printed else _pole_tails
+    weight = None if as_printed else lambda m, a, b, t: 1.0 / (m.sqrt(t + a) * (t + b))
+    return _assemble(p, p.prefactor, tails, weight, hyp2f1, 1.0, approx_heads, integrate_finite,
+                     ctl, heads_by_quadrature)
 
 
 def pole_sin_transform(a: float, b: float, zeta: float = 1.0,

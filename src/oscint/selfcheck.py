@@ -386,6 +386,17 @@ def check_radical_derivative(family):
     yield f"d/db at ({a},{b},{zeta})", ok, f"fd {fd:.10g} vs {want:.10g}"
 
 
+def check_contour_switch():
+    """The contour past the guard against quadrature heads at rel_tol 1e-14: |I_cos + i I_sin|
+    within 1e-12, as the cosine alone carries tail - head's cancellation (3e-12 at phase 40)."""
+    for family, phase in itertools.product(_RADICAL, (12.5, 20.0, 40.0)):
+        (s, c), (qs, qc) = ([f(2.0 * phase, 2.0 * phase + 1.5, 0.5, SeriesControl(1e-14), quad)
+                             for f in _RADICAL[family][3]] for quad in (False, True))
+        r = abs(complex(c - qc, s - qs)) / abs(complex(qc, qs))
+        yield (f"{family} phase={phase}", r <= 1e-12, f"rel {r:.1e} ({r / 1e-12:.3f} of 1e-12); "
+               f"sin {_rel(s, qs):.1e}, cos {_rel(c, qc):.1e}")
+
+
 def check_approximation_trends():
     gamma = 0.5
     cs = [5.0, 10.0, 20.0, 40.0]
@@ -505,6 +516,7 @@ GROUPS = {
     "two-radical-decomposition": partial(check_radical_decomposition, "two-radical"),
     "two-radical-assembly": partial(check_radical_assembly, "two-radical"),
     "two-radical-derivative": partial(check_radical_derivative, "two-radical"),
+    "contour-switch": check_contour_switch,
     "approximation-trends": check_approximation_trends,
     "radical-pole-tails": partial(check_radical_tails, "radical-pole"),
     "radical-pole-heads": partial(check_radical_heads, "radical-pole"),

@@ -20,9 +20,14 @@ The engine below is written once for both p:
   all), each the stable direction;
   the length J grows with the phase, so it is cached per phase rounded
   up to a multiple of 1/16 (bounded LRU);
-* one phase guard (c gamma^2 <= 12) and one quadrature head for both p,
-  kernel(c z^2) (z^2+1)^-p on [0, gamma] through the family's own
-  ``integrate_finite`` binding, when a series is refused or stalls;
+* one phase guard (c gamma^2 = zeta a <= 12) and one quadrature head for
+  both p, kernel(c z^2) (z^2+1)^-p on [0, gamma] through the family's own
+  ``integrate_finite`` binding, when a series stalls or is not wanted;
+* past the guard, where tail - head cancels, one smooth integral through
+  that binding: cos + i sin = (i/zeta) times the integral of e^-s w(i s/zeta)
+  over [0, inf) (Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44 (2006)
+  1026-1048); there arg(t + a) is in [0, pi/2), so principal roots continue
+  w, as would one root of a product (its two arguments sum below pi);
 * the leading-order heads for gamma <= 1, with coefficient k = 2/p;
 * the assembly: prefactor times (tail - head), rotated by the phase a*zeta.
 
@@ -54,12 +59,11 @@ from .special_functions import (
     hyp2f1,
 )
 
-# beyond this phase the heads are integrated instead: the alternating
-# factorial series loses digits like e^(c gamma^2).  On 3,000 seeded wide
-# points, against the quadrature heads at rel_tol 1e-14, the worst
-# relative error of a transform is 1.1e-10 at phase 11-12, 3.7e-10 at
-# 12-13, 2e-8 at 16, 1.7e-6 at 20 and 8.9e-5 at 24
+# beyond this phase the rotated contour takes over: the alternating series
+# loses digits like e^(c gamma^2), to a worst transform error of 1.3e-10 at
+# phase 11-12 on 3,000 seeded points against the contour (2.6e-8 at 16)
 _MAX_PHASE = 12.0
+_CONTOUR_END = 40.0         # e^-40 < 5e-18, and |w| on the contour <= w(0)
 
 
 class TwoRadicalParams(Record):
@@ -249,11 +253,20 @@ def _head_quad(integrate, power, kernel, c, gamma, ctl):
     return integrate(None, 0.0, gamma, ctl, f_over).value
 
 
-def _assemble(p, prefactor, tails, hyp, power, approx_heads, integrate, ctl, quadrature):
-    """(sin, cos) transforms: ``prefactor`` times (tail - head), rotated by
-    the phase a*zeta.
+def _contour(integrate, weight, p, power, ctl):
+    """The contour pair from one ``integrate`` call: zeta^(power - 1/2) times the
+    pair at (zeta a, zeta b, 1), where |weight(m, a, b, i s)| <= weight at s = 0 < 1/12."""
+    za, zb = p.zeta * p.a, p.zeta * p.b
+    f_over = lambda m: lambda s: m.exp(-s) * weight(m, za, zb, 1j * s)
+    v = p.zeta ** (power - 0.5) * integrate(None, 0.0, _CONTOUR_END, ctl, f_over).value
+    return v.real, -v.imag
 
-    ``tails`` is the (sin, cos) pair on [0, inf).  The heads are the
+
+def _assemble(p, prefactor, tails, weight, hyp, power, approx_heads, integrate, ctl, quadrature):
+    """(sin, cos) transforms: ``prefactor`` times (tail - head), rotated by
+    the phase a*zeta; by default past the phase guard ``_contour`` of ``weight``.
+
+    ``tails`` gives the (sin, cos) pair on [0, inf) at c.  The heads are the
     family's (sin, cos) leading-order pair ``approx_heads`` when given,
     else both series of weight power ``power`` from one moment table
     (``hyp`` as in ``_head_series``), replaced by ``_head_quad`` through
@@ -261,6 +274,9 @@ def _assemble(p, prefactor, tails, hyp, power, approx_heads, integrate, ctl, qua
     ``quadrature`` is set or the series raises ConvergenceError.
     """
     c, g = p.c, p.gamma
+    if _MAX_PHASE < c * (g * g) < math.inf and weight and not (approx_heads or quadrature):
+        return _contour(integrate, weight, p, power, ctl)
+    tails = tails(c)
     if approx_heads:
         if g > 1:
             raise DomainError(
@@ -276,9 +292,8 @@ def _assemble(p, prefactor, tails, hyp, power, approx_heads, integrate, ctl, qua
         hc = _head_quad(integrate, power, Kernel.COS, c, g, ctl)
     ts = tails[0] - hs
     tc = tails[1] - hc
-    phase = p.a * p.zeta
-    return (prefactor * (math.cos(phase) * ts - math.sin(phase) * tc),
-            prefactor * (math.cos(phase) * tc + math.sin(phase) * ts))
+    cs, sn = math.cos(p.a * p.zeta), math.sin(p.a * p.zeta)
+    return prefactor * (cs * ts - sn * tc), prefactor * (cs * tc + sn * ts)
 
 
 def _degenerate(a, zeta, ctl):
@@ -294,8 +309,8 @@ def _transform(a, b, zeta, ctl, heads_by_quadrature, approx, as_printed):
         return _degenerate(p.a, zeta, ctl)
     approx_heads = ((head_sin_approx, lambda c, g: head_cos_approx(c, g, as_printed))
                     if approx else None)
-    return _assemble(p, 2.0, _tails(p.c), hyp2f1, 0.5, approx_heads, integrate_finite, ctl,
-                     heads_by_quadrature)
+    return _assemble(p, 2.0, _tails, lambda m, a, b, t: 1.0 / (m.sqrt(t + a) * m.sqrt(t + b)),
+                     hyp2f1, 0.5, approx_heads, integrate_finite, ctl, heads_by_quadrature)
 
 
 def sin_transform(a: float, b: float, zeta: float = 1.0,

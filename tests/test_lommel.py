@@ -198,6 +198,8 @@ def test_domain_types():
         sin_exponent_transform(0.5, -1.0)
     with pytest.raises(DomainError):
         lommel_s_half(0.0, 0.0)
+    with pytest.raises(DomainError, match="double precision"):
+        pre_reduction_values(1, 2, 1.0, 1e300)    # zeta^(q - 1) = 1e450
 
 
 def test_integer_exponent_routes():

@@ -1,5 +1,6 @@
 """Two-radical transforms: tails, heads, assembly, approximations."""
 
+import cmath
 import math
 import random
 
@@ -31,6 +32,7 @@ from oscint import (
     tail_cos,
     tail_sin,
 )
+from oscint import radical_pole as rp
 from oscint import two_radical as tr
 from oscint.two_radical import TwoRadicalParams
 
@@ -252,11 +254,11 @@ def test_cached_table_length_covers_the_loop(ctl):
         assert _table_top_loop(x, ctl) <= top <= _table_top_loop(x + 1.0 / 16.0, ctl), x
 
 
-def _rotated_contour(weight, zeta):
-    """(I_sin, I_cos) at 40 digits: t = i s / zeta turns both transforms
+def _rotated_contour(weight, zeta, dps=40):
+    """(I_sin, I_cos) at ``dps`` digits: t = i s / zeta turns both transforms
     into (i / zeta) times the integral of e^-s w(i s / zeta) over [0, inf)."""
     import mpmath as mp
-    with mp.workdps(40):
+    with mp.workdps(dps):
         z = mp.mpf(zeta)
         total = 1j / z * mp.quad(lambda s: mp.exp(-s) * weight(mp, 1j * s / z), [0, mp.inf])
         return float(total.imag), float(total.real)
@@ -282,3 +284,97 @@ def test_in_grid_transforms_near_unit_gamma_against_mpmath(transforms, weight, b
         for transform, want in zip(transforms, ref):
             worst.append((abs(transform(a, b, zeta) - want) / abs(want), transform.__name__, a, b))
     assert max(worst)[0] <= bound, max(worst)
+
+
+_MP_WEIGHTS = [
+    ((sin_transform, cos_transform), lambda mp, a, b, t: 1 / (mp.sqrt(t + a) * mp.sqrt(t + b))),
+    ((pole_sin_transform, pole_cos_transform), lambda mp, a, b, t: 1 / (mp.sqrt(t + a) * (t + b))),
+]
+
+
+@pytest.mark.parametrize("transforms, weight", _MP_WEIGHTS, ids=["two-radical", "radical-pole"])
+def test_contour_route_past_the_phase_guard_against_mpmath(transforms, weight):
+    # past the guard both transforms come from one GK21 pass over the
+    # rotated contour, where nothing cancels, so they hold double precision
+    pytest.importorskip("mpmath")
+    rng = random.Random(20261020)
+    worst = []
+    for _ in range(10):
+        zeta = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
+        a = rng.uniform(12.5, 40.0) / zeta
+        b = a + rng.uniform(0.2, 3.5)
+        ref = _rotated_contour(lambda mp, t: weight(mp, mp.mpf(a), mp.mpf(b), t), zeta, 30)
+        for transform, want in zip(transforms, ref):
+            err = abs(transform(a, b, zeta) - want) / abs(want)
+            worst.append((err, transform.__name__, a, b, zeta))
+    assert max(worst)[0] <= 1e-14, max(worst)
+
+
+def test_one_principal_root_of_the_product_is_the_contour_branch(monkeypatch):
+    # on t = i s / zeta with s >= 0 each factor t + a has its argument in
+    # [0, pi/2), so the two arguments sum below pi: the principal root of
+    # the product is the product of the principal roots, and both continue
+    # the real weight onto the contour
+    weights = []
+    contour = tr._contour
+    monkeypatch.setattr(tr, "_contour",
+                        lambda i, w, *rest: weights.append(w) or contour(i, w, *rest))
+    sin_transform(20.0, 21.0, 1.0)
+    rng = random.Random(20261021)
+    for _ in range(500):
+        a = math.exp(rng.uniform(-5.0, 5.0))
+        b = a + math.exp(rng.uniform(-5.0, 3.0))
+        t = 1j * rng.uniform(0.0, 40.0) / math.exp(rng.uniform(-3.0, 3.0))
+        args = cmath.phase(t + a), cmath.phase(t + b)
+        assert 0.0 <= min(args) and max(args) < 0.5 * math.pi and sum(args) < math.pi
+        w = weights[0](cmath, a, b, t)
+        assert abs(w - 1.0 / cmath.sqrt((t + a) * (t + b))) <= 1e-15 * abs(w), (a, b, t)
+
+
+def test_contour_route_holds_at_extreme_scales():
+    # the contour is taken at (zeta a, zeta b, 1), so neither weight leaves
+    # double precision on it; two-radical transforms depend on zeta a and
+    # zeta b alone, and at zeta a = 1e200 a sine is w(0)/zeta to all digits
+    for a, b, zeta in ((2e-199, 3e-199, 1e200), (1e-300, 2e-300, 1.3e301)):
+        for transform in (sin_transform, cos_transform):
+            want = transform(zeta * a, zeta * b, 1.0)
+            assert transform(a, b, zeta) == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert sin_transform(1e200, 2e200, 1.0) == pytest.approx(2.0 ** -0.5 * 1e-200, rel=1e-15)
+    assert pole_sin_transform(1e200, 2e200, 1.0) == pytest.approx(0.5e-300, rel=1e-15)
+
+
+def _finite_calls(monkeypatch):
+    """The (lo, hi) of every ``integrate_finite`` call the radical families make."""
+    calls = []
+    for module in (tr, rp):
+        real = module.integrate_finite
+        monkeypatch.setattr(module, "integrate_finite",
+                            lambda *a, real=real, **k: calls.append(a[1:3]) or real(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("transform", [sin_transform, cos_transform,
+                                       pole_sin_transform, pole_cos_transform])
+def test_integrate_finite_calls_per_route(monkeypatch, transform):
+    calls = _finite_calls(monkeypatch)
+
+    def count(*args, **kwargs):
+        calls.clear()
+        transform(*args, **kwargs)
+        return len(calls)
+
+    assert count(20.0, 21.5, 0.75) == 1           # past the guard: one contour pass
+    assert calls == [(0.0, tr._CONTOUR_END)]
+    assert count(2.0, 3.5, 0.75) == 0             # in grid: the head series
+    assert count(20.0, 21.5, 0.75, heads_by_quadrature=True) == 2
+
+
+def test_pole_as_printed_past_the_guard_keeps_tail_minus_head(monkeypatch):
+    # errata RP-COS-TAIL shows the verbatim cosine tail, so as_printed keeps
+    # tail - head with the quadrature heads, bit for bit
+    calls = _finite_calls(monkeypatch)
+    assert pole_sin_transform(15.0, 16.5, 1.0, as_printed=True) == -1.2298735185917495
+    assert pole_cos_transform(15.0, 16.5, 1.0, as_printed=True) == -1.4533822593267272
+    assert pole_sin_transform(20.0, 20.5, 2.0, as_printed=True) == -6.102993642955001
+    assert pole_cos_transform(20.0, 20.5, 2.0, as_printed=True) == -5.467355868257794
+    assert len(calls) == 8
