@@ -120,9 +120,12 @@ def _require_finite(owner, **params):
             raise DomainError(f"{owner} {name} must be finite, got {value}")
 
 
-def _finite_power(owner, base, exponent):
-    """``base ** exponent``, or a DomainError when it leaves double precision."""
+def _finite_power(owner, base, exponent, factor=1.0):
+    """``base ** exponent * factor``, or a DomainError when it leaves double precision."""
     try:
-        return base ** exponent
+        value = base ** exponent * factor
     except (OverflowError, ZeroDivisionError):
-        raise DomainError(f"{owner} scale {base} ** {exponent} leaves double precision") from None
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{owner} at scale {base} ** {exponent} leaves double precision")
+    return value

@@ -157,7 +157,7 @@ def _assembled(alpha, x, zeta, kernel, as_printed):
     else:
         fam = family_coefficients(alpha, kernel, as_printed)
         value_u = fam.rational_value(u) + fam.fresnel_coeff * fresnel_bracket(u, fam.phase_pattern)
-    return _finite_power("half-power", zeta, alpha - 0.5) * value_u
+    return _finite_power("half-power", zeta, alpha - 0.5, value_u)
 
 
 def s_alpha(alpha: int, x: float, zeta: float = 1.0, as_printed: bool = False) -> float:

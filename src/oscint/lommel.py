@@ -96,8 +96,10 @@ def lommel_s_half(mu: float, z: float, ctl: SeriesControl = DEFAULT_CONTROL,
     """
     if z <= 0:
         raise DomainError(f"lommel_s_half needs z > 0, got {z}")
-    root_s = _phased_gamma(upper_incomplete_gamma, 0.5 - mu, z, ctl, as_printed).real
-    return root_s / math.sqrt(z)
+    value = _phased_gamma(upper_incomplete_gamma, 0.5 - mu, z, ctl, as_printed).real / math.sqrt(z)
+    if not math.isfinite(value):
+        raise DomainError(f"S_({mu},1/2)({z}) leaves double precision")
+    return value
 
 
 def _scaled_shift(owner, x, zeta, p=0.0):
@@ -167,18 +169,15 @@ def pre_reduction_values(n: int, m: int, x: float, zeta: float = 1.0,
     q = GeneralExponent(n, m).exponent(False)
     if abs(q - 1.0) < 1e-12:
         raise DomainError("pre-reduction forms are singular at exponent q = 1")
-    u = zeta * x
+    u = _scaled_shift("pre_reduction_values", x, zeta)
     ru = math.sqrt(u)
-
-    def s_half(mu):
-        return lommel_s_half(mu, u, ctl)
-
     scale, scale_plus = _finite_power("lommel", zeta, q - 1.0), _finite_power("lommel", zeta, q)
-    sin_base = scale * ru * s_half(-(q - 0.5))
-    bracket_lo = u ** (-(q - 1.0)) - ru * s_half(-(q - 1.5))
+    s_lo = lommel_s_half(-(q - 0.5), u, ctl)
+    sin_base = scale * ru * s_lo
+    bracket_lo = _finite_power("lommel", u, -(q - 1.0)) - ru * lommel_s_half(-(q - 1.5), u, ctl)
     cos_base = scale / (q - 1.0) * bracket_lo
     sin_plus = scale_plus / ((q - 1.0) * q) * bracket_lo
-    cos_plus = scale_plus / q * (u ** -q - ru * s_half(-(q - 0.5)))
+    cos_plus = scale_plus / q * (_finite_power("lommel", u, -q) - ru * s_lo)
     return {
         (Kernel.SIN, False): sin_base,
         (Kernel.COS, False): cos_base,

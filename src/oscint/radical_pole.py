@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import DomainError, Kernel, Record, UnsupportedError, _require_finite
+from .errors import DomainError, Record, UnsupportedError, _require_finite
 from .oracle import integrate_finite
 from .special_functions import fresnel_c, fresnel_s, hyp2f1
 from .two_radical import _assemble, _head_approx, _head_series
@@ -72,8 +72,9 @@ def _pole_tails(c, as_printed=False):
     sn, cs = math.sin(c), math.cos(c)
     tail_sin = 0.5 * math.pi * (sn * (s + fc - 1.0) - cs * (s - fc))
     if as_printed:
-        return tail_sin, (0.5 * math.pi * (cs * (s + fc + 1.0) + sn * (s - fc))
-                          + math.sqrt(2.0 * math.pi / c))
+        spurious = math.sqrt(2.0 * math.pi / c)
+        _require_finite("pole_tail_cos", printed_term=spurious)
+        return tail_sin, 0.5 * math.pi * (cs * (s + fc + 1.0) + sn * (s - fc)) + spurious
     return tail_sin, 0.5 * math.pi * (cs * (1.0 - s - fc) + sn * (fc - s))
 
 
@@ -105,18 +106,18 @@ def pole_head_cos_series(c: float, gamma: float,
 
 def pole_head_sin_approx(c: float, gamma: float) -> float:
     """Leading-order sine head for gamma <= 1."""
-    return _head_approx(Kernel.SIN, c, gamma, 2.0)
+    return _head_approx(c, gamma, 2.0)[0]
 
 
 def pole_head_cos_approx(c: float, gamma: float) -> float:
     """Leading-order cosine head for gamma <= 1 (correct as printed, but
     its error oscillates with sin(c gamma^2); see errata RP-COS-APPROX-TREND)."""
-    return _head_approx(Kernel.COS, c, gamma, 2.0)
+    return _head_approx(c, gamma, 2.0)[1]
 
 
 def _transform(a, b, zeta, ctl, heads_by_quadrature, approx, as_printed):
     p = RadicalPoleParams(a, b, zeta)
-    approx_heads = (pole_head_sin_approx, pole_head_cos_approx) if approx else None
+    approx_heads = (lambda c, g: _head_approx(c, g, 2.0)) if approx else None
     tails = (lambda c: _pole_tails(c, True)) if as_printed else _pole_tails
     weight = None if as_printed else lambda m, a, b, t: 1.0 / (m.sqrt(t + a) * (t + b))
     return _assemble(p, p.prefactor, tails, weight, hyp2f1, 1.0, approx_heads, integrate_finite,

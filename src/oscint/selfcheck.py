@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from functools import partial
 
 from . import half_power as hp
@@ -319,13 +320,14 @@ def check_radical_head_moments():
             yield f"p={p} gamma={gamma} j<=30", r <= 1e-13, f"rel {r:.1e}"
 
 
-# (tails, series heads, weight power, transforms, oracle weight) per radical family
+# per radical family: (sin, cos) tails, series heads and transforms, weight power, oracle weight
+_Radical = namedtuple("_Radical", "tails heads power transforms weight")
 _RADICAL = {
-    "two-radical": ((tr.tail_sin, tr.tail_cos), (tr.head_sin_series, tr.head_cos_series),
-                    0.5, (tr.sin_transform, tr.cos_transform), TwoRadical),
-    "radical-pole": ((rp.pole_tail_sin, rp.pole_tail_cos),
-                     (rp.pole_head_sin_series, rp.pole_head_cos_series),
-                     1.0, (rp.pole_sin_transform, rp.pole_cos_transform), RadicalPole),
+    "two-radical": _Radical((tr.tail_sin, tr.tail_cos), (tr.head_sin_series, tr.head_cos_series),
+                            0.5, (tr.sin_transform, tr.cos_transform), TwoRadical),
+    "radical-pole": _Radical((rp.pole_tail_sin, rp.pole_tail_cos),
+                             (rp.pole_head_sin_series, rp.pole_head_cos_series),
+                             1.0, (rp.pole_sin_transform, rp.pole_cos_transform), RadicalPole),
 }
 _KERNELS = (Kernel.SIN, Kernel.COS)
 _RADICAL_GRID = [(a, b, zeta)
@@ -335,40 +337,40 @@ _RADICAL_GRID = [(a, b, zeta)
 
 
 def check_radical_tails(family):
-    tails, _, power, _, _ = _RADICAL[family]
+    row = _RADICAL[family]
     for c in [0.5, 1.0, 2.0, 5.0, 50.0]:
-        for kernel, tail in zip(_KERNELS, tails):
-            r = _rel(tail(c), _z_oracle(kernel, c, power))
+        for kernel, tail in zip(_KERNELS, row.tails):
+            r = _rel(tail(c), _z_oracle(kernel, c, row.power))
             yield f"{kernel.value} c={c}", r < 1e-8, f"rel {r:.1e}"
 
 
 def check_radical_heads(family):
-    _, heads, power, _, _ = _RADICAL[family]
+    row = _RADICAL[family]
     for c in [0.5, 1.0, 5.0]:
         for gamma in [0.3, 0.7, 1.0]:
-            for kernel, head in zip(_KERNELS, heads):
-                q = tr._head_quad(integrate_finite, power, kernel, c, gamma, DEFAULT_CONTROL)
+            quad = tr._head_quad(integrate_finite, row.power, c, gamma, DEFAULT_CONTROL)
+            for kernel, head, q in zip(_KERNELS, row.heads, quad):
                 ok = abs(head(c, gamma) - q) <= 1e-10 * max(1.0, abs(q))
                 yield f"{kernel.value} c={c} gamma={gamma}", ok, ""
 
 
 def check_radical_decomposition(family):
-    tails, heads, power, _, _ = _RADICAL[family]
+    row = _RADICAL[family]
     for c in [0.5, 1.0, 5.0]:
         for gamma in [0.3, 0.7, 1.0]:
-            for kernel, tail, head in zip(_KERNELS, tails, heads):
+            quad = tr._head_quad(integrate_finite, row.power, c, gamma, DEFAULT_CONTROL)
+            for kernel, tail, head, q in zip(_KERNELS, row.tails, row.heads, quad):
                 closed = tail(c) - head(c, gamma)
-                q = tr._head_quad(integrate_finite, power, kernel, c, gamma, DEFAULT_CONTROL)
-                oracle = _z_oracle(kernel, c, power) - q
+                oracle = _z_oracle(kernel, c, row.power) - q
                 r = _rel(closed, oracle)
                 yield f"{kernel.value} c={c} gamma={gamma}", r < 1e-8, f"rel {r:.1e}"
 
 
 def check_radical_assembly(family):
-    _, _, _, transforms, weight = _RADICAL[family]
+    row = _RADICAL[family]
     for a, b, zeta in _RADICAL_GRID:
-        for kernel, transform in zip(_KERNELS, transforms):
-            o = integrate_semi_infinite(IntegrandSpec(weight(a, b), kernel, zeta)).value
+        for kernel, transform in zip(_KERNELS, row.transforms):
+            o = integrate_semi_infinite(IntegrandSpec(row.weight(a, b), kernel, zeta)).value
             ok = _agree(transform(a, b, zeta), o, 1e-8, 1e-9)
             yield f"{kernel.value} a={a} b={b} zeta={zeta}", ok, ""
 
@@ -376,7 +378,7 @@ def check_radical_assembly(family):
 def check_radical_derivative(family):
     # d/db of the weight (t+a)^-1/2 (t+b)^-q, q the weight power, lands on
     # -q (t+a)^-1/2 (t+b)^-(q+1)
-    _, _, power, (sin_transform, _), _ = _RADICAL[family]
+    power, sin_transform = _RADICAL[family].power, _RADICAL[family].transforms[0]
     a, b, zeta = 1.0, 2.0, 1.0
     h = 1e-5
     fd = (sin_transform(a, b + h, zeta) - sin_transform(a, b - h, zeta)) / (2 * h)
@@ -391,7 +393,7 @@ def check_contour_switch():
     within 1e-12, as the cosine alone carries tail - head's cancellation (3e-12 at phase 40)."""
     for family, phase in itertools.product(_RADICAL, (12.5, 20.0, 40.0)):
         (s, c), (qs, qc) = ([f(2.0 * phase, 2.0 * phase + 1.5, 0.5, SeriesControl(1e-14), quad)
-                             for f in _RADICAL[family][3]] for quad in (False, True))
+                             for f in _RADICAL[family].transforms] for quad in (False, True))
         r = abs(complex(c - qc, s - qs)) / abs(complex(qc, qs))
         yield (f"{family} phase={phase}", r <= 1e-12, f"rel {r:.1e} ({r / 1e-12:.3f} of 1e-12); "
                f"sin {_rel(s, qs):.1e}, cos {_rel(c, qc):.1e}")
@@ -495,6 +497,9 @@ def check_log_integral():
 # registry
 # --------------------------------------------------------------------------
 
+_RADICAL_CHECKS = (("tails", check_radical_tails), ("heads", check_radical_heads),
+                   ("decomposition", check_radical_decomposition),
+                   ("assembly", check_radical_assembly), ("derivative", check_radical_derivative))
 GROUPS = {
     "fresnel-derivatives": check_fresnel_derivatives,
     "gamma-recurrences": check_gamma_recurrences,
@@ -511,18 +516,10 @@ GROUPS = {
     "oracle-ibp": check_oracle_ibp,
     "oracle-robustness": check_oracle_robustness,
     "radical-head-moments": check_radical_head_moments,
-    "two-radical-tails": partial(check_radical_tails, "two-radical"),
-    "two-radical-heads": partial(check_radical_heads, "two-radical"),
-    "two-radical-decomposition": partial(check_radical_decomposition, "two-radical"),
-    "two-radical-assembly": partial(check_radical_assembly, "two-radical"),
-    "two-radical-derivative": partial(check_radical_derivative, "two-radical"),
+    **{f"two-radical-{key}": partial(check, "two-radical") for key, check in _RADICAL_CHECKS},
     "contour-switch": check_contour_switch,
     "approximation-trends": check_approximation_trends,
-    "radical-pole-tails": partial(check_radical_tails, "radical-pole"),
-    "radical-pole-heads": partial(check_radical_heads, "radical-pole"),
-    "radical-pole-decomposition": partial(check_radical_decomposition, "radical-pole"),
-    "radical-pole-assembly": partial(check_radical_assembly, "radical-pole"),
-    "radical-pole-derivative": partial(check_radical_derivative, "radical-pole"),
+    **{f"radical-pole-{key}": partial(check, "radical-pole") for key, check in _RADICAL_CHECKS},
     "lommel-recurrence": check_lommel_recurrence,
     "lommel-three-way": check_lommel_three_way,
     "lommel-reduction": check_lommel_reduction,

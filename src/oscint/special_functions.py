@@ -286,6 +286,7 @@ def _phased_gamma(gamma, alpha, z, ctl, as_printed=False):
     if z < _SPLIT_PHASE:
         phase = cmath.exp(-0.5j * (math.pi * alpha + 2.0 * z))
     else:
+        _require_finite_argument("Gamma form", z)
         phase = cmath.exp(-0.5j * math.pi * alpha) * cmath.exp(complex(0.0, -z))
     return phase * gamma(-alpha if as_printed else 1.0 - alpha, complex(0.0, -z), ctl)
 
@@ -371,8 +372,10 @@ def _fresnel_tail(z):
     C(z) + iS(z) = e^{i pi/4} (sqrt(pi) - Gamma(1/2, -i pi z^2/2)) / sqrt(2 pi).
     """
     _require_finite_argument("Fresnel", z)
-    w = complex(0.0, -0.5 * math.pi * z * z)
-    g = _legendre_cf_backward(0.5, w, DEFAULT_CONTROL)
+    x = 0.5 * math.pi * z * z
+    if x == math.inf:       # S and C within 1/(pi z) < 1e-154 of 1/2
+        return 0.5, 0.5
+    g = _legendre_cf_backward(0.5, complex(0.0, -x), DEFAULT_CONTROL)
     val = cmath.exp(0.25j * math.pi) * (math.sqrt(math.pi) - g) / math.sqrt(2.0 * math.pi)
     return val.imag, val.real
 

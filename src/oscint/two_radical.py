@@ -7,7 +7,8 @@ c = zeta*(b-a) and gamma = sqrt(a/(b-a)): p = 1/2 here, p = 1 for the
 pole weight 1/(sqrt(t+a)(t+b)).  Each is a known infinite-range tail on
 [0, inf) (here Bessel J0/Y0 at c/2, one pair for both kernels) minus a
 finite head on [0, gamma].
-The engine below is written once for both p:
+The engine below is written once for both p, and each route yields the
+(sin, cos) pair from one evaluation; only the public functions pick one:
 
 * the head series sum_k (-c^2 gamma^4)^k / j! * m_j/(2j+1), with j = 2k+1
   for the sine kernel and j = 2k for the cosine, over the moments
@@ -20,15 +21,15 @@ The engine below is written once for both p:
   all), each the stable direction;
   the length J grows with the phase, so it is cached per phase rounded
   up to a multiple of 1/16 (bounded LRU);
-* one phase guard (c gamma^2 = zeta a <= 12) and one quadrature head for
-  both p, kernel(c z^2) (z^2+1)^-p on [0, gamma] through the family's own
-  ``integrate_finite`` binding, when a series stalls or is not wanted;
+* one phase guard (c gamma^2 = zeta a <= 12) and, where a series stalls or
+  is not wanted, both heads as (Im, Re) of one integral of e^(i c z^2)
+  (z^2+1)^-p on [0, gamma] by the family's own ``integrate_finite`` binding;
 * past the guard, where tail - head cancels, one smooth integral through
   that binding: cos + i sin = (i/zeta) times the integral of e^-s w(i s/zeta)
   over [0, inf) (Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44 (2006)
   1026-1048); there arg(t + a) is in [0, pi/2), so principal roots continue
   w, as would one root of a product (its two arguments sum below pi);
-* the leading-order heads for gamma <= 1, with coefficient k = 2/p;
+* both leading-order heads for gamma <= 1 from one Fresnel pair, k = 2/p;
 * the assembly: prefactor times (tail - head), rotated by the phase a*zeta.
 
 The integrand is symmetric in a and b, so parameters are canonicalized
@@ -47,7 +48,7 @@ import math
 from functools import lru_cache
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import ConvergenceError, DomainError, Kernel, Record, _require_finite, _trig
+from .errors import ConvergenceError, DomainError, Record, _require_finite
 from .oracle import integrate_finite
 from .special_functions import (
     bessel_j0,
@@ -215,24 +216,26 @@ def head_cos_series(c: float, gamma: float,
     return _head_series(hyp2f1, 0.5, (0,), c, gamma, ctl, "head_cos_series")[0]
 
 
-def _head_approx(kernel, c, gamma, k, front_k=None):
-    """Leading-order head for gamma <= 1 with k = 2/p; ``front_k``
-    replaces k in the endpoint term gamma/(k c)."""
+def _head_approx(c, gamma, k, front_k=None):
+    """(sin, cos) leading-order heads for gamma <= 1 with k = 2/p; ``front_k``
+    replaces k in the cosine's endpoint term gamma/(k c)."""
     if not 0 < c < math.inf:
         raise DomainError(f"need finite c > 0, got {c}")
     if not 0 <= gamma <= 1:
         raise DomainError(f"approximation requires 0 <= gamma <= 1, got {gamma}")
     w = gamma * math.sqrt(2.0 * c / math.pi)
     root = math.sqrt(0.5 * math.pi / c)
-    front = gamma / ((front_k or k) * c)
-    if kernel is Kernel.SIN:
-        return front * math.cos(c * gamma * gamma) + root * (fresnel_s(w) - fresnel_c(w) / (k * c))
-    return -front * math.sin(c * gamma * gamma) + root * (fresnel_s(w) / (k * c) + fresnel_c(w))
+    s, fc = fresnel_s(w), fresnel_c(w)
+    hs = gamma / (k * c) * math.cos(c * gamma * gamma) + root * (s - fc / (k * c))
+    hc = -gamma / ((front_k or k) * c) * math.sin(c * gamma * gamma) + root * (s / (k * c) + fc)
+    if not (math.isfinite(hs) and math.isfinite(hc)):
+        raise DomainError(f"approximate heads at c={c}, gamma={gamma} leave double precision")
+    return hs, hc
 
 
 def head_sin_approx(c: float, gamma: float) -> float:
     """Leading-order head for gamma <= 1; error shrinks with growing c."""
-    return _head_approx(Kernel.SIN, c, gamma, 4.0)
+    return _head_approx(c, gamma, 4.0)[0]
 
 
 def head_cos_approx(c: float, gamma: float, as_printed: bool = False) -> float:
@@ -241,16 +244,15 @@ def head_cos_approx(c: float, gamma: float, as_printed: bool = False) -> float:
     The corrected prefactor -gamma/(4c) is the default; ``as_printed``
     restores the verbatim -gamma/c (see errata TR-COS-APPROX).
     """
-    return _head_approx(Kernel.COS, c, gamma, 4.0, 1.0 if as_printed else None)
+    return _head_approx(c, gamma, 4.0, 1.0 if as_printed else None)[1]
 
 
-def _head_quad(integrate, power, kernel, c, gamma, ctl):
-    """Integral of kernel(c z^2) (z^2+1)^-power on [0, gamma] by ``integrate``."""
-    def f_over(m):
-        trig = _trig(kernel, m)
-        return lambda z: trig(c * z * z) / (z * z + 1.0) ** power
-
-    return integrate(None, 0.0, gamma, ctl, f_over).value
+def _head_quad(integrate, power, c, gamma, ctl):
+    """(sin, cos) integrals of kernel(c z^2) (z^2+1)^-power on [0, gamma]: (Im, Re)
+    of one ``integrate`` call on e^(i c z^2) (z^2+1)^-power."""
+    f_over = lambda m: lambda z: m.exp(1j * (c * z * z)) / (z * z + 1.0) ** power
+    v = integrate(None, 0.0, gamma, ctl, f_over).value
+    return v.imag, v.real
 
 
 def _contour(integrate, weight, p, power, ctl):
@@ -267,9 +269,9 @@ def _assemble(p, prefactor, tails, weight, hyp, power, approx_heads, integrate, 
     the phase a*zeta; by default past the phase guard ``_contour`` of ``weight``.
 
     ``tails`` gives the (sin, cos) pair on [0, inf) at c.  The heads are the
-    family's (sin, cos) leading-order pair ``approx_heads`` when given,
-    else both series of weight power ``power`` from one moment table
-    (``hyp`` as in ``_head_series``), replaced by ``_head_quad`` through
+    family's leading-order pair ``approx_heads(c, gamma)`` when given, else
+    both series of weight power ``power`` from one moment table (``hyp`` as
+    in ``_head_series``), replaced by the ``_head_quad`` pair through
     ``integrate``, the family's own ``integrate_finite`` binding, when
     ``quadrature`` is set or the series raises ConvergenceError.
     """
@@ -278,20 +280,15 @@ def _assemble(p, prefactor, tails, weight, hyp, power, approx_heads, integrate, 
         return _contour(integrate, weight, p, power, ctl)
     tails = tails(c)
     if approx_heads:
-        if g > 1:
-            raise DomainError(
-                f"approximation tier requires gamma <= 1, got gamma={g:.4g}")
-        hs, hc = approx_heads[0](c, g), approx_heads[1](c, g)
+        hs, hc = approx_heads(c, g)
     elif not quadrature:
         try:
             hs, hc = _head_series(hyp, power, (1, 0), c, g, ctl, "head series")
         except ConvergenceError:
             quadrature = True
     if quadrature:
-        hs = _head_quad(integrate, power, Kernel.SIN, c, g, ctl)
-        hc = _head_quad(integrate, power, Kernel.COS, c, g, ctl)
-    ts = tails[0] - hs
-    tc = tails[1] - hc
+        hs, hc = _head_quad(integrate, power, c, g, ctl)
+    ts, tc = tails[0] - hs, tails[1] - hc
     cs, sn = math.cos(p.a * p.zeta), math.sin(p.a * p.zeta)
     return prefactor * (cs * ts - sn * tc), prefactor * (cs * tc + sn * ts)
 
@@ -307,8 +304,8 @@ def _transform(a, b, zeta, ctl, heads_by_quadrature, approx, as_printed):
     p = TwoRadicalParams(a, b, zeta)
     if p.degenerate:
         return _degenerate(p.a, zeta, ctl)
-    approx_heads = ((head_sin_approx, lambda c, g: head_cos_approx(c, g, as_printed))
-                    if approx else None)
+    front_k = 1.0 if as_printed else None
+    approx_heads = (lambda c, g: _head_approx(c, g, 4.0, front_k)) if approx else None
     return _assemble(p, 2.0, _tails, lambda m, a, b, t: 1.0 / (m.sqrt(t + a) * m.sqrt(t + b)),
                      hyp2f1, 0.5, approx_heads, integrate_finite, ctl, heads_by_quadrature)
 

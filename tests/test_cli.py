@@ -534,3 +534,40 @@ def test_out_of_range_point_has_no_traceback(capsys, case):
         assert err.startswith("error: ") and "double precision" in err
     else:
         assert math.isfinite(json.loads(out)["value"])
+
+
+# a scaled shift u = zeta x that overflows to inf, and approximate heads past
+# the double range: the first two once ended in a traceback (exit 1), the
+# third printed "value": NaN with exit 0
+PAST_RANGE_ARGV = {
+    "half-power-u-inf": ["--family", "half-power", "--alpha", "0", "--x", "1e20",
+                         "--zeta", "1e300"],
+    "lommel-u-inf": ["--family", "lommel", "--n", "0", "--m", "1", "--x", "1e20",
+                     "--zeta", "1e300"],
+    "two-radical-approximation": ["--family", "two-radical", "--a", "1e-300", "--b", "1e-20",
+                                  "--zeta", "1e-300", "--method", "approximation"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_RANGE_ARGV))
+def test_point_past_the_double_range_exit_2(capsys, case):
+    code, out, err = run_cli(capsys, "eval", *PAST_RANGE_ARGV[case])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "double precision" in err
+
+
+@pytest.mark.parametrize("case", ["half-power-u-inf", "lommel-u-inf"])
+def test_overflowed_scaled_shift_in_a_fresh_process_has_no_traceback(case):
+    proc = subprocess.run([sys.executable, "-m", "oscint.cli", "eval", *PAST_RANGE_ARGV[case]],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+
+
+def test_compare_skips_approximation_past_the_double_range(capsys):
+    argv = PAST_RANGE_ARGV["two-radical-approximation"][:-2]
+    code, out, _ = run_cli(capsys, "compare", *argv)
+    doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the JSON"))
+    assert "approximation" in doc["skipped"]
+    assert "double precision" in doc["skipped"]["approximation"]
+    assert "approximation" not in doc["values"]

@@ -200,6 +200,31 @@ def test_domain_types():
         lommel_s_half(0.0, 0.0)
     with pytest.raises(DomainError, match="double precision"):
         pre_reduction_values(1, 2, 1.0, 1e300)    # zeta^(q - 1) = 1e450
+    with pytest.raises(DomainError, match="double precision"):
+        pre_reduction_values(1, 2, 1e-300, 1.0)   # u^-(q - 1) = 1e450
+
+
+def test_overflowed_scaled_shift_is_a_domain_error():
+    # u = zeta x overflows to inf: the Gamma form's phase exp(-iu) has no value
+    with pytest.raises(DomainError, match="overflows double precision"):
+        cos_exponent_transform(2.5, 1e200, 1e200)
+    with pytest.raises(DomainError, match="overflows double precision"):
+        lommel_s_half(-0.5, math.inf)
+    with pytest.raises(DomainError, match="overflows double precision"):
+        s_alpha(0, 1e20, 1e300)
+    with pytest.raises(DomainError, match="overflows double precision"):
+        general_sin_transform(0, 1, 1e20, 1e300)
+
+
+def test_values_past_the_double_range_are_domain_errors():
+    # the verbatim Gamma order at tiny z, and zeta^(alpha - 1/2) times a
+    # half-power value: each once returned inf
+    with pytest.raises(DomainError, match="double precision"):
+        lommel_s_half(-0.5, 1e-300, as_printed=True)
+    with pytest.raises(DomainError, match="double precision"):
+        s_alpha(3, 1e-300, 1e100)
+    with pytest.raises(DomainError, match="double precision"):
+        c_alpha(3, 1e-300, 1e100, as_printed=True)
 
 
 def test_integer_exponent_routes():

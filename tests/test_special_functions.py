@@ -79,6 +79,18 @@ def test_fresnel_c_limit_and_decay():
     assert abs(fresnel_c(20.0) - 0.5) < abs(fresnel_c(10.0) - 0.5)
 
 
+def test_fresnel_past_the_overflow_of_the_phase():
+    # above |z| = 1.07e154, pi z^2 / 2 is inf; S and C are 1/2 to within
+    # 1/(pi z) < 1e-154 there, so 1/2 is the correctly rounded value
+    assert math.isinf(0.5 * math.pi * 1.4e154 * 1.4e154)
+    for z in (1.4e154, 1e300):
+        assert (fresnel_s(z), fresnel_c(z)) == (0.5, 0.5)
+        assert (fresnel_s(-z), fresnel_c(-z)) == (-0.5, -0.5)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            fresnel_s(bad)
+
+
 @given(st.floats(min_value=-50.0, max_value=50.0))
 @settings(max_examples=60, deadline=None)
 def test_fresnel_odd_and_bounded(z):
@@ -516,10 +528,9 @@ def test_one_fresnel_branch_per_pole_tail_and_head_approximation(count_calls, c)
     sf._fresnel_pair.cache_clear()
     rp._pole_tails(c)
     assert sum(counts.values()) == 1
-    for pairs, kernel in enumerate(Kernel, start=2):
-        sf._fresnel_pair.cache_clear()
-        tr._head_approx(kernel, c, 0.7, 4.0)
-        assert sum(counts.values()) == pairs
+    sf._fresnel_pair.cache_clear()
+    tr._head_approx(c, 0.7, 4.0)            # both heads from one pair
+    assert sum(counts.values()) == 2
 
 
 def test_one_ascending_series_per_j0_y0_pair(count_calls):

@@ -366,7 +366,30 @@ def test_integrate_finite_calls_per_route(monkeypatch, transform):
     assert count(20.0, 21.5, 0.75) == 1           # past the guard: one contour pass
     assert calls == [(0.0, tr._CONTOUR_END)]
     assert count(2.0, 3.5, 0.75) == 0             # in grid: the head series
-    assert count(20.0, 21.5, 0.75, heads_by_quadrature=True) == 2
+    assert count(20.0, 21.5, 0.75, heads_by_quadrature=True) == 1    # one complex head pair
+
+
+def test_approximation_tier_past_the_double_range_is_a_domain_error():
+    # c = zeta (b - a) is subnormal: the endpoint terms gamma/(k c) and the
+    # Fresnel root sqrt(pi / 2c) once gave inf or NaN
+    for f, args in ((approx_sin_transform, (1e-30, 1e-20, 1e-290)),
+                    (approx_cos_transform, (1e-300, 1e-20, 1e-300)),
+                    (rp.approx_pole_cos_transform, (1e-300, 1e-20, 1e-300)),
+                    (head_sin_approx, (1e-320, 1e-140)),
+                    (head_cos_approx, (1e-320, 1e-140))):
+        with pytest.raises(DomainError, match="double precision"):
+            f(*args)
+    # the printed pole cosine tail's spurious sqrt(2 pi / c) at subnormal c
+    with pytest.raises(DomainError, match="must be finite"):
+        pole_cos_transform(1e-300, 1e-20, 1e-300, as_printed=True)
+
+
+def test_approximation_tier_makes_one_head_call_per_transform(count_calls):
+    counts = [count_calls(module, "_head_approx") for module in (tr, rp)]
+    for f in (approx_sin_transform, approx_cos_transform,
+              rp.approx_pole_sin_transform, rp.approx_pole_cos_transform):
+        f(1.0, 3.0, 2.0)
+    assert counts == [{"_head_approx": 2}, {"_head_approx": 2}]
 
 
 def test_pole_as_printed_past_the_guard_keeps_tail_minus_head(monkeypatch):
@@ -377,4 +400,16 @@ def test_pole_as_printed_past_the_guard_keeps_tail_minus_head(monkeypatch):
     assert pole_cos_transform(15.0, 16.5, 1.0, as_printed=True) == -1.4533822593267272
     assert pole_sin_transform(20.0, 20.5, 2.0, as_printed=True) == -6.102993642955001
     assert pole_cos_transform(20.0, 20.5, 2.0, as_printed=True) == -5.467355868257794
-    assert len(calls) == 8
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("transform", [sin_transform, cos_transform,
+                                       pole_sin_transform, pole_cos_transform])
+def test_series_stall_falls_back_to_one_quadrature_pair(monkeypatch, transform):
+    # three terms per kernel cannot sum the heads at phase 9: the series
+    # stalls in grid and both heads come from one complex quadrature
+    ctl = SeriesControl(1e-12, 3)
+    calls = _finite_calls(monkeypatch)
+    value = transform(9.0, 10.5, 1.0, ctl)
+    assert calls == [(0.0, math.sqrt(6.0))]         # gamma = sqrt(a / (b - a))
+    assert value == transform(9.0, 10.5, 1.0, ctl, heads_by_quadrature=True)
