@@ -8,9 +8,9 @@ each cross-validated against an independent lobe-quadrature oracle.
 Every result is pure double precision; all functions are pure,
 reentrant and thread-safe.  The only global mutable state is the memo
 caches of pure functions (``functools.lru_cache``: the half-power family
-coefficients, the last Fresnel pair, the last (J0, Y0) pair, the 2F1
-term ratios per shape and the moment-table length per rounded phase),
-which never change a value, and this package's name cache below.
+coefficients, the last Fresnel and (J0, Y0) pairs, the moment-table
+length per phase) and the series loops' coefficient tables, which never
+change a value, and this package's name cache below.
 
 ``import oscint`` loads no submodule.  ``_SUBMODULE`` below is the one
 list of public names: a new public name is added there only, and no

@@ -41,7 +41,6 @@ the oracle's tables before the clock starts, so ``elapsed_us`` holds neither.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -306,6 +305,7 @@ def _emit(rows, fmt, timing, stream):
         for row in rows:
             stream.write(json.dumps(row, sort_keys=True) + "\n")
         return
+    import csv      # here, not at module level: a cold json eval never loads it
     param_keys = sorted({k for row in rows for k in row["params"]})
     tail = ["value", "err_estimate"] + (["elapsed_us"] if timing else [])
     writer = csv.writer(stream, lineterminator="\n")
@@ -417,6 +417,7 @@ def cmd_compare(args, stream):
     if args.format == "json":
         stream.write(json.dumps(doc, sort_keys=True) + "\n")
     else:
+        import csv
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["method", "value"])
         for name in names:

@@ -12,7 +12,8 @@ Evaluation strategies:
   continued fraction at argument -i*pi*z^2/2 (convergent, unlike the
   divergent asymptotic series, which cannot reach 1e-12 near the switch
   point).  Both branches agree to ~1e-15 at the switch; NaN and inf fall
-  past it and are a DomainError there.  One private function computes
+  past it and are a DomainError there, and past 2^55/pi S and C are 1/2,
+  their correctly rounded value.  One private function computes
   the (S, C) pair and memoises its last argument, so a caller reading S
   and then C at the same z sums one branch once.
 * Bessel J0/Y0: ascending series for z <= 14, Hankel asymptotic sums
@@ -38,11 +39,16 @@ Evaluation strategies:
     about 1e-16, capped by max_terms.
   (Gil, Segura & Temme, Numerical Methods for Special Functions, SIAM
   2007, ch. 6; DLMF 8.7, 8.9.)
-* Gauss 2F1 on the axis z <= 0: direct series inside the disk, Pfaff
-  transformation for z < -1/2 (argument maps into (0,1)).  The term
-  ratios of each shape (a, b, c) are cached as far as a sum has run and
-  multiplied in the plain series' order, so no value changes.
+* Gauss 2F1 on the axis z <= 0: Pfaff's series in z/(z-1) (DLMF 15.8.1),
+  with whichever of a, b is nearer c replaced by c minus it, for z < -1/2
+  and on [-1/2, 0) where that shrinks the parameter (then every term ratio
+  shrinks, so the sum is shorter); the direct series elsewhere.
 * 2F2(1/2,1/2;3/2,3/2;ix): direct complex series (entire).
+
+Each series loop reads its index- and shape-only numbers (divisors, term
+ratios, H_k, the fraction's i(a-i) per order a) from a table grown by
+``_grown`` as far as a loop has run: the same floats in the same
+operations, so no value changes.
 
 Complex values are plain Python ``complex``.
 """
@@ -60,6 +66,7 @@ from .oracle import kernel_breakpoints, lobe_sum
 EULER_GAMMA = 0.5772156649015328606
 
 _FRESNEL_SWITCH = 1.6
+_FRESNEL_HALF = 2.0 ** 55 / math.pi     # beyond, |S - 1/2|, |C - 1/2| < 1/(pi z) < 2^-55
 _BESSEL_SWITCH = 14.0
 # incomplete gamma: series below |z| = 3, backward fraction above
 _GAMMA_SWITCH = 3.0
@@ -82,6 +89,21 @@ _RGAMMA_TAYLOR = (
     -9.6219715278769735621e-3, -4.2197734555544336748e-2, 1.665386113822914895e-1,
     -4.2002635034095235529e-2, -6.5587807152025388108e-1, 5.7721566490153286061e-1,
 )
+
+
+_FRESNEL_TERMS = []     # (4k+1, 4k+3, (2k+1)(2k+2), (2k+2)(2k+3)) as floats
+_BESSEL_TERMS = []      # (k^2, H_k) for k = 1, 2, ...
+_F22_RATIOS = []        # (1/2+k)^2 / ((3/2+k)^2 (k+1))
+_cf_numerators = lru_cache(maxsize=64)(lambda a: [])        # i(a-i), i = 1, 2, ... per order a
+_gauss_ratios = lru_cache(maxsize=256)(lambda a, b, c: [])  # 2F1 term ratios per shape (a, b, c)
+
+
+def _grown(table, n, entry):
+    """``table`` grown to at least n entries by entry(k) in one slice store: a
+    racing thread's entries are replaced by equal ones, never duplicated."""
+    k = len(table)
+    table[k:n] = [entry(i) for i in range(k, n)]
+    return table
 
 
 # --------------------------------------------------------------------------
@@ -133,10 +155,10 @@ def _legendre_cf_backward(a, z, ctl):
         raise ConvergenceError(
             f"incomplete-gamma continued fraction needs {n} terms at a={a}, z={z}, "
             f"over max_terms={ctl.max_terms}")
-    b = z + (2 * n + 1 - a)      # b_n = z + 2n + 1 - a
-    t = 0j
-    for i in range(n, 0, -1):
-        t = i * (a - i) / (b + t)
+    nums = _grown(_cf_numerators(a), n, lambda i: (i + 1) * (a - (i + 1)))
+    b, t = z + (2 * n + 1 - a), 0j      # b_n = z + 2n + 1 - a
+    for num in nums[n - 1::-1]:
+        t = num / (b + t)
         b -= 2.0
     return _zpow_exp(a, z) / (b + t)
 
@@ -183,10 +205,9 @@ def _small_order_series(a, z, ctl):
     s_half = math.sin(0.5 * w.imag)
     zpow_m1 = complex(ex * math.cos(w.imag) - 2.0 * s_half * s_half,
                       (ex + 1.0) * math.sin(w.imag))
-    term = 1.0 + 0.0j
-    total = 0.0j
+    term, total, step = 1.0 + 0.0j, 0.0j, -z
     for k in range(1, ctl.max_terms + 1):
-        term *= -z / k
+        term *= step / k
         piece = term / (a + k)
         total += piece
         if abs(piece) < abs(total) * _SERIES_TOL:
@@ -351,16 +372,20 @@ def _require_finite_argument(name, z):
 def _fresnel_series(z):
     """(S, C) by the Maclaurin series; accurate for |z| <~ 2."""
     x = 0.5 * math.pi * z * z
-    x2 = x * x
-    cs = 0.0
-    ss = 0.0
-    term_c = 1.0
-    term_s = 1.0
+    step = -(x * x)
+    cs = ss = 0.0
+    term_c = term_s = 1.0
     for k in range(60):
-        cs += term_c / (4 * k + 1)
-        ss += term_s / (4 * k + 3)
-        term_c *= -x2 / ((2 * k + 1) * (2 * k + 2))
-        term_s *= -x2 / ((2 * k + 2) * (2 * k + 3))
+        try:
+            d_c, d_s, r_c, r_s = _FRESNEL_TERMS[k]
+        except IndexError:
+            d_c, d_s, r_c, r_s = _grown(_FRESNEL_TERMS, k + 1, lambda k: (
+                4 * k + 1.0, 4 * k + 3.0, (2 * k + 1.0) * (2 * k + 2),
+                (2 * k + 2.0) * (2 * k + 3)))[k]
+        cs += term_c / d_c
+        ss += term_s / d_s
+        term_c *= step / r_c
+        term_s *= step / r_s
         if abs(term_c) < 1e-17 * abs(cs) and abs(term_s) < 1e-17 * abs(ss):
             break
     return z * x * ss, z * cs
@@ -372,9 +397,9 @@ def _fresnel_tail(z):
     C(z) + iS(z) = e^{i pi/4} (sqrt(pi) - Gamma(1/2, -i pi z^2/2)) / sqrt(2 pi).
     """
     _require_finite_argument("Fresnel", z)
-    x = 0.5 * math.pi * z * z
-    if x == math.inf:       # S and C within 1/(pi z) < 1e-154 of 1/2
+    if z > _FRESNEL_HALF:
         return 0.5, 0.5
+    x = 0.5 * math.pi * z * z
     g = _legendre_cf_backward(0.5, complex(0.0, -x), DEFAULT_CONTROL)
     val = cmath.exp(0.25j * math.pi) * (math.sqrt(math.pi) - g) / math.sqrt(2.0 * math.pi)
     return val.imag, val.real
@@ -423,11 +448,15 @@ def _bessel_pair(z):
         w = z - 0.25 * math.pi
         r = math.sqrt(2.0 / (math.pi * z))
         return r * (p * math.cos(w) - q * math.sin(w)), r * (p * math.sin(w) + q * math.cos(w))
-    q = 0.25 * z * z
-    term, hk, j0, ysum = 1.0, 0.0, 1.0, 0.0
-    for k in range(1, 200):
-        term *= -q / (k * k)
-        hk += 1.0 / k
+    step = -0.25 * z * z
+    term, j0, ysum = 1.0, 1.0, 0.0
+    for k in range(199):
+        try:
+            kk, hk = _BESSEL_TERMS[k]
+        except IndexError:      # grown one entry at a time: H_(k+1) reads H_k
+            kk, hk = _grown(_BESSEL_TERMS, k + 1, lambda k: (
+                (k + 1.0) * (k + 1), (_BESSEL_TERMS[k - 1][1] if k else 0.0) + 1.0 / (k + 1)))[k]
+        term *= step / kk
         j0 += term
         piece = -hk * term
         ysum += piece
@@ -478,12 +507,6 @@ def bessel_y0(z: float) -> float:
 # hypergeometric
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=256)
-def _gauss_ratios(a, b, c):
-    """The list of 2F1 term ratios of shape (a, b, c) that sums have used so far."""
-    return []
-
-
 def _gauss_series(a, b, c, z, ctl):
     ratios = _gauss_ratios(a, b, c)
     term = 1.0
@@ -492,8 +515,7 @@ def _gauss_series(a, b, c, z, ctl):
         try:
             r = ratios[k]
         except IndexError:
-            r = (a + k) * (b + k) / ((c + k) * (k + 1.0))
-            ratios[k:k + 1] = (r,)      # not append: a racing thread's r_k is replaced
+            r = _grown(ratios, k + 1, lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)))[k]
         term *= r * z
         total += term
         if abs(term) < ctl.rel_tol * abs(total):
@@ -507,9 +529,9 @@ def hyp2f1(a: float, b: float, c: float, z: float,
            ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Gauss hypergeometric function on the axis z <= 0.
 
-    Inside the disk the defining series is summed directly; for z < -1/2
-    a Pfaff transformation maps the argument to z/(z-1) in (0, 1), where
-    the series converges for every z <= 0 the radical transforms produce.
+    The defining series, or a Pfaff transformation to z/(z-1) in (0, 1):
+    for z < -1/2, where it converges for every z <= 0, and on [-1/2, 0)
+    where its series is the shorter one (module docstring).
     """
     if not 0 < c < math.inf:
         _require_finite("hyp2f1", c=c)
@@ -519,10 +541,11 @@ def hyp2f1(a: float, b: float, c: float, z: float,
         raise DomainError(f"hyp2f1 supports finite z <= 0 only, got z={z}")
     if z == 0:
         return 1.0
-    if z >= -0.5:
+    swap_b = abs(c - b) <= abs(c - a)
+    if z >= -0.5 and not (abs(c - b) < abs(b) if swap_b else abs(c - a) < abs(a)):
         return _gauss_series(a, b, c, z, ctl)
     w = z / (z - 1.0)
-    if abs(c - b) <= abs(c - a):
+    if swap_b:
         return (1.0 - z) ** (-a) * _gauss_series(a, c - b, c, w, ctl)
     return (1.0 - z) ** (-b) * _gauss_series(c - a, b, c, w, ctl)
 
@@ -533,7 +556,12 @@ def hyp2f2_half(x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
     total = complex(1.0)
     iz = complex(0.0, x)
     for k in range(ctl.max_terms):
-        term *= (0.5 + k) ** 2 / ((1.5 + k) ** 2 * (k + 1.0)) * iz
+        try:
+            r = _F22_RATIOS[k]
+        except IndexError:
+            r = _grown(_F22_RATIOS, k + 1,
+                       lambda k: (0.5 + k) ** 2 / ((1.5 + k) ** 2 * (k + 1.0)))[k]
+        term *= r * iz
         total += term
         if abs(term) < ctl.rel_tol * abs(total):
             return total

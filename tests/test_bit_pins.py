@@ -1,0 +1,133 @@
+"""Bit pins of the series kernels and the five closed-form families.
+
+Each case is a public function at a fixed in-grid or wide argument, and
+its pin is the ``float.hex`` of the value (real and imaginary part for a
+complex one), frozen from the implementation before the series loops
+read their shape-only coefficients from tables.  Those tables keep every
+float operation and operand of the loops, so a value that moves by one
+bit here means a loop's arithmetic changed order or operand.
+
+The 2F1 shapes pinned here are outside the set the Pfaff rule moves on
+[-1/2, 0); ``tests/test_series_tables.py`` checks the moved shapes against
+mpmath instead.
+"""
+
+import pytest
+
+import oscint
+
+CASES = [
+    # Fresnel: Maclaurin series up to 1.6, the Gamma(1/2, .) fraction above
+    ("fresnel_s", (0.05,)), ("fresnel_c", (0.9,)), ("fresnel_s", (1.6,)),
+    ("fresnel_c", (1.6,)), ("fresnel_s", (1.65,)), ("fresnel_c", (3.7,)),
+    ("fresnel_s", (250.0,)), ("fresnel_c", (1e8,)),
+    # J0 / Y0: ascending series up to 14, Hankel sums above
+    ("bessel_j0", (0.3,)), ("bessel_y0", (2.5,)), ("bessel_j0", (9.75,)),
+    ("bessel_y0", (14.0,)), ("bessel_j0", (20.0,)),
+    ("hyp2f2_half", (0.2,)), ("hyp2f2_half", (3.3,)), ("hyp2f2_half", (11.0,)),
+    ("hyp2f2_half", (-6.0,)),
+    # Gamma(a, z): backward fraction, Lentz, Temme's series with and without
+    # the downward lift, and Gamma(a) minus the lower series
+    ("upper_incomplete_gamma", (-1.5, -5j)), ("upper_incomplete_gamma", (0.5, -4.2j)),
+    ("upper_incomplete_gamma", (-4.5, -3.5j)), ("upper_incomplete_gamma", (1.0, -30j)),
+    ("upper_incomplete_gamma", (2.0, -5j)), ("upper_incomplete_gamma", (-0.5, -2j)),
+    ("upper_incomplete_gamma", (0.2, -1.1j)), ("upper_incomplete_gamma", (-2.0, -1.5j)),
+    ("upper_incomplete_gamma", (2.5, -2j)), ("upper_incomplete_gamma", (3.5, -4j)),
+    # 2F1 outside the rerouted set: direct inside [-1/2, 0), Pfaff below
+    ("hyp2f1", (0.5, 0.5, 1.5, -0.3)), ("hyp2f1", (1.0, 1.0, 2.0, -0.45)),
+    ("hyp2f1", (0.3, 0.4, 2.5, -0.35)), ("hyp2f1", (0.5, 3.5, 4.5, -0.8)),
+    ("hyp2f1", (1.0, 10.5, 11.5, -0.9)),
+    # radical heads: moments downward from the 2F1 seed (gamma <= 1), upward above
+    ("head_sin_series", (1.5, 0.5)), ("head_cos_series", (1.5, 0.5)),
+    ("head_cos_series", (6.0, 1.2)), ("pole_head_sin_series", (0.8, 0.9)),
+    ("pole_head_cos_series", (3.0, 1.4)), ("pole_head_sin_series", (11.0, 0.7)),
+    # the five closed-form families, in-grid and wide
+    ("sin_transform", (0.4, 1.9, 1.0)), ("cos_transform", (0.4, 1.9, 1.0)),
+    ("sin_transform", (0.9, 1.3, 1.8)), ("cos_transform", (25.0, 27.0, 1.2)),
+    ("pole_sin_transform", (0.7, 2.6, 0.5)), ("pole_cos_transform", (0.3, 3.2, 1.7)),
+    ("pole_cos_transform", (0.95, 1.2, 0.4)),
+    ("s_alpha", (2, 3.5, 0.75)), ("c_alpha", (3, 9.0, 1.0)), ("s_alpha", (0, 0.3, 1.1)),
+    ("c_alpha", (7, 400.0, 1.0)),
+    ("general_sin_transform", (1, 3, 6.0, 1.25)),
+    ("general_cos_transform", (2, 5, 7.0, 1.5, True)),
+    ("general_sin_transform", (0, 2, 1.5, 1.25)),
+    ("general_cos_transform", (1, 4, 300.0, 1.0)),
+    ("log_weighted_sin_integral", (2.5,)), ("log_weighted_sin_integral", (0.3,)),
+    ("log_weighted_sin_integral", (9.5,)), ("log_weighted_sin_integral", (12.0,)),
+]
+
+PINS = {
+    'fresnel_s(0.05,)': '0x1.1284291f4cee2p-14',
+    'fresnel_c(0.9,)': '0x1.8796e20f31963p-1',
+    'fresnel_s(1.6,)': '0x1.471c4954fadffp-1',
+    'fresnel_c(1.6,)': '0x1.763b966945a14p-2',
+    'fresnel_s(1.65,)': '0x1.318954f9cd39fp-1',
+    'fresnel_c(3.7,)': '0x1.1579e6de533efp-1',
+    'fresnel_s(250.0,)': '0x1.feb23a572ee9dp-2',
+    'fresnel_c(100000000.0,)': '0x1.ffffffd38a873p-2',
+    'bessel_j0(0.3,)': '0x1.f48b6d692fb9ep-1',
+    'bessel_y0(2.5,)': '0x1.fe0628069e15dp-2',
+    'bessel_j0(9.75,)': '-0x1.d1941ef58fe49p-3',
+    'bessel_y0(14.0,)': '0x1.047d89930ccebp-3',
+    'bessel_j0(20.0,)': '0x1.561106f7bed66p-3',
+    'hyp2f2_half(0.2,)': '0x1.ff97400db71b0p-1 0x1.6ba4b79bf6d9fp-6',
+    'hyp2f2_half(3.3,)': '0x1.aadba89553febp-1 0x1.1263950272dfap-2',
+    'hyp2f2_half(11.0,)': '0x1.1f1cb9d7e9b42p-1 0x1.0ffd96b2315ffp-2',
+    'hyp2f2_half(-6.0,)': '0x1.5a10a0bea8a8ep-1 -0x1.21baea9f6f603p-2',
+    'upper_incomplete_gamma(-1.5, (-0-5j))': '-0x1.391fb756554fbp-7 0x1.8f8dd30b148fep-7',
+    'upper_incomplete_gamma(0.5, (-0-4.2j))': '0x1.4310c21793984p-4 -0x1.dfd4719b9e252p-2',
+    'upper_incomplete_gamma(-4.5, (-0-3.5j))': '0x1.22f45faceaef1p-13 -0x1.20e70ee911482p-11',
+    'upper_incomplete_gamma(1.0, (-0-30j))': '0x1.3be82f2505a54p-3 -0x1.f9df47f1c903ep-1',
+    'upper_incomplete_gamma(2.0, (-0-5j))': '-0x1.20b38e2a5ab11p+2 -0x1.30493e3bb3514p+1',
+    'upper_incomplete_gamma(-0.5, (-0-2j))': '-0x1.a342bebf87b90p-3 -0x1.74b6d90ed90bap-3',
+    'upper_incomplete_gamma(0.2, (-0-1.1j))': '-0x1.1542223b5f2fap-2 0x1.56704ae6c1909p-1',
+    'upper_incomplete_gamma(-2.0, (-0-1.5j))': '0x1.4e3ca1d7dce14p-4 -0x1.f47ba31671fbep-4',
+    'upper_incomplete_gamma(2.5, (-0-2j))': '0x1.7c3428858f585p+1 0x1.414a7a857389dp+0',
+    'upper_incomplete_gamma(3.5, (-0-4j))': '0x1.6f10b217e96b9p+4 0x1.4d2d13bbe9bfdp+4',
+    'hyp2f1(0.5, 0.5, 1.5, -0.3)': '0x1.e9579d67e9068p-1',
+    'hyp2f1(1.0, 1.0, 2.0, -0.45)': '0x1.a6c1badcb90c0p-1',
+    'hyp2f1(0.3, 0.4, 2.5, -0.35)': '0x1.f815f5cacb7f7p-1',
+    'hyp2f1(0.5, 3.5, 4.5, -0.8)': '0x1.933fdcb858686p-1',
+    'hyp2f1(1.0, 10.5, 11.5, -0.9)': '0x1.19844c2b2ddb0p-1',
+    'head_sin_series(1.5, 0.5)': '0x1.d958fef6506cdp-5',
+    'head_cos_series(1.5, 0.5)': '0x1.e62a85fdca171p-2',
+    'head_cos_series(6.0, 1.2)': '0x1.310421f378a3dp-2',
+    'pole_head_sin_series(0.8, 0.9)': '0x1.0a9ee3ce86aafp-3',
+    'pole_head_cos_series(3.0, 1.4)': '0x1.7a24e6c7f67eap-2',
+    'pole_head_sin_series(11.0, 0.7)': '0x1.4360eef19dd40p-3',
+    'sin_transform(0.4, 1.9, 1.0)': '0x1.3e3dac13cf42fp-1',
+    'cos_transform(0.4, 1.9, 1.0)': '0x1.83650bb5ed704p-2',
+    'sin_transform(0.9, 1.3, 1.8)': '0x1.9f0abef107d5bp-2',
+    'cos_transform(25.0, 27.0, 1.2)': '0x1.0c41970d11a59p-10',
+    'pole_sin_transform(0.7, 2.6, 0.5)': '0x1.694c9ca157070p-2',
+    'pole_cos_transform(0.3, 3.2, 1.7)': '0x1.c90e0a809774fp-4',
+    'pole_cos_transform(0.95, 1.2, 0.4)': '0x1.512f7168043acp-1',
+    's_alpha(2, 3.5, 0.75)': '0x1.16bab04e3e227p-5',
+    'c_alpha(3, 9.0, 1.0)': '0x1.28be56c3b8ff8p-13',
+    's_alpha(0, 0.3, 1.1)': '0x1.f66c1a4a0dcdep-1',
+    'c_alpha(7, 400.0, 1.0)': '0x1.59b3b7cf382cfp-71',
+    'general_sin_transform(1, 3, 6.0, 1.25)': '0x1.6718368d228ecp-7',
+    'general_cos_transform(2, 5, 7.0, 1.5, True)': '0x1.4bf8fcdb3e2dep-17',
+    'general_sin_transform(0, 2, 1.5, 1.25)': '0x1.2d9446f599ebep-1',
+    'general_cos_transform(1, 4, 300.0, 1.0)': '0x1.57f2758d88c80p-26',
+    'log_weighted_sin_integral(2.5,)': '0x1.48cac76e53af8p-1',
+    'log_weighted_sin_integral(0.3,)': '0x1.0fdff504a7a00p-10',
+    'log_weighted_sin_integral(9.5,)': '0x1.766f462b5e03cp-1',
+    'log_weighted_sin_integral(12.0,)': '0x1.6f6153e3c84a0p-1',
+}
+
+
+def _hex(value):
+    if isinstance(value, complex):
+        return f"{value.real.hex()} {value.imag.hex()}"
+    return value.hex()
+
+
+@pytest.mark.parametrize("name,args", CASES, ids=[f"{n}{a}" for n, a in CASES])
+def test_value_keeps_its_bits(name, args):
+    assert _hex(getattr(oscint, name)(*args)) == PINS[f"{name}{args}"]
+
+
+def test_every_case_is_pinned():
+    assert sorted(PINS) == sorted(f"{n}{a}" for n, a in CASES)
+

@@ -24,7 +24,7 @@ from oscint.oracle import (IntegrandSpec, Kernel, RadicalPole, TwoRadical,
 
 HEAVY = ("numpy", "scipy")
 # modules whose import costs a cold eval milliseconds it does not need
-SLOW_STDLIB = ("dataclasses", "inspect")
+SLOW_STDLIB = ("csv", "dataclasses", "inspect")
 SRC = str(Path(oscint.__file__).resolve().parent.parent)
 
 # one in-grid point (a <= 1, zeta <= 2, x <= 10, a != b) per closed-form family

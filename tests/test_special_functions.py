@@ -91,6 +91,17 @@ def test_fresnel_past_the_overflow_of_the_phase():
             fresnel_s(bad)
 
 
+def test_fresnel_is_one_half_where_that_is_correctly_rounded(count_calls):
+    # past 2^55/pi = 1.15e16, |S - 1/2| and |C - 1/2| < 1/(pi z) < 2^-55, half
+    # an ulp below 1/2; the fraction returned 0.5000000000000001 there
+    for z in (1.2e16, 1e100, 1e154):
+        assert (fresnel_s(z), fresnel_c(z)) == (0.5, 0.5)
+        assert (fresnel_s(-z), fresnel_c(-z)) == (-0.5, -0.5)
+    counts = count_calls(sf, "_legendre_cf_backward")
+    fresnel_c(1.1e16)           # below the threshold the fraction still runs
+    assert counts["_legendre_cf_backward"] == 1
+
+
 @given(st.floats(min_value=-50.0, max_value=50.0))
 @settings(max_examples=60, deadline=None)
 def test_fresnel_odd_and_bounded(z):
