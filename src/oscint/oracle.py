@@ -94,30 +94,31 @@ class HalfPower(Record):
         object.__setattr__(self, "x", x)
 
 
-class TwoRadical(Record):
+class _Radicals(Record):
+    """Weights of two finite constants a, b > 0, named in a subclass's ``__slots__``;
+    the closed forms keep their own copy of this rule."""
+
+    __slots__ = ()
+
+    def __init__(self, a: float, b: float):
+        name = type(self).__name__
+        _require_finite(name, a=a, b=b)
+        if a <= 0 or b <= 0:
+            raise DomainError(f"{name} constants must be > 0, got a={a} b={b}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+
+class TwoRadical(_Radicals):
     """Weight 1/(sqrt(t+a) sqrt(t+b))."""
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a: float, b: float):
-        _require_finite("TwoRadical", a=a, b=b)
-        if a <= 0 or b <= 0:
-            raise DomainError(f"TwoRadical constants must be > 0, got a={a} b={b}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
 
-
-class RadicalPole(Record):
+class RadicalPole(_Radicals):
     """Weight 1/(sqrt(t+a) (t+b))."""
 
     __slots__ = ("a", "b")
-
-    def __init__(self, a: float, b: float):
-        _require_finite("RadicalPole", a=a, b=b)
-        if a <= 0 or b <= 0:
-            raise DomainError(f"RadicalPole constants must be > 0, got a={a} b={b}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
 
 
 class ThreeRadical(Record):

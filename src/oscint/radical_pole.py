@@ -4,7 +4,8 @@ The quadratic-phase engine of ``two_radical`` with weight power p = 1:
 the z-integrals carry a simple pole weight 1/(z^2+1), so this module
 supplies Fresnel-integral tails (one Fresnel pair for both kernels), its
 own ``hyp2f1`` and ``integrate_finite`` bindings for the p = 1 head moments,
-quadrature heads and contour, its weight and the prefactor 2/sqrt(b-a).  The
+quadrature heads and contour, its weight and the prefactor 2/sqrt(b-a); its
+parameters are the engine's base record plus this prefactor and one rule.  The
 integrand is NOT symmetric in a and b, so b > a is required; other orderings
 have no closed form here and callers are pointed at the quadrature oracle.
 
@@ -26,36 +27,20 @@ from __future__ import annotations
 import math
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import DomainError, Record, UnsupportedError, _require_finite
+from .errors import DomainError, UnsupportedError, _require_finite
 from .oracle import integrate_finite
 from .special_functions import fresnel_c, fresnel_s, hyp2f1
-from .two_radical import _assemble, _head_approx, _head_series
+from .two_radical import _RadicalParams, _assemble, _head_approx, _head_series
 
 
-class RadicalPoleParams(Record):
+class RadicalPoleParams(_RadicalParams):
     __slots__ = ("a", "b", "zeta")
 
-    def __init__(self, a: float, b: float, zeta: float = 1.0):
-        if not math.isfinite(a + b + zeta):
-            _require_finite("RadicalPoleParams", a=a, b=b, zeta=zeta)
-        if a <= 0 or b <= 0 or zeta <= 0:
-            raise DomainError(
-                f"need a, b, zeta > 0, got a={a} b={b} zeta={zeta}")
-        if b <= a:
-            raise UnsupportedError(
-                f"closed form requires b > a strictly (got a={a}, b={b}); "
-                "evaluate via the quadrature oracle instead")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "zeta", zeta)
-
-    @property
-    def c(self):
-        return self.zeta * (self.b - self.a)
-
-    @property
-    def gamma(self):
-        return math.sqrt(self.a / (self.b - self.a))
+    @staticmethod
+    def _unordered(a, b):
+        raise UnsupportedError(
+            f"closed form requires b > a strictly (got a={a}, b={b}); "
+            "evaluate via the quadrature oracle instead")
 
     @property
     def prefactor(self):

@@ -43,7 +43,8 @@ Evaluation strategies:
   with whichever of a, b is nearer c replaced by c minus it, for z < -1/2
   and on [-1/2, 0) where that shrinks the parameter (then every term ratio
   shrinks, so the sum is shorter); the direct series elsewhere.
-* 2F2(1/2,1/2;3/2,3/2;ix): direct complex series (entire).
+* 2F2(1/2,1/2;3/2,3/2;ix): direct complex series (entire), summed by the
+  2F1 series' own loop over a table of term ratios.
 
 Each series loop reads its index- and shape-only numbers (divisors, term
 ratios, H_k, the fraction's i(a-i) per order a) from a table grown by
@@ -467,25 +468,19 @@ def _bessel_pair(z):
 
 
 def _hankel_pq(z):
-    """P and Q sums of the order-zero Hankel expansion, stopped at the
-    smallest term."""
+    """P and Q sums of the order-zero Hankel expansion, stopped at the smallest
+    term; term j, of sign (-1)^ceil(j/2), goes to P at even j, to Q at odd j."""
     eight_z = 8.0 * z
-    terms = [1.0]
-    t = 1.0
-    j = 0
-    while j < 60:
-        j += 1
-        t *= (2 * j - 1) ** 2 / (j * eight_z)
-        if t >= terms[-1]:
+    p, q, t = 1.0, 0.0, 1.0
+    for j in range(1, 61):
+        nxt = t * ((2 * j - 1) ** 2 / (j * eight_z))
+        if nxt >= t:
             break
-        terms.append(t)
-    p = 0.0
-    q = 0.0
-    for j, t in enumerate(terms):
-        if j % 2 == 0:
-            p += (-1) ** (j // 2) * t
+        t = nxt
+        if j % 2:
+            q += t if j % 4 == 3 else -t
         else:
-            q += (-1) ** ((j + 1) // 2) * t
+            p += t if j % 4 == 0 else -t
     return p, q
 
 
@@ -507,22 +502,34 @@ def bessel_y0(z: float) -> float:
 # hypergeometric
 # --------------------------------------------------------------------------
 
-def _gauss_series(a, b, c, z, ctl):
-    ratios = _gauss_ratios(a, b, c)
-    term = 1.0
-    total = 1.0
+def _ratio_series(ratios, entry, shape, z, one, ctl):
+    """``one`` + sum_k term_k, term_k = term_(k-1) ratios[k] z, to a term below rel_tol
+    of the sum, or None past max_terms; ``ratios`` grows by entry(k, *shape) on first
+    read (a shape, not a closure: a call builds no function)."""
+    term = total = one
     for k in range(ctl.max_terms):
         try:
             r = ratios[k]
         except IndexError:
-            r = _grown(ratios, k + 1, lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)))[k]
+            r = _grown(ratios, k + 1, lambda i: entry(i, *shape))[k]
         term *= r * z
         total += term
         if abs(term) < ctl.rel_tol * abs(total):
             return total
-    # a NaN or infinite a or b stalls the series; Pfaff leaves that one as given
-    _require_finite("hyp2f1", a=a, b=b)
-    raise ConvergenceError(f"2F1 series stalled at ({a},{b};{c};{z})")
+    return None
+
+
+def _gauss_ratio(k, a, b, c):
+    return (a + k) * (b + k) / ((c + k) * (k + 1.0))
+
+
+def _gauss_series(a, b, c, z, ctl):
+    total = _ratio_series(_gauss_ratios(a, b, c), _gauss_ratio, (a, b, c), z, 1.0, ctl)
+    if total is None:
+        # a NaN or infinite a or b stalls the series; Pfaff leaves that one as given
+        _require_finite("hyp2f1", a=a, b=b)
+        raise ConvergenceError(f"2F1 series stalled at ({a},{b};{c};{z})")
+    return total
 
 
 def hyp2f1(a: float, b: float, c: float, z: float,
@@ -552,23 +559,14 @@ def hyp2f1(a: float, b: float, c: float, z: float,
 
 def hyp2f2_half(x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
     """2F2(1/2,1/2;3/2,3/2; ix): entire, summed directly."""
-    term = complex(1.0)
-    total = complex(1.0)
-    iz = complex(0.0, x)
-    for k in range(ctl.max_terms):
-        try:
-            r = _F22_RATIOS[k]
-        except IndexError:
-            r = _grown(_F22_RATIOS, k + 1,
-                       lambda k: (0.5 + k) ** 2 / ((1.5 + k) ** 2 * (k + 1.0)))[k]
-        term *= r * iz
-        total += term
-        if abs(term) < ctl.rel_tol * abs(total):
-            return total
-    _require_finite("hyp2f2_half", x=x)
-    raise ConvergenceError(
-        f"2F2 series exceeded {ctl.max_terms} terms at |x|={abs(x)}; "
-        "the argument is too large for double-precision summation")
+    total = _ratio_series(_F22_RATIOS, lambda k: (0.5 + k) ** 2 / ((1.5 + k) ** 2 * (k + 1.0)),
+                          (), complex(0.0, x), complex(1.0), ctl)
+    if total is None:
+        _require_finite("hyp2f2_half", x=x)
+        raise ConvergenceError(
+            f"2F2 series exceeded {ctl.max_terms} terms at |x|={abs(x)}; "
+            "the argument is too large for double-precision summation")
+    return total
 
 
 # --------------------------------------------------------------------------

@@ -34,9 +34,10 @@ The engine below is written once for both p, and each route yields the
 * both leading-order heads for gamma <= 1 from one Fresnel pair, k = 2/p;
 * the assembly: prefactor times (tail - head), rotated by the phase a*zeta.
 
-The integrand is symmetric in a and b, so parameters are canonicalized
-to b > a; equal constants degenerate to a single pole and are evaluated
-through the generalized sine/cosine integrals instead.
+Both weights' rules (finite a, b, zeta > 0) and c, gamma sit in one base
+record, ``_RadicalParams``.  This integrand is symmetric in a and b, so
+parameters are canonicalized to b > a; equal constants degenerate to a
+single pole and are evaluated through generalized sine/cosine integrals.
 
 The printed cosine head approximation carries a wrong prefactor
 (-gamma/c instead of -gamma/(4c), confirmed against the series and
@@ -72,26 +73,23 @@ _HEAD_TERMS = []            # (2j + 1, (j + 1)(j + 2)) as floats, grown by _grow
 _moment_ratios = lru_cache(maxsize=16)(lambda p: [])    # (2j+3-2p)/(2j+3) per power p
 
 
-class TwoRadicalParams(Record):
-    """Parameters with b > a canonicalization (integrand is a<->b symmetric)."""
+class _RadicalParams(Record):
+    """Finite a, b, zeta > 0 of either radical weight, with c and gamma; a subclass
+    names the fields in ``__slots__``, and its ``_unordered`` settles b <= a."""
 
-    __slots__ = ("a", "b", "zeta")
+    __slots__ = ()
 
     def __init__(self, a: float, b: float, zeta: float = 1.0):
         if not math.isfinite(a + b + zeta):
-            _require_finite("TwoRadicalParams", a=a, b=b, zeta=zeta)
+            _require_finite(type(self).__name__, a=a, b=b, zeta=zeta)
         if a <= 0 or b <= 0 or zeta <= 0:
             raise DomainError(
                 f"need a, b, zeta > 0, got a={a} b={b} zeta={zeta}")
-        if b < a:
-            a, b = b, a
+        if b <= a:
+            a, b = self._unordered(a, b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "zeta", zeta)
-
-    @property
-    def degenerate(self):
-        return self.a == self.b
 
     @property
     def c(self):
@@ -101,6 +99,20 @@ class TwoRadicalParams(Record):
     @property
     def gamma(self):
         return math.sqrt(self.a / (self.b - self.a))
+
+
+class TwoRadicalParams(_RadicalParams):
+    """Parameters with b > a canonicalization (integrand is a<->b symmetric)."""
+
+    __slots__ = ("a", "b", "zeta")
+
+    @staticmethod
+    def _unordered(a, b):
+        return b, a
+
+    @property
+    def degenerate(self):
+        return self.a == self.b
 
 
 def _tails(c):

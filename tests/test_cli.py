@@ -571,3 +571,51 @@ def test_compare_skips_approximation_past_the_double_range(capsys):
     assert "approximation" in doc["skipped"]
     assert "double precision" in doc["skipped"]["approximation"]
     assert "approximation" not in doc["values"]
+
+
+def test_compare_csv_bytes(capsys):
+    # the CSV form of compare holds the JSON form's values, gate and verdict,
+    # each value as its repr, in method order
+    args = ("compare", "--family", "half-power", "--alpha", "1", "--x", "2", "--zeta", "1.5")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    doc = json.loads(out)
+    assert sorted(doc["values"]) == ["closed-form", "oracle"]
+    code, out, _ = run_cli(capsys, *args, "--format", "csv")
+    assert code == 0
+    assert out == ("method,value\n"
+                   f"closed-form,{doc['values']['closed-form']!r}\n"
+                   f"oracle,{doc['values']['oracle']!r}\n"
+                   f"gated_max_deviation,{doc['gated_max_deviation']!r}\n"
+                   "ok,True\n")
+
+
+@pytest.mark.parametrize("command, family, method, methods", [
+    ("eval", "half-power", "series", "closed-form, oracle, as-printed"),
+    ("table", "three-radical", "closed-form", "oracle"),
+])
+def test_method_the_family_lacks_exit_2(capsys, command, family, method, methods):
+    code, out, err = run_cli(capsys, command, "--family", family, "--a", "1", "--b", "2",
+                             "--c3", "3", "--alpha", "0", "--x", "1", "--method", method)
+    assert (code, out) == (2, "")
+    assert err == f"error: family {family!r} supports methods: {methods}\n"
+
+
+def test_table_with_an_empty_value_list_exit_2(capsys):
+    code, out, err = run_cli(capsys, "table", "--family", "half-power",
+                             "--alpha", "0", "--x", ",", "--zeta", "1")
+    assert (code, out, err) == (2, "", "error: empty value list for --x\n")
+
+
+def test_failing_selfcheck_group_text_report(capsys, monkeypatch):
+    from oscint import selfcheck
+    monkeypatch.setattr(selfcheck, "GROUPS", {
+        "good": lambda: [("one", True, "")],
+        "bad": lambda: [("two", True, ""), ("three", False, "off by 2e-9")],
+    })
+    code, out, _ = run_cli(capsys, "selfcheck")
+    assert code == 1
+    assert out == ("PASS good (1/1)\n"
+                   "FAIL bad (1/2)\n"
+                   "     failed: three  off by 2e-9\n"
+                   "FAILURES present\n")

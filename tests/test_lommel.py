@@ -202,6 +202,23 @@ def test_domain_types():
         pre_reduction_values(1, 2, 1.0, 1e300)    # zeta^(q - 1) = 1e450
     with pytest.raises(DomainError, match="double precision"):
         pre_reduction_values(1, 2, 1e-300, 1.0)   # u^-(q - 1) = 1e450
+    assert LommelOrder.from_mu(-1.5) == LommelOrder(-1.5, 2.0)
+    # each parameter rule's exception class and message, exactly
+    for message, call in [
+        ("defining integral diverges for exponent alpha = -0.5 <= 0",
+         lambda: LommelOrder(1.0, -0.5)),
+        ("defining integral diverges for exponent alpha = -0.5 <= 0",
+         lambda: LommelOrder.from_mu(1.0)),
+        ("need zeta > 0, got 0.0", lambda: sin_exponent_transform(0.5, 1.0, 0.0)),
+        ("need zeta > 0, got -2.0", lambda: si_ci_representation(1, 1, 1.0, -2.0)),
+        ("need exponent p > 0, got -1.0", lambda: cos_exponent_transform(-1.0, 1.0)),
+        ("need exponent p > 0, got 0.0", lambda: sin_exponent_transform(0.0, 1.0)),
+        ("need x > 0, got 0.0", lambda: log_weighted_sin_integral(0.0)),
+        ("need x > 0, got -1.0", lambda: log_weighted_sin_integral_fd(-1.0)),
+    ]:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (DomainError, message)
 
 
 def test_overflowed_scaled_shift_is_a_domain_error():

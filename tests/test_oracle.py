@@ -106,6 +106,22 @@ def test_invalid_specs():
         IntegrandSpec(HalfPower(0.0, 1.0), Kernel.SIN, 0.0)
     with pytest.raises(DomainError):
         QuadraticPhase(1.0, 0.0)
+    # each weight's rule, exception class and message exactly; TwoRadical and
+    # RadicalPole share one validating base, which must keep each one's name
+    for message, call in [
+        ("TwoRadical constants must be > 0, got a=0.0 b=1.0", lambda: TwoRadical(0.0, 1.0)),
+        ("TwoRadical b must be finite, got inf", lambda: TwoRadical(1.0, math.inf)),
+        ("RadicalPole constants must be > 0, got a=1.0 b=0.0", lambda: RadicalPole(1.0, 0.0)),
+        ("RadicalPole constants must be > 0, got a=-1.0 b=2.0", lambda: RadicalPole(-1.0, 2.0)),
+        ("RadicalPole a must be finite, got nan", lambda: RadicalPole(math.nan, 1.0)),
+        ("ThreeRadical constants must all be > 0", lambda: ThreeRadical(1.0, 2.0, 0.0)),
+        ("LogHalfPower shift x must be > 0, got 0.0", lambda: LogHalfPower(0.0)),
+        ("QuadraticPhase scale must be > 0, got 0.0", lambda: QuadraticPhase(0.0, 1.0)),
+        ("QuadraticPhase power must be > 0, got -1.0", lambda: QuadraticPhase(1.0, -1.0)),
+    ]:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (DomainError, message)
 
 
 def test_string_kernels_coerce_and_others_are_domain_errors():

@@ -21,6 +21,7 @@ from oscint import (
     Kernel,
     PoleError,
     SeriesControl,
+    UnsupportedError,
     bessel_j0,
     bessel_y0,
     fresnel_c,
@@ -35,6 +36,7 @@ from oscint import (
     sin_transform,
     upper_incomplete_gamma,
 )
+from oscint import errata
 from oscint import half_power as hp
 from oscint import lommel as lm
 from oscint import radical_pole as rp
@@ -495,6 +497,46 @@ OUT_OF_RANGE_CALLS = {
 def test_value_past_double_range_is_domain_error(call):
     with pytest.raises(DomainError, match="double precision"):
         OUT_OF_RANGE_CALLS[call]()
+
+
+# parameter rules, each with its exception class and message, exactly:
+# the two radical records share one base, which keeps each record's name
+RULE_CALLS = {
+    "family_coefficients(-1)": (DomainError, "alpha must be a nonnegative integer, got -1",
+                                lambda: hp.family_coefficients(-1)),
+    "family_coefficients(1.5)": (DomainError, "alpha must be a nonnegative integer, got 1.5",
+                                 lambda: hp.family_coefficients(1.5)),
+    "errata.find(unknown)": (KeyError, "'NO-SUCH'", lambda: errata.find("NO-SUCH")),
+    "climb over max_terms": (
+        ConvergenceError, "exponent p=30.5 needs 30 recurrence steps, over max_terms=5",
+        lambda: lm.sin_exponent_transform(30.5, 0.01, 1.0, SeriesControl(1e-12, 5))),
+    "TwoRadicalParams(a=nan)": (DomainError, "TwoRadicalParams a must be finite, got nan",
+                                lambda: tr.TwoRadicalParams(NAN, 1.0)),
+    "TwoRadicalParams(zeta=inf)": (DomainError, "TwoRadicalParams zeta must be finite, got inf",
+                                   lambda: tr.TwoRadicalParams(1.0, 2.0, INF)),
+    "TwoRadicalParams(b<0)": (DomainError, "need a, b, zeta > 0, got a=3.0 b=-1.0 zeta=1.0",
+                              lambda: tr.TwoRadicalParams(3.0, -1.0)),
+    "TwoRadicalParams(zeta=0)": (DomainError, "need a, b, zeta > 0, got a=1.0 b=2.0 zeta=0.0",
+                                 lambda: tr.TwoRadicalParams(1.0, 2.0, 0.0)),
+    "RadicalPoleParams(b=-inf)": (DomainError, "RadicalPoleParams b must be finite, got -inf",
+                                  lambda: rp.RadicalPoleParams(1.0, -INF)),
+    "RadicalPoleParams(a<0)": (DomainError, "need a, b, zeta > 0, got a=-1.0 b=2.0 zeta=1.0",
+                               lambda: rp.RadicalPoleParams(-1.0, 2.0)),
+    "RadicalPoleParams(b<a)": (
+        UnsupportedError, "closed form requires b > a strictly (got a=2.0, b=1.0); "
+        "evaluate via the quadrature oracle instead", lambda: rp.RadicalPoleParams(2.0, 1.0)),
+    "RadicalPoleParams(b=a)": (
+        UnsupportedError, "closed form requires b > a strictly (got a=1.0, b=1.0); "
+        "evaluate via the quadrature oracle instead", lambda: rp.RadicalPoleParams(1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("call", RULE_CALLS)
+def test_parameter_rule_keeps_its_exception_and_message(call):
+    exc, message, f = RULE_CALLS[call]
+    with pytest.raises(exc) as info:
+        f()
+    assert (type(info.value), str(info.value)) == (exc, message)
 
 
 def test_gen_trig_below_the_half_period_limit_still_returns():
