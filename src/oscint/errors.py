@@ -40,7 +40,7 @@ class ConvergenceError(RuntimeError):
 
 
 class AccelerationStalledError(ConvergenceError):
-    """The accelerated lobe series failed tolerance within its lobe budget."""
+    """The accelerated lobe series failed tolerance within its lobes or orders."""
 
 
 class MaxSubdivisionsError(ConvergenceError):

@@ -37,8 +37,8 @@ monotone in k, a Hausdorff moment sequence, and S_n is within
 rate.  (t + x)^-p, the radical weights, gen_si/gen_ci's t^(alpha - 1)
 and the quadratic phase in u = c z^2 are completely monotone;
 ln(t + x)/sqrt(t + x) is not, and only the empirical stop guards it.
-Lobes are summed strictly in order, so a result is independent of how
-they were batched.
+A series not settled at the rule's highest order (bound ~2e-31) raises.
+Lobes are summed in order, so a result is independent of batching.
 
 The error of a piece is its raw |K21 - G10|.  For a smooth integrand
 that overstates the error of K21 by orders of magnitude; QUADPACK scales
@@ -513,11 +513,11 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
     alternating series is summed by the CRVZ rule (module docstring),
     from the order whose bound meets ``ctl.rel_tol`` until two orders in a
     row agree to max(rel_tol |S|, 1e-15).  The error estimate adds twice
-    their difference and 4 eps sum |lobe| to the lobe errors.  Past order
-    ``_CRVZ_MAX_ORDER`` each new lobe moves the oldest accelerated one to
-    the direct sum.  The integrand is given once: as ``f``, on floats,
-    or as ``f_over``, which builds it over a math module, so that
-    ``f_over(numpy)`` takes arrays, and ``f`` is then unused (None).
+    their difference and 4 eps sum |lobe| to the lobe errors.  With no
+    such pair by order ``_CRVZ_MAX_ORDER`` the series raises instead.
+    The integrand is given once: as ``f``, on floats, or as ``f_over``,
+    which builds it over a math module, so that ``f_over(numpy)`` takes
+    arrays, and ``f`` is then unused (None).
     With ``f_over`` every lobe, direct or accelerated, comes from one
     stream integrated in blocks by a fixed Gauss-Kronrod rule (the first
     block of this module's own integrands from 0 from a cached table),
@@ -561,15 +561,15 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
                 head, mass = math.fsum(tail[:-1]), math.fsum(map(abs, tail))
                 del tail[:-1]
         else:
-            if len(tail) > _CRVZ_MAX_ORDER:
-                # beyond the highest order the rule moves along the series
-                head += tail.pop(0)
             n = len(tail)
             if n >= n0 - 1:
                 total = head + sum(map(mul, _crvz_weights(n), tail))
                 if prev is not None and abs(total - prev) <= max(ctl.rel_tol * abs(total), 1e-15):
                     err = quad_err + 2.0 * abs(total - prev) + 4.0 * math.ulp(1.0) * mass
                     return total, err, nlobes, True
+                if n >= _CRVZ_MAX_ORDER:
+                    raise AccelerationStalledError(
+                        f"lobe series failed tolerance {ctl.rel_tol} by CRVZ order {n}")
                 prev = total
         if nlobes >= max_lobes:
             raise AccelerationStalledError(
@@ -611,7 +611,7 @@ def oscillatory_integral(g, kernel: Kernel, zeta: float, start: float = 0.0,
     is (module docstring).  Lobe magnitudes that oscillate themselves,
     e.g. under g(t) = (1 + cos(0.37 t) / 2) / (1 + t / 1000), never settle
     the CRVZ rule: the call raises ``AccelerationStalledError`` at the
-    lobe cap, ``10 * ctl.max_terms``.
+    rule's highest order, ``_CRVZ_MAX_ORDER``.
     """
     kernel = _as_kernel(kernel)
     f = f_over = None

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscint import (
+    AccelerationStalledError,
     ConvergenceError,
     DomainError,
     Kernel,
@@ -735,6 +736,19 @@ def test_gen_si_domain():
         gen_si(1.0, 1.0)
     with pytest.raises(DomainError):
         gen_ci(0.5, 0.0)
+
+
+# points where no two CRVZ orders up to the highest agree at the tolerance
+# asked; a value summed past that order is 7.3e-14 to 2.0e-12 off there
+UNREACHABLE_TOLERANCES = [(1e-14, gen_si, 0.9, 10 ** 4.5), (1e-15, gen_si, 0.9, 1e4),
+                          (1e-15, gen_si, 0.9, 10 ** 4.5), (1e-15, gen_ci, 0.9, 1e4)]
+
+
+@pytest.mark.parametrize("rel_tol, gen, alpha, z", UNREACHABLE_TOLERANCES)
+def test_gen_si_ci_raise_where_the_rule_cannot_settle(rel_tol, gen, alpha, z):
+    with pytest.raises(AccelerationStalledError,
+                       match=f"^lobe series failed tolerance {rel_tol} by CRVZ order 40$"):
+        gen(alpha, z, SeriesControl(rel_tol=rel_tol))
 
 
 def test_gen_si_additivity():
