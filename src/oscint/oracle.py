@@ -2,31 +2,24 @@
 
 The semi-infinite integrals are computed by partitioning the axis at the
 zeros of the oscillating kernel, integrating each lobe, and accelerating
-the resulting alternating lobe series.  Every integral here comes from
-one fixed 21-point Gauss-Kronrod rule (GK21, the nodes of QUADPACK's
-qk21), applied by numpy to many pieces in one evaluation.  When the
-caller also gives the integrand in vector form, every lobe comes from
-one stream integrated in blocks: the first holds the lobes the
-tolerance needs (21 at the default), each later one 8.  The first block
-also cuts the first lobe into pieces graded toward its lower end and the
-second into halves, since the weight is steepest there.  For this
-module's own integrands, weight(t) kernel(freq t^power) from 0, that
-block is one cached table in units of (pi/freq)^(1/power), the same at
-every frequency, so only the weight is evaluated.  A piece whose
-Kronrod-Gauss difference fails the tolerance goes to ``quad``, the
-adaptive form of the same rule, which otherwise integrates every lobe
-and every finite range.  A typical integral takes one evaluation.  This
-module deliberately knows nothing about the closed forms it arbitrates:
-the only ingredients are elementary functions and lobe quadrature, so
-agreement with a closed form is meaningful evidence.
+the alternating lobe series, all with one 21-point Gauss-Kronrod rule
+(GK21, QUADPACK's qk21) applied by numpy to many pieces at once.  The
+lobes of an integrand in vector form come in blocks of one evaluation,
+which the sum takes whole: the first holds the lobes the tolerance needs
+(21 at the default), its first lobe cut into pieces graded toward its
+lower end and its second halved; each later block 8.  This module's own
+integrands from 0 take the first block from a table cached in units of
+(pi/freq)^(1/power), evaluating only the weight.  A lobe or piece failing
+its Kronrod-Gauss test goes to ``quad``, the adaptive rule, when the sum
+reaches it, as do finite ranges and the lobes of an integrand on floats.
+Knowing nothing of the closed forms, the module is an independent check.
 
 numpy is imported on the first quadrature, not with this module, which
 a cold closed-form ``oscint eval`` still loads: radicals past the phase
 guard take ``integrate_finite``, and ``gen_si``/``gen_ci`` sum lobes with
-``lobe_sum`` over ``kernel_breakpoints``.  ``Kernel`` and the rest of
-the kernel vocabulary live in ``errors``; this module imports them back.
-Every caller looks ``quad`` up as a module global, so a wrapper
-installed there (a tracer) sees every adaptive integration.
+``lobe_sum`` over ``kernel_breakpoints``.  ``Kernel`` and the kernel
+vocabulary live in ``errors``.  Every caller looks ``quad`` up as a module
+global, so a wrapper installed there (a tracer) sees every integration.
 
 The accelerated lobes are summed by the rule of Cohen, Rodriguez
 Villegas & Zagier (CRVZ; Experimental Math. 9 (2000) 3-12),
@@ -54,8 +47,8 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from itertools import chain, islice, pairwise
-from operator import mul
+from itertools import chain, islice, pairwise, repeat
+from operator import le, mul
 from typing import Callable, Optional
 
 from .control import DEFAULT_CONTROL, SeriesControl
@@ -394,32 +387,39 @@ def quad(fv, lo, hi, epsabs, epsrel):
         k, d = np.concatenate((k[keep], ck)), np.concatenate((d[keep], cd))
 
 
-def _graded_lobe(fv, edges, kron, diff, epsabs):
-    """(value, error) of a lobe cut into pieces at ``edges``, from their
-    K21 and |K21 - G10|: sums over the pieces.  The lobe's tolerance,
-    max(epsabs, epsabs |value|) as for a lobe ``quad`` integrates, is
-    parted among the pieces in proportion to the larger of each one's
-    share of the lobe's length and its |K21|; a piece whose difference
-    is above its part is integrated by ``quad`` to that part."""
-    width = edges[-1] - edges[0]
-    own = [max((hi - lo) / width, abs(k)) for lo, hi, k in zip(edges, edges[1:], kron)]
-    # a NaN K21 leaves its piece its length share, a lobe that overflows
-    # NaN parts, which every piece fails
-    scale = epsabs * max(1.0, abs(sum(kron))) / sum(own)
-    for j, w in enumerate(own):
+def _graded_lobe(f_over, edge, i, shares, kron, diff, epsabs, settle=False):
+    """(value, error), the sums of ``kron`` and ``diff`` over pieces i, i + 1,
+    ... at ``edge(j)`` of length shares ``shares``, of a lobe whose tolerance,
+    max(epsabs, epsabs |value|), is parted as the larger of each share and
+    |K21|.  A difference above its part: (None, this call ``settle``d: quad)."""
+    n = i + len(shares)
+    value, err = sum(kron[i:n]), sum(diff[i:n])
+    # every part is about epsabs min(shares) / (1 + sum |K21|) or more: below half, all pass
+    if err < 0.5 * epsabs * min(shares) / (1.0 + sum(map(abs, kron[i:n]))):
+        return value, err
+    # a NaN K21 keeps its piece's share, as max would; an overflow fails every part
+    own = [k if k > share else share for share, k in zip(shares, map(abs, kron[i:n]))]
+    scale = epsabs * max(1.0, abs(value)) / sum(own)
+    if all(map(le, diff[i:n], map(mul, own, repeat(scale)))):
+        return value, err
+    if not settle:
+        return None, lambda: _graded_lobe(f_over, edge, i, shares, kron, diff, epsabs, True)
+    for j, w in enumerate(own, i):
         if not diff[j] <= scale * w:
-            kron[j], diff[j] = quad(fv, edges[j], edges[j + 1], epsabs=scale * w, epsrel=0.0)[:2]
-    return sum(kron), sum(diff)
+            kron[j], diff[j] = quad(f_over(_gk21()[0]), edge(j), edge(j + 1), epsabs=scale * w,
+                                    epsrel=0.0)[:2]
+    return sum(kron[i:n]), sum(diff[i:n])
 
 
 def _first_layout(lo, block):
-    """(edges, pieces per graded lobe) of a first block from ``lo`` to the
-    zeros ``block``: lobe 1 cut at _FIRST_LOBE_CUTS, lobe 2 halved."""
-    edges = [lo] + [lo + c * (block[0] - lo) for c in _FIRST_LOBE_CUTS] + block[:1]
-    graded = [len(_FIRST_LOBE_CUTS) + 1]
-    if len(block) > 1:
-        edges.append(0.5 * (block[0] + block[1]))
-        graded.append(2)
+    """(edges, the graded lobes' pieces' length shares) of a first block from
+    ``lo`` to the zeros ``block``: lobe 1 cut at _FIRST_LOBE_CUTS, 2 halved."""
+    w = block[0] - lo
+    edges = [lo] + [lo + c * w for c in _FIRST_LOBE_CUTS] + block[:1]
+    graded = [[(b - a) / w for a, b in pairwise(edges)]]
+    for a, b in pairwise(block[:2]):
+        edges.append(0.5 * (a + b))
+        graded.append([(edges[-1] - a) / (b - a), (b - edges[-1]) / (b - a)])
     return edges + block[1:], graded
 
 
@@ -427,9 +427,9 @@ def _first_layout(lo, block):
 def _phase_table(kernel, power, first):
     """The first block of ``first`` lobes of a ``_Phase`` integrand from 0
     in units of its scale, where its zeros are (k - shift)^(1/power): (node
-    matrix u, kernel(pi u^power) times the half-widths, edges, pieces per
-    graded lobe).  The kernel is (-1)^k sin(pi f) at u^power + shift = k + f,
-    |f| <= 1/2, f from nodes in numpy's extended precision where it has one."""
+    matrix u, kernel(pi u^power) times the half-widths, edges, the graded
+    lobes' length shares).  The kernel is (-1)^k sin(pi f) at u^power +
+    shift = k + f, |f| <= 1/2, f from nodes in numpy's extended precision."""
     np, nodes, _ = _gk21()
     shift = 0.0 if kernel is Kernel.SIN else 0.5
     edges, graded = _first_layout(0.0, [(k - shift) ** (1.0 / power) for k in range(1, first + 1)])
@@ -441,7 +441,7 @@ def _phase_table(kernel, power, first):
     table = np.where(k % 2, -1.0, 1.0) * np.sin(np.pi * (v - k).astype(float)) * half.astype(float)
     u = u.astype(float)
     u.flags.writeable = table.flags.writeable = False       # every caller shares them
-    return u, table, tuple(edges), tuple(graded)
+    return u, table, tuple(edges), tuple(map(tuple, graded))
 
 
 class _Phase(namedtuple("_Phase", "weight kernel freq power")):
@@ -459,48 +459,43 @@ class _Phase(namedtuple("_Phase", "weight kernel freq power")):
 
 
 def _block_lobes(f_over, lo, his, epsabs, first):
-    """(integral, abs error) of each lobe [lo, h0], [h0, h1], ... of the
-    integrand over a math module ``f_over``, ``his`` the zeros h0, h1, ...:
-    ``first`` lobes in one GK21 evaluation, _NEXT_BLOCK in each later one.
-    The first block's first two lobes, cut by ``_first_layout``, are
-    settled by ``_graded_lobe``; a ``_Phase`` from 0 takes that block from
-    ``_phase_table``, scaled, and skips its zeros in ``his``.  Any other
-    lobe is accepted when |K21 - G10| <= max(epsabs, epsabs |K21|), tested
-    a block at a time, and the difference is its error estimate; otherwise
-    it goes to ``quad`` when it is reached."""
+    """The lobes [lo, h0], [h0, h1], ... of ``f_over`` (``his`` the zeros) in
+    blocks of ``first`` lobes, then _NEXT_BLOCK: two lists, integrals and abs
+    errors.  The first block (from ``_phase_table`` for a ``_Phase`` from 0)
+    cuts two lobes by ``_first_layout`` for ``_graded_lobe``; any other lobe
+    passes if its error |K21 - G10| <= max(epsabs, epsabs |K21|), else it is
+    None with, as its error, the ``quad`` call that integrates it."""
     np = _gk21()[0]
-    fv = f_over(np)
     if isinstance(f_over, _Phase) and lo == 0.0:
         s, g = (math.pi / f_over.freq) ** (1.0 / f_over.power), f_over.weight(np)
         u, table, edges, graded = _phase_table(f_over.kernel, f_over.power, first)
         kron, diff = _gk21_rule(lambda t: g(t) * table, s * u, s)
-        edges = [s * e for e in edges]
-        his = islice(his, first, None)
+        edge, his, block = (lambda j: s * edges[j]), islice(his, first, None), None
     else:
         block = list(islice(his, first))
         if not block:
             return
         edges, graded = _first_layout(lo, block)
-        e = np.array(edges)
-        kron, diff = _gk21_pieces(fv, e[:-1], e[1:])
     while True:
-        ok = (diff <= np.maximum(epsabs, epsabs * np.abs(kron))).tolist()
-        kron, diff = kron.tolist(), diff.tolist()
-        i = 0
-        for n in graded:
-            yield _graded_lobe(fv, edges[i:i + n + 1], kron[i:i + n], diff[i:i + n], epsabs)
-            i += n
-        for j in range(i, len(kron)):
-            if ok[j]:
-                yield kron[j], diff[j]
-            else:
-                yield quad(fv, edges[j], edges[j + 1], epsabs=epsabs, epsrel=epsabs)[:2]
+        if block:
+            edge, e = edges.__getitem__, np.array(edges)
+            kron, diff = _gk21_pieces(f_over(np), e[:-1], e[1:])
+        kron, diff, lobes, i = kron.tolist(), diff.tolist(), [], 0
+        for shares in graded:
+            lobes.append(_graded_lobe(f_over, edge, i, shares, kron, diff, epsabs))
+            i += len(shares)
+        values, errs = [v for v, _ in lobes] + kron[i:], [e for _, e in lobes] + diff[i:]
+        # differences that add up to at most epsabs all pass
+        plain = range(i, len(kron)) if not sum(diff[i:]) <= epsabs else ()
+        for k, j in enumerate(plain, len(graded)):
+            if not diff[j] <= max(epsabs, epsabs * abs(kron[j])):
+                values[k], errs[k] = None, lambda a=edge(j), b=edge(j + 1): quad(
+                    f_over(np), a, b, epsabs=epsabs, epsrel=epsabs)[:2]
+        yield values, errs
         block = list(islice(his, _NEXT_BLOCK))
         if not block:
             return
-        edges, graded = edges[-1:] + block, ()
-        e = np.array(edges)
-        kron, diff = _gk21_pieces(fv, e[:-1], e[1:])
+        edges, graded = [edge(len(kron))] + block, ()
 
 
 def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
@@ -517,14 +512,12 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
     such pair by order ``_CRVZ_MAX_ORDER`` the series raises instead.
     The integrand is given once: as ``f``, on floats, or as ``f_over``,
     which builds it over a math module, so that ``f_over(numpy)`` takes
-    arrays, and ``f`` is then unused (None).
-    With ``f_over`` every lobe, direct or accelerated, comes from one
-    stream integrated in blocks by a fixed Gauss-Kronrod rule (the first
-    block of this module's own integrands from 0 from a cached table),
-    and ``quad`` takes only the pieces that fail its error test; with
-    ``f`` ``quad`` integrates every lobe, evaluating ``f`` elementwise.
-    At most ``10 * ctl.max_terms`` lobes are integrated, and a NaN lobe
-    or a sum that overflows ends the series where it appears.
+    arrays, and ``f`` is then unused (None).  One loop takes the lobes a
+    block at a time (from ``_block_lobes``; one by one for ``quad`` with
+    ``f``), steps to each direct lobe and order, and adds up in lobe order
+    the errors and magnitudes of the lobes reached, a marked one integrated
+    first.  At most ``10 * ctl.max_terms`` lobes are reached; a NaN lobe or
+    a sum that overflows ends the series where it appears.
 
     Returns (value, abs_err_est, lobes_used, accelerated).
     """
@@ -533,48 +526,55 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
     # the first order whose bound 2 / (3 + sqrt 8)^n meets rel_tol
     n0 = min(max(2, math.ceil(math.log(2.0 / ctl.rel_tol) / _CRVZ_LOG_RATE)), _CRVZ_MAX_ORDER)
     it = iter(breakpoints)
-    lo = next(it)
+    lo = next(it, None)         # None for an empty stream, which yields no lobe
     if f_over is None:
         fv = _elementwise(f)
-        lobes = (quad(fv, a, b, epsabs=epsabs, epsrel=epsabs)[:2]
-                 for a, b in pairwise(chain([lo], it)))
+        blocks = (([None], [lambda a=a, b=b: quad(fv, a, b, epsabs=epsabs, epsrel=epsabs)[:2]])
+                  for a, b in pairwise(chain([lo], it)))
     else:
         # past the usual 3 direct lobes (the last one the rule's first term)
         # n0 + 4 lobes let the rule stop at orders n0 .. n0 + 2
-        lobes = _block_lobes(f_over, lo, it, epsabs, n0 + 4)
-    quad_err = mass = 0.0
-    tail = []                   # the direct lobes, then the accelerated ones
-    head = prev = None          # head, the direct sum, is None in the direct phase
-    prev_mag, decreases = math.inf, 0
-    for nlobes, (piece, perr) in enumerate(lobes, 1):
-        quad_err += perr
-        mass += abs(piece)
-        if not mass < math.inf:
-            # a NaN lobe, or a sum that overflows, can never converge
-            raise AccelerationStalledError(f"the lobe sum is not finite at lobe {nlobes}")
-        tail.append(piece)
-        if head is None:
-            decreases = decreases + 1 if abs(piece) <= prev_mag else 0
-            prev_mag = abs(piece)
-            if decreases >= 2 and 3 <= nlobes < max_lobes:
-                # the last direct lobe is the rule's first term
-                head, mass = math.fsum(tail[:-1]), math.fsum(map(abs, tail))
-                del tail[:-1]
-        else:
-            n = len(tail)
-            if n >= n0 - 1:
-                total = head + sum(map(mul, _crvz_weights(n), tail))
+        blocks = _block_lobes(f_over, lo, it, epsabs, n0 + 4)
+    values, errs, mass, err = [], [], 0.0, 0.0   # the lobes so far; sums over those reached
+    reached = decreases = due = 0   # due: the lobes the rule's first order needs
+    start, prev, prev_mag = None, None, math.inf   # start: the rule's first lobe
+    for block, block_errs in blocks:
+        values += block
+        errs += block_errs
+        end = min(len(values), max_lobes)
+        while reached < end:
+            # the next lobe, or all up to the first order's
+            nxt = reached + 1 if reached + 1 >= due else min(due, end)
+            for lobe in range(reached, nxt):
+                if values[lobe] is None:
+                    values[lobe], errs[lobe] = errs[lobe]()
+                mass += abs(values[lobe])
+                err += errs[lobe]
+                if not mass < math.inf:
+                    # a NaN lobe, or a sum that overflows, can never converge
+                    raise AccelerationStalledError(f"the lobe sum is not finite at lobe {lobe + 1}")
+            reached = nxt
+            if start is None:
+                mag = abs(values[reached - 1])
+                decreases, prev_mag = (decreases + 1 if mag <= prev_mag else 0), mag
+                if decreases >= 2 and 3 <= reached < max_lobes:
+                    # the last direct lobe is the rule's first term
+                    start, head = reached - 1, math.fsum(values[:reached - 1])
+                    mass, due = math.fsum(map(abs, values[:reached])), reached + n0 - 2
+            elif reached >= due:
+                n = reached - start
+                total = head + sum(map(mul, _crvz_weights(n), values[start:reached]))
                 if prev is not None and abs(total - prev) <= max(ctl.rel_tol * abs(total), 1e-15):
-                    err = quad_err + 2.0 * abs(total - prev) + 4.0 * math.ulp(1.0) * mass
-                    return total, err, nlobes, True
+                    err = err + 2.0 * abs(total - prev) + 4.0 * math.ulp(1.0) * mass
+                    return total, err, reached, True
                 if n >= _CRVZ_MAX_ORDER:
                     raise AccelerationStalledError(
                         f"lobe series failed tolerance {ctl.rel_tol} by CRVZ order {n}")
                 prev = total
-        if nlobes >= max_lobes:
+        if reached >= max_lobes:
             raise AccelerationStalledError(
                 f"lobe magnitudes did not start decreasing within {max_lobes} lobes"
-                if head is None else
+                if start is None else
                 f"lobe series failed tolerance {ctl.rel_tol} within {max_lobes} lobes")
     raise AccelerationStalledError("breakpoint stream exhausted")
 

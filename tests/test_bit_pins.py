@@ -1,4 +1,4 @@
-"""Bit pins of the series kernels and the five closed-form families.
+"""Bit pins of the series kernels, the five closed-form families and the oracle.
 
 Each case is a public function at a fixed in-grid or wide argument, and
 its pin is the ``float.hex`` of the value (real and imaginary part for a
@@ -9,12 +9,15 @@ bit here means a loop's arithmetic changed order or operand.
 
 The 2F1 shapes pinned here are outside the set the Pfaff rule moves on
 [-1/2, 0); ``tests/test_series_tables.py`` checks the moved shapes against
-mpmath instead.
+mpmath instead.  The oracle's pins, at the end, have their own note.
 """
+
+import math
 
 import pytest
 
 import oscint
+from oscint import special_functions
 
 CASES = [
     # Fresnel: Maclaurin series up to 1.6, the Gamma(1/2, .) fraction above
@@ -131,3 +134,117 @@ def test_value_keeps_its_bits(name, args):
 def test_every_case_is_pinned():
     assert sorted(PINS) == sorted(f"{n}{a}" for n, a in CASES)
 
+
+
+# ------------------------------------------------------------------ the oracle
+#
+# The lobe-quadrature oracle, pinned before its lobe sum consumed a GK21
+# block at a time instead of a lobe at a time: the value, the error
+# estimate and the lobe count of each case.  Every lobe is still added in
+# order, so none of them may move.
+
+def _jump_over(m):
+    # a jump inside the tenth lobe [9 pi, 10 pi]: that whole lobe fails the
+    # GK21 test and goes to ``quad``
+    return lambda t: m.sin(t) / (t + 1.0) * (1.0 + 0.5 * (t > 9.5 * math.pi))
+
+
+def _gen_trig_sum(name, alpha, u):
+    """The lobe sum behind ``gen_si``/``gen_ci`` at (alpha, u)."""
+    seen = []
+    lobe_sum = oscint.lobe_sum
+    special_functions.lobe_sum = lambda *a: seen.append(lobe_sum(*a)) or seen[-1]
+    try:
+        getattr(oscint, name)(alpha, u)
+    finally:
+        special_functions.lobe_sum = lobe_sum
+    return seen[0]
+
+
+def _report(rep):
+    return rep.value, rep.abs_err_est, rep.zero_intervals_used
+
+
+# (weight, kernel, zeta) of ``integrate_semi_infinite``: the six weights at
+# both kernels, QuadraticPhase on its power-2 table, and an oracle-grid
+# integral whose graded first lobe sends six pieces to ``quad``
+SEMI_INFINITE = [(w, k, 0.8) for w in (
+    oscint.HalfPower(1.0, 0.5), oscint.TwoRadical(0.5, 2.0), oscint.RadicalPole(0.7, 1.9),
+    oscint.ThreeRadical(0.4, 1.0, 2.5), oscint.LogHalfPower(1.5),
+    oscint.QuadraticPhase(1.3, 0.5)) for k in oscint.Kernel] + [
+    (oscint.HalfPower(5.0, 0.06219830681309388), oscint.Kernel.COS, 0.48950548999670707)]
+
+ORACLE_CASES = {
+    **{f"integrate_semi_infinite({w!r}, {k.value}, {zeta})": lambda w=w, k=k, zeta=zeta:
+       _report(oscint.integrate_semi_infinite(oscint.IntegrandSpec(w, k, zeta)))
+       for w, k, zeta in SEMI_INFINITE},
+    # from a later start the kernel comes from the zero stream, not the table
+    "oscillatory_integral(TwoRadical(0.5, 2.0), cos, 0.8, 2.0)": lambda: _report(
+        oscint.oscillatory_integral(None, oscint.Kernel.COS, 0.8, 2.0, g_over=lambda m:
+                                    lambda t: 1.0 / m.sqrt((t + 0.5) * (t + 2.0)))),
+    **{f"{name}({alpha}, {u})": lambda name=name, alpha=alpha, u=u:
+       _gen_trig_sum(name, alpha, u)[:3]
+       for name in ("gen_si", "gen_ci") for alpha in (0.0, -0.5) for u in (0.3, 1.7)},
+    # a plain lobe that goes to quad, in the second block
+    "lobe_sum(jump at 9.5 pi)": lambda: oscint.lobe_sum(
+        None, oscint.kernel_breakpoints(oscint.Kernel.SIN, 1.0), f_over=_jump_over)[:3],
+}
+
+ORACLE_PINS = {
+    'gen_ci(-0.5, 0.3)':
+        '0x1.330f48f291ed0p+0 0x1.4453e1946d0a8p-48 19',
+    'gen_ci(-0.5, 1.7)':
+        '-0x1.38f2613744b52p-2 0x1.d02eb8c8e128ep-51 19',
+    'gen_ci(0.0, 0.3)':
+        '0x1.4c6065091e7c0p-1 0x1.85573d523cd0ap-48 19',
+    'gen_ci(0.0, 1.7)':
+        '-0x1.de2cf471a0659p-2 0x1.23ce8598281f8p-48 19',
+    'gen_si(-0.5, 0.3)':
+        '0x1.6a1a229b9bd4fp+0 0x1.2c41fd2cecda0p-49 19',
+    'gen_si(-0.5, 1.7)':
+        '0x1.0c1f78ffd5826p-3 0x1.0f4dc6de388f5p-50 19',
+    'gen_si(0.0, 0.3)':
+        '0x1.45b4f27262d14p+0 0x1.909b8d268fcecp-48 19',
+    'gen_si(0.0, 1.7)':
+        '0x1.f073a4f899240p-4 0x1.47bf145261fd6p-48 20',
+    'integrate_semi_infinite(HalfPower(alpha=1.0, x=0.5), cos, 0.8)':
+        '0x1.0b46ea8f14239p+0 0x1.024ed23f056f0p-49 19',
+    'integrate_semi_infinite(HalfPower(alpha=1.0, x=0.5), sin, 0.8)':
+        '0x1.8ab57421468cep-1 0x1.b9a1ae92b2cf0p-50 19',
+    'integrate_semi_infinite(HalfPower(alpha=5.0, x=0.06219830681309388), cos, 0.48950548999670707)':
+        '0x1.d11493cc9fe81p+15 0x1.12d3e77726032p-34 19',
+    'integrate_semi_infinite(LogHalfPower(x=1.5), cos, 0.8)':
+        '-0x1.ea38aedcf0d40p-3 0x1.e378478ef5edbp-43 21',
+    'integrate_semi_infinite(LogHalfPower(x=1.5), sin, 0.8)':
+        '0x1.64bede36f7f6fp-1 0x1.dedd4dc3e5df1p-43 20',
+    'integrate_semi_infinite(QuadraticPhase(scale=1.3, power=0.5), cos, 0.8)':
+        '0x1.299907658599dp-1 0x1.4fc31e774607dp-49 19',
+    'integrate_semi_infinite(QuadraticPhase(scale=1.3, power=0.5), sin, 0.8)':
+        '0x1.c5dc8ea692f91p-2 0x1.31d30a5b8f29ap-49 19',
+    'integrate_semi_infinite(RadicalPole(a=0.7, b=1.9), cos, 0.8)':
+        '0x1.2cced8e3b5410p-2 0x1.1ddf296f95948p-50 19',
+    'integrate_semi_infinite(RadicalPole(a=0.7, b=1.9), sin, 0.8)':
+        '0x1.7c8d83d1d5c6bp-2 0x1.c145aa2ef2750p-51 19',
+    'integrate_semi_infinite(ThreeRadical(a=0.4, b=1.0, c=2.5), cos, 0.8)':
+        '0x1.b782359d8127cp-2 0x1.4bba5e9ed7eebp-50 19',
+    'integrate_semi_infinite(ThreeRadical(a=0.4, b=1.0, c=2.5), sin, 0.8)':
+        '0x1.cbe0975fac967p-2 0x1.054242de3ae14p-50 19',
+    'integrate_semi_infinite(TwoRadical(a=0.5, b=2.0), cos, 0.8)':
+        '0x1.aa5fcb96252acp-2 0x1.3a20a56fdb496p-48 19',
+    'integrate_semi_infinite(TwoRadical(a=0.5, b=2.0), sin, 0.8)':
+        '0x1.519728206ee0bp-1 0x1.31bcdccc859bep-48 19',
+    'lobe_sum(jump at 9.5 pi)':
+        '0x1.3dea304a4b46fp-1 0x1.c0e384212de76p-41 36',
+    'oscillatory_integral(TwoRadical(0.5, 2.0), cos, 0.8, 2.0)':
+        '-0x1.5788ee6c17ae5p-2 0x1.2276929bea573p-48 19',
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_oracle_result_keeps_its_bits(case):
+    value, err, lobes = ORACLE_CASES[case]()
+    assert f"{value.hex()} {err.hex()} {lobes}" == ORACLE_PINS[case]
+
+
+def test_every_oracle_case_is_pinned():
+    assert sorted(ORACLE_PINS) == sorted(ORACLE_CASES)

@@ -410,6 +410,14 @@ def test_integral_past_the_first_block_keeps_its_value(monkeypatch, x, value, bo
     assert abs(rep.value - value) <= bound * abs(value)
 
 
+def _settled(blocks):
+    """(integral, error) of each lobe of ``_block_lobes``' blocks, in
+    order; a lobe marked for ``quad`` is integrated as it is reached."""
+    for values, errs in blocks:
+        for value, err in zip(values, errs):
+            yield err() if value is None else (value, err)
+
+
 # steep first lobes: weights over a math module (at p = 2.625 and
 # 3.375 the cut lobes come nearest their tolerance)
 GRADED_WEIGHTS = {
@@ -436,9 +444,53 @@ def test_cut_lobes_meet_the_tolerance_of_a_whole_lobe(name, kernel, table):
     phase = oracle._Phase(GRADED_WEIGHTS[name], kernel, 1.0, 1)
     breakpoints = islice(oracle.kernel_breakpoints(kernel, 1.0), 1, None)
     # a first block of 21 lobes, as at the default tolerance
-    lobes = oracle._block_lobes(phase if table else phase.__call__, 0.0, breakpoints, epsabs, 21)
-    for value, err in islice(lobes, 2):
+    blocks = oracle._block_lobes(phase if table else phase.__call__, 0.0, breakpoints, epsabs, 21)
+    for value, err in islice(_settled(blocks), 2):
         assert err <= max(epsabs, epsabs * abs(value)) * (1.0 + 1e-9)
+
+
+def test_failed_lobe_is_marked_and_integrated_only_when_called(monkeypatch):
+    # a jump inside the tenth lobe: in the first block from the zero stream
+    # that lobe alone is marked, None with the quad call as its error, and
+    # nothing is integrated until that call is made
+    over = lambda m: lambda t: m.sin(t) / (t + 1.0) * (1.0 + 0.5 * (t > 9.5 * math.pi))
+    zeros = islice(oracle.kernel_breakpoints(Kernel.SIN, 1.0), 1, None)
+    calls = _record_quad(monkeypatch)
+    values, errs = next(oracle._block_lobes(over, 0.0, zeros, 1e-14, 21))
+    assert len(values) == len(errs) == 21
+    assert [j for j, v in enumerate(values) if v is None] == [9]
+    assert calls == []
+    value, err = errs[9]()
+    assert calls == [(9 * math.pi, 10 * math.pi)]
+    assert abs(value) > 0.0 and 0.0 <= err <= 1e-14 * max(1.0, abs(value))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_graded_lobe_passes_exactly_when_every_piece_is_within_its_part(seed):
+    # the lobe's tolerance, parted among its pieces as epsabs max(1, |value|)
+    # own / sum(own), own the larger of a piece's length share and |K21|;
+    # differences adding up to less than half of epsabs min(shares) /
+    # (1 + sum |K21|) pass without the parts being formed.  One difference
+    # just below that bound, or just either side of its own part, must be
+    # judged as the parts judge it
+    rng = random.Random(seed)
+    epsabs = 1e-14
+    for _ in range(400):
+        lo = rng.choice([0.0, rng.uniform(0.0, 50.0)])
+        _, graded = oracle._first_layout(lo, [lo + rng.uniform(0.01, 10.0) * k for k in (1, 2)])
+        for shares in graded:
+            kron = [rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-12, 12) for _ in shares]
+            own = [max(share, abs(k)) for share, k in zip(shares, kron)]
+            parts = [epsabs * max(1.0, abs(sum(kron))) / sum(own) * w for w in own]
+            bound = 0.5 * epsabs * min(shares) / (1.0 + sum(map(abs, kron)))
+            j = rng.randrange(len(shares))
+            for diff_j in (bound * 0.9999, parts[j] * 0.999, parts[j] * 1.001):
+                diff = [0.0] * len(shares)
+                diff[j] = diff_j
+                value, err = oracle._graded_lobe(None, None, 0, shares, kron, diff, epsabs)
+                assert (value is not None) == (diff_j <= parts[j])
+                if value is not None:
+                    assert (value, err) == (sum(kron), diff_j)
 
 
 # ----------------------------------------------------------- the phase table
@@ -487,8 +539,8 @@ def test_table_block_agrees_with_the_stream_block(monkeypatch, weight, kernel, z
     phase, zeros = _integrand_of(monkeypatch, weight, kernel, zeta)
     assert isinstance(phase, oracle._Phase)
     zeros = list(islice(zeros, 1, 22))
-    table = oracle._block_lobes(phase, 0.0, iter(zeros), 1e-14, 21)
-    stream = oracle._block_lobes(phase.__call__, 0.0, iter(zeros), 1e-14, 21)
+    table = _settled(oracle._block_lobes(phase, 0.0, iter(zeros), 1e-14, 21))
+    stream = _settled(oracle._block_lobes(phase.__call__, 0.0, iter(zeros), 1e-14, 21))
     pairs = list(zip(table, stream, strict=True))
     assert len(pairs) == 21
     for j, ((a, da), (b, db)) in enumerate(pairs, 1):
@@ -643,9 +695,10 @@ def test_series_stops_at_the_rule_highest_order(monkeypatch, batched):
 
 
 # breakpoints of a finite stream, and the CRVZ orders the sum then forms:
-# 2 lobes end it in the direct phase (which needs 3), 7 lobes in the
-# accelerated phase, after one total of order 5 (the first at 1e-4)
-EXHAUSTED = {"direct": (3, []), "accelerated": (8, [5])}
+# a stream without even a lower limit ends it at once, 2 lobes end it in
+# the direct phase (which needs 3), 7 lobes in the accelerated phase,
+# after one total of order 5 (the first at 1e-4)
+EXHAUSTED = {"empty": (0, []), "direct": (3, []), "accelerated": (8, [5])}
 
 
 @pytest.mark.parametrize("batched", [False, True], ids=["quadpack", "batched"])
@@ -681,6 +734,7 @@ def _nan_beyond(jump):
 NAN_INTEGRANDS = {
     "first": (lambda m: lambda t: math.nan * m.sin(t), 1),
     "tenth": (_nan_beyond(9.5 * math.pi), 10),
+    "nineteenth": (_nan_beyond(18 * math.pi), 19),
     "overflow": (lambda m: lambda t: 1e308 * m.sin(t), 1),
 }
 
@@ -702,6 +756,21 @@ def test_nan_lobe_stops_the_sum(monkeypatch, name, batched):
     assert (lobe - 1) * math.pi <= lo < hi <= lobe * math.pi
     if not batched:
         assert calls[-1] == ((lobe - 1) * math.pi, lobe * math.pi)
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["quadpack", "batched"])
+@pytest.mark.parametrize("lobe", [20, 21])
+def test_lobes_past_the_stop_are_not_integrated(monkeypatch, lobe, batched):
+    # sin(t)/(t + 1) stops at 19 lobes; NaN from lobe 20 or 21 on changes
+    # nothing.  Batched, those lobes fail the GK21 test in the first block,
+    # and the sum stops before it would hand them to the fallback rule
+    over, clean = _nan_beyond((lobe - 1) * math.pi), _nan_beyond(math.inf)
+    breakpoints = lambda: oracle.kernel_breakpoints(Kernel.SIN, 1.0)
+    want = oracle.lobe_sum(clean(math), breakpoints(), f_over=clean if batched else None)
+    calls = _record_quad(monkeypatch)
+    got = oracle.lobe_sum(over(math), breakpoints(), f_over=over if batched else None)
+    assert got == want and got[2] == 19
+    assert len(calls) == (0 if batched else 19)
 
 
 # ------------------------------------- the fallback rule against QUADPACK

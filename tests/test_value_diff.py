@@ -66,6 +66,22 @@ def test_oracle_rows_also_compare_error_estimates_and_lobe_counts():
                     "max_err_share": 0.0}
 
 
+def test_oracle_rows_compare_quad_call_counts():
+    err = (1e-13).hex()
+    parent = [_row(COS, 1.0, err=err, lobes=19, quad=0), _row(COS, 2.0, err=err, lobes=19, quad=2),
+              _row(COS, raised="AccelerationStalledError", quad=5)]
+    change = [_row(COS, 1.0, err=err, lobes=19, quad=0), _row(COS, 2.0, err=err, lobes=19, quad=3),
+              _row(COS, raised="AccelerationStalledError", quad=4)]
+    (cell,) = value_diff.compare(parent, change).values()
+    # the same value from a different number of calls is still a difference
+    assert cell["value_diff"] == cell["err_diff"] == cell["lobes_diff"] == 0
+    assert cell["quad_diff"] == 2
+    line = value_diff.format_table(value_diff.compare(parent, change))[0]
+    assert line.endswith("err_diff 0  lobes_diff 0  quad_diff 2  max_err_share 0")
+    (same,) = value_diff.compare(parent, parent).values()
+    assert same["quad_diff"] == 0
+
+
 def test_oracle_moves_are_measured_in_the_parent_error_estimate():
     parent = [_row(COS, 1.0, err=(1e-12).hex(), lobes=19),
               _row(COS, 2.0, err=(4e-13).hex(), lobes=20),

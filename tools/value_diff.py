@@ -21,8 +21,11 @@ Per (family, kernel, stratum) the script prints the number of requests,
 how many values differ in ``float.hex`` (or in the exception raised),
 and the largest relative move of a value; for closed-grid also how many
 values are wrong on each side; for oracle-grid how many
-error estimates and lobe counts differ, and ``max_err_share``, the
-largest move of a value in units of the parent's error estimate.
+error estimates, lobe counts and counts of ``quad`` calls differ (each
+request's calls of ``oracle.quad``, counted by a wrapper installed as
+that module global, as the benchmark's tracer installs its own), and
+``max_err_share``, the largest move of a value in units of the
+parent's error estimate.
 ``--record PATH`` writes the table as JSON.  Only the standard library is used here; each copy runs
 its own ``oscint`` and ``perfbench/workloads.py`` and ``reference.py``,
 which it only reads (``reference`` takes mpmath for tiny values).
@@ -54,10 +57,15 @@ def evaluate(root, workload, seed):
     from reference import agrees, reference
 
     seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
+    from oscint import oracle
+
+    quad, calls = oracle.quad, []
+    oracle.quad = lambda *args, **kwargs: calls.append(None) or quad(*args, **kwargs)
     rows = []
     for req in wl.generate(workload, seed, wl.request_count(workload, seconds)):
         row = {"cell": [req.family, req.kernel, req.stratum]}
         value = None
+        calls.clear()
         try:
             if workload == "oracle-grid":
                 rep = oscint.integrate_semi_infinite(wl.oracle_spec(oscint, req))
@@ -68,7 +76,9 @@ def evaluate(root, workload, seed):
                 row["value"] = value.hex()
         except Exception as exc:    # a failed request is a result too
             row["raised"] = type(exc).__name__
-        if workload == "closed-grid":
+        if workload == "oracle-grid":
+            row["quad"] = len(calls)
+        else:
             try:
                 row["wrong"] = not agrees(value, *reference(oscint, req, True))
             except Exception:       # as in the benchmark: no reference, no credit
@@ -110,7 +120,8 @@ def compare(parent_rows, change_rows):
     same requests: ``n``, ``value_diff`` (values whose bits or exception
     differ), ``max_rel`` and, where the rows carry them, ``wrong_parent``
     and ``wrong_change`` (values that fail the benchmark's test),
-    ``err_diff``, ``lobes_diff`` and ``max_err_share`` (the largest
+    ``err_diff``, ``lobes_diff``, ``quad_diff`` (rows whose ``quad``
+    call counts differ) and ``max_err_share`` (the largest
     ``err_share``)."""
     cells = {}
     for p, c in zip(parent_rows, change_rows, strict=True):
@@ -123,7 +134,7 @@ def compare(parent_rows, change_rows):
         if "wrong" in p:
             cell["wrong_parent"] = cell.get("wrong_parent", 0) + p["wrong"]
             cell["wrong_change"] = cell.get("wrong_change", 0) + c["wrong"]
-        for key in ("err", "lobes"):
+        for key in ("err", "lobes", "quad"):
             if key in p or key in c:
                 cell[key + "_diff"] = cell.get(key + "_diff", 0) + (p.get(key) != c.get(key))
         if "err" in p:
@@ -140,8 +151,8 @@ def format_table(cells):
     lines = []
     total = {"n": 0, "value_diff": 0}
     for (fam, kernel, stratum), cell in sorted(cells.items()):
-        extra = _wrong(cell) + "".join(f"  {key} {cell[key]}"
-                                       for key in ("err_diff", "lobes_diff") if key in cell)
+        extra = _wrong(cell) + "".join(f"  {key} {cell[key]}" for key in
+                                       ("err_diff", "lobes_diff", "quad_diff") if key in cell)
         if "max_err_share" in cell:
             extra += f"  max_err_share {cell['max_err_share']:.3g}"
         lines.append(f"{fam + '/' + kernel + '/' + stratum:<32} n {cell['n']:>5}  "
