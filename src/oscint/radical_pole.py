@@ -1,13 +1,14 @@
 """Fourier transforms with weight 1/(sqrt(t+a) (t+b)), b > a.
 
-The quadratic-phase engine of ``two_radical`` with weight power p = 1:
-the z-integrals carry a simple pole weight 1/(z^2+1), so this module
-supplies Fresnel-integral tails (one Fresnel pair for both kernels), its
-own ``hyp2f1`` and ``integrate_finite`` bindings for the p = 1 head moments,
-quadrature heads and contour, its weight and the prefactor 2/sqrt(b-a); its
-parameters are the engine's base record plus this prefactor and one rule.  The
-integrand is NOT symmetric in a and b, so b > a is required; other orderings
-have no closed form here and callers are pointed at the quadrature oracle.
+The quadratic-phase engine of ``two_radical`` with weight power p = 1: the
+z-integrals carry a simple pole weight 1/(z^2+1), so this module supplies the
+tails (by its own Gamma binding past the Fresnel switch, from one Fresnel pair
+below it and for the printed cosine), its own ``hyp2f1`` and
+``integrate_finite`` bindings for the p = 1 head moments, quadrature heads and
+contour, its weight and the prefactor 2/sqrt(b-a); its parameters are the
+engine's base record plus this prefactor and one rule.  The integrand is NOT
+symmetric in a and b, so b > a is required; other orderings have no closed form
+here and callers are pointed at the quadrature oracle.
 
 Oracle arbitration notes (details in the errata registry):
 
@@ -29,8 +30,11 @@ import math
 from .control import DEFAULT_CONTROL, SeriesControl
 from .errors import DomainError, UnsupportedError, _require_finite
 from .oracle import integrate_finite
-from .special_functions import fresnel_c, fresnel_s, hyp2f1
+from .special_functions import (_FRESNEL_SWITCH, _phased_gamma, fresnel_c, fresnel_s, hyp2f1,
+                                upper_incomplete_gamma)
 from .two_radical import _RadicalParams, _assemble, _head_approx, _head_series
+
+_ROOT_PI_8 = math.sqrt(0.125 * math.pi)
 
 
 class RadicalPoleParams(_RadicalParams):
@@ -48,11 +52,14 @@ class RadicalPoleParams(_RadicalParams):
 
 
 def _pole_tails(c, as_printed=False):
-    """(sin, cos) integrals of kernel(c x^2)/(x^2+1) over [0, inf), from
-    one Fresnel pair; ``as_printed`` selects the verbatim cosine form."""
+    """(sin, cos) integrals of kernel(c x^2)/(x^2+1) over [0, inf), past the Fresnel
+    switch (Im, Re) of (sqrt(pi)/2) e^-ic Gamma(1/2, -ic) unless ``as_printed``."""
     if c <= 0:
         raise DomainError(f"need c > 0, got {c}")
     w = math.sqrt(2.0 * c / math.pi)
+    if w > _FRESNEL_SWITCH and not as_printed:
+        v = _ROOT_PI_8 * _phased_gamma(upper_incomplete_gamma, 0.5, c, DEFAULT_CONTROL)
+        return v.real + v.imag, v.real - v.imag
     s, fc = fresnel_s(w), fresnel_c(w)
     sn, cs = math.sin(c), math.cos(c)
     tail_sin = 0.5 * math.pi * (sn * (s + fc - 1.0) - cs * (s - fc))

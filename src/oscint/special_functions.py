@@ -17,9 +17,9 @@ Evaluation strategies:
   the (S, C) pair and memoises its last argument, so a caller reading S
   and then C at the same z sums one branch once.
 * Bessel J0/Y0: ascending series for z <= 14, Hankel asymptotic sums
-  truncated at their smallest term beyond.  The split sits at 14.0, where
-  both branches deliver ~3e-12 absolute; at the classical 8.0 the
-  asymptotic branch would only reach ~2e-8.  An argument that overflowed
+  truncated at their smallest term beyond (within 2e-14 absolute from 14;
+  the series loses up to 8e-12 just below 14, Y0(14) 6.2e-12, and the sums
+  would only reach ~2e-8 at the classical 8.0).  An argument that overflowed
   to inf (or NaN) is a DomainError, checked on the Hankel branch only.
   One ascending loop sums J0 and Y0 together, bitwise as two separate
   series would, and the pair is memoised for its last argument, so a
@@ -294,22 +294,14 @@ def gamma_real(x: float) -> float:
 # (t+u)^-p transforms: sin t and cos t times (t+u)^-p, integrated over [0, inf)
 # --------------------------------------------------------------------------
 
-_SPLIT_PHASE = 2.0 ** 26
-
-
 def _phased_gamma(gamma, alpha, z, ctl, as_printed=False):
-    """exp(-i(pi alpha + 2z)/2) Gamma(1-alpha, -iz) by the caller's ``gamma``
+    """exp(-i pi alpha/2) exp(-iz) Gamma(1-alpha, -iz) by the caller's ``gamma``
     (order -alpha ``as_printed``): the real part is the sine transform of
     (t+z)^-alpha, sqrt(z) S_{1/2-alpha,1/2}(z), minus the imaginary part the
-    cosine.  From z = _SPLIT_PHASE on, the phase is exp(-i pi alpha/2) times
-    exp(-iz): one exponential of the rounded sum would be off by up to
-    ulp(2z)/2, and pi alpha lost next to 2z > 2^54; below, the product would
-    move values by up to a few hundred ulp."""
-    if z < _SPLIT_PHASE:
-        phase = cmath.exp(-0.5j * (math.pi * alpha + 2.0 * z))
-    else:
-        _require_finite_argument("Gamma form", z)
-        phase = cmath.exp(-0.5j * math.pi * alpha) * cmath.exp(complex(0.0, -z))
+    cosine.  The phase is two unit factors, not one exponential of the rounded
+    (pi alpha + 2z)/2, so both parts are as exact as Gamma itself."""
+    _require_finite_argument("Gamma form", z)
+    phase = cmath.rect(1.0, -0.5 * math.pi * alpha) * cmath.rect(1.0, -z)
     return phase * gamma(-alpha if as_printed else 1.0 - alpha, complex(0.0, -z), ctl)
 
 

@@ -5,8 +5,9 @@ Substituting t + a = (b-a) z^2 folds both radical weights into
 integrals of kernel(c z^2) (z^2+1)^-p over [gamma, inf), with
 c = zeta*(b-a) and gamma = sqrt(a/(b-a)): p = 1/2 here, p = 1 for the
 pole weight 1/(sqrt(t+a)(t+b)).  Each is a known infinite-range tail on
-[0, inf) (here Bessel J0/Y0 at c/2, one pair for both kernels) minus a
-finite head on [0, gamma].
+[0, inf) (here one Bessel J0/Y0 pair at h = c/2 for both kernels, and past
+the Bessel switch the Hankel sums P + Q and P - Q alone) minus a finite head
+on [0, gamma].
 The engine below is written once for both p, and each route yields the
 (sin, cos) pair from one evaluation; only the public functions pick one:
 
@@ -61,7 +62,9 @@ from .special_functions import (
     gen_ci,
     gen_si,
     hyp2f1,
+    _BESSEL_SWITCH,
     _grown,
+    _hankel_pq,
 )
 
 # beyond this phase the rotated contour takes over: the alternating series
@@ -117,10 +120,17 @@ class TwoRadicalParams(_RadicalParams):
 
 def _tails(c):
     """(sin, cos) integrals of kernel(c z^2)/sqrt(z^2+1) over [0, inf),
-    from one J0/Y0 pair at c/2."""
+    (pi/4)(sin h Y0 + cos h J0, sin h J0 - cos h Y0) at h = c/2: past the
+    Bessel switch exactly (P + Q, P - Q) sqrt(pi/h)/4 from the Hankel sums,
+    with no sine or cosine of h; below (or at an overflowed h, which the
+    Bessel pair refuses) from one J0/Y0 pair."""
     if c <= 0:
         raise DomainError(f"need c > 0, got {c}")
     h = 0.5 * c
+    if _BESSEL_SWITCH < h < math.inf:
+        p, q = _hankel_pq(h)
+        r = 0.25 * math.sqrt(math.pi / h)
+        return r * (p + q), r * (p - q)
     j0, y0 = bessel_j0(h), bessel_y0(h)
     s, co = math.sin(h), math.cos(h)
     return 0.25 * math.pi * (s * y0 + co * j0), 0.25 * math.pi * (s * j0 - co * y0)

@@ -48,7 +48,7 @@ def test_one_gamma_call_per_lommel_value(count_calls, as_printed):
     for mu, z in points:
         alpha = 0.5 - mu
         a = -alpha if as_printed else 1.0 - alpha
-        phase = cmath.exp(-0.5j * (math.pi * alpha + 2.0 * z))
+        phase = cmath.exp(-0.5j * math.pi * alpha) * cmath.exp(complex(0.0, -z))
         # the conjugate-symmetric combination over both half-axes, summed in full
         both = 0.5 * (phase * upper_incomplete_gamma(a, complex(0.0, -z))
                       + phase.conjugate() * upper_incomplete_gamma(a, complex(0.0, z)))
@@ -78,9 +78,9 @@ def test_exponent_transform_goldens():
 @pytest.mark.parametrize("p", [1.0, 1.0 / 3.0, 2.5])
 @pytest.mark.parametrize("u", [1e12, 1e15, 1e17])
 def test_exponent_transforms_at_a_large_shift(u, p):
-    # past u ~ 2^26 the phase (pi alpha + 2u)/2 loses pi alpha to the
-    # rounding of 2u; the asymptotic series u^-p (1 - p(p+1)/u^2) is exact
-    # to double precision here
+    # one exponential of the phase (pi alpha + 2u)/2 would lose pi alpha to
+    # the rounding of 2u here; the asymptotic series u^-p (1 - p(p+1)/u^2)
+    # is exact to double precision
     assert rel(sin_exponent_transform(p, u), u ** -p * (1.0 - p * (p + 1.0) / u ** 2)) < 1e-13
     want = p * u ** (-p - 1.0) * (1.0 - (p + 1.0) * (p + 2.0) / u ** 2)
     assert rel(cos_exponent_transform(p, u), want) < 1e-13

@@ -12,7 +12,8 @@ import math
 import mpmath
 import pytest
 
-from oscint import ConvergenceError, Kernel, gen_si, hyp2f2_half, lommel, radical_pole
+from oscint import (ConvergenceError, Kernel, gen_si, hyp2f2_half, lommel, radical_pole,
+                    two_radical)
 from oscint.oracle import (
     HalfPower,
     IntegrandSpec,
@@ -80,3 +81,13 @@ def test_half_power_cosine_at_the_origin_within_its_estimate(alpha):
     p = alpha + 0.5
     rep = integrate_semi_infinite(IntegrandSpec(HalfPower(alpha, 0.0), Kernel.COS))
     assert abs(rep.value - math.gamma(1.0 - p) * math.sin(0.5 * math.pi * p)) <= rep.abs_err_est
+
+
+@found("the two-radical transforms lose up to 7e-11 where h = c/2 sits just below "
+       "the Bessel switch")
+def test_two_radical_cosine_just_below_the_bessel_switch_agrees_with_mpmath():
+    # c = 27.5: J0/Y0 at h = 13.75, on the ascending series (Y0(14) is 6.2e-12 off)
+    with mpmath.workdps(40):
+        w = lambda s: mpmath.exp(-s) / (mpmath.sqrt(1j * s + 1) * mpmath.sqrt(1j * s + 28.5))
+        want = float((1j * mpmath.quad(w, [0, 1, 10, mpmath.inf])).real)
+    assert abs(two_radical.cos_transform(1.0, 28.5, 1.0) - want) <= 1e-12 * abs(want)

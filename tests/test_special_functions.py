@@ -578,13 +578,20 @@ def test_one_fresnel_branch_per_bracket(count_calls, u):
 
 @pytest.mark.parametrize("c", [0.3, 9.0])
 def test_one_fresnel_branch_per_pole_tail_and_head_approximation(count_calls, c):
+    # past the Fresnel switch, sqrt(2c/pi) > 1.6, the corrected tails are one
+    # Gamma form and only the verbatim cosine keeps the Fresnel pair
     counts = count_calls(sf, "_fresnel_series", "_fresnel_tail")
+    gammas = count_calls(rp, "upper_incomplete_gamma")
+    by_gamma = math.sqrt(2.0 * c / math.pi) > 1.6
     sf._fresnel_pair.cache_clear()
     rp._pole_tails(c)
-    assert sum(counts.values()) == 1
+    assert (sum(counts.values()), gammas["upper_incomplete_gamma"]) == (not by_gamma, by_gamma)
+    sf._fresnel_pair.cache_clear()
+    rp._pole_tails(c, as_printed=True)
+    assert sum(counts.values()) == 1 + (not by_gamma)
     sf._fresnel_pair.cache_clear()
     tr._head_approx(c, 0.7, 4.0)            # both heads from one pair
-    assert sum(counts.values()) == 2
+    assert sum(counts.values()) == 2 + (not by_gamma)
 
 
 def test_one_ascending_series_per_j0_y0_pair(count_calls):
