@@ -45,6 +45,14 @@ class PhasePattern(Enum):
     COS_LIKE = "cos-like"   # cos(u){1-2C} + sin(u){1-2S}
 
 
+def _require_order(owner, alpha):
+    """The order rule: alpha finite, then a nonnegative integer."""
+    if not math.isfinite(alpha):
+        _require_finite(owner, alpha=alpha)
+    if alpha < 0 or alpha != int(alpha):
+        raise DomainError(f"alpha must be a nonnegative integer, got {alpha}")
+
+
 class HalfPowerParams(Record):
     __slots__ = ("zeta", "x", "alpha")
 
@@ -55,8 +63,7 @@ class HalfPowerParams(Record):
             raise DomainError(f"frequency zeta must be > 0, got {zeta}")
         if x < 0:
             raise DomainError(f"shift x must be >= 0, got {x}")
-        if alpha < 0 or alpha != int(alpha):
-            raise DomainError(f"alpha must be a nonnegative integer, got {alpha}")
+        _require_order("HalfPowerParams", alpha)
         object.__setattr__(self, "zeta", zeta)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "alpha", alpha)
@@ -113,8 +120,7 @@ def family_coefficients(alpha: int, kernel: Kernel = Kernel.SIN,
     f_j = (j+1/2)(j+3/2), where X bundles the rational part and the
     Fresnel coefficient (whose own equation is homogeneous).
     """
-    if alpha < 0 or alpha != int(alpha):
-        raise DomainError(f"alpha must be a nonnegative integer, got {alpha}")
+    _require_order("family_coefficients", alpha)
     # coerced inside the cache: "sin" and Kernel.SIN share one entry
     kernel = _as_kernel(kernel)
     alpha = int(alpha)

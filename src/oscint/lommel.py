@@ -49,6 +49,8 @@ class LommelOrder(Record):
     __slots__ = ("mu", "exponent_alpha")
 
     def __init__(self, mu: float, exponent_alpha: float):
+        if not math.isfinite(mu + exponent_alpha):
+            _require_finite("LommelOrder", mu=mu, exponent_alpha=exponent_alpha)
         if abs(mu + exponent_alpha - 0.5) > 1e-12:
             raise DomainError(
                 f"inconsistent order: mu + alpha must be 1/2, got {mu} + {exponent_alpha}")
@@ -94,6 +96,8 @@ def lommel_s_half(mu: float, z: float, ctl: SeriesControl = DEFAULT_CONTROL,
     sqrt(z); for mu >= 1/2 the incomplete-gamma realization continues it
     analytically (needed by the Lommel recurrence, which raises mu by 2).
     """
+    if not math.isfinite(mu):
+        _require_finite("lommel_s_half", mu=mu)
     if z <= 0:
         raise DomainError(f"lommel_s_half needs z > 0, got {z}")
     value = _phased_gamma(upper_incomplete_gamma, 0.5 - mu, z, ctl, as_printed).real / math.sqrt(z)
@@ -192,10 +196,7 @@ def log_weighted_sin_integral(x: float, ctl: SeriesControl = DEFAULT_CONTROL) ->
     The closed form is the negative of the order-derivative of the
     exponent family at 1/2, expressed through 2F2(1/2,1/2;3/2,3/2;ix).
     """
-    if not math.isfinite(x):
-        _require_finite("log_weighted_sin_integral", x=x)
-    if x <= 0:
-        raise DomainError(f"need x > 0, got {x}")
+    x = _scaled_shift("log_weighted_sin_integral", x, 1.0)
     rx = math.sqrt(x)
     f22 = hyp2f2_half(x, ctl)
     deriv = (-rx * math.log(x) * lommel_s_half(0.0, x, ctl)

@@ -119,8 +119,8 @@ def check_gamma_recurrences():
 def check_gamma_routes():
     """Gamma(a, +-iu): the series route and the backward continued fraction
     agree on both sides of the |z| = 3 switch, orders on both sides of the
-    lift into (-1/2, 1/2] and at integers."""
-    for a in [-5.5, -4.0, -2.25, -1.0, -0.5, 0.0, 1.0 / 3.0, 2.0 / 3.0]:
+    lift into (-1/2, 1/2], at integers and down to the transforms' low orders."""
+    for a in [-40.5, -12.5, -5.5, -4.0, -2.25, -1.0, -0.5, 0.0, 1.0 / 3.0, 2.0 / 3.0]:
         for u in [2.95, 3.0, 3.05]:
             for sign in [1.0, -1.0]:
                 z = complex(0.0, sign * u)

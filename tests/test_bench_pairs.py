@@ -124,14 +124,27 @@ def test_source_size_counts_src_oscint_python_lines(tmp_path):
     (pkg / "notes.txt").write_text("not\ncounted\n")
     (tmp_path / "src" / "other.py").write_text("not counted\n")
     assert bench_pairs.src_lines(tmp_path) == 3
-    assert bench_pairs.format_size(3233, 3180) == (
-        "src/oscint lines: parent 3233, change 3180 (-53)")
+
+
+def test_source_size_counts_src_oscint_ast_nodes(tmp_path):
+    # the nodes a cold process compiles when it finds no cached bytecode
+    pkg = tmp_path / "src" / "oscint"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n")       # Module, Assign, Name, Store, Constant
+    (pkg / "b.py").write_text("")               # Module
+    (pkg / "notes.txt").write_text("y = 2\n")
+    assert bench_pairs.src_ast_nodes(tmp_path) == 6
+    assert bench_pairs.src_ast_nodes(ROOT) > bench_pairs.src_lines(ROOT)
+    assert bench_pairs.format_size((3233, 3180), (15449, 15400)) == (
+        "src/oscint lines: parent 3233, change 3180 (-53); "
+        "AST nodes: parent 15449, change 15400 (-49)")
 
 
 def test_summary_collects_workloads_in_one_file(tmp_path):
     path = tmp_path / "BENCH.json"
     rows = bench_pairs.summarize(PAIRS, BETTER)
-    entry = bench_pairs.summary_entry("HEAD", [1, 2, 3, 4, 5], 0, (3568, 3540), rows)
+    entry = bench_pairs.summary_entry("HEAD", [1, 2, 3, 4, 5], 0, (3568, 3540), (15449, 15400),
+                                      rows)
     bench_pairs.write_summary(path, "oracle-grid", entry)
     bench_pairs.write_summary(path, "cli-cold", {**entry, "seeds": [9]})
     doc = json.loads(path.read_text())
@@ -139,6 +152,7 @@ def test_summary_collects_workloads_in_one_file(tmp_path):
     got = doc["workloads"]["oracle-grid"]
     assert got["seeds"] == [1, 2, 3, 4, 5]
     assert got["src_oscint_lines"] == {"parent": 3568, "change": 3540}
+    assert got["src_oscint_ast_nodes"] == {"parent": 15449, "change": 15400}
     tail = got["metrics"]["latency_tail_us"]
     assert tail["parent"] == {"q1": 238.0, "median": 239.0, "q3": 240.0}
     assert tail["change"] == {"q1": 142.0, "median": 143.0, "q3": 144.0}

@@ -143,8 +143,10 @@ def test_string_kernels_coerce_and_others_are_domain_errors():
 
 
 def test_acceleration_budget():
-    with pytest.raises(AccelerationStalledError):
+    with pytest.raises(AccelerationStalledError) as info:
         osc(HalfPower(0.0, 1.0), ctl=SeriesControl(rel_tol=1e-12, max_terms=1))
+    assert (type(info.value), str(info.value)) == (
+        AccelerationStalledError, "lobe series failed tolerance 1e-12 within 10 lobes")
 
 
 def test_integrate_finite_empty_and_golden():

@@ -6,6 +6,7 @@ the library) and frozen here.
 """
 
 import cmath
+import functools
 import math
 import random
 import sys
@@ -386,15 +387,20 @@ def test_rgamma_taylor_table_matches_mpmath():
 
 
 def test_backward_depth_covers_the_lentz_count(monkeypatch):
-    # Re z >= 0, |z| >= 3, -8 <= a <= 1: the modified-Lentz loop at a
-    # 1e-16 tolerance (delta == 1 exactly) must stop within the backward
-    # fraction's fixed depth
+    # Re z >= 0, |z| >= 3, a <= 1: the modified-Lentz loop at a 1e-16
+    # tolerance (delta == 1 exactly) must stop within the backward
+    # fraction's fixed depth.  Every quarter order in [-8, 1], where the
+    # need is largest, then orders down to -200 and log-spaced to -1000
+    # (the need falls as a falls: at |z| = 3, 60 steps at a = -8.5, 13 at -100.5)
     monkeypatch.setattr(sf, "_LENTZ_TOL", 1e-16)
+    orders = ([j / 4 for j in range(-32, 5)] + [-8.5, -9.5, -10.5]
+              + [-8.0 - 192.0 * (k / 24) ** 2 - 0.3 * (k % 3) for k in range(1, 25)]
+              + [-(10.0 ** (2.3 + 0.7 * k / 4)) for k in range(5)])
     for k in range(40):
         r = 3.0 * (1e4 / 3.0) ** (k / 39)
         depth = math.ceil(sf._CF_DEPTH_SCALE / r) + sf._CF_DEPTH_PAD
         lentz = SeriesControl(max_terms=depth)
-        for a in [j / 4 for j in range(-32, 5)]:
+        for a in orders:
             for theta in (-0.5, -0.25, 0.0, 0.25, 0.5):
                 z = cmath.rect(r, math.pi * theta)
                 want = sf._legendre_cf(a, z, lentz)     # raises past the depth
@@ -402,16 +408,17 @@ def test_backward_depth_covers_the_lentz_count(monkeypatch):
                 assert abs(got - want) <= 1e-14 * abs(want) + 1e-300, (a, z)  # e^-z may underflow
 
 
-@pytest.mark.parametrize("a, u", [(-8.5, 5.0), (-10.33, 8.0), (-12.5, 4.0), (-15.5, 10.0)])
-def test_lentz_fraction_beyond_the_verified_orders_against_mpmath(a, u):
-    # orders a < -8 (Lommel exponents p > 8) take modified Lentz, which
-    # stops at a few ulps, not at the default rel_tol of 1e-12
+@pytest.mark.parametrize("a, u", [(-8.5, 5.0), (-10.33, 8.0), (-12.5, 4.0), (-15.5, 10.0),
+                                  (-40.5, 3.5), (2.5, 5.0), (5.5, 30.0)])
+def test_continued_fraction_outside_orders_minus_eight_to_one_against_mpmath(a, u):
+    # orders below -8 on the axis take the backward fraction, orders above 1
+    # modified Lentz; both stop at a few ulps, not at the default rel_tol
     assert _gamma_errors([(a, complex(0.0, u)), (a, complex(0.0, -u))])[-1] <= 5e-14
 
 
 def test_lentz_fraction_honours_max_terms():
-    with pytest.raises(ConvergenceError):
-        upper_incomplete_gamma(-12.5, 4j, SeriesControl(max_terms=5))
+    with pytest.raises(ConvergenceError, match="stalled at a=2.5"):
+        upper_incomplete_gamma(2.5, 5j, SeriesControl(max_terms=5))
 
 
 def test_backward_fraction_honours_max_terms():
@@ -507,6 +514,26 @@ RULE_CALLS = {
                                 lambda: hp.family_coefficients(-1)),
     "family_coefficients(1.5)": (DomainError, "alpha must be a nonnegative integer, got 1.5",
                                  lambda: hp.family_coefficients(1.5)),
+    # non-finite input: once a ValueError, an OverflowError or a record holding NaN
+    "family_coefficients(nan)": (DomainError, "family_coefficients alpha must be finite, got nan",
+                                 lambda: hp.family_coefficients(NAN)),
+    "family_coefficients(inf)": (DomainError, "family_coefficients alpha must be finite, got inf",
+                                 lambda: hp.family_coefficients(INF)),
+    "HalfPowerParams(alpha=1.5)": (DomainError, "alpha must be a nonnegative integer, got 1.5",
+                                   lambda: hp.HalfPowerParams(1.0, 1.0, 1.5)),
+    "LommelOrder(mu=nan)": (DomainError, "LommelOrder mu must be finite, got nan",
+                            lambda: lm.LommelOrder(NAN, 1.0)),
+    "LommelOrder(alpha=nan)": (DomainError, "LommelOrder exponent_alpha must be finite, got nan",
+                               lambda: lm.LommelOrder(0.5, NAN)),
+    "lommel_s_half(mu=inf)": (DomainError, "lommel_s_half mu must be finite, got inf",
+                              lambda: lm.lommel_s_half(INF, 1.0)),
+    "lommel_s_half(mu=-inf)": (DomainError, "lommel_s_half mu must be finite, got -inf",
+                               lambda: lm.lommel_s_half(-INF, 1.0)),
+    "log_weighted_sin_integral(nan)": (
+        DomainError, "log_weighted_sin_integral x must be finite, got nan",
+        lambda: lm.log_weighted_sin_integral(NAN)),
+    "log_weighted_sin_integral(-1)": (DomainError, "need x > 0, got -1.0",
+                                      lambda: lm.log_weighted_sin_integral(-1.0)),
     "errata.find(unknown)": (KeyError, "'NO-SUCH'", lambda: errata.find("NO-SUCH")),
     "climb over max_terms": (
         ConvergenceError, "exponent p=30.5 needs 30 recurrence steps, over max_terms=5",
@@ -553,19 +580,65 @@ def test_non_finite_quadrature_is_convergence_error():
 
 def test_no_lentz_below_the_switch_or_on_the_imaginary_axis(count_calls):
     counts = count_calls(sf, "_legendre_cf", "_legendre_cf_backward")
-    for a in (-6.0, -5.5, -2.3, -1.0, -0.5, 0.0, 1.0 / 3.0, 2.0 / 3.0, 0.999):
+    orders = (-171.5, -40.5, -9.5, -6.0, -5.5, -2.3, -1.0, -0.5, 0.0, 1.0 / 3.0, 2.0 / 3.0, 0.999)
+    for a in orders:
         for u in (0.05, 0.7, 2.9, 3.0, 8.0, 60.0, 900.0):
             upper_incomplete_gamma(a, complex(0.0, u))
             upper_incomplete_gamma(a, complex(0.0, -u))
         for arg in (0.0, 0.5, 1.5, 2.5, 3.1):      # any direction below |z| = 3
             upper_incomplete_gamma(a, cmath.rect(2.5, arg))
     assert counts["_legendre_cf"] == 0
-    assert counts["_legendre_cf_backward"] == 9 * 8
-    # no verified depth: the left half-plane and orders outside [-8, 1]
+    assert counts["_legendre_cf_backward"] == len(orders) * 8
+    # the backward depth holds for a <= 1 only in the right half-plane
     upper_incomplete_gamma(0.5, complex(-3.0, 4.0))
     upper_incomplete_gamma(2.5, 5j)
-    upper_incomplete_gamma(-9.5, 5j)
-    assert counts["_legendre_cf"] == 3
+    assert counts["_legendre_cf"] == 2
+
+
+def _gate_calls(rng):
+    """Seeded (function, args) of every public transform whose value goes
+    through Gamma, u (or c) log-uniform in [0.05, 1e4]."""
+    u = lambda: 10.0 ** rng.uniform(math.log10(0.05), 4.0)
+    printed_pole_cos = functools.partial(rp.pole_cos_transform, as_printed=True)
+    for x in (50.0, 3e3):                       # the lowest orders, -170.5 and -171.5
+        yield from ((f, (170, x, 1.0, printed)) for f in (hp.s_alpha, hp.c_alpha)
+                    for printed in (False, True))
+        yield from ((f, (171.5, x)) for f in (lm.sin_exponent_transform, lm.cos_exponent_transform))
+    for _ in range(60):
+        alpha, printed = rng.randint(0, 170), rng.random() < 0.5
+        yield hp.s_alpha, (alpha, u(), 1.0, printed)
+        yield hp.c_alpha, (alpha, u(), 1.0, printed)
+        p = rng.uniform(0.01, 171.5)
+        yield lm.sin_exponent_transform, (p, u())
+        yield lm.cos_exponent_transform, (p, u())
+        n, m, plus = rng.randint(0, 85), rng.randint(1, 9), rng.random() < 0.5
+        yield lm.general_sin_transform, (n, m, u(), 1.0, plus)
+        yield lm.general_cos_transform, (n, m, u(), 1.0, plus)
+        yield lm.log_weighted_sin_integral, (u(),)
+        yield rp.pole_tail_sin, (u(),)
+        yield rp.pole_tail_cos, (u(), printed)
+        a = rng.uniform(0.05, 2.0)
+        yield rp.pole_sin_transform, (a, a + u())
+        yield printed_pole_cos if printed else rp.pole_cos_transform, (a, a + u())
+        yield sin_transform, (a, a + u())
+        yield tr.cos_transform, (a, a + u())
+
+
+def test_no_transform_reaches_the_lentz_fraction(count_calls):
+    # every Gamma order a transform takes, down to -171.5 (the cosine at
+    # p = 171.5), sits on the imaginary axis with a <= 1, where the backward
+    # fraction's depth is verified; a call that raises a library error counts too
+    counts = count_calls(sf, "_legendre_cf", "_legendre_cf_backward")
+    calls = list(_gate_calls(random.Random(20261019)))
+    errors = 0
+    for f, args in calls:
+        try:
+            f(*args)
+        except (DomainError, ConvergenceError):
+            errors += 1
+    assert counts["_legendre_cf"] == 0
+    assert counts["_legendre_cf_backward"] > len(calls) // 4, counts
+    assert errors < len(calls) // 4, errors
 
 
 @pytest.mark.parametrize("u", [0.4, 2.0, 9.0])     # Fresnel argument below and above 1.6

@@ -23,14 +23,16 @@ the parent's own interquartile range exceeds that bound as a share of
 its median, so the runs cannot show a regression of the bound's size,
 unless every run of the change is better than every run of the parent.
 Above the table it prints each side's ``src/oscint`` line count (lines
-of its ``*.py`` files), so size stands next to speed.  The run length (``run_seconds``), which way is better
-for each metric and the end-to-end bounds are read from ``BENCHMARK.json``.
+of its ``*.py`` files) and AST node count (what a process compiles when it
+finds no cached bytecode), so size stands next to speed.  The run length
+(``run_seconds``), which way is better for each metric and the end-to-end
+bounds are read from ``BENCHMARK.json``.
 
 Only the standard library is used.  The runs' own records are removed
 with the copies; ``--record`` writes the raw pairs as JSON to a path of
 your choice, and ``--summary PATH`` the table: per metric and side the
 median and quartiles, and the wins, with the seeds and each side's
-``src/oscint`` line count, under the workload's name in PATH's
+``src/oscint`` line and AST node counts, under the workload's name in PATH's
 ``workloads``, so one file (a ``BENCH_<n>.json``) collects the
 workloads of a change.
 """
@@ -38,6 +40,7 @@ workloads of a change.
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import shutil
@@ -77,9 +80,16 @@ def src_lines(root):
                for path in (Path(root) / "src" / "oscint").glob("*.py"))
 
 
-def format_size(parent_lines, change_lines):
-    return (f"src/oscint lines: parent {parent_lines}, change {change_lines} "
-            f"({change_lines - parent_lines:+d})")
+def src_ast_nodes(root):
+    """AST nodes in the ``*.py`` files of ``src/oscint`` under checkout ``root``."""
+    return sum(sum(1 for _ in ast.walk(ast.parse(path.read_bytes())))
+               for path in (Path(root) / "src" / "oscint").glob("*.py"))
+
+
+def format_size(lines, nodes):
+    """``lines`` and ``nodes``, each a (parent, change) pair of counts, as one line."""
+    return "; ".join(f"{what}: parent {p}, change {c} ({c - p:+d})"
+                     for what, (p, c) in (("src/oscint lines", lines), ("AST nodes", nodes)))
 
 
 def run_once(root, workload, seed, seconds, trace):
@@ -159,13 +169,15 @@ def format_rows(rows):
     return lines
 
 
-def summary_entry(parent, seeds, trace, lines, rows):
-    """One workload's ``--summary`` entry; ``lines`` is (parent, change)
-    ``src/oscint`` line counts and ``rows`` is ``summarize``'s table."""
+def summary_entry(parent, seeds, trace, lines, nodes, rows):
+    """One workload's ``--summary`` entry; ``lines`` and ``nodes`` are
+    (parent, change) ``src/oscint`` line and AST node counts and ``rows``
+    is ``summarize``'s table."""
     quartiles = lambda q: dict(zip(("q1", "median", "q3"), q))
+    sides = lambda pair: dict(zip(("parent", "change"), pair))
     return {
         "parent": parent, "seeds": seeds, "trace": trace,
-        "src_oscint_lines": {"parent": lines[0], "change": lines[1]},
+        "src_oscint_lines": sides(lines), "src_oscint_ast_nodes": sides(nodes),
         "metrics": {r["name"]: {"better": r["better"], "parent": quartiles(r["parent"]),
                                 "change": quartiles(r["change"]), "wins": r["wins"],
                                 "pairs": r["pairs"]}
@@ -222,6 +234,7 @@ def main(argv=None):
         extract(args.parent, parent_root)
         snapshot(change_root)
         lines = src_lines(parent_root), src_lines(change_root)
+        nodes = src_ast_nodes(parent_root), src_ast_nodes(change_root)
         for i, seed in enumerate(args.seeds):
             order = [("parent", parent_root), ("change", change_root)]
             if i % 2:
@@ -238,9 +251,9 @@ def main(argv=None):
     rows = summarize(pairs, better, bounds(benchmark))
     if args.summary:
         write_summary(args.summary, args.workload,
-                      summary_entry(args.parent, args.seeds, args.trace, lines, rows))
+                      summary_entry(args.parent, args.seeds, args.trace, lines, nodes, rows))
     print(f"{args.workload}: {len(pairs)} pairs, parent {args.parent} vs working tree")
-    print(format_size(*lines))
+    print(format_size(lines, nodes))
     print("\n".join(format_rows(rows)))
     for seed, p, c in failed_differences(pairs, args.seeds):
         print(f"failed differs at seed {seed}: parent {p}, change {c}")
