@@ -11,6 +11,7 @@ Complex quantities (incomplete gamma with imaginary argument, the
 from __future__ import annotations
 
 import math
+import operator
 import os
 
 from .errors import DomainError, Record
@@ -24,10 +25,10 @@ class SeriesControl(Record):
     def __init__(self, rel_tol: float = 1e-12, max_terms: int = 500):
         if not 0.0 < rel_tol < math.inf:
             raise DomainError(f"rel_tol must be finite and > 0, got {rel_tol}")
-        if not max_terms >= 1:
-            raise DomainError(f"max_terms must be >= 1, got {max_terms}")
+        if not (hasattr(max_terms, "__index__") and max_terms >= 1):
+            raise DomainError(f"max_terms must be an integer >= 1, got {max_terms!r}")
         object.__setattr__(self, "rel_tol", rel_tol)
-        object.__setattr__(self, "max_terms", max_terms)
+        object.__setattr__(self, "max_terms", operator.index(max_terms))
 
 
 DEFAULT_CONTROL = SeriesControl()

@@ -1,7 +1,7 @@
 """General-exponent transforms through Lommel functions of the second kind.
 
-Only the second index 1/2 appears; S_{mu,1/2} is DEFINED computationally
-by its incomplete-gamma realization
+Only the second index 1/2 appears.  S_{mu,1/2} is the sine transform,
+continued past mu = 1/2 by its incomplete-gamma realization
 
     sqrt(x) S_{1/2-alpha,1/2}(x)
         = integral of sin(t)/(t+x)^alpha over [0, inf)
@@ -19,11 +19,11 @@ pre-reduction forms related by the Lommel recurrence), the logarithmic
 integral obtained as the order-derivative at exponent 1/2 (closed form
 via 2F2, plus a finite-difference fallback for regression), and the
 equivalent representation through generalized sine/cosine integrals.
-The transforms take the realization only above u = zeta x = max(1, p/4),
-the switch ``special_functions`` holds for every (t+x)^-p weight: at
-small u it is wrong by up to 5e+2.  Below, the sine and cosine pair at a
-base order in (0, 2] is climbed to p by integration by parts, within
-3e-15 of mpmath there.
+The transforms, S_{mu,1/2} among them, take the realization only above
+u = zeta x = max(1, p/4), the switch ``special_functions`` holds for
+every (t+x)^-p weight: at small u it is wrong by up to 5e+2.  Below, the
+sine and cosine pair at a base order in (0, 2] is climbed to p by
+integration by parts, within 3e-15 of mpmath there.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .control import DEFAULT_CONTROL, SeriesControl
 from .errors import DomainError, Kernel, Record, _as_kernel, _finite_power, _require_finite
 from .special_functions import (
     EULER_GAMMA,
-    _phased_gamma,
     _power_transform,
     gen_ci,
     gen_si,
@@ -92,15 +91,16 @@ def lommel_s_half(mu: float, z: float, ctl: SeriesControl = DEFAULT_CONTROL,
                   as_printed: bool = False) -> float:
     """Lommel function of the second kind S_{mu,1/2}(z), z > 0.
 
-    For mu < 1/2 this equals the defining transform integral divided by
-    sqrt(z); for mu >= 1/2 the incomplete-gamma realization continues it
-    analytically (needed by the Lommel recurrence, which raises mu by 2).
+    For mu < 1/2 the sine transform of (t+z)^(mu-1/2) over sqrt(z), by the
+    transforms' route; for mu >= 1/2, and ``as_printed``, the incomplete-gamma
+    realization, whose continuation the Lommel recurrence (mu + 2) needs.
     """
     if not math.isfinite(mu):
         _require_finite("lommel_s_half", mu=mu)
     if z <= 0:
         raise DomainError(f"lommel_s_half needs z > 0, got {z}")
-    value = _phased_gamma(upper_incomplete_gamma, 0.5 - mu, z, ctl, as_printed).real / math.sqrt(z)
+    value = _power_transform(Kernel.SIN, 0.5 - mu, z, upper_incomplete_gamma, ctl,
+                             as_printed) / math.sqrt(z)
     if not math.isfinite(value):
         raise DomainError(f"S_({mu},1/2)({z}) leaves double precision")
     return value

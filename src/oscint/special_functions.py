@@ -114,7 +114,8 @@ def _legendre_cf(a, z, ctl):
     """Gamma(a, z) by the Legendre continued fraction, modified Lentz.
 
     The route where the backward depth does not hold, Re z < 0 or a > 1
-    (32 steps past it at a = 170, z = 171); no transform reaches it.  Stops
+    (32 steps past it at a = 170, z = 171): of the transforms only S_{mu,1/2}
+    continued to mu > 1/2 reaches it, as pre_reduction_values at q < 1.  Stops
     at ``_LENTZ_TOL``, a few ulps, capped by ``ctl.max_terms``; its count
     grows without bound toward the negative real axis.
     """
@@ -344,9 +345,9 @@ def _climb(kernel, p, u, gamma, ctl):
 
 
 def _power_transform(kernel, p, u, gamma, ctl=DEFAULT_CONTROL, as_printed=False):
-    """The transform for p > 0 and u >= 0 by the route the switch picks (the
-    Gamma form ``as_printed``), by the caller's ``upper_incomplete_gamma``."""
-    if as_printed or _gamma_form_holds(p, u):
+    """The transform for u >= 0 by the switch's route (the Gamma form ``as_printed``
+    and at p <= 0, S_{mu,1/2} at mu >= 1/2), by the caller's ``upper_incomplete_gamma``."""
+    if as_printed or p <= 0 or _gamma_form_holds(p, u):
         return _gamma_form(kernel, p, u, gamma, ctl, as_printed)
     return _climb(kernel, p, u, gamma, ctl)
 
@@ -358,7 +359,8 @@ def _power_transform(kernel, p, u, gamma, ctl=DEFAULT_CONTROL, as_printed=False)
 def _require_finite_argument(name, z):
     # an overflowed argument (or NaN) reaches here, past the series switch
     if not math.isfinite(z):
-        raise DomainError(f"{name} argument overflows double precision: {z}")
+        why = "is not finite" if math.isnan(z) else "overflows double precision"
+        raise DomainError(f"{name} argument {why}: {z}")
 
 
 def _fresnel_series(z):
@@ -391,8 +393,7 @@ def _fresnel_tail(z):
     _require_finite_argument("Fresnel", z)
     if z > _FRESNEL_HALF:
         return 0.5, 0.5
-    x = 0.5 * math.pi * z * z
-    g = _legendre_cf_backward(0.5, complex(0.0, -x), DEFAULT_CONTROL)
+    g = upper_incomplete_gamma(0.5, complex(0.0, -0.5 * math.pi * z * z))
     val = cmath.exp(0.25j * math.pi) * (math.sqrt(math.pi) - g) / math.sqrt(2.0 * math.pi)
     return val.imag, val.real
 

@@ -1,5 +1,6 @@
 """Series-control plumbing."""
 
+import numpy as np
 import pytest
 
 from oscint import DomainError, SeriesControl, control_from_env
@@ -19,6 +20,8 @@ def test_validation():
         SeriesControl(rel_tol=-1e-9)
     with pytest.raises(ValueError):
         SeriesControl(max_terms=0)
+    # any integer type is taken, and kept as an int
+    assert type(SeriesControl(max_terms=np.int64(40)).max_terms) is int
 
 
 def test_env_override(monkeypatch):
@@ -32,11 +35,15 @@ def test_env_override(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [{"rel_tol": float("nan")}, {"rel_tol": float("inf")},
-                                 {"rel_tol": -1.0}, {"max_terms": 0}],
-                         ids=["nan", "inf", "negative", "no-terms"])
+                                 {"rel_tol": -1.0}, {"max_terms": 0},
+                                 {"max_terms": 2.5}, {"max_terms": 1000.0},
+                                 {"max_terms": float("inf")}, {"max_terms": "500"}],
+                         ids=["nan", "inf", "negative", "no-terms", "fractional-terms",
+                              "float-terms", "infinite-terms", "text-terms"])
 def test_invalid_control_is_domain_error(bad):
-    # an infinite tolerance would stop every series after its first term
-    with pytest.raises(DomainError):
+    # an infinite tolerance would stop every series after its first term; a
+    # non-integer term cap once constructed and failed later in range()
+    with pytest.raises(DomainError, match=next(iter(bad))):
         SeriesControl(**bad)
 
 

@@ -1,9 +1,10 @@
-"""Structural gate: the closed forms take only named quadrature helpers
-from the oracle, and the kernel vocabulary from ``errors``.
+"""Structural gates: the closed forms take only named quadrature helpers
+from the oracle, the kernel vocabulary from ``errors``, and Gamma(a, z)
+only through ``upper_incomplete_gamma``.
 
-Each closed-form module's source is parsed, not imported, so the gate
-sees every ``from .oracle import`` and ``import oscint.oracle`` however
-it is reached.  The allowlist may only shrink.
+Each module's source is parsed, not imported, so a gate sees every
+``from .oracle import`` and ``import oscint.oracle`` however it is
+reached, and every use of a name.  The allowlists may only shrink.
 """
 
 import ast
@@ -56,3 +57,53 @@ def test_kernel_vocabulary_lives_in_errors():
     assert errors.Kernel.__module__ == "oscint.errors"
     for name in ("_as_kernel", "_trig", "_require_finite"):
         assert getattr(oracle, name) is getattr(errors, name)
+
+
+# the routes upper_incomplete_gamma picks between, and the (module, function)
+# pairs that may name them; "<module>" is a module's top level, its imports
+GAMMA_ROUTES = {"_gamma_series", "_legendre_cf_backward", "_legendre_cf"}
+GAMMA_ROUTES_ALLOWED = {
+    ("special_functions", "upper_incomplete_gamma"),
+    ("selfcheck", "<module>"),              # the gamma-routes group compares two
+    ("selfcheck", "check_gamma_routes"),
+}
+# the modules that reach the Gamma form only through _power_transform
+POWER_TRANSFORM_ONLY = ("half_power", "lommel")
+
+
+def _uses(source, names):
+    """(top-level function or class, name) for each use of ``names`` in
+    ``source``: a name, an attribute or an imported alias."""
+    found = set()
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                used = {node.id}
+            elif isinstance(node, ast.Attribute):
+                used = {node.attr}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                used = {alias.name.rpartition(".")[2] for alias in node.names}
+            else:
+                continue
+            found |= {(owner, name) for name in used & names}
+    return found
+
+
+def test_only_upper_incomplete_gamma_picks_a_gamma_route():
+    found = {(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+             for owner, _ in _uses(path.read_text(), GAMMA_ROUTES)}
+    assert found <= GAMMA_ROUTES_ALLOWED
+
+
+@pytest.mark.parametrize("module", POWER_TRANSFORM_ONLY)
+def test_transform_modules_import_no_phased_gamma(module):
+    assert not _uses((SRC / f"{module}.py").read_text(), {"_phased_gamma"})
+
+
+def test_use_gate_sees_every_form():
+    source = ("from .special_functions import _legendre_cf as cf\n"
+              "def f():\n    return sf._gamma_series(1, 2)\n"
+              "class C:\n    def g(self):\n        return _legendre_cf_backward\n")
+    assert _uses(source, GAMMA_ROUTES) == {("<module>", "_legendre_cf"), ("f", "_gamma_series"),
+                                           ("C", "_legendre_cf_backward")}

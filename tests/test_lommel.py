@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from oscint import (
+    ConvergenceError,
     DomainError,
     GeneralExponent,
     Kernel,
@@ -27,6 +28,8 @@ from oscint import (
     sin_exponent_transform,
 )
 from oscint import lommel as lm
+from oscint import special_functions as sf
+from oscint.control import DEFAULT_CONTROL
 from oscint.special_functions import upper_incomplete_gamma
 
 
@@ -43,21 +46,95 @@ def test_structural_identity_with_base_form():
 @pytest.mark.parametrize("as_printed", [False, True])
 def test_one_gamma_call_per_lommel_value(count_calls, as_printed):
     counts = count_calls(lm, "upper_incomplete_gamma")
-    # Gamma routes: series, series, backward fraction, Lentz (as printed: backward)
+    # Gamma routes: series, series, backward fraction, Lentz (as printed: backward);
+    # (-2.2, 0.4) sits below the switch, where mu < -1/2 climbs (not as printed)
     points = ((-2.2, 0.4), (0.0, 1.0), (-5.5, 30.0), (0.7, 12.0))
     for mu, z in points:
         alpha = 0.5 - mu
+        route = sf._power_transform(Kernel.SIN, alpha, z, upper_incomplete_gamma,
+                                    as_printed=as_printed)
+        assert lommel_s_half(mu, z, as_printed=as_printed) == route / math.sqrt(z)
+        if not (as_printed or mu >= -0.5 or sf._gamma_form_holds(alpha, z)):
+            continue
         a = -alpha if as_printed else 1.0 - alpha
         phase = cmath.exp(-0.5j * math.pi * alpha) * cmath.exp(complex(0.0, -z))
         # the conjugate-symmetric combination over both half-axes, summed in full
         both = 0.5 * (phase * upper_incomplete_gamma(a, complex(0.0, -z))
                       + phase.conjugate() * upper_incomplete_gamma(a, complex(0.0, z)))
         assert both.imag == 0.0
-        assert lommel_s_half(mu, z, as_printed=as_printed) == both.real / math.sqrt(z)
+        assert route == both.real
     assert counts["upper_incomplete_gamma"] == len(points)
     general_sin_transform(1, 3, 6.0, 1.25)
     general_cos_transform(0, 2, 2.0, 0.5, plus_one=True)
     assert counts["upper_incomplete_gamma"] == len(points) + 2
+
+
+def _lommel_grid(seed, n):
+    """Seeded (mu, z): mu uniform over [-171, 3], z log-uniform over [1e-3, 1e4]."""
+    rng = random.Random(seed)
+    return [(rng.uniform(-171.0, 3.0), 10.0 ** rng.uniform(-3.0, 4.0)) for _ in range(n)]
+
+
+def test_lommel_s_half_below_one_half_is_the_sine_transform_route():
+    # mu < 1/2: the defining integral over sqrt(z), bit for bit, by the route
+    # every (t+x)^-p transform takes (the climb below the switch)
+    checked = 0
+    for mu, z in _lommel_grid("lommel-route", 400):
+        if mu >= 0.5:
+            continue
+        try:
+            got, want = lommel_s_half(mu, z), sin_exponent_transform(0.5 - mu, z) / math.sqrt(z)
+        except DomainError:             # past the double range
+            continue
+        assert got == want, (mu, z)
+        checked += 1
+    assert checked > 200, checked
+
+
+def test_lommel_s_half_keeps_the_gamma_form_bits():
+    # the realization itself wherever the route is the Gamma form: mu >= 1/2
+    # (the continuation), as printed, and mu >= -1/2 (p <= 1) at every z
+    rng = random.Random("lommel-gamma-form")
+    checked = 0
+    for _ in range(300):
+        z = 10.0 ** rng.uniform(-3.0, 4.0)
+        for mu, as_printed in ((rng.uniform(0.5, 3.0), False), (rng.uniform(-0.5, 0.5), False),
+                               (rng.uniform(-171.0, 3.0), True)):
+            try:
+                got = lommel_s_half(mu, z, as_printed=as_printed)
+            except (DomainError, ConvergenceError):     # past the double range
+                continue
+            w = sf._phased_gamma(upper_incomplete_gamma, 0.5 - mu, z, DEFAULT_CONTROL, as_printed)
+            assert got == w.real / math.sqrt(z), (mu, z, as_printed)
+            checked += 1
+    assert checked > 700, checked
+
+
+def test_lommel_s_half_matches_mpmath_on_a_seeded_grid():
+    # against 50 digits at the order 1/2 - mu as rounded to double (that
+    # rounding alone moves the value by up to 2e-14 at mu = -128, z = 4).  The
+    # climb and the continuation mu >= 1/2 hold 1e-14; the Gamma form above the
+    # switch loses in proportion to the order p, through exp(a log z) and the
+    # rounded phase (up to 2.1e-13 at p = 164), as before: ROADMAP item 10
+    mp = pytest.importorskip("mpmath")
+    checked = 0
+    for mu, z in _lommel_grid("lommel-mpmath", 600):
+        try:
+            got = lommel_s_half(mu, z)
+        except DomainError:             # past the double range
+            continue
+        if abs(got) < sys.float_info.min:
+            continue
+        p = 0.5 - mu
+        with mp.workdps(50):
+            a, u = mp.mpf(p), mp.mpf(z)
+            want = (mp.exp(-0.5j * mp.pi * a) * mp.exp(-1j * u)
+                    * mp.gammainc(1 - a, -1j * u)).real / mp.sqrt(u)
+        err = float(abs(got - want) / abs(want))
+        gamma_form = p > 0 and sf._gamma_form_holds(p, z)
+        assert err <= (max(1e-14, 2.5e-15 * p) if gamma_form else 1e-14), (mu, z, err)
+        checked += 1
+    assert checked > 300, checked
 
 
 def test_lommel_relation_example():
@@ -166,6 +243,17 @@ def test_pre_reduction_forms_match_reduced():
                general_cos_transform(1, 2, 1.5, 0.5, plus_one=True)) < 1e-10
     with pytest.raises(DomainError):
         pre_reduction_values(0, 1, 1.0, 1.0)      # q = 1 is singular here
+
+
+@pytest.mark.parametrize("n, m", [(0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 5), (3, 4)])
+def test_pre_reduction_forms_match_reduced_on_both_sides_of_the_switch(n, m):
+    # S_{mu,1/2} below the switch climbs like the reduced forms (the raw
+    # realization read 1.2e-12 at (2, 5), x = 1e-3); q < 1 takes the continuation
+    for x in (1e-3, 0.05, 0.3, 1.0, 3.0, 20.0):
+        pre = pre_reduction_values(n, m, x)
+        for plus in (False, True):
+            assert rel(pre[(Kernel.SIN, plus)], general_sin_transform(n, m, x, 1.0, plus)) <= 5e-13
+            assert rel(pre[(Kernel.COS, plus)], general_cos_transform(n, m, x, 1.0, plus)) <= 5e-13
 
 
 def test_log_integral():

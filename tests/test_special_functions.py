@@ -162,12 +162,26 @@ def test_y0_domain():
         bessel_j0(-0.1)
 
 
-@pytest.mark.parametrize("z", [math.inf, math.nan])
+@pytest.mark.parametrize("z, message", [(math.inf, "overflows double precision"),
+                                        (math.nan, "^Bessel argument is not finite: nan$")],
+                         ids=["inf", "nan"])
 @pytest.mark.parametrize("fn", [bessel_j0, bessel_y0])
-def test_bessel_overflowed_argument_is_domain_error(fn, z):
-    # past the series switch the Hankel branch would call math.cos(inf)
-    with pytest.raises(DomainError, match="overflows double precision"):
+def test_bessel_overflowed_argument_is_domain_error(fn, z, message):
+    # past the series switch the Hankel branch would call math.cos(inf);
+    # a NaN is named as not finite, not as an overflow
+    with pytest.raises(DomainError, match=message):
         fn(z)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fresnel_s(math.nan), "Fresnel argument is not finite: nan"),
+    (lambda: lm.lommel_s_half(0.0, math.nan), "Gamma form argument is not finite: nan"),
+    (lambda: lm.lommel_s_half(5.0, math.nan), "Gamma form argument is not finite: nan"),
+], ids=["fresnel_s", "lommel_s_half", "lommel_s_half-continued"])
+def test_nan_argument_is_not_reported_as_an_overflow(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_transform_with_overflowed_bessel_argument_is_domain_error():
@@ -597,7 +611,8 @@ def test_no_lentz_below_the_switch_or_on_the_imaginary_axis(count_calls):
 
 def _gate_calls(rng):
     """Seeded (function, args) of every public transform whose value goes
-    through Gamma, u (or c) log-uniform in [0.05, 1e4]."""
+    through Gamma, and of S_{mu,1/2} at mu < 1/2, u (or c) log-uniform in
+    [0.05, 1e4]."""
     u = lambda: 10.0 ** rng.uniform(math.log10(0.05), 4.0)
     printed_pole_cos = functools.partial(rp.pole_cos_transform, as_printed=True)
     for x in (50.0, 3e3):                       # the lowest orders, -170.5 and -171.5
@@ -615,6 +630,7 @@ def _gate_calls(rng):
         yield lm.general_sin_transform, (n, m, u(), 1.0, plus)
         yield lm.general_cos_transform, (n, m, u(), 1.0, plus)
         yield lm.log_weighted_sin_integral, (u(),)
+        yield lm.lommel_s_half, (rng.uniform(-171.0, 0.5), u())
         yield rp.pole_tail_sin, (u(),)
         yield rp.pole_tail_cos, (u(), printed)
         a = rng.uniform(0.05, 2.0)
@@ -639,6 +655,23 @@ def test_no_transform_reaches_the_lentz_fraction(count_calls):
     assert counts["_legendre_cf"] == 0
     assert counts["_legendre_cf_backward"] > len(calls) // 4, counts
     assert errors < len(calls) // 4, errors
+
+
+def test_only_the_continuation_reaches_the_lentz_fraction(count_calls):
+    # the public entries that still reach modified Lentz: S_{mu,1/2} continued
+    # to mu > 1/2 (Gamma order 1/2 + mu > 1) from |z| = 3 up, and through it
+    # pre_reduction_values with q < 1 (n = 0, m >= 2), one call per value
+    counts = count_calls(sf, "_legendre_cf")
+    for m in (2, 3):
+        for x in (5.0, 50.0):
+            lm.pre_reduction_values(0, m, x)
+    assert counts["_legendre_cf"] == 4
+    lm.lommel_s_half(0.7, 12.0)
+    assert counts["_legendre_cf"] == 5
+    lm.lommel_s_half(0.7, 2.9)              # below |z| = 3: the series
+    lm.pre_reduction_values(1, 2, 50.0)     # q > 1: no continuation
+    lm.pre_reduction_values(0, 2, 2.0)
+    assert counts["_legendre_cf"] == 5
 
 
 @pytest.mark.parametrize("u", [0.4, 2.0, 9.0])     # Fresnel argument below and above 1.6
