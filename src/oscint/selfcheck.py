@@ -13,6 +13,7 @@ Everything here is deterministic: fixed grids, no randomness.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from collections import namedtuple
@@ -48,7 +49,7 @@ from .special_functions import (
 )
 # dual-path checks need the raw series and fraction routes
 from .special_functions import (_climb, _gamma_form, _gamma_form_holds, _gamma_series,
-                                _gauss_series, _legendre_cf_backward)
+                                _gauss_series, _legendre_cf_backward, _phased_gamma, _zpow_exp)
 
 __all__ = ["CheckResult", "GROUPS", "run", "group_names"]
 
@@ -119,15 +120,22 @@ def check_gamma_recurrences():
 def check_gamma_routes():
     """Gamma(a, +-iu): the series route and the backward continued fraction
     agree on both sides of the |z| = 3 switch, orders on both sides of the
-    lift into (-1/2, 1/2], at integers and down to the transforms' low orders."""
+    lift into (-1/2, 1/2], at integers and down to the transforms' low orders;
+    from u = 3 the phase-free Gamma form, -i u^a / D, matches the phase times Gamma."""
     for a in [-40.5, -12.5, -5.5, -4.0, -2.25, -1.0, -0.5, 0.0, 1.0 / 3.0, 2.0 / 3.0]:
         for u in [2.95, 3.0, 3.05]:
             for sign in [1.0, -1.0]:
                 z = complex(0.0, sign * u)
                 series = _gamma_series(a, z, DEFAULT_CONTROL)
-                fraction = _legendre_cf_backward(a, z, DEFAULT_CONTROL)
+                fraction = _zpow_exp(a, z) / _legendre_cf_backward(a, z, DEFAULT_CONTROL)
                 r = abs(series - fraction) / abs(fraction)
                 yield f"a={a:.4g} z={z}", r < 1e-13, f"rel {r:.1e}"
+    for a, u in itertools.product([0.5, -0.5, -3.5, -10.5, -40.5, -100.5, -171.5],
+                                  [3.0, 3.05, 30.0, 3e3]):
+        phase = cmath.rect(1.0, -0.5 * math.pi * (1.0 - a)) * cmath.rect(1.0, -u)
+        r = _rel(_phased_gamma(upper_incomplete_gamma, 1.0 - a, u, DEFAULT_CONTROL),
+                 phase * upper_incomplete_gamma(a, complex(0.0, -u)))
+        yield f"phase-free a={a:.4g} u={u:.4g}", r < 1e-13, f"rel {r:.1e}"
 
 
 def check_exponent_switch():
@@ -141,11 +149,6 @@ def check_exponent_switch():
             r = _rel(*(route(kernel, p, u, upper_incomplete_gamma, DEFAULT_CONTROL)
                        for route in (_climb, _gamma_form)))
             yield f"{kernel.value} p={p:.4g} u={u:.4g}", r < 1e-13, f"rel {r:.1e}"
-
-
-def _zpow_exp(a, z):
-    import cmath
-    return cmath.exp(a * cmath.log(z) - z)
 
 
 def check_hyp2f1():

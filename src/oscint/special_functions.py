@@ -24,21 +24,19 @@ Evaluation strategies:
   One ascending loop sums J0 and Y0 together, bitwise as two separate
   series would, and the pair is memoised for its last argument, so a
   caller reading J0 and then Y0 at the same z sums one series once.
-* Upper incomplete gamma, complex second argument, to about 1e-16 on
-  the imaginary axis:
-  - |z| >= max(3, a+1): the even-contracted Legendre continued fraction,
-    summed backward from an a-priori depth ceil(240/|z|) + 16 for
-    Re z >= 0 and a <= 1, where that depth is verified (to a = -1000; the
-    need falls as a falls), which covers every order a transform takes;
-    for Re z < 0 or a > 1 the same fraction by modified Lentz, stopped
-    once a step moves the value by at most two ulps.
-  - below: a > 1/2 as Gamma(a) minus the lower series; a <= 1/2 lifted
-    into (-1/2, 1/2], evaluated in Temme's form (smooth through a = 0,
-    where it is the E1 series) and brought down by the recurrence,
-    whose divisors then have modulus at least 1/2.  Both series run to
-    about 1e-16, capped by max_terms.
-  (Gil, Segura & Temme, Numerical Methods for Special Functions, SIAM
-  2007, ch. 6; DLMF 8.7, 8.9.)
+* Upper incomplete gamma, complex second argument, to about 1e-16 on the
+  imaginary axis (Gil, Segura & Temme, Numerical Methods for Special
+  Functions, SIAM 2007, ch. 6; DLMF 8.7, 8.9):
+  - |z| >= max(3, a+1), Re z >= 0, a <= 1: the denominator D of the even-contracted
+    Legendre fraction, summed backward from an a-priori depth, ceil(240/|z|) + 16
+    off the imaginary axis (verified to a = -1000), ceil((190 + 12 min(-a, u))/u) + 4
+    on it (fitted to the need, which peaks near u = -a).  upper_incomplete_gamma
+    returns z^a e^-z / D; the (t+u)^-p transforms' Gamma form takes -i u^(1-p) / D,
+    with no phase.  Re z < 0 or a > 1: modified Lentz, stopped at two ulps.
+  - below: a > 1/2 as Gamma(a) minus the lower series; a <= 1/2 lifted into
+    (-1/2, 1/2], in Temme's form (smooth through a = 0, where it is the E1
+    series) and brought down by the recurrence, whose divisors have modulus at
+    least 1/2.  Both series run to about 1e-16, capped by max_terms.
 * Gauss 2F1 on the axis z <= 0: Pfaff's series in z/(z-1) (DLMF 15.8.1),
   with whichever of a, b is nearer c replaced by c minus it, for z < -1/2
   and on [-1/2, 0) where that shrinks the parameter (then every term ratio
@@ -76,8 +74,8 @@ _SERIES_TOL = 1e-16
 # ulps of 1 (1.1e-16 below, 2.2e-16 above), so a bound under one ulp
 # would demand delta == 1 exactly; this one admits two ulps (2 eps = 4.44e-16).
 _LENTZ_TOL = 4.5e-16
-_CF_DEPTH_SCALE = 240.0
-_CF_DEPTH_PAD = 16
+# backward-fraction depth ceil((K + L min(-a, u))/u) + M, u = |z|: (K, L, M) off, on the axis
+_CF_DEPTH, _CF_AXIS_DEPTH = (240.0, 0.0, 16), (190.0, 12.0, 4)
 # c_2 ... c_22 of 1/Gamma(x) = sum_k c_k x^k (DLMF 5.7.1), highest first:
 # the Horner sum is (1/Gamma(1+a) - 1)/a
 _RGAMMA_TAYLOR = (
@@ -94,7 +92,7 @@ _RGAMMA_TAYLOR = (
 _FRESNEL_TERMS = []     # (4k+1, 4k+3, (2k+1)(2k+2), (2k+2)(2k+3)) as floats
 _BESSEL_TERMS = []      # (k^2, H_k) for k = 1, 2, ...
 _F22_RATIOS = []        # (1/2+k)^2 / ((3/2+k)^2 (k+1))
-_cf_numerators = lru_cache(maxsize=64)(lambda a: [])        # i(a-i), i = 1, 2, ... per order a
+_cf_numerators = lru_cache(maxsize=64)(lambda a: [])  # complex i(a-i) per a: float/complex is slow
 _gauss_ratios = lru_cache(maxsize=256)(lambda a, b, c: [])  # 2F1 term ratios per shape (a, b, c)
 
 
@@ -143,25 +141,27 @@ def _legendre_cf(a, z, ctl):
 
 
 def _legendre_cf_backward(a, z, ctl):
-    """Gamma(a, z) by the same even-contracted Legendre fraction, summed
-    bottom-up, t = a_i / (b_i + t), from the a-priori depth
-    ceil(_CF_DEPTH_SCALE / |z|) + _CF_DEPTH_PAD.
-
-    Verified for Re z >= 0, |z| >= 3 and a <= 1 (to a = -1000): there it is
-    at least the modified-Lentz count at a 1e-16 stop, which falls as a falls
-    (at |z| = 3, depth 96: 78 steps at a = -0.5, 60 at -8.5, 13 at -100.5).
+    """The denominator D of the same even-contracted Legendre fraction, Gamma(a, z)
+    = z^a e^-z / D for Re z >= 0, |z| >= 3, a <= 1, summed bottom-up, t = a_i / (b_i + t),
+    from an a-priori depth.  Off the imaginary axis ``_CF_DEPTH``, at least the
+    modified-Lentz count at a 1e-16 stop (verified to a = -1000); on it
+    ``_CF_AXIS_DEPTH``, fitted to the truncation need at 1.1e-16, which peaks
+    where u is near -a (u = 3: 62 steps at a = 1/2, 71 at -3.5, 10 at -171.5).
     """
-    n = math.ceil(_CF_DEPTH_SCALE / abs(z)) + _CF_DEPTH_PAD
+    u = abs(z)
+    k, slope, pad = _CF_DEPTH if z.real else _CF_AXIS_DEPTH
+    n = math.ceil((k + slope * (0.0 if a >= 0 else min(-a, u))) / u) + pad
     if n > ctl.max_terms:
         raise ConvergenceError(
             f"incomplete-gamma continued fraction needs {n} terms at a={a}, z={z}, "
             f"over max_terms={ctl.max_terms}")
-    nums = _grown(_cf_numerators(a), n, lambda i: (i + 1) * (a - (i + 1)))
+    if len(nums := _cf_numerators(a)) < n:
+        _grown(nums, n, lambda i: complex((i + 1) * (a - (i + 1))))
     b, t = z + (2 * n + 1 - a), 0j      # b_n = z + 2n + 1 - a
     for num in nums[n - 1::-1]:
         t = num / (b + t)
         b -= 2.0
-    return _zpow_exp(a, z) / (b + t)
+    return b + t
 
 
 def _zpow_exp(a, z):
@@ -211,8 +211,8 @@ def _small_order_series(a, z, ctl):
         term *= step / k
         piece = term / (a + k)
         total += piece
-        if abs(piece) < abs(total) * _SERIES_TOL:
-            zpow = zpow_m1 + 1.0
+        if abs(piece) <= abs(total) * _SERIES_TOL:     # <=: a term may underflow
+            zpow = zpow_m1 + 1.0 if ex >= -0.5 else cmath.exp(w)   # ex + 1 loses z^a below
             head = -q / (1.0 + a * q) - (zpow_m1 / a if a else log_z)
             return head - zpow * total, zpow
     raise ConvergenceError(f"incomplete-gamma series stalled at a={a}, z={z}")
@@ -244,6 +244,12 @@ def _gamma_series(a, z, ctl):
     return out
 
 
+def _gamma_fraction(a, z):
+    """Gamma(a, z)'s route, z != 0: None below |z| = max(3, a+1), the series; above,
+    whether the backward fraction's depth holds (Re z >= 0, a <= 1) or Lentz runs."""
+    return None if abs(z) < (a + 1.0 if a > 2.0 else _GAMMA_SWITCH) else z.real >= 0 and a <= 1.0
+
+
 def upper_incomplete_gamma(a: float, z: complex,
                            ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
     """Upper incomplete gamma Gamma(a, z), principal branch.
@@ -264,10 +270,10 @@ def upper_incomplete_gamma(a: float, z: complex,
     try:
         if z == 0:
             out = complex(math.gamma(a))
-        elif abs(z) < max(_GAMMA_SWITCH, a + 1.0):
+        elif (backward := _gamma_fraction(a, z)) is None:
             out = _gamma_series(a, z, ctl)
-        elif z.real >= 0 and a <= 1.0:
-            out = _legendre_cf_backward(a, z, ctl)
+        elif backward:
+            out = _zpow_exp(a, z) / _legendre_cf_backward(a, z, ctl)
         else:
             out = _legendre_cf(a, z, ctl)
     except OverflowError:                # Gamma(a) past the double range
@@ -295,14 +301,17 @@ def gamma_real(x: float) -> float:
 # --------------------------------------------------------------------------
 
 def _phased_gamma(gamma, alpha, z, ctl, as_printed=False):
-    """exp(-i pi alpha/2) exp(-iz) Gamma(1-alpha, -iz) by the caller's ``gamma``
-    (order -alpha ``as_printed``): the real part is the sine transform of
-    (t+z)^-alpha, sqrt(z) S_{1/2-alpha,1/2}(z), minus the imaginary part the
-    cosine.  The phase is two unit factors, not one exponential of the rounded
-    (pi alpha + 2z)/2, so both parts are as exact as Gamma itself."""
+    """exp(-i pi alpha/2) exp(-iz) Gamma(a, -iz), a = 1-alpha (-alpha ``as_printed``), z >= 0:
+    Re is the sine transform of (t+z)^-alpha, sqrt(z) S_{1/2-alpha,1/2}(z), -Im the cosine.
+    On the backward fraction's route the phases cancel, Gamma(a, -iz) = z^a e^(-i pi a/2)
+    e^(iz) / D: -i z^a / D (z^a / D as printed).  Below, the caller's ``gamma`` times the
+    phase as two unit factors, not one exponential of the rounded (pi alpha + 2z)/2."""
     _require_finite_argument("Gamma form", z)
+    a, w = -alpha if as_printed else 1.0 - alpha, complex(0.0, -z)
+    if _gamma_fraction(a, w):
+        return math.pow(z, a) * (1.0 if as_printed else -1j) / _legendre_cf_backward(a, w, ctl)
     phase = cmath.rect(1.0, -0.5 * math.pi * alpha) * cmath.rect(1.0, -z)
-    return phase * gamma(-alpha if as_printed else 1.0 - alpha, complex(0.0, -z), ctl)
+    return phase * gamma(a, w, ctl)
 
 
 def _gamma_form_holds(p, u):

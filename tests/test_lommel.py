@@ -45,10 +45,15 @@ def test_structural_identity_with_base_form():
 
 @pytest.mark.parametrize("as_printed", [False, True])
 def test_one_gamma_call_per_lommel_value(count_calls, as_printed):
+    fraction = sf._legendre_cf_backward         # uncounted, for the expected values
     counts = count_calls(lm, "upper_incomplete_gamma")
+    fractions = count_calls(sf, "_legendre_cf_backward")
     # Gamma routes: series, series, backward fraction, Lentz (as printed: backward);
-    # (-2.2, 0.4) sits below the switch, where mu < -1/2 climbs (not as printed)
+    # (-2.2, 0.4) sits below the switch, where mu < -1/2 climbs (not as printed).
+    # On the backward fraction's route the Gamma form is -i u^a / D (u^a / D as
+    # printed), one fraction and no call of the module's binding
     points = ((-2.2, 0.4), (0.0, 1.0), (-5.5, 30.0), (0.7, 12.0))
+    backward = 0
     for mu, z in points:
         alpha = 0.5 - mu
         route = sf._power_transform(Kernel.SIN, alpha, z, upper_incomplete_gamma,
@@ -57,16 +62,26 @@ def test_one_gamma_call_per_lommel_value(count_calls, as_printed):
         if not (as_printed or mu >= -0.5 or sf._gamma_form_holds(alpha, z)):
             continue
         a = -alpha if as_printed else 1.0 - alpha
+        if sf._gamma_fraction(a, complex(0.0, -z)):
+            backward += 1
+            d = fraction(a, complex(0.0, -z), DEFAULT_CONTROL)
+            scale = math.pow(z, a)
+            assert route == ((scale if as_printed else complex(0.0, -scale)) / d).real
+            continue
         phase = cmath.exp(-0.5j * math.pi * alpha) * cmath.exp(complex(0.0, -z))
         # the conjugate-symmetric combination over both half-axes, summed in full
         both = 0.5 * (phase * upper_incomplete_gamma(a, complex(0.0, -z))
                       + phase.conjugate() * upper_incomplete_gamma(a, complex(0.0, z)))
         assert both.imag == 0.0
         assert route == both.real
-    assert counts["upper_incomplete_gamma"] == len(points)
-    general_sin_transform(1, 3, 6.0, 1.25)
-    general_cos_transform(0, 2, 2.0, 0.5, plus_one=True)
-    assert counts["upper_incomplete_gamma"] == len(points) + 2
+    # one fraction for each value on its route, lommel_s_half's and the route's
+    assert backward == 1 + as_printed
+    assert (counts["upper_incomplete_gamma"], fractions["_legendre_cf_backward"]) == (
+        len(points) - backward, 2 * backward)
+    general_sin_transform(1, 3, 6.0, 1.25)                      # u = 7.5: the fraction
+    general_cos_transform(0, 2, 2.0, 0.5, plus_one=True)        # u = 1: the binding
+    assert (counts["upper_incomplete_gamma"], fractions["_legendre_cf_backward"]) == (
+        len(points) - backward + 1, 2 * backward + 1)
 
 
 def _lommel_grid(seed, n):
@@ -112,10 +127,10 @@ def test_lommel_s_half_keeps_the_gamma_form_bits():
 
 def test_lommel_s_half_matches_mpmath_on_a_seeded_grid():
     # against 50 digits at the order 1/2 - mu as rounded to double (that
-    # rounding alone moves the value by up to 2e-14 at mu = -128, z = 4).  The
-    # climb and the continuation mu >= 1/2 hold 1e-14; the Gamma form above the
-    # switch loses in proportion to the order p, through exp(a log z) and the
-    # rounded phase (up to 2.1e-13 at p = 164), as before: ROADMAP item 10
+    # rounding alone moves the value by up to 2e-14 at mu = -128, z = 4).  Every
+    # route holds 1e-14: the climb, the continuation mu >= 1/2 and the Gamma form,
+    # which lost in proportion to the order p (2.1e-13 at p = 164) while it
+    # formed exp(a log z) and a rounded phase from u = 3 up
     mp = pytest.importorskip("mpmath")
     checked = 0
     for mu, z in _lommel_grid("lommel-mpmath", 600):
@@ -131,10 +146,39 @@ def test_lommel_s_half_matches_mpmath_on_a_seeded_grid():
             want = (mp.exp(-0.5j * mp.pi * a) * mp.exp(-1j * u)
                     * mp.gammainc(1 - a, -1j * u)).real / mp.sqrt(u)
         err = float(abs(got - want) / abs(want))
-        gamma_form = p > 0 and sf._gamma_form_holds(p, z)
-        assert err <= (max(1e-14, 2.5e-15 * p) if gamma_form else 1e-14), (mu, z, err)
+        assert err <= 1e-14, (mu, z, err)
         checked += 1
     assert checked > 300, checked
+
+
+def test_gamma_form_on_the_fraction_route_against_mpmath():
+    # the Gamma form from u = 3 up, -i u^(1-p) / D, against 50 digits at the
+    # float order: the sine for p up to 171.5, the cosine, p S_(p+1), from
+    # p = 10.5 up at the order p + 1 as rounded to double (the order it takes),
+    # u log-uniform from max(3, p/4) to 1e5, where S_p and S_(p+1) are normal.
+    # Through exp(a log z) and two phases the form read 1.2e-13 (p = 149.7,
+    # u = 51.9); the fraction's depth fitted without the order, 3e-15 at p = 124
+    mp = pytest.importorskip("mpmath")
+
+    def sine(p, u):
+        with mp.workdps(50):
+            p, u = mp.mpf(p), mp.mpf(u)
+            return float((mp.exp(-0.5j * mp.pi * p - 1j * u) * mp.gammainc(1 - p, -1j * u)).real)
+
+    rng = random.Random("gamma-form-fraction")
+    checked = [0, 0]
+    for _ in range(300):
+        p = rng.uniform(0.01, 171.5)
+        u = math.exp(rng.uniform(math.log(max(3.0, p / 4)), math.log(1e5)))
+        want = sine(p, u)
+        if abs(want) >= sys.float_info.min:
+            assert abs(sin_exponent_transform(p, u) - want) <= 2e-15 * abs(want), (p, u)
+            checked[0] += 1
+        want = sine(p + 1.0, u) if p >= 10.5 else 0.0
+        if abs(want) >= sys.float_info.min:
+            assert abs(cos_exponent_transform(p, u) - p * want) <= 2e-15 * abs(p * want), (p, u)
+            checked[1] += 1
+    assert min(checked) > 100, checked
 
 
 def test_lommel_relation_example():

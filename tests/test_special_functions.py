@@ -337,6 +337,28 @@ def test_incomplete_gamma_order_lift_counts_against_max_terms():
     assert abs(got - want) <= 1e-14 * abs(want)
 
 
+def test_small_order_series_at_a_tiny_argument_against_mpmath():
+    # the lift's z^b (b in (0, 1/2]) once came from expm1(b log z) + 1, which
+    # drops it where |z|^b < 1e-16 (Gamma(-0.5, 1e-40j) read -2 sqrt(pi) for
+    # 1.41e20 (1 - i)), and a subnormal z stalled the stop test at 0 < 0.  The
+    # error left is z^b = exp(b log z) itself, about eps |log z|; where the
+    # value leaves the double range the route raises
+    mp = pytest.importorskip("mpmath")
+    orders = [0.5 - j / 2 for j in range(19)] + [-7.77, -2.0001, -0.999, -1e-9, 1e-9, 1.0 / 3.0]
+    for a in orders:
+        for r in [5e-324, 1e-310, 1e-200, 1e-60, 1e-40, 1e-20, 1e-8, 1e-3]:
+            with mp.workdps(30):
+                want = mp.gammainc(a, complex(0.0, r))
+            for z, w in ((complex(0.0, r), want), (complex(0.0, -r), mp.conj(want))):
+                if abs(w) > 1.7e308:
+                    with pytest.raises(ConvergenceError, match="non-finite"):
+                        upper_incomplete_gamma(a, z)
+                    continue
+                err = abs(upper_incomplete_gamma(a, z) - complex(w)) / abs(complex(w))
+                assert err <= 2e-16 * (1.0 + abs(math.log(r))), (a, z, err)
+    assert abs(upper_incomplete_gamma(0.25, 1e-310j) - math.gamma(0.25)) <= 1e-15 * math.gamma(0.25)
+
+
 def test_incomplete_gamma_integer_descent():
     # integer a <= 0 goes through the exponential-integral route for small |z|
     got = upper_incomplete_gamma(-1.0, 0.25j)
@@ -412,14 +434,39 @@ def test_backward_depth_covers_the_lentz_count(monkeypatch):
               + [-(10.0 ** (2.3 + 0.7 * k / 4)) for k in range(5)])
     for k in range(40):
         r = 3.0 * (1e4 / 3.0) ** (k / 39)
-        depth = math.ceil(sf._CF_DEPTH_SCALE / r) + sf._CF_DEPTH_PAD
+        scale, _, pad = sf._CF_DEPTH
+        depth = math.ceil(scale / r) + pad
         lentz = SeriesControl(max_terms=depth)
         for a in orders:
             for theta in (-0.5, -0.25, 0.0, 0.25, 0.5):
                 z = cmath.rect(r, math.pi * theta)
                 want = sf._legendre_cf(a, z, lentz)     # raises past the depth
-                got = sf._legendre_cf_backward(a, z, sf.DEFAULT_CONTROL)
+                got = sf._zpow_exp(a, z) / sf._legendre_cf_backward(a, z, sf.DEFAULT_CONTROL)
                 assert abs(got - want) <= 1e-14 * abs(want) + 1e-300, (a, z)  # e^-z may underflow
+
+
+def test_axis_depth_covers_the_truncation_need(monkeypatch):
+    # on the imaginary axis the depth follows the order: the need at 1.1e-16
+    # peaks where u is near -a (71 steps at a = -3.5, u = 3; 9 at a = -100.5,
+    # u = 100).  Against the same fraction 60 steps deeper, at every quarter
+    # order in [-11, 1], then down to -171.5, u log-spaced from 3 to 1e4 and
+    # dense around -a; the orders are dyadic, so both sums start from the
+    # same exact b_n - 2k and differ only by truncation and an ulp of rounding.
+    # (ceil(190/u^0.8) + 3, which ignores the order, reads 5.4e-15 at a = -155.5,
+    # u = 179; this rule with one step less pad, 6e-15 at a = -8.25, u = 291.)
+    orders = ([1.0 - j / 4 for j in range(49)] + [-12.5 - 2.0 * k for k in range(14)]
+              + [-40.5, -55.5, -70.5, -85.0, -100.5, -120.5, -140.5, -155.5, -171.5])
+    points = []
+    for a in orders:
+        us = [3.0 * (1e4 / 3.0) ** (k / 39) for k in range(40)]
+        us += [-a * f for f in (0.3, 0.5, 0.7, 0.85, 1.0, 1.15, 1.4, 2.0, 3.0) if -a * f >= 3.0]
+        points += [(a, complex(0.0, s * u)) for u in us for s in (1.0, -1.0)]
+    got = [sf._legendre_cf_backward(a, z, sf.DEFAULT_CONTROL) for a, z in points]
+    k, slope, pad = sf._CF_AXIS_DEPTH
+    monkeypatch.setattr(sf, "_CF_AXIS_DEPTH", (k, slope, pad + 60))
+    for (a, z), d in zip(points, got):
+        deep = sf._legendre_cf_backward(a, z, sf.DEFAULT_CONTROL)
+        assert abs(d - deep) <= 2.5e-16 * abs(deep), (a, z)
 
 
 @pytest.mark.parametrize("a, u", [(-8.5, 5.0), (-10.33, 8.0), (-12.5, 4.0), (-15.5, 10.0),
@@ -609,6 +656,27 @@ def test_no_lentz_below_the_switch_or_on_the_imaginary_axis(count_calls):
     assert counts["_legendre_cf"] == 2
 
 
+def test_the_gamma_form_on_the_fraction_route_forms_no_phase(count_calls):
+    # from u = 3 up (Gamma order a <= 1) the Gamma form is -i u^a / D (u^a / D as
+    # printed): one backward fraction per value, no complex exp, log or unit
+    # phase, and no call of the caller's Gamma binding; below u = 3 the binding
+    asked = []
+    binding = lambda a, z, ctl: asked.append(z) or upper_incomplete_gamma(a, z, ctl)
+    fractions = count_calls(sf, "_legendre_cf_backward")
+    phases = count_calls(cmath, "exp", "log", "rect")
+    values = 0
+    for alpha in (0.0, 1.0 / 3.0, 0.5, 1.5, 4.5, 12.5, 172.5):
+        for u in (3.0, 3.05, 30.0, 3e3, 1e7):
+            for as_printed in (False, True):
+                sf._phased_gamma(binding, alpha, u, sf.DEFAULT_CONTROL, as_printed)
+                values += 1
+    assert (asked, fractions["_legendre_cf_backward"]) == ([], values)
+    assert sum(phases.values()) == 0, phases
+    sf._phased_gamma(binding, 0.5, 2.9, sf.DEFAULT_CONTROL)
+    assert (asked, fractions["_legendre_cf_backward"]) == ([-2.9j], values)
+    assert phases["rect"] == 2
+
+
 def _gate_calls(rng):
     """Seeded (function, args) of every public transform whose value goes
     through Gamma, and of S_{mu,1/2} at mu < 1/2, u (or c) log-uniform in
@@ -640,11 +708,17 @@ def _gate_calls(rng):
         yield tr.cos_transform, (a, a + u())
 
 
-def test_no_transform_reaches_the_lentz_fraction(count_calls):
+def test_no_transform_reaches_the_lentz_fraction(count_calls, monkeypatch):
     # every Gamma order a transform takes, down to -171.5 (the cosine at
     # p = 171.5), sits on the imaginary axis with a <= 1, where the backward
-    # fraction's depth is verified; a call that raises a library error counts too
+    # fraction's depth is verified; a call that raises a library error counts too.
+    # From |z| = 3 up the Gamma form sums that fraction itself, so a transform
+    # module's own Gamma binding is only ever asked below |z| = 3
     counts = count_calls(sf, "_legendre_cf", "_legendre_cf_backward")
+    asked = []
+    for module in (hp, lm, rp):
+        monkeypatch.setattr(module, "upper_incomplete_gamma", lambda a, z, *rest:
+                            asked.append(abs(z)) or upper_incomplete_gamma(a, z, *rest))
     calls = list(_gate_calls(random.Random(20261019)))
     errors = 0
     for f, args in calls:
@@ -655,6 +729,7 @@ def test_no_transform_reaches_the_lentz_fraction(count_calls):
     assert counts["_legendre_cf"] == 0
     assert counts["_legendre_cf_backward"] > len(calls) // 4, counts
     assert errors < len(calls) // 4, errors
+    assert len(asked) > len(calls) // 8 and max(asked) < sf._GAMMA_SWITCH, len(asked)
 
 
 def test_only_the_continuation_reaches_the_lentz_fraction(count_calls):
@@ -685,16 +760,22 @@ def test_one_fresnel_branch_per_bracket(count_calls, u):
 @pytest.mark.parametrize("c", [0.3, 9.0])
 def test_one_fresnel_branch_per_pole_tail_and_head_approximation(count_calls, c):
     # past the Fresnel switch, sqrt(2c/pi) > 1.6, the corrected tails are one
-    # Gamma form and only the verbatim cosine keeps the Fresnel pair
+    # Gamma form, c > 4 on the backward fraction's route: one fraction and no
+    # call of the module's Gamma binding; only the verbatim cosine keeps the
+    # Fresnel pair, whose tail branch sums one more fraction
     counts = count_calls(sf, "_fresnel_series", "_fresnel_tail")
+    fractions = count_calls(sf, "_legendre_cf_backward")
     gammas = count_calls(rp, "upper_incomplete_gamma")
     by_gamma = math.sqrt(2.0 * c / math.pi) > 1.6
     sf._fresnel_pair.cache_clear()
     rp._pole_tails(c)
-    assert (sum(counts.values()), gammas["upper_incomplete_gamma"]) == (not by_gamma, by_gamma)
+    assert (sum(counts.values()), fractions["_legendre_cf_backward"],
+            gammas["upper_incomplete_gamma"]) == (not by_gamma, by_gamma, 0)
     sf._fresnel_pair.cache_clear()
     rp._pole_tails(c, as_printed=True)
     assert sum(counts.values()) == 1 + (not by_gamma)
+    assert (fractions["_legendre_cf_backward"], gammas["upper_incomplete_gamma"]) == (
+        2 * by_gamma, 0)
     sf._fresnel_pair.cache_clear()
     tr._head_approx(c, 0.7, 4.0)            # both heads from one pair
     assert sum(counts.values()) == 2 + (not by_gamma)
