@@ -107,8 +107,8 @@ ERRATA = (
         True,
         "incomplete-gamma realization with Gamma(-alpha, +-ix)",
         "the order must be Gamma(1-alpha, +-ix) (contour rotation of the "
-        "defining integral); the printed order fails the defining integral "
-        "for every tested exponent.",
+        "defining integral); the printed order computes exactly the cosine "
+        "transform of (t+x)^-(alpha+1), not the sine of (t+x)^-alpha.",
     ),
     Erratum(
         "LOM-SICI-PHASE",

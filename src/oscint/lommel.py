@@ -11,7 +11,8 @@ a conjugate-symmetric combination: one Gamma call, at -ix, gives its
 real part, as Gamma(a, conj z) = conj Gamma(a, z) (pinned bitwise by the
 tests).  The verbatim printed identity uses Gamma(-alpha, .); that
 fails the defining integral (errata LOM-GAMMA-ORDER) and the corrected
-order 1-alpha ships as default, with ``as_printed=True`` available.
+order 1-alpha ships as default, with ``as_printed=True`` available: exactly
+the cosine transform of (t+x)^-(alpha+1), evaluated as that transform.
 
 On top of that definition sit: the sine/cosine transforms for exponents
 2n + 1/m and 2n + 1 + 1/m (both the reduced summary forms and the
@@ -32,14 +33,8 @@ import math
 
 from .control import DEFAULT_CONTROL, SeriesControl
 from .errors import DomainError, Kernel, Record, _as_kernel, _finite_power, _require_finite
-from .special_functions import (
-    EULER_GAMMA,
-    _power_transform,
-    gen_ci,
-    gen_si,
-    hyp2f2_half,
-    upper_incomplete_gamma,
-)
+from .special_functions import (EULER_GAMMA, _power_transform, gen_ci, gen_si, hyp2f2_half,
+                                upper_incomplete_gamma)
 
 
 class LommelOrder(Record):
@@ -92,18 +87,29 @@ def lommel_s_half(mu: float, z: float, ctl: SeriesControl = DEFAULT_CONTROL,
     """Lommel function of the second kind S_{mu,1/2}(z), z > 0.
 
     For mu < 1/2 the sine transform of (t+z)^(mu-1/2) over sqrt(z), by the
-    transforms' route; for mu >= 1/2, and ``as_printed``, the incomplete-gamma
-    realization, whose continuation the Lommel recurrence (mu + 2) needs.
+    transforms' route; for mu >= 1/2 the incomplete-gamma realization, whose
+    continuation the Lommel recurrence (mu + 2) needs; ``as_printed`` (errata
+    LOM-GAMMA-ORDER) the cosine transform of (t+z)^(mu-3/2) over sqrt(z).
     """
     if not math.isfinite(mu):
         _require_finite("lommel_s_half", mu=mu)
     if z <= 0:
         raise DomainError(f"lommel_s_half needs z > 0, got {z}")
-    value = _power_transform(Kernel.SIN, 0.5 - mu, z, upper_incomplete_gamma, ctl,
-                             as_printed) / math.sqrt(z)
+    value = _transform(Kernel.SIN, 0.5 - mu, z, ctl, as_printed) / math.sqrt(z)
     if not math.isfinite(value):
         raise DomainError(f"S_({mu},1/2)({z}) leaves double precision")
     return value
+
+
+def _transform(kernel, p, u, ctl, as_printed=False):
+    """The (t+u)^-p transform by the route ``special_functions`` picks; as printed, i times
+    the Gamma form at order -p: for the sine the cosine at p + 1, for the cosine p times
+    that at p + 2."""
+    if not as_printed:
+        return _power_transform(kernel, p, u, upper_incomplete_gamma, ctl)
+    if kernel is Kernel.SIN:
+        return _power_transform(Kernel.COS, p + 1.0, u, upper_incomplete_gamma, ctl)
+    return p * _power_transform(Kernel.COS, p + 2.0, u, upper_incomplete_gamma, ctl)
 
 
 def _scaled_shift(owner, x, zeta, p=0.0):
@@ -119,14 +125,12 @@ def _scaled_shift(owner, x, zeta, p=0.0):
 
 def _exponent_transform(kernel, p, x, zeta, ctl, as_printed=False):
     """Integral of sin or cos (zeta t)/(t+x)^p over [0, inf), p, x, zeta > 0:
-    zeta^(p-1) times the transform at u = zeta x and zeta = 1, by the route
-    ``special_functions`` picks for (p, u); ``as_printed`` takes the Gamma
-    form at the printed Gamma order."""
+    zeta^(p-1) times ``_transform`` at u = zeta x, ``as_printed`` or not."""
     u = _scaled_shift(f"{kernel.value}_exponent_transform", x, zeta, p)
     if p <= 0:
         raise DomainError(f"need exponent p > 0, got {p}")
     scale = _finite_power("lommel", zeta, p - 1.0)
-    value = scale * _power_transform(kernel, p, u, upper_incomplete_gamma, ctl, as_printed)
+    value = scale * _transform(kernel, p, u, ctl, as_printed)
     if not math.isfinite(value):
         raise DomainError(f"transform at p={p}, x={x}, zeta={zeta} leaves double precision")
     return value

@@ -2,10 +2,10 @@
 
 The quadratic-phase engine of ``two_radical`` with weight power p = 1: the
 z-integrals carry a simple pole weight 1/(z^2+1), so this module supplies the
-tails (by its own Gamma binding past the Fresnel switch, from one Fresnel pair
-below it and for the printed cosine), its own ``hyp2f1`` and
-``integrate_finite`` bindings for the p = 1 head moments, quadrature heads and
-contour, its weight and the prefactor 2/sqrt(b-a); its parameters are the
+tails (by the Gamma form past the Fresnel switch, which never calls a Gamma
+binding there, from one Fresnel pair below it and for the printed cosine), its own
+``hyp2f1`` and ``integrate_finite`` bindings for the p = 1 head moments, quadrature
+heads and contour, its weight and the prefactor 2/sqrt(b-a); its parameters are the
 engine's base record plus this prefactor and one rule.  The integrand is NOT
 symmetric in a and b, so b > a is required; other orderings have no closed form
 here and callers are pointed at the quadrature oracle.
@@ -30,8 +30,7 @@ import math
 from .control import DEFAULT_CONTROL, SeriesControl
 from .errors import DomainError, UnsupportedError, _require_finite
 from .oracle import integrate_finite
-from .special_functions import (_FRESNEL_SWITCH, _phased_gamma, fresnel_c, fresnel_s, hyp2f1,
-                                upper_incomplete_gamma)
+from .special_functions import _FRESNEL_SWITCH, _phased_gamma, fresnel_c, fresnel_s, hyp2f1
 from .two_radical import _RadicalParams, _assemble, _head_approx, _head_series
 
 _ROOT_PI_8 = math.sqrt(0.125 * math.pi)
@@ -57,8 +56,8 @@ def _pole_tails(c, as_printed=False):
     if c <= 0:
         raise DomainError(f"need c > 0, got {c}")
     w = math.sqrt(2.0 * c / math.pi)
-    if w > _FRESNEL_SWITCH and not as_printed:
-        v = _ROOT_PI_8 * _phased_gamma(upper_incomplete_gamma, 0.5, c, DEFAULT_CONTROL)
+    if w > _FRESNEL_SWITCH and not as_printed:      # c > 4.02: the fraction's route, no binding
+        v = _ROOT_PI_8 * _phased_gamma(None, 0.5, c, DEFAULT_CONTROL)
         return v.real + v.imag, v.real - v.imag
     s, fc = fresnel_s(w), fresnel_c(w)
     sn, cs = math.sin(c), math.cos(c)

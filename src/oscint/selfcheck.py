@@ -37,16 +37,8 @@ from .oracle import (
     integrate_semi_infinite,
     oscillatory_integral,
 )
-from .special_functions import (
-    bessel_j0,
-    fresnel_c,
-    fresnel_s,
-    gamma_real,
-    gen_ci,
-    gen_si,
-    hyp2f1,
-    upper_incomplete_gamma,
-)
+from .special_functions import (bessel_j0, fresnel_c, fresnel_s, gamma_real, gen_ci, gen_si,
+                                hyp2f1, upper_incomplete_gamma)
 # dual-path checks need the raw series and fraction routes
 from .special_functions import (_climb, _gamma_form, _gamma_form_holds, _gamma_series,
                                 _gauss_series, _legendre_cf_backward, _phased_gamma, _zpow_exp)
@@ -121,7 +113,8 @@ def check_gamma_routes():
     """Gamma(a, +-iu): the series route and the backward continued fraction
     agree on both sides of the |z| = 3 switch, orders on both sides of the
     lift into (-1/2, 1/2], at integers and down to the transforms' low orders;
-    from u = 3 the phase-free Gamma form, -i u^a / D, matches the phase times Gamma."""
+    from u = 3 the phase-free Gamma form, -i u^a / D, matches the phase times Gamma;
+    the printed S_{mu,1/2}, a cosine transform, matches the verbatim printed formula."""
     for a in [-40.5, -12.5, -5.5, -4.0, -2.25, -1.0, -0.5, 0.0, 1.0 / 3.0, 2.0 / 3.0]:
         for u in [2.95, 3.0, 3.05]:
             for sign in [1.0, -1.0]:
@@ -133,9 +126,15 @@ def check_gamma_routes():
     for a, u in itertools.product([0.5, -0.5, -3.5, -10.5, -40.5, -100.5, -171.5],
                                   [3.0, 3.05, 30.0, 3e3]):
         phase = cmath.rect(1.0, -0.5 * math.pi * (1.0 - a)) * cmath.rect(1.0, -u)
-        r = _rel(_phased_gamma(upper_incomplete_gamma, 1.0 - a, u, DEFAULT_CONTROL),
+        r = _rel(_phased_gamma(upper_incomplete_gamma, a, u, DEFAULT_CONTROL),
                  phase * upper_incomplete_gamma(a, complex(0.0, -u)))
         yield f"phase-free a={a:.4g} u={u:.4g}", r < 1e-13, f"rel {r:.1e}"
+    for mu, z in itertools.product([-20.5, -2.3, 0.2, 0.9, 1.3, 1.7, 2.3], [0.3, 2.5, 3.5, 1e3]):
+        alpha = 0.5 - mu        # errata LOM-GAMMA-ORDER: Gamma(-alpha, .), verbatim
+        verbatim = cmath.rect(1.0, -0.5 * math.pi * alpha) * cmath.rect(1.0, -z)
+        r = _rel(lm.lommel_s_half(mu, z, as_printed=True) * math.sqrt(z),
+                 (verbatim * upper_incomplete_gamma(-alpha, complex(0.0, -z))).real)
+        yield f"printed mu={mu:.4g} z={z:.4g}", r < 1e-12, f"rel {r:.1e}"
 
 
 def check_exponent_switch():

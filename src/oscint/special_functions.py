@@ -27,12 +27,12 @@ Evaluation strategies:
 * Upper incomplete gamma, complex second argument, to about 1e-16 on the
   imaginary axis (Gil, Segura & Temme, Numerical Methods for Special
   Functions, SIAM 2007, ch. 6; DLMF 8.7, 8.9):
-  - |z| >= max(3, a+1), Re z >= 0, a <= 1: the denominator D of the even-contracted
-    Legendre fraction, summed backward from an a-priori depth, ceil(240/|z|) + 16
-    off the imaginary axis (verified to a = -1000), ceil((190 + 12 min(-a, u))/u) + 4
-    on it (fitted to the need, which peaks near u = -a).  upper_incomplete_gamma
-    returns z^a e^-z / D; the (t+u)^-p transforms' Gamma form takes -i u^(1-p) / D,
-    with no phase.  Re z < 0 or a > 1: modified Lentz, stopped at two ulps.
+  - |z| >= max(3, a+1), Re z >= 0, a <= 1: Gamma = z^a e^-z / D, D the even-contracted
+    Legendre fraction summed backward from one depth, ceil((190 + 12 min(-a, |z|))/|z|) + 4,
+    fitted to the need on the imaginary axis (peaking near |z| = -a), within 1e-14 of
+    Lentz off it.  The Gamma form at order a, e^(-i pi (1-a)/2) e^(-iu) Gamma(a, -iu), is
+    -i u^a / D (the sine at a = 1 - p, the cosine p Re at a = -p).  Re z < 0 or a > 1:
+    modified Lentz, stopped at two ulps.
   - below: a > 1/2 as Gamma(a) minus the lower series; a <= 1/2 lifted into
     (-1/2, 1/2], in Temme's form (smooth through a = 0, where it is the E1
     series) and brought down by the recurrence, whose divisors have modulus at
@@ -74,8 +74,8 @@ _SERIES_TOL = 1e-16
 # ulps of 1 (1.1e-16 below, 2.2e-16 above), so a bound under one ulp
 # would demand delta == 1 exactly; this one admits two ulps (2 eps = 4.44e-16).
 _LENTZ_TOL = 4.5e-16
-# backward-fraction depth ceil((K + L min(-a, u))/u) + M, u = |z|: (K, L, M) off, on the axis
-_CF_DEPTH, _CF_AXIS_DEPTH = (240.0, 0.0, 16), (190.0, 12.0, 4)
+# backward-fraction depth ceil((K + L min(-a, u))/u) + M, u = |z|: (K, L, M)
+_CF_DEPTH = (190.0, 12.0, 4)
 # c_2 ... c_22 of 1/Gamma(x) = sum_k c_k x^k (DLMF 5.7.1), highest first:
 # the Horner sum is (1/Gamma(1+a) - 1)/a
 _RGAMMA_TAYLOR = (
@@ -143,13 +143,11 @@ def _legendre_cf(a, z, ctl):
 def _legendre_cf_backward(a, z, ctl):
     """The denominator D of the same even-contracted Legendre fraction, Gamma(a, z)
     = z^a e^-z / D for Re z >= 0, |z| >= 3, a <= 1, summed bottom-up, t = a_i / (b_i + t),
-    from an a-priori depth.  Off the imaginary axis ``_CF_DEPTH``, at least the
-    modified-Lentz count at a 1e-16 stop (verified to a = -1000); on it
-    ``_CF_AXIS_DEPTH``, fitted to the truncation need at 1.1e-16, which peaks
-    where u is near -a (u = 3: 62 steps at a = 1/2, 71 at -3.5, 10 at -171.5).
-    """
+    from the depth ``_CF_DEPTH``, fitted on the imaginary axis to the need at 1.1e-16,
+    which peaks near u = -a (u = 3: 62 steps at a = 1/2, 71 at -3.5, 10 at -171.5); off
+    it within 1e-14 of Lentz (to a = -1000).  b_0 = z + 1 - a is formed afresh."""
     u = abs(z)
-    k, slope, pad = _CF_DEPTH if z.real else _CF_AXIS_DEPTH
+    k, slope, pad = _CF_DEPTH
     n = math.ceil((k + slope * (0.0 if a >= 0 else min(-a, u))) / u) + pad
     if n > ctl.max_terms:
         raise ConvergenceError(
@@ -161,7 +159,7 @@ def _legendre_cf_backward(a, z, ctl):
     for num in nums[n - 1::-1]:
         t = num / (b + t)
         b -= 2.0
-    return b + t
+    return z + (1.0 - a) + t
 
 
 def _zpow_exp(a, z):
@@ -300,17 +298,17 @@ def gamma_real(x: float) -> float:
 # (t+u)^-p transforms: sin t and cos t times (t+u)^-p, integrated over [0, inf)
 # --------------------------------------------------------------------------
 
-def _phased_gamma(gamma, alpha, z, ctl, as_printed=False):
-    """exp(-i pi alpha/2) exp(-iz) Gamma(a, -iz), a = 1-alpha (-alpha ``as_printed``), z >= 0:
-    Re is the sine transform of (t+z)^-alpha, sqrt(z) S_{1/2-alpha,1/2}(z), -Im the cosine.
-    On the backward fraction's route the phases cancel, Gamma(a, -iz) = z^a e^(-i pi a/2)
-    e^(iz) / D: -i z^a / D (z^a / D as printed).  Below, the caller's ``gamma`` times the
-    phase as two unit factors, not one exponential of the rounded (pi alpha + 2z)/2."""
+def _phased_gamma(gamma, a, z, ctl):
+    """exp(-i pi (1-a)/2) exp(-iz) Gamma(a, -iz), z >= 0: at a = 1-p, Re is the sine
+    transform of (t+z)^-p, sqrt(z) S_{1/2-p,1/2}(z), and -Im the cosine.  On the backward
+    fraction's route the phases cancel, Gamma(a, -iz) = z^a e^(-i pi a/2) e^(iz) / D:
+    -i z^a / D, and ``gamma`` is not called.  Below, the caller's ``gamma`` times the
+    phase as two unit factors, not one exponential of the rounded (pi (1-a) + 2z)/2."""
     _require_finite_argument("Gamma form", z)
-    a, w = -alpha if as_printed else 1.0 - alpha, complex(0.0, -z)
+    w = complex(0.0, -z)
     if _gamma_fraction(a, w):
-        return math.pow(z, a) * (1.0 if as_printed else -1j) / _legendre_cf_backward(a, w, ctl)
-    phase = cmath.rect(1.0, -0.5 * math.pi * alpha) * cmath.rect(1.0, -z)
+        return math.pow(z, a) * -1j / _legendre_cf_backward(a, w, ctl)
+    phase = cmath.rect(1.0, -0.5 * math.pi * (1.0 - a)) * cmath.rect(1.0, -z)
     return phase * gamma(a, w, ctl)
 
 
@@ -320,12 +318,12 @@ def _gamma_form_holds(p, u):
     return u > max(1.0, 0.25 * p)
 
 
-def _gamma_form(kernel, p, u, gamma, ctl, as_printed=False):
-    """The sine from Gamma(1-p, -iu), the cosine as p times the sine of
-    order p+1: the order-p cosine loses up to 1.3e-10 at large u."""
+def _gamma_form(kernel, p, u, gamma, ctl):
+    """The sine from Gamma(1-p, -iu), the cosine as p times the sine of order
+    p+1, from Gamma(-p, -iu): the order-p cosine loses up to 1.3e-10 at large u."""
     if kernel is Kernel.SIN:
-        return _phased_gamma(gamma, p, u, ctl, as_printed).real
-    return p * _phased_gamma(gamma, p + 1.0, u, ctl, as_printed).real
+        return _phased_gamma(gamma, 1.0 - p, u, ctl).real
+    return p * _phased_gamma(gamma, -p, u, ctl).real
 
 
 def _climb(kernel, p, u, gamma, ctl):
@@ -343,7 +341,7 @@ def _climb(kernel, p, u, gamma, ctl):
     if steps > ctl.max_terms:
         raise ConvergenceError(f"exponent p={p} needs {steps} recurrence steps, "
                                f"over max_terms={ctl.max_terms}")
-    w = _phased_gamma(gamma, r, u, ctl)
+    w = _phased_gamma(gamma, 1.0 - r, u, ctl)
     s, c = w.real, -w.imag
     try:
         for _ in range(steps):
@@ -353,11 +351,11 @@ def _climb(kernel, p, u, gamma, ctl):
     return s if kernel is Kernel.SIN else c
 
 
-def _power_transform(kernel, p, u, gamma, ctl=DEFAULT_CONTROL, as_printed=False):
-    """The transform for u >= 0 by the switch's route (the Gamma form ``as_printed``
-    and at p <= 0, S_{mu,1/2} at mu >= 1/2), by the caller's ``upper_incomplete_gamma``."""
-    if as_printed or p <= 0 or _gamma_form_holds(p, u):
-        return _gamma_form(kernel, p, u, gamma, ctl, as_printed)
+def _power_transform(kernel, p, u, gamma, ctl=DEFAULT_CONTROL):
+    """The transform for u >= 0 by the switch's route (the Gamma form at p <= 0,
+    S_{mu,1/2} at mu >= 1/2), by the caller's ``upper_incomplete_gamma``."""
+    if p <= 0 or _gamma_form_holds(p, u):
+        return _gamma_form(kernel, p, u, gamma, ctl)
     return _climb(kernel, p, u, gamma, ctl)
 
 

@@ -11,7 +11,10 @@ radical-pole cosine whose tails are past the Fresnel switch) were frozen
 again when that form's phase became a product of two exponentials.  Those
 five and ``general_sin_transform(1, 3, 6.0, 1.25)``, all six at u >= 3, were
 frozen again when the form there became -i u^a / D, the backward fraction
-with no phase; each moved closer to 40-digit mpmath.
+with no phase; each moved closer to 40-digit mpmath.  The two Lommel pins at
+u >= 3 were frozen once more when the fraction formed its last denominator
+afresh and the cosine took the Gamma order -p exactly (both non-dyadic
+orders); each again moved closer.
 
 The 2F1 shapes pinned here are outside the set the Pfaff rule moves on
 [-1/2, 0); ``tests/test_series_tables.py`` checks the moved shapes against
@@ -42,8 +45,7 @@ CASES = [
     ("upper_incomplete_gamma", (2.0, -5j)), ("upper_incomplete_gamma", (-0.5, -2j)),
     ("upper_incomplete_gamma", (0.2, -1.1j)), ("upper_incomplete_gamma", (-2.0, -1.5j)),
     ("upper_incomplete_gamma", (2.5, -2j)), ("upper_incomplete_gamma", (3.5, -4j)),
-    # the backward fraction off the imaginary axis, where its depth is the fixed
-    # ceil(240/|z|) + 16 (on the axis it follows the order)
+    # the backward fraction off the imaginary axis, at the depth fitted on it
     ("upper_incomplete_gamma", (-2.5, 3 + 4j)), ("upper_incomplete_gamma", (0.5, 10 - 1j)),
     ("upper_incomplete_gamma", (-40.5, 0.5 + 50j)),
     # 2F1 outside the rerouted set: direct inside [-1/2, 0), Pfaff below
@@ -122,8 +124,8 @@ PINS = {
     'c_alpha(3, 9.0, 1.0)': '0x1.28be56c3b8ffcp-13',
     's_alpha(0, 0.3, 1.1)': '0x1.f66c1a4a0dcdep-1',
     'c_alpha(7, 400.0, 1.0)': '0x1.59b3b7cf382c5p-71',
-    'general_sin_transform(1, 3, 6.0, 1.25)': '0x1.6718368d228e9p-7',
-    'general_cos_transform(2, 5, 7.0, 1.5, True)': '0x1.4bf8fcdb3e2dcp-17',
+    'general_sin_transform(1, 3, 6.0, 1.25)': '0x1.6718368d228e7p-7',
+    'general_cos_transform(2, 5, 7.0, 1.5, True)': '0x1.4bf8fcdb3e2ddp-17',
     'general_sin_transform(0, 2, 1.5, 1.25)': '0x1.2d9446f599ebep-1',
     'general_cos_transform(1, 4, 300.0, 1.0)': '0x1.57f2758d88c80p-26',
     'log_weighted_sin_integral(2.5,)': '0x1.48cac76e53af8p-1',

@@ -116,6 +116,35 @@ def test_the_fraction_threshold_is_one_predicate():
         "<module>", "_legendre_cf_backward"}
 
 
+def test_the_printed_gamma_order_stays_in_lommel():
+    # errata LOM-GAMMA-ORDER lives in the module that owns it: no function in
+    # special_functions takes or names an as_printed flag
+    source = (SRC / "special_functions.py").read_text()
+    assert not [node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.arg) and node.arg == "as_printed"]
+    assert not _uses(source, {"as_printed"})
+
+
+def test_radical_pole_holds_no_gamma_binding():
+    # its Gamma form is past the Fresnel switch, c > 4.02, on the backward
+    # fraction's route, which never calls a binding
+    assert not _uses((SRC / "radical_pole.py").read_text(), {"upper_incomplete_gamma"})
+
+
+def test_the_backward_fraction_reads_one_depth_rule():
+    # one depth constant for every direction, and no selector on Re z
+    source = (SRC / "special_functions.py").read_text()
+    fraction = next(node for node in ast.parse(source).body
+                    if getattr(node, "name", None) == "_legendre_cf_backward")
+    constants = {node.id for node in ast.walk(fraction)
+                 if isinstance(node, ast.Name) and node.id.startswith("_CF")}
+    assert constants == {"_CF_DEPTH"}
+    assert not [node for node in ast.walk(fraction)
+                if isinstance(node, ast.Attribute) and node.attr == "real"]
+    assert {owner for owner, _ in _uses(source, {"_CF_DEPTH"})} == {
+        "<module>", "_legendre_cf_backward"}
+
+
 @pytest.mark.parametrize("module", POWER_TRANSFORM_ONLY)
 def test_transform_modules_import_no_phased_gamma(module):
     assert not _uses((SRC / f"{module}.py").read_text(), {"_phased_gamma"})

@@ -49,31 +49,32 @@ def test_one_gamma_call_per_lommel_value(count_calls, as_printed):
     counts = count_calls(lm, "upper_incomplete_gamma")
     fractions = count_calls(sf, "_legendre_cf_backward")
     # Gamma routes: series, series, backward fraction, Lentz (as printed: backward);
-    # (-2.2, 0.4) sits below the switch, where mu < -1/2 climbs (not as printed).
-    # On the backward fraction's route the Gamma form is -i u^a / D (u^a / D as
-    # printed), one fraction and no call of the module's binding
+    # (-2.2, 0.4) sits below the switch, where mu < -1/2 climbs (as printed, also
+    # (0.0, 1.0)).  As printed the value is the cosine transform of (t+z)^-(p+1), p
+    # = 1/2 - mu, whose Gamma form is (p+1) Re of the form at order -(p+1).  On the
+    # backward fraction's route the Gamma form is -i u^a / D, one fraction and no
+    # call of the module's binding
     points = ((-2.2, 0.4), (0.0, 1.0), (-5.5, 30.0), (0.7, 12.0))
     backward = 0
     for mu, z in points:
-        alpha = 0.5 - mu
-        route = sf._power_transform(Kernel.SIN, alpha, z, upper_incomplete_gamma,
-                                    as_printed=as_printed)
+        p = 0.5 - mu
+        kernel, p, a, factor = ((Kernel.COS, p + 1.0, -(p + 1.0), p + 1.0) if as_printed
+                                else (Kernel.SIN, p, 1.0 - p, 1.0))
+        route = sf._power_transform(kernel, p, z, upper_incomplete_gamma)
         assert lommel_s_half(mu, z, as_printed=as_printed) == route / math.sqrt(z)
-        if not (as_printed or mu >= -0.5 or sf._gamma_form_holds(alpha, z)):
-            continue
-        a = -alpha if as_printed else 1.0 - alpha
+        if not (p <= 0 or sf._gamma_form_holds(p, z) or (p <= 1 and z ** p * math.e > 1.0)):
+            continue                            # the climb
         if sf._gamma_fraction(a, complex(0.0, -z)):
             backward += 1
             d = fraction(a, complex(0.0, -z), DEFAULT_CONTROL)
-            scale = math.pow(z, a)
-            assert route == ((scale if as_printed else complex(0.0, -scale)) / d).real
+            assert route == factor * (complex(0.0, -math.pow(z, a)) / d).real
             continue
-        phase = cmath.exp(-0.5j * math.pi * alpha) * cmath.exp(complex(0.0, -z))
+        phase = cmath.exp(-0.5j * math.pi * (1.0 - a)) * cmath.exp(complex(0.0, -z))
         # the conjugate-symmetric combination over both half-axes, summed in full
         both = 0.5 * (phase * upper_incomplete_gamma(a, complex(0.0, -z))
                       + phase.conjugate() * upper_incomplete_gamma(a, complex(0.0, z)))
         assert both.imag == 0.0
-        assert route == both.real
+        assert route == factor * both.real
     # one fraction for each value on its route, lommel_s_half's and the route's
     assert backward == 1 + as_printed
     assert (counts["upper_incomplete_gamma"], fractions["_legendre_cf_backward"]) == (
@@ -108,7 +109,9 @@ def test_lommel_s_half_below_one_half_is_the_sine_transform_route():
 
 def test_lommel_s_half_keeps_the_gamma_form_bits():
     # the realization itself wherever the route is the Gamma form: mu >= 1/2
-    # (the continuation), as printed, and mu >= -1/2 (p <= 1) at every z
+    # (the continuation) and mu >= -1/2 (p <= 1) at every z.  As printed
+    # (errata LOM-GAMMA-ORDER), the cosine transform of (t+z)^-(p+1), p = 1/2 - mu,
+    # and past mu = 3/2, where that order is not positive, its Gamma form
     rng = random.Random("lommel-gamma-form")
     checked = 0
     for _ in range(300):
@@ -119,8 +122,15 @@ def test_lommel_s_half_keeps_the_gamma_form_bits():
                 got = lommel_s_half(mu, z, as_printed=as_printed)
             except (DomainError, ConvergenceError):     # past the double range
                 continue
-            w = sf._phased_gamma(upper_incomplete_gamma, 0.5 - mu, z, DEFAULT_CONTROL, as_printed)
-            assert got == w.real / math.sqrt(z), (mu, z, as_printed)
+            p = 0.5 - mu
+            if not as_printed:
+                want = sf._phased_gamma(upper_incomplete_gamma, 1.0 - p, z, DEFAULT_CONTROL).real
+            elif p + 1.0 > 0:
+                want = cos_exponent_transform(p + 1.0, z)
+            else:
+                want = (p + 1.0) * sf._phased_gamma(upper_incomplete_gamma, -(p + 1.0), z,
+                                                    DEFAULT_CONTROL).real
+            assert got == want / math.sqrt(z), (mu, z, as_printed)
             checked += 1
     assert checked > 700, checked
 
@@ -152,17 +162,19 @@ def test_lommel_s_half_matches_mpmath_on_a_seeded_grid():
 
 
 def test_gamma_form_on_the_fraction_route_against_mpmath():
-    # the Gamma form from u = 3 up, -i u^(1-p) / D, against 50 digits at the
-    # float order: the sine for p up to 171.5, the cosine, p S_(p+1), from
-    # p = 10.5 up at the order p + 1 as rounded to double (the order it takes),
-    # u log-uniform from max(3, p/4) to 1e5, where S_p and S_(p+1) are normal.
+    # the Gamma form from u = 3 up, -i u^a / D, against 50 digits at the float
+    # order: the sine (a = 1 - p) for p up to 171.5 within 2e-15, the cosine, p S_(p+1)
+    # at the exact order a = -p, within 1e-14 of mpmath at mpf(p) + 1 (6.9e-15 from
+    # p = 10.5 up, 3.4e-16 below), u log-uniform from max(3, p/4) to 1e5, where S_p
+    # and S_(p+1) are normal.
     # Through exp(a log z) and two phases the form read 1.2e-13 (p = 149.7,
-    # u = 51.9); the fraction's depth fitted without the order, 3e-15 at p = 124
+    # u = 51.9); the fraction's depth fitted without the order, 3e-15 at p = 124;
+    # the cosine at the order p + 1 as rounded to double, 3.2e-14
     mp = pytest.importorskip("mpmath")
 
-    def sine(p, u):
+    def sine(p, u, up=0):
         with mp.workdps(50):
-            p, u = mp.mpf(p), mp.mpf(u)
+            p, u = mp.mpf(p) + up, mp.mpf(u)
             return float((mp.exp(-0.5j * mp.pi * p - 1j * u) * mp.gammainc(1 - p, -1j * u)).real)
 
     rng = random.Random("gamma-form-fraction")
@@ -174,11 +186,37 @@ def test_gamma_form_on_the_fraction_route_against_mpmath():
         if abs(want) >= sys.float_info.min:
             assert abs(sin_exponent_transform(p, u) - want) <= 2e-15 * abs(want), (p, u)
             checked[0] += 1
-        want = sine(p + 1.0, u) if p >= 10.5 else 0.0
+        want = sine(p, u, 1)
         if abs(want) >= sys.float_info.min:
-            assert abs(cos_exponent_transform(p, u) - p * want) <= 2e-15 * abs(p * want), (p, u)
+            assert abs(cos_exponent_transform(p, u) - p * want) <= 1e-14 * abs(p * want), (p, u)
             checked[1] += 1
     assert min(checked) > 100, checked
+
+
+def test_printed_lommel_values_against_the_verbatim_formula():
+    # as printed, Re[exp(-i pi alpha/2) exp(-iz) Gamma(-alpha, -iz)] / sqrt(z), alpha =
+    # 1/2 - mu (errata LOM-GAMMA-ORDER), evaluated as the cosine transform of
+    # (t+z)^-(alpha+1): against 40 digits of the verbatim formula at mu < 3/2, where
+    # that transform is positive.  Summed literally it read 2.2e-13 (mu = 2.3, z = 1e3)
+    mp = pytest.importorskip("mpmath")
+    checked = 0
+    for mu, z in _lommel_grid("lommel-printed", 300):
+        if mu >= 1.5:
+            continue
+        try:
+            got = lommel_s_half(mu, z, as_printed=True)
+        except DomainError:             # past the double range
+            continue
+        with mp.workdps(40):
+            alpha, u = mp.mpf(0.5 - mu), mp.mpf(z)
+            want = (mp.exp(-0.5j * mp.pi * alpha - 1j * u)
+                    * mp.gammainc(-alpha, -1j * u)).real / mp.sqrt(u)
+        if abs(want) < sys.float_info.min:
+            continue
+        err = float(abs(got - want) / abs(want))
+        assert err <= 2e-14, (mu, z, err)
+        checked += 1
+    assert checked > 150, checked
 
 
 def test_lommel_relation_example():

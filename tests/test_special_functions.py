@@ -423,24 +423,22 @@ def test_rgamma_taylor_table_matches_mpmath():
 
 
 def test_backward_depth_covers_the_lentz_count(monkeypatch):
-    # Re z >= 0, |z| >= 3, a <= 1: the modified-Lentz loop at a 1e-16
-    # tolerance (delta == 1 exactly) must stop within the backward
-    # fraction's fixed depth.  Every quarter order in [-8, 1], where the
-    # need is largest, then orders down to -200 and log-spaced to -1000
-    # (the need falls as a falls: at |z| = 3, 60 steps at a = -8.5, 13 at -100.5)
+    # Re z >= 0, |z| >= 3, a <= 1: the backward fraction, at the one depth fitted
+    # on the imaginary axis, must agree with the modified-Lentz loop at a 1e-16
+    # tolerance (delta == 1 exactly), uncapped, to 1e-14 in every direction.  Every
+    # quarter order in [-8, 1], where the need is largest, then orders down to -200
+    # and log-spaced to -1000 (the need falls as a falls: at |z| = 3, 60 steps at
+    # a = -8.5, 13 at -100.5)
     monkeypatch.setattr(sf, "_LENTZ_TOL", 1e-16)
     orders = ([j / 4 for j in range(-32, 5)] + [-8.5, -9.5, -10.5]
               + [-8.0 - 192.0 * (k / 24) ** 2 - 0.3 * (k % 3) for k in range(1, 25)]
               + [-(10.0 ** (2.3 + 0.7 * k / 4)) for k in range(5)])
     for k in range(40):
         r = 3.0 * (1e4 / 3.0) ** (k / 39)
-        scale, _, pad = sf._CF_DEPTH
-        depth = math.ceil(scale / r) + pad
-        lentz = SeriesControl(max_terms=depth)
         for a in orders:
             for theta in (-0.5, -0.25, 0.0, 0.25, 0.5):
                 z = cmath.rect(r, math.pi * theta)
-                want = sf._legendre_cf(a, z, lentz)     # raises past the depth
+                want = sf._legendre_cf(a, z, sf.DEFAULT_CONTROL)
                 got = sf._zpow_exp(a, z) / sf._legendre_cf_backward(a, z, sf.DEFAULT_CONTROL)
                 assert abs(got - want) <= 1e-14 * abs(want) + 1e-300, (a, z)  # e^-z may underflow
 
@@ -462,11 +460,26 @@ def test_axis_depth_covers_the_truncation_need(monkeypatch):
         us += [-a * f for f in (0.3, 0.5, 0.7, 0.85, 1.0, 1.15, 1.4, 2.0, 3.0) if -a * f >= 3.0]
         points += [(a, complex(0.0, s * u)) for u in us for s in (1.0, -1.0)]
     got = [sf._legendre_cf_backward(a, z, sf.DEFAULT_CONTROL) for a, z in points]
-    k, slope, pad = sf._CF_AXIS_DEPTH
-    monkeypatch.setattr(sf, "_CF_AXIS_DEPTH", (k, slope, pad + 60))
+    k, slope, pad = sf._CF_DEPTH
+    monkeypatch.setattr(sf, "_CF_DEPTH", (k, slope, pad + 60))
     for (a, z), d in zip(points, got):
         deep = sf._legendre_cf_backward(a, z, sf.DEFAULT_CONTROL)
         assert abs(d - deep) <= 2.5e-16 * abs(deep), (a, z)
+
+
+def test_backward_fraction_at_non_dyadic_orders_against_mpmath():
+    # the last denominator b_0 = z + 1 - a is formed afresh: carried down from
+    # b_n = z + 2n + 1 - a by exact steps of 2 it kept b_n's rounding, up to
+    # ulp(2n + 1 - a)/2 in D, 3.7e-15 relative on this box.  D = z^a e^-z / Gamma(a, z)
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random("backward-fraction-start")
+    for _ in range(300):
+        a, u = rng.uniform(-11.0, 1.0), rng.uniform(3.0, 6.0)
+        z = complex(0.0, -u if rng.random() < 0.5 else u)
+        got = sf._legendre_cf_backward(a, z, sf.DEFAULT_CONTROL)
+        with mp.workdps(30):
+            want = mp.mpc(z) ** a * mp.exp(-mp.mpc(z)) / mp.gammainc(a, mp.mpc(z))
+        assert float(abs(got - want) / abs(want)) <= 5e-16, (a, z)
 
 
 @pytest.mark.parametrize("a, u", [(-8.5, 5.0), (-10.33, 8.0), (-12.5, 4.0), (-15.5, 10.0),
@@ -657,18 +670,19 @@ def test_no_lentz_below_the_switch_or_on_the_imaginary_axis(count_calls):
 
 
 def test_the_gamma_form_on_the_fraction_route_forms_no_phase(count_calls):
-    # from u = 3 up (Gamma order a <= 1) the Gamma form is -i u^a / D (u^a / D as
-    # printed): one backward fraction per value, no complex exp, log or unit
-    # phase, and no call of the caller's Gamma binding; below u = 3 the binding
+    # from u = 3 up (Gamma order a <= 1) the Gamma form is -i u^a / D: one backward
+    # fraction per value, no complex exp, log or unit phase, and no call of the
+    # caller's Gamma binding; below u = 3 the binding.  The orders are the sine's
+    # 1 - p and the cosine's -p of each p
     asked = []
     binding = lambda a, z, ctl: asked.append(z) or upper_incomplete_gamma(a, z, ctl)
     fractions = count_calls(sf, "_legendre_cf_backward")
     phases = count_calls(cmath, "exp", "log", "rect")
     values = 0
-    for alpha in (0.0, 1.0 / 3.0, 0.5, 1.5, 4.5, 12.5, 172.5):
+    for p in (0.0, 1.0 / 3.0, 0.5, 1.5, 4.5, 12.5, 172.5):
         for u in (3.0, 3.05, 30.0, 3e3, 1e7):
-            for as_printed in (False, True):
-                sf._phased_gamma(binding, alpha, u, sf.DEFAULT_CONTROL, as_printed)
+            for a in (1.0 - p, -p):
+                sf._phased_gamma(binding, a, u, sf.DEFAULT_CONTROL)
                 values += 1
     assert (asked, fractions["_legendre_cf_backward"]) == ([], values)
     assert sum(phases.values()) == 0, phases
@@ -713,10 +727,12 @@ def test_no_transform_reaches_the_lentz_fraction(count_calls, monkeypatch):
     # p = 171.5), sits on the imaginary axis with a <= 1, where the backward
     # fraction's depth is verified; a call that raises a library error counts too.
     # From |z| = 3 up the Gamma form sums that fraction itself, so a transform
-    # module's own Gamma binding is only ever asked below |z| = 3
+    # module's own Gamma binding is only ever asked below |z| = 3; radical_pole,
+    # whose Gamma form is past |z| = 3, holds none
     counts = count_calls(sf, "_legendre_cf", "_legendre_cf_backward")
     asked = []
-    for module in (hp, lm, rp):
+    assert not hasattr(rp, "upper_incomplete_gamma")
+    for module in (hp, lm):
         monkeypatch.setattr(module, "upper_incomplete_gamma", lambda a, z, *rest:
                             asked.append(abs(z)) or upper_incomplete_gamma(a, z, *rest))
     calls = list(_gate_calls(random.Random(20261019)))
@@ -761,21 +777,20 @@ def test_one_fresnel_branch_per_bracket(count_calls, u):
 def test_one_fresnel_branch_per_pole_tail_and_head_approximation(count_calls, c):
     # past the Fresnel switch, sqrt(2c/pi) > 1.6, the corrected tails are one
     # Gamma form, c > 4 on the backward fraction's route: one fraction and no
-    # call of the module's Gamma binding; only the verbatim cosine keeps the
-    # Fresnel pair, whose tail branch sums one more fraction
+    # call of a Gamma binding; only the verbatim cosine keeps the Fresnel pair,
+    # whose tail branch calls upper_incomplete_gamma for one more fraction
     counts = count_calls(sf, "_fresnel_series", "_fresnel_tail")
-    fractions = count_calls(sf, "_legendre_cf_backward")
-    gammas = count_calls(rp, "upper_incomplete_gamma")
+    gammas = count_calls(sf, "_legendre_cf_backward", "upper_incomplete_gamma")
     by_gamma = math.sqrt(2.0 * c / math.pi) > 1.6
     sf._fresnel_pair.cache_clear()
     rp._pole_tails(c)
-    assert (sum(counts.values()), fractions["_legendre_cf_backward"],
+    assert (sum(counts.values()), gammas["_legendre_cf_backward"],
             gammas["upper_incomplete_gamma"]) == (not by_gamma, by_gamma, 0)
     sf._fresnel_pair.cache_clear()
     rp._pole_tails(c, as_printed=True)
     assert sum(counts.values()) == 1 + (not by_gamma)
-    assert (fractions["_legendre_cf_backward"], gammas["upper_incomplete_gamma"]) == (
-        2 * by_gamma, 0)
+    assert (gammas["_legendre_cf_backward"], gammas["upper_incomplete_gamma"]) == (
+        2 * by_gamma, by_gamma)
     sf._fresnel_pair.cache_clear()
     tr._head_approx(c, 0.7, 4.0)            # both heads from one pair
     assert sum(counts.values()) == 2 + (not by_gamma)
