@@ -9,8 +9,9 @@ Every result is pure double precision; all functions are pure,
 reentrant and thread-safe.  The only global mutable state is the memo
 caches of pure functions (``functools.lru_cache``: the half-power family
 coefficients, the last Fresnel and (J0, Y0) pairs, the moment-table
-length per phase) and the series loops' coefficient tables, which never
-change a value, and this package's name cache below.
+length per phase), the coefficient lists the series loops grow (the Fresnel
+and Bessel rows are constants), which never change a value, and this
+package's name cache below.
 
 ``import oscint`` loads no submodule.  ``_SUBMODULE`` below is the one
 list of public names: a new public name is added there only, and no

@@ -8,14 +8,14 @@ closed forms and the quadrature oracle share no special-function code.
 Evaluation strategies:
 
 * Fresnel S/C: Maclaurin series for |z| <= 1.6; beyond that the
-  auxiliary decomposition is evaluated through the incomplete-gamma
-  continued fraction at argument -i*pi*z^2/2 (convergent, unlike the
-  divergent asymptotic series, which cannot reach 1e-12 near the switch
-  point).  Both branches agree to ~1e-15 at the switch; NaN and inf fall
-  past it and are a DomainError there, and past 2^55/pi S and C are 1/2,
-  their correctly rounded value.  One private function computes
-  the (S, C) pair and memoises its last argument, so a caller reading S
-  and then C at the same z sums one branch once.
+  auxiliary functions f, g (DLMF 7.5), f - ig from the phase-free Gamma
+  form at order 1/2 and u = pi z^2/2 >= 4.02, one backward fraction
+  (convergent, unlike the divergent asymptotic series, which cannot reach
+  1e-12 near the switch point).  Both branches agree to ~1e-15 at the
+  switch; NaN and inf fall past it and are a DomainError there, and past
+  2^55/pi S and C are 1/2, their correctly rounded value.  One private
+  function computes the (S, C) pair and memoises its last argument, so a
+  caller reading S and then C at the same z sums one branch once.
 * Bessel J0/Y0: ascending series for z <= 14, Hankel asymptotic sums
   truncated at their smallest term beyond (within 2e-14 absolute from 14;
   the series loses up to 8e-12 just below 14, Y0(14) 6.2e-12, and the sums
@@ -45,9 +45,10 @@ Evaluation strategies:
   2F1 series' own loop over a table of term ratios.
 
 Each series loop reads its index- and shape-only numbers (divisors, term
-ratios, H_k, the fraction's i(a-i) per order a) from a table grown by
-``_grown`` as far as a loop has run: the same floats in the same
-operations, so no value changes.
+ratios, H_k, the fraction's i(a-i) per order a) from a table complete before
+it runs (the Fresnel and Bessel rows are tuples built at import), except the
+ratio series, whose reach is unknown until its sum settles: its table grows
+while it sums.  They hold the floats the loops formed, so no value changes.
 
 Complex values are plain Python ``complex``.
 """
@@ -57,6 +58,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
+from itertools import accumulate
 
 from .control import DEFAULT_CONTROL, SeriesControl
 from .errors import ConvergenceError, DomainError, Kernel, PoleError, _require_finite, _trig
@@ -70,6 +72,7 @@ _BESSEL_SWITCH = 14.0
 # incomplete gamma: series below |z| = 3, backward fraction above
 _GAMMA_SWITCH = 3.0
 _SERIES_TOL = 1e-16
+_EXP_NORMAL = (-708.39, 709.78)     # e^x is a normal double between these
 # modified Lentz stops at |delta - 1| < _LENTZ_TOL.  delta - 1 moves in
 # ulps of 1 (1.1e-16 below, 2.2e-16 above), so a bound under one ulp
 # would demand delta == 1 exactly; this one admits two ulps (2 eps = 4.44e-16).
@@ -89,8 +92,10 @@ _RGAMMA_TAYLOR = (
 )
 
 
-_FRESNEL_TERMS = []     # (4k+1, 4k+3, (2k+1)(2k+2), (2k+2)(2k+3)) as floats
-_BESSEL_TERMS = []      # (k^2, H_k) for k = 1, 2, ...
+_FRESNEL_TERMS = tuple((4 * k + 1.0, 4 * k + 3.0, (2 * k + 1.0) * (2 * k + 2),
+                        (2 * k + 2.0) * (2 * k + 3)) for k in range(60))    # the loop's cap
+_BESSEL_TERMS = tuple(zip((k * k + 0.0 for k in range(1, 200)),     # (k^2, H_k), k < 200
+                          accumulate(1.0 / k for k in range(1, 200))))  # H_(k-1) + 1/k
 _F22_RATIOS = []        # (1/2+k)^2 / ((3/2+k)^2 (k+1))
 _cf_numerators = lru_cache(maxsize=64)(lambda a: [])  # complex i(a-i) per a: float/complex is slow
 _gauss_ratios = lru_cache(maxsize=256)(lambda a, b, c: [])  # 2F1 term ratios per shape (a, b, c)
@@ -164,8 +169,13 @@ def _legendre_cf_backward(a, z, ctl):
 
 def _zpow_exp(a, z):
     """z^a e^-z, principal branch; two factors, so that a large |Im z|
-    reaches the phase exactly instead of through a rounded sum."""
-    return cmath.exp(-z) * cmath.exp(a * cmath.log(z))
+    reaches the phase exactly instead of through a rounded sum.  Where either
+    factor is not a normal double (e^-800 underflowed), one magnitude
+    exp(a ln|z| - Re z) times the two unit phases: rounding that sum costs digits."""
+    w = a * cmath.log(z)
+    if _EXP_NORMAL[0] < w.real < _EXP_NORMAL[1] and _EXP_NORMAL[0] < -z.real < _EXP_NORMAL[1]:
+        return cmath.exp(-z) * cmath.exp(w)
+    return math.exp(w.real - z.real) * cmath.rect(1.0, -z.imag) * cmath.rect(1.0, w.imag)
 
 
 def _lower_series(a, z, ctl):
@@ -376,13 +386,7 @@ def _fresnel_series(z):
     step = -(x * x)
     cs = ss = 0.0
     term_c = term_s = 1.0
-    for k in range(60):
-        try:
-            d_c, d_s, r_c, r_s = _FRESNEL_TERMS[k]
-        except IndexError:
-            d_c, d_s, r_c, r_s = _grown(_FRESNEL_TERMS, k + 1, lambda k: (
-                4 * k + 1.0, 4 * k + 3.0, (2 * k + 1.0) * (2 * k + 2),
-                (2 * k + 2.0) * (2 * k + 3)))[k]
+    for d_c, d_s, r_c, r_s in _FRESNEL_TERMS:
         cs += term_c / d_c
         ss += term_s / d_s
         term_c *= step / r_c
@@ -393,16 +397,16 @@ def _fresnel_series(z):
 
 
 def _fresnel_tail(z):
-    """(S, C) for z above the switch, via Gamma(1/2, -i pi z^2 / 2).
-
-    C(z) + iS(z) = e^{i pi/4} (sqrt(pi) - Gamma(1/2, -i pi z^2/2)) / sqrt(2 pi).
-    """
+    """(S, C) for z above the switch from the auxiliary functions f, g (DLMF 7.5),
+    f - ig = e^(-i pi/4) e^(-iu) Gamma(1/2, -iu) / sqrt(2 pi) at u = pi z^2/2: the
+    phase-free Gamma form, u >= 4.02 being on the backward fraction's route."""
     _require_finite_argument("Fresnel", z)
     if z > _FRESNEL_HALF:
         return 0.5, 0.5
-    g = upper_incomplete_gamma(0.5, complex(0.0, -0.5 * math.pi * z * z))
-    val = cmath.exp(0.25j * math.pi) * (math.sqrt(math.pi) - g) / math.sqrt(2.0 * math.pi)
-    return val.imag, val.real
+    u = 0.5 * math.pi * z * z
+    w = _phased_gamma(None, 0.5, u, DEFAULT_CONTROL) / math.sqrt(2.0 * math.pi)
+    f, g, cu, su = w.real, -w.imag, math.cos(u), math.sin(u)
+    return 0.5 - f * cu - g * su, 0.5 + f * su - g * cu
 
 
 @lru_cache(maxsize=1)
@@ -450,12 +454,7 @@ def _bessel_pair(z):
         return r * (p * math.cos(w) - q * math.sin(w)), r * (p * math.sin(w) + q * math.cos(w))
     step = -0.25 * z * z
     term, j0, ysum = 1.0, 1.0, 0.0
-    for k in range(199):
-        try:
-            kk, hk = _BESSEL_TERMS[k]
-        except IndexError:      # grown one entry at a time: H_(k+1) reads H_k
-            kk, hk = _grown(_BESSEL_TERMS, k + 1, lambda k: (
-                (k + 1.0) * (k + 1), (_BESSEL_TERMS[k - 1][1] if k else 0.0) + 1.0 / (k + 1)))[k]
+    for kk, hk in _BESSEL_TERMS:
         term *= step / kk
         j0 += term
         piece = -hk * term

@@ -23,7 +23,7 @@ The engine below is written once for both p, and each route yields the
   the length J grows with the phase, so it is cached per phase rounded
   up to a multiple of 1/16 (bounded LRU); the seed is Pfaff's 2F1 series,
   half as long as the direct one (c - b = 1 against b = J + 1/2), and the
-  loops read (2j+3-2p)/(2j+3) per p, 2j+1 and (j+1)(j+2) from tables;
+  loops read (2j+3-2p)/(2j+3) per p, 2j+1 and (j+1)(j+2) from tables grown first;
 * one phase guard (c gamma^2 = zeta a <= 12) and, where a series stalls or
   is not wanted, both heads as (Im, Re) of one integral of e^(i c z^2)
   (z^2+1)^-p on [0, gamma] by the family's own ``integrate_finite`` binding;
@@ -72,7 +72,7 @@ from .special_functions import (
 # phase 11-12 on 3,000 seeded points against the contour (2.6e-8 at 16)
 _MAX_PHASE = 12.0
 _CONTOUR_END = 40.0         # e^-40 < 5e-18, and |w| on the contour <= w(0)
-_HEAD_TERMS = []            # (2j + 1, (j + 1)(j + 2)) as floats, grown by _grown
+_HEAD_TERMS = []            # (2j + 1, (j + 1)(j + 2)) as floats, to the longest top + 1
 _moment_ratios = lru_cache(maxsize=16)(lambda p: [])    # (2j+3-2p)/(2j+3) per power p
 
 
@@ -156,7 +156,8 @@ def _moments(hyp, p, g2, top, ctl):
     lead = (1.0 + g2) ** (1.0 - p)
     m = [0.0] * (top + 1)
     if g2 <= 1.0:
-        ratios = _grown(_moment_ratios(p), top, lambda j: (2 * j + 3 - 2 * p) / (2 * j + 3))
+        if len(ratios := _moment_ratios(p)) < top:
+            _grown(ratios, top, lambda j: (2 * j + 3 - 2 * p) / (2 * j + 3))
         v = m[top] = hyp(p, top + 0.5, top + 1.5, -g2, _seed_control(ctl.max_terms))
         for j in range(top - 1, -1, -1):
             v = m[j] = lead - ratios[j] * g2 * v
@@ -216,15 +217,14 @@ def _head_series(hyp, p, odds, c, gamma, ctl, name):
             f"head series phase c*gamma^2 = {x:.3g} too large for double precision")
     top = _table_top(x, ctl)
     m = _moments(hyp, p, g2, top, ctl)
+    if len(_HEAD_TERMS) <= top:
+        _grown(_HEAD_TERMS, top + 1, lambda j: (2 * j + 1.0, (j + 1.0) * (j + 2)))
     step = -x * x
     heads = []
     for odd in odds:
         term, total = (x if odd else 1.0), 0.0      # (-1)^k x^j / j!, j = 2k + odd
         for j in range(odd, top + 1, 2):
-            try:
-                d, r = _HEAD_TERMS[j]
-            except IndexError:
-                d, r = _grown(_HEAD_TERMS, j + 1, lambda j: (2 * j + 1.0, (j + 1.0) * (j + 2)))[j]
+            d, r = _HEAD_TERMS[j]
             piece = term * m[j] / d
             total += piece
             if abs(piece) < ctl.rel_tol * abs(total):

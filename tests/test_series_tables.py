@@ -1,10 +1,15 @@
 """The series loops' coefficient tables and the rerouted 2F1 seed.
 
 Each series loop reads its index- and shape-only numbers from a table
-that starts empty and grows only as far as a loop has run.  The gates
-here count entries; none of them takes a timing.
+that is complete before the loop runs: the Fresnel and Bessel rows are
+tuples built at import, at their loops' caps; the heads' and moments'
+lists grow once, before their loops, to the moment table's top.  Only the
+ratio series (2F1, 2F2) grows its table while it sums, as far as it has
+run.  The gates here count entries; none of them takes a timing.
 """
 
+import ast
+import inspect
 import json
 import random
 import sys
@@ -18,8 +23,8 @@ from oscint import two_radical as tr
 from oscint.special_functions import _gauss_series
 from test_imports import _fresh
 
-# the index-only tables, by module; the shape-keyed ones are lru-cached list factories
-LISTS = {sf: ("_FRESNEL_TERMS", "_BESSEL_TERMS", "_F22_RATIOS"), tr: ("_HEAD_TERMS",)}
+# the index-only lists, by module; the shape-keyed ones are lru-cached list factories
+LISTS = {sf: ("_F22_RATIOS",), tr: ("_HEAD_TERMS",)}
 FACTORIES = {sf: ("_cf_numerators", "_gauss_ratios"), tr: ("_moment_ratios",)}
 
 
@@ -42,27 +47,33 @@ def test_importing_every_family_module_leaves_every_table_empty():
             " else v.cache_info().currsize for m in mods for n, v in vars(m).items()"
             " if isinstance(v, list) or hasattr(v, 'cache_info')}))")
     sizes = json.loads(_fresh(code)[0][0])
-    for module, names in (LISTS | FACTORIES).items():
+    for module, names in [*LISTS.items(), *FACTORIES.items()]:
         for name in names:
             assert f"{module.__name__}.{name}" in sizes
     assert set(sizes.values()) == {0}
 
 
 def test_one_transform_grows_each_table_only_as_far_as_it_read(monkeypatch):
-    recorders, made = [], {}
+    recorders, made = {}, {}
     for module, names in LISTS.items():
         for name in names:
-            recorders.append(_Recorder())
-            monkeypatch.setattr(module, name, recorders[-1])
+            recorders[name] = _Recorder()
+            monkeypatch.setattr(module, name, recorders[name])
     for module, names in FACTORIES.items():
         for name in names:
             monkeypatch.setattr(module, name,
                                 lambda *shape, _n=name: made.setdefault((_n, shape), _Recorder()))
     sf._bessel_pair.cache_clear()
     sin_transform(0.4, 1.9, 1.0)
-    tables = recorders + list(made.values())
+    # the heads' table ends at the moment table's top + 1, before the loops
+    # that may stop short of it; every other table at the entries read
+    heads = recorders.pop("_HEAD_TERMS")
+    top = tr._table_top(0.4, sf.DEFAULT_CONTROL)
+    assert 0 < heads.read <= len(heads) == top + 1
+    tables = [*recorders.values(), *made.values()]
     assert [len(t) for t in tables] == [t.read for t in tables]
     assert sum(map(len, tables)) > 0
+    assert [len(t) for (name, _), t in made.items() if name == "_moment_ratios"] == [top]
     # the moment seed's 2F1 is the one shape summed: Pfaff's, 28 terms direct
     seeds = [(shape, t) for (name, shape), t in made.items() if name == "_gauss_ratios"]
     assert len(seeds) == 1
@@ -72,7 +83,8 @@ def test_one_transform_grows_each_table_only_as_far_as_it_read(monkeypatch):
 
 def test_index_tables_under_racing_threads():
     # threads released together grow the same index tables at once; a lost
-    # or duplicated entry would shift every later term of a loop
+    # or duplicated entry would shift every later term of a loop (the Fresnel
+    # and Bessel rows are tuples, built at import: their calls check values)
     zs = [0.1 + 0.05 * k for k in range(30)]
     calls = [(sf._fresnel_series, z) for z in zs] + [(sf._bessel_pair.__wrapped__, 10 * z)
                                                      for z in zs]
@@ -101,6 +113,22 @@ def test_index_tables_under_racing_threads():
     finally:
         sys.setswitchinterval(interval)
     assert got == [want] * 24
+
+
+def test_only_the_ratio_series_grows_a_table_while_it_sums():
+    # every other loop's table is complete before the loop runs
+    handlers = [(module.__name__, func.name) for module in (sf, tr)
+                for func in ast.walk(ast.parse(inspect.getsource(module)))
+                if isinstance(func, ast.FunctionDef) for node in ast.walk(func)
+                if isinstance(node, ast.ExceptHandler) and node.type is not None
+                and "IndexError" in ast.unparse(node.type)]
+    assert handlers == [("oscint.special_functions", "_ratio_series")]
+    tree = ast.parse(inspect.getsource(sf))
+    for name in ("_FRESNEL_TERMS", "_BESSEL_TERMS"):
+        assigned = [node for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                    and name in {t.id for t in node.targets if isinstance(t, ast.Name)}]
+        assert assigned and all(node in tree.body for node in assigned)
+        assert type(getattr(sf, name)) is tuple
 
 
 def test_rerouted_2f1_is_as_accurate_as_the_direct_series():

@@ -1,0 +1,51 @@
+"""tools/traffic.py: the statements of a def, and a short closed-grid run."""
+
+import importlib.util
+import json
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("traffic", ROOT / "tools" / "traffic.py")
+traffic = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(traffic)
+
+
+def test_a_def_owns_its_statements_but_not_its_docstring_or_inner_defs(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import functools\n"                         # 1
+        "@functools.cache\n"                         # 2
+        "def f(x):\n"                                # 3
+        "    '''doc'''\n"                            # 4
+        "    try:\n"                                 # 5
+        "        y = (x +\n"                         # 6
+        "             1)\n"                          # 7
+        "    except ValueError:\n"                   # 8
+        "        y = 0\n"                            # 9
+        "    def g():\n"                             # 10
+        "        return y\n"                         # 11
+        "    return g\n")                            # 12
+    assert traffic.functions(path) == [
+        (2, "f", [(5, 9), (6, 7), (9, 9), (10, 11), (12, 12)]), (10, "g", [(11, 11)])]
+
+
+def test_two_hundred_closed_grid_requests(tmp_path):
+    record = tmp_path / "traffic.json"
+    subprocess.run([sys.executable, str(ROOT / "tools" / "traffic.py"), "--workload",
+                    "closed-grid", "--seed", "1", "--requests", "200", "--record", str(record)],
+                   cwd=ROOT, check=True, capture_output=True, timeout=60)
+    got = json.loads(record.read_text())
+    assert got["requests"] == 200
+    rows = {r["function"]: r for r in got["functions"]}
+    for r in got["functions"]:
+        assert 0 <= r["ran"] <= r["statements"] == r["ran"] + len(r["never"])
+        assert r["ran"] or not r["calls_per_req"]
+    calls = {name: rows[f"special_functions.{name}"]["calls_per_req"] for name in (
+        "_fresnel_pair", "_fresnel_series", "_fresnel_tail", "fresnel_s", "fresnel_c")}
+    # each caller reads S and C at one z; no closed-grid request passes the switch
+    assert calls["fresnel_s"] == calls["fresnel_c"] >= calls["_fresnel_pair"] > 0
+    assert calls["_fresnel_pair"] == calls["_fresnel_series"] and calls["_fresnel_tail"] == 0
+    series = rows["special_functions._fresnel_series"]
+    assert series["ran"] == series["statements"] == 12

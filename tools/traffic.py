@@ -1,0 +1,110 @@
+"""Which ``src/oscint`` statements a benchmark workload reaches, and how often.
+
+    python3 tools/traffic.py --workload closed-grid --seed 1 [--requests 200]
+
+In a fresh interpreter it imports every module of this working tree's ``oscint``
+and runs the seed's benchmark requests once (``perfbench/workloads.py``, read
+only, or its first ``--requests``): closed-grid by the public closed forms,
+oracle-grid by ``integrate_semi_infinite``; a request that raises counts too.
+Under ``sys.settrace`` it prints, per ``def`` in ``src/oscint`` (a lambda counts
+in its statement), the statements that ran at least once out of all of them (a
+docstring is none), how often its first statement ran per request (its calls,
+not a generator's resumptions) and the lines of the statements that never ran;
+``--record PATH`` writes the same as JSON.  Standard library only.
+"""
+
+import argparse
+import ast
+import importlib
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "oscint"
+
+
+def _own(node):     # the statements under node, not those of a def or class in it
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.stmt):
+            yield child
+        if not isinstance(child, (ast.FunctionDef, ast.ClassDef, ast.expr)):
+            yield from _own(child)
+
+
+def functions(path):
+    """(first line, name, [(line, end line) per statement]) of each def in ``path``;
+    a def's first line is its first decorator's, as in its code object."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.FunctionDef):
+            doc = node.body[0] if ast.get_docstring(node) is not None else None
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            out.append((first, node.name,
+                        [(s.lineno, s.end_lineno) for s in _own(node) if s is not doc]))
+    return sorted(out)
+
+
+def trace(workload, seed, count):
+    """The (file, line) pairs run, calls per (file, first line, name), requests."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import oscint
+    import workloads as wl
+
+    for path in SRC.glob("[!_]*.py"):
+        importlib.import_module("oscint." + path.stem)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    requests = wl.generate(workload, seed, wl.request_count(workload, seconds))[:count]
+    prefix, lines, calls = str(SRC), set(), Counter()
+
+    def tracer(frame, event, arg):
+        code = frame.f_code
+        if event == "line":
+            lines.add((code.co_filename, frame.f_lineno))
+        elif not code.co_filename.startswith(prefix):     # a call from outside src/oscint
+            return None
+        elif event == "call" and frame.f_lineno == code.co_firstlineno:   # not a resumption
+            calls[code.co_filename, code.co_firstlineno, code.co_name] += 1
+        return tracer
+
+    sys.settrace(tracer)
+    for req in requests:
+        try:
+            if workload == "oracle-grid":
+                oscint.integrate_semi_infinite(wl.oracle_spec(oscint, req))
+            else:
+                wl.closed_call(oscint, req)()
+        except Exception:       # a failed request ran its lines too
+            pass
+    sys.settrace(None)
+    return lines, calls, len(requests)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True, choices=("closed-grid", "oracle-grid"))
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--requests", type=int, help="only the first N requests")
+    ap.add_argument("--record", type=Path, help="also write the table as JSON here")
+    args = ap.parse_args(argv)
+    lines, calls, n = trace(args.workload, args.seed, args.requests)
+    print(f"{args.workload} seed {args.seed}: {n} requests")
+    rows = []
+    for path in sorted(SRC.glob("*.py")):
+        for first, name, stmts in functions(path):
+            ran = [any((str(path), k) in lines for k in range(a, b + 1)) for a, b in stmts]
+            rows.append(row := {
+                "function": f"{path.stem}.{name}", "line": first, "ran": sum(ran),
+                "statements": len(stmts), "calls_per_req": calls[str(path), first, name] / n,
+                "never": [a for (a, _), hit in zip(stmts, ran) if not hit]})
+            print(f"{row['function']:<44} {row['ran']:>3}/{row['statements']:<3} "
+                  f"{row['calls_per_req']:>9.3f}/req  never {row['never'] or '-'}")
+    if args.record:
+        args.record.write_text(json.dumps({"workload": args.workload, "seed": args.seed,
+                                           "requests": n, "functions": rows}, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
