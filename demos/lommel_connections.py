@@ -66,9 +66,10 @@ print()
 
 # ------------------------------------------------------------- log integral
 print("=== logarithmic integral: int ln(t+x) sin(t)/sqrt(t+x) dt ===")
-print(f"  {'x':>4} {'2F2 closed form':>18} {'oracle':>18} {'finite diff':>18}")
-for x in (0.5, 1.0, 2.0):
+print("  (closed form: 2F2 below x = 3, the Gamma fraction's order derivative above)")
+print(f"  {'x':>5} {'closed form':>18} {'oracle':>18} {'finite diff':>18}")
+for x in (0.5, 1.0, 2.0, 20.0, 150.0):
     closed = log_weighted_sin_integral(x)
     o = integrate_semi_infinite(IntegrandSpec(LogHalfPower(x), Kernel.SIN, 1.0)).value
     fd = log_weighted_sin_integral_fd(x)
-    print(f"  {x:>4} {closed:>18.12f} {o:>18.12f} {fd:>18.12f}")
+    print(f"  {x:>5} {closed:>18.12f} {o:>18.12f} {fd:>18.12f}")

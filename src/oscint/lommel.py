@@ -18,7 +18,8 @@ On top of that definition sit: the sine/cosine transforms for exponents
 2n + 1/m and 2n + 1 + 1/m (both the reduced summary forms and the
 pre-reduction forms related by the Lommel recurrence), the logarithmic
 integral obtained as the order-derivative at exponent 1/2 (closed form
-via 2F2, plus a finite-difference fallback for regression), and the
+via 2F2 below x = 3, from x = 3 up the order derivative of the backward
+Gamma fraction, plus a finite-difference fallback for regression), and the
 equivalent representation through generalized sine/cosine integrals.
 The transforms, S_{mu,1/2} among them, take the realization only above
 u = zeta x = max(1, p/4), the switch ``special_functions`` holds for
@@ -33,8 +34,8 @@ import math
 
 from .control import DEFAULT_CONTROL, SeriesControl
 from .errors import DomainError, Kernel, Record, _as_kernel, _finite_power, _require_finite
-from .special_functions import (EULER_GAMMA, _power_transform, gen_ci, gen_si, hyp2f2_half,
-                                upper_incomplete_gamma)
+from .special_functions import (EULER_GAMMA, _log_gamma_form, _power_transform, gen_ci, gen_si,
+                                hyp2f2_half, upper_incomplete_gamma)
 
 
 class LommelOrder(Record):
@@ -197,10 +198,16 @@ def pre_reduction_values(n: int, m: int, x: float, zeta: float = 1.0,
 def log_weighted_sin_integral(x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Integral of ln(t+x) sin(t)/(t+x)^(1/2) over [0, inf), x > 0.
 
-    The closed form is the negative of the order-derivative of the
-    exponent family at 1/2, expressed through 2F2(1/2,1/2;3/2,3/2;ix).
+    The closed form is the negative of the order-derivative of the exponent
+    family at 1/2.  From x = 3 up, the backward Gamma fraction's route, it is
+    Im[sqrt(x) (ln x - D'/D)/D] with D = D(1/2, -ix) and D' = dD/da from one
+    fraction loop (within 4e-16 of mpmath to x = 1e5).  Below, as printed,
+    through 2F2(1/2,1/2;3/2,3/2;ix), whose series cancels as x grows: 1.1e-12
+    off at x = 3, 1.6e-3 at 40.
     """
     x = _scaled_shift("log_weighted_sin_integral", x, 1.0)
+    if (w := _log_gamma_form(x, ctl)) is not None:
+        return w.real
     rx = math.sqrt(x)
     f22 = hyp2f2_half(x, ctl)
     deriv = (-rx * math.log(x) * lommel_s_half(0.0, x, ctl)
@@ -215,7 +222,7 @@ def log_weighted_sin_integral_fd(x: float, h: float = 1e-4,
     """Finite-difference fallback for the logarithmic integral.
 
     Differentiates the exponent family numerically at exponent 1/2;
-    regression anchor for the 2F2 closed form.
+    regression anchor for both routes of the closed form.
     """
     if not math.isfinite(x + h):
         _require_finite("log_weighted_sin_integral_fd", x=x, h=h)

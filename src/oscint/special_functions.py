@@ -31,8 +31,10 @@ Evaluation strategies:
     Legendre fraction summed backward from one depth, ceil((190 + 12 min(-a, |z|))/|z|) + 4,
     fitted to the need on the imaginary axis (peaking near |z| = -a), within 1e-14 of
     Lentz off it.  The Gamma form at order a, e^(-i pi (1-a)/2) e^(-iu) Gamma(a, -iu), is
-    -i u^a / D (the sine at a = 1 - p, the cosine p Re at a = -p).  Re z < 0 or a > 1:
-    modified Lentz, stopped at two ulps.
+    -i u^a / D (the sine at a = 1 - p, the cosine p Re at a = -p).  The same loop can
+    carry dD/da at the same depth; the form's order derivative, -i u^a (ln u - D'/D)/D,
+    gives the ln(t+u)-weighted transforms.  Re z < 0 or a > 1: modified Lentz,
+    stopped at two ulps.
   - below: a > 1/2 as Gamma(a) minus the lower series; a <= 1/2 lifted into
     (-1/2, 1/2], in Temme's form (smooth through a = 0, where it is the E1
     series) and brought down by the recurrence, whose divisors have modulus at
@@ -42,7 +44,9 @@ Evaluation strategies:
   and on [-1/2, 0) where that shrinks the parameter (then every term ratio
   shrinks, so the sum is shorter); the direct series elsewhere.
 * 2F2(1/2,1/2;3/2,3/2;ix): direct complex series (entire), summed by the
-  2F1 series' own loop over a table of term ratios.
+  2F1 series' own loop over a table of term ratios.  Its terms cancel as |x|
+  grows; sum |term| is the same series at |x|, and where eps sum |term| passes
+  rel_tol |sum| (from |x| = 14.4 at the default) it raises ConvergenceError.
 
 Each series loop reads its index- and shape-only numbers (divisors, term
 ratios, H_k, the fraction's i(a-i) per order a) from a table complete before
@@ -72,6 +76,7 @@ _BESSEL_SWITCH = 14.0
 # incomplete gamma: series below |z| = 3, backward fraction above
 _GAMMA_SWITCH = 3.0
 _SERIES_TOL = 1e-16
+_EPS = 2.0 ** -52       # the spacing of doubles at 1
 _EXP_NORMAL = (-708.39, 709.78)     # e^x is a normal double between these
 # modified Lentz stops at |delta - 1| < _LENTZ_TOL.  delta - 1 moves in
 # ulps of 1 (1.1e-16 below, 2.2e-16 above), so a bound under one ulp
@@ -145,12 +150,16 @@ def _legendre_cf(a, z, ctl):
         f"incomplete-gamma continued fraction stalled at a={a}, z={z}")
 
 
-def _legendre_cf_backward(a, z, ctl):
+def _legendre_cf_backward(a, z, ctl, order_derivative=False):
     """The denominator D of the same even-contracted Legendre fraction, Gamma(a, z)
     = z^a e^-z / D for Re z >= 0, |z| >= 3, a <= 1, summed bottom-up, t = a_i / (b_i + t),
     from the depth ``_CF_DEPTH``, fitted on the imaginary axis to the need at 1.1e-16,
     which peaks near u = -a (u = 3: 62 steps at a = 1/2, 71 at -3.5, 10 at -171.5); off
-    it within 1e-14 of Lentz (to a = -1000).  b_0 = z + 1 - a is formed afresh."""
+    it within 1e-14 of Lentz (to a = -1000).  b_0 = z + 1 - a is formed afresh.
+
+    ``order_derivative``: the pair (D, dD/da) from one loop at the same depth.  With
+    a_i = i(a - i) and b_i = z + 2i + 1 - a, a_i' = i and b_i' = -1, so with s = b_i + t
+    the step is t = a_i / s, t' = (i + t (1 - t')) / s, and D' = t' - 1."""
     u = abs(z)
     k, slope, pad = _CF_DEPTH
     n = math.ceil((k + slope * (0.0 if a >= 0 else min(-a, u))) / u) + pad
@@ -161,6 +170,14 @@ def _legendre_cf_backward(a, z, ctl):
     if len(nums := _cf_numerators(a)) < n:
         _grown(nums, n, lambda i: complex((i + 1) * (a - (i + 1))))
     b, t = z + (2 * n + 1 - a), 0j      # b_n = z + 2n + 1 - a
+    if order_derivative:
+        dt = 0j
+        for i, num in zip(range(n, 0, -1), nums[n - 1::-1]):
+            s = b + t
+            t = num / s
+            dt = (i + t * (1.0 - dt)) / s
+            b -= 2.0
+        return z + (1.0 - a) + t, dt - 1.0
     for num in nums[n - 1::-1]:
         t = num / (b + t)
         b -= 2.0
@@ -308,16 +325,26 @@ def gamma_real(x: float) -> float:
 # (t+u)^-p transforms: sin t and cos t times (t+u)^-p, integrated over [0, inf)
 # --------------------------------------------------------------------------
 
-def _phased_gamma(gamma, a, z, ctl):
+def _phased_gamma(gamma, a, z, ctl, order_derivative=False):
     """exp(-i pi (1-a)/2) exp(-iz) Gamma(a, -iz), z >= 0: at a = 1-p, Re is the sine
     transform of (t+z)^-p, sqrt(z) S_{1/2-p,1/2}(z), and -Im the cosine.  On the backward
     fraction's route the phases cancel, Gamma(a, -iz) = z^a e^(-i pi a/2) e^(iz) / D:
     -i z^a / D, and ``gamma`` is not called.  Below, the caller's ``gamma`` times the
-    phase as two unit factors, not one exponential of the rounded (pi (1-a) + 2z)/2."""
+    phase as two unit factors, not one exponential of the rounded (pi (1-a) + 2z)/2.
+
+    ``order_derivative``: d/da of the form, -i z^a (ln z - D'/D) / D, whose Re and -Im
+    are the sine and cosine transforms of ln(t+z) (t+z)^-p (d/da = -d/dp), from one
+    fraction loop; None below the fraction's route, where no binding gives it.  Divided
+    by D twice, not by D^2, which overflows at z = 1e300."""
     _require_finite_argument("Gamma form", z)
     w = complex(0.0, -z)
     if _gamma_fraction(a, w):
+        if order_derivative:
+            d, dd = _legendre_cf_backward(a, w, ctl, True)
+            return math.pow(z, a) * -1j * (math.log(z) - dd / d) / d
         return math.pow(z, a) * -1j / _legendre_cf_backward(a, w, ctl)
+    if order_derivative:
+        return None
     phase = cmath.rect(1.0, -0.5 * math.pi * (1.0 - a)) * cmath.rect(1.0, -z)
     return phase * gamma(a, w, ctl)
 
@@ -367,6 +394,12 @@ def _power_transform(kernel, p, u, gamma, ctl=DEFAULT_CONTROL):
     if p <= 0 or _gamma_form_holds(p, u):
         return _gamma_form(kernel, p, u, gamma, ctl)
     return _climb(kernel, p, u, gamma, ctl)
+
+
+def _log_gamma_form(u, ctl):
+    """d/da of the Gamma form at a = 1/2: Re the sine and -Im the cosine transform of
+    ln(t+u)/sqrt(t+u), u >= 3; None below, off the backward fraction's route."""
+    return _phased_gamma(None, 0.5, u, ctl, order_derivative=True)
 
 
 # --------------------------------------------------------------------------
@@ -555,15 +588,27 @@ def hyp2f1(a: float, b: float, c: float, z: float,
     return (1.0 - z) ** (-b) * _gauss_series(c - a, b, c, w, ctl)
 
 
+def _f22_ratio(k):
+    return (0.5 + k) ** 2 / ((1.5 + k) ** 2 * (k + 1.0))
+
+
 def hyp2f2_half(x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
-    """2F2(1/2,1/2;3/2,3/2; ix): entire, summed directly."""
-    total = _ratio_series(_F22_RATIOS, lambda k: (0.5 + k) ** 2 / ((1.5 + k) ** 2 * (k + 1.0)),
-                          (), complex(0.0, x), complex(1.0), ctl)
+    """2F2(1/2,1/2;3/2,3/2; ix): entire, summed directly.
+
+    Every term ratio is positive, so sum |term| is the same series at the real
+    argument |x|.  Where eps sum |term| passes rel_tol |sum| the sum has cancelled
+    past the tolerance (from |x| = 14.4 at the default) and it raises."""
+    total = _ratio_series(_F22_RATIOS, _f22_ratio, (), complex(0.0, x), complex(1.0), ctl)
     if total is None:
         _require_finite("hyp2f2_half", x=x)
         raise ConvergenceError(
             f"2F2 series exceeded {ctl.max_terms} terms at |x|={abs(x)}; "
             "the argument is too large for double-precision summation")
+    size = _ratio_series(_F22_RATIOS, _f22_ratio, (), abs(x), 1.0, ctl)
+    if _EPS * size > ctl.rel_tol * abs(total):
+        raise ConvergenceError(
+            f"2F2 series cancels to {_EPS * size / abs(total):.1e} at |x|={abs(x)}, "
+            f"over rel_tol={ctl.rel_tol}")
     return total
 
 

@@ -355,6 +355,29 @@ def test_log_integral_finite_difference_cross_check():
         assert abs(closed - fd) < 1e-5
 
 
+def test_log_integral_from_the_fraction_against_mpmath():
+    # from x = 3 up the log weight is d/da of the Gamma form at a = 1/2,
+    # sqrt(x) (ln x - D'/D)/D from one backward-fraction loop, against 40 digits of
+    # mp.diff of that form in the order, x log-uniform from 3 to 1e5.  The 2F2
+    # form it replaced there read 1.1e-12 at x = 3 and 1.6e-3 at 40
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random("log-weight-fraction")
+    xs = [3.0, 1e5] + [math.exp(rng.uniform(math.log(3.0), math.log(1e5))) for _ in range(150)]
+    for x in xs:
+        with mp.workdps(40):
+            u = mp.mpf(x)
+            want = mp.diff(lambda a: (mp.exp(-0.5j * mp.pi * (1 - a) - 1j * u)
+                                      * mp.gammainc(a, -1j * u)).real, 0.5)
+        assert abs(log_weighted_sin_integral(x) - want) <= 2e-15 * abs(want), x
+
+
+def test_log_integral_takes_2f2_below_the_fraction_route_only(count_calls):
+    counts = count_calls(lm, "hyp2f2_half")
+    for x in (0.05, 2.999, 3.0, 9.5, 150.0, 1e300):
+        log_weighted_sin_integral(x)
+    assert counts["hyp2f2_half"] == 2
+
+
 def test_domain_types():
     with pytest.raises(DomainError):
         LommelOrder(0.0, 0.6)                     # mu + alpha != 1/2

@@ -12,8 +12,7 @@ import math
 import mpmath
 import pytest
 
-from oscint import (ConvergenceError, Kernel, gen_si, hyp2f2_half, lommel, radical_pole,
-                    two_radical)
+from oscint import Kernel, gen_si, lommel, radical_pole, two_radical
 from oscint.oracle import (
     HalfPower,
     IntegrandSpec,
@@ -26,18 +25,6 @@ from oscint.oracle import (
 def found(line):
     """Strict xfail on an assertion, for the CHANGES.md FOUND line ``line``."""
     return pytest.mark.xfail(raises=AssertionError, strict=True, reason=f"FOUND: {line}")
-
-
-@found("`special_functions.hyp2f2_half` returns silently wrong values once "
-       "its direct series cancels")
-def test_hyp2f2_half_raises_or_agrees_with_mpmath_at_60():
-    try:
-        value = hyp2f2_half(60.0)
-    except ConvergenceError:
-        return
-    with mpmath.workdps(40):
-        want = complex(mpmath.hyp2f2(0.5, 0.5, 1.5, 1.5, 60j))
-    assert abs(value - want) <= 1e-12 * abs(want)
 
 
 @found("the oracle's quadratic phase is silently wrong at small scale")

@@ -482,6 +482,36 @@ def test_backward_fraction_at_non_dyadic_orders_against_mpmath():
         assert float(abs(got - want) / abs(want)) <= 5e-16, (a, z)
 
 
+def test_order_derivative_of_the_backward_fraction_against_mpmath():
+    # (D, dD/da) from one loop at the plain loop's depth: its D is bitwise the plain
+    # loop's, and dD/da within 1e-14 of 40-digit mp.diff of D = z^a e^-z / Gamma(a, z)
+    mp = pytest.importorskip("mpmath")
+    for a, z in [(0.5, -3j), (0.5, -20j), (0.5, 3e3j), (0.5, -1e5j), (-2.5, 4j),
+                 (-10.33, -8j), (1.0, 5 - 1j), (0.2, 3 + 4j)]:
+        d, dd = sf._legendre_cf_backward(a, z, sf.DEFAULT_CONTROL, order_derivative=True)
+        assert d == sf._legendre_cf_backward(a, z, sf.DEFAULT_CONTROL)
+        with mp.workdps(40):
+            w = mp.mpc(z)
+            want = complex(mp.diff(lambda b: w ** b * mp.exp(-w) / mp.gammainc(b, w), a))
+        assert abs(dd - want) <= 1e-14 * abs(want), (a, z)
+
+
+@pytest.mark.parametrize("z, d", [
+    (-3j, "0x1.bd30d073c39afp-2 -0x1.8d993c57fe6f1p+1"),
+    (-4.2j, "0x1.d45c23f2d4060p-2 -0x1.127842a5da16bp+2"),
+    (-7.5j, "0x1.edd6f1c914b25p-2 -0x1.e3c348bc65f10p+2"),
+    (-40j, "0x1.ff3567fb878c0p-2 -0x1.401974583b0f2p+5"),
+    (-1e4j, "0x1.ffffff29406dap-2 -0x1.3880001a36e2cp+13"),
+    (10 - 1j, "0x1.4eb4e87d0cfd4p+3 -0x1.00daf1443fbfbp+0"),
+    (3 + 4j, "0x1.b88c73b574782p+1 0x1.030430614e077p+2")])
+def test_plain_backward_fraction_at_a_half_keeps_its_bits(z, d):
+    # the order-derivative path is a loop of its own: the plain loop, which the
+    # Fresnel tails and every (t+u)^-1/2 sine from u = 3 up sum at a = 1/2, keeps
+    # the bits it had before that path existed
+    got = sf._legendre_cf_backward(0.5, z, sf.DEFAULT_CONTROL)
+    assert f"{got.real.hex()} {got.imag.hex()}" == d
+
+
 @pytest.mark.parametrize("a, u", [(-8.5, 5.0), (-10.33, 8.0), (-12.5, 4.0), (-15.5, 10.0),
                                   (-40.5, 3.5), (2.5, 5.0), (5.5, 30.0)])
 def test_continued_fraction_outside_orders_minus_eight_to_one_against_mpmath(a, u):
@@ -943,6 +973,24 @@ def test_hyp2f2_trivial_and_golden():
 def test_hyp2f2_budget():
     with pytest.raises(ConvergenceError):
         hyp2f2_half(1.0, SeriesControl(rel_tol=1e-12, max_terms=2))
+
+
+def test_hyp2f2_raises_where_its_series_cancels():
+    # every term ratio is positive, so sum |term| is the series at |x|; once
+    # eps sum |term| passes rel_tol |sum| (from |x| = 14.4 at the default 1e-12;
+    # 5.6e-14 at 11) the sum raises.  Summed regardless, x = 60 read
+    # 23543 - 66960i for 0.309 + 0.182i
+    mp = pytest.importorskip("mpmath")
+    for x in (14.5, 40.0, 60.0, -60.0, 200.0):
+        with pytest.raises(ConvergenceError, match="cancels"):
+            hyp2f2_half(x)
+    with pytest.raises(ConvergenceError, match="cancels"):
+        hyp2f2_half(40.0, SeriesControl(rel_tol=1e-6))
+    for x, rel_tol in ((11.0, 1e-12), (-6.0, 1e-12), (14.3, 1e-12), (20.0, 1e-9)):
+        got = hyp2f2_half(x, SeriesControl(rel_tol=rel_tol))
+        with mp.workdps(40):
+            want = complex(mp.hyp2f2(0.5, 0.5, 1.5, 1.5, mp.mpc(0, x)))
+        assert abs(got - want) <= rel_tol * abs(want), x
 
 
 # ----------------------------------------------- generalized si / ci

@@ -34,7 +34,8 @@ def test_a_def_owns_its_statements_but_not_its_docstring_or_inner_defs(tmp_path)
 def test_two_hundred_closed_grid_requests(tmp_path):
     record = tmp_path / "traffic.json"
     subprocess.run([sys.executable, str(ROOT / "tools" / "traffic.py"), "--workload",
-                    "closed-grid", "--seed", "1", "--requests", "200", "--record", str(record)],
+                    "closed-grid", "--seed", "1", "--requests", "200", "--lines",
+                    "--record", str(record)],
                    cwd=ROOT, check=True, capture_output=True, timeout=60)
     got = json.loads(record.read_text())
     assert got["requests"] == 200
@@ -49,3 +50,17 @@ def test_two_hundred_closed_grid_requests(tmp_path):
     assert calls["_fresnel_pair"] == calls["_fresnel_series"] and calls["_fresnel_tail"] == 0
     series = rows["special_functions._fresnel_series"]
     assert series["ran"] == series["statements"] == 12
+    assert got["lines_per_req"]["special_functions"] > got["lines_per_req"]["lommel"] > 0
+
+
+def test_two_warm_line_counts_agree_exactly():
+    # after one pass over the requests has warmed every cache, each further pass
+    # over the same requests in the same order runs the same lines
+    script = ("import json, sys\nsys.path.insert(0, 'tools')\nimport traffic\n"
+              "run, n = traffic.load('closed-grid', 1, 200)\ntraffic.trace(run)\n"
+              "print(json.dumps([traffic.count_lines(run), traffic.count_lines(run)]))\n")
+    out = subprocess.run([sys.executable, "-c", script], cwd=ROOT, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    first, second = json.loads(out)
+    assert first == second
+    assert first["special_functions"] > 0 and first["lommel"] > 0

@@ -1,6 +1,6 @@
 """Which ``src/oscint`` statements a benchmark workload reaches, and how often.
 
-    python3 tools/traffic.py --workload closed-grid --seed 1 [--requests 200]
+    python3 tools/traffic.py --workload closed-grid --seed 1 [--requests 200] [--lines]
 
 In a fresh interpreter it imports every module of this working tree's ``oscint``
 and runs the seed's benchmark requests once (``perfbench/workloads.py``, read
@@ -10,7 +10,14 @@ Under ``sys.settrace`` it prints, per ``def`` in ``src/oscint`` (a lambda counts
 in its statement), the statements that ran at least once out of all of them (a
 docstring is none), how often its first statement ran per request (its calls,
 not a generator's resumptions) and the lines of the statements that never ran;
-``--record PATH`` writes the same as JSON.  Standard library only.
+``--record PATH`` writes the same as JSON.
+
+``--lines`` then runs the same requests once more, in the same order, and prints
+``<module>.lines_per_req``: the line events per request in each ``src/oscint``
+module.  The first pass has warmed every cache, so the count is exact and does not
+depend on what ran before: two such passes count the same.  It weighs no C-level
+work (``cmath``, numpy, libm) and depends on the Python version, so it stands
+beside wall-clock medians and does not replace them.  Standard library only.
 """
 
 import argparse
@@ -46,8 +53,9 @@ def functions(path):
     return sorted(out)
 
 
-def trace(workload, seed, count):
-    """The (file, line) pairs run, calls per (file, first line, name), requests."""
+def load(workload, seed, count):
+    """(run, requests): ``run()`` evaluates the seed's first ``count`` requests once, in
+    order, each by this working tree's ``oscint``."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import oscint
     import workloads as wl
@@ -56,6 +64,22 @@ def trace(workload, seed, count):
         importlib.import_module("oscint." + path.stem)
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     requests = wl.generate(workload, seed, wl.request_count(workload, seconds))[:count]
+
+    def run():
+        for req in requests:
+            try:
+                if workload == "oracle-grid":
+                    oscint.integrate_semi_infinite(wl.oracle_spec(oscint, req))
+                else:
+                    wl.closed_call(oscint, req)()
+            except Exception:       # a failed request ran its lines too
+                pass
+
+    return run, len(requests)
+
+
+def trace(run):
+    """The (file, line) pairs one pass of ``run`` ran, and calls per (file, first line, name)."""
     prefix, lines, calls = str(SRC), set(), Counter()
 
     def tracer(frame, event, arg):
@@ -69,16 +93,26 @@ def trace(workload, seed, count):
         return tracer
 
     sys.settrace(tracer)
-    for req in requests:
-        try:
-            if workload == "oracle-grid":
-                oscint.integrate_semi_infinite(wl.oracle_spec(oscint, req))
-            else:
-                wl.closed_call(oscint, req)()
-        except Exception:       # a failed request ran its lines too
-            pass
+    run()
     sys.settrace(None)
-    return lines, calls, len(requests)
+    return lines, calls
+
+
+def count_lines(run):
+    """Line events per ``src/oscint`` module stem in one pass of ``run``."""
+    prefix, events = str(SRC), Counter()
+
+    def tracer(frame, event, arg):
+        if event == "line":
+            events[frame.f_code.co_filename] += 1
+        elif not frame.f_code.co_filename.startswith(prefix):
+            return None
+        return tracer
+
+    sys.settrace(tracer)
+    run()
+    sys.settrace(None)
+    return {Path(name).stem: count for name, count in sorted(events.items())}
 
 
 def main(argv=None):
@@ -87,8 +121,11 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--requests", type=int, help="only the first N requests")
     ap.add_argument("--record", type=Path, help="also write the table as JSON here")
+    ap.add_argument("--lines", action="store_true",
+                    help="also count line events per module in a second, warm pass")
     args = ap.parse_args(argv)
-    lines, calls, n = trace(args.workload, args.seed, args.requests)
+    run, n = load(args.workload, args.seed, args.requests)
+    lines, calls = trace(run)
     print(f"{args.workload} seed {args.seed}: {n} requests")
     rows = []
     for path in sorted(SRC.glob("*.py")):
@@ -100,9 +137,13 @@ def main(argv=None):
                 "never": [a for (a, _), hit in zip(stmts, ran) if not hit]})
             print(f"{row['function']:<44} {row['ran']:>3}/{row['statements']:<3} "
                   f"{row['calls_per_req']:>9.3f}/req  never {row['never'] or '-'}")
+    record = {"workload": args.workload, "seed": args.seed, "requests": n, "functions": rows}
+    if args.lines:
+        record["lines_per_req"] = {stem: count / n for stem, count in count_lines(run).items()}
+        for stem, per_req in record["lines_per_req"].items():
+            print(f"{stem}.lines_per_req {per_req:.2f}")
     if args.record:
-        args.record.write_text(json.dumps({"workload": args.workload, "seed": args.seed,
-                                           "requests": n, "functions": rows}, indent=1) + "\n")
+        args.record.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 
