@@ -262,33 +262,33 @@ _EPSILON_TERMS = 9
 
 @functools.cache
 def _gk21():
-    """(numpy, the 21 nodes, their (Kronrod, Gauss) weight columns)."""
+    """(numpy, the 21 nodes, their (Kronrod, Gauss) weight columns, those for (re, im) pairs)."""
     import numpy as np
 
     x = np.array(_GK21_NODES)
-    gauss = np.zeros(11)
-    gauss[1::2] = _G10_WEIGHTS
+    gauss = np.array([0.0, *chain.from_iterable((g, 0.0) for g in _G10_WEIGHTS)])
     w = np.stack((_GK21_WEIGHTS, gauss), axis=1)
     # mirror the table: nodes -x0 .. -x9, 0, x9 .. x0
-    return np, np.concatenate((-x, x[-2::-1])), np.concatenate((w, w[-2::-1]))
+    w = np.concatenate((w, w[-2::-1]))
+    return np, np.concatenate((-x, x[-2::-1])), w, np.kron(w, np.eye(2))
 
 
 def _gk21_rule(fv, x, scale):
     """(K21, |K21 - G10|) of each row of the node matrix ``x``: the array
     integrand ``fv`` at the 21 nodes of one piece, times ``scale``, the
     half-widths as a column or one factor.  Every GK21 sum is taken here."""
-    np, _, w = _gk21()
+    np, _, w, pairs = _gk21()
     # IEEE results without warnings: a non-finite piece fails every test
     with np.errstate(all="ignore"):
         f = fv(x)
-        # a complex f in two real products: a complex one faults in BLAS's complex kernels
-        kg = (f.real @ w + 1j * (f.imag @ w) if f.dtype.kind == "c" else f @ w) * scale
+        # a complex f as one real product of its (re, im) pairs: a complex one faults in BLAS
+        kg = ((f.view(float) @ pairs).view(complex) if f.dtype.kind == "c" else f @ w) * scale
         return kg[:, 0], np.abs(kg[:, 0] - kg[:, 1])
 
 
 def _gk21_pieces(fv, a, b):
     """``_gk21_rule`` of ``fv`` on the pieces [a, b], numpy arrays."""
-    np, nodes, _ = _gk21()
+    np, nodes = _gk21()[:2]
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return _gk21_rule(fv, mid[:, None] + half[:, None] * nodes, half[:, None])
@@ -430,7 +430,7 @@ def _phase_table(kernel, power, first):
     matrix u, kernel(pi u^power) times the half-widths, edges, the graded
     lobes' length shares).  The kernel is (-1)^k sin(pi f) at u^power +
     shift = k + f, |f| <= 1/2, f from nodes in numpy's extended precision."""
-    np, nodes, _ = _gk21()
+    np, nodes = _gk21()[:2]
     shift = 0.0 if kernel is Kernel.SIN else 0.5
     edges, graded = _first_layout(0.0, [(k - shift) ** (1.0 / power) for k in range(1, first + 1)])
     e = np.array(edges, np.longdouble)

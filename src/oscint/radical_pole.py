@@ -86,13 +86,13 @@ def pole_tail_cos(c: float, as_printed: bool = False) -> float:
 def pole_head_sin_series(c: float, gamma: float,
                          ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Integral of sin(c x^2)/(x^2+1) on [0, gamma], by series."""
-    return _head_series(hyp2f1, 1.0, (1,), c, gamma, ctl, "pole_head_sin_series")[0]
+    return _head_series(hyp2f1, 1.0, c, gamma, ctl, "pole_head_sin_series")[0]
 
 
 def pole_head_cos_series(c: float, gamma: float,
                          ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Integral of cos(c x^2)/(x^2+1) on [0, gamma], by series."""
-    return _head_series(hyp2f1, 1.0, (0,), c, gamma, ctl, "pole_head_cos_series")[0]
+    return _head_series(hyp2f1, 1.0, c, gamma, ctl, "pole_head_cos_series")[1]
 
 
 def pole_head_sin_approx(c: float, gamma: float) -> float:

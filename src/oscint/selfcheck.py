@@ -311,15 +311,22 @@ def _z_oracle(kernel, c, power):
 
 
 def check_radical_head_moments():
-    # the engine's recurrence table against one direct 2F1 per index, both
-    # summed to below double rounding so only the recurrence is measured
+    # the engine's one pass (moment recurrence and both heads' Horner sums, at
+    # the seed depth it picks) against the direct sums over one 2F1 per index,
+    # summed to below double rounding, so only the recurrence is measured
     ctl = SeriesControl(1e-17, 4000)
     for p in (0.5, 1.0):
         for gamma in (0.3, 0.99, 1.0, 1.01, 2.0):
             g2 = gamma * gamma
-            table = tr._moments(hyp2f1, p, g2, 30, ctl)
-            r = max(_rel(m, hyp2f1(p, j + 0.5, j + 1.5, -g2, ctl)) for j, m in enumerate(table))
-            yield f"p={p} gamma={gamma} j<=30", r <= 1e-13, f"rel {r:.1e}"
+            for phase in (0.5, 4.0):
+                c = phase / g2
+                x, term, want = c * g2, gamma, 0j      # x: the phase the engine sums at
+                for j in range(tr._table_top(x, ctl) + 1):
+                    want += term * hyp2f1(p, j + 0.5, j + 1.5, -g2, ctl) / (2 * j + 1)
+                    term *= 1j * x / (j + 1)
+                got = tr._head_series(hyp2f1, p, c, gamma, ctl, "head series")
+                r = max(_rel(got[0], want.imag), _rel(got[1], want.real))
+                yield f"p={p} gamma={gamma} x={phase}", r <= 1e-13, f"rel {r:.1e}"
 
 
 # per radical family: (sin, cos) tails, series heads and transforms, weight power, oracle weight

@@ -11,19 +11,24 @@ on [0, gamma].
 The engine below is written once for both p, and each route yields the
 (sin, cos) pair from one evaluation; only the public functions pick one:
 
-* the head series sum_k (-c^2 gamma^4)^k / j! * m_j/(2j+1), with j = 2k+1
-  for the sine kernel and j = 2k for the cosine, over the moments
+* both heads as gamma (Im, Re) T_0, T_0 = sum_j (ix)^j/j! m_j/(2j+1) with
+  x = c gamma^2 (odd j the sine, even j the cosine), over the moments
   m_j = 2F1(p, j+1/2; j+3/2; -gamma^2), i.e. (2j+1) gamma^-(2j+1) times
   the integral of z^2j (z^2+1)^-p on [0, gamma];
-* one moment table m_0..m_J per transform, shared by both kernels and
-  filled by the three-term relation between neighbouring moments: for
-  gamma <= 1 from one 2F1 at j = J (summed to 1e-17, whatever rel_tol)
-  downward, for gamma > 1 from the closed-form m_0 upward (no 2F1 at
-  all), each the stable direction;
-  the length J grows with the phase, so it is cached per phase rounded
-  up to a multiple of 1/16 (bounded LRU); the seed is Pfaff's 2F1 series,
-  half as long as the direct one (c - b = 1 against b = J + 1/2), and the
-  loops read (2j+3-2p)/(2j+3) per p, 2j+1 and (j+1)(j+2) from tables grown first;
+* one pass per transform over m_J..m_0, to the table's top J (x^J/J! below
+  rel_tol min(1, x)/1000): Horner's rule T_j = m_j/(2j+1) + ix/(j+1) T_(j+1)
+  takes each moment as the three-term relation between neighbours gives it,
+  for gamma <= 1 downward from one 2F1 at j = J in the same loop, for
+  gamma > 1 from a list filled upward from the closed-form m_0 (no 2F1 at
+  all), each the stable direction; no head stops early, and a table that
+  the cap 2 max_terms - 1 ends before its bound falls is the series' stall;
+* the seed's 2F1 summed to 10^-d, d = 17 + log10(gamma^(2(J-1)) e^c) held
+  to [8, 17]: an error in m_J reaches the sine head at most that factor
+  times over, relative, so the seed is summed only as deep as it shows;
+  J grows with the phase, so it is cached per phase rounded up to a
+  multiple of 1/16 (bounded LRU); the seed is Pfaff's 2F1 series, half as
+  long as the direct one (c - b = 1 against b = J + 1/2), and the pass
+  reads (2j+3-2p)/(2j+3) per p, 2j+1 and j+1 from tables grown first;
 * one phase guard (c gamma^2 = zeta a <= 12) and, where a series stalls or
   is not wanted, both heads as (Im, Re) of one integral of e^(i c z^2)
   (z^2+1)^-p on [0, gamma] by the family's own ``integrate_finite`` binding;
@@ -31,7 +36,7 @@ The engine below is written once for both p, and each route yields the
   that binding: cos + i sin = (i/zeta) times the integral of e^-s w(i s/zeta)
   over [0, inf) (Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44 (2006)
   1026-1048); there arg(t + a) is in [0, pi/2), so principal roots continue
-  w, as would one root of a product (its two arguments sum below pi);
+  w, and this weight takes one root of the product (the arguments sum below pi);
 * both leading-order heads for gamma <= 1 from one Fresnel pair, k = 2/p;
 * the assembly: prefactor times (tail - head), rotated by the phase a*zeta.
 
@@ -72,7 +77,8 @@ from .special_functions import (
 # phase 11-12 on 3,000 seeded points against the contour (2.6e-8 at 16)
 _MAX_PHASE = 12.0
 _CONTOUR_END = 40.0         # e^-40 < 5e-18, and |w| on the contour <= w(0)
-_HEAD_TERMS = []            # (2j + 1, (j + 1)(j + 2)) as floats, to the longest top + 1
+_HEAD_TERMS = []            # (2j + 1, j + 1) as floats, to the longest top + 1
+_LOG10_E = math.log10(math.e)
 _moment_ratios = lru_cache(maxsize=16)(lambda p: [])    # (2j+3-2p)/(2j+3) per power p
 
 
@@ -146,43 +152,23 @@ def tail_cos(c: float) -> float:
     return _tails(c)[1]
 
 
-def _moments(hyp, p, g2, top, ctl):
-    """m_0..m_top of m_j = 2F1(p, j+1/2; j+3/2; -g2), by the relation
-    m_j + (2j+3-2p)/(2j+3) g2 m_{j+1} = (1+g2)^(1-p) (integration by parts):
-    for g2 <= 1 downward from one 2F1 at j = top, for g2 > 1 (where
-    downward recurrence grows errors by g2 per step) upward from the
-    closed-form m_0 = atan(gamma)/gamma (p = 1) or asinh(gamma)/gamma.
-    """
-    lead = (1.0 + g2) ** (1.0 - p)
-    m = [0.0] * (top + 1)
-    if g2 <= 1.0:
-        if len(ratios := _moment_ratios(p)) < top:
-            _grown(ratios, top, lambda j: (2 * j + 3 - 2 * p) / (2 * j + 3))
-        v = m[top] = hyp(p, top + 0.5, top + 1.5, -g2, _seed_control(ctl.max_terms))
-        for j in range(top - 1, -1, -1):
-            v = m[j] = lead - ratios[j] * g2 * v
-    else:
-        g = math.sqrt(g2)
-        v = m[0] = (math.atan(g) if p == 1.0 else math.asinh(g)) / g
-        for j in range(top):
-            v = m[j + 1] = (lead - v) * (2 * j + 3) / ((2 * j + 3 - 2 * p) * g2)
-    return m
-
-
-@lru_cache(maxsize=16)
-def _seed_control(max_terms):
-    """The top moment's 2F1 stops at 1e-17, as Gamma's series do, not at
-    rel_tol: at g2 near 1 each downward step multiplies its error by nearly
-    1, so nothing damps it on the way to m_0."""
-    return SeriesControl(1e-17, max_terms)
+@lru_cache(maxsize=64)
+def _seed_control(digits, max_terms):
+    """The top moment's 2F1 stops at 10^-digits, digits = 17 + log10 of the
+    bound g2^(top-1) e^c, within [8, 17]: an error e in m_top reaches m_j as at
+    most g2^(top-j) e, and T_0 weighs m_j by x^j/j! = c^j g2^j/j!, so it reaches
+    the sine head (about x/3 at small x) as at most g2^(top-1) e^c e relative.
+    At g2 near 1 nothing else damps it on the way to m_0."""
+    return SeriesControl(10.0 ** -digits, max_terms)
 
 
 def _table_top(x, ctl):
-    """Last moment index for phase x: terms are bounded by x^j/j! (0 < m_j
-    <= 1), so stop past j > x once that is below rel_tol * min(1, x) / 1000
-    for both parities, and at max_terms terms per kernel.  The index grows
-    with x, so it is read for x rounded up to a multiple of 1/16: a longer
-    table costs no accuracy, because each head sum stops at its own test."""
+    """Last moment index for phase x, or None where the cap stops the table
+    first: terms are bounded by x^j/j! (0 < m_j <= 1), so stop past j > x
+    once that is below rel_tol * min(1, x) / 1000, and at 2 max_terms - 1
+    (max_terms per kernel).  The index grows with x, so it is read for x
+    rounded up to a multiple of 1/16: a longer table only adds terms below
+    the bound."""
     return _table_length(math.ceil(16.0 * x) / 16.0, ctl.rel_tol, ctl.max_terms)
 
 
@@ -190,24 +176,27 @@ def _table_top(x, ctl):
 def _table_length(x, rel_tol, max_terms):
     cap, floor = 2 * max_terms - 1, 1e-3 * rel_tol * min(1.0, x)
     bound, j = 1.0, 0
-    while j < cap and (j <= x or bound >= floor):
+    while j <= x or bound >= floor:
+        if j == cap:
+            return None
         j += 1
         bound *= x / j
     return min(j + 1, cap)
 
 
-def _head_series(hyp, p, odds, c, gamma, ctl, name):
-    """Heads of weight power ``p`` by series from one moment table, one
-    head per entry of ``odds`` (1: sine, sum over odd j; 0: cosine, even j)
-    of gamma * sum_j (-1)^floor(j/2) x^j/j! m_j/(2j+1), x = c gamma^2, each
-    until its term drops below rel_tol of its sum.  ``hyp`` is the calling
-    family's own module binding of ``hyp2f1``, so calls stay attributed to
-    that family when bindings are traced.
+def _head_series(hyp, p, c, gamma, ctl, name):
+    """(sin, cos) heads of weight power ``p`` by series: gamma (Im, Re) T_0 by
+    one Horner pass over the moments (module docstring), each from the next
+    by m_j + (2j+3-2p)/(2j+3) g2 m_(j+1) = (1+g2)^(1-p) (integration by parts)
+    for g2 <= 1, from the one before for g2 > 1 (closed-form m_0 = atan(gamma)/
+    gamma at p = 1, else asinh(gamma)/gamma).  ``hyp`` is the calling family's
+    own module binding of ``hyp2f1``, so calls stay attributed to that family
+    when bindings are traced.
     """
     if not (c > 0 and gamma >= 0):
         raise DomainError(f"need c > 0 and gamma >= 0, got c={c} gamma={gamma}")
     if gamma == 0:
-        return [0.0] * len(odds)
+        return 0.0, 0.0
     g2 = gamma * gamma
     x = c * g2
     if x > _MAX_PHASE:
@@ -215,37 +204,44 @@ def _head_series(hyp, p, odds, c, gamma, ctl, name):
             _require_finite(name, c=c, gamma=gamma)
         raise ConvergenceError(
             f"head series phase c*gamma^2 = {x:.3g} too large for double precision")
-    top = _table_top(x, ctl)
-    m = _moments(hyp, p, g2, top, ctl)
+    if (top := _table_top(x, ctl)) is None:
+        raise ConvergenceError(f"{name} stalled at c={c}, gamma={gamma}")
+    lead = (1.0 + g2) ** (1.0 - p)
     if len(_HEAD_TERMS) <= top:
-        _grown(_HEAD_TERMS, top + 1, lambda j: (2 * j + 1.0, (j + 1.0) * (j + 2)))
-    step = -x * x
-    heads = []
-    for odd in odds:
-        term, total = (x if odd else 1.0), 0.0      # (-1)^k x^j / j!, j = 2k + odd
-        for j in range(odd, top + 1, 2):
-            d, r = _HEAD_TERMS[j]
-            piece = term * m[j] / d
-            total += piece
-            if abs(piece) < ctl.rel_tol * abs(total):
-                break
-            term *= step / r
-        else:
-            raise ConvergenceError(f"{name} stalled at c={c}, gamma={gamma}")
-        heads.append(gamma * total)
-    return heads
+        _grown(_HEAD_TERMS, top + 1, lambda j: (2 * j + 1.0, j + 1.0))
+    if g2 > 1.0:
+        m = [(math.atan(gamma) if p == 1.0 else math.asinh(gamma)) / gamma]
+        for j in range(top):
+            m.append((lead - m[j]) * (2 * j + 3) / ((2 * j + 3 - 2 * p) * g2))
+        re = im = 0.0
+        for j in range(top, -1, -1):
+            d, n = _HEAD_TERMS[j]
+            y = x / n
+            re, im = m[j] / d - y * im, y * re
+        return gamma * im, gamma * re
+    if len(ratios := _moment_ratios(p)) < top:
+        _grown(ratios, top, lambda j: (2 * j + 3 - 2 * p) / (2 * j + 3))
+    digits = math.floor(17.0 + (top - 1) * math.log10(g2) + c * _LOG10_E)
+    v = hyp(p, top + 0.5, top + 1.5, -g2, _seed_control(min(17, max(8, digits)), ctl.max_terms))
+    re, im = v / _HEAD_TERMS[top][0], 0.0
+    for j in range(top - 1, -1, -1):
+        v = lead - ratios[j] * g2 * v
+        d, n = _HEAD_TERMS[j]
+        y = x / n
+        re, im = v / d - y * im, y * re
+    return gamma * im, gamma * re
 
 
 def head_sin_series(c: float, gamma: float,
                     ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Integral of sin(c z^2)/sqrt(z^2+1) on [0, gamma], by series."""
-    return _head_series(hyp2f1, 0.5, (1,), c, gamma, ctl, "head_sin_series")[0]
+    return _head_series(hyp2f1, 0.5, c, gamma, ctl, "head_sin_series")[0]
 
 
 def head_cos_series(c: float, gamma: float,
                     ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Integral of cos(c z^2)/sqrt(z^2+1) on [0, gamma], by series."""
-    return _head_series(hyp2f1, 0.5, (0,), c, gamma, ctl, "head_cos_series")[0]
+    return _head_series(hyp2f1, 0.5, c, gamma, ctl, "head_cos_series")[1]
 
 
 def _head_approx(c, gamma, k, front_k=None):
@@ -302,7 +298,7 @@ def _assemble(p, prefactor, tails, weight, hyp, power, approx_heads, integrate, 
 
     ``tails`` gives the (sin, cos) pair on [0, inf) at c.  The heads are the
     family's leading-order pair ``approx_heads(c, gamma)`` when given, else
-    both series of weight power ``power`` from one moment table (``hyp`` as
+    both series of weight power ``power`` from one moment pass (``hyp`` as
     in ``_head_series``), replaced by the ``_head_quad`` pair through
     ``integrate``, the family's own ``integrate_finite`` binding, when
     ``quadrature`` is set or the series raises ConvergenceError.
@@ -315,7 +311,7 @@ def _assemble(p, prefactor, tails, weight, hyp, power, approx_heads, integrate, 
         hs, hc = approx_heads(c, g)
     elif not quadrature:
         try:
-            hs, hc = _head_series(hyp, power, (1, 0), c, g, ctl, "head series")
+            hs, hc = _head_series(hyp, power, c, g, ctl, "head series")
         except ConvergenceError:
             quadrature = True
     if quadrature:
@@ -338,8 +334,11 @@ def _transform(a, b, zeta, ctl, heads_by_quadrature, approx, as_printed):
         return _degenerate(p.a, zeta, ctl)
     front_k = 1.0 if as_printed else None
     approx_heads = (lambda c, g: _head_approx(c, g, 4.0, front_k)) if approx else None
-    return _assemble(p, 2.0, _tails, lambda m, a, b, t: 1.0 / (m.sqrt(t + a) * m.sqrt(t + b)),
-                     hyp2f1, 0.5, approx_heads, integrate_finite, ctl, heads_by_quadrature)
+    # one root of the product, two where it would overflow (|t| <= 40 on the contour)
+    weight = lambda m, a, b, t: 1.0 / (m.sqrt((t + a) * (t + b)) if b < 1e154
+                                       else m.sqrt(t + a) * m.sqrt(t + b))
+    return _assemble(p, 2.0, _tails, weight, hyp2f1, 0.5, approx_heads, integrate_finite, ctl,
+                     heads_by_quadrature)
 
 
 def sin_transform(a: float, b: float, zeta: float = 1.0,

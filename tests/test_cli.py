@@ -136,6 +136,16 @@ def test_compare_lommel(capsys):
     assert doc["gated_max_deviation"] <= 1e-8
 
 
+@pytest.mark.parametrize("x", ["10", "60", "150"])
+def test_compare_log_half_power_passes_its_gate(capsys, x):
+    # the series method's central difference at h = 1e-4 was up to 4e-8 off;
+    # Richardson's (4 D_h - D_2h)/3 leaves it below 1e-12
+    code, out, _ = run_cli(capsys, "compare", "--family", "log-half-power", "--x", x)
+    doc = json.loads(out)
+    assert code == 0 and doc["ok"] is True
+    assert doc["gated_max_deviation"] <= 1e-12
+
+
 def _lommel_tiny_zeta(capsys, kernel):
     code, out, _ = run_cli(capsys, "eval", "--family", "lommel", "--kernel", kernel,
                            "--n", "1", "--m", "1", "--x", "1", "--zeta", "1e-100")

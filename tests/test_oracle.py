@@ -281,14 +281,14 @@ def test_gk21_gauss_subset_is_leggauss_10():
     # the literal table lists the positive nodes, largest first
     assert np.max(np.abs(np.array(oracle._GK21_NODES[1::2]) - x[:4:-1])) <= 1e-15
     assert np.max(np.abs(np.array(oracle._G10_WEIGHTS) - w[:4:-1])) <= 1e-15
-    _, nodes, weights = oracle._gk21()
+    _, nodes, weights, _ = oracle._gk21()
     gauss = weights[:, 1] != 0.0
     assert np.max(np.abs(nodes[gauss] - x)) <= 1e-15
     assert np.max(np.abs(weights[gauss, 1] - w)) <= 1e-15
 
 
 def test_gk21_is_exact_for_polynomials_up_to_degree_31():
-    _, nodes, weights = oracle._gk21()
+    _, nodes, weights, _ = oracle._gk21()
     for k in range(32):
         exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
         assert abs(weights[:, 0] @ nodes ** k - exact) <= 1e-15
@@ -850,7 +850,7 @@ def test_fallback_rule_stops_at_a_level_that_bisects_no_piece():
     # then sum to 1.0165 with none above its share and 0.89 away from
     # the ends (no extrapolation), so a further level would bisect
     # nothing and change nothing.
-    _, nodes, weights = oracle._gk21()
+    _, nodes, weights, _ = oracle._gk21()
     w0 = weights[0, 0]
     evals = []
 

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("traffic", ROOT / "tools" / "traffic.py")
 traffic = importlib.util.module_from_spec(_spec)
@@ -64,3 +66,29 @@ def test_two_warm_line_counts_agree_exactly():
     first, second = json.loads(out)
     assert first == second
     assert first["special_functions"] > 0 and first["lommel"] > 0
+
+
+def test_parent_of_an_unchanged_tree_counts_the_same(tmp_path):
+    # a commit of this working tree, compared with itself through --parent HEAD
+    inside = subprocess.run(["git", "rev-parse", "--is-inside-work-tree"], cwd=ROOT,
+                            capture_output=True, text=True)
+    if inside.stdout.strip() != "true":
+        pytest.skip("not a git working tree")
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    repo = tmp_path / "repo"
+    bench_pairs.snapshot(repo)
+    git = ["git", "-c", "user.name=traffic", "-c", "user.email=traffic@localhost",
+           "-c", "commit.gpgsign=false"]
+    for argv in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "tree"]):
+        subprocess.run(git + argv, cwd=repo, check=True, capture_output=True)
+    out = subprocess.run([sys.executable, str(repo / "tools" / "traffic.py"), "--workload",
+                          "closed-grid", "--seed", "1", "--requests", "200", "--parent", "HEAD"],
+                         cwd=repo, check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert {row[0] for row in rows} >= {"two_radical.lines_per_req",
+                                        "special_functions.lines_per_req"}
+    for name, _, parent, _, change in rows:
+        assert parent == change and float(parent) > 0, name

@@ -181,6 +181,10 @@ def _head_accuracy_grid():
     for gamma in gammas + [1.0 - 1e-9, 1.0, 1.0 + 1e-9]:
         out.append((gamma, math.exp(rng.uniform(math.log(1e-3), math.log(10.0))), 1e-12))
         out.append((gamma, rng.uniform(10.0, 25.0), 1e-5))
+    # where the seed's 2F1 is shortest: c up to 7 at gamma 0.05 to 0.3 puts its
+    # depth at the floor of 8 digits, the rest left to the recurrence's damping
+    for gamma in (0.05, 0.1, 0.2, 0.3):
+        out += [(gamma, c * gamma * gamma, 1e-14) for c in (1.0, 3.0, 7.0)]
     return out
 
 
@@ -232,12 +236,13 @@ def test_wide_transforms_past_the_phase_guard_meet_the_oracle(transforms, weight
 
 
 def _table_top_loop(x, ctl):
+    # the table's last index, or inf where the cap comes before the bound falls
     cap, floor = 2 * ctl.max_terms - 1, 1e-3 * ctl.rel_tol * min(1.0, x)
     bound, j = 1.0, 0
     while j < cap and (j <= x or bound >= floor):
         j += 1
         bound *= x / j
-    return min(j + 1, cap)
+    return min(j + 1, cap) if j > x and bound < floor else math.inf
 
 
 @pytest.mark.parametrize("ctl", [SeriesControl(), SeriesControl(1e-15, 4000),
@@ -245,13 +250,18 @@ def _table_top_loop(x, ctl):
                          ids=["default", "tight", "loose", "capped"])
 def test_cached_table_length_covers_the_loop(ctl):
     # the cached length is read at x rounded up to 1/16: never shorter than
-    # the loop's at x, never longer than the loop's 1/16 further on
+    # the loop's at x, never longer than the loop's 1/16 further on; a table
+    # the cap stops (None, the heads' stall) is one the loop's cap stops there
     rng = random.Random(20261018)
     xs = [k / 512 for k in range(1, 25 * 512 + 1)]
     xs += [10.0 ** rng.uniform(-14.0, 1.4) for _ in range(2000)]
+    capped = 0
     for x in xs:
         top = tr._table_top(x, ctl)
+        capped += top is None
+        top = math.inf if top is None else top
         assert _table_top_loop(x, ctl) <= top <= _table_top_loop(x + 1.0 / 16.0, ctl), x
+    assert (capped > 0) == (ctl.max_terms == 4)
 
 
 def _rotated_contour(weight, zeta, dps=40):
@@ -266,20 +276,23 @@ def _rotated_contour(weight, zeta, dps=40):
 
 @pytest.mark.parametrize("transforms, weight, bound", [
     ((sin_transform, cos_transform),
-     lambda mp, a, b, t: 1 / (mp.sqrt(t + a) * mp.sqrt(t + b)), 3e-14),
+     lambda mp, a, b, t: 1 / (mp.sqrt(t + a) * mp.sqrt(t + b)), 1e-14),
     ((pole_sin_transform, pole_cos_transform),
-     lambda mp, a, b, t: 1 / (mp.sqrt(t + a) * (t + b)), 3e-14),
+     lambda mp, a, b, t: 1 / (mp.sqrt(t + a) * (t + b)), 1e-14),
 ], ids=["two-radical", "radical-pole"])
 def test_in_grid_transforms_near_unit_gamma_against_mpmath(transforms, weight, bound):
     # at gamma^2 = a/(b-a) near 1 the downward moment recurrence does not
-    # damp the error of the top moment's 2F1, so that 2F1 is summed to 1e-17
+    # damp the error of the top moment's 2F1, so that 2F1 is summed to 1e-17,
+    # and tail - head cancels, so both heads run to the table's top: at the
+    # closed-grid wide point first below (gamma^2 = 0.9922) a two-radical
+    # cosine whose head stopped at rel_tol was 1.3e-13 off
     pytest.importorskip("mpmath")
     rng = random.Random(20261018)
-    worst = []
+    worst, points = [], [(2.4928, 5.0052, 0.98746)]
     for _ in range(24):
         a = rng.uniform(0.2, 1.0)
-        b = a + a / rng.uniform(0.9, 1.1)
-        zeta = rng.uniform(0.25, 2.0)
+        points.append((a, a + a / rng.uniform(0.9, 1.1), rng.uniform(0.25, 2.0)))
+    for a, b, zeta in points:
         ref = _rotated_contour(lambda mp, t: weight(mp, mp.mpf(a), mp.mpf(b), t), zeta)
         for transform, want in zip(transforms, ref):
             worst.append((abs(transform(a, b, zeta) - want) / abs(want), transform.__name__, a, b))

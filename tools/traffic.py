@@ -17,14 +17,24 @@ not a generator's resumptions) and the lines of the statements that never ran;
 module.  The first pass has warmed every cache, so the count is exact and does not
 depend on what ran before: two such passes count the same.  It weighs no C-level
 work (``cmath``, numpy, libm) and depends on the Python version, so it stands
-beside wall-clock medians and does not replace them.  Standard library only.
+beside wall-clock medians and does not replace them.
+
+``--parent REV`` prints only that count, for a parent and for this working tree:
+
+    python3 tools/traffic.py --workload closed-grid --seed 1 --requests 3000 --parent HEAD
+
+REV is extracted with ``git archive`` into a temporary directory, as
+``tools/bench_pairs.py`` does, and each side runs one warm pass and one counted
+pass, by this script, in a fresh interpreter.  Standard library only.
 """
 
 import argparse
 import ast
 import importlib
 import json
+import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -53,16 +63,16 @@ def functions(path):
     return sorted(out)
 
 
-def load(workload, seed, count):
+def load(workload, seed, count, root=ROOT):
     """(run, requests): ``run()`` evaluates the seed's first ``count`` requests once, in
-    order, each by this working tree's ``oscint``."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    order, each by the ``oscint`` of checkout ``root``, this working tree by default."""
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import oscint
     import workloads as wl
 
-    for path in SRC.glob("[!_]*.py"):
+    for path in (root / "src" / "oscint").glob("[!_]*.py"):
         importlib.import_module("oscint." + path.stem)
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
     requests = wl.generate(workload, seed, wl.request_count(workload, seconds))[:count]
 
     def run():
@@ -98,9 +108,9 @@ def trace(run):
     return lines, calls
 
 
-def count_lines(run):
-    """Line events per ``src/oscint`` module stem in one pass of ``run``."""
-    prefix, events = str(SRC), Counter()
+def count_lines(run, src=SRC):
+    """Line events per module stem of ``src`` (``src/oscint``) in one pass of ``run``."""
+    prefix, events = str(src), Counter()
 
     def tracer(frame, event, arg):
         if event == "line":
@@ -115,6 +125,39 @@ def count_lines(run):
     return {Path(name).stem: count for name, count in sorted(events.items())}
 
 
+def lines_per_req(root, workload, seed, count):
+    """{module stem: line events per request} of checkout ``root``, by this script in a
+    fresh interpreter: one pass over the requests to warm every cache, one counted."""
+    code = (f"import json, sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            f"import traffic\nroot = traffic.Path({str(root)!r})\n"
+            f"run, n = traffic.load({workload!r}, {seed!r}, {count!r}, root)\nrun()\n"
+            "counts = traffic.count_lines(run, root / 'src' / 'oscint')\n"
+            "print(json.dumps({stem: count / n for stem, count in counts.items()}))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def compare_parent(args):
+    """Print (and with ``--record`` write) lines_per_req of ``args.parent`` and this tree."""
+    from bench_pairs import extract
+
+    with tempfile.TemporaryDirectory(prefix="traffic-") as tmp:
+        extract(args.parent, tmp)
+        parent = lines_per_req(Path(tmp), args.workload, args.seed, args.requests)
+    change = lines_per_req(ROOT, args.workload, args.seed, args.requests)
+    print(f"{args.workload} seed {args.seed}: parent {args.parent} vs working tree")
+    rows = {stem: {"parent": parent.get(stem, 0.0), "change": change.get(stem, 0.0)}
+            for stem in sorted({*parent, *change})}
+    for stem, row in rows.items():
+        print(f"{stem}.lines_per_req parent {row['parent']:.2f} change {row['change']:.2f}")
+    if args.record:
+        args.record.write_text(json.dumps(
+            {"workload": args.workload, "seed": args.seed, "requests": args.requests,
+             "parent": args.parent, "lines_per_req": rows}, indent=1) + "\n")
+    return 0
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=("closed-grid", "oracle-grid"))
@@ -123,7 +166,11 @@ def main(argv=None):
     ap.add_argument("--record", type=Path, help="also write the table as JSON here")
     ap.add_argument("--lines", action="store_true",
                     help="also count line events per module in a second, warm pass")
+    ap.add_argument("--parent", help="count only line events per module, at this git "
+                                     "revision and in this working tree")
     args = ap.parse_args(argv)
+    if args.parent:
+        return compare_parent(args)
     run, n = load(args.workload, args.seed, args.requests)
     lines, calls = trace(run)
     print(f"{args.workload} seed {args.seed}: {n} requests")
