@@ -7,9 +7,10 @@ continued past mu = 1/2 by its incomplete-gamma realization
         = integral of sin(t)/(t+x)^alpha over [0, inf)
         = Re[ exp(+i(pi*alpha + 2x)/2) Gamma(1-alpha, ix) ],
 
-a conjugate-symmetric combination: one Gamma call, at -ix, gives its
-real part, as Gamma(a, conj z) = conj Gamma(a, z) (pinned bitwise by the
-tests).  The verbatim printed identity uses Gamma(-alpha, .); that
+a conjugate-symmetric combination: from x = max(3, a+1) up, a = 1 - alpha,
+the backward Gamma fraction's -i x^a / D at every order, the continuation's
+too; below, one Gamma call at -ix (Gamma(a, conj z) = conj Gamma(a, z)
+bitwise).  The verbatim printed identity uses Gamma(-alpha, .); that
 fails the defining integral (errata LOM-GAMMA-ORDER) and the corrected
 order 1-alpha ships as default, with ``as_printed=True`` available: exactly
 the cosine transform of (t+x)^-(alpha+1), evaluated as that transform.

@@ -27,14 +27,14 @@ Evaluation strategies:
 * Upper incomplete gamma, complex second argument, to about 1e-16 on the
   imaginary axis (Gil, Segura & Temme, Numerical Methods for Special
   Functions, SIAM 2007, ch. 6; DLMF 8.7, 8.9):
-  - |z| >= max(3, a+1), Re z >= 0, a <= 1: Gamma = z^a e^-z / D, D the even-contracted
-    Legendre fraction summed backward from one depth, ceil((190 + 12 min(-a, |z|))/|z|) + 4,
-    fitted to the need on the imaginary axis (peaking near |z| = -a), within 1e-14 of
-    Lentz off it.  The Gamma form at order a, e^(-i pi (1-a)/2) e^(-iu) Gamma(a, -iu), is
-    -i u^a / D (the sine at a = 1 - p, the cosine p Re at a = -p).  The same loop can
-    carry dD/da at the same depth; the form's order derivative, -i u^a (ln u - D'/D)/D,
-    gives the ln(t+u)-weighted transforms.  Re z < 0 or a > 1: modified Lentz,
-    stopped at two ulps.
+  - |z| >= max(3, a+1), Re z >= 0: Gamma = z^a e^-z / D, D the even-contracted Legendre
+    fraction summed backward from one depth, ceil((190 + 12 min(-a, |z|) [a < 0] + 48 (a-1)
+    [a > 1])/|z|) + 4, fitted to the need at 1.1e-16: a <= 1 on the imaginary axis (peak
+    near |z| = -a), a in (1, 171.5] on the half-plane (peak by the real axis at a+1).
+    The Gamma form at order a, e^(-i pi (1-a)/2) e^(-iu) Gamma(a, -iu), is -i u^a / D (the
+    sine at a = 1 - p, the cosine p Re at a = -p).  The same loop can carry dD/da at the
+    same depth; the form's order derivative, -i u^a (ln u - D'/D)/D, gives the
+    ln(t+u)-weighted transforms.  Re z < 0: modified Lentz, stopped at two ulps.
   - below: a > 1/2 as Gamma(a) minus the lower series; a <= 1/2 lifted into
     (-1/2, 1/2], in Temme's form (smooth through a = 0, where it is the E1
     series) and brought down by the recurrence, whose divisors have modulus at
@@ -65,7 +65,8 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import ConvergenceError, DomainError, Kernel, PoleError, _require_finite, _trig
+from .errors import (ConvergenceError, DomainError, Kernel, PoleError, _finite_power,
+                     _require_finite, _trig)
 from .oracle import kernel_breakpoints, lobe_sum
 
 EULER_GAMMA = 0.5772156649015328606
@@ -82,8 +83,8 @@ _EXP_NORMAL = (-708.39, 709.78)     # e^x is a normal double between these
 # ulps of 1 (1.1e-16 below, 2.2e-16 above), so a bound under one ulp
 # would demand delta == 1 exactly; this one admits two ulps (2 eps = 4.44e-16).
 _LENTZ_TOL = 4.5e-16
-# backward-fraction depth ceil((K + L min(-a, u))/u) + M, u = |z|: (K, L, M)
-_CF_DEPTH = (190.0, 12.0, 4)
+# fraction depth ceil((K + F min(-a, u) [a < 0] + R (a - 1) [a > 1])/u) + M: (K, F, R, M)
+_CF_DEPTH = (190.0, 12.0, 48.0, 4)
 # c_2 ... c_22 of 1/Gamma(x) = sum_k c_k x^k (DLMF 5.7.1), highest first:
 # the Horner sum is (1/Gamma(1+a) - 1)/a
 _RGAMMA_TAYLOR = (
@@ -121,11 +122,10 @@ def _grown(table, n, entry):
 def _legendre_cf(a, z, ctl):
     """Gamma(a, z) by the Legendre continued fraction, modified Lentz.
 
-    The route where the backward depth does not hold, Re z < 0 or a > 1
-    (32 steps past it at a = 170, z = 171): of the transforms only S_{mu,1/2}
-    continued to mu > 1/2 reaches it, as pre_reduction_values at q < 1.  Stops
-    at ``_LENTZ_TOL``, a few ulps, capped by ``ctl.max_terms``; its count
-    grows without bound toward the negative real axis.
+    The route for Re z < 0, where the backward depth does not hold; no transform
+    reaches it (they take Gamma on the imaginary axis).  Stops at ``_LENTZ_TOL``,
+    a few ulps, capped by ``ctl.max_terms``; its count grows without bound toward
+    the negative real axis.
     """
     tiny = 1e-300
     b = z + 1.0 - a
@@ -152,17 +152,17 @@ def _legendre_cf(a, z, ctl):
 
 def _legendre_cf_backward(a, z, ctl, order_derivative=False):
     """The denominator D of the same even-contracted Legendre fraction, Gamma(a, z)
-    = z^a e^-z / D for Re z >= 0, |z| >= 3, a <= 1, summed bottom-up, t = a_i / (b_i + t),
-    from the depth ``_CF_DEPTH``, fitted on the imaginary axis to the need at 1.1e-16,
-    which peaks near u = -a (u = 3: 62 steps at a = 1/2, 71 at -3.5, 10 at -171.5); off
-    it within 1e-14 of Lentz (to a = -1000).  b_0 = z + 1 - a is formed afresh.
+    = z^a e^-z / D for Re z >= 0, |z| >= max(3, a+1), summed bottom-up, t = a_i / (b_i + t),
+    from the depth ``_CF_DEPTH`` fitted to the need at 1.1e-16: a <= 1 on the imaginary axis,
+    peaking near u = -a (u = 3: 71 steps at a = -3.5), within 1e-14 of Lentz off it; a in
+    (1, 171.5] anywhere, peaking at |z| = a+1 by the real axis.  b_0 = z + 1 - a is formed afresh.
 
     ``order_derivative``: the pair (D, dD/da) from one loop at the same depth.  With
     a_i = i(a - i) and b_i = z + 2i + 1 - a, a_i' = i and b_i' = -1, so with s = b_i + t
     the step is t = a_i / s, t' = (i + t (1 - t')) / s, and D' = t' - 1."""
     u = abs(z)
-    k, slope, pad = _CF_DEPTH
-    n = math.ceil((k + slope * (0.0 if a >= 0 else min(-a, u))) / u) + pad
+    k, f, r, m = _CF_DEPTH
+    n = math.ceil((k + (f * min(-a, u) if a < 0 else r * (a - 1.0) if a > 1.0 else 0.0)) / u) + m
     if n > ctl.max_terms:
         raise ConvergenceError(
             f"incomplete-gamma continued fraction needs {n} terms at a={a}, z={z}, "
@@ -271,8 +271,8 @@ def _gamma_series(a, z, ctl):
 
 def _gamma_fraction(a, z):
     """Gamma(a, z)'s route, z != 0: None below |z| = max(3, a+1), the series; above,
-    whether the backward fraction's depth holds (Re z >= 0, a <= 1) or Lentz runs."""
-    return None if abs(z) < (a + 1.0 if a > 2.0 else _GAMMA_SWITCH) else z.real >= 0 and a <= 1.0
+    whether the backward fraction's depth holds (Re z >= 0) or Lentz runs."""
+    return None if abs(z) < (a + 1.0 if a > 2.0 else _GAMMA_SWITCH) else z.real >= 0
 
 
 def upper_incomplete_gamma(a: float, z: complex,
@@ -284,8 +284,7 @@ def upper_incomplete_gamma(a: float, z: complex,
     z^a e^-z and Gamma(a, conj z) = conj Gamma(a, z).
 
     Series route for |z| < max(3, a+1), the continued fraction above:
-    backward from a fixed depth for Re z >= 0 and a <= 1, modified Lentz
-    for Re z < 0 or a > 1.
+    backward from a fixed depth for Re z >= 0, modified Lentz for Re z < 0.
     """
     z = complex(z)
     if not (math.isfinite(a) and cmath.isfinite(z)):
@@ -335,14 +334,18 @@ def _phased_gamma(gamma, a, z, ctl, order_derivative=False):
     ``order_derivative``: d/da of the form, -i z^a (ln z - D'/D) / D, whose Re and -Im
     are the sine and cosine transforms of ln(t+z) (t+z)^-p (d/da = -d/dp), from one
     fraction loop; None below the fraction's route, where no binding gives it.  Divided
-    by D twice, not by D^2, which overflows at z = 1e300."""
+    by D twice, not by D^2, which overflows at z = 1e300.  Past z^a's range, z^(a-1) (z/D)."""
     _require_finite_argument("Gamma form", z)
     w = complex(0.0, -z)
     if _gamma_fraction(a, w):
         if order_derivative:
             d, dd = _legendre_cf_backward(a, w, ctl, True)
             return math.pow(z, a) * -1j * (math.log(z) - dd / d) / d
-        return math.pow(z, a) * -1j / _legendre_cf_backward(a, w, ctl)
+        try:                    # math.pow raises before the fraction is summed
+            return math.pow(z, a) * -1j / _legendre_cf_backward(a, w, ctl)
+        except OverflowError:
+            return _finite_power("the Gamma form", z, a - 1.0) * (
+                z * -1j / _legendre_cf_backward(a, w, ctl))
     if order_derivative:
         return None
     phase = cmath.rect(1.0, -0.5 * math.pi * (1.0 - a)) * cmath.rect(1.0, -z)

@@ -48,7 +48,7 @@ def test_one_gamma_call_per_lommel_value(count_calls, as_printed):
     fraction = sf._legendre_cf_backward         # uncounted, for the expected values
     counts = count_calls(lm, "upper_incomplete_gamma")
     fractions = count_calls(sf, "_legendre_cf_backward")
-    # Gamma routes: series, series, backward fraction, Lentz (as printed: backward);
+    # Gamma routes: series, series, backward fraction, backward fraction;
     # (-2.2, 0.4) sits below the switch, where mu < -1/2 climbs (as printed, also
     # (0.0, 1.0)).  As printed the value is the cosine transform of (t+z)^-(p+1), p
     # = 1/2 - mu, whose Gamma form is (p+1) Re of the form at order -(p+1).  On the
@@ -76,7 +76,7 @@ def test_one_gamma_call_per_lommel_value(count_calls, as_printed):
         assert both.imag == 0.0
         assert route == factor * both.real
     # one fraction for each value on its route, lommel_s_half's and the route's
-    assert backward == 1 + as_printed
+    assert backward == 2
     assert (counts["upper_incomplete_gamma"], fractions["_legendre_cf_backward"]) == (
         len(points) - backward, 2 * backward)
     general_sin_transform(1, 3, 6.0, 1.25)                      # u = 7.5: the fraction
@@ -159,6 +159,21 @@ def test_lommel_s_half_matches_mpmath_on_a_seeded_grid():
         assert err <= 1e-14, (mu, z, err)
         checked += 1
     assert checked > 300, checked
+
+
+def test_continuation_where_z_to_the_gamma_order_overflows():
+    # S_{mu,1/2} past mu = 1/2 at z = 1e300: z^a, a = 1/2 + mu > 1, leaves the double
+    # range where the value need not, and the Gamma form is z^(a-1) (z/D) there (it
+    # once raised ConvergenceError from Lentz); where the value itself leaves the range,
+    # S_{2.5,1/2}(1e300) = 1e450, a DomainError
+    mp = pytest.importorskip("mpmath")
+    for mu in (0.75, 1.5):
+        with mp.workdps(60):
+            p, u = mp.mpf(0.5 - mu), mp.mpf(1e300)
+            want = (mp.exp(-0.5j * mp.pi * p) * mp.exp(-1j * u) * mp.gammainc(1 - p, -1j * u)).real
+        assert rel(lommel_s_half(mu, 1e300), want / mp.sqrt(u)) <= 1e-14, mu
+    with pytest.raises(DomainError, match="double precision"):
+        lommel_s_half(2.5, 1e300)
 
 
 def test_gamma_form_on_the_fraction_route_against_mpmath():

@@ -312,12 +312,14 @@ def test_incomplete_gamma_conjugate_symmetry(a, y):
 
 
 def test_incomplete_gamma_conjugate_symmetry_is_bitwise_on_every_route(count_calls):
-    # lommel_s_half takes the real part of one Gamma product on this symmetry
+    # lommel_s_half takes the real part of one Gamma product on this symmetry;
+    # every third point has Re z < 0 (|arg z| up to 3 pi/4), Lentz's route
     counts = count_calls(sf, "_gamma_series", "_legendre_cf_backward", "_legendre_cf")
     rng = random.Random(20261018)
-    for _ in range(1500):
+    for k in range(1500):
         a = rng.uniform(-20.0, 6.0)
-        z = complex(0.0, 10.0 ** rng.uniform(-2.0, 3.0))
+        z = cmath.rect(10.0 ** rng.uniform(-2.0, 3.0),
+                       math.pi * (0.5 + (rng.uniform(0.0, 0.25) if k % 3 == 0 else 0.0)))
         left = upper_incomplete_gamma(a, z.conjugate())
         right = upper_incomplete_gamma(a, z).conjugate()
         assert (left.real.hex(), left.imag.hex()) == (right.real.hex(), right.imag.hex()), (a, z)
@@ -423,21 +425,26 @@ def test_rgamma_taylor_table_matches_mpmath():
 
 
 def test_backward_depth_covers_the_lentz_count(monkeypatch):
-    # Re z >= 0, |z| >= 3, a <= 1: the backward fraction, at the one depth fitted
-    # on the imaginary axis, must agree with the modified-Lentz loop at a 1e-16
-    # tolerance (delta == 1 exactly), uncapped, to 1e-14 in every direction.  Every
-    # quarter order in [-8, 1], where the need is largest, then orders down to -200
-    # and log-spaced to -1000 (the need falls as a falls: at |z| = 3, 60 steps at
-    # a = -8.5, 13 at -100.5)
+    # Re z >= 0, |z| >= max(3, a + 1): the backward fraction, at its one depth, must
+    # agree with the modified-Lentz loop at a 1e-16 tolerance (delta == 1 exactly),
+    # uncapped, to 1e-14 in every direction.  Every quarter order in [-8, 1], where
+    # the need is largest at a <= 1, then orders down to -200 and log-spaced to -1000
+    # (the need falls as a falls: at |z| = 3, 60 steps at a = -8.5, 13 at -100.5), and
+    # orders above 1 to 171.5
     monkeypatch.setattr(sf, "_LENTZ_TOL", 1e-16)
     orders = ([j / 4 for j in range(-32, 5)] + [-8.5, -9.5, -10.5]
               + [-8.0 - 192.0 * (k / 24) ** 2 - 0.3 * (k % 3) for k in range(1, 25)]
-              + [-(10.0 ** (2.3 + 0.7 * k / 4)) for k in range(5)])
+              + [-(10.0 ** (2.3 + 0.7 * k / 4)) for k in range(5)]
+              + [1.25, 1.5, 2.0, 3.3, 7.75, 15.5, 40.1, 99.9, 150.5, 171.5])
     for k in range(40):
         r = 3.0 * (1e4 / 3.0) ** (k / 39)
         for a in orders:
+            if r < a + 1.0:
+                continue
             for theta in (-0.5, -0.25, 0.0, 0.25, 0.5):
                 z = cmath.rect(r, math.pi * theta)
+                if a * math.log(r) - z.real > 700.0:       # z^a e^-z past the double range
+                    continue
                 want = sf._legendre_cf(a, z, sf.DEFAULT_CONTROL)
                 got = sf._zpow_exp(a, z) / sf._legendre_cf_backward(a, z, sf.DEFAULT_CONTROL)
                 assert abs(got - want) <= 1e-14 * abs(want) + 1e-300, (a, z)  # e^-z may underflow
@@ -452,16 +459,19 @@ def test_axis_depth_covers_the_truncation_need(monkeypatch):
     # same exact b_n - 2k and differ only by truncation and an ulp of rounding.
     # (ceil(190/u^0.8) + 3, which ignores the order, reads 5.4e-15 at a = -155.5,
     # u = 179; this rule with one step less pad, 6e-15 at a = -8.25, u = 291.)
+    # Orders above 1 from u = max(3, a + 1), and just past the switch
     orders = ([1.0 - j / 4 for j in range(49)] + [-12.5 - 2.0 * k for k in range(14)]
-              + [-40.5, -55.5, -70.5, -85.0, -100.5, -120.5, -140.5, -155.5, -171.5])
+              + [-40.5, -55.5, -70.5, -85.0, -100.5, -120.5, -140.5, -155.5, -171.5]
+              + [1.25, 1.5, 2.5, 5.75, 12.5, 40.5, 100.5, 170.5])
     points = []
     for a in orders:
-        us = [3.0 * (1e4 / 3.0) ** (k / 39) for k in range(40)]
+        us = [u for u in (3.0 * (1e4 / 3.0) ** (k / 39) for k in range(40)) if u >= a + 1.0]
         us += [-a * f for f in (0.3, 0.5, 0.7, 0.85, 1.0, 1.15, 1.4, 2.0, 3.0) if -a * f >= 3.0]
+        us += [(a + 1.0) * f for f in (1.0, 1.02, 1.1) if a > 2.0]
         points += [(a, complex(0.0, s * u)) for u in us for s in (1.0, -1.0)]
     got = [sf._legendre_cf_backward(a, z, sf.DEFAULT_CONTROL) for a, z in points]
-    k, slope, pad = sf._CF_DEPTH
-    monkeypatch.setattr(sf, "_CF_DEPTH", (k, slope, pad + 60))
+    k, slope, rise, pad = sf._CF_DEPTH
+    monkeypatch.setattr(sf, "_CF_DEPTH", (k, slope, rise, pad + 60))
     for (a, z), d in zip(points, got):
         deep = sf._legendre_cf_backward(a, z, sf.DEFAULT_CONTROL)
         assert abs(d - deep) <= 2.5e-16 * abs(deep), (a, z)
@@ -480,6 +490,26 @@ def test_backward_fraction_at_non_dyadic_orders_against_mpmath():
         with mp.workdps(30):
             want = mp.mpc(z) ** a * mp.exp(-mp.mpc(z)) / mp.gammainc(a, mp.mpc(z))
         assert float(abs(got - want) / abs(want)) <= 5e-16, (a, z)
+
+
+def test_backward_fraction_above_order_one_against_mpmath():
+    # a in (1, 171.5], Re z >= 0, |z| from the switch max(3, a + 1) to 1e3 times it,
+    # half of the points within 1.1 times it and a third on the imaginary axis.  The
+    # need at 1.1e-16 peaks by the real axis at |z| = a + 1: 47 steps at a = 170, where
+    # the depth's term in a - 1 gives 53 (36 (a - 1) gives 45 and reads 7e-15 here).
+    # D = z^a e^-z / Gamma(a, z), the order formed from the float
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random("backward-fraction-above-order-one")
+    for k in range(400):
+        a = 1.0 + 170.5 * rng.random()
+        r = max(3.0, a + 1.0) * (1.0 + 0.1 * rng.random() if k % 2 else 1e3 ** rng.random())
+        theta = 0.5 * math.pi * (rng.uniform(-1.0, 1.0) ** 3 if k % 3 else rng.choice((1.0, -1.0)))
+        z = cmath.rect(r, theta) if k % 3 else complex(0.0, math.copysign(r, theta))
+        got = sf._legendre_cf_backward(a, z, sf.DEFAULT_CONTROL)
+        with mp.workdps(30):
+            w = mp.mpc(z)
+            want = w ** a * mp.exp(-w) / mp.gammainc(a, w)
+        assert float(abs(got - want) / abs(want)) <= 1e-15, (a, z)
 
 
 def test_order_derivative_of_the_backward_fraction_against_mpmath():
@@ -515,14 +545,14 @@ def test_plain_backward_fraction_at_a_half_keeps_its_bits(z, d):
 @pytest.mark.parametrize("a, u", [(-8.5, 5.0), (-10.33, 8.0), (-12.5, 4.0), (-15.5, 10.0),
                                   (-40.5, 3.5), (2.5, 5.0), (5.5, 30.0)])
 def test_continued_fraction_outside_orders_minus_eight_to_one_against_mpmath(a, u):
-    # orders below -8 on the axis take the backward fraction, orders above 1
-    # modified Lentz; both stop at a few ulps, not at the default rel_tol
+    # orders below -8 and above 1 on the axis, by the backward fraction at its
+    # fitted depth, not to the default rel_tol
     assert _gamma_errors([(a, complex(0.0, u)), (a, complex(0.0, -u))])[-1] <= 5e-14
 
 
 def test_lentz_fraction_honours_max_terms():
     with pytest.raises(ConvergenceError, match="stalled at a=2.5"):
-        upper_incomplete_gamma(2.5, 5j, SeriesControl(max_terms=5))
+        upper_incomplete_gamma(2.5, complex(-4.0, 3.0), SeriesControl(max_terms=5))
 
 
 def test_backward_fraction_honours_max_terms():
@@ -712,19 +742,21 @@ def test_non_finite_quadrature_is_convergence_error():
 
 def test_no_lentz_below_the_switch_or_on_the_imaginary_axis(count_calls):
     counts = count_calls(sf, "_legendre_cf", "_legendre_cf_backward")
-    orders = (-171.5, -40.5, -9.5, -6.0, -5.5, -2.3, -1.0, -0.5, 0.0, 1.0 / 3.0, 2.0 / 3.0, 0.999)
+    orders = (-171.5, -40.5, -9.5, -6.0, -5.5, -2.3, -1.0, -0.5, 0.0, 1.0 / 3.0, 2.0 / 3.0, 0.999,
+              1.5, 2.5, 40.5, 100.5)
+    us = (0.05, 0.7, 2.9, 3.0, 8.0, 60.0, 900.0)
     for a in orders:
-        for u in (0.05, 0.7, 2.9, 3.0, 8.0, 60.0, 900.0):
+        for u in us:
             upper_incomplete_gamma(a, complex(0.0, u))
             upper_incomplete_gamma(a, complex(0.0, -u))
         for arg in (0.0, 0.5, 1.5, 2.5, 3.1):      # any direction below |z| = 3
             upper_incomplete_gamma(a, cmath.rect(2.5, arg))
     assert counts["_legendre_cf"] == 0
-    assert counts["_legendre_cf_backward"] == len(orders) * 8
-    # the backward depth holds for a <= 1 only in the right half-plane
+    assert counts["_legendre_cf_backward"] == sum(2 for a in orders for u in us
+                                                  if u >= max(3.0, a + 1.0))
+    # the backward depth holds only in the right half-plane
     upper_incomplete_gamma(0.5, complex(-3.0, 4.0))
-    upper_incomplete_gamma(2.5, 5j)
-    assert counts["_legendre_cf"] == 2
+    assert counts["_legendre_cf"] == 1
 
 
 def test_the_gamma_form_on_the_fraction_route_forms_no_phase(count_calls):
@@ -751,8 +783,8 @@ def test_the_gamma_form_on_the_fraction_route_forms_no_phase(count_calls):
 
 def _gate_calls(rng):
     """Seeded (function, args) of every public transform whose value goes
-    through Gamma, and of S_{mu,1/2} at mu < 1/2, u (or c) log-uniform in
-    [0.05, 1e4]."""
+    through Gamma, S_{mu,1/2} continued past mu = 1/2 and pre_reduction_values
+    at q < 1 and above among them, u (or c) log-uniform in [0.05, 1e4]."""
     u = lambda: 10.0 ** rng.uniform(math.log10(0.05), 4.0)
     printed_pole_cos = functools.partial(rp.pole_cos_transform, as_printed=True)
     for x in (50.0, 3e3):                       # the lowest orders, -170.5 and -171.5
@@ -771,6 +803,8 @@ def _gate_calls(rng):
         yield lm.general_cos_transform, (n, m, u(), 1.0, plus)
         yield lm.log_weighted_sin_integral, (u(),)
         yield lm.lommel_s_half, (rng.uniform(-171.0, 0.5), u())
+        yield lm.lommel_s_half, (rng.uniform(0.5, 40.0), u())
+        yield lm.pre_reduction_values, (rng.randint(0, 2), rng.randint(2, 9), u())
         yield rp.pole_tail_sin, (u(),)
         yield rp.pole_tail_cos, (u(), printed)
         a = rng.uniform(0.05, 2.0)
@@ -781,18 +815,19 @@ def _gate_calls(rng):
 
 
 def test_no_transform_reaches_the_lentz_fraction(count_calls, monkeypatch):
-    # every Gamma order a transform takes, down to -171.5 (the cosine at
-    # p = 171.5), sits on the imaginary axis with a <= 1, where the backward
+    # every Gamma order a transform takes, from -171.5 (the cosine at p = 171.5)
+    # to 40.5 (S_{40,1/2}), sits on the imaginary axis, where the backward
     # fraction's depth is verified; a call that raises a library error counts too.
-    # From |z| = 3 up the Gamma form sums that fraction itself, so a transform
-    # module's own Gamma binding is only ever asked below |z| = 3; radical_pole,
-    # whose Gamma form is past |z| = 3, holds none
+    # From |z| = max(3, a + 1) up the Gamma form sums that fraction itself, so a
+    # transform module's own Gamma binding is only ever asked below that switch;
+    # radical_pole, whose Gamma form is past |z| = 3, holds none
     counts = count_calls(sf, "_legendre_cf", "_legendre_cf_backward")
     asked = []
     assert not hasattr(rp, "upper_incomplete_gamma")
     for module in (hp, lm):
         monkeypatch.setattr(module, "upper_incomplete_gamma", lambda a, z, *rest:
-                            asked.append(abs(z)) or upper_incomplete_gamma(a, z, *rest))
+                            asked.append(abs(z) / max(sf._GAMMA_SWITCH, a + 1.0))
+                            or upper_incomplete_gamma(a, z, *rest))
     calls = list(_gate_calls(random.Random(20261019)))
     errors = 0
     for f, args in calls:
@@ -803,24 +838,7 @@ def test_no_transform_reaches_the_lentz_fraction(count_calls, monkeypatch):
     assert counts["_legendre_cf"] == 0
     assert counts["_legendre_cf_backward"] > len(calls) // 4, counts
     assert errors < len(calls) // 4, errors
-    assert len(asked) > len(calls) // 8 and max(asked) < sf._GAMMA_SWITCH, len(asked)
-
-
-def test_only_the_continuation_reaches_the_lentz_fraction(count_calls):
-    # the public entries that still reach modified Lentz: S_{mu,1/2} continued
-    # to mu > 1/2 (Gamma order 1/2 + mu > 1) from |z| = 3 up, and through it
-    # pre_reduction_values with q < 1 (n = 0, m >= 2), one call per value
-    counts = count_calls(sf, "_legendre_cf")
-    for m in (2, 3):
-        for x in (5.0, 50.0):
-            lm.pre_reduction_values(0, m, x)
-    assert counts["_legendre_cf"] == 4
-    lm.lommel_s_half(0.7, 12.0)
-    assert counts["_legendre_cf"] == 5
-    lm.lommel_s_half(0.7, 2.9)              # below |z| = 3: the series
-    lm.pre_reduction_values(1, 2, 50.0)     # q > 1: no continuation
-    lm.pre_reduction_values(0, 2, 2.0)
-    assert counts["_legendre_cf"] == 5
+    assert len(asked) > len(calls) // 8 and max(asked) < 1.0, len(asked)
 
 
 @pytest.mark.parametrize("u", [0.4, 2.0, 9.0])     # Fresnel argument below and above 1.6
