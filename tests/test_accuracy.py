@@ -13,19 +13,21 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 def test_two_points_per_gamma_stratum(tmp_path):
     pytest.importorskip("mpmath")
     record = tmp_path / "accuracy.json"
-    subprocess.run([sys.executable, str(ROOT / "tools" / "accuracy.py"), "--route", "gamma",
+    subprocess.run([sys.executable, str(ROOT / "tools" / "accuracy.py"),
                     "--points", "2", "--seed", "3", "--record", str(record)],
                    cwd=ROOT, check=True, capture_output=True, timeout=60)
     got = json.loads(record.read_text())
     strata = got["strata"]
-    # 5 order bands x 3 |z| bands x (3 directions of Gamma(a, z) + the Gamma form),
-    # and S_{mu,1/2} past mu = 1/2
-    assert (got["points"], len(strata)) == (2, 61)
+    # 5 order bands x 3 |z| bands x 3 directions of Gamma(a, z); the Gamma form on the
+    # 15 bands' 18 parts either side of its switch; S_{mu,1/2} past mu = 1/2 on both
+    assert (got["points"], len(strata)) == (2, 65)
     for name, sides in strata.items():
         row = sides["change"]
         assert list(sides) == ["change"] and row["points"] == 2, name
-        assert row["off_range"] + sum(row["raises"].values()) <= 2, name
+        assert row["raises"] == {}, name
         assert 0.0 <= row["worst"] < 1e-12, name
-    # from u = 1e3 every order a <= 171.5 is on the backward fraction's route
-    for band in ("(-8,0]", "(0,1]", "(1,10]", "(10,171.5]"):
-        assert strata[f"form a{band} |z|[1000,1e+07)"]["change"]["worst"] <= 1e-15, band
+    # on the backward fraction's route the form is -i u^a / D at every order
+    fraction = [name for name in strata if name.startswith("form") and name.endswith("fraction")]
+    assert len(fraction) == 14
+    for name in fraction:
+        assert strata[name]["change"]["worst"] <= 1e-15, name

@@ -10,10 +10,15 @@
   (``right``) or Re z < 0 (``left``);
 * the Gamma form e^(-i pi (1-a)/2) e^(-iu) Gamma(a, -iu), which the (t+u)^-p transforms
   read, on the order and |z| strata (its argument is on the axis);
-* ``lommel_s_half(mu, z)`` past mu = 1/2, mu in (1/2, 40] and z in [3, 1e4].
+* ``lommel_s_half(mu, z)`` past mu = 1/2, mu in (1/2, 40] and z in [3, 1e4], whose
+  Gamma order is 1/2 + mu.
 
-Each stratum draws ``--points`` seeded points: the order uniform and |z| log-uniform
-in its bands, the direction uniform in its sector.  The reference is mpmath at 30
+The form and S_{mu,1/2} strata split at the switch u = max(3, b + 1) of Gamma order b
+into ``fraction`` (u at or above it, the backward fraction's route) and ``series``
+(below it, the phase times the series), each where the bands reach it: the order is
+drawn where its part meets the |z| band, u in that part.  Each stratum draws
+``--points`` seeded points: the order uniform and |z| log-uniform in its bands, the
+direction uniform in its sector.  The reference is mpmath at 30
 working digits, deepened by 15 until two precisions agree to 1e-20, at the order the
 library forms from the float (for S_{mu,1/2}, the Gamma order 1 - (1/2 - mu) as
 rounded to double: each rounding moves the value by up to a ln(u) ulp(a)/2 relative,
@@ -46,33 +51,54 @@ ORDERS = ((-171.5, -8.0), (-8.0, 0.0), (0.0, 1.0), (1.0, 10.0), (10.0, 171.5))
 RADII = ((3.0, 10.0), (10.0, 1e3), (1e3, 1e7))
 SECTORS = {"axis": None, "right": (-0.5, 0.5), "left": (0.5, 1.0)}     # |arg z| / pi
 LOMMEL = ("lommel_s_half", (0.5, 40.0), (3.0, 1e4))
+SHIFT = {"form": 0.0, "lommel": 0.5}    # Gamma order - the stratum's order
+
+
+def _parts(kind, lo, hi, r_lo, r_hi):
+    """The switch's parts (name, order band) of a form or S_{mu,1/2} stratum: the
+    orders whose u = max(3, b + 1) falls above r_lo (series) or below r_hi (fraction)."""
+    cut = 1.0 + SHIFT[kind]                 # the switch is at u = order + cut, from 3
+    out = []
+    if lo + cut < r_hi:
+        out.append(("fraction", (lo, min(hi, r_hi - cut))))
+    if hi + cut > r_lo:
+        out.append(("series", (max(lo, r_lo - cut), hi)))
+    return out
 
 
 def strata():
-    """(name, kind, order band, |z| band, sector) of each stratum of the Gamma route."""
+    """(name, kind, order band, |z| band, sector or part) of each stratum of the Gamma
+    route."""
     out = []
     for lo, hi in ORDERS:
         for r_lo, r_hi in RADII:
             band = f"a({lo:g},{hi:g}] |z|[{r_lo:g},{r_hi:g})"
             out += [(f"gamma {band} {name}", "gamma", (lo, hi), (r_lo, r_hi), name)
                     for name in SECTORS]
-            out.append((f"form {band}", "form", (lo, hi), (r_lo, r_hi), None))   # u real
+            out += [(f"form {band} {part}", "form", orders, (r_lo, r_hi), part)   # u real
+                    for part, orders in _parts("form", lo, hi, r_lo, r_hi)]
     name, (mu_lo, mu_hi), (z_lo, z_hi) = LOMMEL
-    out.append((f"{name} mu({mu_lo:g},{mu_hi:g}] z[{z_lo:g},{z_hi:g}]", "lommel",
-                (mu_lo, mu_hi), (z_lo, z_hi), None))
+    out += [(f"{name} mu({mu_lo:g},{mu_hi:g}] z[{z_lo:g},{z_hi:g}] {part}", "lommel",
+             orders, (z_lo, z_hi), part)
+            for part, orders in _parts("lommel", mu_lo, mu_hi, z_lo, z_hi)]
     return out
 
 
 def draw(stratum, count, seed):
     """``count`` seeded (kind, order, re z, im z) of one stratum; a stratum's points do
     not depend on the other strata or on their counts."""
-    name, kind, (lo, hi), (r_lo, r_hi), sector = stratum
+    name, kind, (lo, hi), radii, sector = stratum
     rng = random.Random(f"{seed}:{name}")
     points = []
     for _ in range(count):
         a = hi - (hi - lo) * rng.random()                   # in (lo, hi]
+        r_lo, r_hi = radii
+        if kind != "gamma":                                 # u on a's side of its switch
+            switch = a + 1.0 + SHIFT[kind]
+            r_lo, r_hi = ((max(r_lo, switch), r_hi) if sector == "fraction"
+                          else (r_lo, min(r_hi, switch)))
         r = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
-        if sector is None:                                  # a real argument
+        if kind != "gamma":                                 # a real argument
             z = complex(r)
         elif SECTORS[sector] is None:
             z = complex(0.0, math.copysign(r, rng.random() - 0.5))
@@ -188,7 +214,7 @@ def _cell(row):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--route", required=True, choices=("gamma",))
+    ap.add_argument("--route", default="gamma", choices=("gamma",))
     ap.add_argument("--points", type=int, default=40, help="points per stratum")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--record", type=Path, help="also write the table as JSON here")
