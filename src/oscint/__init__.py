@@ -8,7 +8,7 @@ each cross-validated against an independent lobe-quadrature oracle.
 Every result is pure double precision; all functions are pure,
 reentrant and thread-safe.  The only global mutable state is the memo
 caches of pure functions (``functools.lru_cache``: the half-power family
-coefficients, the last Fresnel and (J0, Y0) pairs, the moment-table
+coefficients, the last Fresnel, (J0, Y0) and (si, ci) pairs, the moment-table
 length per phase), the coefficient lists the series loops grow (the Fresnel
 and Bessel rows are constants), which never change a value, and this
 package's name cache below.

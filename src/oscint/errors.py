@@ -10,12 +10,15 @@ The module also holds what every other submodule shares, because they
 all import this one anyway: ``Record``, the immutable base of every
 parameter, weight and report record, and the kernel vocabulary --
 ``Kernel``, its coercion ``_as_kernel``, ``_trig`` (the kernel's function
-in ``math`` or ``numpy``), the finite-parameter check ``_require_finite``
-and ``_finite_power``, the frequency scaling of a closed form.  The
-closed forms take these from here, not from the quadrature oracle.
+in ``math`` or ``numpy``), ``_Phase`` (weight times kernel, an integrand
+whose lobes from 0 the oracle takes from a table), the finite-parameter
+check ``_require_finite`` and ``_finite_power``, the frequency scaling of
+a closed form.  The closed forms take these from here, not from the
+quadrature oracle.
 """
 
 import math
+from collections import namedtuple
 from enum import Enum
 
 
@@ -105,6 +108,20 @@ def _as_kernel(kernel):
 def _trig(kernel, m):
     """The kernel's function in the math module ``m`` (math or numpy)."""
     return m.sin if kernel is Kernel.SIN else m.cos
+
+
+class _Phase(namedtuple("_Phase", "weight kernel freq power")):
+    """The integrand weight(t) kernel(freq t^power), ``weight`` over a math
+    module: called with a math module it is the integrand over it.  In
+    units of its scale (pi / freq)^(1/power) its zeros are fixed."""
+
+    __slots__ = ()
+
+    def __call__(self, m):
+        g, trig, freq = self.weight(m), _trig(self.kernel, m), self.freq
+        if self.power == 1:
+            return lambda t: g(t) * trig(freq * t)
+        return lambda t: g(t) * trig(freq * t * t)
 
 
 def _require_finite(owner, **params):

@@ -7,8 +7,8 @@ the alternating lobe series, all with one 21-point Gauss-Kronrod rule
 lobes of an integrand in vector form come in blocks of one evaluation,
 which the sum takes whole: the first holds the lobes the tolerance needs
 (21 at the default), its first lobe cut into pieces graded toward its
-lower end and its second halved; each later block 8.  This module's own
-integrands from 0 take the first block from a table cached in units of
+lower end and its second halved; each later block 8.  A ``_Phase``
+integrand from 0 takes the first block from a table cached in units of
 (pi/freq)^(1/power), evaluating only the weight.  A lobe or piece failing
 its Kronrod-Gauss test goes to ``quad``, the adaptive rule, when the sum
 reaches it, as do finite ranges and the lobes of an integrand on floats.
@@ -16,10 +16,10 @@ Knowing nothing of the closed forms, the module is an independent check.
 
 numpy is imported on the first quadrature, not with this module, which
 a cold closed-form ``oscint eval`` still loads: radicals past the phase
-guard take ``integrate_finite``, and ``gen_si``/``gen_ci`` sum lobes with
-``lobe_sum`` over ``kernel_breakpoints``.  ``Kernel`` and the kernel
-vocabulary live in ``errors``.  Every caller looks ``quad`` up as a module
-global, so a wrapper installed there (a tracer) sees every integration.
+guard take ``integrate_finite``, and ``gen_si``/``gen_ci`` sum ``_Phase``
+lobes from 0 with ``lobe_sum`` over ``kernel_breakpoints``.  ``Kernel``,
+``_Phase`` and the kernel vocabulary live in ``errors``.  Every caller looks
+``quad`` up as a module global, so a tracer installed there sees every call.
 
 The accelerated lobes are summed by the rule of Cohen, Rodriguez
 Villegas & Zagier (CRVZ; Experimental Math. 9 (2000) 3-12),
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
 from itertools import chain, islice, pairwise, repeat
 from operator import le, mul
 from typing import Callable, Optional
@@ -60,6 +59,7 @@ from .errors import (
     Kernel,
     MaxSubdivisionsError,
     Record,
+    _Phase,
     _as_kernel,
     _require_finite,
     _trig,
@@ -442,20 +442,6 @@ def _phase_table(kernel, power, first):
     u = u.astype(float)
     u.flags.writeable = table.flags.writeable = False       # every caller shares them
     return u, table, tuple(edges), tuple(map(tuple, graded))
-
-
-class _Phase(namedtuple("_Phase", "weight kernel freq power")):
-    """The integrand weight(t) kernel(freq t^power), ``weight`` over a math
-    module: called with a math module it is the integrand over it.  In
-    units of its scale (pi / freq)^(1/power) its zeros are fixed."""
-
-    __slots__ = ()
-
-    def __call__(self, m):
-        g, trig, freq = self.weight(m), _trig(self.kernel, m), self.freq
-        if self.power == 1:
-            return lambda t: g(t) * trig(freq * t)
-        return lambda t: g(t) * trig(freq * t * t)
 
 
 def _block_lobes(f_over, lo, his, epsabs, first):

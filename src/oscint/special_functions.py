@@ -65,8 +65,8 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import (ConvergenceError, DomainError, Kernel, PoleError, _finite_power,
-                     _require_finite, _trig)
+from .errors import (ConvergenceError, DomainError, Kernel, PoleError, _finite_power, _Phase,
+                     _require_finite)
 from .oracle import kernel_breakpoints, lobe_sum
 
 EULER_GAMMA = 0.5772156649015328606
@@ -297,7 +297,11 @@ def upper_incomplete_gamma(a: float, z: complex,
         elif (backward := _gamma_fraction(a, z)) is None:
             out = _gamma_series(a, z, ctl)
         elif backward:
-            out = _zpow_exp(a, z) / _legendre_cf_backward(a, z, ctl)
+            d = _legendre_cf_backward(a, z, ctl)
+            try:
+                out = _zpow_exp(a, z) / d
+            except OverflowError:       # z^a e^-z past the double range, Gamma(a, z) perhaps not
+                out = _zpow_exp(a - 1.0, z) * (z / d)
         else:
             out = _legendre_cf(a, z, ctl)
     except OverflowError:                # Gamma(a) past the double range
@@ -619,27 +623,30 @@ def hyp2f2_half(x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
 # generalized sine / cosine integrals
 # --------------------------------------------------------------------------
 
-def _gen_trig_tail(kernel, alpha, z, ctl):
-    # NaN fails both tests; kernel_breakpoints refuses z = inf
+@lru_cache(maxsize=1)
+def _gen_trig_pair(alpha, z, ctl):
+    """(gen_si, gen_ci) at (alpha, z), memoised for one argument as callers read both: with
+    t = s + z, cos z S + sin z C and cos z C - sin z S, S and C the integrals of sin s and
+    cos s times (s + z)^(alpha - 1) over [0, inf) (DLMF 6.2's f and g at alpha = 0), whose
+    lobes from 0 take the oracle's first block from its phase table."""
+    # NaN fails both tests; past 2^52 half-periods doubles z are 2 or more apart
     if not -math.inf < alpha < 1:
         raise DomainError(f"generalized trig integral needs finite alpha < 1, got {alpha}")
-    if not z > 0:
-        raise DomainError(f"generalized trig integral needs z > 0, got {z}")
-    e = alpha - 1.0
-
-    def f_over(m):
-        trig = _trig(kernel, m)
-        return lambda t: trig(t) * t ** e
-
-    value, _, _, _ = lobe_sum(None, kernel_breakpoints(kernel, 1.0, z), ctl, f_over)
-    return value
+    if not 0 < z / math.pi < 2.0 ** 52:
+        raise DomainError(f"generalized trig integral needs 0 < z / pi < 2^52, where its "
+                          f"half-periods leave double precision, got z = {z}")
+    weight = lambda m: lambda s: (s + z) ** (alpha - 1.0)
+    s, c = (lobe_sum(None, kernel_breakpoints(k, 1.0), ctl, _Phase(weight, k, 1.0, 1))[0]
+            for k in (Kernel.SIN, Kernel.COS))
+    cz, sz = math.cos(z), math.sin(z)
+    return cz * s + sz * c, cz * c - sz * s
 
 
 def gen_si(alpha: float, z: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Generalized sine integral: integral of sin(t) t^(alpha-1) over [z, inf)."""
-    return _gen_trig_tail(Kernel.SIN, alpha, z, ctl)
+    """Generalized sine integral: integral of sin(t) t^(alpha-1) over [z, inf), shifted to 0."""
+    return _gen_trig_pair(alpha, z, ctl)[0]
 
 
 def gen_ci(alpha: float, z: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Generalized cosine integral: integral of cos(t) t^(alpha-1) over [z, inf)."""
-    return _gen_trig_tail(Kernel.COS, alpha, z, ctl)
+    """Generalized cosine integral: integral of cos(t) t^(alpha-1) over [z, inf), shifted to 0."""
+    return _gen_trig_pair(alpha, z, ctl)[1]

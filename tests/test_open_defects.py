@@ -53,11 +53,20 @@ def test_oracle_two_radical_sine_at_a_tiny_frequency_within_its_estimate():
     assert abs(rep.value - 0.5 * math.pi) <= rep.abs_err_est
 
 
-@found("`special_functions.gen_si`/`gen_ci` lose accuracy as z grows, silently")
+# mended: the shifted pair from 0 rounds no lobe abscissa near z
 def test_gen_si_at_1e4_agrees_with_mpmath():
     with mpmath.workdps(40):
         want = float(mpmath.pi / 2 - mpmath.si(10000))
     assert abs(gen_si(0.0, 1e4) - want) <= 1e-12 * abs(want)
+
+
+@found("the a = b two-radical cosine cancels like eps u")
+def test_degenerate_two_radical_cosine_at_a_large_phase_agrees_with_mpmath():
+    # a = b: the weight is 1/(t + a), and its cosine transform is g(u), u = zeta a
+    with mpmath.workdps(40):
+        u = mpmath.mpf(10000)
+        want = float((mpmath.exp(-1j * u) * mpmath.gammainc(0, -1j * u)).real)
+    assert abs(two_radical.cos_transform(1e4, 1e4, 1.0) - want) <= 1e-12 * abs(want)
 
 
 @found("the oracle's cosine of HalfPower(alpha, 0) near alpha = 1/2 is far "

@@ -1,6 +1,7 @@
 """Worst relative error against mpmath, per stratum of a route's documented domain.
 
     python3 tools/accuracy.py --route gamma --points 40 --seed 1 [--record PATH] [--parent REV]
+    python3 tools/accuracy.py --route gen-trig --points 25 --seed 1 [--parent REV]
 
 ``--route gamma`` covers the incomplete-gamma route of ``src/oscint``:
 
@@ -28,6 +29,12 @@ is expected), the worst relative error over the others that returned and where i
 is, and the raises per exception class over those others (a raise where the value
 is a double).  ``--record PATH`` writes the same as JSON.
 
+``--route gen-trig`` covers ``gen_si(alpha, z)`` and ``gen_ci(alpha, z)`` on the alpha
+bands (-8, -2], (-2, 0] and (0, 1) and the z bands [1e-3, 1), [1, 1e3), [1e3, 1e8) and
+[1e8, 1e16), below the 2^52 half-periods where they raise.  The reference is
+gen_ci + i gen_si = e^(i pi alpha/2) Gamma(alpha, -iz) at the float alpha, and each
+part's error is relative to that modulus, so a zero of one part reads as no loss.
+
 ``--parent REV`` evaluates the same points with a second tree, REV extracted with
 ``git archive`` into a temporary directory as ``tools/traffic.py --parent`` does, and
 prints each stratum as parent -> change.  Each tree runs in a fresh interpreter; the
@@ -52,6 +59,10 @@ RADII = ((3.0, 10.0), (10.0, 1e3), (1e3, 1e7))
 SECTORS = {"axis": None, "right": (-0.5, 0.5), "left": (0.5, 1.0)}     # |arg z| / pi
 LOMMEL = ("lommel_s_half", (0.5, 40.0), (3.0, 1e4))
 SHIFT = {"form": 0.0, "lommel": 0.5}    # Gamma order - the stratum's order
+# gen_ci + i gen_si = e^(i pi alpha/2) Gamma(alpha, -iz): each function's part
+PARTS = {"gen_si": "imag", "gen_ci": "real"}
+GEN_ORDERS = ((-8.0, -2.0), (-2.0, 0.0), (0.0, 1.0))
+GEN_ARGUMENTS = ((1e-3, 1.0), (1.0, 1e3), (1e3, 1e8), (1e8, 1e16))
 
 
 def _parts(kind, lo, hi, r_lo, r_hi):
@@ -66,9 +77,12 @@ def _parts(kind, lo, hi, r_lo, r_hi):
     return out
 
 
-def strata():
-    """(name, kind, order band, |z| band, sector or part) of each stratum of the Gamma
-    route."""
+def strata(route="gamma"):
+    """(name, kind, order band, |z| band, sector or part) of each stratum of ``route``."""
+    if route == "gen-trig":
+        return [(f"{kind} a({lo:g},{hi:g}{')' if hi == 1.0 else ']'} z[{z_lo:g},{z_hi:g})",
+                 kind, (lo, hi), (z_lo, z_hi), None)
+                for kind in PARTS for lo, hi in GEN_ORDERS for z_lo, z_hi in GEN_ARGUMENTS]
     out = []
     for lo, hi in ORDERS:
         for r_lo, r_hi in RADII:
@@ -93,7 +107,7 @@ def draw(stratum, count, seed):
     for _ in range(count):
         a = hi - (hi - lo) * rng.random()                   # in (lo, hi]
         r_lo, r_hi = radii
-        if kind != "gamma":                                 # u on a's side of its switch
+        if kind in SHIFT:                                   # u on a's side of its switch
             switch = a + 1.0 + SHIFT[kind]
             r_lo, r_hi = ((max(r_lo, switch), r_hi) if sector == "fraction"
                           else (r_lo, min(r_hi, switch)))
@@ -117,6 +131,8 @@ def reference(kind, a, x, y, digits=30):
 
     def value(dps):
         with mp.workdps(dps):
+            if kind in PARTS:
+                return mp.exp(0.5j * mp.pi * a) * mp.gammainc(a, -1j * mp.mpf(x))
             if kind == "gamma":
                 return mp.gammainc(a, mp.mpc(x, y))
             # sqrt(u) S_{mu,1/2}(u) is the form's Re at the order 1 - (1/2 - mu)
@@ -144,7 +160,9 @@ def outcomes(points):
     calls = {"gamma": lambda a, x, y: sf.upper_incomplete_gamma(a, complex(x, y)),
              "form": lambda a, x, y: sf._phased_gamma(sf.upper_incomplete_gamma, a, x,
                                                       sf.DEFAULT_CONTROL),
-             "lommel": lambda a, x, y: complex(lommel_s_half(a, x))}
+             "lommel": lambda a, x, y: complex(lommel_s_half(a, x)),
+             "gen_si": lambda a, x, y: complex(sf.gen_si(a, x)),
+             "gen_ci": lambda a, x, y: complex(sf.gen_ci(a, x))}
     out = []
     for kind, a, x, y in points:
         try:
@@ -167,25 +185,28 @@ def run_tree(root, points):
 
 def summarize(points, wants, got):
     """{points, off_range, worst, at, raises} of one stratum's outcomes against the truth;
-    ``at`` is the (order, re z, im z) of the worst error."""
+    ``at`` is the (order, re z, im z) of the worst error.  A gen_si or gen_ci value is
+    one part of ``want``, and its error is relative to the modulus."""
     row = {"points": len(points), "off_range": 0, "worst": 0.0, "at": None, "raises": Counter()}
-    for (_, a, x, y), want, outcome in zip(points, wants, got):
+    for (kind, a, x, y), want, outcome in zip(points, wants, got):
         if not sys.float_info.min <= abs(want) <= sys.float_info.max:
             row["off_range"] += 1
         elif outcome[0] == "raise":
             row["raises"][outcome[1]] += 1
         else:
-            value = complex(float.fromhex(outcome[1]), float.fromhex(outcome[2]))
-            err = float(abs(value - want) / abs(want))
+            value, scale = complex(float.fromhex(outcome[1]), float.fromhex(outcome[2])), abs(want)
+            if kind in PARTS:
+                value, want = value.real, getattr(want, PARTS[kind])
+            err = float(abs(value - want) / scale)
             if not err <= row["worst"]:                     # NaN counts as the worst
                 row["worst"], row["at"] = (err if math.isfinite(err) else math.inf), [a, x, y]
     row["raises"] = dict(sorted(row["raises"].items()))
     return row
 
 
-def measure(count, seed, parent=None):
+def measure(count, seed, parent=None, route="gamma"):
     """{stratum name: {side: summary}}, sides "change" and, with ``parent``, "parent"."""
-    table = strata()
+    table = strata(route)
     per = [draw(s, count, seed) for s in table]
     points = [p for group in per for p in group]
     wants = [reference(*p) for p in points]
@@ -214,13 +235,13 @@ def _cell(row):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--route", default="gamma", choices=("gamma",))
+    ap.add_argument("--route", default="gamma", choices=("gamma", "gen-trig"))
     ap.add_argument("--points", type=int, default=40, help="points per stratum")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--record", type=Path, help="also write the table as JSON here")
     ap.add_argument("--parent", help="also evaluate the points at this git revision")
     args = ap.parse_args(argv)
-    rows = measure(args.points, args.seed, args.parent)
+    rows = measure(args.points, args.seed, args.parent, args.route)
     head = "parent -> change" if args.parent else "change"
     print(f"route {args.route}, {args.points} points per stratum, seed {args.seed}: "
           f"worst relative error [raises where the value is a double], {head}")
