@@ -13,22 +13,22 @@ from __future__ import annotations
 import math
 import operator
 import os
+from collections import namedtuple
 
 from .errors import DomainError, Record
 
 
-class SeriesControl(Record):
+class SeriesControl(Record, namedtuple("SeriesControl", "rel_tol max_terms")):
     """Relative tolerance and term cap for series truncation."""
 
-    __slots__ = ("rel_tol", "max_terms")
+    __slots__ = ()
 
-    def __init__(self, rel_tol: float = 1e-12, max_terms: int = 500):
+    def __new__(cls, rel_tol: float = 1e-12, max_terms: int = 500):
         if not 0.0 < rel_tol < math.inf:
             raise DomainError(f"rel_tol must be finite and > 0, got {rel_tol}")
         if not (hasattr(max_terms, "__index__") and max_terms >= 1):
             raise DomainError(f"max_terms must be an integer >= 1, got {max_terms!r}")
-        object.__setattr__(self, "rel_tol", rel_tol)
-        object.__setattr__(self, "max_terms", operator.index(max_terms))
+        return tuple.__new__(cls, (rel_tol, operator.index(max_terms)))
 
 
 DEFAULT_CONTROL = SeriesControl()

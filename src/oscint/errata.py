@@ -9,21 +9,15 @@ the default and the verbatim form remains reachable through the
 checks that fail for reasons other than a formula error.
 """
 
+from collections import namedtuple
+
 from .errors import Record
 
 
-class Erratum(Record):
+class Erratum(Record, namedtuple("Erratum", "ident where corrected printed resolution")):
     """One arbitration; ``corrected``: default behavior differs from the printed form."""
 
-    __slots__ = ("ident", "where", "corrected", "printed", "resolution")
-
-    def __init__(self, ident: str, where: str, corrected: bool, printed: str,
-                 resolution: str):
-        object.__setattr__(self, "ident", ident)
-        object.__setattr__(self, "where", where)
-        object.__setattr__(self, "corrected", corrected)
-        object.__setattr__(self, "printed", printed)
-        object.__setattr__(self, "resolution", resolution)
+    __slots__ = ()
 
 
 ERRATA = (

@@ -7,7 +7,7 @@ distinguish "you asked for something meaningless" from "the requested
 accuracy was not reached".
 
 The module also holds what every other submodule shares, because they
-all import this one anyway: ``Record``, the immutable base of every
+all import this one anyway: ``Record``, the named-tuple mixin of every
 parameter, weight and report record, and the kernel vocabulary --
 ``Kernel``, its coercion ``_as_kernel``, ``_trig`` (the kernel's function
 in ``math`` or ``numpy``), ``_Phase`` (weight times kernel, an integrand
@@ -51,41 +51,32 @@ class MaxSubdivisionsError(ConvergenceError):
 
 
 class Record:
-    """Base of the library's immutable value records.
+    """Mixin of the library's immutable value records.
 
-    A subclass names its fields in ``__slots__`` and sets them in its own
-    ``__init__`` with ``object.__setattr__``.  This base supplies what a
-    frozen dataclass would: equality and hashing over the field values
-    (records of different classes never compare equal), a
-    ``Name(field=value, ...)`` repr, copying and pickling by
-    reconstruction, and an ``AttributeError`` on assignment or deletion.
+    A record class derives from this mixin and from
+    ``collections.namedtuple``, in that order, declares ``__slots__ = ()``
+    and checks its arguments in ``__new__``, which ends with
+    ``tuple.__new__(cls, values)``.  The named tuple supplies the fields,
+    read-only and read in C, the ``Name(field=value, ...)`` repr, and
+    copying and pickling through ``__new__``, so both check again.  The
+    mixin makes records of different classes unequal (a record never
+    equals a plain tuple), keeps the tuple's hash, and sends ``_make``,
+    and so ``_replace``, through the class's own rules.
     """
 
     __slots__ = ()
 
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(self._values())
+    def __ne__(self, other):
+        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
 
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
+    __hash__ = tuple.__hash__
 
-    def __reduce__(self):
-        return self.__class__, self._values()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class Kernel(str, Enum):

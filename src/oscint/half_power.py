@@ -29,6 +29,7 @@ the Lommel family takes there, within 2.5e-14 of mpmath for p <= 10.5
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 
@@ -53,10 +54,10 @@ def _require_order(owner, alpha):
         raise DomainError(f"alpha must be a nonnegative integer, got {alpha}")
 
 
-class HalfPowerParams(Record):
-    __slots__ = ("zeta", "x", "alpha")
+class HalfPowerParams(Record, namedtuple("HalfPowerParams", "zeta x alpha")):
+    __slots__ = ()
 
-    def __init__(self, zeta: float, x: float, alpha: int):
+    def __new__(cls, zeta: float, x: float, alpha: int):
         if not math.isfinite(zeta + x + alpha):
             _require_finite("HalfPowerParams", zeta=zeta, x=x, alpha=alpha)
         if zeta <= 0:
@@ -64,21 +65,14 @@ class HalfPowerParams(Record):
         if x < 0:
             raise DomainError(f"shift x must be >= 0, got {x}")
         _require_order("HalfPowerParams", alpha)
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "alpha", alpha)
+        return tuple.__new__(cls, (zeta, x, alpha))
 
 
-class FamilyCoefficients(Record):
+class FamilyCoefficients(Record, namedtuple("FamilyCoefficients",
+                                            "rational_part fresnel_coeff phase_pattern")):
     """rational_part: ((power, coeff), ...) with value sum(coeff * u**power)."""
 
-    __slots__ = ("rational_part", "fresnel_coeff", "phase_pattern")
-
-    def __init__(self, rational_part: tuple, fresnel_coeff: float,
-                 phase_pattern: PhasePattern):
-        object.__setattr__(self, "rational_part", rational_part)
-        object.__setattr__(self, "fresnel_coeff", fresnel_coeff)
-        object.__setattr__(self, "phase_pattern", phase_pattern)
+    __slots__ = ()
 
     def rational_value(self, u):
         try:

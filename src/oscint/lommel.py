@@ -32,6 +32,7 @@ integration by parts, within 3e-15 of mpmath there.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .control import DEFAULT_CONTROL, SeriesControl
 from .errors import DomainError, Kernel, Record, _as_kernel, _finite_power, _require_finite
@@ -39,12 +40,12 @@ from .special_functions import (EULER_GAMMA, _log_gamma_form, _power_transform, 
                                 hyp2f2_half, upper_incomplete_gamma)
 
 
-class LommelOrder(Record):
+class LommelOrder(Record, namedtuple("LommelOrder", "mu exponent_alpha")):
     """First Lommel index mu and the integrand exponent it encodes."""
 
-    __slots__ = ("mu", "exponent_alpha")
+    __slots__ = ()
 
-    def __init__(self, mu: float, exponent_alpha: float):
+    def __new__(cls, mu: float, exponent_alpha: float):
         if not math.isfinite(mu + exponent_alpha):
             _require_finite("LommelOrder", mu=mu, exponent_alpha=exponent_alpha)
         if abs(mu + exponent_alpha - 0.5) > 1e-12:
@@ -53,8 +54,7 @@ class LommelOrder(Record):
         if exponent_alpha <= 0:
             raise DomainError(
                 f"defining integral diverges for exponent alpha = {exponent_alpha} <= 0")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "exponent_alpha", exponent_alpha)
+        return tuple.__new__(cls, (mu, exponent_alpha))
 
     @classmethod
     def from_mu(cls, mu):
@@ -65,20 +65,19 @@ class LommelOrder(Record):
         return cls(0.5 - alpha, alpha)
 
 
-class GeneralExponent(Record):
+class GeneralExponent(Record, namedtuple("GeneralExponent", "n m")):
     """Exponent family 2n + 1/m (or 2n + 1 + 1/m with plus_one)."""
 
-    __slots__ = ("n", "m")
+    __slots__ = ()
 
-    def __init__(self, n: int, m: int):
+    def __new__(cls, n: int, m: int):
         if not math.isfinite(n + m):
             _require_finite("GeneralExponent", n=n, m=m)
         if n < 0 or n != int(n):
             raise DomainError(f"n must be a nonnegative integer, got {n}")
         if m < 1 or m != int(m):
             raise DomainError(f"m must be a positive integer, got {m}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
+        return tuple.__new__(cls, (n, m))
 
     def exponent(self, plus_one=False):
         return 2 * self.n + 1.0 / self.m + (1.0 if plus_one else 0.0)

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from itertools import chain, islice, pairwise, repeat
 from operator import le, mul
 from typing import Callable, Optional
@@ -70,12 +71,12 @@ from .errors import (
 # integrand descriptions
 # --------------------------------------------------------------------------
 
-class HalfPower(Record):
+class HalfPower(Record, namedtuple("HalfPower", "alpha x")):
     """Weight (t + x)^-(alpha + 1/2) on [0, inf)."""
 
-    __slots__ = ("alpha", "x")
+    __slots__ = ()
 
-    def __init__(self, alpha: float, x: float = 0.0):
+    def __new__(cls, alpha: float, x: float = 0.0):
         _require_finite("HalfPower", alpha=alpha, x=x)
         if x < 0:
             raise DomainError(f"HalfPower shift x must be >= 0, got {x}")
@@ -83,87 +84,81 @@ class HalfPower(Record):
             raise DivergentIntegralError(
                 f"HalfPower exponent alpha+1/2 = {alpha + 0.5} must be > 0 "
                 "for convergence at infinity")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "x", x)
+        return tuple.__new__(cls, (alpha, x))
 
 
-class _Radicals(Record):
-    """Weights of two finite constants a, b > 0, named in a subclass's ``__slots__``;
-    the closed forms keep their own copy of this rule."""
+class _Radicals(Record, namedtuple("_Radicals", "a b")):
+    """Weights of two finite constants a, b > 0; the closed forms keep their
+    own copy of this rule."""
 
     __slots__ = ()
 
-    def __init__(self, a: float, b: float):
-        name = type(self).__name__
-        _require_finite(name, a=a, b=b)
+    def __new__(cls, a: float, b: float):
+        _require_finite(cls.__name__, a=a, b=b)
         if a <= 0 or b <= 0:
-            raise DomainError(f"{name} constants must be > 0, got a={a} b={b}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+            raise DomainError(f"{cls.__name__} constants must be > 0, got a={a} b={b}")
+        return tuple.__new__(cls, (a, b))
 
 
 class TwoRadical(_Radicals):
     """Weight 1/(sqrt(t+a) sqrt(t+b))."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ()
 
 
 class RadicalPole(_Radicals):
     """Weight 1/(sqrt(t+a) (t+b))."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ()
 
 
-class ThreeRadical(Record):
+class ThreeRadical(Record, namedtuple("ThreeRadical", "a b c")):
     """Weight 1/(sqrt(t+a) sqrt(t+b) sqrt(t+c)).
 
     Oracle-only: the library has no closed form for three distinct
     constants; this spec exists so such integrals can still be evaluated.
     """
 
-    __slots__ = ("a", "b", "c")
+    __slots__ = ()
 
-    def __init__(self, a: float, b: float, c: float):
+    def __new__(cls, a: float, b: float, c: float):
         _require_finite("ThreeRadical", a=a, b=b, c=c)
         if min(a, b, c) <= 0:
             raise DomainError("ThreeRadical constants must all be > 0")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        return tuple.__new__(cls, (a, b, c))
 
 
-class LogHalfPower(Record):
+class LogHalfPower(Record, namedtuple("LogHalfPower", "x")):
     """Weight ln(t + x)/sqrt(t + x)."""
 
-    __slots__ = ("x",)
+    __slots__ = ()
 
-    def __init__(self, x: float):
+    def __new__(cls, x: float):
         _require_finite("LogHalfPower", x=x)
         if x <= 0:
             raise DomainError(f"LogHalfPower shift x must be > 0, got {x}")
-        object.__setattr__(self, "x", x)
+        return tuple.__new__(cls, (x,))
 
 
-class QuadraticPhase(Record):
+class QuadraticPhase(Record, namedtuple("QuadraticPhase", "scale power")):
     """Integrand kernel(scale * z^2) * (z^2 + 1)^-power on [0, inf).
 
     The quadratic-phase pieces of the radical decompositions: power=1/2
     for the two-radical family, power=1 for the radical-pole family.
     """
 
-    __slots__ = ("scale", "power")
+    __slots__ = ()
 
-    def __init__(self, scale: float, power: float):
+    def __new__(cls, scale: float, power: float):
         _require_finite("QuadraticPhase", scale=scale, power=power)
         if scale <= 0:
             raise DomainError(f"QuadraticPhase scale must be > 0, got {scale}")
         if power <= 0:
             raise DomainError(f"QuadraticPhase power must be > 0, got {power}")
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "power", power)
+        return tuple.__new__(cls, (scale, power))
 
 
-class IntegrandSpec(Record):
+class IntegrandSpec(Record, namedtuple("IntegrandSpec", "weight kernel zeta")):
     """One oscillatory integrand: weight function times sin/cos kernel.
 
     ``zeta`` is the kernel frequency for the linear-phase weights; a
@@ -171,31 +166,27 @@ class IntegrandSpec(Record):
     ignores ``zeta``.
     """
 
-    __slots__ = ("weight", "kernel", "zeta")
+    __slots__ = ()
 
-    def __init__(self, weight: Record, kernel: Kernel, zeta: float = 1.0):
+    def __new__(cls, weight: Record, kernel: Kernel, zeta: float = 1.0):
         kernel = _as_kernel(kernel)
         _require_finite("IntegrandSpec", zeta=zeta)
         if zeta <= 0:
             raise DomainError(f"frequency zeta must be > 0, got {zeta}")
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "zeta", zeta)
+        return tuple.__new__(cls, (weight, kernel, zeta))
 
 
-class QuadratureReport(Record):
+class QuadratureReport(Record, namedtuple(
+        "QuadratureReport", "value abs_err_est zero_intervals_used accelerated")):
     """An integral's value, complex for a complex integrand, and its error."""
 
-    __slots__ = ("value", "abs_err_est", "zero_intervals_used", "accelerated")
+    __slots__ = ()
 
-    def __init__(self, value: float, abs_err_est: float, zero_intervals_used: int,
-                 accelerated: bool):
+    def __new__(cls, value: float, abs_err_est: float, zero_intervals_used: int,
+                accelerated: bool):
         if not math.isfinite(abs(value)) or not math.isfinite(abs_err_est):
             raise ArithmeticError("quadrature produced a non-finite result")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "abs_err_est", abs_err_est)
-        object.__setattr__(self, "zero_intervals_used", zero_intervals_used)
-        object.__setattr__(self, "accelerated", accelerated)
+        return tuple.__new__(cls, (value, abs_err_est, zero_intervals_used, accelerated))
 
 
 # --------------------------------------------------------------------------

@@ -37,7 +37,7 @@ _ROOT_PI_8 = math.sqrt(0.125 * math.pi)
 
 
 class RadicalPoleParams(_RadicalParams):
-    __slots__ = ("a", "b", "zeta")
+    __slots__ = ()
 
     @staticmethod
     def _unordered(a, b):

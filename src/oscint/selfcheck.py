@@ -48,14 +48,9 @@ __all__ = ["CheckResult", "GROUPS", "run", "group_names"]
 _J0_FIRST_ZERO = 2.404825557695773
 
 
-class CheckResult(Record):
-    __slots__ = ("group", "name", "passed", "detail")
-
-    def __init__(self, group: str, name: str, passed: bool, detail: str = ""):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
+class CheckResult(Record, namedtuple("CheckResult", "group name passed detail",
+                                     defaults=("",))):
+    __slots__ = ()
 
 
 def _rel(got, want):

@@ -545,6 +545,7 @@ def _ratio_series(ratios, entry, shape, z, one, ctl):
     of the sum, or None past max_terms; ``ratios`` grows by entry(k, *shape) on first
     read (a shape, not a closure: a call builds no function)."""
     term = total = one
+    rel_tol = ctl.rel_tol
     for k in range(ctl.max_terms):
         try:
             r = ratios[k]
@@ -552,7 +553,7 @@ def _ratio_series(ratios, entry, shape, z, one, ctl):
             r = _grown(ratios, k + 1, lambda i: entry(i, *shape))[k]
         term *= r * z
         total += term
-        if abs(term) < ctl.rel_tol * abs(total):
+        if abs(term) < rel_tol * abs(total):
             return total
     return None
 

@@ -54,6 +54,7 @@ form sits behind ``as_printed=True``.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 
 from .control import DEFAULT_CONTROL, SeriesControl
@@ -82,23 +83,21 @@ _LOG10_E = math.log10(math.e)
 _moment_ratios = lru_cache(maxsize=16)(lambda p: [])    # (2j+3-2p)/(2j+3) per power p
 
 
-class _RadicalParams(Record):
-    """Finite a, b, zeta > 0 of either radical weight, with c and gamma; a subclass
-    names the fields in ``__slots__``, and its ``_unordered`` settles b <= a."""
+class _RadicalParams(Record, namedtuple("_RadicalParams", "a b zeta")):
+    """Finite a, b, zeta > 0 of either radical weight, with c and gamma; a
+    subclass's ``_unordered`` settles b <= a."""
 
     __slots__ = ()
 
-    def __init__(self, a: float, b: float, zeta: float = 1.0):
+    def __new__(cls, a: float, b: float, zeta: float = 1.0):
         if not math.isfinite(a + b + zeta):
-            _require_finite(type(self).__name__, a=a, b=b, zeta=zeta)
+            _require_finite(cls.__name__, a=a, b=b, zeta=zeta)
         if a <= 0 or b <= 0 or zeta <= 0:
             raise DomainError(
                 f"need a, b, zeta > 0, got a={a} b={b} zeta={zeta}")
         if b <= a:
-            a, b = self._unordered(a, b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "zeta", zeta)
+            a, b = cls._unordered(a, b)
+        return tuple.__new__(cls, (a, b, zeta))
 
     @property
     def c(self):
@@ -113,7 +112,7 @@ class _RadicalParams(Record):
 class TwoRadicalParams(_RadicalParams):
     """Parameters with b > a canonicalization (integrand is a<->b symmetric)."""
 
-    __slots__ = ("a", "b", "zeta")
+    __slots__ = ()
 
     @staticmethod
     def _unordered(a, b):

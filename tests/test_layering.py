@@ -1,6 +1,7 @@
 """Structural gates: the closed forms take only named quadrature helpers
 from the oracle, the kernel vocabulary from ``errors``, and Gamma(a, z)
-only through ``upper_incomplete_gamma``.
+only through ``upper_incomplete_gamma``; every record stores its fields
+in its named tuple.
 
 Each module's source is parsed, not imported, so a gate sees every
 ``from .oracle import`` and ``import oscint.oracle`` however it is
@@ -11,6 +12,8 @@ because a variant that kept every Gamma-form call on
 """
 
 import ast
+import importlib
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -156,3 +159,36 @@ def test_use_gate_sees_every_form():
               "class C:\n    def g(self):\n        return _legendre_cf_backward\n")
     assert _uses(source, GAMMA_ROUTES) == {("<module>", "_legendre_cf"), ("f", "_gamma_series"),
                                            ("C", "_legendre_cf_backward")}
+
+
+# the field descriptor of a named tuple, read in C
+_TUPLE_FIELD = type(namedtuple("_Probe", "x").x)
+
+
+def _records(cls=errors.Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _records(sub)
+
+
+def test_no_module_stores_an_attribute_by_hand():
+    # object.__setattr__ would store a field beside the record's named tuple
+    assert not [(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+                for owner, _ in _uses(path.read_text(), {"__setattr__"})]
+
+
+def test_every_record_is_a_named_tuple_on_the_record_mixin():
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem not in ("__init__", "__main__"):
+            importlib.import_module(f"oscint.{path.stem}")
+    records = list(_records())
+    assert {"CheckResult", "Erratum", "RadicalPoleParams", "SeriesControl"} <= {
+        cls.__name__ for cls in records}
+    for cls in records:
+        assert cls.__dict__.get("__slots__") == (), cls
+        assert cls._fields and all(type(getattr(cls, f)) is _TUPLE_FIELD
+                                   for f in cls._fields), cls
+        assert cls.__hash__ is tuple.__hash__, cls
+    # the named tuple supplies repr, pickling and immutability
+    assert set(vars(errors.Record)) == {"__module__", "__doc__", "__slots__", "__eq__",
+                                        "__ne__", "__hash__", "_make"}

@@ -1,10 +1,11 @@
-"""Open silent defects: each case asserts the right answer, which the
-library does not give yet, and names the FOUND line of CHANGES.md that
-describes it.
+"""Open defects, silent, or raising where the value is a double: each case
+asserts the right answer, which the library does not give yet, and names
+the FOUND line of CHANGES.md that describes it.
 
-Every case is a strict xfail on its assertion.  A change that mends a
-defect sees its case XPASS, which fails the suite, so the mend also
-drops the marker and turns the FOUND line into MENDED.
+Every case is a strict xfail on its assertion; a case that raises turns
+the error into a failed assertion.  A change that mends a defect sees its
+case XPASS, which fails the suite, so the mend also drops the marker and
+turns the FOUND line into MENDED.
 """
 
 import math
@@ -12,7 +13,8 @@ import math
 import mpmath
 import pytest
 
-from oscint import Kernel, gen_si, lommel, radical_pole, two_radical
+from oscint import Kernel, gen_si, lommel, radical_pole, special_functions, two_radical
+from oscint.errors import ConvergenceError, DomainError
 from oscint.oracle import (
     HalfPower,
     IntegrandSpec,
@@ -25,6 +27,14 @@ from oscint.oracle import (
 def found(line):
     """Strict xfail on an assertion, for the CHANGES.md FOUND line ``line``."""
     return pytest.mark.xfail(raises=AssertionError, strict=True, reason=f"FOUND: {line}")
+
+
+def returned(fn, *args):
+    """``fn(*args)``, where an error it raises is a failed assertion."""
+    try:
+        return fn(*args)
+    except (DomainError, ConvergenceError) as exc:
+        raise AssertionError(f"{fn.__name__}{args} raised {exc!r}") from None
 
 
 @found("the oracle's quadratic phase is silently wrong at small scale")
@@ -87,3 +97,38 @@ def test_two_radical_cosine_just_below_the_bessel_switch_agrees_with_mpmath():
         w = lambda s: mpmath.exp(-s) / (mpmath.sqrt(1j * s + 1) * mpmath.sqrt(1j * s + 28.5))
         want = float((1j * mpmath.quad(w, [0, 1, 10, mpmath.inf])).real)
     assert abs(two_radical.cos_transform(1.0, 28.5, 1.0) - want) <= 1e-12 * abs(want)
+
+
+@found("`lommel.pre_reduction_values` at q < 1 (n = 0) loses about u²·eps in its "
+       "cosine base and sine-plus forms")
+def test_pre_reduction_cosine_at_a_large_shift_agrees_with_mpmath():
+    # the cosine transform of (t + x)^-q, q = 1/9: Re e^-ix i^(1-q) Gamma(1 - q, -ix);
+    # a mend may instead raise on the cancellation
+    x, q = 7869.632401330979, 1.0 / 9
+    with mpmath.workdps(40):
+        a = 1 - mpmath.mpf(q)
+        want = float((mpmath.exp(-1j * x) * mpmath.power(1j, a)
+                      * mpmath.gammainc(a, -1j * mpmath.mpf(x))).real)
+    try:
+        got = lommel.pre_reduction_values(0, 9, x)[(Kernel.COS, False)]
+    except ConvergenceError:
+        return
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@found("`lommel.lommel_s_half` raises `DomainError` where √z·S overflows but S does not")
+def test_lommel_s_half_where_only_root_z_times_s_overflows_agrees_with_mpmath():
+    with mpmath.workdps(60):
+        want = float(mpmath.lommels2(1.6, 0.5, 1e300))       # 1.0e180
+    got = returned(lommel.lommel_s_half, 1.6, 1e300)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@found("`special_functions.upper_incomplete_gamma` raises `ConvergenceError` near the "
+       "negative real axis where the value is an ordinary double")
+def test_upper_incomplete_gamma_next_to_the_negative_axis_agrees_with_mpmath():
+    a, z = -22.854249878645668, complex(-17.373036094817305, -0.11668237745467006)
+    with mpmath.workdps(40):
+        want = complex(mpmath.gammainc(a, z))                # -3.3347e-22 - 3.8100e-23i
+    got = returned(special_functions.upper_incomplete_gamma, a, z)
+    assert abs(got - want) <= 1e-13 * abs(want)

@@ -1,4 +1,5 @@
-"""The public record classes: construction, equality, hashing, repr, immutability."""
+"""The public record classes: construction, equality, hashing, repr, immutability,
+and the named tuple each one is."""
 
 import copy
 import pickle
@@ -25,6 +26,8 @@ from oscint import (
     TwoRadical,
     TwoRadicalParams,
 )
+from oscint.errors import DomainError, UnsupportedError
+from oscint.selfcheck import CheckResult
 
 # class, field names, positional values, trailing defaults, a different valid value set
 RECORDS = [
@@ -50,6 +53,8 @@ RECORDS = [
     (Erratum, ("ident", "where", "corrected", "printed", "resolution"),
      ("ID", "module.function", True, "printed form", "corrected form"), (),
      ("ID", "module.function", False, "printed form", "corrected form")),
+    (CheckResult, ("group", "name", "passed", "detail"), ("group", "name", True, "detail"),
+     ("",), ("group", "name", False, "detail")),
 ]
 
 
@@ -62,6 +67,7 @@ def _values(obj, fields):
 def test_record_behaviour(cls, fields, args, defaults, other):
     obj = cls(*args)
     assert _values(obj, fields) == args
+    assert tuple(obj) == args and obj._fields == fields
     assert cls(**dict(zip(fields, args))) == obj
     required = args[:len(args) - len(defaults)]
     assert _values(cls(*required), fields) == required + defaults
@@ -71,6 +77,7 @@ def test_record_behaviour(cls, fields, args, defaults, other):
     assert hash(twin) == hash(obj)
     assert cls(*other) != obj
     assert obj != args and len({obj, twin, cls(*other)}) == 2
+    assert args != obj and not args == obj
 
     assert repr(obj) == f"{cls.__name__}({', '.join(f'{f}={v!r}' for f, v in zip(fields, args))})"
 
@@ -80,6 +87,9 @@ def test_record_behaviour(cls, fields, args, defaults, other):
         with pytest.raises(AttributeError):
             delattr(obj, field)
     assert _values(obj, fields) == args
+    assert not hasattr(obj, "__dict__")
+    with pytest.raises(AttributeError):
+        obj.not_a_field = args[0]
 
     assert copy.copy(obj) == obj and copy.deepcopy(obj) == obj
     assert pickle.loads(pickle.dumps(obj)) == obj
@@ -96,3 +106,18 @@ def test_two_radical_params_canonicalise_a_below_b():
     assert p == TwoRadicalParams(0.5, 1.5, 2.0)
     assert repr(p) == "TwoRadicalParams(a=0.5, b=1.5, zeta=2.0)"
     assert pickle.loads(pickle.dumps(p)) == p
+
+
+def test_replace_and_make_run_the_class_rules():
+    with pytest.raises(DomainError):
+        HalfPower(1.0, 2.0)._replace(x=-1.0)
+    with pytest.raises(DomainError):
+        HalfPower._make((1.0, -1.0))
+    with pytest.raises(DomainError):
+        SeriesControl()._replace(max_terms=0)
+    with pytest.raises(UnsupportedError):
+        RadicalPoleParams(0.5, 1.5)._replace(a=2.5)
+    p = TwoRadicalParams(0.5, 1.5, 2.0)
+    assert p._replace(a=2.5) == TwoRadicalParams._make((2.5, 1.5, 2.0)) == (
+        TwoRadicalParams(1.5, 2.5, 2.0))
+    assert IntegrandSpec._make((HalfPower(1.0), "sin")).kernel is Kernel.SIN
