@@ -35,7 +35,8 @@ import math
 from collections import namedtuple
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import DomainError, Kernel, Record, _as_kernel, _finite_power, _require_finite
+from .errors import (ConvergenceError, DomainError, Kernel, Record, _as_kernel, _finite_power,
+                     _require_finite)
 from .special_functions import (EULER_GAMMA, _log_gamma_form, _power_transform, gen_ci, gen_si,
                                 hyp2f2_half, upper_incomplete_gamma)
 
@@ -165,6 +166,19 @@ def general_cos_transform(n: int, m: int, x: float, zeta: float = 1.0,
     return cos_exponent_transform(p, x, zeta, ctl)
 
 
+def _bracket(left, right, ctl):
+    """left - right of a pre-reduction bracket, u^(1-q) - sqrt(u) S_{3/2-q,1/2}(u) or
+    u^-q - sqrt(u) S_{1/2-q,1/2}(u), whose sides agree to O(u^-2); ConvergenceError
+    where the cancellation factor (|left| + |right|)/|left - right| times 2^-52
+    passes ``ctl.rel_tol``."""
+    diff = left - right
+    factor = (abs(left) + abs(right)) / abs(diff) if diff else math.inf
+    if factor * 2.0 ** -52 > ctl.rel_tol:
+        raise ConvergenceError(f"pre-reduction bracket cancels by a factor {factor:.3g}, "
+                               f"past rel_tol {ctl.rel_tol}")
+    return diff
+
+
 def pre_reduction_values(n: int, m: int, x: float, zeta: float = 1.0,
                          ctl: SeriesControl = DEFAULT_CONTROL) -> dict:
     """The four transforms in their pre-reduction shape.
@@ -174,6 +188,8 @@ def pre_reduction_values(n: int, m: int, x: float, zeta: float = 1.0,
     the reduced forms returned by general_{sin,cos}_transform, and the
     two must agree identically.  Keys: (kernel, plus_one).  q = 2n + 1/m
     must differ from 1 (the pre-reduction cosine forms divide by q - 1).
+    Each bracket cancels like u^-2, so where it loses more than ``ctl.rel_tol``
+    (q = 1/9 at u = 7.9e3, q = 2.5 at u = 1e4) it raises ``ConvergenceError``.
     """
     q = GeneralExponent(n, m).exponent(False)
     if abs(q - 1.0) < 1e-12:
@@ -183,10 +199,11 @@ def pre_reduction_values(n: int, m: int, x: float, zeta: float = 1.0,
     scale, scale_plus = _finite_power("lommel", zeta, q - 1.0), _finite_power("lommel", zeta, q)
     s_lo = lommel_s_half(-(q - 0.5), u, ctl)
     sin_base = scale * ru * s_lo
-    bracket_lo = _finite_power("lommel", u, -(q - 1.0)) - ru * lommel_s_half(-(q - 1.5), u, ctl)
+    bracket_lo = _bracket(_finite_power("lommel", u, -(q - 1.0)),
+                          ru * lommel_s_half(-(q - 1.5), u, ctl), ctl)
     cos_base = scale / (q - 1.0) * bracket_lo
     sin_plus = scale_plus / ((q - 1.0) * q) * bracket_lo
-    cos_plus = scale_plus / q * (_finite_power("lommel", u, -q) - ru * s_lo)
+    cos_plus = scale_plus / q * _bracket(_finite_power("lommel", u, -q), ru * s_lo, ctl)
     return {
         (Kernel.SIN, False): sin_base,
         (Kernel.COS, False): cos_base,

@@ -1,16 +1,24 @@
-"""tools/bench_pairs.py: the pair summary on fixed numbers."""
+"""tools/bench_pairs.py: the pair summary on fixed numbers, and the child harness."""
 
 import importlib.util
 import json
 import pathlib
 import subprocess
+from collections import Counter
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 
 
 def _run(failed=0, **metrics):
@@ -173,3 +181,23 @@ def test_change_side_is_a_copy_without_bytecode(tmp_path):
     assert (tmp_path / "perfbench" / "run.py").is_file()
     assert not list(tmp_path.rglob("__pycache__"))
     assert not list(tmp_path.rglob("*.pyc"))
+
+
+def test_call_runs_a_tool_function_in_a_child():
+    assert bench_pairs.call(ROOT, "bench_pairs", "parse_seeds", "1-3,5") == [1, 2, 3, 5]
+
+
+def test_a_failing_child_raises_with_its_stderr():
+    with pytest.raises(RuntimeError, match=r"bench_pairs\.parse_seeds(.|\n)*invalid literal"):
+        bench_pairs.call(ROOT, "bench_pairs", "parse_seeds", "x")
+
+
+def test_call_evaluates_a_workload_in_the_checkout():
+    # the path value_diff takes in each of its two copies: one row per request, in order
+    workloads = _load("workloads", ROOT / "perfbench" / "workloads.py")
+    rows = bench_pairs.call(ROOT, "value_diff", "evaluate", "oracle-grid", 1)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    reqs = workloads.generate("oracle-grid", 1, workloads.request_count("oracle-grid", seconds))
+    assert [row["cell"] for row in rows] == [[r.family, r.kernel, r.stratum] for r in reqs]
+    assert Counter("/".join(row["cell"]) for row in rows) == workloads.tally(reqs)["cell"]
+    assert all(("value" in row) != ("raised" in row) and row["quad"] >= 0 for row in rows)

@@ -29,7 +29,7 @@ from oscint import (
 )
 from oscint import lommel as lm
 from oscint import special_functions as sf
-from oscint.control import DEFAULT_CONTROL
+from oscint.control import DEFAULT_CONTROL, SeriesControl
 from oscint.special_functions import upper_incomplete_gamma
 
 
@@ -351,6 +351,16 @@ def test_pre_reduction_forms_match_reduced_on_both_sides_of_the_switch(n, m):
         for plus in (False, True):
             assert rel(pre[(Kernel.SIN, plus)], general_sin_transform(n, m, x, 1.0, plus)) <= 5e-13
             assert rel(pre[(Kernel.COS, plus)], general_cos_transform(n, m, x, 1.0, plus)) <= 5e-13
+
+
+def test_pre_reduction_raises_where_a_bracket_cancels_past_rel_tol():
+    # the brackets cancel like u^-2: by 1.3e9 at q = 1/9, u = 7.9e3 and by 5.3e7
+    # at q = 2.5, u = 1e4, against rel_tol / 2^-52 = 4.5e3 by default
+    for args in ((0, 9, 7869.632401330979), (1, 2, 1e4)):
+        with pytest.raises(ConvergenceError, match="cancels by a factor"):
+            pre_reduction_values(*args)
+    loose = pre_reduction_values(1, 2, 1e4, 1.0, SeriesControl(rel_tol=1e-6))
+    assert rel(loose[(Kernel.COS, False)], general_cos_transform(1, 2, 1e4)) < 1e-6
 
 
 def test_log_integral():

@@ -35,24 +35,23 @@ bands (-8, -2], (-2, 0] and (0, 1) and the z bands [1e-3, 1), [1, 1e3), [1e3, 1e
 gen_ci + i gen_si = e^(i pi alpha/2) Gamma(alpha, -iz) at the float alpha, and each
 part's error is relative to that modulus, so a zero of one part reads as no loss.
 
-``--parent REV`` evaluates the same points with a second tree, REV extracted with
-``git archive`` into a temporary directory as ``tools/traffic.py --parent`` does, and
-prints each stratum as parent -> change.  Each tree runs in a fresh interpreter; the
-references are computed once.  Standard library plus mpmath.
+``--parent REV`` evaluates the same points at REV too and prints each stratum as
+parent -> change; the two checkouts come from ``bench_pairs.trees``.  Each tree runs
+in a child that ``bench_pairs.call`` starts; the references are computed once.
+Standard library plus mpmath.
 """
 
 import argparse
 import json
 import math
 import random
-import subprocess
 import sys
-import tempfile
 from collections import Counter
 from pathlib import Path
 
+import bench_pairs
+
 ROOT = Path(__file__).resolve().parent.parent
-TOOLS = Path(__file__).resolve().parent
 
 ORDERS = ((-171.5, -8.0), (-8.0, 0.0), (0.0, 1.0), (1.0, 10.0), (10.0, 171.5))
 RADII = ((3.0, 10.0), (10.0, 1e3), (1e3, 1e7))
@@ -174,15 +173,6 @@ def outcomes(points):
     return out
 
 
-def run_tree(root, points):
-    """``outcomes`` of ``points`` by checkout ``root``'s ``oscint``, in a fresh interpreter."""
-    code = (f"import json, sys\nsys.path[:0] = [{str(TOOLS)!r}, {str(root / 'src')!r}]\n"
-            "import accuracy\nprint(json.dumps(accuracy.outcomes(json.load(sys.stdin))))\n")
-    out = subprocess.run([sys.executable, "-c", code], input=json.dumps(points),
-                         capture_output=True, text=True, check=True).stdout
-    return json.loads(out.splitlines()[-1])
-
-
 def summarize(points, wants, got):
     """{points, off_range, worst, at, raises} of one stratum's outcomes against the truth;
     ``at`` is the (order, re z, im z) of the worst error.  A gen_si or gen_ci value is
@@ -210,13 +200,12 @@ def measure(count, seed, parent=None, route="gamma"):
     per = [draw(s, count, seed) for s in table]
     points = [p for group in per for p in group]
     wants = [reference(*p) for p in points]
-    sides = {"change": run_tree(ROOT, points)}
     if parent:
-        from bench_pairs import extract
-
-        with tempfile.TemporaryDirectory(prefix="accuracy-") as tmp:
-            extract(parent, tmp)
-            sides["parent"] = run_tree(Path(tmp), points)
+        with bench_pairs.trees(parent) as (parent_root, change_root):
+            sides = {side: bench_pairs.call(root, "accuracy", "outcomes", points)
+                     for side, root in (("change", change_root), ("parent", parent_root))}
+    else:
+        sides = {"change": bench_pairs.call(ROOT, "accuracy", "outcomes", points)}
     rows, k = {}, 0
     for stratum, group in zip(table, per):
         n = len(group)

@@ -4,11 +4,12 @@ Run from the root of a checkout:
 
     python3 tools/bench_pairs.py --workload oracle-grid --seeds 1001-1010
 
-The parent (``--parent``, default ``HEAD``) is extracted with
-``git archive`` into a temporary directory (under ``--workdir`` if
-given), removed at the end.  The change side is a fresh copy of this
-working tree beside it: the tracked files and the untracked ones git
-does not ignore, so neither side holds bytecode the other must compile
+``trees`` makes the two checkouts, which every tool here compares (each
+runs its code in them through ``call``): the parent (``--parent``, default
+``HEAD``) by ``git archive`` and a fresh copy of this working tree, in one
+temporary directory (under ``--workdir`` if given) removed at the end.
+The copy holds the tracked files and the untracked ones git does not
+ignore, so neither side holds bytecode the other must compile
 (``__pycache__`` is ignored).  For each seed the unchanged
 ``perfbench/run.py`` runs once in each copy, and the side that runs
 first alternates from pair to pair, so a drift of the machine's pace
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import io
 import json
 import shutil
@@ -52,6 +54,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# ``call``'s child: argv is (sys.path entries..., tool, function) and stdin the
+# arguments as a JSON list; it prints the result as one line of JSON
+_CHILD = """import importlib, json, sys
+*path, tool, function = sys.argv[1:]
+sys.path[:0] = path
+print(json.dumps(getattr(importlib.import_module(tool), function)(*json.load(sys.stdin))))
+"""
 
 
 def parse_seeds(text):
@@ -212,6 +221,32 @@ def snapshot(dest):
             shutil.copy2(src, Path(dest) / name)
 
 
+@contextlib.contextmanager
+def trees(parent, workdir=None):
+    """(parent root, change root): ``extract`` of ``parent`` and ``snapshot`` of this
+    working tree, in one temporary directory (under ``workdir`` if given) that is
+    removed at the end."""
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-", dir=workdir) as tmp:
+        roots = Path(tmp) / "parent", Path(tmp) / "change"
+        extract(parent, roots[0])
+        snapshot(roots[1])
+        yield roots
+
+
+def call(root, tool, function, *args):
+    """``function(*args)`` of this tree's ``tools/<tool>.py``, in a fresh interpreter
+    whose working directory is checkout ``root``, with ``root/src`` and
+    ``root/perfbench`` first on ``sys.path``; the arguments and the result pass as
+    JSON.  A child that fails raises ``RuntimeError`` with the tail of its stderr."""
+    path = [str(root / "src"), str(root / "perfbench"), str(ROOT / "tools")]
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *path, tool, function], cwd=root,
+                          input=json.dumps(args), capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tool}.{function} in {root} exited {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
@@ -223,16 +258,13 @@ def main(argv=None):
     ap.add_argument("--summary", type=Path,
                     help="also write the per-metric quartiles as JSON here, "
                          "merged by workload into the file if it exists")
-    ap.add_argument("--workdir", type=Path, help="where to extract the parent checkout")
+    ap.add_argument("--workdir", type=Path, help="where to make the two copies")
     args = ap.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better, seconds = directions(benchmark), benchmark["run_seconds"]
 
     pairs = []
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-", dir=args.workdir) as tmp:
-        parent_root, change_root = Path(tmp) / "parent", Path(tmp) / "change"
-        extract(args.parent, parent_root)
-        snapshot(change_root)
+    with trees(args.parent, args.workdir) as (parent_root, change_root):
         lines = src_lines(parent_root), src_lines(change_root)
         nodes = src_ast_nodes(parent_root), src_ast_nodes(change_root)
         for i, seed in enumerate(args.seeds):

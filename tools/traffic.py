@@ -23,18 +23,16 @@ beside wall-clock medians and does not replace them.
 
     python3 tools/traffic.py --workload closed-grid --seed 1 --requests 3000 --parent HEAD
 
-REV is extracted with ``git archive`` into a temporary directory, as
-``tools/bench_pairs.py`` does, and each side runs one warm pass and one counted
-pass, by this script, in a fresh interpreter.  Standard library only.
+The two checkouts come from ``bench_pairs.trees``, and in each a child that
+``bench_pairs.call`` starts runs one warm pass and one counted pass, by this
+script.  Standard library only.
 """
 
 import argparse
 import ast
 import importlib
 import json
-import subprocess
 import sys
-import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -126,26 +124,23 @@ def count_lines(run, src=SRC):
 
 
 def lines_per_req(root, workload, seed, count):
-    """{module stem: line events per request} of checkout ``root``, by this script in a
-    fresh interpreter: one pass over the requests to warm every cache, one counted."""
-    code = (f"import json, sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
-            f"import traffic\nroot = traffic.Path({str(root)!r})\n"
-            f"run, n = traffic.load({workload!r}, {seed!r}, {count!r}, root)\nrun()\n"
-            "counts = traffic.count_lines(run, root / 'src' / 'oscint')\n"
-            "print(json.dumps({stem: count / n for stem, count in counts.items()}))\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True).stdout
-    return json.loads(out.splitlines()[-1])
+    """{module stem: line events per request} of checkout ``root``, where
+    ``bench_pairs.call`` runs this: one pass over the requests to warm every cache,
+    one counted."""
+    root = Path(root)
+    run, n = load(workload, seed, count, root)
+    run()
+    return {stem: events / n for stem, events in count_lines(run, root / "src" / "oscint").items()}
 
 
 def compare_parent(args):
     """Print (and with ``--record`` write) lines_per_req of ``args.parent`` and this tree."""
-    from bench_pairs import extract
+    import bench_pairs
 
-    with tempfile.TemporaryDirectory(prefix="traffic-") as tmp:
-        extract(args.parent, tmp)
-        parent = lines_per_req(Path(tmp), args.workload, args.seed, args.requests)
-    change = lines_per_req(ROOT, args.workload, args.seed, args.requests)
+    with bench_pairs.trees(args.parent) as roots:
+        parent, change = (bench_pairs.call(root, "traffic", "lines_per_req", str(root),
+                                           args.workload, args.seed, args.requests)
+                          for root in roots)
     print(f"{args.workload} seed {args.seed}: parent {args.parent} vs working tree")
     rows = {stem: {"parent": parent.get(stem, 0.0), "change": change.get(stem, 0.0)}
             for stem in sorted({*parent, *change})}

@@ -4,16 +4,15 @@ Run from the root of a checkout:
 
     python3 tools/value_diff.py --workload oracle-grid --seeds 1-3
 
-The two copies are made as ``tools/bench_pairs.py`` makes them: the
-parent (``--parent``, default ``HEAD``) by ``git archive`` and the
-change as a fresh copy of this working tree, in one temporary directory
-(under ``--workdir`` if given) that is removed at the end.  For each
-seed each copy evaluates, in an interpreter of its own, every request
-of the benchmark's fixed list (``perfbench/workloads.py``, at the
-``run_seconds`` of ``BENCHMARK.json``): closed-grid by its public closed
-form, oracle-grid by ``integrate_semi_infinite``.  A request that raises
-records the exception's class name.  A closed-grid value is also graded
-by the benchmark's own test (``reference`` and ``agrees`` of
+The parent (``--parent``, default ``HEAD``) and a fresh copy of this
+working tree come from ``bench_pairs.trees`` (under ``--workdir`` if
+given).  For each seed each copy evaluates, in a child that
+``bench_pairs.call`` starts, every request of the benchmark's fixed list
+(``perfbench/workloads.py``, at the ``run_seconds`` of
+``BENCHMARK.json``): closed-grid by its public closed form, oracle-grid
+by ``integrate_semi_infinite``.  A request that raises records the
+exception's class name.  A closed-grid value is also graded by the
+benchmark's own test (``reference`` and ``agrees`` of
 ``perfbench/reference.py``): a value that fails it, or a request that
 raised, is wrong.
 
@@ -36,9 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -47,17 +44,15 @@ import bench_pairs  # noqa: E402
 WORKLOADS = ("closed-grid", "oracle-grid")
 
 
-def evaluate(root, workload, seed):
-    """Rows of one seed's requests, evaluated by the checkout ``root``
-    (run in a fresh interpreter): each request's cell and its result."""
-    root = Path(root)
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+def evaluate(workload, seed):
+    """Rows of one seed's requests, evaluated by the checkout that
+    ``bench_pairs.call`` runs this in: each request's cell and its result."""
     import oscint
     import workloads as wl
+    from oscint import oracle
     from reference import agrees, reference
 
-    seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
-    from oscint import oracle
+    seconds = json.loads(Path("BENCHMARK.json").read_text())["run_seconds"]
 
     quad, calls = oracle.quad, []
     oracle.quad = lambda *args, **kwargs: calls.append(None) or quad(*args, **kwargs)
@@ -165,16 +160,6 @@ def format_table(cells):
     return lines
 
 
-def _child(root, workload, seed):
-    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child", str(root),
-                           "--workload", workload, "--seeds", str(seed)],
-                          cwd=root, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"evaluation in {root} (seed {seed}) exited {proc.returncode}:\n"
-                           f"{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout)
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
@@ -183,20 +168,15 @@ def main(argv=None):
     ap.add_argument("--parent", default="HEAD", help="git revision to compare against")
     ap.add_argument("--record", type=Path, help="also write the table as JSON here")
     ap.add_argument("--workdir", type=Path, help="where to make the two copies")
-    ap.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.child:
-        json.dump(evaluate(args.child, args.workload, args.seeds[0]), sys.stdout)
-        return 0
 
     parent_rows, change_rows = [], []
-    with tempfile.TemporaryDirectory(prefix="value-diff-", dir=args.workdir) as tmp:
-        parent_root, change_root = Path(tmp) / "parent", Path(tmp) / "change"
-        bench_pairs.extract(args.parent, parent_root)
-        bench_pairs.snapshot(change_root)
+    with bench_pairs.trees(args.parent, args.workdir) as (parent_root, change_root):
         for seed in args.seeds:
-            parent_rows += _child(parent_root, args.workload, seed)
-            change_rows += _child(change_root, args.workload, seed)
+            rows = lambda root: bench_pairs.call(root, "value_diff", "evaluate",
+                                                 args.workload, seed)
+            parent_rows += rows(parent_root)
+            change_rows += rows(change_root)
             print(f"seed {seed} done", file=sys.stderr)
     cells = compare(parent_rows, change_rows)
     if args.record:
