@@ -7,9 +7,11 @@ each cross-validated against an independent lobe-quadrature oracle.
 
 Every result is pure double precision; all functions are pure,
 reentrant and thread-safe.  The only global mutable state is the memo
-caches of pure functions (``functools.lru_cache``: the half-power family
+caches of pure functions (``functools``: the half-power family
 coefficients, the last Fresnel, (J0, Y0) and (si, ci) pairs, the moment-table
-length per phase), the coefficient lists the series loops grow (the Fresnel
+length per phase, the oracle's GK21 rule and phase tables, and the nodes of
+``quad``'s first level on its 32 latest ranges, read-only arrays like the
+tables), the coefficient lists the series loops grow (the Fresnel
 and Bessel rows are constants), which never change a value, and this
 package's name cache below.
 

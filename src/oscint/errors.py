@@ -9,11 +9,12 @@ accuracy was not reached".
 The module also holds what every other submodule shares, because they
 all import this one anyway: ``Record``, the named-tuple mixin of every
 parameter, weight and report record, and the kernel vocabulary --
-``Kernel``, its coercion ``_as_kernel``, ``_trig`` (the kernel's function
-in ``math`` or ``numpy``), ``_Phase`` (weight times kernel, an integrand
-whose lobes from 0 the oracle takes from a table), the finite-parameter
-check ``_require_finite`` and ``_finite_power``, the frequency scaling of
-a closed form.  The closed forms take these from here, not from the
+``Kernel``, its coercion ``_as_kernel``, ``_EXP`` (the private kernel
+e^(it)), ``_trig`` (the kernel's function in ``math`` or ``numpy``),
+``_Phase`` (weight times kernel, an integrand whose lobes from 0 the
+oracle takes from a table), the finite-parameter check
+``_require_finite`` and ``_finite_power``, the frequency scaling of a
+closed form.  The closed forms take these from here, not from the
 quadrature oracle.
 """
 
@@ -96,8 +97,15 @@ def _as_kernel(kernel):
         raise DomainError(f"kernel must be 'sin' or 'cos', got {kernel!r}") from None
 
 
+# e^(it): the kernel of the one complex lobe sum C + iS behind gen_si/gen_ci,
+# over numpy only.  Its zeros are the sine's; no public call can select it.
+_EXP = object()
+
+
 def _trig(kernel, m):
-    """The kernel's function in the math module ``m`` (math or numpy)."""
+    """The kernel's function in the math module ``m`` (math or numpy; numpy for _EXP)."""
+    if kernel is _EXP:
+        return lambda t: m.exp(1j * t)
     return m.sin if kernel is Kernel.SIN else m.cos
 
 

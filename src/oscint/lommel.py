@@ -167,14 +167,15 @@ def general_cos_transform(n: int, m: int, x: float, zeta: float = 1.0,
 
 
 def _bracket(left, right, ctl):
-    """left - right of a pre-reduction bracket, u^(1-q) - sqrt(u) S_{3/2-q,1/2}(u) or
-    u^-q - sqrt(u) S_{1/2-q,1/2}(u), whose sides agree to O(u^-2); ConvergenceError
-    where the cancellation factor (|left| + |right|)/|left - right| times 2^-52
-    passes ``ctl.rel_tol``."""
+    """left - right of a printed form that cancels: a pre-reduction bracket,
+    u^(1-q) - sqrt(u) S_{3/2-q,1/2}(u) or u^-q - sqrt(u) S_{1/2-q,1/2}(u), whose sides
+    agree to O(u^-2), or a rotation of the (gen_si, gen_ci) pair, whose cosine cancels
+    like u; ConvergenceError where the cancellation factor (|left| + |right|)/|left -
+    right| times 2^-52 passes ``ctl.rel_tol``."""
     diff = left - right
     factor = (abs(left) + abs(right)) / abs(diff) if diff else math.inf
     if factor * 2.0 ** -52 > ctl.rel_tol:
-        raise ConvergenceError(f"pre-reduction bracket cancels by a factor {factor:.3g}, "
+        raise ConvergenceError(f"printed form cancels by a factor {factor:.3g}, "
                                f"past rel_tol {ctl.rel_tol}")
     return diff
 
@@ -258,7 +259,10 @@ def si_ci_representation(n: int, m: int, x: float, zeta: float = 1.0,
     """Exponent-2n+1/m transforms through generalized sine/cosine integrals.
 
     The printed sine form pairs cos(zeta x) with a bare sin(x); the
-    corrected sin(zeta x) ships by default (errata LOM-SICI-PHASE).
+    corrected sin(zeta x) ships by default (errata LOM-SICI-PHASE).  Each
+    form rotates the pair by u = zeta x through ``_bracket``: the cosine,
+    about p u^(-p-1) from parts of about u^-p, cancels like u, and raises
+    ``ConvergenceError`` where that loses more than ``ctl.rel_tol``.
     """
     u = _scaled_shift("si_ci_representation", x, zeta)
     kernel = _as_kernel(kernel)
@@ -269,5 +273,5 @@ def si_ci_representation(n: int, m: int, x: float, zeta: float = 1.0,
     scale = _finite_power("lommel", zeta, p - 1.0)
     if kernel is Kernel.SIN:
         sin_arg = x if as_printed else u
-        return scale * (math.cos(u) * si - math.sin(sin_arg) * ci)
-    return scale * (math.cos(u) * ci + math.sin(u) * si)
+        return scale * _bracket(math.cos(u) * si, math.sin(sin_arg) * ci, ctl)
+    return scale * _bracket(math.cos(u) * ci, -math.sin(u) * si, ctl)

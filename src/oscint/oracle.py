@@ -28,7 +28,9 @@ S_n = sum_(k<n) w_(n,k) L_k.  For a completely monotone weight w,
 monotone in k, a Hausdorff moment sequence, and S_n is within
 2 / (3 + sqrt 8)^n ~ 5.83^-n of the sum, relative to it, at any decay
 rate.  (t + x)^-p, the radical weights, gen_si/gen_ci's t^(alpha - 1)
-and the quadratic phase in u = c z^2 are completely monotone;
+(one complex sum over an e^(it) table, the real and the imaginary parts
+of its lobes each such a sequence) and the quadratic phase in u = c z^2
+are completely monotone;
 ln(t + x)/sqrt(t + x) is not, and only the empirical stop guards it.
 A series not settled at the rule's highest order (bound ~2e-31) raises.
 Lobes are summed in order, so a result is independent of batching.
@@ -52,19 +54,9 @@ from operator import le, mul
 from typing import Callable, Optional
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import (
-    AccelerationStalledError,
-    ConvergenceError,
-    DivergentIntegralError,
-    DomainError,
-    Kernel,
-    MaxSubdivisionsError,
-    Record,
-    _Phase,
-    _as_kernel,
-    _require_finite,
-    _trig,
-)
+from .errors import (_EXP, AccelerationStalledError, ConvergenceError, DivergentIntegralError,
+                     DomainError, Kernel, MaxSubdivisionsError, Record, _Phase, _as_kernel,
+                     _require_finite, _trig)
 
 
 # --------------------------------------------------------------------------
@@ -277,12 +269,25 @@ def _gk21_rule(fv, x, scale):
         return kg[:, 0], np.abs(kg[:, 0] - kg[:, 1])
 
 
+def _nodes(a, b):
+    """(node matrix, half-widths as a column) of the pieces [a, b], numpy arrays."""
+    half = 0.5 * (b - a)[:, None]
+    return (0.5 * (a + b))[:, None] + half * _gk21()[1], half
+
+
 def _gk21_pieces(fv, a, b):
     """``_gk21_rule`` of ``fv`` on the pieces [a, b], numpy arrays."""
-    np, nodes = _gk21()[:2]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return _gk21_rule(fv, mid[:, None] + half[:, None] * nodes, half[:, None])
+    return _gk21_rule(fv, *_nodes(a, b))
+
+
+@functools.lru_cache(maxsize=32)
+def _quad_start(lo, hi):
+    """``quad``'s first level on [lo, hi], read-only: (a, b, node matrix, half-widths)."""
+    e = lo + (hi - lo) / _QUAD_START * _gk21()[0].arange(_QUAD_START + 1.0)
+    e[-1] = hi
+    x, half = _nodes(e[:-1], e[1:])
+    e.flags.writeable = x.flags.writeable = half.flags.writeable = False   # callers share them
+    return e[:-1], e[1:], x, half
 
 
 def _elementwise(f):
@@ -321,7 +326,8 @@ def quad(fv, lo, hi, epsabs, epsrel):
     share of a tiny piece falls below the rounding of its difference,
     which bisection cannot lower.  Shares of pieces that short add up
     to more than the tolerance, so a level can fail it with no piece
-    above its share; bisection then stops there.
+    above its share; bisection then stops there.  ``_quad_start`` keeps
+    the first level's nodes for each [lo, hi].
 
     At an integrable endpoint singularity f ~ (t - lo)^(s - 1) the
     error of the end piece falls only like its length^s, so levels at
@@ -336,10 +342,8 @@ def quad(fv, lo, hi, epsabs, epsrel):
     next level would exceed _QUAD_LIMIT pieces, or would bisect none.
     """
     np = _gk21()[0]
-    e = lo + (hi - lo) / _QUAD_START * np.arange(_QUAD_START + 1.0)
-    e[-1] = hi
-    a, b = e[:-1], e[1:]
-    k, d = _gk21_pieces(fv, a, b)
+    a, b, x, half = _quad_start(lo, hi)
+    k, d = _gk21_rule(fv, x, half)
     neval = 21 * _QUAD_START
     sums, limits = [], []
     while True:
@@ -419,17 +423,19 @@ def _phase_table(kernel, power, first):
     """The first block of ``first`` lobes of a ``_Phase`` integrand from 0
     in units of its scale, where its zeros are (k - shift)^(1/power): (node
     matrix u, kernel(pi u^power) times the half-widths, edges, the graded
-    lobes' length shares).  The kernel is (-1)^k sin(pi f) at u^power +
-    shift = k + f, |f| <= 1/2, f from nodes in numpy's extended precision."""
+    lobes' length shares).  The kernel is (-1)^k sin(pi f) (e^(i pi f) for _EXP) at
+    u^power + shift = k + f, |f| <= 1/2, f from nodes in numpy's extended precision."""
     np, nodes = _gk21()[:2]
-    shift = 0.0 if kernel is Kernel.SIN else 0.5
+    shift = 0.5 if kernel is Kernel.COS else 0.0
     edges, graded = _first_layout(0.0, [(k - shift) ** (1.0 / power) for k in range(1, first + 1)])
     e = np.array(edges, np.longdouble)
     half = 0.5 * (e[1:] - e[:-1])[:, None]
     u = 0.5 * (e[1:] + e[:-1])[:, None] + half * nodes
     v = u ** power + shift
     k = np.rint(v)
-    table = np.where(k % 2, -1.0, 1.0) * np.sin(np.pi * (v - k).astype(float)) * half.astype(float)
+    f = np.pi * (v - k).astype(float)
+    table = np.where(k % 2, -1.0, 1.0) * (np.exp(1j * f) if kernel is _EXP else np.sin(f))
+    table *= half.astype(float)
     u = u.astype(float)
     u.flags.writeable = table.flags.writeable = False       # every caller shares them
     return u, table, tuple(edges), tuple(map(tuple, graded))
@@ -536,7 +542,10 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
                 decreases, prev_mag = (decreases + 1 if mag <= prev_mag else 0), mag
                 if decreases >= 2 and 3 <= reached < max_lobes:
                     # the last direct lobe is the rule's first term
-                    start, head = reached - 1, math.fsum(values[:reached - 1])
+                    start, head = reached - 1, values[:reached - 1]
+                    head = (math.fsum(head) if type(head[0]) is not complex else   # e^(it) lobes
+                            complex(math.fsum(h.real for h in head),
+                                    math.fsum(h.imag for h in head)))
                     mass, due = math.fsum(map(abs, values[:reached])), reached + n0 - 2
             elif reached >= due:
                 n = reached - start

@@ -65,8 +65,8 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import (ConvergenceError, DomainError, Kernel, PoleError, _finite_power, _Phase,
-                     _require_finite)
+from .errors import (_EXP, ConvergenceError, DomainError, Kernel, PoleError, _finite_power,
+                     _Phase, _require_finite)
 from .oracle import kernel_breakpoints, lobe_sum
 
 EULER_GAMMA = 0.5772156649015328606
@@ -628,8 +628,16 @@ def hyp2f2_half(x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
 def _gen_trig_pair(alpha, z, ctl):
     """(gen_si, gen_ci) at (alpha, z), memoised for one argument as callers read both: with
     t = s + z, cos z S + sin z C and cos z C - sin z S, S and C the integrals of sin s and
-    cos s times (s + z)^(alpha - 1) over [0, inf) (DLMF 6.2's f and g at alpha = 0), whose
-    lobes from 0 take the oracle's first block from its phase table."""
+    cos s times w(s) = (s + z)^(alpha - 1) over [0, inf) (DLMF 6.2's f and g at alpha = 0).
+
+    C + iS, the integral of e^(is) w(s), is one lobe sum over the sine zeros, its first
+    block from the oracle's e^(it) phase table.  Its k-th lobe is (-1)^k a_k with
+    a_k = int_0^pi e^(ir) w(k pi + r) dr; w is completely monotone, w = int e^(-s sigma)
+    dnu(sigma), so a_k = int x^k (1 + x)(sigma + i)/(sigma^2 + 1) dnu(sigma), x = e^(-pi sigma):
+    Re a_k and Im a_k are each the moments of a positive measure on (0, 1], and the CRVZ
+    bound the oracle states holds for each part.  Both parts carry the rounding of lobes of
+    size |C + iS|, so where |C| << |S| (alpha near 1, z >> 1) C is good to about a few
+    eps |S| / |C| relative (8e-12 at alpha = 0.994, z = 130)."""
     # NaN fails both tests; past 2^52 half-periods doubles z are 2 or more apart
     if not -math.inf < alpha < 1:
         raise DomainError(f"generalized trig integral needs finite alpha < 1, got {alpha}")
@@ -637,8 +645,8 @@ def _gen_trig_pair(alpha, z, ctl):
         raise DomainError(f"generalized trig integral needs 0 < z / pi < 2^52, where its "
                           f"half-periods leave double precision, got z = {z}")
     weight = lambda m: lambda s: (s + z) ** (alpha - 1.0)
-    s, c = (lobe_sum(None, kernel_breakpoints(k, 1.0), ctl, _Phase(weight, k, 1.0, 1))[0]
-            for k in (Kernel.SIN, Kernel.COS))
+    cs = lobe_sum(None, kernel_breakpoints(Kernel.SIN, 1.0), ctl, _Phase(weight, _EXP, 1.0, 1))[0]
+    s, c = cs.imag, cs.real
     cz, sz = math.cos(z), math.sin(z)
     return cz * s + sz * c, cz * c - sz * s
 

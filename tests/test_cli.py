@@ -93,15 +93,29 @@ def test_timed_evaluation_imports_nothing(case):
     assert "elapsed_us" in json.loads(proc.stdout)
 
 
+# tables of rows that each take a cached oracle table: the oracle's own, an
+# a = b radical's and Lommel's series' (the e^(it) table of their (gen_si,
+# gen_ci) pair), and the first quad level of the rotated contour past the
+# phase guard
+TIMED_TABLES = (
+    ("--family", "two-radical", "--a", "1", "--b", "2,3,4,5", "--method", "oracle"),
+    ("--family", "two-radical", "--a", "0.7", "--b", "0.7", "--zeta", "1.3,1.9"),
+    ("--family", "lommel", "--n", "1", "--m", "2", "--x", "1.5,2", "--method", "series"),
+    ("--family", "two-radical", "--a", "20", "--b", "21,22.5", "--zeta", "1"),
+)
+
+
 @pytest.mark.parametrize("kernel", ["sin", "cos"])
 def test_timed_oracle_rows_build_no_table(capsys, monkeypatch, kernel):
     # the first oracle row read several times the rest while it built the
     # GK21 and phase tables; --timing builds them before any clock starts
     import oscint.cli as cli
     import oscint.oracle as oracle
+    import oscint.special_functions as special_functions
 
-    caches = (oracle._gk21, oracle._phase_table)
-    for cache in caches:
+    caches = (oracle._gk21, oracle._phase_table, oracle._quad_start)
+    # the (gen_si, gen_ci) memo too: holding the throwaway pair, it would build no table
+    for cache in (*caches, special_functions._gen_trig_pair):
         cache.cache_clear()
     record, built = cli._record, []
 
@@ -112,10 +126,9 @@ def test_timed_oracle_rows_build_no_table(capsys, monkeypatch, kernel):
         return row
 
     monkeypatch.setattr(cli, "_record", timed)
-    code, out, _ = run_cli(capsys, "table", "--family", "two-radical", "--kernel", kernel,
-                           "--a", "1", "--b", "2,3,4,5", "--method", "oracle", "--timing")
-    assert code == 0 and len(out.splitlines()) == 5
-    assert built == [False] * 4
+    for argv in TIMED_TABLES:
+        assert run_cli(capsys, "table", "--kernel", kernel, *argv, "--timing")[0] == 0, argv
+    assert built == [False] * 10        # 4 oracle rows, then 2 of each other table
 
 
 def test_compare_gate(capsys):

@@ -354,6 +354,32 @@ def test_tail_lobe_with_a_jump_goes_to_quadpack(monkeypatch):
     assert abs(value - ref) <= err + ref_err
 
 
+def test_e_it_lobe_with_a_jump_goes_to_quad_as_one_complex_lobe(monkeypatch):
+    # the private e^(it) kernel sums C + iS in one series over the sine zeros;
+    # a lobe that fails its test goes to quad with the complex integrand.  The
+    # reference splits the jump off: I(0) + I(9.5 pi) / 2, I(s) of 1/(t + 1) from s
+    weight = lambda m: lambda t: 1.0 / (t + 1.0)
+    jump = lambda m: lambda t: (1.0 + 0.5 * (t > 9.5 * math.pi)) / (t + 1.0)
+    fallback = _record_quad(monkeypatch)
+    value, err, _, _ = oracle.lobe_sum(None, oracle.kernel_breakpoints(Kernel.SIN, 1.0),
+                                       f_over=oracle._Phase(jump, oracle._EXP, 1.0, 1))
+    assert fallback == [(9 * math.pi, 10 * math.pi)]
+    parts = [oracle.oscillatory_integral(None, kernel, 1.0, start, g_over=weight)
+             for kernel in (Kernel.COS, Kernel.SIN) for start in (0.0, 9.5 * math.pi)]
+    c, c_jump, s, s_jump = (rep.value for rep in parts)
+    assert abs(value - complex(c + 0.5 * c_jump, s + 0.5 * s_jump)) <= err + sum(
+        rep.abs_err_est for rep in parts)
+
+
+def test_the_e_it_kernel_stays_private():
+    # Kernel keeps its two members, and no caller can name e^(it) as a kernel
+    assert list(Kernel) == [Kernel.SIN, Kernel.COS]
+    with pytest.raises(DomainError):
+        IntegrandSpec(HalfPower(0.0, 1.0), "exp")
+    t = np.linspace(0.0, 7.0, 5)
+    assert np.array_equal(oracle._trig(oracle._EXP, np)(t), np.exp(1j * t))
+
+
 @pytest.mark.parametrize("kernel", list(Kernel))
 def test_half_power_lobes_make_no_fallback_call(monkeypatch, kernel):
     # the first lobe, where the weight is steepest, fails the GK21 test as

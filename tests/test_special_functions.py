@@ -1070,16 +1070,60 @@ def test_gen_si_ci_settle_where_the_lobes_from_z_stalled(rel_tol, gen, alpha, z)
     assert abs(gen(alpha, z, SeriesControl(rel_tol=rel_tol)) - want) <= 1e-14 * abs(want)
 
 
-def test_gen_trig_pair_sums_two_tables_and_serves_both(count_calls):
+def test_gen_trig_pair_sums_one_table_and_serves_both(count_calls):
     gen_si(0.0, 0.5)       # the memo now holds another point
     sums = count_calls(sf, "lobe_sum")
     pieces = count_calls(oracle, "_gk21_pieces")
-    # the a = b transform: S and C, each from the phase table, no sine or cosine at nodes
+    # the a = b transform: C + iS as one sum from the e^(it) table, no trig at nodes
     tr.sin_transform(0.7, 0.7, 1.3)
-    assert (sums["lobe_sum"], pieces["_gk21_pieces"]) == (2, 0)
+    assert (sums["lobe_sum"], pieces["_gk21_pieces"]) == (1, 0)
     gen_si(-0.5, 1.7)
     gen_ci(-0.5, 1.7)
-    assert (sums["lobe_sum"], pieces["_gk21_pieces"]) == (4, 0)
+    assert (sums["lobe_sum"], pieces["_gk21_pieces"]) == (2, 0)
+
+
+def test_each_part_of_the_gen_trig_pair_against_itself(monkeypatch):
+    # C + iS = e^(-iz) e^(i pi alpha/2) Gamma(alpha, -iz), read from the one lobe sum.
+    # Each part is held relative to itself; C cancels to about (1 - alpha) z^(alpha - 2)
+    # where z >> 1 - alpha, so it also carries the rounding of lobes of size |S|
+    mpmath = pytest.importorskip("mpmath")
+    sums, lobe_sum = [], sf.lobe_sum
+    monkeypatch.setattr(sf, "lobe_sum", lambda *a: sums.append(lobe_sum(*a)) or sums[-1])
+    rng = random.Random(45)
+    for _ in range(60):
+        alpha, z = rng.uniform(-8.0, 1.0), math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+        sf._gen_trig_pair.cache_clear()
+        gen_si(alpha, z)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            want = mpmath.exp(1j * (0.5 * mpmath.pi * a - z)) * mpmath.gammainc(a, -1j * z)
+        (value, *_), = sums
+        sums.clear()
+        s, c = float(want.imag), float(want.real)
+        assert abs(value.imag - s) <= 1e-12 * abs(s), (alpha, z)
+        assert abs(value.real - c) <= 1e-12 * abs(c) + 4 * sys.float_info.epsilon * abs(s), (
+            alpha, z)
+
+
+@pytest.mark.parametrize("kernel", ["sin", "cos"])
+def test_degenerate_two_radical_pair_against_mpmath(kernel):
+    # a = b: 1/(t + a) at u = zeta a, whose sine and cosine transforms are
+    # DLMF 6.2's auxiliary f(u) and g(u), S and C of the pair at z = u, each
+    # rotated by u into (gen_si, gen_ci) and back, which costs a few ulp: the
+    # cosine reads 1.03e-15 at (a, zeta) = (0.178, 8.29) here, and at most
+    # 9.9e-16 over 1,000 other seeded points (1.7e-15 as two real sums)
+    mpmath = pytest.importorskip("mpmath")
+    transform = tr.sin_transform if kernel == "sin" else tr.cos_transform
+    rng = random.Random(45)
+    for _ in range(30):
+        a = rng.uniform(0.05, 1.0)
+        zeta = rng.uniform(0.0125, 2.0) / a
+        with mpmath.workdps(40):
+            u = mpmath.mpf(zeta) * mpmath.mpf(a)
+            si, ci = mpmath.si(u) - mpmath.pi / 2, mpmath.ci(u)
+            want = float(ci * mpmath.sin(u) - si * mpmath.cos(u) if kernel == "sin"
+                         else -ci * mpmath.cos(u) - si * mpmath.sin(u))
+        assert abs(transform(a, a, zeta) - want) <= 1.5e-15 * abs(want), (a, zeta)
 
 
 def test_gen_si_additivity():

@@ -55,6 +55,27 @@ def test_two_hundred_closed_grid_requests(tmp_path):
     assert got["lines_per_req"]["special_functions"] > got["lines_per_req"]["lommel"] > 0
 
 
+def test_cells_of_two_hundred_closed_grid_requests(tmp_path):
+    # the table's shape only, never a time: one row per (family, stratum), the
+    # shares of each column adding up to one
+    record = tmp_path / "cells.json"
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "traffic.py"), "--workload",
+                          "closed-grid", "--seed", "1", "--requests", "200", "--cells",
+                          "--passes", "1", "--record", str(record)],
+                         cwd=ROOT, check=True, capture_output=True, text=True, timeout=60).stdout
+    got = json.loads(record.read_text())
+    assert (got["requests"], got["passes"], list(got["cells"])) == (200, 1, ["change"])
+    rows = got["cells"]["change"]
+    assert {r["cell"].split()[1] for r in rows} == {"in-grid", "wide", "degenerate"}
+    assert abs(sum(r["request_share"] for r in rows) - 1.0) < 1e-12
+    assert abs(sum(r["time_share"] for r in rows) - 1.0) < 1e-12
+    assert [r["time_share"] for r in rows] == sorted((r["time_share"] for r in rows), reverse=True)
+    assert all(0.0 < r["median_us"] <= r["p99_us"] for r in rows)
+    lines = out.splitlines()
+    assert lines[0].startswith("closed-grid seed 1: 200 requests") and len(lines) == len(rows) + 2
+    assert [line.split()[:2] for line in lines[2:]] == [r["cell"].split() for r in rows]
+
+
 def test_two_warm_line_counts_agree_exactly():
     # after one pass over the requests has warmed every cache, each further pass
     # over the same requests in the same order runs the same lines
@@ -68,8 +89,8 @@ def test_two_warm_line_counts_agree_exactly():
     assert first["special_functions"] > 0 and first["lommel"] > 0
 
 
-def test_parent_of_an_unchanged_tree_counts_the_same(tmp_path):
-    # a commit of this working tree, compared with itself through --parent HEAD
+def _committed_copy(tmp_path):
+    """A git repository holding one commit of this working tree."""
     inside = subprocess.run(["git", "rev-parse", "--is-inside-work-tree"], cwd=ROOT,
                             capture_output=True, text=True)
     if inside.stdout.strip() != "true":
@@ -83,6 +104,12 @@ def test_parent_of_an_unchanged_tree_counts_the_same(tmp_path):
            "-c", "commit.gpgsign=false"]
     for argv in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "tree"]):
         subprocess.run(git + argv, cwd=repo, check=True, capture_output=True)
+    return repo
+
+
+def test_parent_of_an_unchanged_tree_counts_the_same(tmp_path):
+    # a commit of this working tree, compared with itself through --parent HEAD
+    repo = _committed_copy(tmp_path)
     out = subprocess.run([sys.executable, str(repo / "tools" / "traffic.py"), "--workload",
                           "closed-grid", "--seed", "1", "--requests", "200", "--parent", "HEAD"],
                          cwd=repo, check=True, capture_output=True, text=True,
@@ -92,3 +119,23 @@ def test_parent_of_an_unchanged_tree_counts_the_same(tmp_path):
                                         "special_functions.lines_per_req"}
     for name, _, parent, _, change in rows:
         assert parent == change and float(parent) > 0, name
+
+
+def test_cells_of_a_parent_and_the_working_tree(tmp_path):
+    # --cells --parent: both sides' columns, parent -> change, in one row per cell
+    repo = _committed_copy(tmp_path)
+    record = tmp_path / "cells.json"
+    out = subprocess.run([sys.executable, str(repo / "tools" / "traffic.py"), "--workload",
+                          "closed-grid", "--seed", "1", "--requests", "100", "--cells",
+                          "--passes", "1", "--parent", "HEAD",
+                          "--record", str(record)],
+                         cwd=repo, check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    got = json.loads(record.read_text())
+    assert list(got["cells"]) == ["parent", "change"]
+    parent, change = ({r["cell"]: r for r in rows} for rows in got["cells"].values())
+    assert set(parent) == set(change)
+    for cell in change:
+        assert parent[cell]["request_share"] == change[cell]["request_share"]
+    for line in out.splitlines()[2:]:
+        assert " ".join(line.split()[:2]) in change and line.count(" -> ") == 4

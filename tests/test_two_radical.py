@@ -382,6 +382,22 @@ def test_integrate_finite_calls_per_route(monkeypatch, transform):
     assert count(20.0, 21.5, 0.75, heads_by_quadrature=True) == 1    # one complex head pair
 
 
+@pytest.mark.parametrize("transform", [sin_transform, cos_transform,
+                                       pole_sin_transform, pole_cos_transform])
+def test_warm_contour_builds_no_first_level_node_matrix(count_calls, transform):
+    # the rotated contour always integrates [0, _CONTOUR_END] and settles in
+    # quad's first level, whose pieces and nodes it takes from the cache
+    from oscint import oracle
+
+    transform(20.0, 21.5, 0.75)
+    misses = oracle._quad_start.cache_info().misses
+    built = count_calls(oracle, "_nodes", "_gk21_pieces")
+    for a in (14.0, 25.0, 39.0):
+        transform(a, a + 1.7, 1.1)
+    assert built == {"_nodes": 0, "_gk21_pieces": 0}
+    assert oracle._quad_start.cache_info().misses == misses
+
+
 def test_approximation_tier_past_the_double_range_is_a_domain_error():
     # c = zeta (b - a) is subnormal: the endpoint terms gamma/(k c) and the
     # Fresnel root sqrt(pi / 2c) once gave inf or NaN

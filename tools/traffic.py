@@ -25,19 +25,36 @@ beside wall-clock medians and does not replace them.
 
 The two checkouts come from ``bench_pairs.trees``, and in each a child that
 ``bench_pairs.call`` starts runs one warm pass and one counted pass, by this
-script.  Standard library only.
+script.
+
+``--cells`` instead times the requests, with no tracer: after one warm pass it
+runs ``--passes`` more (3 by default), keeps each request's best, and prints per
+(family, stratum) the share of the requests, the share of the summed bests (time)
+and the median and p99 of the bests in microseconds, dearest cell first:
+
+    python3 tools/traffic.py --workload closed-grid --seed 1 --cells [--parent HEAD]
+
+With ``--parent REV`` it times the parent and this working tree in children as
+above, two each, the side that runs first alternating from round to round; each
+request keeps its best over the rounds, and each column prints as parent ->
+change.  Times are wall clock and move with the machine's load; read a move
+between sides as a ratio, beside ``bench_pairs``' paired runs.  Standard
+library only.
 """
 
 import argparse
 import ast
 import importlib
 import json
+import statistics
 import sys
-from collections import Counter
+import time
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "oscint"
+_ROUNDS = 2     # --cells --parent: children per side, the first side alternating
 
 
 def _own(node):     # the statements under node, not those of a def or class in it
@@ -61,9 +78,10 @@ def functions(path):
     return sorted(out)
 
 
-def load(workload, seed, count, root=ROOT):
-    """(run, requests): ``run()`` evaluates the seed's first ``count`` requests once, in
-    order, each by the ``oscint`` of checkout ``root``, this working tree by default."""
+def requests(workload, seed, count, root=ROOT):
+    """[(request, call)] of the seed's first ``count`` requests: ``call()`` evaluates
+    its request once by the ``oscint`` of checkout ``root``, this working tree by
+    default; a request that raises counts too."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import oscint
     import workloads as wl
@@ -71,19 +89,30 @@ def load(workload, seed, count, root=ROOT):
     for path in (root / "src" / "oscint").glob("[!_]*.py"):
         importlib.import_module("oscint." + path.stem)
     seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
-    requests = wl.generate(workload, seed, wl.request_count(workload, seconds))[:count]
+
+    def call(req):
+        try:
+            if workload == "oracle-grid":
+                oscint.integrate_semi_infinite(wl.oracle_spec(oscint, req))
+            else:
+                wl.closed_call(oscint, req)()
+        except Exception:       # a failed request ran its lines too
+            pass
+
+    return [(req, lambda req=req: call(req))
+            for req in wl.generate(workload, seed, wl.request_count(workload, seconds))[:count]]
+
+
+def load(workload, seed, count, root=ROOT):
+    """(run, requests): ``run()`` evaluates the seed's first ``count`` requests once, in
+    order, each by the ``oscint`` of checkout ``root``, this working tree by default."""
+    calls = [call for _, call in requests(workload, seed, count, root)]
 
     def run():
-        for req in requests:
-            try:
-                if workload == "oracle-grid":
-                    oscint.integrate_semi_infinite(wl.oracle_spec(oscint, req))
-                else:
-                    wl.closed_call(oscint, req)()
-            except Exception:       # a failed request ran its lines too
-                pass
+        for call in calls:
+            call()
 
-    return run, len(requests)
+    return run, len(calls)
 
 
 def trace(run):
@@ -133,6 +162,76 @@ def lines_per_req(root, workload, seed, count):
     return {stem: events / n for stem, events in count_lines(run, root / "src" / "oscint").items()}
 
 
+def best_times(root, workload, seed, count, passes):
+    """[[family stratum, microseconds]] per request of checkout ``root``, where
+    ``bench_pairs.call`` runs this: its best of ``passes`` passes over the requests in
+    order, after one warm pass."""
+    calls = requests(workload, seed, count, Path(root))
+    best = [float("inf")] * len(calls)
+    clock = time.perf_counter
+    for timed in [False] + [True] * passes:
+        for i, (_, call) in enumerate(calls):
+            start = clock()
+            call()
+            if timed:
+                best[i] = min(best[i], clock() - start)
+    return [[f"{req.family} {req.stratum}", 1e6 * t] for (req, _), t in zip(calls, best)]
+
+
+def cell_rows(times):
+    """Rows {"cell", "request_share", "time_share", "median_us", "p99_us"} of the
+    ``best_times`` list ``times``, dearest cell first."""
+    cells = defaultdict(list)
+    for cell, t in times:
+        cells[cell].append(t)
+    total = sum(t for _, t in times)
+    rows = [{"cell": cell, "request_share": len(ts) / len(times), "time_share": sum(ts) / total,
+             "median_us": statistics.median(ts),
+             "p99_us": statistics.quantiles(ts, n=100, method="inclusive")[98]
+             if len(ts) > 1 else ts[0]}
+            for cell, ts in cells.items()]
+    return sorted(rows, key=lambda row: -row["time_share"])
+
+
+def print_cells(args):
+    """Print (and with ``--record`` write) the cell table of this tree, or with
+    ``--parent`` of the parent and this tree side by side."""
+    if args.parent:
+        import bench_pairs
+
+        sides = dict.fromkeys(("parent", "change"))
+        with bench_pairs.trees(args.parent) as roots:
+            order = list(zip(sides, roots))
+            for i in range(_ROUNDS):
+                # the side that runs first alternates; each request keeps its best
+                for side, root in order if i % 2 == 0 else order[::-1]:
+                    got = bench_pairs.call(root, "traffic", "best_times", str(root),
+                                           args.workload, args.seed, args.requests, args.passes)
+                    sides[side] = got if sides[side] is None else [
+                        [cell, min(t, old)] for (cell, t), (_, old) in zip(got, sides[side])]
+    else:
+        sides = {"change": best_times(ROOT, args.workload, args.seed, args.requests, args.passes)}
+    tables = {side: {row["cell"]: row for row in cell_rows(t)} for side, t in sides.items()}
+    columns = ("request_share", "time_share", "median_us", "p99_us")
+    n = len(sides["change"])
+    print(f"{args.workload} seed {args.seed}: {n} requests, best of {args.passes} warm passes"
+          + (f" in each of {_ROUNDS} rounds, parent {args.parent} -> working tree"
+             if args.parent else ""))
+    print(f"{'cell':<26}" + "".join(f"{name:>22}" for name in columns))
+    show = lambda col, v: f"{100 * v:.1f}%" if col.endswith("share") else f"{v:.1f}"
+    for cell in tables["change"]:
+        cols = (" -> ".join(show(col, table[cell][col]) for table in tables.values())
+                for col in columns)
+        print(f"{cell:<26}" + "".join(f"{text:>22}" for text in cols))
+    if args.record:
+        args.record.write_text(json.dumps(
+            {"workload": args.workload, "seed": args.seed, "requests": n,
+             "passes": args.passes, "parent": args.parent,
+             "cells": {side: list(table.values()) for side, table in tables.items()}},
+            indent=1) + "\n")
+    return 0
+
+
 def compare_parent(args):
     """Print (and with ``--record`` write) lines_per_req of ``args.parent`` and this tree."""
     import bench_pairs
@@ -161,9 +260,16 @@ def main(argv=None):
     ap.add_argument("--record", type=Path, help="also write the table as JSON here")
     ap.add_argument("--lines", action="store_true",
                     help="also count line events per module in a second, warm pass")
-    ap.add_argument("--parent", help="count only line events per module, at this git "
-                                     "revision and in this working tree")
+    ap.add_argument("--parent", help="count only line events per module (with --cells: "
+                                     "time the cells), at this git revision and in this "
+                                     "working tree")
+    ap.add_argument("--cells", action="store_true",
+                    help="time the requests and print the table per (family, stratum)")
+    ap.add_argument("--passes", type=int, default=3,
+                    help="with --cells: timed passes after the warm one (default 3)")
     args = ap.parse_args(argv)
+    if args.cells:
+        return print_cells(args)
     if args.parent:
         return compare_parent(args)
     run, n = load(args.workload, args.seed, args.requests)
