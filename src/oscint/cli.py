@@ -59,7 +59,6 @@ from .oracle import (
     RadicalPole,
     ThreeRadical,
     TwoRadical,
-    integrate_finite,
     integrate_semi_infinite,
 )
 
@@ -332,20 +331,17 @@ def _preload(family, kernel, ctl):
     ``--timing`` measures the evaluation alone: the family's module, and
     numpy with the oracle's tables, from throwaway evaluations at the row's
     tolerance (and the default term cap, under which none can stall): an
-    oracle integral at the row's kernel, a (gen_si, gen_ci) pair for the
-    e^(it) table of the a = b radicals and Lommel's series, and an integral
-    over the rotated contour's range for the first ``quad`` level of the
-    radicals past the phase guard."""
+    oracle integral at the row's kernel, and ``two_radical._warm``'s, which
+    build the tables of the a = b radicals (Lommel's series shares theirs)
+    and of the radicals past the phase guard."""
     module = FAMILIES[family].module
     if module is not None:
         import_module("." + module, __package__)
-    from .special_functions import gen_si
-    from .two_radical import _CONTOUR_END
+    from .two_radical import _warm
 
     warm = SeriesControl(ctl.rel_tol)
     integrate_semi_infinite(IntegrandSpec(HalfPower(0.0, 1.0), kernel), warm)
-    gen_si(0.0, 1.0, warm)
-    integrate_finite(None, 0.0, _CONTOUR_END, warm, lambda m: lambda s: m.exp(-s))
+    _warm(warm)
 
 
 def _record(family, method, kernel, params, ctl, timing, report):

@@ -54,9 +54,20 @@ from operator import le, mul
 from typing import Callable, Optional
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import (_EXP, AccelerationStalledError, ConvergenceError, DivergentIntegralError,
-                     DomainError, Kernel, MaxSubdivisionsError, Record, _Phase, _as_kernel,
-                     _require_finite, _trig)
+from .errors import (
+    _EXP,
+    AccelerationStalledError,
+    ConvergenceError,
+    DivergentIntegralError,
+    DomainError,
+    Kernel,
+    MaxSubdivisionsError,
+    Record,
+    _Phase,
+    _as_kernel,
+    _require_finite,
+    _trig,
+)
 
 
 # --------------------------------------------------------------------------
@@ -275,11 +286,6 @@ def _nodes(a, b):
     return (0.5 * (a + b))[:, None] + half * _gk21()[1], half
 
 
-def _gk21_pieces(fv, a, b):
-    """``_gk21_rule`` of ``fv`` on the pieces [a, b], numpy arrays."""
-    return _gk21_rule(fv, *_nodes(a, b))
-
-
 @functools.lru_cache(maxsize=32)
 def _quad_start(lo, hi):
     """``quad``'s first level on [lo, hi], read-only: (a, b, node matrix, half-widths)."""
@@ -375,7 +381,7 @@ def quad(fv, lo, hi, epsabs, epsrel):
         m = 0.5 * (a[split] + b[split])
         ca = np.concatenate((a[split], m))
         cb = np.concatenate((m, b[split]))
-        ck, cd = _gk21_pieces(fv, ca, cb)
+        ck, cd = _gk21_rule(fv, *_nodes(ca, cb))
         neval += 42 * n
         keep = ~split
         a, b = np.concatenate((a[keep], ca)), np.concatenate((b[keep], cb))
@@ -462,7 +468,7 @@ def _block_lobes(f_over, lo, his, epsabs, first):
     while True:
         if block:
             edge, e = edges.__getitem__, np.array(edges)
-            kron, diff = _gk21_pieces(f_over(np), e[:-1], e[1:])
+            kron, diff = _gk21_rule(f_over(np), *_nodes(e[:-1], e[1:]))
         kron, diff, lobes, i = kron.tolist(), diff.tolist(), [], 0
         for shares in graded:
             lobes.append(_graded_lobe(f_over, edge, i, shares, kron, diff, epsabs))
@@ -495,7 +501,8 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
     such pair by order ``_CRVZ_MAX_ORDER`` the series raises instead.
     The integrand is given once: as ``f``, on floats, or as ``f_over``,
     which builds it over a math module, so that ``f_over(numpy)`` takes
-    arrays, and ``f`` is then unused (None).  One loop takes the lobes a
+    arrays (read-only ones, not to be written into), and ``f`` is then
+    unused (None).  One loop takes the lobes a
     block at a time (from ``_block_lobes``; one by one for ``quad`` with
     ``f``), steps to each direct lobe and order, and adds up in lobe order
     the errors and magnitudes of the lobes reached, a marked one integrated

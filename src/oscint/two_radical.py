@@ -327,6 +327,14 @@ def _degenerate(a, zeta, ctl):
     return math.cos(u) * si - math.sin(u) * ci, math.cos(u) * ci + math.sin(u) * si
 
 
+def _warm(ctl):
+    """Build what these routes take from caches on first use: the e^(it) phase
+    table of the (gen_si, gen_ci) pair, which Lommel's series shares, and
+    ``quad``'s first level on the contour's range, past the phase guard."""
+    gen_si(0.0, 1.0, ctl)
+    integrate_finite(None, 0.0, _CONTOUR_END, ctl, lambda m: lambda s: m.exp(-s))
+
+
 def _transform(a, b, zeta, ctl, heads_by_quadrature, approx, as_printed):
     p = TwoRadicalParams(a, b, zeta)
     if p.degenerate:

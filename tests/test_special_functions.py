@@ -1073,19 +1073,20 @@ def test_gen_si_ci_settle_where_the_lobes_from_z_stalled(rel_tol, gen, alpha, z)
 def test_gen_trig_pair_sums_one_table_and_serves_both(count_calls):
     gen_si(0.0, 0.5)       # the memo now holds another point
     sums = count_calls(sf, "lobe_sum")
-    pieces = count_calls(oracle, "_gk21_pieces")
+    nodes = count_calls(oracle, "_nodes")
     # the a = b transform: C + iS as one sum from the e^(it) table, no trig at nodes
     tr.sin_transform(0.7, 0.7, 1.3)
-    assert (sums["lobe_sum"], pieces["_gk21_pieces"]) == (1, 0)
+    assert (sums["lobe_sum"], nodes["_nodes"]) == (1, 0)
     gen_si(-0.5, 1.7)
     gen_ci(-0.5, 1.7)
-    assert (sums["lobe_sum"], pieces["_gk21_pieces"]) == (2, 0)
+    assert (sums["lobe_sum"], nodes["_nodes"]) == (2, 0)
 
 
 def test_each_part_of_the_gen_trig_pair_against_itself(monkeypatch):
     # C + iS = e^(-iz) e^(i pi alpha/2) Gamma(alpha, -iz), read from the one lobe sum.
-    # Each part is held relative to itself; C cancels to about (1 - alpha) z^(alpha - 2)
-    # where z >> 1 - alpha, so it also carries the rounding of lobes of size |S|
+    # Each part is held relative to itself: C reads at most 7.7e-14 here (as two real
+    # sums 2.8e-11).  C also carries the rounding of lobes of size |S|, which passes
+    # 1e-12 of C where |C| << |S|: 8.0e-12 at alpha = 0.994, z = 130, off these points
     mpmath = pytest.importorskip("mpmath")
     sums, lobe_sum = [], sf.lobe_sum
     monkeypatch.setattr(sf, "lobe_sum", lambda *a: sums.append(lobe_sum(*a)) or sums[-1])
@@ -1101,8 +1102,7 @@ def test_each_part_of_the_gen_trig_pair_against_itself(monkeypatch):
         sums.clear()
         s, c = float(want.imag), float(want.real)
         assert abs(value.imag - s) <= 1e-12 * abs(s), (alpha, z)
-        assert abs(value.real - c) <= 1e-12 * abs(c) + 4 * sys.float_info.epsilon * abs(s), (
-            alpha, z)
+        assert abs(value.real - c) <= 1e-12 * abs(c), (alpha, z)
 
 
 @pytest.mark.parametrize("kernel", ["sin", "cos"])

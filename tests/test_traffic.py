@@ -61,10 +61,10 @@ def test_cells_of_two_hundred_closed_grid_requests(tmp_path):
     record = tmp_path / "cells.json"
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "traffic.py"), "--workload",
                           "closed-grid", "--seed", "1", "--requests", "200", "--cells",
-                          "--passes", "1", "--record", str(record)],
+                          "--record", str(record)],
                          cwd=ROOT, check=True, capture_output=True, text=True, timeout=60).stdout
     got = json.loads(record.read_text())
-    assert (got["requests"], got["passes"], list(got["cells"])) == (200, 1, ["change"])
+    assert (got["requests"], got["passes"], list(got["cells"])) == (200, 3, ["change"])
     rows = got["cells"]["change"]
     assert {r["cell"].split()[1] for r in rows} == {"in-grid", "wide", "degenerate"}
     assert abs(sum(r["request_share"] for r in rows) - 1.0) < 1e-12
@@ -127,8 +127,7 @@ def test_cells_of_a_parent_and_the_working_tree(tmp_path):
     record = tmp_path / "cells.json"
     out = subprocess.run([sys.executable, str(repo / "tools" / "traffic.py"), "--workload",
                           "closed-grid", "--seed", "1", "--requests", "100", "--cells",
-                          "--passes", "1", "--parent", "HEAD",
-                          "--record", str(record)],
+                          "--parent", "HEAD", "--record", str(record)],
                          cwd=repo, check=True, capture_output=True, text=True,
                          timeout=120).stdout
     got = json.loads(record.read_text())

@@ -391,10 +391,10 @@ def test_warm_contour_builds_no_first_level_node_matrix(count_calls, transform):
 
     transform(20.0, 21.5, 0.75)
     misses = oracle._quad_start.cache_info().misses
-    built = count_calls(oracle, "_nodes", "_gk21_pieces")
+    built = count_calls(oracle, "_nodes")
     for a in (14.0, 25.0, 39.0):
         transform(a, a + 1.7, 1.1)
-    assert built == {"_nodes": 0, "_gk21_pieces": 0}
+    assert built == {"_nodes": 0}
     assert oracle._quad_start.cache_info().misses == misses
 
 

@@ -28,7 +28,7 @@ The two checkouts come from ``bench_pairs.trees``, and in each a child that
 script.
 
 ``--cells`` instead times the requests, with no tracer: after one warm pass it
-runs ``--passes`` more (3 by default), keeps each request's best, and prints per
+runs three more (``_PASSES``), keeps each request's best, and prints per
 (family, stratum) the share of the requests, the share of the summed bests (time)
 and the median and p99 of the bests in microseconds, dearest cell first:
 
@@ -54,6 +54,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "oscint"
+_PASSES = 3     # --cells: timed passes after the warm one; each request keeps its best
 _ROUNDS = 2     # --cells --parent: children per side, the first side alternating
 
 
@@ -162,14 +163,14 @@ def lines_per_req(root, workload, seed, count):
     return {stem: events / n for stem, events in count_lines(run, root / "src" / "oscint").items()}
 
 
-def best_times(root, workload, seed, count, passes):
+def best_times(root, workload, seed, count):
     """[[family stratum, microseconds]] per request of checkout ``root``, where
-    ``bench_pairs.call`` runs this: its best of ``passes`` passes over the requests in
+    ``bench_pairs.call`` runs this: its best of ``_PASSES`` passes over the requests in
     order, after one warm pass."""
     calls = requests(workload, seed, count, Path(root))
     best = [float("inf")] * len(calls)
     clock = time.perf_counter
-    for timed in [False] + [True] * passes:
+    for timed in [False] + [True] * _PASSES:
         for i, (_, call) in enumerate(calls):
             start = clock()
             call()
@@ -206,15 +207,15 @@ def print_cells(args):
                 # the side that runs first alternates; each request keeps its best
                 for side, root in order if i % 2 == 0 else order[::-1]:
                     got = bench_pairs.call(root, "traffic", "best_times", str(root),
-                                           args.workload, args.seed, args.requests, args.passes)
+                                           args.workload, args.seed, args.requests)
                     sides[side] = got if sides[side] is None else [
                         [cell, min(t, old)] for (cell, t), (_, old) in zip(got, sides[side])]
     else:
-        sides = {"change": best_times(ROOT, args.workload, args.seed, args.requests, args.passes)}
+        sides = {"change": best_times(ROOT, args.workload, args.seed, args.requests)}
     tables = {side: {row["cell"]: row for row in cell_rows(t)} for side, t in sides.items()}
     columns = ("request_share", "time_share", "median_us", "p99_us")
     n = len(sides["change"])
-    print(f"{args.workload} seed {args.seed}: {n} requests, best of {args.passes} warm passes"
+    print(f"{args.workload} seed {args.seed}: {n} requests, best of {_PASSES} warm passes"
           + (f" in each of {_ROUNDS} rounds, parent {args.parent} -> working tree"
              if args.parent else ""))
     print(f"{'cell':<26}" + "".join(f"{name:>22}" for name in columns))
@@ -226,7 +227,7 @@ def print_cells(args):
     if args.record:
         args.record.write_text(json.dumps(
             {"workload": args.workload, "seed": args.seed, "requests": n,
-             "passes": args.passes, "parent": args.parent,
+             "passes": _PASSES, "parent": args.parent,
              "cells": {side: list(table.values()) for side, table in tables.items()}},
             indent=1) + "\n")
     return 0
@@ -265,8 +266,6 @@ def main(argv=None):
                                      "working tree")
     ap.add_argument("--cells", action="store_true",
                     help="time the requests and print the table per (family, stratum)")
-    ap.add_argument("--passes", type=int, default=3,
-                    help="with --cells: timed passes after the warm one (default 3)")
     args = ap.parse_args(argv)
     if args.cells:
         return print_cells(args)
