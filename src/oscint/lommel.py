@@ -37,7 +37,7 @@ from collections import namedtuple
 from .control import DEFAULT_CONTROL, SeriesControl
 from .errors import (ConvergenceError, DomainError, Kernel, Record, _as_kernel, _finite_power,
                      _require_finite)
-from .special_functions import (EULER_GAMMA, _log_gamma_form, _power_transform, gen_ci, gen_si,
+from .special_functions import (EULER_GAMMA, _gen_trig_pair, _log_gamma_form, _power_transform,
                                 hyp2f2_half, upper_incomplete_gamma)
 
 
@@ -166,17 +166,19 @@ def general_cos_transform(n: int, m: int, x: float, zeta: float = 1.0,
     return cos_exponent_transform(p, x, zeta, ctl)
 
 
-def _bracket(left, right, ctl):
+def _bracket(left, right, ctl, rel_err=0.0):
     """left - right of a printed form that cancels: a pre-reduction bracket,
     u^(1-q) - sqrt(u) S_{3/2-q,1/2}(u) or u^-q - sqrt(u) S_{1/2-q,1/2}(u), whose sides
     agree to O(u^-2), or a rotation of the (gen_si, gen_ci) pair, whose cosine cancels
     like u; ConvergenceError where the cancellation factor (|left| + |right|)/|left -
-    right| times 2^-52 passes ``ctl.rel_tol``."""
+    right| times 2^-52 plus ``rel_err``, the sides' own relative error (the pair's
+    lobe-sum estimate), passes ``ctl.rel_tol``."""
     diff = left - right
     factor = (abs(left) + abs(right)) / abs(diff) if diff else math.inf
-    if factor * 2.0 ** -52 > ctl.rel_tol:
-        raise ConvergenceError(f"printed form cancels by a factor {factor:.3g}, "
-                               f"past rel_tol {ctl.rel_tol}")
+    if factor * (2.0 ** -52 + rel_err) > ctl.rel_tol:
+        raise ConvergenceError(f"printed form cancels by a factor {factor:.3g}, which on "
+                               f"sides good to {2.0 ** -52 + rel_err:.3g} relative is past "
+                               f"rel_tol {ctl.rel_tol}")
     return diff
 
 
@@ -262,16 +264,15 @@ def si_ci_representation(n: int, m: int, x: float, zeta: float = 1.0,
     corrected sin(zeta x) ships by default (errata LOM-SICI-PHASE).  Each
     form rotates the pair by u = zeta x through ``_bracket``: the cosine,
     about p u^(-p-1) from parts of about u^-p, cancels like u, and raises
-    ``ConvergenceError`` where that loses more than ``ctl.rel_tol``.
+    ``ConvergenceError`` where that, applied to the rounding and to the pair's
+    own lobe-sum estimate, loses more than ``ctl.rel_tol``.
     """
     u = _scaled_shift("si_ci_representation", x, zeta)
     kernel = _as_kernel(kernel)
     p = GeneralExponent(n, m).exponent(False)
-    a_trig = 1.0 - p
-    si = gen_si(a_trig, u, ctl)
-    ci = gen_ci(a_trig, u, ctl)
+    si, ci, rel_err = _gen_trig_pair(1.0 - p, u, ctl)
     scale = _finite_power("lommel", zeta, p - 1.0)
     if kernel is Kernel.SIN:
         sin_arg = x if as_printed else u
-        return scale * _bracket(math.cos(u) * si, math.sin(sin_arg) * ci, ctl)
-    return scale * _bracket(math.cos(u) * ci, -math.sin(u) * si, ctl)
+        return scale * _bracket(math.cos(u) * si, math.sin(sin_arg) * ci, ctl, rel_err)
+    return scale * _bracket(math.cos(u) * ci, -math.sin(u) * si, ctl, rel_err)

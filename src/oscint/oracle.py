@@ -5,9 +5,10 @@ zeros of the oscillating kernel, integrating each lobe, and accelerating
 the alternating lobe series, all with one 21-point Gauss-Kronrod rule
 (GK21, QUADPACK's qk21) applied by numpy to many pieces at once.  The
 lobes of an integrand in vector form come in blocks of one evaluation,
-which the sum takes whole: the first holds the lobes the tolerance needs
-(21 at the default), its first lobe cut into pieces graded toward its
-lower end and its second halved; each later block 8.  A ``_Phase``
+each formed in one step and summed in one pass (a scan for the direct
+head, then only the CRVZ orders): the first holds the lobes the tolerance
+needs (21 at the default), its first lobe cut into pieces graded toward
+its lower end and its second halved; each later block 8.  A ``_Phase``
 integrand from 0 takes the first block from a table cached in units of
 (pi/freq)^(1/power), evaluating only the weight.  A lobe or piece failing
 its Kronrod-Gauss test goes to ``quad``, the adaptive rule, when the sum
@@ -49,8 +50,8 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from itertools import chain, islice, pairwise, repeat
-from operator import le, mul
+from itertools import accumulate, chain, islice, pairwise, repeat
+from operator import le, mul, truediv
 from typing import Callable, Optional
 
 from .control import DEFAULT_CONTROL, SeriesControl
@@ -384,8 +385,7 @@ def quad(fv, lo, hi, epsabs, epsrel):
         ck, cd = _gk21_rule(fv, *_nodes(ca, cb))
         neval += 42 * n
         keep = ~split
-        a, b = np.concatenate((a[keep], ca)), np.concatenate((b[keep], cb))
-        k, d = np.concatenate((k[keep], ck)), np.concatenate((d[keep], cd))
+        a, b, k, d = (np.concatenate((v[keep], c)) for v, c in ((a, ca), (b, cb), (k, ck), (d, cd)))
 
 
 def _graded_lobe(f_over, edge, i, shares, kron, diff, epsabs, settle=False):
@@ -394,18 +394,17 @@ def _graded_lobe(f_over, edge, i, shares, kron, diff, epsabs, settle=False):
     max(epsabs, epsabs |value|), is parted as the larger of each share and
     |K21|.  A difference above its part: (None, this call ``settle``d: quad)."""
     n = i + len(shares)
-    value, err = sum(kron[i:n]), sum(diff[i:n])
-    # every part is about epsabs min(shares) / (1 + sum |K21|) or more: below half, all pass
-    if err < 0.5 * epsabs * min(shares) / (1.0 + sum(map(abs, kron[i:n]))):
+    k, d = kron[i:n], diff[i:n]
+    value, err = sum(k), sum(d)
+    # a part is about epsabs share / (1 + sum |K21|) or more: all below half pass
+    if max(map(truediv, d, shares)) * (1.0 + sum(map(abs, k))) <= 0.5 * epsabs:
         return value, err
     # a NaN K21 keeps its piece's share, as max would; an overflow fails every part
-    own = [k if k > share else share for share, k in zip(shares, map(abs, kron[i:n]))]
+    own = [x if x > share else share for share, x in zip(shares, map(abs, k))]
     scale = epsabs * max(1.0, abs(value)) / sum(own)
-    if all(map(le, diff[i:n], map(mul, own, repeat(scale)))):
-        return value, err
-    if not settle:
+    if not (settle or all(map(le, d, map(mul, own, repeat(scale))))):
         return None, lambda: _graded_lobe(f_over, edge, i, shares, kron, diff, epsabs, True)
-    for j, w in enumerate(own, i):
+    for j, w in enumerate(own, i):      # settled, or every piece within its part
         if not diff[j] <= scale * w:
             kron[j], diff[j] = quad(f_over(_gk21()[0]), edge(j), edge(j + 1), epsabs=scale * w,
                                     epsrel=0.0)[:2]
@@ -431,12 +430,11 @@ def _phase_table(kernel, power, first):
     matrix u, kernel(pi u^power) times the half-widths, edges, the graded
     lobes' length shares).  The kernel is (-1)^k sin(pi f) (e^(i pi f) for _EXP) at
     u^power + shift = k + f, |f| <= 1/2, f from nodes in numpy's extended precision."""
-    np, nodes = _gk21()[:2]
+    np = _gk21()[0]
     shift = 0.5 if kernel is Kernel.COS else 0.0
     edges, graded = _first_layout(0.0, [(k - shift) ** (1.0 / power) for k in range(1, first + 1)])
     e = np.array(edges, np.longdouble)
-    half = 0.5 * (e[1:] - e[:-1])[:, None]
-    u = 0.5 * (e[1:] + e[:-1])[:, None] + half * nodes
+    u, half = _nodes(e[:-1], e[1:])
     v = u ** power + shift
     k = np.rint(v)
     f = np.pi * (v - k).astype(float)
@@ -450,10 +448,10 @@ def _phase_table(kernel, power, first):
 def _block_lobes(f_over, lo, his, epsabs, first):
     """The lobes [lo, h0], [h0, h1], ... of ``f_over`` (``his`` the zeros) in
     blocks of ``first`` lobes, then _NEXT_BLOCK: two lists, integrals and abs
-    errors.  The first block (from ``_phase_table`` for a ``_Phase`` from 0)
-    cuts two lobes by ``_first_layout`` for ``_graded_lobe``; any other lobe
-    passes if its error |K21 - G10| <= max(epsabs, epsabs |K21|), else it is
-    None with, as its error, the ``quad`` call that integrates it."""
+    errors, each formed in one step from one GK21 evaluation.  The first (from
+    ``_phase_table`` for a ``_Phase`` from 0) cuts two lobes for ``_graded_lobe``;
+    any other lobe keeps its K21 and error |K21 - G10| if <= max(epsabs, epsabs
+    |K21|), else it is None with, as its error, the ``quad`` call to integrate it."""
     np = _gk21()[0]
     if isinstance(f_over, _Phase) and lo == 0.0:
         s, g = (math.pi / f_over.freq) ** (1.0 / f_over.power), f_over.weight(np)
@@ -469,17 +467,16 @@ def _block_lobes(f_over, lo, his, epsabs, first):
         if block:
             edge, e = edges.__getitem__, np.array(edges)
             kron, diff = _gk21_rule(f_over(np), *_nodes(e[:-1], e[1:]))
-        kron, diff, lobes, i = kron.tolist(), diff.tolist(), [], 0
-        for shares in graded:
-            lobes.append(_graded_lobe(f_over, edge, i, shares, kron, diff, epsabs))
-            i += len(shares)
-        values, errs = [v for v, _ in lobes] + kron[i:], [e for _, e in lobes] + diff[i:]
-        # differences that add up to at most epsabs all pass
-        plain = range(i, len(kron)) if not sum(diff[i:]) <= epsabs else ()
-        for k, j in enumerate(plain, len(graded)):
-            if not diff[j] <= max(epsabs, epsabs * abs(kron[j])):
-                values[k], errs[k] = None, lambda a=edge(j), b=edge(j + 1): quad(
-                    f_over(np), a, b, epsabs=epsabs, epsrel=epsabs)[:2]
+        kron, diff, i = kron.tolist(), diff.tolist(), sum(map(len, graded))
+        values, errs, n = kron[i - len(graded):], diff[i - len(graded):], 0
+        for k, shares in enumerate(graded):
+            values[k], errs[k] = _graded_lobe(f_over, edge, n, shares, kron, diff, epsabs)
+            n += len(shares)
+        if not sum(diff[i:]) <= epsabs:     # differences that add up to at most epsabs all pass
+            for k, j in enumerate(range(i, len(kron)), len(graded)):
+                if not diff[j] <= max(epsabs, epsabs * abs(kron[j])):
+                    values[k], errs[k] = None, lambda a=edge(j), b=edge(j + 1): quad(
+                        f_over(np), a, b, epsabs=epsabs, epsrel=epsabs)[:2]
         yield values, errs
         block = list(islice(his, _NEXT_BLOCK))
         if not block:
@@ -502,12 +499,12 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
     The integrand is given once: as ``f``, on floats, or as ``f_over``,
     which builds it over a math module, so that ``f_over(numpy)`` takes
     arrays (read-only ones, not to be written into), and ``f`` is then
-    unused (None).  One loop takes the lobes a
-    block at a time (from ``_block_lobes``; one by one for ``quad`` with
-    ``f``), steps to each direct lobe and order, and adds up in lobe order
-    the errors and magnitudes of the lobes reached, a marked one integrated
-    first.  At most ``10 * ctl.max_terms`` lobes are reached; a NaN lobe or
-    a sum that overflows ends the series where it appears.
+    unused (None).  One loop takes the lobes a block at a time (``_block_lobes``;
+    one by one for ``quad`` with ``f``) in passes that end before a marked lobe
+    (None), integrated first by the next: a scan of the magnitudes for the
+    rule's first term, then only the CRVZ orders, adding the magnitudes reached
+    over a slice in lobe order, the errors once.  At most ``10 * ctl.max_terms``
+    lobes are reached; a NaN lobe or a sum that overflows ends the series there.
 
     Returns (value, abs_err_est, lobes_used, accelerated).
     """
@@ -525,45 +522,52 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
         # past the usual 3 direct lobes (the last one the rule's first term)
         # n0 + 4 lobes let the rule stop at orders n0 .. n0 + 2
         blocks = _block_lobes(f_over, lo, it, epsabs, n0 + 4)
-    values, errs, mass, err = [], [], 0.0, 0.0   # the lobes so far; sums over those reached
-    reached = decreases = due = 0   # due: the lobes the rule's first order needs
-    start, prev, prev_mag = None, None, math.inf   # start: the rule's first lobe
+    values, errs, mass = [], [], 0.0   # the lobes so far; |lobe| summed over those reached
+    reached, done, prev = 0, False, math.inf    # prev: the last order, none yet
+    start = head = None     # start: the rule's first lobe; head: the sum of those before
     for block, block_errs in blocks:
         values += block
         errs += block_errs
         end = min(len(values), max_lobes)
         while reached < end:
-            # the next lobe, or all up to the first order's
-            nxt = reached + 1 if reached + 1 >= due else min(due, end)
-            for lobe in range(reached, nxt):
-                if values[lobe] is None:
-                    values[lobe], errs[lobe] = errs[lobe]()
-                mass += abs(values[lobe])
-                err += errs[lobe]
-                if not mass < math.inf:
-                    # a NaN lobe, or a sum that overflows, can never converge
-                    raise AccelerationStalledError(f"the lobe sum is not finite at lobe {lobe + 1}")
-            reached = nxt
-            if start is None:
-                mag = abs(values[reached - 1])
-                decreases, prev_mag = (decreases + 1 if mag <= prev_mag else 0), mag
-                if decreases >= 2 and 3 <= reached < max_lobes:
-                    # the last direct lobe is the rule's first term
-                    start, head = reached - 1, values[:reached - 1]
-                    head = (math.fsum(head) if type(head[0]) is not complex else   # e^(it) lobes
-                            complex(math.fsum(h.real for h in head),
-                                    math.fsum(h.imag for h in head)))
-                    mass, due = math.fsum(map(abs, values[:reached])), reached + n0 - 2
-            elif reached >= due:
-                n = reached - start
-                total = head + sum(map(mul, _crvz_weights(n), values[start:reached]))
-                if prev is not None and abs(total - prev) <= max(ctl.rel_tol * abs(total), 1e-15):
-                    err = err + 2.0 * abs(total - prev) + 4.0 * math.ulp(1.0) * mass
-                    return total, err, reached, True
-                if n >= _CRVZ_MAX_ORDER:
-                    raise AccelerationStalledError(
-                        f"lobe series failed tolerance {ctl.rel_tol} by CRVZ order {n}")
-                prev = total
+            if values[reached] is None:
+                values[reached], errs[reached] = errs[reached]()
+            nxt = end
+            try:    # a pass over the lobes from ``reached``: a marked one (None) ends it
+                if start is None:
+                    # two steps that did not rise, from the third lobe on: the rule's first term
+                    for j in range(max(2, reached), min(end, max_lobes - 1)):
+                        if abs(values[j]) <= abs(values[j - 1]) <= abs(values[j - 2]):
+                            start, nxt = j, j + 1
+                            break
+                else:
+                    if head is None:    # the direct lobes, known finite; e^(it) ones complex
+                        head = values[:start]
+                        head = (math.fsum(head) if type(head[0]) is not complex else complex(
+                            math.fsum(h.real for h in head), math.fsum(h.imag for h in head)))
+                        mass = math.fsum(map(abs, values[:reached]))
+                    for nxt in range(max(start + n0 - 1, reached + 1), end + 1):
+                        last, prev = prev, head + sum(map(mul, _crvz_weights(nxt - start),
+                                                          values[start:nxt]))
+                        done = abs(prev - last) <= max(ctl.rel_tol * abs(prev), 1e-15)
+                        if done or nxt - start >= _CRVZ_MAX_ORDER:
+                            break
+                total = sum(map(abs, values[reached:nxt]), mass)
+            except TypeError:
+                nxt = values.index(None, reached)
+                total = sum(map(abs, values[reached:nxt]), mass)
+            if not total < math.inf:
+                # a NaN lobe, or a sum that overflows, can never converge: stop at its lobe
+                reached += sum(map(math.isfinite, accumulate(map(abs, values[reached:nxt]),
+                                                              initial=mass)))
+                raise AccelerationStalledError(f"the lobe sum is not finite at lobe {reached}")
+            mass, reached = total, nxt
+            if done:
+                return (prev, sum(errs[:reached]) + 2.0 * abs(prev - last) + math.ulp(4.0) * mass,
+                        reached, True)
+            if start is not None and reached - start >= _CRVZ_MAX_ORDER:
+                raise AccelerationStalledError(
+                    f"lobe series failed tolerance {ctl.rel_tol} by CRVZ order {_CRVZ_MAX_ORDER}")
         if reached >= max_lobes:
             raise AccelerationStalledError(
                 f"lobe magnitudes did not start decreasing within {max_lobes} lobes"
@@ -606,13 +610,9 @@ def oscillatory_integral(g, kernel: Kernel, zeta: float, start: float = 0.0,
     the CRVZ rule: the call raises ``AccelerationStalledError`` at the
     rule's highest order, ``_CRVZ_MAX_ORDER``.
     """
-    kernel = _as_kernel(kernel)
-    f = f_over = None
-    if g_over is None:
-        f = _Phase(lambda m: g, kernel, zeta, 1)(math)
-    else:
-        f_over = _Phase(g_over, kernel, zeta, 1)
-    return QuadratureReport(*lobe_sum(f, kernel_breakpoints(kernel, zeta, start), ctl, f_over))
+    phase = _Phase(g_over or (lambda m: g), _as_kernel(kernel), zeta, 1)
+    return QuadratureReport(*lobe_sum(None if g_over else phase(math), kernel_breakpoints(
+        phase.kernel, zeta, start), ctl, phase if g_over else None))
 
 
 # --------------------------------------------------------------------------

@@ -626,7 +626,8 @@ def hyp2f2_half(x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
 
 @lru_cache(maxsize=1)
 def _gen_trig_pair(alpha, z, ctl):
-    """(gen_si, gen_ci) at (alpha, z), memoised for one argument as callers read both: with
+    """(gen_si, gen_ci, the lobe sum's error estimate relative to |C + iS|) at (alpha, z),
+    memoised for one argument as callers read both: with
     t = s + z, cos z S + sin z C and cos z C - sin z S, S and C the integrals of sin s and
     cos s times w(s) = (s + z)^(alpha - 1) over [0, inf) (DLMF 6.2's f and g at alpha = 0).
 
@@ -645,10 +646,11 @@ def _gen_trig_pair(alpha, z, ctl):
         raise DomainError(f"generalized trig integral needs 0 < z / pi < 2^52, where its "
                           f"half-periods leave double precision, got z = {z}")
     weight = lambda m: lambda s: (s + z) ** (alpha - 1.0)
-    cs = lobe_sum(None, kernel_breakpoints(Kernel.SIN, 1.0), ctl, _Phase(weight, _EXP, 1.0, 1))[0]
+    cs, err = lobe_sum(None, kernel_breakpoints(Kernel.SIN, 1.0), ctl,
+                       _Phase(weight, _EXP, 1.0, 1))[:2]
     s, c = cs.imag, cs.real
     cz, sz = math.cos(z), math.sin(z)
-    return cz * s + sz * c, cz * c - sz * s
+    return cz * s + sz * c, cz * c - sz * s, err / abs(cs) if cs else math.inf
 
 
 def gen_si(alpha: float, z: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:

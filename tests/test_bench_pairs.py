@@ -168,6 +168,23 @@ def test_summary_collects_workloads_in_one_file(tmp_path):
     assert doc["workloads"]["cli-cold"]["seeds"] == [9]
 
 
+def test_summary_records_line_counts_per_module(tmp_path):
+    # the exact work count of --summary, on three requests of this tree as both sides
+    counts = bench_pairs.line_counts((ROOT, ROOT), "oracle-grid", 1, 3)
+    assert counts["requests"] == 3 and counts["parent"] == counts["change"]
+    assert counts["change"]["oracle"] > 0
+    rows = bench_pairs.summarize(PAIRS, BETTER)
+    entry = bench_pairs.summary_entry("HEAD", [1], 0, (1, 1), (2, 2), rows, counts)
+    path = tmp_path / "BENCH.json"
+    bench_pairs.write_summary(path, "oracle-grid", entry)
+    assert json.loads(path.read_text())["workloads"]["oracle-grid"]["lines_per_req"] == counts
+    oracle, total = counts["change"]["oracle"], sum(counts["change"].values())
+    assert bench_pairs.format_lines(counts) == (
+        f"oracle lines/req: parent {oracle:.1f}, change {oracle:.1f} (+0.0); "
+        f"total lines/req: parent {total:.1f}, change {total:.1f} (+0.0)")
+    assert "lines_per_req" not in bench_pairs.summary_entry("HEAD", [1], 0, (1, 1), (2, 2), rows)
+
+
 def test_change_side_is_a_copy_without_bytecode(tmp_path):
     # the working tree may hold valid bytecode that a fresh parent copy
     # has to compile; the change side must start as cold as the parent

@@ -42,7 +42,7 @@ import math
 import pytest
 
 import oscint
-from oscint import special_functions
+from oscint import oracle, special_functions
 
 CASES = [
     # Fresnel: Maclaurin series up to 1.6, the phase-free Gamma(1/2) fraction above
@@ -213,13 +213,19 @@ def _report(rep):
 
 
 # (weight, kernel, zeta) of ``integrate_semi_infinite``: the six weights at
-# both kernels, QuadraticPhase on its power-2 table, and an oracle-grid
-# integral whose graded first lobe sends six pieces to ``quad``
+# both kernels, QuadraticPhase on its power-2 table, an oracle-grid integral
+# whose graded first lobe sends six pieces to ``quad``, and one (24 lobes, no
+# ``quad`` call) that takes a second block after the table's first
 SEMI_INFINITE = [(w, k, 0.8) for w in (
     oscint.HalfPower(1.0, 0.5), oscint.TwoRadical(0.5, 2.0), oscint.RadicalPole(0.7, 1.9),
     oscint.ThreeRadical(0.4, 1.0, 2.5), oscint.LogHalfPower(1.5),
     oscint.QuadraticPhase(1.3, 0.5)) for k in oscint.Kernel] + [
-    (oscint.HalfPower(5.0, 0.06219830681309388), oscint.Kernel.COS, 0.48950548999670707)]
+    (oscint.HalfPower(5.0, 0.06219830681309388), oscint.Kernel.COS, 0.48950548999670707),
+    (oscint.LogHalfPower(0.2973751452588066), oscint.Kernel.SIN, 1.0)]
+
+# the table's first block with a plain lobe that fails its test: the jump's
+# weight from 0, whose tenth lobe alone goes to ``quad``
+TABLE_JUMP = "oscillatory_integral(jump at 9.5 pi, sin, 1.0)"
 
 ORACLE_CASES = {
     **{f"integrate_semi_infinite({w!r}, {k.value}, {zeta})": lambda w=w, k=k, zeta=zeta:
@@ -235,6 +241,9 @@ ORACLE_CASES = {
     # a plain lobe that goes to quad, in the second block
     "lobe_sum(jump at 9.5 pi)": lambda: oscint.lobe_sum(
         None, oscint.kernel_breakpoints(oscint.Kernel.SIN, 1.0), f_over=_jump_over)[:3],
+    TABLE_JUMP: lambda: _report(oscint.oscillatory_integral(
+        None, oscint.Kernel.SIN, 1.0, 0.0, g_over=lambda m: lambda t:
+        1.0 / (t + 1.0) * (1.0 + 0.5 * (t > 9.5 * math.pi)))),
 }
 
 ORACLE_PINS = {
@@ -264,6 +273,8 @@ ORACLE_PINS = {
         '-0x1.ea38aedcf0d40p-3 0x1.e378478ef5edbp-43 21',
     'integrate_semi_infinite(LogHalfPower(x=1.5), sin, 0.8)':
         '0x1.64bede36f7f6fp-1 0x1.dedd4dc3e5df1p-43 20',
+    'integrate_semi_infinite(LogHalfPower(x=0.2973751452588066), sin, 1.0)':
+        '-0x1.93c0fa0446c00p-10 0x1.30bc16c7ea686p-45 24',
     'integrate_semi_infinite(QuadraticPhase(scale=1.3, power=0.5), cos, 0.8)':
         '0x1.299907658599dp-1 0x1.4fc31e774607dp-49 19',
     'integrate_semi_infinite(QuadraticPhase(scale=1.3, power=0.5), sin, 0.8)':
@@ -282,6 +293,8 @@ ORACLE_PINS = {
         '0x1.519728206ee0bp-1 0x1.31bcdccc859bep-48 19',
     'lobe_sum(jump at 9.5 pi)':
         '0x1.3dea304a4b46fp-1 0x1.c0e384212de76p-41 36',
+    TABLE_JUMP:
+        '0x1.3dea304a4b470p-1 0x1.c06e3c212de76p-41 36',
     'oscillatory_integral(TwoRadical(0.5, 2.0), cos, 0.8, 2.0)':
         '-0x1.5788ee6c17ae5p-2 0x1.2276929bea573p-48 19',
 }
@@ -295,3 +308,17 @@ def test_oracle_result_keeps_its_bits(case):
 
 def test_every_oracle_case_is_pinned():
     assert sorted(ORACLE_PINS) == sorted(ORACLE_CASES)
+
+
+SECOND_BLOCK = "integrate_semi_infinite(LogHalfPower(x=0.2973751452588066), sin, 1.0)"
+
+
+@pytest.mark.parametrize("case, ranges", [
+    (TABLE_JUMP, [(9 * math.pi, 10 * math.pi)]), (SECOND_BLOCK, [])])
+def test_table_path_sends_only_failed_lobes_to_quad(monkeypatch, case, ranges):
+    # the table's failed plain lobe goes to quad alone, on its own range, and
+    # the second block taken after the table sends none
+    quad, calls = oracle.quad, []
+    monkeypatch.setattr(oracle, "quad", lambda *a, **k: calls.append(a[1:3]) or quad(*a, **k))
+    ORACLE_CASES[case]()
+    assert [(a.hex(), b.hex()) for a, b in calls] == [(a.hex(), b.hex()) for a, b in ranges]

@@ -192,3 +192,13 @@ def test_every_record_is_a_named_tuple_on_the_record_mixin():
     # the named tuple supplies repr, pickling and immutability
     assert set(vars(errors.Record)) == {"__module__", "__doc__", "__slots__", "__eq__",
                                         "__ne__", "__hash__", "_make"}
+
+
+# every cold closed-form eval compiles oracle.py (special_functions imports it),
+# so it may not grow; nodes, unlike lines, do not move when code is reflowed
+ORACLE_AST_NODES = 5067
+
+
+def test_oracle_stays_within_its_node_cap():
+    source = (SRC / "oracle.py").read_text()
+    assert sum(1 for _ in ast.walk(ast.parse(source))) <= ORACLE_AST_NODES

@@ -304,6 +304,24 @@ def test_si_ci_string_kernel_selects_the_same_route():
         si_ci_representation(1, 3, 2.0, 1.0, "bogus")
 
 
+@pytest.mark.parametrize("lo, hi", [(1e2, 1e4), (1e4, 1e6)])
+def test_si_ci_cosine_is_within_rel_tol_or_raises(lo, hi):
+    # the rotated cosine cancels like u, and the cancellation factor multiplies
+    # the (gen_si, gen_ci) pair's own lobe-sum error as well as the rounding: a
+    # cosine is returned only where both together stay within rel_tol.  With
+    # the rounding alone tested, 1.5e-12 and 2.0e-12 were returned here; with
+    # the pair's estimate, whose size is about rel_tol, every point raises
+    rng = random.Random(0)
+    for _ in range(30):
+        x = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        n, m = rng.randint(0, 2), rng.randint(2, 5)
+        try:
+            got = si_ci_representation(n, m, x, 1.0, Kernel.COS)
+        except ConvergenceError:
+            continue
+        assert rel(got, general_cos_transform(n, m, x)) <= 1e-12
+
+
 @pytest.mark.parametrize("n,m,x", [(1, 3, 1.0), (0, 2, 1.5), (2, 5, 2.0)])
 def test_general_sin_transform_pins_against_mpmath(n, m, x):
     # u = 1-2 is where the Gamma continued fraction used to stop at

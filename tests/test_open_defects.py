@@ -45,8 +45,10 @@ def test_quadratic_phase_cosine_at_a_tiny_scale_within_its_estimate():
 
 @found("`lommel.si_ci_representation` (`--method series`) is silently wrong at small u")
 def test_si_ci_representation_at_a_tiny_frequency():
-    # zeta * int t/(t + 1)^3 dt = zeta/2
-    assert abs(lommel.si_ci_representation(1, 1, 1.0, 1e-100) - 5e-101) <= 1e-12 * 5e-101
+    # zeta * int t/(t + 1)^3 dt = zeta/2; the route now raises here, where the
+    # pair's own lobe-sum estimate is past rel_tol, instead of returning silently
+    got = returned(lommel.si_ci_representation, 1, 1, 1.0, 1e-100)
+    assert abs(got - 5e-101) <= 1e-12 * 5e-101
 
 
 @found("`--method series` (tail − head with quadrature heads) misses its own "

@@ -35,7 +35,11 @@ your choice, and ``--summary PATH`` the table: per metric and side the
 median and quartiles, and the wins, with the seeds and each side's
 ``src/oscint`` line and AST node counts, under the workload's name in PATH's
 ``workloads``, so one file (a ``BENCH_<n>.json``) collects the
-workloads of a change.
+workloads of a change.  For closed-grid and oracle-grid ``--summary`` also
+records each side's exact work count, ``tools/traffic.py``'s line events per
+request in each ``src/oscint`` module on the first seed's first
+``LINE_REQUESTS`` requests, under ``lines_per_req``, and prints the
+``oracle`` module's and the total beside the size line.
 """
 
 from __future__ import annotations
@@ -54,6 +58,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# --summary's line counts: the requests counted, and the workloads they are counted on
+LINE_REQUESTS = 1000
+LINE_WORKLOADS = ("closed-grid", "oracle-grid")
 # ``call``'s child: argv is (sys.path entries..., tool, function) and stdin the
 # arguments as a JSON list; it prints the result as one line of JSON
 _CHILD = """import importlib, json, sys
@@ -99,6 +106,25 @@ def format_size(lines, nodes):
     """``lines`` and ``nodes``, each a (parent, change) pair of counts, as one line."""
     return "; ".join(f"{what}: parent {p}, change {c} ({c - p:+d})"
                      for what, (p, c) in (("src/oscint lines", lines), ("AST nodes", nodes)))
+
+
+def line_counts(roots, workload, seed, count=LINE_REQUESTS):
+    """{"requests": count, "parent": {module: line events per request}, "change":
+    {...}} of the checkouts ``roots`` (parent, change): ``traffic.lines_per_req``
+    of the seed's first ``count`` requests, in a child per side."""
+    return {"requests": count, **{
+        side: call(root, "traffic", "lines_per_req", str(root), workload, seed, count)
+        for side, root in zip(("parent", "change"), roots)}}
+
+
+def format_lines(counts):
+    """The ``oracle`` module's and the total line events per request of
+    ``line_counts``' ``counts``, as one line."""
+    sides = counts["parent"], counts["change"]
+    rows = (("oracle", [c.get("oracle", 0.0) for c in sides]),
+            ("total", [sum(c.values()) for c in sides]))
+    return "; ".join(f"{name} lines/req: parent {p:.1f}, change {c:.1f} ({c - p:+.1f})"
+                     for name, (p, c) in rows)
 
 
 def run_once(root, workload, seed, seconds, trace):
@@ -178,13 +204,13 @@ def format_rows(rows):
     return lines
 
 
-def summary_entry(parent, seeds, trace, lines, nodes, rows):
+def summary_entry(parent, seeds, trace, lines, nodes, rows, counts=None):
     """One workload's ``--summary`` entry; ``lines`` and ``nodes`` are
-    (parent, change) ``src/oscint`` line and AST node counts and ``rows``
-    is ``summarize``'s table."""
+    (parent, change) ``src/oscint`` line and AST node counts, ``rows``
+    is ``summarize``'s table and ``counts``, if given, ``line_counts``'."""
     quartiles = lambda q: dict(zip(("q1", "median", "q3"), q))
     sides = lambda pair: dict(zip(("parent", "change"), pair))
-    return {
+    entry = {
         "parent": parent, "seeds": seeds, "trace": trace,
         "src_oscint_lines": sides(lines), "src_oscint_ast_nodes": sides(nodes),
         "metrics": {r["name"]: {"better": r["better"], "parent": quartiles(r["parent"]),
@@ -192,6 +218,9 @@ def summary_entry(parent, seeds, trace, lines, nodes, rows):
                                 "pairs": r["pairs"]}
                     for r in rows},
     }
+    if counts is not None:
+        entry["lines_per_req"] = counts
+    return entry
 
 
 def write_summary(path, workload, entry):
@@ -263,10 +292,12 @@ def main(argv=None):
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better, seconds = directions(benchmark), benchmark["run_seconds"]
 
-    pairs = []
+    pairs, counts = [], None
     with trees(args.parent, args.workdir) as (parent_root, change_root):
         lines = src_lines(parent_root), src_lines(change_root)
         nodes = src_ast_nodes(parent_root), src_ast_nodes(change_root)
+        if args.summary and args.workload in LINE_WORKLOADS:
+            counts = line_counts((parent_root, change_root), args.workload, args.seeds[0])
         for i, seed in enumerate(args.seeds):
             order = [("parent", parent_root), ("change", change_root)]
             if i % 2:
@@ -282,10 +313,12 @@ def main(argv=None):
              "pairs": pairs}, indent=1) + "\n")
     rows = summarize(pairs, better, bounds(benchmark))
     if args.summary:
-        write_summary(args.summary, args.workload,
-                      summary_entry(args.parent, args.seeds, args.trace, lines, nodes, rows))
+        write_summary(args.summary, args.workload, summary_entry(
+            args.parent, args.seeds, args.trace, lines, nodes, rows, counts))
     print(f"{args.workload}: {len(pairs)} pairs, parent {args.parent} vs working tree")
     print(format_size(lines, nodes))
+    if counts is not None:
+        print(format_lines(counts))
     print("\n".join(format_rows(rows)))
     for seed, p, c in failed_differences(pairs, args.seeds):
         print(f"failed differs at seed {seed}: parent {p}, change {c}")
