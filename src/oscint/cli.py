@@ -331,17 +331,19 @@ def _preload(family, kernel, ctl):
     ``--timing`` measures the evaluation alone: the family's module, and
     numpy with the oracle's tables, from throwaway evaluations at the row's
     tolerance (and the default term cap, under which none can stall): an
-    oracle integral at the row's kernel, and ``two_radical._warm``'s, which
-    build the tables of the a = b radicals (Lommel's series shares theirs)
-    and of the radicals past the phase guard."""
+    oracle integral at the row's kernel, ``two_radical._warm``'s, which build
+    the tables of the a = b radicals and of the radicals past the phase guard,
+    and ``lommel._warm``'s, which builds that of Lommel's series."""
     module = FAMILIES[family].module
     if module is not None:
         import_module("." + module, __package__)
+    from .lommel import _warm as _warm_series
     from .two_radical import _warm
 
     warm = SeriesControl(ctl.rel_tol)
     integrate_semi_infinite(IntegrandSpec(HalfPower(0.0, 1.0), kernel), warm)
     _warm(warm)
+    _warm_series(warm)
 
 
 def _record(family, method, kernel, params, ctl, timing, report):

@@ -166,19 +166,19 @@ def general_cos_transform(n: int, m: int, x: float, zeta: float = 1.0,
     return cos_exponent_transform(p, x, zeta, ctl)
 
 
-def _bracket(left, right, ctl, rel_err=0.0):
+def _bracket(left, right, ctl, err=0.0):
     """left - right of a printed form that cancels: a pre-reduction bracket,
     u^(1-q) - sqrt(u) S_{3/2-q,1/2}(u) or u^-q - sqrt(u) S_{1/2-q,1/2}(u), whose sides
     agree to O(u^-2), or a rotation of the (gen_si, gen_ci) pair, whose cosine cancels
-    like u; ConvergenceError where the cancellation factor (|left| + |right|)/|left -
-    right| times 2^-52 plus ``rel_err``, the sides' own relative error (the pair's
-    lobe-sum estimate), passes ``ctl.rel_tol``."""
+    like u; ConvergenceError where its relative error passes ``ctl.rel_tol``: the
+    cancellation factor (|left| + |right|)/|left - right| times 2^-52, the sides'
+    rounding, plus ``err``, the absolute error the sides carry in, over |left - right|."""
     diff = left - right
     factor = (abs(left) + abs(right)) / abs(diff) if diff else math.inf
-    if factor * (2.0 ** -52 + rel_err) > ctl.rel_tol:
-        raise ConvergenceError(f"printed form cancels by a factor {factor:.3g}, which on "
-                               f"sides good to {2.0 ** -52 + rel_err:.3g} relative is past "
-                               f"rel_tol {ctl.rel_tol}")
+    rel_err = factor * 2.0 ** -52 + (err / abs(diff) if diff else 0.0)
+    if rel_err > ctl.rel_tol:
+        raise ConvergenceError(f"printed form cancels by a factor {factor:.3g}, to a relative "
+                               f"error {rel_err:.3g} past rel_tol {ctl.rel_tol}")
     return diff
 
 
@@ -254,6 +254,19 @@ def log_weighted_sin_integral_fd(x: float, h: float = 1e-4,
     return -(4.0 * central(1.0) - central(2.0)) / 3.0
 
 
+def _pair_control(ctl):
+    """``si_ci_representation``'s control for the (gen_si, gen_ci) pair: 2^-10
+    ``ctl.rel_tol``, so that the pair's CRVZ stop difference sits well below
+    ``ctl.rel_tol`` and what is left of its estimate is mostly its rounding."""
+    return SeriesControl(ctl.rel_tol * 2.0 ** -10, ctl.max_terms)
+
+
+def _warm(ctl):
+    """Build the e^(it) phase table the pair under ``_pair_control(ctl)`` takes
+    from a cache on first use."""
+    _gen_trig_pair(0.0, 1.0, _pair_control(ctl))
+
+
 def si_ci_representation(n: int, m: int, x: float, zeta: float = 1.0,
                          kernel: Kernel = Kernel.SIN,
                          ctl: SeriesControl = DEFAULT_CONTROL,
@@ -263,16 +276,17 @@ def si_ci_representation(n: int, m: int, x: float, zeta: float = 1.0,
     The printed sine form pairs cos(zeta x) with a bare sin(x); the
     corrected sin(zeta x) ships by default (errata LOM-SICI-PHASE).  Each
     form rotates the pair by u = zeta x through ``_bracket``: the cosine,
-    about p u^(-p-1) from parts of about u^-p, cancels like u, and raises
-    ``ConvergenceError`` where that, applied to the rounding and to the pair's
-    own lobe-sum estimate, loses more than ``ctl.rel_tol``.
+    about p u^(-p-1) from parts of about u^-p, cancels like u.  The pair is
+    summed under ``_pair_control``, and its lobe-sum estimate, which a
+    rotation carries in whole, is mostly its rounding; ``ConvergenceError``
+    where the rounding and that estimate lose more than ``ctl.rel_tol``.
     """
     u = _scaled_shift("si_ci_representation", x, zeta)
     kernel = _as_kernel(kernel)
     p = GeneralExponent(n, m).exponent(False)
-    si, ci, rel_err = _gen_trig_pair(1.0 - p, u, ctl)
+    si, ci, err = _gen_trig_pair(1.0 - p, u, _pair_control(ctl))
     scale = _finite_power("lommel", zeta, p - 1.0)
     if kernel is Kernel.SIN:
         sin_arg = x if as_printed else u
-        return scale * _bracket(math.cos(u) * si, math.sin(sin_arg) * ci, ctl, rel_err)
-    return scale * _bracket(math.cos(u) * ci, -math.sin(u) * si, ctl, rel_err)
+        return scale * _bracket(math.cos(u) * si, math.sin(sin_arg) * ci, ctl, err)
+    return scale * _bracket(math.cos(u) * ci, -math.sin(u) * si, ctl, err)

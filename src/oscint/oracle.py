@@ -31,8 +31,8 @@ monotone in k, a Hausdorff moment sequence, and S_n is within
 rate.  (t + x)^-p, the radical weights, gen_si/gen_ci's t^(alpha - 1)
 (one complex sum over an e^(it) table, the real and the imaginary parts
 of its lobes each such a sequence) and the quadratic phase in u = c z^2
-are completely monotone;
-ln(t + x)/sqrt(t + x) is not, and only the empirical stop guards it.
+are completely monotone; ln(t + x)/sqrt(t + x) is not, and only the
+empirical stop guards it.
 A series not settled at the rule's highest order (bound ~2e-31) raises.
 Lobes are summed in order, so a result is independent of batching.
 
@@ -51,7 +51,7 @@ import functools
 import math
 from collections import namedtuple
 from itertools import accumulate, chain, islice, pairwise, repeat
-from operator import le, mul, truediv
+from operator import le, mul
 from typing import Callable, Optional
 
 from .control import DEFAULT_CONTROL, SeriesControl
@@ -189,7 +189,7 @@ class QuadratureReport(Record, namedtuple(
     def __new__(cls, value: float, abs_err_est: float, zero_intervals_used: int,
                 accelerated: bool):
         if not math.isfinite(abs(value)) or not math.isfinite(abs_err_est):
-            raise ArithmeticError("quadrature produced a non-finite result")
+            raise ConvergenceError("quadrature produced a non-finite result")
         return tuple.__new__(cls, (value, abs_err_est, zero_intervals_used, accelerated))
 
 
@@ -385,7 +385,8 @@ def quad(fv, lo, hi, epsabs, epsrel):
         ck, cd = _gk21_rule(fv, *_nodes(ca, cb))
         neval += 42 * n
         keep = ~split
-        a, b, k, d = (np.concatenate((v[keep], c)) for v, c in ((a, ca), (b, cb), (k, ck), (d, cd)))
+        a, b = np.concatenate((a[keep], ca)), np.concatenate((b[keep], cb))
+        k, d = np.concatenate((k[keep], ck)), np.concatenate((d[keep], cd))
 
 
 def _graded_lobe(f_over, edge, i, shares, kron, diff, epsabs, settle=False):
@@ -396,8 +397,8 @@ def _graded_lobe(f_over, edge, i, shares, kron, diff, epsabs, settle=False):
     n = i + len(shares)
     k, d = kron[i:n], diff[i:n]
     value, err = sum(k), sum(d)
-    # a part is about epsabs share / (1 + sum |K21|) or more: all below half pass
-    if max(map(truediv, d, shares)) * (1.0 + sum(map(abs, k))) <= 0.5 * epsabs:
+    # a part is about epsabs share / (1 + sum |K21|) or more: all below half pass (share may be 0)
+    if all(map(le, d, map(mul, shares, repeat(0.5 * epsabs / (1.0 + sum(map(abs, k))))))):
         return value, err
     # a NaN K21 keeps its piece's share, as max would; an overflow fails every part
     own = [x if x > share else share for share, x in zip(shares, map(abs, k))]
@@ -446,12 +447,11 @@ def _phase_table(kernel, power, first):
 
 
 def _block_lobes(f_over, lo, his, epsabs, first):
-    """The lobes [lo, h0], [h0, h1], ... of ``f_over`` (``his`` the zeros) in
-    blocks of ``first`` lobes, then _NEXT_BLOCK: two lists, integrals and abs
-    errors, each formed in one step from one GK21 evaluation.  The first (from
-    ``_phase_table`` for a ``_Phase`` from 0) cuts two lobes for ``_graded_lobe``;
-    any other lobe keeps its K21 and error |K21 - G10| if <= max(epsabs, epsabs
-    |K21|), else it is None with, as its error, the ``quad`` call to integrate it."""
+    """The lobes [lo, h0], [h0, h1], ... of ``f_over`` (``his`` the zeros) in blocks of
+    ``first`` lobes, then _NEXT_BLOCK, each formed in one step from one GK21 evaluation:
+    two lists, integrals and abs errors.  The first (from ``_phase_table`` for a ``_Phase``
+    from 0) cuts two lobes for ``_graded_lobe``; any other keeps its K21 and |K21 - G10| if
+    <= max(epsabs, epsabs |K21|), else it is None with its ``quad`` call as its error."""
     np = _gk21()[0]
     if isinstance(f_over, _Phase) and lo == 0.0:
         s, g = (math.pi / f_over.freq) ** (1.0 / f_over.power), f_over.weight(np)
@@ -487,24 +487,22 @@ def _block_lobes(f_over, lo, his, epsabs, first):
 def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
     """Integrate ``f`` over [b0, inf) split at an increasing breakpoint stream.
 
-    The first element of ``breakpoints`` is the lower limit; subsequent
-    elements are the kernel zeros.  Early lobes are summed directly until
-    their magnitudes have decreased twice in a row (weights need not be
-    monotone near the origin, e.g. a logarithmic factor); the remaining
-    alternating series is summed by the CRVZ rule (module docstring),
-    from the order whose bound meets ``ctl.rel_tol`` until two orders in a
-    row agree to max(rel_tol |S|, 1e-15).  The error estimate adds twice
-    their difference and 4 eps sum |lobe| to the lobe errors.  With no
-    such pair by order ``_CRVZ_MAX_ORDER`` the series raises instead.
-    The integrand is given once: as ``f``, on floats, or as ``f_over``,
-    which builds it over a math module, so that ``f_over(numpy)`` takes
-    arrays (read-only ones, not to be written into), and ``f`` is then
-    unused (None).  One loop takes the lobes a block at a time (``_block_lobes``;
-    one by one for ``quad`` with ``f``) in passes that end before a marked lobe
-    (None), integrated first by the next: a scan of the magnitudes for the
-    rule's first term, then only the CRVZ orders, adding the magnitudes reached
-    over a slice in lobe order, the errors once.  At most ``10 * ctl.max_terms``
-    lobes are reached; a NaN lobe or a sum that overflows ends the series there.
+    The first element of ``breakpoints`` is the lower limit; subsequent elements are
+    the kernel zeros.  Early lobes are summed directly until their magnitudes have
+    decreased twice in a row (weights need not be monotone near the origin, e.g. a
+    logarithmic factor); the remaining alternating series is summed by the CRVZ rule
+    (module docstring), from the order whose bound meets ``ctl.rel_tol`` until two
+    orders in a row agree to max(rel_tol |S|, 1e-15).  The error estimate adds twice
+    their difference and 4 eps sum |lobe| to the lobe errors.  With no such pair by
+    order ``_CRVZ_MAX_ORDER`` the series raises instead.
+    The integrand is given once: as ``f``, on floats, or as ``f_over``, which builds it
+    over a math module (``f_over(numpy)`` takes read-only arrays; ``f`` is then None).
+    Each block (``_block_lobes``; a lobe for ``quad`` with ``f``) is taken in passes up
+    to a marked lobe (None), which the next integrates first: a scan of the magnitudes
+    finds the rule's first term, then only the orders are stepped.  Magnitudes and
+    errors add in lobe order by ``sum``, as CPython up to 3.11 adds floats (3.12
+    compensates, and would move the bits).  At most ``10 * ctl.max_terms`` lobes are
+    reached; a NaN lobe or a sum that overflows ends the series there.
 
     Returns (value, abs_err_est, lobes_used, accelerated).
     """
@@ -610,9 +608,13 @@ def oscillatory_integral(g, kernel: Kernel, zeta: float, start: float = 0.0,
     the CRVZ rule: the call raises ``AccelerationStalledError`` at the
     rule's highest order, ``_CRVZ_MAX_ORDER``.
     """
-    phase = _Phase(g_over or (lambda m: g), _as_kernel(kernel), zeta, 1)
-    return QuadratureReport(*lobe_sum(None if g_over else phase(math), kernel_breakpoints(
-        phase.kernel, zeta, start), ctl, phase if g_over else None))
+    kernel = _as_kernel(kernel)
+    f = f_over = None
+    if g_over is None:
+        f = _Phase(lambda m: g, kernel, zeta, 1)(math)
+    else:
+        f_over = _Phase(g_over, kernel, zeta, 1)
+    return QuadratureReport(*lobe_sum(f, kernel_breakpoints(kernel, zeta, start), ctl, f_over))
 
 
 # --------------------------------------------------------------------------
@@ -676,6 +678,4 @@ def integrate_finite(f: Optional[Callable[[float], float]], lo: float, hi: float
     res = quad(fv, lo, hi, epsabs=1e-15, epsrel=ctl.rel_tol)
     if len(res) > 3:
         raise MaxSubdivisionsError(f"quadrature on [{lo}, {hi}]: {res[3]}")
-    if not (math.isfinite(abs(res[0])) and math.isfinite(res[1])):
-        raise ConvergenceError(f"quadrature on [{lo}, {hi}] produced a non-finite result")
     return QuadratureReport(res[0], res[1], res[2]["last"], False)

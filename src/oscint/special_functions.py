@@ -626,10 +626,11 @@ def hyp2f2_half(x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
 
 @lru_cache(maxsize=1)
 def _gen_trig_pair(alpha, z, ctl):
-    """(gen_si, gen_ci, the lobe sum's error estimate relative to |C + iS|) at (alpha, z),
-    memoised for one argument as callers read both: with
-    t = s + z, cos z S + sin z C and cos z C - sin z S, S and C the integrals of sin s and
-    cos s times w(s) = (s + z)^(alpha - 1) over [0, inf) (DLMF 6.2's f and g at alpha = 0).
+    """(gen_si, gen_ci, the lobe sum's absolute error estimate, which bounds either's error
+    and any rotation's of the two) at (alpha, z), memoised for one argument as callers read
+    both: with t = s + z, cos z S + sin z C and cos z C - sin z S, S and C the integrals of
+    sin s and cos s times w(s) = (s + z)^(alpha - 1) over [0, inf) (DLMF 6.2's f and g at
+    alpha = 0).
 
     C + iS, the integral of e^(is) w(s), is one lobe sum over the sine zeros, its first
     block from the oracle's e^(it) phase table.  Its k-th lobe is (-1)^k a_k with
@@ -650,7 +651,7 @@ def _gen_trig_pair(alpha, z, ctl):
                        _Phase(weight, _EXP, 1.0, 1))[:2]
     s, c = cs.imag, cs.real
     cz, sz = math.cos(z), math.sin(z)
-    return cz * s + sz * c, cz * c - sz * s, err / abs(cs) if cs else math.inf
+    return cz * s + sz * c, cz * c - sz * s, err
 
 
 def gen_si(alpha: float, z: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:

@@ -329,8 +329,8 @@ def _degenerate(a, zeta, ctl):
 
 def _warm(ctl):
     """Build what these routes take from caches on first use: the e^(it) phase
-    table of the (gen_si, gen_ci) pair, which Lommel's series shares, and
-    ``quad``'s first level on the contour's range, past the phase guard."""
+    table of the (gen_si, gen_ci) pair and ``quad``'s first level on the
+    contour's range, past the phase guard."""
     gen_si(0.0, 1.0, ctl)
     integrate_finite(None, 0.0, _CONTOUR_END, ctl, lambda m: lambda s: m.exp(-s))
 

@@ -94,9 +94,9 @@ def test_timed_evaluation_imports_nothing(case):
 
 
 # tables of rows that each take a cached oracle table: the oracle's own, an
-# a = b radical's and Lommel's series' (the e^(it) table of their (gen_si,
-# gen_ci) pair), and the first quad level of the rotated contour past the
-# phase guard
+# a = b radical's and Lommel's series' (the e^(it) tables of the (gen_si,
+# gen_ci) pair at each one's tolerance), and the first quad level of the
+# rotated contour past the phase guard
 TIMED_TABLES = (
     ("--family", "two-radical", "--a", "1", "--b", "2,3,4,5", "--method", "oracle"),
     ("--family", "two-radical", "--a", "0.7", "--b", "0.7", "--zeta", "1.3,1.9"),

@@ -304,22 +304,30 @@ def test_si_ci_string_kernel_selects_the_same_route():
         si_ci_representation(1, 3, 2.0, 1.0, "bogus")
 
 
-@pytest.mark.parametrize("lo, hi", [(1e2, 1e4), (1e4, 1e6)])
-def test_si_ci_cosine_is_within_rel_tol_or_raises(lo, hi):
-    # the rotated cosine cancels like u, and the cancellation factor multiplies
-    # the (gen_si, gen_ci) pair's own lobe-sum error as well as the rounding: a
-    # cosine is returned only where both together stay within rel_tol.  With
-    # the rounding alone tested, 1.5e-12 and 2.0e-12 were returned here; with
-    # the pair's estimate, whose size is about rel_tol, every point raises
+@pytest.mark.parametrize("kernel, lo, hi, least", [
+    (Kernel.COS, 1.0, 1e2, 25), (Kernel.COS, 1e2, 1e4, 1), (Kernel.COS, 1e4, 1e6, 0),
+    (Kernel.SIN, 1.0, 1e2, 30), (Kernel.SIN, 1e2, 1e4, 30), (Kernel.SIN, 1e4, 1e6, 30)])
+def test_si_ci_is_within_rel_tol_or_raises(kernel, lo, hi, least):
+    # a value is returned only where the rounding, times the cancellation
+    # factor, and the (gen_si, gen_ci) pair's own estimate stay within rel_tol,
+    # and at least ``least`` of 30 are.  With the rounding alone tested, cosines
+    # 1.6e-12 and 2.4e-12 off were returned here.  The sine barely cancels.  The
+    # cosine, about p/u of the pair, is good to about eps |S| / |C| ~ eps u / p
+    # (it reads 2e-12 to 4e-10 past u = 1e4), so past u ~ 100 the pair's
+    # estimate, mostly its rounding, lets only a few through
     rng = random.Random(0)
+    transform = general_sin_transform if kernel is Kernel.SIN else general_cos_transform
+    returned = 0
     for _ in range(30):
         x = math.exp(rng.uniform(math.log(lo), math.log(hi)))
         n, m = rng.randint(0, 2), rng.randint(2, 5)
         try:
-            got = si_ci_representation(n, m, x, 1.0, Kernel.COS)
+            got = si_ci_representation(n, m, x, 1.0, kernel)
         except ConvergenceError:
             continue
-        assert rel(got, general_cos_transform(n, m, x)) <= 1e-12
+        assert rel(got, transform(n, m, x)) <= 1e-12
+        returned += 1
+    assert returned >= least
 
 
 @pytest.mark.parametrize("n,m,x", [(1, 3, 1.0), (0, 2, 1.5), (2, 5, 2.0)])

@@ -43,10 +43,10 @@ def test_quadratic_phase_cosine_at_a_tiny_scale_within_its_estimate():
     assert abs(rep.value - radical_pole.pole_tail_cos(1e-20)) <= rep.abs_err_est
 
 
-@found("`lommel.si_ci_representation` (`--method series`) is silently wrong at small u")
+@found("`lommel.si_ci_representation` (`--method series`) raises at small u")
 def test_si_ci_representation_at_a_tiny_frequency():
-    # zeta * int t/(t + 1)^3 dt = zeta/2; the route now raises here, where the
-    # pair's own lobe-sum estimate is past rel_tol, instead of returning silently
+    # zeta * int t/(t + 1)^3 dt = zeta/2; the (gen_si, gen_ci) pair's lobe sum
+    # at z = 1e-100 is wrong by far more than its value, and says so
     got = returned(lommel.si_ci_representation, 1, 1, 1.0, 1e-100)
     assert abs(got - 5e-101) <= 1e-12 * 5e-101
 

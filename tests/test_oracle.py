@@ -590,6 +590,16 @@ def test_integral_from_a_later_start_takes_the_stream(monkeypatch, kernel):
             <= whole.abs_err_est + head.abs_err_est + rest.abs_err_est)
 
 
+@pytest.mark.parametrize("start", [1e15, math.nextafter(1000.0 * math.pi, 0.0)])
+def test_first_lobe_whose_cuts_round_to_its_start(start):
+    # 2^-8 of the first lobe is below half an ulp of the start, far out or a
+    # few ulps below a zero, so its first pieces have length share 0
+    g = lambda t: 1.0 / (t + 1.0)
+    got = oracle.oscillatory_integral(None, Kernel.SIN, 1.0, start, g_over=lambda m: g)
+    want = oracle.oscillatory_integral(g, Kernel.SIN, 1.0, start)
+    assert abs(got.value - want.value) <= got.abs_err_est + want.abs_err_est
+
+
 def test_frequencies_share_a_table_and_a_tolerance_has_its_own():
     misses = lambda: oracle._phase_table.cache_info().misses
     oracle._phase_table.cache_clear()
