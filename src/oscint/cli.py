@@ -457,17 +457,19 @@ def cmd_selfcheck(args, stream):
             "passed": passed,
             "total": len(items),
             "ok": ok,
-            "failures": [{"name": r.name, "detail": r.detail}
+            "worst_margin": max(r.margin for r in items),
+            "failures": [{"name": r.name, "error": r.error, "tolerance": r.tolerance}
                          for r in items if not r.passed],
         })
     if args.json:
         stream.write(json.dumps({"groups": report, "ok": all_ok}, sort_keys=True) + "\n")
     else:
         for g in report:
-            stream.write(f"{'PASS' if g['ok'] else 'FAIL'} {g['group']} "
-                         f"({g['passed']}/{g['total']})\n")
+            stream.write(("PASS " if g["ok"] else "FAIL ")
+                         + "{group} ({passed}/{total})\n".format_map(g))
             for f in g["failures"]:
-                stream.write(f"     failed: {f['name']}  {f['detail']}\n")
+                stream.write("     failed: {name}  error {error:.1e}, "
+                             "tolerance {tolerance:.1e}\n".format_map(f))
         stream.write(("all checks passed" if all_ok else "FAILURES present") + "\n")
     return 0 if all_ok else 1
 

@@ -362,6 +362,59 @@ def test_selfcheck_list_and_subset(capsys):
     assert "PASS scaling" in out
 
 
+# the default report of a passing run, byte for byte: one line per group, in
+# registry order, and the verdict
+SELFCHECK_GOLDEN = (
+    "PASS fresnel-derivatives (11/11)\n"
+    "PASS gamma-recurrences (54/54)\n"
+    "PASS gamma-routes (116/116)\n"
+    "PASS exponent-switch (35/35)\n"
+    "PASS hyp2f1-transform (6/6)\n"
+    "PASS gen-si-additivity (6/6)\n"
+    "PASS difference-equations (48/48)\n"
+    "PASS interrelations (48/48)\n"
+    "PASS scaling (24/24)\n"
+    "PASS ode-residual (18/18)\n"
+    "PASS derivative-relation (18/18)\n"
+    "PASS half-power-oracle (48/48)\n"
+    "PASS oracle-ibp (18/18)\n"
+    "PASS oracle-robustness (6/6)\n"
+    "PASS radical-head-moments (20/20)\n"
+    "PASS two-radical-tails (10/10)\n"
+    "PASS two-radical-heads (18/18)\n"
+    "PASS two-radical-decomposition (18/18)\n"
+    "PASS two-radical-assembly (36/36)\n"
+    "PASS two-radical-derivative (1/1)\n"
+    "PASS contour-switch (6/6)\n"
+    "PASS approximation-trends (5/5)\n"
+    "PASS radical-pole-tails (10/10)\n"
+    "PASS radical-pole-heads (18/18)\n"
+    "PASS radical-pole-decomposition (18/18)\n"
+    "PASS radical-pole-assembly (36/36)\n"
+    "PASS radical-pole-derivative (1/1)\n"
+    "PASS lommel-recurrence (16/16)\n"
+    "PASS lommel-three-way (72/72)\n"
+    "PASS lommel-reduction (30/30)\n"
+    "PASS log-integral (6/6)\n"
+    "all checks passed\n"
+)
+
+
+def test_selfcheck_default_output_is_pinned(capsys):
+    assert run_cli(capsys, "selfcheck") == (0, SELFCHECK_GOLDEN, "")
+
+
+def test_selfcheck_runs_a_group_named_twice_once(capsys):
+    argv = ("selfcheck", "--only", "scaling", "--only", "difference-equations", "--only", "scaling")
+    assert run_cli(capsys, *argv) == (0, "PASS scaling (24/24)\n"
+                                         "PASS difference-equations (48/48)\n"
+                                         "all checks passed\n", "")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert [(g["group"], g["total"]) for g in json.loads(out)["groups"]] == [
+        ("scaling", 24), ("difference-equations", 48)]
+
+
 def test_unknown_selfcheck_group_exit_2(capsys):
     # validated before any group runs, so the known group before it prints nothing
     code, out, err = run_cli(capsys, "selfcheck", "--only", "scaling", "--only", "nosuch")
@@ -633,12 +686,30 @@ def test_table_with_an_empty_value_list_exit_2(capsys):
 def test_failing_selfcheck_group_text_report(capsys, monkeypatch):
     from oscint import selfcheck
     monkeypatch.setattr(selfcheck, "GROUPS", {
-        "good": lambda: [("one", True, "")],
-        "bad": lambda: [("two", True, ""), ("three", False, "off by 2e-9")],
+        "good": lambda: [("one", 1e-12, 1e-10)],
+        "bad": lambda: [("two", 5e-11, 1e-10), ("three", 3e-9, 1e-9), ("four", math.nan, 1.0)],
     })
     code, out, _ = run_cli(capsys, "selfcheck")
     assert code == 1
     assert out == ("PASS good (1/1)\n"
-                   "FAIL bad (1/2)\n"
-                   "     failed: three  off by 2e-9\n"
+                   "FAIL bad (1/3)\n"
+                   "     failed: three  error 3.0e-09, tolerance 1.0e-09\n"
+                   "     failed: four  error nan, tolerance 1.0e+00\n"
                    "FAILURES present\n")
+
+
+def test_failing_selfcheck_group_json_report(capsys, monkeypatch):
+    # each group's worst margin (error / tolerance), and each failure's two numbers
+    from oscint import selfcheck
+    monkeypatch.setattr(selfcheck, "GROUPS", {
+        "good": lambda: [("one", 1e-12, 1e-10), ("two", 0.0, 1.0)],
+        "bad": lambda: [("three", 4e-9, 2e-9), ("four", 1e-11, 1e-10)],
+    })
+    code, out, _ = run_cli(capsys, "selfcheck", "--json")
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "groups": [
+        {"group": "good", "passed": 2, "total": 2, "ok": True, "worst_margin": 0.01,
+         "failures": []},
+        {"group": "bad", "passed": 1, "total": 2, "ok": False, "worst_margin": 2.0,
+         "failures": [{"name": "three", "error": 4e-9, "tolerance": 2e-9}]},
+    ]}

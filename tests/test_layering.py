@@ -202,3 +202,13 @@ ORACLE_AST_NODES = 5064
 def test_oracle_stays_within_its_node_cap():
     source = (SRC / "oracle.py").read_text()
     assert sum(1 for _ in ast.walk(ast.parse(source))) <= ORACLE_AST_NODES
+
+
+# selfcheck.py held 5,473 nodes while each group wrote its own pass test and
+# detail string; with one (name, error, tolerance) row it may not grow back
+SELFCHECK_AST_NODES = 5000
+
+
+def test_selfcheck_stays_within_its_node_cap():
+    source = (SRC / "selfcheck.py").read_text()
+    assert sum(1 for _ in ast.walk(ast.parse(source))) <= SELFCHECK_AST_NODES

@@ -53,8 +53,8 @@ RECORDS = [
     (Erratum, ("ident", "where", "corrected", "printed", "resolution"),
      ("ID", "module.function", True, "printed form", "corrected form"), (),
      ("ID", "module.function", False, "printed form", "corrected form")),
-    (CheckResult, ("group", "name", "passed", "detail"), ("group", "name", True, "detail"),
-     ("",), ("group", "name", False, "detail")),
+    (CheckResult, ("group", "name", "error", "tolerance"), ("group", "name", 1e-15, 1e-12), (),
+     ("group", "name", 2e-15, 1e-12)),
 ]
 
 
