@@ -37,7 +37,9 @@ The 2F1 shapes pinned here are outside the set the Pfaff rule moves on
 mpmath instead.  The oracle's pins, at the end, have their own note.
 """
 
+import hashlib
 import math
+import random
 
 import pytest
 
@@ -322,3 +324,85 @@ def test_table_path_sends_only_failed_lobes_to_quad(monkeypatch, case, ranges):
     monkeypatch.setattr(oracle, "quad", lambda *a, **k: calls.append(a[1:3]) or quad(*a, **k))
     ORACLE_CASES[case]()
     assert [(a.hex(), b.hex()) for a, b in calls] == [(a.hex(), b.hex()) for a, b in ranges]
+
+
+# The oracle in bulk: one SHA-256 over seeded results on every path a lobe
+# takes, frozen before the settled first block became one straight pass.
+# Each line is (value, abs_err_est, lobes, accelerated), or the error raised:
+# the phase table from 0 for each weight at both kernels over oracle-grid's
+# in-grid ranges (lommel exponents among the half powers) and at steep first
+# lobes; the complex e^(it) table behind gen_si/gen_ci; the zero stream from a
+# start above 0, in blocks and on floats (every lobe by ``quad``), at several
+# tolerances.
+
+def _bulk_weight(rng, name):
+    u = rng.uniform
+    if name == "HalfPower":
+        n, m = rng.randint(0, 2), rng.randint(1, 5)
+        alpha = rng.choice([rng.randint(0, 5), 2 * n + 1 / m - 0.5 + rng.randint(0, 1)])
+        return oscint.HalfPower(alpha, u(0.05, 10.0))
+    if name == "LogHalfPower":
+        return oscint.LogHalfPower(u(0.05, 10.0))
+    if name == "QuadraticPhase":
+        return oscint.QuadraticPhase(u(0.5, 10.0), rng.choice([0.5, 1.0]))
+    a = u(0.05, 1.0)
+    b = a + u(0.2, 3.5)
+    if name == "ThreeRadical":
+        return oscint.ThreeRadical(a, b, b + u(0.2, 3.5))
+    return getattr(oscint, name)(a, b)
+
+
+def _bulk_line(call):
+    try:
+        return " ".join(_hex(x) if isinstance(x, (float, complex)) else str(x) for x in call())
+    except ArithmeticError as exc:
+        return repr(exc)
+
+
+def _gen_trig_pair(alpha, z, seen):
+    """(gen_si, gen_ci, and the lobe sum behind both) at (alpha, z)."""
+    seen.clear()
+    special_functions._gen_trig_pair.cache_clear()
+    pair = oscint.gen_si(alpha, z), oscint.gen_ci(alpha, z)
+    (result,) = seen
+    return (*pair, *result)
+
+
+def _bulk_oracle_lines():
+    rng = random.Random(4901)
+    for name in ("HalfPower", "TwoRadical", "RadicalPole", "ThreeRadical", "LogHalfPower",
+                 "QuadraticPhase"):
+        for j in range(100):
+            spec = oscint.IntegrandSpec(_bulk_weight(rng, name), list(oscint.Kernel)[j % 2],
+                                        rng.uniform(0.25, 2.0))
+            yield _bulk_line(lambda: oscint.integrate_semi_infinite(spec))
+    for j in range(10):     # steep first lobes, whose graded pieces go to quad
+        spec = oscint.IntegrandSpec(oscint.HalfPower(rng.uniform(2.0, 5.0), rng.uniform(
+            0.005, 0.1)), list(oscint.Kernel)[j % 2], rng.uniform(0.25, 2.0))
+        yield _bulk_line(lambda: oscint.integrate_semi_infinite(spec))
+    lobe_sum, seen = special_functions.lobe_sum, []
+    special_functions.lobe_sum = lambda *a: seen.append(lobe_sum(*a)) or seen[-1]
+    try:
+        for j in range(40):
+            alpha = 0.0 if j % 8 == 0 else rng.uniform(-3.0, 1.0)
+            z = math.exp(rng.uniform(math.log(0.05), math.log(50.0)))
+            yield _bulk_line(lambda: _gen_trig_pair(alpha, z, seen))
+    finally:
+        special_functions.lobe_sum = lobe_sum
+    for j in range(20):
+        g = _bulk_weight(rng, rng.choice(["HalfPower", "TwoRadical", "RadicalPole"]))
+        g_over = lambda m, g=g: oracle._WEIGHT_OVER[type(g)](g, m)
+        args = (list(oscint.Kernel)[j % 2], rng.uniform(0.25, 2.0), rng.uniform(0.1, 30.0),
+                oscint.SeriesControl(rng.choice([1e-6, 1e-10, 1e-12, 1e-14])))
+        yield _bulk_line(lambda: oscint.oscillatory_integral(None, *args, g_over=g_over)
+                         if j % 5 else oscint.oscillatory_integral(g_over(math), *args))
+
+
+BULK_DIGEST = "ee5cd38405e55209dad01aca1ef1ac8fe5c4c39f97ef8e498eaf33f07825a2ea"
+
+
+def test_oracle_keeps_its_bits_in_bulk():
+    lines = list(_bulk_oracle_lines())
+    assert len(lines) == 670
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == BULK_DIGEST
