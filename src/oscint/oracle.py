@@ -4,16 +4,17 @@ The semi-infinite integrals are computed by partitioning the axis at the
 zeros of the oscillating kernel, integrating each lobe, and accelerating
 the alternating lobe series, all with one 21-point Gauss-Kronrod rule
 (GK21, QUADPACK's qk21) applied by numpy to many pieces at once.  The
-lobes of an integrand in vector form come in blocks of one evaluation,
-each formed in one step and summed in one pass (a scan for the direct
-head, then only the CRVZ orders): the first holds the lobes the tolerance
-needs (21 at the default), its first lobe cut into pieces graded toward
-its lower end and its second halved; each later block 8.  A ``_Phase``
-integrand from 0 takes the first block from a table cached in units of
-(pi/freq)^(1/power), evaluating only the weight.  A lobe or piece failing
-its Kronrod-Gauss test goes to ``quad``, the adaptive rule, when the sum
-reaches it, as do finite ranges and the lobes of an integrand on floats.
-Knowing nothing of the closed forms, the module is an independent check.
+lobes of an integrand in vector form come in blocks of one evaluation:
+the first holds the lobes the tolerance needs (21 at the default), its
+first lobe cut into pieces graded toward its lower end and its second
+halved; each later block 8.  A block is taken in one straight pass from
+its two lists: the lobe tests, a scan for the direct head, then only the
+CRVZ orders.  A ``_Phase`` integrand from 0 takes the first block from a
+table cached in units of (pi/freq)^(1/power), evaluating only the weight.
+A lobe or piece failing its Kronrod-Gauss test goes to ``quad``, the
+adaptive rule, when the sum reaches it, as do finite ranges and the
+lobes of an integrand on floats.  Knowing nothing of the closed forms,
+the module is an independent check.
 
 numpy is imported on the first quadrature, not with this module, which
 a cold closed-form ``oscint eval`` still loads: radicals past the phase
@@ -389,27 +390,18 @@ def quad(fv, lo, hi, epsabs, epsrel):
         k, d = np.concatenate((k[keep], ck)), np.concatenate((d[keep], cd))
 
 
-def _graded_lobe(f_over, edge, i, shares, kron, diff, epsabs, settle=False):
-    """(value, error), the sums of ``kron`` and ``diff`` over pieces i, i + 1,
-    ... at ``edge(j)`` of length shares ``shares``, of a lobe whose tolerance,
-    max(epsabs, epsabs |value|), is parted as the larger of each share and
-    |K21|.  A difference above its part: (None, this call ``settle``d: quad)."""
-    n = i + len(shares)
-    k, d = kron[i:n], diff[i:n]
-    value, err = sum(k), sum(d)
-    # a part is about epsabs share / (1 + sum |K21|) or more: all below half pass (share may be 0)
-    if all(map(le, d, map(mul, shares, repeat(0.5 * epsabs / (1.0 + sum(map(abs, k))))))):
-        return value, err
+def _graded_lobe(f_over, edge, i, shares, kron, diff, epsabs):
+    """(value, error) of a cut lobe failing ``_block_lobes``' quick test: the sums of its pieces'
+    K21s ``kron`` and differences ``diff`` (from ``edge(i)``, length shares ``shares``), each
+    above its part of max(epsabs, epsabs |value|), parted as max(share, |K21|), by quad."""
     # a NaN K21 keeps its piece's share, as max would; an overflow fails every part
-    own = [x if x > share else share for share, x in zip(shares, map(abs, k))]
-    scale = epsabs * max(1.0, abs(value)) / sum(own)
-    if not (settle or all(map(le, d, map(mul, own, repeat(scale))))):
-        return None, lambda: _graded_lobe(f_over, edge, i, shares, kron, diff, epsabs, True)
-    for j, w in enumerate(own, i):      # settled, or every piece within its part
+    own = [x if x > share else share for share, x in zip(shares, map(abs, kron))]
+    scale = epsabs * max(1.0, abs(sum(kron))) / sum(own)
+    for j, w in enumerate(own):
         if not diff[j] <= scale * w:
-            kron[j], diff[j] = quad(f_over(_gk21()[0]), edge(j), edge(j + 1), epsabs=scale * w,
-                                    epsrel=0.0)[:2]
-    return sum(kron[i:n]), sum(diff[i:n])
+            kron[j], diff[j] = quad(f_over(_gk21()[0]), edge(i + j), edge(i + j + 1),
+                                    epsabs=scale * w, epsrel=0.0)[:2]
+    return sum(kron), sum(diff)
 
 
 def _first_layout(lo, block):
@@ -446,42 +438,49 @@ def _phase_table(kernel, power, first):
     return u, table, tuple(edges), tuple(map(tuple, graded))
 
 
-def _block_lobes(f_over, lo, his, epsabs, first):
-    """The lobes [lo, h0], [h0, h1], ... of ``f_over`` (``his`` the zeros) in blocks of
-    ``first`` lobes, then _NEXT_BLOCK, each formed in one step from one GK21 evaluation:
-    two lists, integrals and abs errors.  The first (from ``_phase_table`` for a ``_Phase``
-    from 0) cuts two lobes for ``_graded_lobe``; any other keeps its K21 and |K21 - G10| if
-    <= max(epsabs, epsabs |K21|), else it is None with its ``quad`` call as its error."""
+def _block_lobes(f_over, lo, his, epsabs, first=0):
+    """The next block of lobes [lo, h0], [h0, h1], ... of ``f_over`` (``his`` the zeros),
+    ``first`` in a first block, else _NEXT_BLOCK, from one GK21 evaluation read once into
+    two lists and tested in place: (integrals, errors, upper end, zeros left), or None
+    with no zero left.  A first block (``_phase_table``'s for a ``_Phase`` from 0) cuts
+    two lobes: each passes if every |K21 - G10| is within epsabs/2 of its share over
+    1 + sum |K21|, else it is None with ``_graded_lobe`` as its error.  A whole lobe
+    passes within max(epsabs, epsabs |K21|), else it is None with its ``quad`` call."""
     np = _gk21()[0]
-    if isinstance(f_over, _Phase) and lo == 0.0:
+    if first and lo == 0.0 and isinstance(f_over, _Phase):
         s, g = (math.pi / f_over.freq) ** (1.0 / f_over.power), f_over.weight(np)
         u, table, edges, graded = _phase_table(f_over.kernel, f_over.power, first)
         kron, diff = _gk21_rule(lambda t: g(t) * table, s * u, s)
-        edge, his, block = (lambda j: s * edges[j]), islice(his, first, None), None
+        edge, his = (lambda j: s * edges[j]), islice(his, first, None)
     else:
-        block = list(islice(his, first))
+        block = list(islice(his, first or _NEXT_BLOCK))
         if not block:
-            return
-        edges, graded = _first_layout(lo, block)
-    while True:
-        if block:
-            edge, e = edges.__getitem__, np.array(edges)
-            kron, diff = _gk21_rule(f_over(np), *_nodes(e[:-1], e[1:]))
-        kron, diff, i = kron.tolist(), diff.tolist(), sum(map(len, graded))
-        values, errs, n = kron[i - len(graded):], diff[i - len(graded):], 0
-        for k, shares in enumerate(graded):
-            values[k], errs[k] = _graded_lobe(f_over, edge, n, shares, kron, diff, epsabs)
-            n += len(shares)
-        if not sum(diff[i:]) <= epsabs:     # differences that add up to at most epsabs all pass
-            for k, j in enumerate(range(i, len(kron)), len(graded)):
-                if not diff[j] <= max(epsabs, epsabs * abs(kron[j])):
-                    values[k], errs[k] = None, lambda a=edge(j), b=edge(j + 1): quad(
-                        f_over(np), a, b, epsabs=epsabs, epsrel=epsabs)[:2]
-        yield values, errs
-        block = list(islice(his, _NEXT_BLOCK))
-        if not block:
-            return
-        edges, graded = [edge(len(kron))] + block, ()
+            return None
+        edges, graded = _first_layout(lo, block) if first else ([lo, *block], ())
+        edge, e = edges.__getitem__, np.array(edges)
+        kron, diff = _gk21_rule(f_over(np), *_nodes(e[:-1], e[1:]))
+    kron, diff, i = kron.tolist(), diff.tolist(), sum(map(len, graded))
+    if not sum(diff[i:]) <= epsabs:     # differences that add up to at most epsabs all pass
+        for j in range(i, len(kron)):
+            if not diff[j] <= max(epsabs, epsabs * abs(kron[j])):
+                kron[j], diff[j] = None, functools.partial(
+                    quad, f_over(np), edge(j), edge(j + 1), epsabs, epsabs)
+    for shares in reversed(graded):     # each cut lobe's pieces, i to n, become one lobe
+        n, i = i, i - len(shares)
+        p, d = kron[i:n], diff[i:n]
+        # a part is about epsabs share / (1 + sum |K21|) or more: below half, pass (share may be 0)
+        value, err = ((sum(p), sum(d)) if all(map(le, d, map(mul, shares, repeat(
+            0.5 * epsabs / (1.0 + sum(map(abs, p))))))) else
+            (None, functools.partial(_graded_lobe, f_over, edge, i, shares, p, d, epsabs)))
+        kron[i:n], diff[i:n] = [value], [err]
+    return kron, diff, edge(len(edges) - 1), his
+
+
+@functools.lru_cache(maxsize=16)
+def _sizes(ctl):
+    """``lobe_sum``'s epsabs, lobe cap and first CRVZ order n0 (its bound meets rel_tol)."""
+    return (max(1e-14, 0.01 * ctl.rel_tol), 10 * ctl.max_terms,
+            min(max(2, math.ceil(math.log(2.0 / ctl.rel_tol) / _CRVZ_LOG_RATE)), _CRVZ_MAX_ORDER))
 
 
 def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
@@ -497,39 +496,41 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
     order ``_CRVZ_MAX_ORDER`` the series raises instead.
     The integrand is given once: as ``f``, on floats, or as ``f_over``, which builds it
     over a math module (``f_over(numpy)`` takes read-only arrays; ``f`` is then None).
-    Each block (``_block_lobes``; a lobe for ``quad`` with ``f``) is taken in passes up
-    to a marked lobe (None), which the next integrates first: a scan of the magnitudes
-    finds the rule's first term, then only the orders are stepped.  Magnitudes and
-    errors add in lobe order by ``sum``, as CPython up to 3.11 adds floats (3.12
-    compensates, and would move the bits).  At most ``10 * ctl.max_terms`` lobes are
-    reached; a NaN lobe or a sum that overflows ends the series there.
+    Each block (``_block_lobes``; one lobe for ``quad`` with ``f``) is taken in one
+    straight pass up to a marked lobe (None), which the next pass integrates first: a
+    scan of the magnitudes finds the rule's first term, and the same pass sums the
+    direct lobes and steps only the orders.  Magnitudes and errors add in lobe order by
+    ``sum``, as CPython up to 3.11 adds floats (3.12 compensates, and would move the
+    bits).  At most ``10 * ctl.max_terms`` lobes are reached; a NaN lobe or a sum that
+    overflows ends the series there.
 
     Returns (value, abs_err_est, lobes_used, accelerated).
     """
-    epsabs = max(1e-14, 0.01 * ctl.rel_tol)
-    max_lobes = 10 * ctl.max_terms
-    # the first order whose bound 2 / (3 + sqrt 8)^n meets rel_tol
-    n0 = min(max(2, math.ceil(math.log(2.0 / ctl.rel_tol) / _CRVZ_LOG_RATE)), _CRVZ_MAX_ORDER)
+    epsabs, max_lobes, n0 = _sizes(ctl)
     it = iter(breakpoints)
     lo = next(it, None)         # None for an empty stream, which yields no lobe
-    if f_over is None:
-        fv = _elementwise(f)
-        blocks = (([None], [lambda a=a, b=b: quad(fv, a, b, epsabs=epsabs, epsrel=epsabs)[:2]])
-                  for a, b in pairwise(chain([lo], it)))
-    else:
-        # past the usual 3 direct lobes (the last one the rule's first term)
-        # n0 + 4 lobes let the rule stop at orders n0 .. n0 + 2
-        blocks = _block_lobes(f_over, lo, it, epsabs, n0 + 4)
     values, errs, mass = [], [], 0.0   # the lobes so far; |lobe| summed over those reached
     reached, done, prev = 0, False, math.inf    # prev: the last order, none yet
     start = head = None     # start: the rule's first lobe; head: the sum of those before
-    for block, block_errs in blocks:
-        values += block
-        errs += block_errs
+    while True:
+        if f_over is None:      # a lobe on floats, for quad when the sum reaches it
+            hi = next(it, None)
+            block = hi if hi is None else ([None], [functools.partial(
+                quad, _elementwise(f), lo, hi, epsabs, epsabs)], hi, it)
+        else:   # n0 + 4 lobes first: the usual 3 direct ones and the rule's orders n0 .. n0 + 2
+            block = _block_lobes(f_over, lo, it, epsabs, 0 if values else n0 + 4)
+        if block is None:
+            break
+        block, block_errs, lo, it = block
+        if values:
+            values += block
+            errs += block_errs
+        else:       # the first block's lists become the sum's
+            values, errs = block, block_errs
         end = min(len(values), max_lobes)
         while reached < end:
             if values[reached] is None:
-                values[reached], errs[reached] = errs[reached]()
+                values[reached], errs[reached] = errs[reached]()[:2]
             nxt = end
             try:    # a pass over the lobes from ``reached``: a marked one (None) ends it
                 if start is None:
@@ -538,12 +539,13 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
                         if abs(values[j]) <= abs(values[j - 1]) <= abs(values[j - 2]):
                             start, nxt = j, j + 1
                             break
-                else:
-                    if head is None:    # the direct lobes, known finite; e^(it) ones complex
+                    if start is not None and sum(map(abs, values[reached:nxt]), mass) < math.inf:
+                        # the direct lobes, e^(it) ones complex; this pass steps the orders on
                         head = values[:start]
                         head = (math.fsum(head) if type(head[0]) is not complex else complex(
                             math.fsum(h.real for h in head), math.fsum(h.imag for h in head)))
-                        mass = math.fsum(map(abs, values[:reached]))
+                        mass, reached, nxt = math.fsum(map(abs, values[:nxt])), nxt, end
+                if head is not None:
                     for nxt in range(max(start + n0 - 1, reached + 1), end + 1):
                         last, prev = prev, head + sum(map(mul, _crvz_weights(nxt - start),
                                                           values[start:nxt]))
@@ -585,8 +587,8 @@ def kernel_breakpoints(kernel: Kernel, zeta: float, start: float = 0.0):
     if first >= 2.0 ** 52:
         # past 2^52 half-periods consecutive zeros round to the same double
         raise DomainError(f"zeta * start / pi = {first} leaves double precision")
-    k = math.floor(first) + 1
     yield start
+    k = math.floor(first) + 1
     while True:
         yield (k - shift) * math.pi / zeta
         k += 1
@@ -609,11 +611,9 @@ def oscillatory_integral(g, kernel: Kernel, zeta: float, start: float = 0.0,
     rule's highest order, ``_CRVZ_MAX_ORDER``.
     """
     kernel = _as_kernel(kernel)
-    f = f_over = None
-    if g_over is None:
-        f = _Phase(lambda m: g, kernel, zeta, 1)(math)
-    else:
-        f_over = _Phase(g_over, kernel, zeta, 1)
+    # the namedtuple's own __new__, without its Python-level frame
+    phase = tuple.__new__(_Phase, (g_over or (lambda m: g), kernel, zeta, 1))
+    f, f_over = (phase(math), None) if g_over is None else (None, phase)
     return QuadratureReport(*lobe_sum(f, kernel_breakpoints(kernel, zeta, start), ctl, f_over))
 
 
@@ -645,7 +645,7 @@ def integrate_semi_infinite(spec: IntegrandSpec,
     weight_over = _WEIGHT_OVER.get(type(w))
     if weight_over is None:
         raise DomainError(f"unknown weight {w!r}")
-    g_over = lambda m: weight_over(w, m)
+    g_over = functools.partial(weight_over, w)
     if isinstance(w, QuadraticPhase):
         zeros = map(math.sqrt, kernel_breakpoints(kernel, w.scale))
         return QuadratureReport(*lobe_sum(None, zeros, ctl, _Phase(g_over, kernel, w.scale, 2)))

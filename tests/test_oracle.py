@@ -438,12 +438,12 @@ def test_integral_past_the_first_block_keeps_its_value(monkeypatch, x, value, bo
     assert abs(rep.value - value) <= bound * abs(value)
 
 
-def _settled(blocks):
-    """(integral, error) of each lobe of ``_block_lobes``' blocks, in
+def _settled(block):
+    """(integral, error) of each lobe of a block from ``_block_lobes``, in
     order; a lobe marked for ``quad`` is integrated as it is reached."""
-    for values, errs in blocks:
-        for value, err in zip(values, errs):
-            yield err() if value is None else (value, err)
+    values, errs, _, _ = block
+    for value, err in zip(values, errs):
+        yield err()[:2] if value is None else (value, err)
 
 
 # steep first lobes: weights over a math module (at p = 2.625 and
@@ -472,8 +472,8 @@ def test_cut_lobes_meet_the_tolerance_of_a_whole_lobe(name, kernel, table):
     phase = oracle._Phase(GRADED_WEIGHTS[name], kernel, 1.0, 1)
     breakpoints = islice(oracle.kernel_breakpoints(kernel, 1.0), 1, None)
     # a first block of 21 lobes, as at the default tolerance
-    blocks = oracle._block_lobes(phase if table else phase.__call__, 0.0, breakpoints, epsabs, 21)
-    for value, err in islice(_settled(blocks), 2):
+    block = oracle._block_lobes(phase if table else phase.__call__, 0.0, breakpoints, epsabs, 21)
+    for value, err in islice(_settled(block), 2):
         assert err <= max(epsabs, epsabs * abs(value)) * (1.0 + 1e-9)
 
 
@@ -484,29 +484,34 @@ def test_failed_lobe_is_marked_and_integrated_only_when_called(monkeypatch):
     over = lambda m: lambda t: m.sin(t) / (t + 1.0) * (1.0 + 0.5 * (t > 9.5 * math.pi))
     zeros = islice(oracle.kernel_breakpoints(Kernel.SIN, 1.0), 1, None)
     calls = _record_quad(monkeypatch)
-    values, errs = next(oracle._block_lobes(over, 0.0, zeros, 1e-14, 21))
+    values, errs, _, _ = oracle._block_lobes(over, 0.0, zeros, 1e-14, 21)
     assert len(values) == len(errs) == 21
     assert [j for j, v in enumerate(values) if v is None] == [9]
     assert calls == []
-    value, err = errs[9]()
+    value, err = errs[9]()[:2]
     assert calls == [(9 * math.pi, 10 * math.pi)]
     assert abs(value) > 0.0 and 0.0 <= err <= 1e-14 * max(1.0, abs(value))
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_graded_lobe_passes_exactly_when_every_piece_is_within_its_part(seed):
+def test_graded_lobe_passes_exactly_when_every_piece_is_within_its_part(monkeypatch, seed):
     # the lobe's tolerance, parted among its pieces as epsabs max(1, |value|)
     # own / sum(own), own the larger of a piece's length share and |K21|;
     # differences adding up to less than half of epsabs min(shares) /
-    # (1 + sum |K21|) pass without the parts being formed.  One difference
-    # just below that bound, or just either side of its own part, must be
-    # judged as the parts judge it
+    # (1 + sum |K21|) pass in the block without the parts being formed.  One
+    # difference just below that bound, or just either side of its own part,
+    # must be judged as the parts judge it: quad takes its piece exactly when
+    # it is above its part.  The rule's arrays are the test's own
     rng = random.Random(seed)
     epsabs = 1e-14
+    calls, rule = [], []
+    monkeypatch.setattr(oracle, "quad", lambda fv, a, b, **k: calls.append((a, b)) or (0.0, 0.0))
+    monkeypatch.setattr(oracle, "_gk21_rule", lambda fv, x, scale: rule[0])
     for _ in range(400):
         lo = rng.choice([0.0, rng.uniform(0.0, 50.0)])
-        _, graded = oracle._first_layout(lo, [lo + rng.uniform(0.01, 10.0) * k for k in (1, 2)])
-        for shares in graded:
+        zeros = [lo + rng.uniform(0.01, 10.0) * k for k in (1, 2)]
+        _, graded = oracle._first_layout(lo, zeros)
+        for g, shares in enumerate(graded):
             kron = [rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-12, 12) for _ in shares]
             own = [max(share, abs(k)) for share, k in zip(shares, kron)]
             parts = [epsabs * max(1.0, abs(sum(kron))) / sum(own) * w for w in own]
@@ -515,9 +520,17 @@ def test_graded_lobe_passes_exactly_when_every_piece_is_within_its_part(seed):
             for diff_j in (bound * 0.9999, parts[j] * 0.999, parts[j] * 1.001):
                 diff = [0.0] * len(shares)
                 diff[j] = diff_j
-                value, err = oracle._graded_lobe(None, None, 0, shares, kron, diff, epsabs)
-                assert (value is not None) == (diff_j <= parts[j])
-                if value is not None:
+                # the other cut lobe's pieces are 0 and pass
+                blank = [[0.0] * len(s) for s in graded]
+                rule[:] = [tuple(np.array(sum(blank[:g] + [lobe] + blank[g + 1:], []))
+                                 for lobe in (kron, diff))]
+                values, errs, _, _ = oracle._block_lobes(lambda m: None, lo, iter(zeros), epsabs, 2)
+                assert values[1 - g] == 0.0
+                assert (values[g] is not None) or diff_j >= bound
+                calls.clear()
+                value, err = (values[g], errs[g]) if values[g] is not None else errs[g]()
+                assert (calls == []) == (diff_j <= parts[j])
+                if not calls:
                     assert (value, err) == (sum(kron), diff_j)
 
 
