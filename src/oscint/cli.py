@@ -462,7 +462,12 @@ def cmd_selfcheck(args, stream):
                          for r in items if not r.passed],
         })
     if args.json:
-        stream.write(json.dumps({"groups": report, "ok": all_ok}, sort_keys=True) + "\n")
+        # JSON has no NaN or infinity: a non-finite error or margin is null
+        finite = lambda x: x if math.isfinite(x) else None
+        report = [{**g, "worst_margin": finite(g["worst_margin"]), "failures": [
+            {**f, "error": finite(f["error"])} for f in g["failures"]]} for g in report]
+        stream.write(json.dumps({"groups": report, "ok": all_ok}, sort_keys=True,
+                                allow_nan=False) + "\n")
     else:
         for g in report:
             stream.write(("PASS " if g["ok"] else "FAIL ")

@@ -60,7 +60,7 @@ def test_criterion_1_base_closed_forms():
     assert checked == 18
     assert elapsed < 5.0
     _announce(1, f"s0/c0 match the oracle at {checked} grid points "
-                 f"(max(1e-9 abs, 1e-8 rel)) in {elapsed:.2f}s")
+                 f"(max(1e-12 rel, the oracle's estimate)) in {elapsed:.2f}s")
 
 
 def test_criterion_2_integer_families_and_difference_equation():
@@ -68,7 +68,8 @@ def test_criterion_2_integer_families_and_difference_equation():
     assert len(_checks("half-power-oracle", names=("s_alpha", "c_alpha"))) == 30
     # alpha 0..5 by u in {0.5, 1, 2, 10}, both kernels
     assert len(_checks("difference-equations")) == 48
-    _announce(2, "orders 1..5 match the oracle; difference equation holds to 1e-10")
+    _announce(2, "orders 1..5 match the oracle (max(1e-12 rel, its estimate)); "
+                 "difference equation holds to 1e-13 rel")
 
 
 def test_criterion_3_interrelations_and_scaling():
@@ -84,8 +85,8 @@ def test_criterion_4_two_radical_family():
     assert len(_checks("two-radical-tails")) == 10
     assert len(_checks("two-radical-heads")) == 18
     assert len(_checks("two-radical-assembly")) == 36
-    _announce(4, "Bessel tails (1e-8), hypergeometric heads (1e-10), "
-                 "assembled transforms vs oracle (1e-8)")
+    _announce(4, "Bessel tails and assembled transforms vs oracle (max(1e-12 rel, "
+                 "its estimate)), hypergeometric heads (5e-15)")
 
 
 def test_criterion_5_approximation_trends():
@@ -138,8 +139,8 @@ def test_criterion_6_radical_pole_family():
     assert close(rp.pole_tail_cos(1.0), oracle(QuadraticPhase(1.0, 1.0), Kernel.COS))
     assert not close(rp.pole_tail_cos(1.0, as_printed=True),
                      oracle(QuadraticPhase(1.0, 1.0), Kernel.COS))
-    _announce(6, "assembled transforms vs oracle (1e-8); cosine-tail erratum "
-                 "and verified sine-series denominator documented")
+    _announce(6, "assembled transforms vs oracle (max(1e-12 rel, its estimate)); "
+                 "cosine-tail erratum and verified sine-series denominator documented")
 
 
 def test_criterion_7_lommel_bridge():
@@ -152,7 +153,8 @@ def test_criterion_7_lommel_bridge():
         fd = lm.log_weighted_sin_integral_fd(x)
         assert abs(closed - direct) < 1e-5, x
         assert abs(closed - fd) < 1e-5, x
-    _announce(7, "Lommel recurrence (1e-9), three-way route agreement (1e-8), "
+    _announce(7, "Lommel recurrence (1e-14), three-way route agreement (max(1e-12 rel, "
+                 "the oracle's estimate)), "
                  "logarithmic integral vs oracle and finite differences (1e-5)")
 
 
@@ -165,7 +167,7 @@ def test_criterion_8_special_functions():
     assert abs(bessel_j0(2.404825557695773)) < 1e-9
     assert abs(hyp2f1(0.5, 0.5, 1.5, -1.0) - math.log(1 + math.sqrt(2))) < 1e-11
     assert abs(hyp2f1(1.0, 0.5, 1.5, -1.0) - math.pi / 4) < 1e-11
-    _announce(8, "Fresnel derivative FD (1e-8 abs), gamma recurrences (1e-10), "
+    _announce(8, "Fresnel derivative FD (1e-8 abs), gamma recurrences (2e-14), "
                  "2F1 known values (1e-11), first J0 zero (1e-9)")
 
 

@@ -698,6 +698,25 @@ def test_failing_selfcheck_group_text_report(capsys, monkeypatch):
                    "FAILURES present\n")
 
 
+def test_selfcheck_json_with_a_nan_row_is_standard_json(capsys, monkeypatch):
+    # a NaN error fails its row and has no margin: both are null, not the
+    # NaN and Infinity that strict parsers reject
+    from oscint import selfcheck
+    monkeypatch.setattr(selfcheck, "GROUPS", {
+        "bad": lambda: [("one", 1e-12, 1e-10), ("two", math.nan, 1.0)],
+    })
+    code, out, _ = run_cli(capsys, "selfcheck", "--json")
+    assert code == 1
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    assert json.loads(out, parse_constant=reject) == {"ok": False, "groups": [
+        {"group": "bad", "passed": 1, "total": 2, "ok": False, "worst_margin": None,
+         "failures": [{"name": "two", "error": None, "tolerance": 1.0}]},
+    ]}
+
+
 def test_failing_selfcheck_group_json_report(capsys, monkeypatch):
     # each group's worst margin (error / tolerance), and each failure's two numbers
     from oscint import selfcheck
