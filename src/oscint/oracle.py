@@ -438,7 +438,7 @@ def _phase_table(kernel, power, first):
     return u, table, tuple(edges), tuple(map(tuple, graded))
 
 
-def _block_lobes(f_over, lo, his, epsabs, first=0):
+def _block_lobes(f_over, lo, his, epsabs, first):
     """The next block of lobes [lo, h0], [h0, h1], ... of ``f_over`` (``his`` the zeros),
     ``first`` in a first block, else _NEXT_BLOCK, from one GK21 evaluation read once into
     two lists and tested in place: (integrals, errors, upper end, zeros left), or None
@@ -612,7 +612,7 @@ def oscillatory_integral(g, kernel: Kernel, zeta: float, start: float = 0.0,
     """
     kernel = _as_kernel(kernel)
     # the namedtuple's own __new__, without its Python-level frame
-    phase = tuple.__new__(_Phase, (g_over or (lambda m: g), kernel, zeta, 1))
+    phase = tuple.__new__(_Phase, ((lambda m: g) if g_over is None else g_over, kernel, zeta, 1))
     f, f_over = (phase(math), None) if g_over is None else (None, phase)
     return QuadratureReport(*lobe_sum(f, kernel_breakpoints(kernel, zeta, start), ctl, f_over))
 
