@@ -443,7 +443,7 @@ def _block_lobes(f_over, lo, his, epsabs, first):
     ``first`` in a first block, else _NEXT_BLOCK, from one GK21 evaluation read once into
     two lists and tested in place: (integrals, errors, upper end, zeros left), or None
     with no zero left.  A first block (``_phase_table``'s for a ``_Phase`` from 0) cuts
-    two lobes: each passes if every |K21 - G10| is within epsabs/2 of its share over
+    two lobes: each passes if every |K21 - G10| is at most epsabs/2 times its share over
     1 + sum |K21|, else it is None with ``_graded_lobe`` as its error.  A whole lobe
     passes within max(epsabs, epsabs |K21|), else it is None with its ``quad`` call."""
     np = _gk21()[0]
@@ -530,7 +530,7 @@ def lobe_sum(f, breakpoints, ctl: SeriesControl = DEFAULT_CONTROL, f_over=None):
         end = min(len(values), max_lobes)
         while reached < end:
             if values[reached] is None:
-                values[reached], errs[reached] = errs[reached]()[:2]
+                values[reached], errs[reached] = errs[reached]()[:2]    # quad returns more
             nxt = end
             try:    # a pass over the lobes from ``reached``: a marked one (None) ends it
                 if start is None:
