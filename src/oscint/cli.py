@@ -33,9 +33,11 @@ writes the rows as JSON lines or CSV.
 Each family is written down once, in ``FAMILIES``: its parameters, the
 module of its closed forms, its methods and its oracle weight.  The
 module is imported on the family's first use, so a cold ``eval`` of one
-family loads none of the others; ``selfcheck`` and the oracle's numpy
-load on demand too.  ``--timing`` loads the family's module and builds
-the oracle's tables before the clock starts, so ``elapsed_us`` holds neither.
+family loads none of the others; the oracle, with its numpy, and
+``selfcheck`` load on demand too, and ``build_parser`` builds only the
+subcommand it is given.  ``--timing`` loads the family's module and the
+oracle and builds the oracle's tables before the clock starts, so
+``elapsed_us`` holds neither.
 """
 
 from __future__ import annotations
@@ -52,15 +54,6 @@ from importlib import import_module
 
 from .control import SeriesControl, control_from_env
 from .errors import ConvergenceError, DomainError, Kernel, UnsupportedError
-from .oracle import (
-    HalfPower,
-    IntegrandSpec,
-    LogHalfPower,
-    RadicalPole,
-    ThreeRadical,
-    TwoRadical,
-    integrate_semi_infinite,
-)
 
 
 class Method(str, Enum):
@@ -103,15 +96,17 @@ def _lommel_as_printed(lm, kernel, p, ctl):
     return lm._exponent_transform(kernel, exponent, p["x"], p["zeta"], ctl, as_printed=True)
 
 
-def _lommel_weight(p):
+def _lommel_weight(oracle, p):
     lm = import_module(".lommel", __package__)
-    return HalfPower(lm.GeneralExponent(p["n"], p["m"]).exponent(p["plus_one"]) - 0.5, p["x"])
+    return oracle.HalfPower(
+        lm.GeneralExponent(p["n"], p["m"]).exponent(p["plus_one"]) - 0.5, p["x"])
 
 
 # A family: its parameters {name: (type, required, default)}; the module of its
 # closed forms, imported on first use; its methods besides the oracle, {method:
 # (route, error-estimate rule)}, a route called as route(module, kernel, params,
-# ctl); its oracle weight, built from the parameters; whether it is sine-only.
+# ctl); its oracle weight, built from the oracle module and the parameters;
+# whether it is sine-only.
 _Family = namedtuple("_Family", "params module routes weight sine_only", defaults=(False,))
 _FLOAT, _ZETA = (float, True, None), (float, False, 1.0)
 _CF, _SERIES, _APPROX, _PRINTED = (Method.CLOSED_FORM, Method.SERIES,
@@ -122,7 +117,7 @@ FAMILIES = {
         {"alpha": (int, True, None), "x": _FLOAT, "zeta": _ZETA}, "half_power",
         {_CF: (_pair("s_alpha", "c_alpha", ctl=False), _REL),
          _PRINTED: (_pair("s_alpha", "c_alpha", ctl=False, as_printed=True), _REL)},
-        lambda p: HalfPower(float(p["alpha"]), p["x"])),
+        lambda o, p: o.HalfPower(float(p["alpha"]), p["x"])),
     "two-radical": _Family(
         {"a": _FLOAT, "b": _FLOAT, "zeta": _ZETA}, "two_radical",
         {_CF: (_pair("sin_transform", "cos_transform"), _REL),
@@ -130,7 +125,7 @@ FAMILIES = {
          _APPROX: (_pair("approx_sin_transform", "approx_cos_transform", ctl=False), _NONE),
          _PRINTED: (_pair("approx_sin_transform", "approx_cos_transform", ctl=False,
                           as_printed=True), _NONE)},
-        lambda p: TwoRadical(p["a"], p["b"])),
+        lambda o, p: o.TwoRadical(p["a"], p["b"])),
     "radical-pole": _Family(
         {"a": _FLOAT, "b": _FLOAT, "zeta": _ZETA}, "radical_pole",
         {_CF: (_pair("pole_sin_transform", "pole_cos_transform"), _REL),
@@ -139,7 +134,7 @@ FAMILIES = {
          _APPROX: (_pair("approx_pole_sin_transform", "approx_pole_cos_transform",
                          ctl=False), _NONE),
          _PRINTED: (_pair("pole_sin_transform", "pole_cos_transform", as_printed=True), _NONE)},
-        lambda p: RadicalPole(p["a"], p["b"])),
+        lambda o, p: o.RadicalPole(p["a"], p["b"])),
     "lommel": _Family(
         {"n": (int, True, None), "m": (int, True, None), "x": _FLOAT, "zeta": _ZETA,
          "plus_one": (bool, False, False)}, "lommel",
@@ -151,10 +146,10 @@ FAMILIES = {
         {"x": _FLOAT}, "lommel",
         {_CF: (_pair("log_weighted_sin_integral", None), _REL),
          _SERIES: (_pair("log_weighted_sin_integral_fd", None), lambda v, ctl: abs(v) * 1e-7)},
-        lambda p: LogHalfPower(p["x"]), sine_only=True),
+        lambda o, p: o.LogHalfPower(p["x"]), sine_only=True),
     "three-radical": _Family(
         {"a": _FLOAT, "b": _FLOAT, "c3": _FLOAT, "zeta": _ZETA}, None, {},
-        lambda p: ThreeRadical(p["a"], p["b"], p["c3"])),
+        lambda o, p: o.ThreeRadical(p["a"], p["b"], p["c3"])),
 }
 
 FAMILY_METHODS = {name: tuple(m for m in Method if m is Method.ORACLE or m in fam.routes)
@@ -175,16 +170,16 @@ def _family(name, kernel):
     return fam
 
 
-def _oracle_spec(family, kernel, p):
-    return IntegrandSpec(_family(family, kernel).weight(p), kernel, p.get("zeta", 1.0))
-
-
 def evaluate(family, method, kernel, p, ctl):
     """Returns (value, err_estimate, report fields); ``p`` holds the family's
     parameters in table order, as ``_collect_params`` builds them.  Only the
     oracle reports fields: its lobe count and whether it accelerated."""
     if method is Method.ORACLE:
-        rep = integrate_semi_infinite(_oracle_spec(family, kernel, p), ctl)
+        from . import oracle
+
+        spec = oracle.IntegrandSpec(_family(family, kernel).weight(oracle, p), kernel,
+                                    p.get("zeta", 1.0))
+        rep = oracle.integrate_semi_infinite(spec, ctl)
         return rep.value, rep.abs_err_est, {"zero_intervals_used": rep.zero_intervals_used,
                                             "accelerated": rep.accelerated}
     fam = _family(family, kernel)
@@ -213,53 +208,65 @@ def _add_common(sub, families, sweep=False):
             sub.add_argument(flag, type=str if sweep else typ)
 
 
-def build_parser():
+def _add_eval(sub, sweep=False):
+    """``eval``'s arguments; ``table``'s with ``sweep`` (comma-separated values)."""
+    _add_common(sub, list(FAMILIES), sweep=sweep)
+    sub.add_argument("--method", default="closed-form", choices=[m.value for m in Method])
+    sub.add_argument("--as-printed", action="store_true", dest="as_printed",
+                     help="shorthand for --method as-printed")
+    sub.add_argument("--format", default="csv" if sweep else "json", choices=["json", "csv"])
+    sub.set_defaults(handler=partial(cmd_eval, sweep=sweep))
+
+
+def _add_compare(sub):
+    _add_common(sub, [f for f, fam in FAMILIES.items() if fam.routes])
+    sub.add_argument("--tol", type=float, default=1e-8,
+                     help="gate on deviations among exact methods")
+    sub.add_argument("--as-printed", action="store_true", dest="as_printed",
+                     help="add the verbatim-formula column")
+    sub.add_argument("--format", default="json", choices=["json", "csv"])
+    sub.set_defaults(handler=cmd_compare)
+
+
+def _add_oracle(sub):
+    _add_common(sub, list(FAMILIES))
+    sub.add_argument("--format", default="json", choices=["json", "csv"])
+    sub.set_defaults(handler=partial(cmd_eval, report=True), method=Method.ORACLE.value)
+
+
+def _add_selfcheck(sub):
+    sub.add_argument("--only", action="append", default=None,
+                     metavar="GROUP", help="run only the named group(s)")
+    sub.add_argument("--json", action="store_true")
+    sub.add_argument("--list", action="store_true", help="list group names")
+    sub.add_argument("--seed", type=int, default=None,
+                     help="accepted for interface parity; the suite is "
+                          "deterministic and ignores it")
+    sub.set_defaults(handler=cmd_selfcheck)
+
+
+# subcommand: (its help line, the function that adds its arguments), in help order
+_COMMANDS = {
+    "eval": ("evaluate one point", _add_eval),
+    "compare": ("all methods side by side", _add_compare),
+    "table": ("parameter sweep (comma-separated values)", partial(_add_eval, sweep=True)),
+    "oracle": ("direct quadrature", _add_oracle),
+    "selfcheck": ("run the invariant suite", _add_selfcheck),
+}
+
+
+def build_parser(argv=None):
+    """The parser of ``argv`` (default ``sys.argv[1:]``) with only the subcommand
+    ``argv[0]`` names, or with every one when it names none: a subcommand's
+    usage, help and errors do not read its siblings, so every text is the same."""
     ap = argparse.ArgumentParser(
         prog="oscint",
         description="Fourier sine/cosine transforms of irrational integrands")
     subs = ap.add_subparsers(dest="command", required=True)
-
-    ev = subs.add_parser("eval", help="evaluate one point")
-    _add_common(ev, list(FAMILIES))
-    ev.add_argument("--method", default="closed-form",
-                    choices=[m.value for m in Method])
-    ev.add_argument("--as-printed", action="store_true", dest="as_printed",
-                    help="shorthand for --method as-printed")
-    ev.add_argument("--format", default="json", choices=["json", "csv"])
-    ev.set_defaults(handler=cmd_eval)
-
-    cp = subs.add_parser("compare", help="all methods side by side")
-    _add_common(cp, [f for f, fam in FAMILIES.items() if fam.routes])
-    cp.add_argument("--tol", type=float, default=1e-8,
-                    help="gate on deviations among exact methods")
-    cp.add_argument("--as-printed", action="store_true", dest="as_printed",
-                    help="add the verbatim-formula column")
-    cp.add_argument("--format", default="json", choices=["json", "csv"])
-    cp.set_defaults(handler=cmd_compare)
-
-    tb = subs.add_parser("table", help="parameter sweep (comma-separated values)")
-    _add_common(tb, list(FAMILIES), sweep=True)
-    tb.add_argument("--method", default="closed-form",
-                    choices=[m.value for m in Method])
-    tb.add_argument("--as-printed", action="store_true", dest="as_printed",
-                    help="shorthand for --method as-printed")
-    tb.add_argument("--format", default="csv", choices=["json", "csv"])
-    tb.set_defaults(handler=partial(cmd_eval, sweep=True))
-
-    orc = subs.add_parser("oracle", help="direct quadrature")
-    _add_common(orc, list(FAMILIES))
-    orc.add_argument("--format", default="json", choices=["json", "csv"])
-    orc.set_defaults(handler=partial(cmd_eval, report=True), method=Method.ORACLE.value)
-
-    sc = subs.add_parser("selfcheck", help="run the invariant suite")
-    sc.add_argument("--only", action="append", default=None,
-                    metavar="GROUP", help="run only the named group(s)")
-    sc.add_argument("--json", action="store_true")
-    sc.add_argument("--list", action="store_true", help="list group names")
-    sc.add_argument("--seed", type=int, default=None,
-                    help="accepted for interface parity; the suite is "
-                         "deterministic and ignores it")
-    sc.set_defaults(handler=cmd_selfcheck)
+    argv = sys.argv[1:] if argv is None else argv
+    for name in [a for a in argv[:1] if a in _COMMANDS] or _COMMANDS:
+        help_line, add = _COMMANDS[name]
+        add(subs.add_parser(name, help=help_line))
     return ap
 
 
@@ -328,8 +335,8 @@ def _shown_params(params, kernel):
 
 def _preload(family, kernel, ctl):
     """Load what an evaluation of ``family`` builds on first use, so that
-    ``--timing`` measures the evaluation alone: the family's module, and
-    numpy with the oracle's tables, from throwaway evaluations at the row's
+    ``--timing`` measures the evaluation alone: the family's module, and the
+    oracle and numpy with its tables, from throwaway evaluations at the row's
     tolerance (and the default term cap, under which none can stall): an
     oracle integral at the row's kernel, ``two_radical._warm``'s, which build
     the tables of the a = b radicals and of the radicals past the phase guard,
@@ -337,11 +344,12 @@ def _preload(family, kernel, ctl):
     module = FAMILIES[family].module
     if module is not None:
         import_module("." + module, __package__)
+    from . import oracle
     from .lommel import _warm as _warm_series
     from .two_radical import _warm
 
     warm = SeriesControl(ctl.rel_tol)
-    integrate_semi_infinite(IntegrandSpec(HalfPower(0.0, 1.0), kernel), warm)
+    oracle.integrate_semi_infinite(oracle.IntegrandSpec(oracle.HalfPower(0.0, 1.0), kernel), warm)
     _warm(warm)
     _warm_series(warm)
 
@@ -480,7 +488,7 @@ def cmd_selfcheck(args, stream):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.handler(args, sys.stdout)
     except DomainError as exc:

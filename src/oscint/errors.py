@@ -15,7 +15,8 @@ e^(it)), ``_trig`` (the kernel's function in ``math`` or ``numpy``),
 oracle takes from a table), the finite-parameter check
 ``_require_finite`` and ``_finite_power``, the frequency scaling of a
 closed form.  The closed forms take these from here, not from the
-quadrature oracle.
+quadrature oracle, and hold each oracle function they call as a stand-in
+from ``_from_oracle``, so a closed form that sums no lobes never loads it.
 """
 
 import math
@@ -145,3 +146,21 @@ def _finite_power(owner, base, exponent, factor=1.0):
     if not math.isfinite(value):
         raise DomainError(f"{owner} at scale {base} ** {exponent} leaves double precision")
     return value
+
+
+def _from_oracle(namespace, name):
+    """A stand-in for ``oscint.oracle``'s function ``name``, held as ``name`` in
+    the module globals ``namespace``.  Its first call imports the oracle, binds
+    whatever ``oscint.oracle`` holds as ``name`` at that moment (a tracer's or
+    a test's replacement there included) and rebinds ``namespace[name]`` to it,
+    but only while that is still this stand-in: a global replaced before then
+    stays replaced.  Concurrent first calls import under the import lock and
+    store the same object."""
+    def stand_in(*args, **kwargs):
+        from . import oracle
+
+        fn = getattr(oracle, name)
+        if namespace.get(name) is stand_in:
+            namespace[name] = fn
+        return fn(*args, **kwargs)
+    return stand_in

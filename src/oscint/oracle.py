@@ -16,10 +16,11 @@ adaptive rule, when the sum reaches it, as do finite ranges and the
 lobes of an integrand on floats.  Knowing nothing of the closed forms,
 the module is an independent check.
 
-numpy is imported on the first quadrature, not with this module, which
-a cold closed-form ``oscint eval`` still loads: radicals past the phase
-guard take ``integrate_finite``, and ``gen_si``/``gen_ci`` sum ``_Phase``
-lobes from 0 with ``lobe_sum`` over ``kernel_breakpoints``.  ``Kernel``,
+numpy is imported on the first quadrature, not with this module, and a
+closed form loads the module only when it first calls one of its stand-ins
+(``errors._from_oracle``): radicals past the phase guard take
+``integrate_finite``, and ``gen_si``/``gen_ci`` sum ``_Phase`` lobes from
+0 with ``lobe_sum`` over ``kernel_breakpoints``.  ``Kernel``,
 ``_Phase`` and the kernel vocabulary live in ``errors``.  Every caller looks
 ``quad`` up as a module global, so a tracer installed there sees every call.
 

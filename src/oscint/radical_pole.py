@@ -28,10 +28,11 @@ from __future__ import annotations
 import math
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import DomainError, UnsupportedError, _require_finite
-from .oracle import integrate_finite
+from .errors import DomainError, UnsupportedError, _from_oracle, _require_finite
 from .special_functions import _FRESNEL_SWITCH, _phased_gamma, fresnel_c, fresnel_s, hyp2f1
 from .two_radical import _RadicalParams, _assemble, _head_approx, _head_series
+
+integrate_finite = _from_oracle(globals(), "integrate_finite")
 
 _ROOT_PI_8 = math.sqrt(0.125 * math.pi)
 

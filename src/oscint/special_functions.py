@@ -2,8 +2,9 @@
 
 Everything here is scalar double precision built on the stdlib ``math`` /
 ``cmath`` (plus the package's own lobe quadrature for the generalized
-sine/cosine integrals); scipy.special is deliberately not used, so the
-closed forms and the quadrature oracle share no special-function code.
+sine/cosine integrals, loaded on their first call); scipy.special is
+deliberately not used, so the closed forms and the quadrature oracle share
+no special-function code.
 
 Evaluation strategies:
 
@@ -66,8 +67,10 @@ from itertools import accumulate
 
 from .control import DEFAULT_CONTROL, SeriesControl
 from .errors import (_EXP, ConvergenceError, DomainError, Kernel, PoleError, _finite_power,
-                     _Phase, _require_finite)
-from .oracle import kernel_breakpoints, lobe_sum
+                     _from_oracle, _Phase, _require_finite)
+
+kernel_breakpoints = _from_oracle(globals(), "kernel_breakpoints")
+lobe_sum = _from_oracle(globals(), "lobe_sum")
 
 EULER_GAMMA = 0.5772156649015328606
 

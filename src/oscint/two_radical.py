@@ -58,8 +58,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .control import DEFAULT_CONTROL, SeriesControl
-from .errors import ConvergenceError, DomainError, Record, _require_finite
-from .oracle import integrate_finite
+from .errors import ConvergenceError, DomainError, Record, _from_oracle, _require_finite
 from .special_functions import (
     bessel_j0,
     bessel_y0,
@@ -72,6 +71,8 @@ from .special_functions import (
     _grown,
     _hankel_pq,
 )
+
+integrate_finite = _from_oracle(globals(), "integrate_finite")
 
 # beyond this phase the rotated contour takes over: the alternating series
 # loses digits like e^(c gamma^2), to a worst transform error of 1.3e-10 at

@@ -185,6 +185,36 @@ def test_summary_records_line_counts_per_module(tmp_path):
     assert "lines_per_req" not in bench_pairs.summary_entry("HEAD", [1], 0, (1, 1), (2, 2), rows)
 
 
+def test_summary_records_the_modules_of_a_cold_eval(tmp_path):
+    # --summary on cli-cold, this tree as both sides: one fresh child per family and side
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    cold = bench_pairs.cold_eval_counts((ROOT, ROOT), 1, seconds)
+    assert sorted(cold["argv"]) == ["half-power", "log-half-power", "lommel", "radical-pole",
+                                    "two-radical"]
+    assert cold["parent"] == cold["change"]
+    pkg = ROOT / "src" / "oscint"
+    for family, argv in cold["argv"].items():
+        assert argv[:3] == ["eval", "--family", family]
+        entry = cold["change"][family]
+        assert set(entry) == {"import", "main", "ast_nodes"}
+        assert "oscint.cli" in entry["import"] and not set(entry["import"]) & set(entry["main"])
+        files = [pkg / (f"{name[7:]}.py" if "." in name else "__init__.py")
+                 for name in entry["import"] + entry["main"]]
+        assert entry["ast_nodes"] == sum(bench_pairs.ast_nodes(path) for path in files)
+    # the family module, which loads inside cli.main
+    assert "oscint.two_radical" in cold["change"]["two-radical"]["main"]
+    rows = bench_pairs.summarize(PAIRS, BETTER)
+    path = tmp_path / "BENCH.json"
+    bench_pairs.write_summary(path, "cli-cold", bench_pairs.summary_entry(
+        "HEAD", [1], 0, (1, 1), (2, 2), rows, cold=cold))
+    assert json.loads(path.read_text())["workloads"]["cli-cold"]["cold_eval_modules"] == cold
+    nodes = cold["change"]["half-power"]["ast_nodes"]
+    first, second = bench_pairs.format_cold(cold)
+    assert first.startswith(
+        f"cold eval AST nodes: half-power parent {nodes}, change {nodes} (+0); ")
+    assert second == "cold eval modules, parent only: none; change only: none"
+
+
 def test_change_side_is_a_copy_without_bytecode(tmp_path):
     # the working tree may hold valid bytecode that a fresh parent copy
     # has to compile; the change side must start as cold as the parent

@@ -1,6 +1,6 @@
 """Structural import gates: closed forms run without scipy or numpy, the
 oracle without scipy, and a cold ``oscint eval`` loads only its own
-family's modules.
+family's modules and no oracle until it sums lobes.
 
 Each probe runs in a fresh interpreter, because the test process itself
 has long since imported scipy (the tests compare against it).  The last line a probe prints is the
@@ -10,6 +10,7 @@ modules; none of them takes a timing.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,8 +19,9 @@ from pathlib import Path
 import pytest
 
 import oscint
+from oscint import errors
 from oscint.cli import main
-from oscint.oracle import (IntegrandSpec, Kernel, RadicalPole, TwoRadical,
+from oscint.oracle import (IntegrandSpec, Kernel, RadicalPole, TwoRadical, integrate_finite,
                            integrate_semi_infinite)
 
 HEAVY = ("numpy", "scipy")
@@ -71,7 +73,7 @@ def test_closed_form_eval_loads_no_scipy_or_numpy(family, kernel):
 
 
 # the oscint modules a cold closed-form eval of each family loads
-CORE_MODULES = {"oscint", "oscint.cli", "oscint.control", "oscint.errors", "oscint.oracle",
+CORE_MODULES = {"oscint", "oscint.cli", "oscint.control", "oscint.errors",
                 "oscint.special_functions"}
 FAMILY_MODULES = {
     "half-power": {"oscint.half_power"},
@@ -92,6 +94,63 @@ def test_closed_form_eval_loads_only_its_family(family, kernel):
 
 def test_package_import_loads_no_submodule():
     assert _fresh("import oscint", watch=("oscint",) + SLOW_STDLIB)[1] == ["oscint"]
+
+
+def test_cli_import_loads_no_oracle():
+    assert _fresh("import oscint.cli", watch=("oscint",))[1] == [
+        "oscint", "oscint.cli", "oscint.control", "oscint.errors"]
+
+
+# cold evals that sum lobes or run quadrature, so load the oracle on first use: the
+# a = b radical (gen_si/gen_ci), a radical past the phase guard (the contour), the
+# oracle and series methods, the radical-pole a = b fallback, compare and --timing
+ORACLE_EVALS = {
+    "a-equals-b": ["eval", "--family", "two-radical", "--a", "0.7", "--b", "0.7",
+                   "--zeta", "1.3"],
+    "past-the-guard": ["eval", "--family", "radical-pole", "--kernel", "cos", "--a", "20",
+                       "--b", "21.5", "--zeta", "0.75"],
+    "oracle": ["eval", "--family", "lommel", *IN_GRID["lommel"], "--method", "oracle"],
+    "series": ["eval", "--family", "two-radical", *IN_GRID["two-radical"], "--method", "series"],
+    "pole-fallback": ["eval", "--family", "radical-pole", "--a", "0.7", "--b", "0.7"],
+    "compare": ["compare", "--family", "radical-pole", "--a", "0.7", "--b", "2.6",
+                "--zeta", "0.5"],
+    "timing": ["eval", "--family", "half-power", *IN_GRID["half-power"], "--timing"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_EVALS))
+def test_evals_that_sum_lobes_load_the_oracle_and_print_the_same_bytes(capsys, case):
+    argv = ORACLE_EVALS[case]
+    out, loaded = _fresh(_eval_code(argv), watch=("oscint",))
+    assert "oscint.oracle" in loaded
+    assert main(argv) == 0
+    here = capsys.readouterr().out.splitlines()
+    if case == "timing":    # elapsed_us is a clock reading
+        out, here = ([{k: v for k, v in json.loads(line).items() if k != "elapsed_us"}
+                      for line in lines] for lines in (out, here))
+    assert out == here
+
+
+def test_a_stand_in_binds_the_oracle_function_on_its_first_call():
+    code = ("import sys\n"
+            "import oscint.radical_pole as rp, oscint.special_functions as sf\n"
+            "import oscint.two_radical as tr\n"
+            "assert 'oscint.oracle' not in sys.modules\n"
+            "tr.sin_transform(20.0, 21.5, 0.75), rp.pole_sin_transform(20.0, 21.5, 0.75)\n"
+            "sf.gen_si(0.0, 1.0)\n"
+            "import oscint.oracle as o\n"
+            "print(tr.integrate_finite is rp.integrate_finite is o.integrate_finite,\n"
+            "      sf.lobe_sum is o.lobe_sum, sf.kernel_breakpoints is o.kernel_breakpoints)")
+    assert _fresh(code)[0] == ["True True True"]
+
+
+def test_a_global_replaced_before_the_first_call_stays_replaced():
+    namespace = {}
+    stand_in = namespace["integrate_finite"] = errors._from_oracle(namespace, "integrate_finite")
+    namespace["integrate_finite"] = replaced = object()
+    got = stand_in(math.sin, 0.0, 1.0)
+    assert got == integrate_finite(math.sin, 0.0, 1.0)
+    assert namespace["integrate_finite"] is replaced
 
 
 def test_every_public_name_resolves_lazily_and_is_cached():

@@ -5,9 +5,10 @@ in its named tuple.
 
 Each module's source is parsed, not imported, so a gate sees every
 ``from .oracle import`` and ``import oscint.oracle`` however it is
-reached, and every use of a name.  The allowlists may only shrink; the one
-entry added since lets ``_phased_gamma`` sum the backward fraction itself,
-because a variant that kept every Gamma-form call on
+reached, every oracle name handed to the stand-in helper
+``errors._from_oracle``, and every use of a name.  The allowlists may only
+shrink; the one entry added since lets ``_phased_gamma`` sum the backward
+fraction itself, because a variant that kept every Gamma-form call on
 ``upper_incomplete_gamma`` measured no reliable closed-grid gain.
 """
 
@@ -34,10 +35,16 @@ ORACLE_ALLOWED = {
 
 
 def _oracle_imports(source):
-    """Names ``source`` imports from the oracle; "oracle" for the module itself."""
+    """Names ``source`` imports from the oracle or binds to an oracle stand-in;
+    "oracle" for the module itself, or for a stand-in's name the source does not spell."""
     names = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom):
+        if isinstance(node, ast.Call) and "_from_oracle" in (getattr(node.func, "id", None),
+                                                             getattr(node.func, "attr", None)):
+            spelled = node.args[1:] + [k.value for k in node.keywords if k.arg == "name"]
+            names |= {arg.value if isinstance(arg, ast.Constant) else "oracle"
+                      for arg in spelled}
+        elif isinstance(node, ast.ImportFrom):
             if (node.level, node.module) in ((1, "oracle"), (0, "oscint.oracle")):
                 names |= {alias.name for alias in node.names}
             elif (node.level, node.module) in ((1, None), (0, "oscint")):
@@ -54,8 +61,12 @@ def test_closed_forms_import_only_allowed_oracle_names(module):
 
 def test_gate_sees_every_import_form():
     source = ("from .oracle import Kernel\nfrom . import oracle, errors\n"
-              "import oscint.oracle\nfrom oscint.oracle import lobe_sum\n")
-    assert _oracle_imports(source) == {"Kernel", "oracle", "lobe_sum"}
+              "import oscint.oracle\nfrom oscint.oracle import lobe_sum\n"
+              "quad = _from_oracle(globals(), 'quad')\n"
+              "f = errors._from_oracle(globals(), 'integrate_finite')\n")
+    assert _oracle_imports(source) == {"Kernel", "oracle", "lobe_sum", "quad", "integrate_finite"}
+    assert _oracle_imports("g = _from_oracle(globals(), name)\n") == {"oracle"}
+    assert _oracle_imports("h = _from_oracle(globals(), name='quad')\n") == {"quad"}
 
 
 def test_kernel_vocabulary_lives_in_errors():
@@ -194,14 +205,32 @@ def test_every_record_is_a_named_tuple_on_the_record_mixin():
                                         "__ne__", "__hash__", "_make"}
 
 
-# every cold closed-form eval compiles oracle.py (special_functions imports it),
-# so it may not grow; nodes, unlike lines, do not move when code is reflowed
+# every cold eval that sums lobes (a = b radicals, radicals past the phase guard,
+# the oracle and series methods) compiles oracle.py, so it may not grow; nodes,
+# unlike lines, do not move when code is reflowed
 ORACLE_AST_NODES = 5034
 
 
 def test_oracle_stays_within_its_node_cap():
     source = (SRC / "oracle.py").read_text()
     assert sum(1 for _ in ast.walk(ast.parse(source))) <= ORACLE_AST_NODES
+
+
+# the AST nodes a cold closed-form eval of each family compiles, with no cached
+# bytecode: the modules of test_imports' CORE_MODULES and FAMILY_MODULES, which
+# gate what it loads.  The caps may only shrink
+COLD_EVAL_AST_NODES = {"half-power": 9801, "two-radical": 11330, "radical-pole": 12158,
+                       "lommel": 10580, "log-half-power": 10580}
+
+
+@pytest.mark.parametrize("family", sorted(COLD_EVAL_AST_NODES))
+def test_cold_closed_form_eval_stays_within_its_node_cap(family):
+    from test_imports import CORE_MODULES, FAMILY_MODULES
+
+    paths = [SRC / (f"{name.partition('.')[2]}.py" if "." in name else "__init__.py")
+             for name in CORE_MODULES | FAMILY_MODULES[family]]
+    nodes = sum(sum(1 for _ in ast.walk(ast.parse(path.read_text()))) for path in paths)
+    assert nodes <= COLD_EVAL_AST_NODES[family]
 
 
 # selfcheck.py held 5,473 nodes while each group wrote its own pass test and

@@ -39,7 +39,13 @@ workloads of a change.  For closed-grid and oracle-grid ``--summary`` also
 records each side's exact work count, ``tools/traffic.py``'s line events per
 request in each ``src/oscint`` module on the first seed's first
 ``LINE_REQUESTS`` requests, under ``lines_per_req``, and prints the
-``oracle`` module's and the total beside the size line.
+``oracle`` module's and the total beside the size line.  For cli-cold it
+records, under ``cold_eval_modules``, the first seed's first request of each
+family and, per side and family, the ``oscint`` modules one cold ``oscint
+eval`` of it loads in a fresh interpreter (those ``import oscint.cli`` loads
+and those ``cli.main`` loads after it, by ``sys.modules`` diffed around each)
+and the AST nodes of their files, which it compiles with no cached bytecode;
+it prints the nodes per family and the modules only one side loads.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import importlib
 import io
 import json
 import shutil
@@ -61,6 +68,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # --summary's line counts: the requests counted, and the workloads they are counted on
 LINE_REQUESTS = 1000
 LINE_WORKLOADS = ("closed-grid", "oracle-grid")
+COLD_WORKLOAD = "cli-cold"      # --summary's modules and AST nodes of a cold eval
 # ``call``'s child: argv is (sys.path entries..., tool, function) and stdin the
 # arguments as a JSON list; it prints the result as one line of JSON
 _CHILD = """import importlib, json, sys
@@ -96,10 +104,14 @@ def src_lines(root):
                for path in (Path(root) / "src" / "oscint").glob("*.py"))
 
 
+def ast_nodes(path):
+    """AST nodes in the Python file ``path``."""
+    return sum(1 for _ in ast.walk(ast.parse(Path(path).read_bytes())))
+
+
 def src_ast_nodes(root):
     """AST nodes in the ``*.py`` files of ``src/oscint`` under checkout ``root``."""
-    return sum(sum(1 for _ in ast.walk(ast.parse(path.read_bytes())))
-               for path in (Path(root) / "src" / "oscint").glob("*.py"))
+    return sum(ast_nodes(path) for path in (Path(root) / "src" / "oscint").glob("*.py"))
 
 
 def format_size(lines, nodes):
@@ -125,6 +137,60 @@ def format_lines(counts):
             ("total", [sum(c.values()) for c in sides]))
     return "; ".join(f"{name} lines/req: parent {p:.1f}, change {c:.1f} ({c - p:+.1f})"
                      for name, (p, c) in rows)
+
+
+def cold_eval_argvs(seed, seconds):
+    """{family: ``oscint`` arguments} of the first request of each family in the
+    cli-cold list of ``seed`` at ``seconds``, by the checkout's ``perfbench``."""
+    import workloads as wl
+
+    argvs = {}
+    for req in wl.generate(COLD_WORKLOAD, seed, wl.request_count(COLD_WORKLOAD, seconds)):
+        argvs.setdefault(req.family, wl.cli_argv(req))
+    return argvs
+
+
+def cold_eval_modules(argv):
+    """{"import": modules, "main": modules, "ast_nodes": n} of one ``oscint`` run of
+    ``argv`` in this interpreter, which must not have imported ``oscint``: the
+    ``oscint`` modules that ``import oscint.cli`` loads, those that ``cli.main``
+    loads after it, and the AST nodes of all their files."""
+    own = lambda names: sorted(name for name in names if name.partition(".")[0] == "oscint")
+    before = set(sys.modules)
+    cli = importlib.import_module("oscint.cli")
+    imported = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+    loaded = own(set(sys.modules) - before)
+    return {"import": own(imported - before), "main": own(set(sys.modules) - imported),
+            "ast_nodes": sum(ast_nodes(sys.modules[name].__file__) for name in loaded)}
+
+
+def cold_eval_counts(roots, seed, seconds):
+    """{"argv": ``cold_eval_argvs``, "parent": {family: ``cold_eval_modules``},
+    "change": {...}} of the checkouts ``roots`` (parent, change), each eval in a
+    fresh child."""
+    argvs = call(roots[1], "bench_pairs", "cold_eval_argvs", seed, seconds)
+    return {"argv": argvs, **{
+        side: {family: call(root, "bench_pairs", "cold_eval_modules", argv)
+               for family, argv in argvs.items()}
+        for side, root in zip(("parent", "change"), roots)}}
+
+
+def format_cold(counts):
+    """The AST nodes per family of ``cold_eval_counts``' ``counts``, and the modules
+    only one side loads, as two lines."""
+    parent, change = counts["parent"], counts["change"]
+    nodes = []
+    for family in sorted(counts["argv"]):
+        p, c = parent[family]["ast_nodes"], change[family]["ast_nodes"]
+        nodes.append(f"{family} parent {p}, change {c} ({c - p:+d})")
+    modules = [{name for entry in side.values() for name in entry["import"] + entry["main"]}
+               for side in (parent, change)]
+    only = lambda names: ", ".join(sorted(names)) or "none"
+    return [f"cold eval AST nodes: {'; '.join(nodes)}",
+            f"cold eval modules, parent only: {only(modules[0] - modules[1])}; "
+            f"change only: {only(modules[1] - modules[0])}"]
 
 
 def run_once(root, workload, seed, seconds, trace):
@@ -204,10 +270,11 @@ def format_rows(rows):
     return lines
 
 
-def summary_entry(parent, seeds, trace, lines, nodes, rows, counts=None):
+def summary_entry(parent, seeds, trace, lines, nodes, rows, counts=None, cold=None):
     """One workload's ``--summary`` entry; ``lines`` and ``nodes`` are
     (parent, change) ``src/oscint`` line and AST node counts, ``rows``
-    is ``summarize``'s table and ``counts``, if given, ``line_counts``'."""
+    is ``summarize``'s table, ``counts``, if given, ``line_counts``' and
+    ``cold``, if given, ``cold_eval_counts``'."""
     quartiles = lambda q: dict(zip(("q1", "median", "q3"), q))
     sides = lambda pair: dict(zip(("parent", "change"), pair))
     entry = {
@@ -220,6 +287,8 @@ def summary_entry(parent, seeds, trace, lines, nodes, rows, counts=None):
     }
     if counts is not None:
         entry["lines_per_req"] = counts
+    if cold is not None:
+        entry["cold_eval_modules"] = cold
     return entry
 
 
@@ -292,12 +361,14 @@ def main(argv=None):
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better, seconds = directions(benchmark), benchmark["run_seconds"]
 
-    pairs, counts = [], None
+    pairs, counts, cold = [], None, None
     with trees(args.parent, args.workdir) as (parent_root, change_root):
         lines = src_lines(parent_root), src_lines(change_root)
         nodes = src_ast_nodes(parent_root), src_ast_nodes(change_root)
         if args.summary and args.workload in LINE_WORKLOADS:
             counts = line_counts((parent_root, change_root), args.workload, args.seeds[0])
+        if args.summary and args.workload == COLD_WORKLOAD:
+            cold = cold_eval_counts((parent_root, change_root), args.seeds[0], seconds)
         for i, seed in enumerate(args.seeds):
             order = [("parent", parent_root), ("change", change_root)]
             if i % 2:
@@ -314,11 +385,13 @@ def main(argv=None):
     rows = summarize(pairs, better, bounds(benchmark))
     if args.summary:
         write_summary(args.summary, args.workload, summary_entry(
-            args.parent, args.seeds, args.trace, lines, nodes, rows, counts))
+            args.parent, args.seeds, args.trace, lines, nodes, rows, counts, cold))
     print(f"{args.workload}: {len(pairs)} pairs, parent {args.parent} vs working tree")
     print(format_size(lines, nodes))
     if counts is not None:
         print(format_lines(counts))
+    if cold is not None:
+        print("\n".join(format_cold(cold)))
     print("\n".join(format_rows(rows)))
     for seed, p, c in failed_differences(pairs, args.seeds):
         print(f"failed differs at seed {seed}: parent {p}, change {c}")
