@@ -144,6 +144,27 @@ def test_a_stand_in_binds_the_oracle_function_on_its_first_call():
     assert _fresh(code)[0] == ["True True True"]
 
 
+def test_concurrent_first_calls_bind_one_object():
+    # eight threads call one stand-in at once in a fresh interpreter: they import
+    # the oracle under the import lock, agree on the value and leave one binding
+    code = ("import math, sys, threading\n"
+            "import oscint.two_radical as tr\n"
+            "stand_in, barrier, got = tr.integrate_finite, threading.Barrier(8), []\n"
+            "def first_call():\n"
+            "    barrier.wait()\n"
+            "    got.append(stand_in(math.sin, 0.0, 1.0))\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "threads = [threading.Thread(target=first_call) for _ in range(8)]\n"
+            "for t in threads:\n"
+            "    t.start()\n"
+            "for t in threads:\n"
+            "    t.join(timeout=60)\n"
+            "import oscint.oracle as o\n"
+            "print(not any(t.is_alive() for t in threads), len(got), len(set(got)),\n"
+            "      tr.integrate_finite is o.integrate_finite)")
+    assert _fresh(code)[0] == ["True 8 1 True"]
+
+
 def test_a_global_replaced_before_the_first_call_stays_replaced():
     namespace = {}
     stand_in = namespace["integrate_finite"] = errors._from_oracle(namespace, "integrate_finite")
