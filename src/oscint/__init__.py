@@ -1,9 +1,10 @@
 """oscint: Fourier sine/cosine transforms of irrational integrands.
 
-Closed-form evaluators for four families of semi-infinite oscillatory
-integrals -- inverse half-integer powers, two-radical weights,
-radical-pole weights, and general real exponents via Lommel functions --
-each cross-validated against an independent lobe-quadrature oracle.
+Six families of semi-infinite oscillatory integrals: inverse
+half-integer powers, two-radical weights, radical-pole weights, general
+real exponents via Lommel functions and the logarithmic weight in closed
+form, each cross-validated against an independent lobe-quadrature
+oracle, and three-radical weights by the oracle alone.
 
 Every result is pure double precision; all functions are pure,
 reentrant and thread-safe.  The only global mutable state is the memo

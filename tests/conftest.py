@@ -1,6 +1,12 @@
-"""Shared fixtures."""
+"""Shared fixtures, and ``tools/`` on ``sys.path`` for the mpmath references
+(``import mpref``)."""
+
+import sys
+from pathlib import Path
 
 import pytest
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tools"))
 
 
 @pytest.fixture

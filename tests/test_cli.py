@@ -10,6 +10,8 @@ import pytest
 
 from oscint.cli import FAMILY_METHODS, Method, main
 
+import mpref
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -174,11 +176,7 @@ def test_lommel_closed_form_at_a_tiny_frequency(capsys):
 
 
 def test_lommel_closed_form_cosine_at_a_tiny_frequency_matches_mpmath(capsys):
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(250):
-        u, p = mp.mpf("1e-100"), 3
-        pair = mp.exp(-1j * u) * mp.exp(1j * mp.pi * (1 - p) / 2) * mp.gammainc(1 - p, -1j * u)
-        want = float(mp.mpf("1e-100") ** (p - 1) * pair.real)
+    want = float(mpref.pair(3, 1, 250, "1e-100").cos)
     assert abs(_lommel_tiny_zeta(capsys, "cos") - want) <= 1e-13 * abs(want)
 
 

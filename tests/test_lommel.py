@@ -32,9 +32,8 @@ from oscint import special_functions as sf
 from oscint.control import DEFAULT_CONTROL, SeriesControl
 from oscint.special_functions import upper_incomplete_gamma
 
-
-def rel(a, b):
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+import mpref
+from mpref import rel
 
 
 def test_structural_identity_with_base_form():
@@ -150,11 +149,8 @@ def test_lommel_s_half_matches_mpmath_on_a_seeded_grid():
             continue
         if abs(got) < sys.float_info.min:
             continue
-        p = 0.5 - mu
         with mp.workdps(50):
-            a, u = mp.mpf(p), mp.mpf(z)
-            want = (mp.exp(-0.5j * mp.pi * a) * mp.exp(-1j * u)
-                    * mp.gammainc(1 - a, -1j * u)).real / mp.sqrt(u)
+            want = mpref.pair(0.5 - mu, z, 50).sin / mp.sqrt(z)
         err = float(abs(got - want) / abs(want))
         assert err <= 1e-14, (mu, z, err)
         checked += 1
@@ -168,10 +164,8 @@ def test_continuation_where_z_to_the_gamma_order_overflows():
     # S_{2.5,1/2}(1e300) = 1e450, a DomainError
     mp = pytest.importorskip("mpmath")
     for mu in (0.75, 1.5):
-        with mp.workdps(60):
-            p, u = mp.mpf(0.5 - mu), mp.mpf(1e300)
-            want = (mp.exp(-0.5j * mp.pi * p) * mp.exp(-1j * u) * mp.gammainc(1 - p, -1j * u)).real
-        assert rel(lommel_s_half(mu, 1e300), want / mp.sqrt(u)) <= 1e-14, mu
+        want = mpref.pair(0.5 - mu, 1e300, 60).sin
+        assert rel(lommel_s_half(mu, 1e300), want / mp.sqrt(1e300)) <= 1e-14, mu
     with pytest.raises(DomainError, match="double precision"):
         lommel_s_half(2.5, 1e300)
 
@@ -189,8 +183,7 @@ def test_gamma_form_on_the_fraction_route_against_mpmath():
 
     def sine(p, u, up=0):
         with mp.workdps(50):
-            p, u = mp.mpf(p) + up, mp.mpf(u)
-            return float((mp.exp(-0.5j * mp.pi * p - 1j * u) * mp.gammainc(1 - p, -1j * u)).real)
+            return float(mpref.pair(mp.mpf(p) + up, u, 50).sin)
 
     rng = random.Random("gamma-form-fraction")
     checked = [0, 0]
@@ -223,9 +216,7 @@ def test_printed_lommel_values_against_the_verbatim_formula():
         except DomainError:             # past the double range
             continue
         with mp.workdps(40):
-            alpha, u = mp.mpf(0.5 - mu), mp.mpf(z)
-            want = (mp.exp(-0.5j * mp.pi * alpha - 1j * u)
-                    * mp.gammainc(-alpha, -1j * u)).real / mp.sqrt(u)
+            want = mpref.pair(mp.mpf(0.5 - mu) + 1, z, 40).cos / mp.sqrt(z)
         if abs(want) < sys.float_info.min:
             continue
         err = float(abs(got - want) / abs(want))
@@ -348,11 +339,7 @@ def test_cos_exponent_transform_pins_against_mpmath_at_large_u(p, u):
     # product e^(-iu) e^(i pi (1-p)/2) Gamma(1-p, -iu), which gives both,
     # loses digits to Gamma's rounding: written so, it lands at 1.4e-14 to
     # 2.2e-13 here.  The cosine's own route p Gamma(-p, .) holds ~2e-16.
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        a = 1 - mpmath.mpf(p)
-        want = float(mpmath.re(mpmath.exp(1j * (0.5 * mpmath.pi * a - u))
-                               * mpmath.gammainc(a, -1j * u)))
+    want = float(mpref.pair(p, u, 40).cos)
     assert abs(cos_exponent_transform(p, u) - want) <= 1e-14 * abs(want)
 
 
@@ -411,14 +398,10 @@ def test_log_integral_from_the_fraction_against_mpmath():
     # sqrt(x) (ln x - D'/D)/D from one backward-fraction loop, against 40 digits of
     # mp.diff of that form in the order, x log-uniform from 3 to 1e5.  The 2F2
     # form it replaced there read 1.1e-12 at x = 3 and 1.6e-3 at 40
-    mp = pytest.importorskip("mpmath")
     rng = random.Random("log-weight-fraction")
     xs = [3.0, 1e5] + [math.exp(rng.uniform(math.log(3.0), math.log(1e5))) for _ in range(150)]
     for x in xs:
-        with mp.workdps(40):
-            u = mp.mpf(x)
-            want = mp.diff(lambda a: (mp.exp(-0.5j * mp.pi * (1 - a) - 1j * u)
-                                      * mp.gammainc(a, -1j * u)).real, 0.5)
+        want = -mpref.pair(0.5, x, 40, derivative=True).sin
         assert abs(log_weighted_sin_integral(x) - want) <= 2e-15 * abs(want), x
 
 
@@ -511,20 +494,9 @@ def test_huge_exponent_raises_instead_of_recurring_forever():
     assert "over max_terms=500" in proc.stdout
 
 
-def _mpmath_pair(mp, p, x, zeta):
-    """(sine, cosine) transforms of (t+x)^-p at frequency zeta, from
-    e^-iu e^(i pi (1-p)/2) Gamma(1-p, -iu), u = zeta x, at 60 digits."""
-    with mp.workdps(60):
-        u, p = mp.mpf(zeta) * mp.mpf(x), mp.mpf(p)
-        pair = (mp.mpf(zeta) ** (p - 1) * mp.exp(-1j * u) * mp.exp(1j * mp.pi * (1 - p) / 2)
-                * mp.gammainc(1 - p, -1j * u))
-        return float(pair.imag), float(pair.real)
-
-
 def test_exponent_route_matches_mpmath_on_a_seeded_grid():
     # integer, half-integer and uniform exponents up to 10.5, u = zeta x
     # log-uniform over 1e-12 .. 1e3: both sides of the Gamma-form switch
-    mp = pytest.importorskip("mpmath")
     rng = random.Random("exponent-route")
     draws = (lambda: float(rng.randint(1, 10)), lambda: rng.randint(0, 10) + 0.5,
              lambda: rng.uniform(0.0, 10.5) or 10.5)
@@ -533,7 +505,7 @@ def test_exponent_route_matches_mpmath_on_a_seeded_grid():
         p = draws[i % 3]()
         x, u = rng.uniform(0.05, 10.0), 10.0 ** rng.uniform(-12.0, 3.0)
         zeta = u / x
-        want = _mpmath_pair(mp, p, x, zeta)
+        want = [float(v) for v in mpref.pair(p, x, 60, zeta)]
         got = [sin_exponent_transform(p, x, zeta), cos_exponent_transform(p, x, zeta)]
         if p % 1 == 0.5:
             got += [s_alpha(int(p), x, zeta), c_alpha(int(p), x, zeta)]
@@ -547,9 +519,8 @@ def test_exponent_route_matches_mpmath_on_a_seeded_grid():
 def test_exponents_near_an_integer_match_mpmath_below_the_switch(p):
     # the base order p - ceil(p) + 1 is then near 0 or 1, where one of the
     # two parts of its Gamma pair cancels; the climb starts where it does not
-    mp = pytest.importorskip("mpmath")
     for u in (1e-12, 1e-3, 0.3, 0.99):
-        want = _mpmath_pair(mp, p, 1.0, u)
+        want = [float(v) for v in mpref.pair(p, 1.0, 60, u)]
         for kernel, got in enumerate((sin_exponent_transform(p, 1.0, u),
                                       cos_exponent_transform(p, 1.0, u))):
             assert abs(got - want[kernel]) <= 2e-13 * abs(want[kernel]), (u, kernel)

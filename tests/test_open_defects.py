@@ -13,7 +13,7 @@ import math
 import mpmath
 import pytest
 
-from oscint import Kernel, gen_si, lommel, radical_pole, special_functions, two_radical
+from oscint import Kernel, gen_ci, gen_si, lommel, radical_pole, special_functions, two_radical
 from oscint.errors import ConvergenceError, DomainError
 from oscint.oracle import (
     HalfPower,
@@ -22,6 +22,8 @@ from oscint.oracle import (
     TwoRadical,
     integrate_semi_infinite,
 )
+
+import mpref
 
 
 def found(line):
@@ -67,18 +69,32 @@ def test_oracle_two_radical_sine_at_a_tiny_frequency_within_its_estimate():
 
 # mended: the shifted pair from 0 rounds no lobe abscissa near z
 def test_gen_si_at_1e4_agrees_with_mpmath():
-    with mpmath.workdps(40):
-        want = float(mpmath.pi / 2 - mpmath.si(10000))
+    want = float(mpref.gen_trig(0.0, 1e4, 40).sin)
     assert abs(gen_si(0.0, 1e4) - want) <= 1e-12 * abs(want)
 
 
 @found("the a = b two-radical cosine cancels like eps u")
 def test_degenerate_two_radical_cosine_at_a_large_phase_agrees_with_mpmath():
     # a = b: the weight is 1/(t + a), and its cosine transform is g(u), u = zeta a
-    with mpmath.workdps(40):
-        u = mpmath.mpf(10000)
-        want = float((mpmath.exp(-1j * u) * mpmath.gammainc(0, -1j * u)).real)
+    want = float(mpref.pair(1, 1e4, 40).cos)
     assert abs(two_radical.cos_transform(1e4, 1e4, 1.0) - want) <= 1e-12 * abs(want)
+
+
+@found("the a = b two-radical cosine is silently wrong at a tiny phase")
+def test_degenerate_two_radical_cosine_at_a_tiny_phase_agrees_with_mpmath():
+    # 81.28 for 82.32 at u = 1e-36; the pair's own estimate says 2.0e-2 of |ci + i si|,
+    # which gen_si/gen_ci drop
+    want = float(mpref.pair(1, 1e-36, 40).cos)
+    assert abs(two_radical.cos_transform(1e-36, 1e-36, 1.0) - want) <= 1e-12 * abs(want)
+
+
+@found("`gen_si`/`gen_ci` at (alpha, z) = (0.5, 1e-20) miss a term the size of 2 sqrt(z)")
+def test_gen_trig_pair_at_a_tiny_argument_agrees_with_mpmath():
+    # 1.13e-10 of |ci + i si| off, against an estimate of 6.2e-15 of it
+    si, ci = mpref.gen_trig(0.5, 1e-20, 40)
+    scale = float(mpmath.hypot(si, ci))
+    assert abs(gen_si(0.5, 1e-20) - float(si)) <= 1e-13 * scale
+    assert abs(gen_ci(0.5, 1e-20) - float(ci)) <= 1e-13 * scale
 
 
 @found("the oracle's cosine of HalfPower(alpha, 0) near alpha = 1/2 is far "
@@ -95,9 +111,7 @@ def test_half_power_cosine_at_the_origin_within_its_estimate(alpha):
        "the Bessel switch")
 def test_two_radical_cosine_just_below_the_bessel_switch_agrees_with_mpmath():
     # c = 27.5: J0/Y0 at h = 13.75, on the ascending series (Y0(14) is 6.2e-12 off)
-    with mpmath.workdps(40):
-        w = lambda s: mpmath.exp(-s) / (mpmath.sqrt(1j * s + 1) * mpmath.sqrt(1j * s + 28.5))
-        want = float((1j * mpmath.quad(w, [0, 1, 10, mpmath.inf])).real)
+    want = float(mpref.contour(TwoRadical(1.0, 28.5), 1.0, 40).cos)
     assert abs(two_radical.cos_transform(1.0, 28.5, 1.0) - want) <= 1e-12 * abs(want)
 
 
@@ -106,10 +120,7 @@ def test_pre_reduction_cosine_at_a_large_shift_agrees_with_mpmath():
     # the cosine transform of (t + x)^-q, q = 1/9: Re e^-ix i^(1-q) Gamma(1 - q, -ix);
     # a mend may instead raise on the cancellation
     x, q = 7869.632401330979, 1.0 / 9
-    with mpmath.workdps(40):
-        a = 1 - mpmath.mpf(q)
-        want = float((mpmath.exp(-1j * x) * mpmath.power(1j, a)
-                      * mpmath.gammainc(a, -1j * mpmath.mpf(x))).real)
+    want = float(mpref.pair(q, x, 40).cos)
     try:
         got = lommel.pre_reduction_values(0, 9, x)[(Kernel.COS, False)]
     except ConvergenceError:
@@ -129,7 +140,6 @@ def test_lommel_s_half_where_only_root_z_times_s_overflows_agrees_with_mpmath():
        "negative real axis where the value is an ordinary double")
 def test_upper_incomplete_gamma_next_to_the_negative_axis_agrees_with_mpmath():
     a, z = -22.854249878645668, complex(-17.373036094817305, -0.11668237745467006)
-    with mpmath.workdps(40):
-        want = complex(mpmath.gammainc(a, z))                # -3.3347e-22 - 3.8100e-23i
+    want = complex(mpref.gamma(a, z, 40))                   # -3.3347e-22 - 3.8100e-23i
     got = returned(special_functions.upper_incomplete_gamma, a, z)
     assert abs(got - want) <= 1e-13 * abs(want)

@@ -1,18 +1,8 @@
-"""The oracle against 30-digit mpmath references.
-
-For a weight w analytic in the first quadrant and decaying there, the
-contour t = i s / zeta turns both transforms into one exponentially
-damped integral:
-
-    I_cos + i I_sin = (i / zeta) * integral_0^inf e^(-s) w(i s / zeta) ds.
-
-Each radical is written as a product of separately principal roots,
-which is the continuation of the real weight into the first quadrant.
-"""
+"""The oracle against 30-digit mpmath references on the rotated contour
+(``mpref.contour``)."""
 
 import random
 
-import mpmath as mp
 import pytest
 
 from oscint import (
@@ -26,22 +16,13 @@ from oscint import (
     integrate_semi_infinite,
 )
 
-WEIGHTS = {
-    HalfPower: lambda w, t: (t + w.x) ** -(mp.mpf(w.alpha) + 0.5),
-    TwoRadical: lambda w, t: 1 / (mp.sqrt(t + w.a) * mp.sqrt(t + w.b)),
-    RadicalPole: lambda w, t: 1 / (mp.sqrt(t + w.a) * (t + w.b)),
-    ThreeRadical: lambda w, t: 1 / (mp.sqrt(t + w.a) * mp.sqrt(t + w.b) * mp.sqrt(t + w.c)),
-    LogHalfPower: lambda w, t: mp.log(t + w.x) / mp.sqrt(t + w.x),
-}
+import mpref
 
 
 def reference(weight, zeta):
     """{Kernel.SIN: I_sin, Kernel.COS: I_cos} at 30 digits, as floats."""
-    w = WEIGHTS[type(weight)]
-    with mp.workdps(30):
-        z = mp.mpf(zeta)
-        total = 1j / z * mp.quad(lambda s: mp.exp(-s) * w(weight, 1j * s / z), [0, mp.inf])
-        return {Kernel.SIN: float(total.imag), Kernel.COS: float(total.real)}
+    ref = mpref.contour(weight, zeta, 30)
+    return {kernel: float(getattr(ref, kernel.value)) for kernel in Kernel}
 
 
 def _in_grid(seed, n):

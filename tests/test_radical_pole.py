@@ -18,6 +18,8 @@ from oscint import (
 from oscint import radical_pole as rp
 from oscint.radical_pole import RadicalPoleParams
 
+import mpref
+
 
 def test_tail_goldens():
     assert abs(pole_tail_sin(1.0) - 0.36178547627943458) < 1e-12
@@ -103,8 +105,8 @@ def test_sin_head_series_is_relatively_accurate_at_small_gamma(gamma, c):
     # the printed {1 - 2F1} bracket cancels as gamma -> 0 (2.9e-10 relative
     # at gamma = 1e-3); the moment form keeps full precision
     mpmath = pytest.importorskip("mpmath")
+    want = mpref.head(c, gamma, 1, 40).sin
     with mpmath.workdps(40):
-        want = mpmath.quad(lambda x: mpmath.sin(c * x * x) / (x * x + 1), [0, gamma])
         err = abs((pole_head_sin_series(c, gamma) - want) / want)
     assert err <= 1e-14
 

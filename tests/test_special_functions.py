@@ -45,11 +45,10 @@ from oscint import special_functions as sf
 from oscint import two_radical as tr
 from oscint.special_functions import EULER_GAMMA, _gauss_series
 
+import mpref
+from mpref import rel
+
 SQRT_PI = math.sqrt(math.pi)
-
-
-def rel(a, b):
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
 # ---------------------------------------------------------------- Fresnel
@@ -331,14 +330,12 @@ def test_incomplete_gamma_conjugate_symmetry_is_bitwise_on_every_route(count_cal
 
 def test_incomplete_gamma_order_lift_counts_against_max_terms():
     # a = -499.5 lifts by 500 steps, a = -500.5 by 501: one over the default cap
-    mp = pytest.importorskip("mpmath")
     assert upper_incomplete_gamma(-499.5, 1j) == \
         upper_incomplete_gamma(-499.5, 1j, SeriesControl(max_terms=501))
     with pytest.raises(ConvergenceError, match="501 recurrence steps"):
         upper_incomplete_gamma(-500.5, 1j)
     got = upper_incomplete_gamma(-500.5, 1j, SeriesControl(max_terms=501))
-    with mp.workdps(40):
-        want = complex(mp.gammainc(-500.5, 1j))
+    want = complex(mpref.gamma(-500.5, 1j, 40))
     assert abs(got - want) <= 1e-14 * abs(want)
 
 
@@ -352,8 +349,7 @@ def test_small_order_series_at_a_tiny_argument_against_mpmath():
     orders = [0.5 - j / 2 for j in range(19)] + [-7.77, -2.0001, -0.999, -1e-9, 1e-9, 1.0 / 3.0]
     for a in orders:
         for r in [5e-324, 1e-310, 1e-200, 1e-60, 1e-40, 1e-20, 1e-8, 1e-3]:
-            with mp.workdps(30):
-                want = mp.gammainc(a, complex(0.0, r))
+            want = mpref.gamma(a, complex(0.0, r), 30)
             for z, w in ((complex(0.0, r), want), (complex(0.0, -r), mp.conj(want))):
                 if abs(w) > 1.7e308:
                     with pytest.raises(ConvergenceError, match="non-finite"):
@@ -387,12 +383,10 @@ def _gamma_grid():
 
 
 def _gamma_errors(points):
-    mpmath = pytest.importorskip("mpmath")
     errs = []
-    with mpmath.workdps(30):
-        for a, z in points:
-            want = complex(mpmath.gammainc(a, z))
-            errs.append(abs(upper_incomplete_gamma(a, z) - want) / abs(want))
+    for a, z in points:
+        want = complex(mpref.gamma(a, z, 30))
+        errs.append(abs(upper_incomplete_gamma(a, z) - want) / abs(want))
     return sorted(errs)
 
 
@@ -484,14 +478,12 @@ def test_backward_fraction_at_non_dyadic_orders_against_mpmath():
     # the last denominator b_0 = z + 1 - a is formed afresh: carried down from
     # b_n = z + 2n + 1 - a by exact steps of 2 it kept b_n's rounding, up to
     # ulp(2n + 1 - a)/2 in D, 3.7e-15 relative on this box.  D = z^a e^-z / Gamma(a, z)
-    mp = pytest.importorskip("mpmath")
     rng = random.Random("backward-fraction-start")
     for _ in range(300):
         a, u = rng.uniform(-11.0, 1.0), rng.uniform(3.0, 6.0)
         z = complex(0.0, -u if rng.random() < 0.5 else u)
         got = sf._legendre_cf_backward(a, z, sf.DEFAULT_CONTROL)
-        with mp.workdps(30):
-            want = mp.mpc(z) ** a * mp.exp(-mp.mpc(z)) / mp.gammainc(a, mp.mpc(z))
+        want = mpref.fraction(a, z, 30)
         assert float(abs(got - want) / abs(want)) <= 5e-16, (a, z)
 
 
@@ -501,7 +493,6 @@ def test_backward_fraction_above_order_one_against_mpmath():
     # need at 1.1e-16 peaks by the real axis at |z| = a + 1: 47 steps at a = 170, where
     # the depth's term in a - 1 gives 53 (36 (a - 1) gives 45 and reads 7e-15 here).
     # D = z^a e^-z / Gamma(a, z), the order formed from the float
-    mp = pytest.importorskip("mpmath")
     rng = random.Random("backward-fraction-above-order-one")
     for k in range(400):
         a = 1.0 + 170.5 * rng.random()
@@ -509,23 +500,18 @@ def test_backward_fraction_above_order_one_against_mpmath():
         theta = 0.5 * math.pi * (rng.uniform(-1.0, 1.0) ** 3 if k % 3 else rng.choice((1.0, -1.0)))
         z = cmath.rect(r, theta) if k % 3 else complex(0.0, math.copysign(r, theta))
         got = sf._legendre_cf_backward(a, z, sf.DEFAULT_CONTROL)
-        with mp.workdps(30):
-            w = mp.mpc(z)
-            want = w ** a * mp.exp(-w) / mp.gammainc(a, w)
+        want = mpref.fraction(a, z, 30)
         assert float(abs(got - want) / abs(want)) <= 1e-15, (a, z)
 
 
 def test_order_derivative_of_the_backward_fraction_against_mpmath():
     # (D, dD/da) from one loop at the plain loop's depth: its D is bitwise the plain
     # loop's, and dD/da within 1e-14 of 40-digit mp.diff of D = z^a e^-z / Gamma(a, z)
-    mp = pytest.importorskip("mpmath")
     for a, z in [(0.5, -3j), (0.5, -20j), (0.5, 3e3j), (0.5, -1e5j), (-2.5, 4j),
                  (-10.33, -8j), (1.0, 5 - 1j), (0.2, 3 + 4j)]:
         d, dd = sf._legendre_cf_backward(a, z, sf.DEFAULT_CONTROL, order_derivative=True)
         assert d == sf._legendre_cf_backward(a, z, sf.DEFAULT_CONTROL)
-        with mp.workdps(40):
-            w = mp.mpc(z)
-            want = complex(mp.diff(lambda b: w ** b * mp.exp(-w) / mp.gammainc(b, w), a))
+        want = complex(mpref.fraction(a, z, 40, derivative=True))
         assert abs(dd - want) <= 1e-14 * abs(want), (a, z)
 
 
@@ -587,7 +573,7 @@ def test_incomplete_gamma_off_the_axis_where_a_factor_leaves_the_double_range():
     returned = 0
     with mpmath.workdps(30):
         for a, z in points:
-            want = mpmath.gammainc(a, z)
+            want = mpref.gamma(a, z, 30)
             if not 1e-290 <= abs(want) <= 1e290:
                 continue
             try:
@@ -602,10 +588,8 @@ def test_incomplete_gamma_off_the_axis_where_a_factor_leaves_the_double_range():
 
 def test_incomplete_gamma_where_z_to_the_a_overflows_but_the_value_does_not():
     # |z|^a = 10^309.7 leaves the double range; Gamma(a, z) is about 1.1e307
-    mpmath = pytest.importorskip("mpmath")
     a, z = 129.16134356228432, -248.9906271189122j
-    with mpmath.workdps(60):
-        want = complex(mpmath.gammainc(a, z))
+    want = complex(mpref.gamma(a, z, 60))
     assert abs(upper_incomplete_gamma(a, z) - want) <= 1e-13 * abs(want)
 
 
@@ -1062,11 +1046,8 @@ STALLED_FROM_Z = [(1e-14, gen_si, 0.9, 10 ** 4.5), (1e-15, gen_si, 0.9, 1e4),
 
 @pytest.mark.parametrize("rel_tol, gen, alpha, z", STALLED_FROM_Z)
 def test_gen_si_ci_settle_where_the_lobes_from_z_stalled(rel_tol, gen, alpha, z):
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
-        # gen_ci + i gen_si = e^(i pi alpha/2) Gamma(alpha, -iz)
-        w = mpmath.exp(0.5j * mpmath.pi * alpha) * mpmath.gammainc(alpha, -1j * mpmath.mpf(z))
-        want = float(w.imag if gen is gen_si else w.real)
+    si, ci = mpref.gen_trig(alpha, z, 50)
+    want = float(si if gen is gen_si else ci)
     assert abs(gen(alpha, z, SeriesControl(rel_tol=rel_tol)) - want) <= 1e-14 * abs(want)
 
 
@@ -1095,12 +1076,10 @@ def test_each_part_of_the_gen_trig_pair_against_itself(monkeypatch):
         alpha, z = rng.uniform(-8.0, 1.0), math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
         sf._gen_trig_pair.cache_clear()
         gen_si(alpha, z)
-        with mpmath.workdps(40):
-            a = mpmath.mpf(alpha)
-            want = mpmath.exp(1j * (0.5 * mpmath.pi * a - z)) * mpmath.gammainc(a, -1j * z)
+        with mpmath.workdps(40):                # S and C: the pair at the order alpha
+            s, c = map(float, mpref.pair(1 - mpmath.mpf(alpha), z, 40))
         (value, *_), = sums
         sums.clear()
-        s, c = float(want.imag), float(want.real)
         assert abs(value.imag - s) <= 1e-12 * abs(s), (alpha, z)
         assert abs(value.real - c) <= 1e-12 * abs(c), (alpha, z)
 
@@ -1112,17 +1091,12 @@ def test_degenerate_two_radical_pair_against_mpmath(kernel):
     # rotated by u into (gen_si, gen_ci) and back, which costs a few ulp: the
     # cosine reads 1.03e-15 at (a, zeta) = (0.178, 8.29) here, and at most
     # 9.9e-16 over 1,000 other seeded points (1.7e-15 as two real sums)
-    mpmath = pytest.importorskip("mpmath")
     transform = tr.sin_transform if kernel == "sin" else tr.cos_transform
     rng = random.Random(45)
     for _ in range(30):
         a = rng.uniform(0.05, 1.0)
         zeta = rng.uniform(0.0125, 2.0) / a
-        with mpmath.workdps(40):
-            u = mpmath.mpf(zeta) * mpmath.mpf(a)
-            si, ci = mpmath.si(u) - mpmath.pi / 2, mpmath.ci(u)
-            want = float(ci * mpmath.sin(u) - si * mpmath.cos(u) if kernel == "sin"
-                         else -ci * mpmath.cos(u) - si * mpmath.sin(u))
+        want = float(getattr(mpref.pair(1, a, 40, zeta), kernel))
         assert abs(transform(a, a, zeta) - want) <= 1.5e-15 * abs(want), (a, zeta)
 
 

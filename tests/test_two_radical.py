@@ -36,6 +36,8 @@ from oscint import radical_pole as rp
 from oscint import two_radical as tr
 from oscint.two_radical import TwoRadicalParams
 
+import mpref
+
 J0_1 = 0.76519768655796655
 Y0_1 = 0.088256964215676958
 
@@ -203,15 +205,10 @@ def test_head_series_against_mpmath(power, heads):
                     with pytest.raises(ConvergenceError, match="too large"):
                         head(phase / (gamma * gamma), gamma)
                 continue
-            # z = gamma u: gamma * integral of exp(i phase u^2) (1 + gamma^2 u^2)^-p on [0, 1]
-            g, x, p = mpmath.mpf(gamma), mpmath.mpf(phase), mpmath.mpf(power)
-            n = 2 + int(phase / 4)      # subintervals of about one oscillation each
-            cuts = {mpmath.mpf(k) / n for k in range(n + 1)}
-            cuts |= {k / g for k in (0.25, 1, 4) if k < gamma}     # the weight bends at 1/gamma
-            ref = g * mpmath.quad(lambda u: mpmath.expj(x * u * u) * (1 + (g * u) ** 2) ** -p,
-                                  sorted(cuts), method="gauss-legendre")
+            # at the phase drawn, and the series at the phase's c as rounded to double
+            ref = mpref.head(mpmath.mpf(phase) / mpmath.mpf(gamma) ** 2, gamma, power, 30)
             c = phase / (gamma * gamma)
-            for head, want in zip(heads, (ref.imag, ref.real)):
+            for head, want in zip(heads, ref):
                 err = float(abs((head(c, gamma) - want) / want))
                 worst.append((err / tol, head.__name__, gamma, phase, err))
     assert max(worst)[0] <= 1.0, max(worst)
@@ -264,59 +261,40 @@ def test_cached_table_length_covers_the_loop(ctl):
     assert (capped > 0) == (ctl.max_terms == 4)
 
 
-def _rotated_contour(weight, zeta, dps=40):
-    """(I_sin, I_cos) at ``dps`` digits: t = i s / zeta turns both transforms
-    into (i / zeta) times the integral of e^-s w(i s / zeta) over [0, inf)."""
-    import mpmath as mp
-    with mp.workdps(dps):
-        z = mp.mpf(zeta)
-        total = 1j / z * mp.quad(lambda s: mp.exp(-s) * weight(mp, 1j * s / z), [0, mp.inf])
-        return float(total.imag), float(total.real)
+_WEIGHTS = [((sin_transform, cos_transform), TwoRadical),
+            ((pole_sin_transform, pole_cos_transform), RadicalPole)]
 
 
-@pytest.mark.parametrize("transforms, weight, bound", [
-    ((sin_transform, cos_transform),
-     lambda mp, a, b, t: 1 / (mp.sqrt(t + a) * mp.sqrt(t + b)), 1e-14),
-    ((pole_sin_transform, pole_cos_transform),
-     lambda mp, a, b, t: 1 / (mp.sqrt(t + a) * (t + b)), 1e-14),
-], ids=["two-radical", "radical-pole"])
-def test_in_grid_transforms_near_unit_gamma_against_mpmath(transforms, weight, bound):
+@pytest.mark.parametrize("transforms, weight", _WEIGHTS, ids=["two-radical", "radical-pole"])
+def test_in_grid_transforms_near_unit_gamma_against_mpmath(transforms, weight):
     # at gamma^2 = a/(b-a) near 1 the downward moment recurrence does not
     # damp the error of the top moment's 2F1, so that 2F1 is summed to 1e-17,
     # and tail - head cancels, so both heads run to the table's top: at the
     # closed-grid wide point first below (gamma^2 = 0.9922) a two-radical
     # cosine whose head stopped at rel_tol was 1.3e-13 off
-    pytest.importorskip("mpmath")
     rng = random.Random(20261018)
     worst, points = [], [(2.4928, 5.0052, 0.98746)]
     for _ in range(24):
         a = rng.uniform(0.2, 1.0)
         points.append((a, a + a / rng.uniform(0.9, 1.1), rng.uniform(0.25, 2.0)))
     for a, b, zeta in points:
-        ref = _rotated_contour(lambda mp, t: weight(mp, mp.mpf(a), mp.mpf(b), t), zeta)
+        ref = map(float, mpref.contour(weight(a, b), zeta, 40))
         for transform, want in zip(transforms, ref):
             worst.append((abs(transform(a, b, zeta) - want) / abs(want), transform.__name__, a, b))
-    assert max(worst)[0] <= bound, max(worst)
+    assert max(worst)[0] <= 1e-14, max(worst)
 
 
-_MP_WEIGHTS = [
-    ((sin_transform, cos_transform), lambda mp, a, b, t: 1 / (mp.sqrt(t + a) * mp.sqrt(t + b))),
-    ((pole_sin_transform, pole_cos_transform), lambda mp, a, b, t: 1 / (mp.sqrt(t + a) * (t + b))),
-]
-
-
-@pytest.mark.parametrize("transforms, weight", _MP_WEIGHTS, ids=["two-radical", "radical-pole"])
+@pytest.mark.parametrize("transforms, weight", _WEIGHTS, ids=["two-radical", "radical-pole"])
 def test_contour_route_past_the_phase_guard_against_mpmath(transforms, weight):
     # past the guard both transforms come from one GK21 pass over the
     # rotated contour, where nothing cancels, so they hold double precision
-    pytest.importorskip("mpmath")
     rng = random.Random(20261020)
     worst = []
     for _ in range(10):
         zeta = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
         a = rng.uniform(12.5, 40.0) / zeta
         b = a + rng.uniform(0.2, 3.5)
-        ref = _rotated_contour(lambda mp, t: weight(mp, mp.mpf(a), mp.mpf(b), t), zeta, 30)
+        ref = map(float, mpref.contour(weight(a, b), zeta, 30))
         for transform, want in zip(transforms, ref):
             err = abs(transform(a, b, zeta) - want) / abs(want)
             worst.append((err, transform.__name__, a, b, zeta))

@@ -38,7 +38,7 @@ part's error is relative to that modulus, so a zero of one part reads as no loss
 ``--parent REV`` evaluates the same points at REV too and prints each stratum as
 parent -> change; the two checkouts come from ``bench_pairs.trees``.  Each tree runs
 in a child that ``bench_pairs.call`` starts; the references are computed once.
-Standard library plus mpmath.
+Standard library plus mpmath, whose references come from ``mpref.py`` beside this file.
 """
 
 import argparse
@@ -127,18 +127,20 @@ def reference(kind, a, x, y, digits=30):
     deeper until the two agree to 1e-20 (mpmath's Gamma(a, z) at 30 digits is 4.8e-13
     off at a = -151.8, z = 36.1 + 22.0i)."""
     import mpmath as mp
+    import mpref
 
     def value(dps):
         with mp.workdps(dps):
             if kind in PARTS:
-                return mp.exp(0.5j * mp.pi * a) * mp.gammainc(a, -1j * mp.mpf(x))
+                si, ci = mpref.gen_trig(a, x, dps)
+                return mp.mpc(ci, si)
             if kind == "gamma":
-                return mp.gammainc(a, mp.mpc(x, y))
-            # sqrt(u) S_{mu,1/2}(u) is the form's Re at the order 1 - (1/2 - mu)
-            u, b = mp.mpf(x), mp.mpf(a if kind == "form" else 1.0 - (0.5 - a))
-            # two phase factors: one exp of the sum loses the order's part of it
-            form = mp.exp(-0.5j * mp.pi * (1 - b)) * mp.exp(-1j * u) * mp.gammainc(b, -1j * u)
-            return form if kind == "form" else form.real / mp.sqrt(u)
+                return mpref.gamma(a, complex(x, y), dps)
+            # the form is -i (I_cos + i I_sin) of the pair at the Gamma order b, and
+            # sqrt(u) S_{mu,1/2}(u) its Re at the order 1 - (1/2 - mu)
+            b = a if kind == "form" else 1.0 - (0.5 - a)
+            s, c = mpref.pair(1 - mp.mpf(b), x, dps)
+            return mp.mpc(s, -c) if kind == "form" else s / mp.sqrt(x)
 
     want = value(digits)
     while digits < 120:
